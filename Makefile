@@ -49,11 +49,17 @@ chaos:
 crash-smoke:
 	$(GO) test -v -count=1 -run 'TestCmdMlpartdCrash|TestCmdStatscheckJournal' .
 
-# Short fuzz run over the parser hardening (resource limits, overflow
-# checks). The checked-in corpus under
-# internal/hypergraph/testdata/fuzz seeds it.
+# Short fuzz runs: the parser hardening (resource limits, overflow
+# checks), the pipeline differential target (the coarsening hierarchy
+# must not depend on IntraParallelism, 0 included, and partitions must
+# be byte-identical at widths 1 and 4 and agree with the oracle), and
+# the canonical options JSON round trip. The checked-in corpora under
+# internal/hypergraph/testdata/fuzz and testdata/fuzz seed them and run
+# in plain `make test` as well.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadHGR -fuzztime=10s ./internal/hypergraph
+	$(GO) test -run '^$$' -fuzz='^FuzzPipeline$$' -fuzztime=10s .
+	$(GO) test -run '^$$' -fuzz='^FuzzOptionsJSON$$' -fuzztime=5s .
 
 # Telemetry smoke: run the CLI with -stats-json on the checked-in
 # mesh netlist at two parallelism levels, validate both reports with

@@ -12,12 +12,21 @@ import (
 
 	"mlpart/internal/coarsen"
 	"mlpart/internal/expt"
+	"mlpart/internal/hypergraph"
 	"mlpart/internal/netgen"
 )
 
 // hierarchyOneLevel runs one Match+Induce coarsening step.
 func hierarchyOneLevel(c *Circuit, rng *rand.Rand) (*Hypergraph, *Clustering, error) {
-	return coarsen.Coarsen(c.H, coarsen.Config{Ratio: 1}, rng)
+	cl, err := coarsen.Match(c.H, coarsen.Config{Ratio: 1}, rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	coarse, err := hypergraph.InduceWSPar(c.H, cl, nil, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return coarse, cl, nil
 }
 
 func benchOpts() expt.Options {

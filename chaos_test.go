@@ -17,10 +17,10 @@ import (
 
 // siteFires reports whether a site can trigger on the given entry
 // point (fm.pass is bipartition-only, kway.refine quadrisection-only;
-// coarsen.score and fm.subround live on the intra-parallel paths, so
-// they need IntraParallelism > 0 — and the sub-round engine replaces
-// serial FM/CLIP for bipartitioning only, the k-way engine has no
-// parallel refinement; the server.* sites live in mlpartd's
+// fm.subround lives on the sub-round engine, so it needs
+// IntraParallelism > 0 — and that engine replaces serial FM/CLIP for
+// bipartitioning only, the k-way engine has no parallel refinement;
+// coarsen.match fires at every width; the server.* sites live in mlpartd's
 // admission/job paths and the journal.* sites in its write-ahead log,
 // so none of them is ever reached through the library entry points).
 func siteFires(site faultinject.Site, k, intra int) bool {
@@ -29,8 +29,6 @@ func siteFires(site faultinject.Site, k, intra int) bool {
 		return k == 2
 	case faultinject.SiteKwayRefine:
 		return k == 4
-	case faultinject.SiteCoarsenScore:
-		return intra > 0
 	case faultinject.SiteFMSubround:
 		return intra > 0 && k == 2
 	case faultinject.SiteServerAdmit, faultinject.SiteServerJob,
@@ -64,8 +62,10 @@ func TestChaosSweep(t *testing.T) {
 								Entries: []FaultEntry{faultinject.On(site, kind, 1)},
 							},
 						}
+						// err is per subtest: the subtests run in parallel.
 						var p *Partition
 						var info Info
+						var err error
 						if k == 2 {
 							p, info, err = BipartitionCtx(context.Background(), h, opt)
 						} else {

@@ -55,12 +55,12 @@ type Config struct {
 	// returned Clustering is freshly allocated). A Workspace must not
 	// be shared across goroutines; nil allocates scratch per call.
 	WS *Workspace
-	// Par optionally fans candidate scoring out over the pool's
-	// workers (match_par.go). The output is bit-identical to the
-	// serial sweep for every pool size — scoring is speculative and
-	// side-effect-free, and all pairing decisions stay on the calling
-	// goroutine — so Par only changes wall-clock time. Like WS, a pool
-	// belongs to one pipeline attempt at a time.
+	// Par is the pool candidate scoring runs on; nil is the one-wide
+	// inline pool. The output is bit-identical for every pool size —
+	// scoring is speculative and side-effect-free, and all pairing
+	// decisions stay on the calling goroutine — so Par only changes
+	// wall-clock time. Like WS, a pool belongs to one pipeline attempt
+	// at a time.
 	Par *intrapar.Pool
 }
 
@@ -119,6 +119,33 @@ func Conn(h *hypergraph.Hypergraph, v, w int, maxNetSize int) float64 {
 // singleton. Matching stops once the fraction of matched modules
 // reaches cfg.Ratio, and every remaining unmatched module is assigned
 // its own cluster.
+//
+// The sweep looks inherently sequential — each pairing removes two
+// cells from every later candidate set — but the choice rule makes
+// speculation exact: bestPartner is the argmax under a total order on
+// (score desc, index asc), scores do not depend on the matched state,
+// and matching only ever shrinks the candidate set. So a partner chosen
+// against a snapshot of the matched state remains the argmax over any
+// later subset that still contains it. The permutation is therefore
+// processed in blocks:
+//
+//  1. Score the block's cells over the pool's fixed ranges against the
+//     matched state at block start (pure reads; each worker owns a
+//     private conn accumulator and writes only its own slots of the
+//     speculative-partner array).
+//  2. Apply in permutation order on the calling goroutine (ratio stop,
+//     Stop polling cadence, skip rules). A speculative partner that is
+//     still unmatched is provably the live choice; one that got matched
+//     earlier in the block (or a cell whose snapshot said "no
+//     candidate" — the set only shrank) is recomputed against the live
+//     state.
+//
+// A one-wide pool (cfg.Par nil or of one worker) scores one slot per
+// block, so speculation never fails and no cell is scored twice. Every
+// pairing decision happens on the calling goroutine, so the clustering
+// and the RNG stream are the same for every block size and worker
+// count — pinned by TestMatchParIdenticalToSerial and the
+// oracle/golden suites.
 func Match(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*hypergraph.Clustering, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
@@ -140,7 +167,6 @@ func Match(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*hypergraph.Cl
 		// fires before the first pairing — an all-singleton clustering.
 		cfg.Stop = func() bool { return true }
 	}
-	excluded := func(v int) bool { return cfg.Exclude != nil && cfg.Exclude[v] }
 	c := &hypergraph.Clustering{CellToCluster: make([]int32, n)}
 	for v := range c.CellToCluster {
 		c.CellToCluster[v] = -1
@@ -151,28 +177,34 @@ func Match(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*hypergraph.Cl
 	ws := cfg.grab()
 	ws.perm = permInto(ws.perm, n, rng)
 	perm := ws.perm
-	// conn accumulator indexed by module, reset via the neighbor set
-	// after each pairing (the Conn-array technique of §III.A).
-	connAcc, neighbors := ws.scoreBuffers(n)
+	block := ws.prepare(n, cfg.Par.Workers())
+	ws.cur = sweepState{h: h, cfg: cfg, c: c}
 
 	k := int32(0)
-	scoreCorrupt := false
-	if cfg.Par != nil {
-		k, scoreCorrupt, neighbors = matchPar(h, &cfg, c, ws, connAcc, neighbors)
-	} else {
-		nMatch := 0
-		j := 0
-		for float64(nMatch)/float64(n) < cfg.Ratio && j < n {
+	nMatch := 0
+sweep:
+	for j := 0; j < n; {
+		end := min(j+block, n)
+		ws.cur.base = j
+		cfg.Par.Run(end-j, ws.scoreFn)
+		for ; j < end; j++ {
+			if float64(nMatch)/float64(n) >= cfg.Ratio {
+				break sweep
+			}
 			if j&255 == 0 && cfg.Stop != nil && cfg.Stop() {
-				break
+				break sweep
 			}
 			v := perm[j]
-			j++
-			if c.CellToCluster[v] >= 0 || excluded(v) {
+			if c.CellToCluster[v] >= 0 || (cfg.Exclude != nil && cfg.Exclude[v]) {
 				continue
 			}
-			var best int32
-			best, neighbors = bestPartner(h, &cfg, c, v, connAcc, neighbors)
+			best := ws.spec[j-ws.cur.base]
+			if best >= 0 && c.CellToCluster[best] >= 0 {
+				// The speculative partner was matched earlier in this
+				// block; recompute against the live state with worker 0's
+				// scratch, which is all zeros again after its scan.
+				best, ws.neighbors[0] = bestPartner(h, &cfg, c, v, ws.connAcc[0], ws.neighbors[0])
+			}
 			c.CellToCluster[v] = k
 			if best >= 0 {
 				c.CellToCluster[best] = k
@@ -181,6 +213,7 @@ func Match(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*hypergraph.Cl
 			k++
 		}
 	}
+	ws.cur = sweepState{} // retain nothing of this call
 	// Steps 8–10: every remaining unmatched module becomes a
 	// singleton cluster.
 	for v := 0; v < n; v++ {
@@ -190,8 +223,7 @@ func Match(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*hypergraph.Cl
 		}
 	}
 	c.NumClusters = int(k)
-	ws.neighbors = neighbors // keep any growth for the next call
-	if act == faultinject.ActCorrupt || scoreCorrupt {
+	if act == faultinject.ActCorrupt {
 		corruptClustering(c, cfg.Exclude)
 	}
 	// Every pair shrinks the cluster count by one, so the pairing
@@ -199,6 +231,24 @@ func Match(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*hypergraph.Cl
 	pairs := n - c.NumClusters
 	cfg.Telemetry.RecordMatch(pairs, c.NumClusters-pairs)
 	return c, nil
+}
+
+// score is the pool range function of the matching sweep: it scores
+// the permutation slots [base+lo, base+hi) of the current block
+// against the matched state at block start, writing each cell's
+// speculative partner into its own spec slot.
+func (w *Workspace) score(worker, lo, hi int) {
+	s := &w.cur
+	ca, nb := w.connAcc[worker], w.neighbors[worker]
+	for i := lo; i < hi; i++ {
+		v := w.perm[s.base+i]
+		if s.c.CellToCluster[v] >= 0 || (s.cfg.Exclude != nil && s.cfg.Exclude[v]) {
+			w.spec[i] = -1 // skipped at apply; value never read
+			continue
+		}
+		w.spec[i], nb = bestPartner(s.h, &s.cfg, s.c, v, ca, nb)
+	}
+	w.neighbors[worker] = nb
 }
 
 // bestPartner scans v's nets and returns the unmatched, non-excluded,
@@ -212,9 +262,9 @@ func Match(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*hypergraph.Cl
 // lowest cell index (neighbors is ordered by net traversal, so without
 // the explicit rule the winner would depend on pin order), making the
 // choice the argmax under a total order on (score desc, index asc).
-// That property is what lets the parallel sweep (match_par.go) score
-// candidates speculatively against a snapshot and still reproduce the
-// serial result exactly.
+// That property is what lets Match score candidates speculatively
+// against a snapshot and still reproduce the one-slot-per-block result
+// exactly.
 func bestPartner(h *hypergraph.Hypergraph, cfg *Config, c *hypergraph.Clustering, v int, connAcc []float64, neighbors []int32) (int32, []int32) {
 	neighbors = neighbors[:0]
 	av := h.Area(v)
@@ -271,18 +321,4 @@ func corruptClustering(c *hypergraph.Clustering, exclude []bool) {
 			return
 		}
 	}
-}
-
-// Coarsen applies Match and induces the coarser hypergraph in one
-// step, returning both.
-func Coarsen(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*hypergraph.Hypergraph, *hypergraph.Clustering, error) {
-	c, err := Match(h, cfg, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	coarse, err := hypergraph.Induce(h, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	return coarse, c, nil
 }

@@ -200,7 +200,11 @@ func TestMatchEmptyHypergraph(t *testing.T) {
 func TestCoarsenInduces(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	h := randomH(rng, 100, 200, 4)
-	coarse, c, err := Coarsen(h, Config{Ratio: 1}, rng)
+	c, err := Match(h, Config{Ratio: 1}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coarse, err := hypergraph.InduceWSPar(h, c, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,21 @@
 package coarsen
 
-import "math/rand"
+import (
+	"math/rand"
 
-// Workspace holds the per-vertex scratch memory of Match: the visit
-// permutation, the candidate-score accumulator and the neighbor list.
+	"mlpart/internal/hypergraph"
+)
+
+// scoreBlockSize is the number of permutation slots a multi-worker
+// pool scores per synchronization. Output-invariant (any value yields
+// the same clustering); chosen to amortize the fan-out barrier while
+// keeping the speculation window — and thus the recompute rate —
+// small. A one-wide pool scores one slot per block.
+const scoreBlockSize = 512
+
+// Workspace holds the scratch memory of Match: the visit permutation,
+// the speculative-partner array of one score block, and one
+// candidate-score accumulator and neighbor list per pool worker.
 // Threading one Workspace through the Match calls of a multilevel run
 // makes the matching sweep allocation-free in steady state — only the
 // returned Clustering (which the hierarchy retains) is freshly
@@ -14,47 +26,58 @@ import "math/rand"
 // level variable or shared across concurrent attempts; the multi-start
 // supervisor creates one per attempt. The zero value is ready to use.
 type Workspace struct {
-	perm      []int
-	connAcc   []float64
-	neighbors []int32
+	perm []int
+	spec []int32 // speculative partner per slot of the current block
 
-	// Parallel-sweep scratch (match_par.go): the speculative-partner
-	// array plus one private conn accumulator and neighbor list per
-	// pool worker.
-	spec []int32
-	par  parScratch
-}
-
-// parScratch is the per-worker scratch of the parallel sweep. Each
-// worker index owns one accumulator (held to the same all-zeros
-// invariant as the serial one) and one neighbor list; slots are
-// indexed by the pool's range index, so no two concurrent ranges
-// share state.
-type parScratch struct {
+	// Per-worker scratch, indexed by the pool's range index, so no two
+	// concurrent ranges share state. Every accumulator is all zeros
+	// between scans (bestPartner resets what it touches), which is what
+	// lets the calling goroutine reuse worker 0's pair for recomputes.
 	connAcc   [][]float64
 	neighbors [][]int32
+
+	// cur is the state of the Match call in flight that score reads;
+	// scoreFn is the score method value, bound once per workspace so
+	// dispatching a block allocates nothing.
+	cur     sweepState
+	scoreFn func(worker, lo, hi int)
 }
 
-// parBuffers sizes the parallel-sweep scratch for n cells and the
-// given worker count, reusing prior capacity. Freshly grown
-// accumulators are zero-filled by make, matching the invariant.
-func (w *Workspace) parBuffers(n, workers int) ([]int32, *parScratch) {
-	if cap(w.spec) < n {
-		w.spec = make([]int32, n)
+// sweepState is what the score range function needs of one Match call.
+// Match clears it on return so a workspace never retains a hypergraph.
+type sweepState struct {
+	h    *hypergraph.Hypergraph
+	cfg  Config
+	c    *hypergraph.Clustering
+	base int // permutation index of the current block's first slot
+}
+
+// prepare sizes the scratch for n cells and the given worker count,
+// reusing prior capacity, and returns the score block size. Freshly
+// grown accumulators are zero-filled by make, matching the invariant.
+func (w *Workspace) prepare(n, workers int) int {
+	block := 1
+	if workers > 1 {
+		block = scoreBlockSize
 	}
-	w.spec = w.spec[:n]
-	p := &w.par
-	for len(p.connAcc) < workers {
-		p.connAcc = append(p.connAcc, nil)
-		p.neighbors = append(p.neighbors, make([]int32, 0, 64))
+	if cap(w.spec) < block {
+		w.spec = make([]int32, block)
+	}
+	w.spec = w.spec[:block]
+	for len(w.connAcc) < workers {
+		w.connAcc = append(w.connAcc, nil)
+		w.neighbors = append(w.neighbors, make([]int32, 0, 64))
 	}
 	for i := 0; i < workers; i++ {
-		if cap(p.connAcc[i]) < n {
-			p.connAcc[i] = make([]float64, n)
+		if cap(w.connAcc[i]) < n {
+			w.connAcc[i] = make([]float64, n)
 		}
-		p.connAcc[i] = p.connAcc[i][:n]
+		w.connAcc[i] = w.connAcc[i][:n]
 	}
-	return w.spec, p
+	if w.scoreFn == nil {
+		w.scoreFn = w.score
+	}
+	return block
 }
 
 // permInto fills buf with the same permutation rand.Perm(n) would
@@ -82,21 +105,4 @@ func (c Config) grab() *Workspace {
 		return c.WS
 	}
 	return &Workspace{}
-}
-
-// scoreBuffers sizes the accumulator and neighbor list for n cells.
-// The accumulator relies on an invariant rather than a clear: Match
-// zeroes every touched entry during the best-candidate scan, so
-// between calls the array is all zeros; only growth allocates (and
-// make() zero-fills). The differential oracle tests pin the invariant
-// by comparing workspace and workspace-free runs bit for bit.
-func (w *Workspace) scoreBuffers(n int) (connAcc []float64, neighbors []int32) {
-	if cap(w.connAcc) < n {
-		w.connAcc = make([]float64, n)
-	}
-	w.connAcc = w.connAcc[:n]
-	if w.neighbors == nil {
-		w.neighbors = make([]int32, 0, 64)
-	}
-	return w.connAcc, w.neighbors[:0]
 }

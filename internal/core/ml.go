@@ -40,20 +40,24 @@ type Config struct {
 	// degenerate instances where Match cannot shrink the netlist.
 	// 0 means a generous default of 64.
 	MaxLevels int
-	// IntraParallelism sizes the intra-attempt worker pool used for
-	// parallel match scoring, parallel induce-CSR assembly, and the
-	// sub-round-synchronous FM/CLIP engine. 0 (the default) keeps the
-	// exact legacy serial pipeline. Any value >= 1 switches refinement
-	// to the sub-round engine — a deterministic algorithm whose cuts
+	// IntraParallelism sizes the intra-attempt worker pool. Match
+	// scoring and induce-CSR assembly have one implementation that runs
+	// on the pool at every width — 0 (the default) gives them the nil,
+	// one-wide inline pool — and their output never depends on the
+	// width. Refinement is where the width matters: 0 keeps the paper's
+	// serial FM/CLIP engine, and any value >= 1 switches to the
+	// sub-round-synchronous engine, a deterministic algorithm whose cuts
 	// can differ from the serial engine's but are bit-identical across
 	// all pool sizes, so results depend only on 0-vs->=1, never on the
 	// worker count. Negative values are rejected.
 	IntraParallelism int
 	// MergeParallelNets merges identical coarse nets into single
-	// weighted nets during coarsening (InduceMerged). The weighted
-	// cut is provably unchanged, but the coarse netlists shrink,
-	// which speeds refinement — the hMETIS-era optimization that the
-	// paper's Definition 1 forgoes (ablation-mergenets measures it).
+	// weighted nets after each induction (hypergraph.MergeParallelNets).
+	// The weighted cut is provably unchanged, but the coarse netlists
+	// shrink, which speeds refinement — the hMETIS-era optimization
+	// that the paper's Definition 1 forgoes (ablation-mergenets
+	// measures it). The induction itself is the same pool-driven
+	// assembly either way.
 	MergeParallelNets bool
 	// Audit enables from-scratch invariant checks (package audit) at
 	// every level transition: clustering well-formedness and area
@@ -180,19 +184,15 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg Config, r
 	cfg.Refine.Par = ws.pool
 	cfg.Telemetry.RecordIntraWorkers(cfg.IntraParallelism)
 	var coarsenRegions int64
-	if ws.pool != nil {
-		defer func() {
-			// Every region dispatched after the coarsening phase belongs
-			// to refinement (match/induce run only inside buildHierarchy).
-			cfg.Telemetry.RecordParRegions(telemetry.StageRefine, ws.pool.Regions()-coarsenRegions)
-		}()
-	}
+	defer func() {
+		// Every region dispatched after the coarsening phase belongs to
+		// refinement (match/induce run only inside buildHierarchy).
+		cfg.Telemetry.RecordParRegions(telemetry.StageRefine, ws.pool.Regions()-coarsenRegions)
+	}()
 
 	levels, res, err := buildHierarchy(ctx, h, cfg, rng, ws)
-	if ws.pool != nil {
-		coarsenRegions = ws.pool.Regions()
-		cfg.Telemetry.RecordParRegions(telemetry.StageCoarsen, coarsenRegions)
-	}
+	coarsenRegions = ws.pool.Regions()
+	cfg.Telemetry.RecordParRegions(telemetry.StageCoarsen, coarsenRegions)
 	var firstErr *PanicError
 	if err != nil {
 		pe, ok := AsPanicError(err)
@@ -409,13 +409,9 @@ func buildHierarchy(ctx context.Context, h *hypergraph.Hypergraph, cfg Config, r
 			if err != nil {
 				return err
 			}
-			if cfg.MergeParallelNets {
-				// Merged induction dedups identical coarse nets through a
-				// global hash table, which does not range-decompose; it
-				// stays serial under intra-parallelism.
-				coarseH, err = hypergraph.InduceMergedWS(cur, c, &ws.induce)
-			} else {
-				coarseH, err = hypergraph.InduceWSPar(cur, c, &ws.induce, ws.pool)
+			coarseH, err = hypergraph.InduceWSPar(cur, c, &ws.induce, ws.pool)
+			if err == nil && cfg.MergeParallelNets {
+				coarseH, err = hypergraph.MergeParallelNets(coarseH)
 			}
 			return err
 		})

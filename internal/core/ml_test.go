@@ -320,7 +320,7 @@ func TestHierarchyClusteringsComposeToCoarsest(t *testing.T) {
 	if err := flat.Validate(h.NumCells()); err != nil {
 		t.Fatal(err)
 	}
-	induced, err := hypergraph.Induce(h, flat)
+	induced, err := hypergraph.InduceWSPar(h, flat, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,11 +396,11 @@ func TestMergeParallelNetsShrinksCoarseNetlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := hypergraph.Induce(h, c)
+	plain, err := hypergraph.InduceWSPar(h, c, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := hypergraph.InduceMerged(h, c)
+	merged, err := hypergraph.MergeParallelNets(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func TestVCycleRestrictedMatchingPreservesSolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := hypergraph.Induce(h, c)
+	coarse, err := hypergraph.InduceWSPar(h, c, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

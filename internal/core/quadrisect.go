@@ -79,6 +79,9 @@ func (c QuadConfig) Normalize() (QuadConfig, error) {
 	if c.MaxLevels == 0 {
 		c.MaxLevels = 64
 	}
+	if c.MaxLevels < 1 {
+		return c, fmt.Errorf("core: MaxLevels %d < 1", c.MaxLevels)
+	}
 	if c.IntraParallelism < 0 {
 		return c, fmt.Errorf("core: IntraParallelism %d < 0", c.IntraParallelism)
 	}
@@ -258,9 +261,7 @@ func QuadrisectCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg QuadConfig
 	}
 	res.Levels = len(levels) - 1
 	res.CoarsestCells = cur.h.NumCells()
-	if ws.pool != nil {
-		cfg.Telemetry.RecordParRegions(telemetry.StageCoarsen, ws.pool.Regions())
-	}
+	cfg.Telemetry.RecordParRegions(telemetry.StageCoarsen, ws.pool.Regions())
 
 	// Partition the coarsest netlist.
 	refCfg := cfg.Refine

@@ -100,6 +100,11 @@ func TestQuadrisectConfigErrors(t *testing.T) {
 	if _, _, err := Quadrisect(h, QuadConfig{Threshold: 1}, rng); err == nil {
 		t.Error("bad threshold must error")
 	}
+	// A negative cap would silently disable coarsening; Config rejects
+	// it with the same message.
+	if _, err := (QuadConfig{MaxLevels: -1}).Normalize(); err == nil || err.Error() != "core: MaxLevels -1 < 1" {
+		t.Errorf("negative MaxLevels: got %v, want core: MaxLevels -1 < 1", err)
+	}
 	fixed := make([]bool, 20)
 	pre := make([]int32, 20)
 	fixed[0], pre[0] = true, 9

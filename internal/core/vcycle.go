@@ -91,11 +91,9 @@ func oneVCycle(ctx context.Context, h *hypergraph.Hypergraph, p *hypergraph.Part
 		if err != nil {
 			return nil, err
 		}
-		var coarse *hypergraph.Hypergraph
-		if cfg.MergeParallelNets {
-			coarse, err = hypergraph.InduceMergedWS(cur, c, &ws.induce)
-		} else {
-			coarse, err = hypergraph.InduceWSPar(cur, c, &ws.induce, ws.pool)
+		coarse, err := hypergraph.InduceWSPar(cur, c, &ws.induce, ws.pool)
+		if err == nil && cfg.MergeParallelNets {
+			coarse, err = hypergraph.MergeParallelNets(coarse)
 		}
 		if err != nil {
 			return nil, err

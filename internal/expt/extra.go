@@ -226,7 +226,7 @@ func AblationVCycle(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// AblationMergeNets measures parallel-net merging (InduceMerged):
+// AblationMergeNets measures parallel-net merging (MergeParallelNets):
 // identical weighted-cut semantics, smaller coarse netlists, lower
 // CPU — the hMETIS-era optimization the paper's Definition 1 forgoes.
 func AblationMergeNets(opts Options) (*Table, error) {

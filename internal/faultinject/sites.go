@@ -7,17 +7,12 @@ package faultinject
 // packages), keeping the registry the one auditable source of truth
 // for what the chaos suite must cover.
 const (
-	// SiteCoarsenMatch fires at the head of every coarsen.Match call.
-	// Cancel stops matching immediately (all-singleton clustering);
-	// corrupt swaps two cells between clusters (well-formed, worse).
+	// SiteCoarsenMatch fires at the head of every coarsen.Match call, at
+	// every IntraParallelism (the matching sweep has one implementation
+	// for every pool width). Cancel stops matching immediately
+	// (all-singleton clustering); corrupt swaps two cells between
+	// clusters (well-formed, worse).
 	SiteCoarsenMatch Site = "coarsen.match"
-	// SiteCoarsenScore fires once per coarsen.Match call at the head of
-	// the intra-parallel candidate-scoring path (calling goroutine,
-	// before any range is dispatched), so it only fires when
-	// IntraParallelism >= 1. Cancel stops matching immediately, like a
-	// Stop hook (all-singleton clustering from that point); corrupt
-	// swaps two cells between clusters, as at SiteCoarsenMatch.
-	SiteCoarsenScore Site = "coarsen.score"
 	// SiteFMPass fires at every FM/PROP pass boundary. Cancel aborts
 	// refinement as a Stop hook would; corrupt flips one cell without
 	// updating the incremental cut, which the audit layer must catch.
@@ -95,7 +90,6 @@ const (
 // The chaos suite sweeps this list; Plan.Validate checks against it.
 var AllSites = []Site{
 	SiteCoarsenMatch,
-	SiteCoarsenScore,
 	SiteFMPass,
 	SiteFMSubround,
 	SiteKwayRefine,

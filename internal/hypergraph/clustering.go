@@ -79,64 +79,42 @@ func Compose(c, d *Clustering) (*Clustering, error) {
 	return out, nil
 }
 
-// Induce constructs the coarser hypergraph H_{i+1} induced by a
-// clustering P^k of H_i, exactly following Definition 1 of the paper:
-// every net e of H_i becomes the net e* spanning the set of clusters
-// containing modules of e, unless |e*| = 1, in which case it is
-// dropped. Cluster areas are the sums of their member areas.
-//
-// Identical coarse nets arising from distinct fine nets are merged
-// into a single net of multiplicity weight only when mergeParallel is
-// true; the paper keeps parallel nets (each contributes to the cut
-// separately), so the ML algorithm calls Induce with
-// mergeParallel=false.
-func Induce(h *Hypergraph, c *Clustering) (*Hypergraph, error) {
-	return InduceWS(h, c, nil)
-}
-
-// InduceMerged is Induce with parallel-net merging: identical coarse
-// nets are combined into one net whose weight is the sum of the
-// originals'. The weighted cut of any partition is identical under
-// either representation (TestInduceMergedCutEquivalence), but merging
-// shrinks the coarse netlists, which speeds refinement — the standard
-// hMETIS-era optimization that the paper's Definition 1 forgoes.
-func InduceMerged(h *Hypergraph, c *Clustering) (*Hypergraph, error) {
-	return InduceMergedWS(h, c, nil)
-}
-
-// InduceMergedWS is InduceMerged with caller-supplied scratch for the
-// inner Induce step (the merge itself goes through a Builder: merged
-// coarse netlists are small and the sort dominates anyway).
-func InduceMergedWS(h *Hypergraph, c *Clustering, ws *InduceWorkspace) (*Hypergraph, error) {
-	plain, err := InduceWS(h, c, ws)
-	if err != nil {
-		return nil, err
-	}
-	if plain.NumNets() == 0 {
-		return plain, nil
+// MergeParallelNets returns h with its parallel nets merged: identical
+// nets (same sorted pin list) are combined into one net whose weight
+// is the sum of the originals'. Applied to an induced netlist it is
+// the optional post-step of induction. The weighted cut of any
+// partition is identical under either representation
+// (TestInduceMergedCutEquivalence), but merging shrinks the coarse
+// netlists, which speeds refinement — the standard hMETIS-era
+// optimization that the paper's Definition 1 forgoes. The merge goes
+// through a Builder: merged netlists are small and the sort dominates
+// anyway. A netlist without nets is returned as is.
+func MergeParallelNets(h *Hypergraph) (*Hypergraph, error) {
+	if h.NumNets() == 0 {
+		return h, nil
 	}
 	// Sort net indices by pin signature, then merge equal runs.
-	order := make([]int32, plain.NumNets())
+	order := make([]int32, h.NumNets())
 	for e := range order {
 		order[e] = int32(e)
 	}
 	sort.Slice(order, func(i, j int) bool {
-		return comparePins(plain.Pins(int(order[i])), plain.Pins(int(order[j]))) < 0
+		return comparePins(h.Pins(int(order[i])), h.Pins(int(order[j]))) < 0
 	})
-	b := NewBuilder(plain.NumCells())
-	for v := 0; v < plain.NumCells(); v++ {
-		b.SetArea(v, plain.Area(v))
+	b := NewBuilder(h.NumCells())
+	for v := 0; v < h.NumCells(); v++ {
+		b.SetArea(v, h.Area(v))
 	}
 	for i := 0; i < len(order); {
 		j := i
 		var w int64
-		for ; j < len(order) && comparePins(plain.Pins(int(order[i])), plain.Pins(int(order[j]))) == 0; j++ {
-			w += int64(plain.NetWeight(int(order[j])))
+		for ; j < len(order) && comparePins(h.Pins(int(order[i])), h.Pins(int(order[j]))) == 0; j++ {
+			w += int64(h.NetWeight(int(order[j])))
 		}
 		if w > 1<<30 {
 			w = 1 << 30 // saturate; beyond any practical multiplicity
 		}
-		b.AddWeightedNet32(int32(w), plain.Pins(int(order[i])))
+		b.AddWeightedNet32(int32(w), h.Pins(int(order[i])))
 		i = j
 	}
 	return b.Build()

@@ -37,7 +37,7 @@ type Hypergraph struct {
 	// netWeight holds per-net integer weights; nil means every net
 	// has weight 1 (the paper's unweighted model). Weights arise from
 	// weighted input files and from merging parallel nets during
-	// coarsening (InduceMerged).
+	// coarsening (MergeParallelNets).
 	netWeight []int32
 
 	names []string // optional cell names; nil or len numCells

@@ -76,10 +76,39 @@ func sameCSR(t *testing.T, want, got *Hypergraph) {
 	}
 }
 
+// referenceInduce builds the coarse netlist of Definition 1 through
+// Builder, whose documented contract (pins sorted ascending and
+// deduplicated, nets with fewer than two pins dropped, net order kept,
+// weighted iff a kept net has weight ≠ 1) is the one InduceWSPar
+// promises to reproduce byte for byte.
+func referenceInduce(t *testing.T, h *Hypergraph, c *Clustering) *Hypergraph {
+	t.Helper()
+	b := NewBuilder(c.NumClusters)
+	area := make([]int64, c.NumClusters)
+	for v := 0; v < h.NumCells(); v++ {
+		area[c.CellToCluster[v]] += h.Area(v)
+	}
+	for k, a := range area {
+		b.SetArea(k, a)
+	}
+	for e := 0; e < h.NumNets(); e++ {
+		var pins []int32
+		for _, p := range h.Pins(e) {
+			pins = append(pins, c.CellToCluster[p])
+		}
+		b.AddWeightedNet32(h.NetWeight(e), pins)
+	}
+	want, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 // TestInduceWSParIdenticalToSerial pins the byte-identity contract of
-// the parallel assembly across worker counts, instance sizes (serial
-// fallback for nil pools, fewer nets than workers, and full-width
-// fan-out) and dirty reused workspaces.
+// the assembly against the Builder reference across pool widths (the
+// nil one-wide pool, 1, 2 and 8 workers), instance sizes (fewer nets
+// than workers, and full-width fan-out) and dirty reused workspaces.
 func TestInduceWSParIdenticalToSerial(t *testing.T) {
 	ws := &InduceWorkspace{} // deliberately shared and dirty across cases
 	for seed := int64(1); seed <= 5; seed++ {
@@ -87,10 +116,7 @@ func TestInduceWSParIdenticalToSerial(t *testing.T) {
 		n := 2 + rng.Intn(400)
 		m := rng.Intn(600)
 		h, c := buildRandom(rng, n, m)
-		want, err := InduceWS(h, c, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := referenceInduce(t, h, c)
 		if got, err := InduceWSPar(h, c, ws, nil); err != nil {
 			t.Fatal(err)
 		} else {
@@ -110,27 +136,28 @@ func TestInduceWSParIdenticalToSerial(t *testing.T) {
 
 // TestInduceWSParTinyInstances exercises the degenerate shapes: no
 // nets at all, and fewer nets than workers (unissued ranges must not
-// leak stale buffers into the merge).
+// leak stale buffers into the merge), at every pool width.
 func TestInduceWSParTinyInstances(t *testing.T) {
-	ws := &InduceWorkspace{}
-	pool := intrapar.New(8)
-	defer pool.Close()
-	// First, a big instance to dirty the per-worker buffers.
-	rng := rand.New(rand.NewSource(3))
-	h, c := buildRandom(rng, 200, 300)
-	if _, err := InduceWSPar(h, c, ws, pool); err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []int{0, 1, 3} {
-		h, c := buildRandom(rng, 10, m)
-		want, err := InduceWS(h, c, nil)
-		if err != nil {
+	for _, workers := range []int{0, 1, 2, 8} {
+		var pool *intrapar.Pool // nil: the one-wide inline pool
+		if workers > 0 {
+			pool = intrapar.New(workers)
+		}
+		ws := &InduceWorkspace{}
+		// First, a big instance to dirty the per-worker buffers.
+		rng := rand.New(rand.NewSource(3))
+		h, c := buildRandom(rng, 200, 300)
+		if _, err := InduceWSPar(h, c, ws, pool); err != nil {
 			t.Fatal(err)
 		}
-		got, err := InduceWSPar(h, c, ws, pool)
-		if err != nil {
-			t.Fatal(err)
+		for _, m := range []int{0, 1, 3} {
+			h, c := buildRandom(rng, 10, m)
+			got, err := InduceWSPar(h, c, ws, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameCSR(t, referenceInduce(t, h, c), got)
 		}
-		sameCSR(t, want, got)
+		pool.Close()
 	}
 }

@@ -136,7 +136,7 @@ func TestPropertyProjectionPreservesCut(t *testing.T) {
 		n := 4 + rng.Intn(40)
 		h := randomHypergraph(rng, n, 5+rng.Intn(80))
 		c := randomClustering(rng, n)
-		coarse, err := Induce(h, c)
+		coarse, err := InduceWSPar(h, c, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -158,7 +158,7 @@ func TestPropertyProjectionPreservesSumOfDegrees(t *testing.T) {
 		n := 4 + rng.Intn(40)
 		h := randomHypergraph(rng, n, 5+rng.Intn(80))
 		c := randomClustering(rng, n)
-		coarse, err := Induce(h, c)
+		coarse, err := InduceWSPar(h, c, nil, nil)
 		if err != nil {
 			return false
 		}

@@ -3,8 +3,8 @@ package hypergraph_test
 // FuzzProjectRoundTrip drives the induce/project pair of Definitions
 // 1 and 2 at random instances and random clusterings: the coarse
 // hypergraph must preserve the total area and the vertex accounting,
-// the workspace-reusing InduceWS must be bit-identical to the
-// allocating path even with a dirty workspace, and a coarse solution
+// a dirty reused workspace and a two-worker pool must reproduce the
+// workspace-free one-wide induction exactly, and a coarse solution
 // must keep its oracle-recomputed cut under projection (nets dropped
 // by |e*| = 1 are exactly the nets a projected solution can never
 // cut). The file lives in the external test package so it can import
@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"mlpart/internal/hypergraph"
+	"mlpart/internal/intrapar"
 	"mlpart/internal/oracle"
 )
 
@@ -62,7 +63,7 @@ func FuzzProjectRoundTrip(f *testing.F) {
 			}
 		}
 
-		coarse, err := hypergraph.Induce(h, c)
+		coarse, err := hypergraph.InduceWSPar(h, c, nil, nil)
 		if err != nil {
 			t.Fatalf("induce: %v", err)
 		}
@@ -77,18 +78,21 @@ func FuzzProjectRoundTrip(f *testing.F) {
 		}
 
 		// The workspace path must match the allocating path exactly,
-		// even when the workspace arrives dirty from another instance.
+		// even when the workspace arrives dirty from another instance
+		// and the assembly is split over two workers.
 		ws := &hypergraph.InduceWorkspace{}
-		if _, err := hypergraph.InduceWS(h, c, ws); err != nil {
+		pool := intrapar.New(2)
+		defer pool.Close()
+		if _, err := hypergraph.InduceWSPar(h, c, ws, pool); err != nil {
 			t.Fatal(err)
 		}
-		coarse2, err := hypergraph.InduceWS(h, c, ws)
+		coarse2, err := hypergraph.InduceWSPar(h, c, ws, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if coarse2.NumCells() != coarse.NumCells() || coarse2.NumNets() != coarse.NumNets() ||
 			coarse2.NumPins() != coarse.NumPins() || coarse2.Weighted() != coarse.Weighted() {
-			t.Fatal("InduceWS shape differs from Induce")
+			t.Fatal("workspace induction shape differs from the workspace-free one")
 		}
 		for e := 0; e < coarse.NumNets(); e++ {
 			if coarse2.NetWeight(e) != coarse.NetWeight(e) {

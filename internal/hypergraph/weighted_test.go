@@ -69,11 +69,11 @@ func TestInduceMergedCutEquivalence(t *testing.T) {
 		n := 4 + rng.Intn(40)
 		h := randomHypergraph(rng, n, 10+rng.Intn(80))
 		c := randomClustering(rng, n)
-		plain, err := Induce(h, c)
+		plain, err := InduceWSPar(h, c, nil, nil)
 		if err != nil {
 			return false
 		}
-		merged, err := InduceMerged(h, c)
+		merged, err := MergeParallelNets(plain)
 		if err != nil {
 			return false
 		}

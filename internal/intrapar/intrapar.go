@@ -17,9 +17,11 @@
 // closures create one per attempt (inside core's pipelineWS bundle)
 // and Close it when the attempt returns, so no goroutines or channels
 // outlive a run. A pool with one worker executes ranges inline on the
-// calling goroutine — no goroutines are ever spawned — which gives
-// the "parallel algorithm, serial execution" configuration the
-// differential tests compare against higher worker counts.
+// calling goroutine — no goroutines are ever spawned. A nil *Pool is
+// the one-wide inline pool: Run calls fn(0, 0, n) directly, Workers
+// reports 1, Regions stays 0 and Close does nothing, so every
+// pool-driven stage has exactly one implementation and the serial
+// pipeline is simply that implementation at width one.
 package intrapar
 
 // task is one range execution request.
@@ -38,7 +40,7 @@ type outcome struct {
 }
 
 // Pool is a fixed-size worker pool. The zero value is not usable; use
-// New. A Pool is owned by a single goroutine: Run and Regions must not
+// New, or a nil *Pool for inline execution. A Pool is owned by a single goroutine: Run and Regions must not
 // be called concurrently (the pipeline calls them from the attempt
 // goroutine only).
 type Pool struct {
@@ -66,13 +68,24 @@ func New(workers int) *Pool {
 	return p
 }
 
-// Workers returns the pool size.
-func (p *Pool) Workers() int { return p.workers }
+// Workers returns the pool size; 1 for a nil pool.
+func (p *Pool) Workers() int {
+	if p == nil {
+		return 1
+	}
+	return p.workers
+}
 
 // Regions returns how many Run invocations the pool has executed —
 // the per-stage parallel-region counters of the telemetry layer are
-// deltas of this value. Incremented on the calling goroutine.
-func (p *Pool) Regions() int64 { return p.regions }
+// deltas of this value. Incremented on the calling goroutine; always 0
+// for a nil pool, which dispatches no parallel regions.
+func (p *Pool) Regions() int64 {
+	if p == nil {
+		return 0
+	}
+	return p.regions
+}
 
 // Run splits [0, n) into at most Workers() contiguous non-empty
 // ranges and executes fn once per range. Range boundaries are a pure
@@ -85,8 +98,14 @@ func (p *Pool) Regions() int64 { return p.regions }
 // panics, the panic with the lowest range index is re-raised on the
 // calling goroutine (after all ranges finish), so the pipeline's
 // recovery barriers observe worker panics exactly where they observe
-// serial ones.
+// serial ones. On a nil pool Run is a plain inline call.
 func (p *Pool) Run(n int, fn func(worker, lo, hi int)) {
+	if p == nil {
+		if n > 0 {
+			fn(0, 0, n)
+		}
+		return
+	}
 	p.regions++
 	if n <= 0 {
 		return

@@ -172,3 +172,23 @@ func TestNilPoolClose(t *testing.T) {
 	var p *Pool
 	p.Close() // must not panic
 }
+
+// TestNilPoolInline checks the one-wide inline pool: a nil pool runs
+// one range [0, n) as worker 0, skips empty runs, reports one worker
+// and never counts a region.
+func TestNilPoolInline(t *testing.T) {
+	var p *Pool
+	if p.Workers() != 1 {
+		t.Fatalf("nil pool Workers=%d want 1", p.Workers())
+	}
+	var calls [][3]int
+	for _, n := range []int{0, 1, 7} {
+		p.Run(n, func(worker, lo, hi int) { calls = append(calls, [3]int{worker, lo, hi}) })
+	}
+	if len(calls) != 2 || calls[0] != [3]int{0, 0, 1} || calls[1] != [3]int{0, 0, 7} {
+		t.Fatalf("nil pool ranges %v, want [[0 0 1] [0 0 7]]", calls)
+	}
+	if p.Regions() != 0 {
+		t.Fatalf("nil pool Regions=%d want 0", p.Regions())
+	}
+}

@@ -374,7 +374,7 @@ func TestPropertyEditSequencesStayConsistent(t *testing.T) {
 
 // TestContractMatchesInduce: contracting the pairs of a matching in
 // the database must yield the same hypergraph (up to ordering) as
-// hypergraph.Induce with the equivalent clustering.
+// hypergraph.InduceWSPar with the equivalent clustering.
 func TestContractMatchesInduce(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	b := hypergraph.NewBuilder(30)
@@ -408,7 +408,7 @@ func TestContractMatchesInduce(t *testing.T) {
 		k++
 	}
 	c.NumClusters = int(k)
-	induced, err := hypergraph.Induce(h, c)
+	induced, err := hypergraph.InduceWSPar(h, c, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

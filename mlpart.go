@@ -217,12 +217,13 @@ type Options struct {
 	// sub-round-synchronous engine — useful when a single large
 	// instance must finish fast (Starts == 1), and composable with
 	// Parallelism (total worker demand is roughly the product).
-	// 0 (the default) keeps the exact legacy serial pipeline. Any
-	// value >= 1 enables the parallel paths; cuts and partitions are
-	// bit-identical across all values >= 1 (only wall-clock changes),
-	// but the sub-round refinement engine is a different deterministic
-	// algorithm than the serial one, so 0 and >= 1 may produce
-	// different (equally valid) cuts. Negative is rejected.
+	// Coarsening runs the same code at every value and its output never
+	// depends on it. 0 (the default) refines with the paper's serial
+	// FM/CLIP engine; any value >= 1 selects the sub-round engine, and
+	// cuts and partitions are bit-identical across all values >= 1
+	// (only wall-clock changes). The sub-round engine is a different
+	// deterministic algorithm than the serial one, so 0 and >= 1 may
+	// produce different (equally valid) cuts. Negative is rejected.
 	IntraParallelism int
 	// MaxRetries is how many reseeded retries a start gets after an
 	// attempt fails without a usable solution (recovered panics that

@@ -175,9 +175,10 @@ func TestOracleUnderFaultInjection(t *testing.T) {
 	h := c.H
 	// Panic entries are confined to start 0 (spec suffix ":0") so the
 	// remaining starts stay clean and the run-level error is nil; the
-	// cancel/corrupt entries apply to every start. The subround/score
-	// plans target the intra-parallel-only sites, so those cases run
-	// with a worker pool.
+	// cancel/corrupt entries apply to every start. The subround plans
+	// target the sub-round engine's site, so those cases run with a
+	// worker pool; score-corrupt corrupts the matching sweep while it
+	// scores on a two-worker pool.
 	plans := map[string]struct {
 		specs []string
 		intra int
@@ -188,7 +189,7 @@ func TestOracleUnderFaultInjection(t *testing.T) {
 		"mixed":           {specs: []string{"fm.pass:panic:1:0", "core.rebalance:corrupt:1"}},
 		"subround-panic":  {specs: []string{"fm.subround:panic:2:0"}, intra: 2},
 		"subround-cancel": {specs: []string{"fm.subround:cancel:4"}, intra: 2},
-		"score-corrupt":   {specs: []string{"coarsen.score:corrupt:1"}, intra: 2},
+		"score-corrupt":   {specs: []string{"coarsen.match:corrupt:1"}, intra: 2},
 	}
 	for name, tc := range plans {
 		t.Run(name, func(t *testing.T) {
