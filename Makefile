@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint chaos crash-smoke fuzz-smoke stats-smoke par-smoke serve-smoke stream-smoke bench-smoke oracle check
+.PHONY: all build vet test race lint chaos crash-smoke fuzz-smoke stats-smoke par-smoke serve-smoke stream-smoke bench-smoke bench-test oracle check
 
 all: build
 
@@ -121,10 +121,18 @@ stream-smoke:
 bench-smoke:
 	$(GO) run ./cmd/benchrun -iters 2 -out /tmp/mlpart-bench-smoke.json
 
+# The benchmark module's own tests (mlbench is a separate module, so
+# `go test ./...` at the root skips it): they pin the traced layer
+# replay of fm/kway Partition and Refine byte-identical to the library
+# entry points for k=2 and k=4 at intra-parallelism 0 and 2.
+bench-test:
+	$(GO) -C mlbench test ./...
+
 # Differential oracle suite: the optimized pipeline against the slow
-# from-scratch reference (internal/oracle), twice to catch state
+# from-scratch reference (internal/oracle), and the refiners' move
+# selection against the full bucket scan, twice to catch state
 # leaking between runs, under the race detector.
 oracle:
-	$(GO) test -race -run Oracle -count=2 . ./internal/fm ./internal/oracle
+	$(GO) test -race -run Oracle -count=2 . ./internal/fm ./internal/kway ./internal/oracle
 
-check: build vet test race lint chaos crash-smoke fuzz-smoke stats-smoke par-smoke serve-smoke stream-smoke oracle bench-smoke
+check: build vet test race lint chaos crash-smoke fuzz-smoke stats-smoke par-smoke serve-smoke stream-smoke oracle bench-smoke bench-test

@@ -76,10 +76,8 @@ func benchCases() []benchCase {
 	a := mlpart.CircuitSpec{Name: "bench-a", Cells: 1000, Nets: 1100, Pins: 3600, Seed: 201}
 	b := mlpart.CircuitSpec{Name: "bench-b", Cells: 2000, Nets: 2100, Pins: 7000, Seed: 202}
 	c := mlpart.CircuitSpec{Name: "bench-c", Cells: 3000, Nets: 3200, Pins: 10500, Seed: 203}
-	// bench-m is the medium instance the intra-parallel refinement is
-	// sized for: large enough that the sub-round engine's amortized
-	// selection and parallel gain recomputation beat the serial
-	// engine's per-move scan, small enough for the smoke gate.
+	// bench-m is the medium instance of the paired serial/intra-parallel
+	// rows: the largest that keeps the smoke gate fast.
 	m := mlpart.CircuitSpec{Name: "bench-m", Cells: 16000, Nets: 17000, Pins: 56000, Seed: 204}
 	return []benchCase{
 		{spec: a, algorithm: "bipartition"},

@@ -65,9 +65,12 @@ func (r *refiner) lookaheadRefine(v int32) int32 {
 	s := r.p.Part[v]
 	topKey := r.key(v)
 	best := v
-	bestVec := make([]int32, 0, r.cfg.Lookahead-1)
-	for k := int32(2); int(k) <= r.cfg.Lookahead; k++ {
-		bestVec = append(bestVec, r.levelGain(v, k))
+	// (γ_2, …, γ_r) of best; Lookahead ≤ 3 bounds it to two levels,
+	// so a fixed array keeps selection allocation-free.
+	var vec [2]int32
+	bestVec := vec[:r.cfg.Lookahead-1]
+	for i := range bestVec {
+		bestVec[i] = r.levelGain(v, int32(i+2))
 	}
 	scanned := 0
 	r.buckets[s].Iterate(func(u int32, key int) bool {

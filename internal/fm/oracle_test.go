@@ -9,8 +9,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"mlpart/internal/coarsen"
 	"mlpart/internal/gainbucket"
 	"mlpart/internal/hypergraph"
+	"mlpart/internal/netgen"
 	"mlpart/internal/oracle"
 )
 
@@ -99,4 +101,175 @@ func TestOracleRefineBalancedMatchesPartition(t *testing.T) {
 			t.Fatal("Partition mutated the caller's initial partition")
 		}
 	}
+}
+
+// areaH is randomH with cell areas drawn from [minArea, 5]; a zero
+// minimum keeps zero-area cells in play, whose presence disables the
+// blocked-side skip (no side is ever too full for a zero-area cell).
+func areaH(rng *rand.Rand, n, m, maxPins int, minArea int64) *hypergraph.Hypergraph {
+	b := hypergraph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		b.SetArea(v, minArea+rng.Int63n(6-minArea))
+	}
+	for e := 0; e < m; e++ {
+		pins := make([]int, 2+rng.Intn(maxPins-1))
+		for i := range pins {
+			pins[i] = rng.Intn(n)
+		}
+		b.AddNet(pins...)
+	}
+	return b.MustBuild()
+}
+
+// coarseLevels returns a netgen circuit and the first levels of its
+// coarsening hierarchy, whose cluster areas grow and spread with depth.
+func coarseLevels(t *testing.T, cells int, seed int64) []*hypergraph.Hypergraph {
+	t.Helper()
+	c, err := netgen.Generate(netgen.Spec{Name: "oracle", Cells: cells, Nets: cells + cells/10, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := []*hypergraph.Hypergraph{c.H}
+	rng := rand.New(rand.NewSource(seed))
+	for len(levels) < 4 {
+		h := levels[len(levels)-1]
+		cl, err := coarsen.Match(h, coarsen.Config{}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coarse, err := hypergraph.InduceWSPar(h, cl, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels = append(levels, coarse)
+	}
+	return levels
+}
+
+// fullScanSelect is selectMove as it was before the blocked-side
+// skip: both sides' buckets are scanned until a feasible cell turns
+// up, however full the other side is. blocked counts the scans that
+// visited cells of a side no cell can leave — the scans selectMove
+// elides.
+func fullScanSelect(r *refiner, minArea int64, blocked *int) int32 {
+	cand := [2]int32{-1, -1}
+	key := [2]int{0, 0}
+	for s := 0; s < 2; s++ {
+		visited := 0
+		r.buckets[s].Iterate(func(v int32, k int) bool {
+			visited++
+			a := r.h.Area(int(v))
+			if r.areas[1-s]+a <= r.bound.Hi && r.areas[s]-a >= r.bound.Lo {
+				cand[s] = v
+				key[s] = k
+				return false
+			}
+			return true
+		})
+		if visited > 0 && (r.areas[1-s]+minArea > r.bound.Hi || r.areas[s]-minArea < r.bound.Lo) {
+			*blocked++
+		}
+	}
+	var v int32
+	switch {
+	case cand[0] < 0 && cand[1] < 0:
+		return -1
+	case cand[0] < 0:
+		v = cand[1]
+	case cand[1] < 0:
+		v = cand[0]
+	case key[0] > key[1]:
+		v = cand[0]
+	case key[1] > key[0]:
+		v = cand[1]
+	case r.areas[0] >= r.areas[1]:
+		v = cand[0]
+	default:
+		v = cand[1]
+	}
+	if r.cfg.Lookahead >= 2 {
+		v = r.lookaheadRefine(v)
+	}
+	return v
+}
+
+// TestOracleSelectMoveMatchesFullScan runs complete passes of two
+// refiners in lockstep from the same partition and seed: one selects
+// with selectMove, the other with the full-scan reference. Every
+// selection must agree, so the moves, cuts and RNG draws are those of
+// the full scan.
+func TestOracleSelectMoveMatchesFullScan(t *testing.T) {
+	var instances []*hypergraph.Hypergraph
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 4; i++ {
+		instances = append(instances, areaH(rng, 120+40*i, 150+40*i, 5, int64(i%2)))
+	}
+	instances = append(instances, coarseLevels(t, 600, 5)...)
+	configs := []Config{
+		{Engine: EngineFM, Order: gainbucket.LIFO},
+		{Engine: EngineFM, Order: gainbucket.FIFO},
+		{Engine: EngineFM, Order: gainbucket.Random},
+		{Engine: EngineCLIP, Order: gainbucket.LIFO},
+		{Engine: EngineCLIP, Order: gainbucket.FIFO},
+		{Engine: EngineCLIP, Order: gainbucket.Random},
+		{Engine: EngineFM, Boundary: true},
+		{Engine: EngineCLIP, Lookahead: 3},
+	}
+	blocked := 0
+	for hi, h := range instances {
+		var minArea int64 = 1 << 62
+		for v := 0; v < h.NumCells(); v++ {
+			if a := h.Area(v); a < minArea {
+				minArea = a
+			}
+		}
+		for ci, cfg := range configs {
+			for _, tol := range []float64{0.02, 0.1} {
+				cfg.Tolerance = tol
+				cfg, err := cfg.Normalize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				seed := int64(100*hi + ci)
+				init := hypergraph.RandomPartition(h, 2, tol, rand.New(rand.NewSource(seed)))
+				got := newRefiner(h, init.Clone(), cfg, rand.New(rand.NewSource(seed)))
+				ref := newRefiner(h, init.Clone(), cfg, rand.New(rand.NewSource(seed)))
+				got.computePinCounts()
+				ref.computePinCounts()
+				for pass := 0; pass < 10; pass++ {
+					got.initPass()
+					ref.initPass()
+					bestGain, cumGain, bestLen := 0, 0, 0
+					for step := 0; ; step++ {
+						v := got.selectMove()
+						if w := fullScanSelect(ref, minArea, &blocked); v != w {
+							t.Fatalf("instance %d %v/%v boundary=%v lookahead=%d r=%v pass %d step %d: selectMove %d, full scan %d",
+								hi, cfg.Engine, cfg.Order, cfg.Boundary, cfg.Lookahead, tol, pass, step, v, w)
+						}
+						if v < 0 {
+							break
+						}
+						cumGain += int(got.gain[v])
+						got.applyMove(v)
+						ref.applyMove(v)
+						if cumGain > bestGain {
+							bestGain, bestLen = cumGain, len(got.moveCells)
+						}
+					}
+					for _, r := range []*refiner{got, ref} {
+						for i := len(r.moveCells) - 1; i >= bestLen; i-- {
+							r.undoMove(r.moveCells[i])
+						}
+					}
+					if bestGain <= 0 {
+						break
+					}
+				}
+			}
+		}
+	}
+	if blocked == 0 {
+		t.Fatal("the full scan never met a blocked side; the skip went untested")
+	}
+	t.Logf("%d blocked-side scans elided", blocked)
 }

@@ -316,12 +316,21 @@ func (r *refiner) initPass() {
 	r.moveGains = r.moveGains[:0]
 }
 
+// slack returns the largest cell area that can leave side s without
+// breaking the balance bound: a move of area a from s is feasible iff
+// areas[1-s]+a ≤ Hi and areas[s]−a ≥ Lo, i.e. iff a ≤ slack(s).
+func (r *refiner) slack(s int32) int64 {
+	in := r.bound.Hi - r.areas[1-s]
+	if out := r.areas[s] - r.bound.Lo; out < in {
+		return out
+	}
+	return in
+}
+
 // feasible reports whether moving v from its side keeps the solution
 // inside the balance bound.
 func (r *refiner) feasible(v int32) bool {
-	s := r.p.Part[v]
-	a := r.h.Area(int(v))
-	return r.areas[1-s]+a <= r.bound.Hi && r.areas[s]-a >= r.bound.Lo
+	return r.h.Area(int(v)) <= r.slack(r.p.Part[v])
 }
 
 // selectMove picks the next base cell: the highest-key feasible cell
@@ -329,12 +338,23 @@ func (r *refiner) feasible(v int32) bool {
 // side with larger area (then side 0). With lookahead enabled, cells
 // sharing the top feasible key are compared by higher-level gains.
 // Returns -1 if no feasible move exists.
+//
+// A side whose slack is below the smallest cell area has no feasible
+// cell, so its scan is skipped: the full scan would visit every cell
+// of the side and return nothing. Random order still scans, because
+// Iterate shuffles with the run's RNG and skipping would shift the
+// stream.
 func (r *refiner) selectMove() int32 {
 	cand := [2]int32{-1, -1}
 	key := [2]int{0, 0}
-	for s := 0; s < 2; s++ {
+	minArea := r.h.MinCellArea()
+	for s := int32(0); s < 2; s++ {
+		slack := r.slack(s)
+		if slack < minArea && r.cfg.Order != gainbucket.Random {
+			continue
+		}
 		r.buckets[s].Iterate(func(v int32, k int) bool {
-			if r.feasible(v) {
+			if r.h.Area(int(v)) <= slack {
 				cand[s] = v
 				key[s] = k
 				return false

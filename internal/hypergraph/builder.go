@@ -217,12 +217,15 @@ func (b *Builder) Build() (*Hypergraph, error) {
 			fill[p]++
 		}
 	}
-	for _, a := range b.area {
+	for v, a := range b.area {
 		total, err := addArea(h.totalArea, a)
 		if err != nil {
 			return nil, err
 		}
 		h.totalArea = total
+		if v == 0 || a < h.minArea {
+			h.minArea = a
+		}
 		if a > h.maxArea {
 			h.maxArea = a
 		}
@@ -297,12 +300,15 @@ func (b *Builder) BuildRawForTest() (*Hypergraph, error) {
 			fill[p]++
 		}
 	}
-	for _, a := range b.area {
+	for v, a := range b.area {
 		total, err := addArea(h.totalArea, a)
 		if err != nil {
 			return nil, err
 		}
 		h.totalArea = total
+		if v == 0 || a < h.minArea {
+			h.minArea = a
+		}
 		if a > h.maxArea {
 			h.maxArea = a
 		}

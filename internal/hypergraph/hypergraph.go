@@ -24,6 +24,7 @@ type Hypergraph struct {
 
 	area      []int64 // per-cell area, len numCells
 	totalArea int64
+	minArea   int64
 	maxArea   int64
 
 	// net -> pins (cells), CSR
@@ -127,6 +128,11 @@ func (h *Hypergraph) TotalArea() int64 { return h.totalArea }
 // §III.B; it is 0 for an empty hypergraph.
 func (h *Hypergraph) MaxCellArea() int64 { return h.maxArea }
 
+// MinCellArea returns min_v A(v); it is 0 for an empty hypergraph.
+// The refiners use it to skip a block no cell can leave or enter
+// within the balance bound.
+func (h *Hypergraph) MinCellArea() int64 { return h.minArea }
+
 // Name returns the name of cell v, or "c<v>" if names were not set.
 func (h *Hypergraph) Name(v int) string {
 	if h.names != nil && h.names[v] != "" {
@@ -223,12 +229,15 @@ func (h *Hypergraph) Validate() error {
 	if len(h.netPins) != len(h.cellNets) {
 		return fmt.Errorf("hypergraph: pin arrays disagree: %d vs %d", len(h.netPins), len(h.cellNets))
 	}
-	var total, maxA int64
+	var total, minA, maxA int64
 	for v, a := range h.area {
 		if a < 0 {
 			return fmt.Errorf("hypergraph: cell %d has negative area %d", v, a)
 		}
 		total += a
+		if v == 0 || a < minA {
+			minA = a
+		}
 		if a > maxA {
 			maxA = a
 		}
@@ -238,6 +247,9 @@ func (h *Hypergraph) Validate() error {
 	}
 	if maxA != h.maxArea {
 		return fmt.Errorf("hypergraph: maxArea %d != actual %d", h.maxArea, maxA)
+	}
+	if minA != h.minArea {
+		return fmt.Errorf("hypergraph: minArea %d != actual %d", h.minArea, minA)
 	}
 	for e := 0; e < h.numNets; e++ {
 		if h.netStart[e] > h.netStart[e+1] {

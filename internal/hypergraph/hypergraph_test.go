@@ -42,6 +42,9 @@ func TestBuilderBasics(t *testing.T) {
 	if h.MaxCellArea() != 1 {
 		t.Errorf("MaxCellArea = %d, want 1", h.MaxCellArea())
 	}
+	if h.MinCellArea() != 1 {
+		t.Errorf("MinCellArea = %d, want 1", h.MinCellArea())
+	}
 	if err := h.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
@@ -112,6 +115,9 @@ func TestBuilderAreasAndNames(t *testing.T) {
 	}
 	if h.MaxCellArea() != 7 {
 		t.Errorf("MaxCellArea = %d, want 7", h.MaxCellArea())
+	}
+	if h.MinCellArea() != 2 {
+		t.Errorf("MinCellArea = %d, want 2", h.MinCellArea())
 	}
 	if h.Name(1) != "alu" {
 		t.Errorf("Name(1) = %q, want alu", h.Name(1))
@@ -190,6 +196,9 @@ func TestEmptyHypergraph(t *testing.T) {
 	}
 	if h.NumCells() != 0 || h.NumNets() != 0 || h.NumPins() != 0 {
 		t.Errorf("empty hypergraph has %v", h)
+	}
+	if h.MinCellArea() != 0 || h.MaxCellArea() != 0 {
+		t.Errorf("empty hypergraph cell areas [%d, %d], want [0, 0]", h.MinCellArea(), h.MaxCellArea())
 	}
 	if err := h.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)

@@ -174,7 +174,10 @@ func InduceWSPar(h *Hypergraph, c *Clustering, ws *InduceWorkspace, pool *intrap
 		// the fine total (already overflow-checked at fine build time).
 		totalArea: h.totalArea,
 	}
-	for _, a := range area {
+	for v, a := range area {
+		if v == 0 || a < hh.minArea {
+			hh.minArea = a
+		}
 		if a > hh.maxArea {
 			hh.maxArea = a
 		}

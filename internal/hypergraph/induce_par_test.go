@@ -45,10 +45,10 @@ func buildRandom(rng *rand.Rand, n, m int) (*Hypergraph, *Clustering) {
 func sameCSR(t *testing.T, want, got *Hypergraph) {
 	t.Helper()
 	if got.numCells != want.numCells || got.numNets != want.numNets ||
-		got.totalArea != want.totalArea || got.maxArea != want.maxArea {
-		t.Fatalf("header differs: (%d,%d,%d,%d) vs (%d,%d,%d,%d)",
-			want.numCells, want.numNets, want.totalArea, want.maxArea,
-			got.numCells, got.numNets, got.totalArea, got.maxArea)
+		got.totalArea != want.totalArea || got.minArea != want.minArea || got.maxArea != want.maxArea {
+		t.Fatalf("header differs: (%d,%d,%d,%d,%d) vs (%d,%d,%d,%d,%d)",
+			want.numCells, want.numNets, want.totalArea, want.minArea, want.maxArea,
+			got.numCells, got.numNets, got.totalArea, got.minArea, got.maxArea)
 	}
 	check := func(name string, a, b []int32) {
 		t.Helper()

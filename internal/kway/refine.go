@@ -281,10 +281,19 @@ func (r *refiner) feasible(v, t int32) bool {
 }
 
 // selectMove returns the best feasible (cell, target) or (-1, -1).
+//
+// A target block that cannot take even the smallest cell has no
+// feasible move, so its bucket is skipped rather than scanned to the
+// end. Random order still scans, because Iterate shuffles with the
+// run's RNG and skipping would shift the stream.
 func (r *refiner) selectMove() (int32, int32) {
 	bestV, bestT := int32(-1), int32(-1)
 	bestG := 0
+	minArea := r.h.MinCellArea()
 	for t := int32(0); int(t) < r.k; t++ {
+		if r.areas[t]+minArea > r.bound.Hi && r.cfg.Order != gainbucket.Random {
+			continue
+		}
 		r.buckets[t].Iterate(func(v int32, g int) bool {
 			if bestV >= 0 && g <= bestG {
 				return false // buckets descend; nothing better here
