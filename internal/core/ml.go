@@ -182,6 +182,7 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg Config, r
 	defer ws.startPool(cfg.IntraParallelism)()
 	cfg.Refine.WS = &ws.refine
 	cfg.Refine.Par = ws.pool
+	ws.refine.Reserve(cfg.Refine, h.NumCells(), h.NumNets())
 	cfg.Telemetry.RecordIntraWorkers(cfg.IntraParallelism)
 	var coarsenRegions int64
 	defer func() {

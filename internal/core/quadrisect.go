@@ -158,11 +158,12 @@ func QuadrisectCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg QuadConfig
 
 	res := QuadResult{}
 	// One workspace bundle per attempt (or the caller's shared Scratch
-	// for batched runs); the k-way engine manages its own arrays, so
-	// only the coarsening side is threaded here — the
-	// intra-parallelism pool likewise accelerates coarsening only.
+	// for batched runs), its k-way arrays sized once for the finest
+	// level; the intra-parallelism pool accelerates coarsening only.
 	ws := cfg.Scratch.attemptWS()
 	defer ws.startPool(cfg.IntraParallelism)()
+	cfg.Refine.WS = &ws.kway
+	ws.kway.Reserve(cfg.Refine, h.NumCells(), h.NumNets())
 	cfg.Telemetry.RecordIntraWorkers(cfg.IntraParallelism)
 
 	// Coarsening phase; track fixed flags and pre-assignments

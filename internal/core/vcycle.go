@@ -53,6 +53,7 @@ func VCycleCtx(ctx context.Context, h *hypergraph.Hypergraph, p *hypergraph.Part
 	defer ws.startPool(cfg.IntraParallelism)()
 	cfg.Refine.WS = &ws.refine
 	cfg.Refine.Par = ws.pool
+	ws.refine.Reserve(cfg.Refine, h.NumCells(), h.NumNets())
 	best := p.Clone()
 	bestCut := best.WeightedCut(h)
 	for cycle := 0; cycle < maxCycles; cycle++ {

@@ -5,15 +5,18 @@ import (
 	"mlpart/internal/fm"
 	"mlpart/internal/hypergraph"
 	"mlpart/internal/intrapar"
+	"mlpart/internal/kway"
 )
 
 // pipelineWS bundles the scratch workspaces of one pipeline attempt:
 // the matching sweep's score buffers, the induce accumulators and the
-// refinement engine's arrays/buckets. Every entry point creates one
+// refinement engines' arrays/buckets. Every entry point creates one
 // per call (and the multi-start supervisor therefore gets one per
 // attempt goroutine), so hierarchy levels — and, in V-cycles, whole
 // cycles — reuse scratch memory while nothing is ever shared across
-// goroutines or retained in package state.
+// goroutines or retained in package state. The entry points Reserve
+// the refinement workspace for the input hypergraph once per attempt:
+// uncoarsening visits ever larger levels, and the finest is the input.
 //
 // Partition buffers deliberately do NOT live here: projected solutions
 // escape to callers (VCycleCtx keeps the best candidate across
@@ -23,6 +26,7 @@ type pipelineWS struct {
 	match  coarsen.Workspace
 	induce hypergraph.InduceWorkspace
 	refine fm.Workspace
+	kway   kway.Workspace
 
 	// pool is the attempt's intra-parallelism worker pool, nil for the
 	// serial pipeline. Created once per attempt (goroutines spin up

@@ -87,18 +87,8 @@ func (h *propHeap) Pop() interface{} {
 func newPropRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, rng *rand.Rand) *propRefiner {
 	n := h.NumCells()
 	ws := cfg.grab()
-	// As in newRefiner: buffers are grown on the workspace and
-	// aliased, and every one is rewritten in full before any read
-	// (computeCounts/initPass), so no clearing is needed on reuse.
-	ws.active = growBool(ws.active, h.NumNets())
-	ws.locked = growBool(ws.locked, n)
-	ws.gainF = growFloat64(ws.gainF, n)
-	ws.version = growInt32(ws.version, n)
-	ws.pc[0] = growInt32(ws.pc[0], h.NumNets())
-	ws.pc[1] = growInt32(ws.pc[1], h.NumNets())
-	ws.lc[0] = growInt32(ws.lc[0], h.NumNets())
-	ws.lc[1] = growInt32(ws.lc[1], h.NumNets())
-	ws.moveCells = growInt32(ws.moveCells, n)
+	// As in newRefiner: buffers are grown on the workspace and aliased.
+	ws.sizeProp(cfg, n, h.NumNets())
 	r := &propRefiner{
 		h: h, p: p, cfg: cfg, rng: rng, ws: ws,
 		bound:   hypergraph.Balance(h, 2, cfg.Tolerance),
@@ -125,14 +115,13 @@ func newPropRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Confi
 			maxNet = h.NetSize(e)
 		}
 	}
-	ws.pows = growFloat64(ws.pows, maxNet+1)
+	ws.pows = grow(ws.pows, maxNet+1)
 	r.pows = ws.pows
 	r.pows[0] = 1
 	for k := 1; k <= maxNet; k++ {
 		r.pows[k] = r.pows[k-1] * r.p0
 	}
 	if cfg.Engine == EngineCLIPPROP {
-		ws.initKeyF = growFloat64(ws.initKeyF, n)
 		r.initKey = ws.initKeyF
 	}
 	return r

@@ -122,17 +122,8 @@ func newRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, r
 	n := h.NumCells()
 	ws := cfg.grab()
 	// Every buffer is grown in place on the workspace and aliased by
-	// the refiner, so growth is retained across runs. None of them
-	// need clearing: active, pc, gain and locked are rewritten in full
-	// before any read (newRefiner/computePinCounts/initPass), and the
-	// move log starts each run truncated to zero length.
-	ws.active = growBool(ws.active, h.NumNets())
-	ws.gain = growInt32(ws.gain, n)
-	ws.locked = growBool(ws.locked, n)
-	ws.moveCells = growInt32(ws.moveCells, n)
-	ws.moveGains = growInt32(ws.moveGains, n)
-	ws.pc[0] = growInt32(ws.pc[0], h.NumNets())
-	ws.pc[1] = growInt32(ws.pc[1], h.NumNets())
+	// the refiner, so growth is retained across runs.
+	ws.sizeFM(cfg, n, h.NumNets())
 	r := &refiner{
 		h: h, p: p, cfg: cfg, rng: rng, ws: ws,
 		bound:     hypergraph.Balance(h, 2, cfg.Tolerance),
@@ -145,7 +136,6 @@ func newRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, r
 	r.pc[0] = ws.pc[0]
 	r.pc[1] = ws.pc[1]
 	if cfg.Engine == EngineCLIP {
-		ws.initKey = growInt32(ws.initKey, n)
 		r.initKey = ws.initKey
 	}
 	for e := 0; e < h.NumNets(); e++ {

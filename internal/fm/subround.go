@@ -63,18 +63,13 @@ func subroundSize(n int) int {
 	return s
 }
 
-// initSubround sizes and clears the sub-round scratch (selection
-// batch, affected-cell gather, and the stamp arrays used to dedup the
-// gather). Called once per Refine run on the parallel path.
+// initSubround resets the sub-round scratch that sizeFM grew: it
+// empties the deferred list and clears the stamp arrays used to dedup
+// the affected-cell gather. Called once per Refine run on the parallel
+// path.
 func (r *refiner) initSubround() {
-	n := r.h.NumCells()
 	ws := r.ws
-	ws.subSel = growInt32(ws.subSel, n)
-	ws.deferred = growInt32(ws.deferred, n)[:0]
-	ws.affected = growInt32(ws.affected, n)
-	ws.affectedKey = growInt32(ws.affectedKey, n)
-	ws.cellStamp = growInt32(ws.cellStamp, n)
-	ws.netStamp = growInt32(ws.netStamp, r.h.NumNets())
+	ws.deferred = ws.deferred[:0]
 	clear(ws.cellStamp)
 	clear(ws.netStamp)
 	r.stampGen = 0

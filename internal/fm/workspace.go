@@ -11,9 +11,12 @@ import (
 // the two gain-bucket structures of the FM/CLIP engines, and the
 // heap/probability state of the PROP engines. Threading one Workspace
 // through the Refine/Partition calls of a multilevel run makes
-// refinement allocation-free in steady state: each hierarchy level
-// reuses the previous level's (larger) buffers instead of
-// reallocating them.
+// refinement allocation-free in steady state.
+//
+// Buffers only grow. Uncoarsening refines ever larger levels, so a
+// multilevel caller sizes the Workspace once for the finest level
+// with Reserve before the first run; without that, every level would
+// outgrow the previous one's buffers.
 //
 // Ownership rule: a Workspace belongs to exactly one goroutine and one
 // pipeline attempt at a time. It must never be stored in a package
@@ -64,41 +67,81 @@ func (c Config) grab() *Workspace {
 	return &Workspace{}
 }
 
+// Reserve grows every buffer a run under cfg reads to hold a
+// hypergraph of up to cells cells and nets nets, so later runs on
+// instances no larger reallocate nothing. Buffers only another engine
+// reads (CLIP's initKey, the PROP state, the sub-round gathers when
+// cfg.Par is nil) are left alone.
+func (w *Workspace) Reserve(cfg Config, cells, nets int) {
+	if cfg.Engine == EnginePROP || cfg.Engine == EngineCLIPPROP {
+		w.sizeProp(cfg, cells, nets)
+		return
+	}
+	w.sizeFM(cfg, cells, nets)
+	w.bucket(0, cells, 0, cfg.Order, nil)
+	w.bucket(1, cells, 0, cfg.Order, nil)
+}
+
+// sizeFM grows the buffers of the FM/CLIP engines — and of the
+// sub-round engine when cfg.Par selects it — for cells cells and nets
+// nets. None of them need clearing: active, pc, gain and locked are
+// rewritten in full before any read (newRefiner/computePinCounts/
+// initPass), the move log and the sub-round gathers start each run
+// truncated, and initSubround clears the stamps.
+func (w *Workspace) sizeFM(cfg Config, cells, nets int) {
+	w.active = grow(w.active, nets)
+	w.gain = grow(w.gain, cells)
+	w.locked = grow(w.locked, cells)
+	w.moveCells = grow(w.moveCells, cells)
+	w.moveGains = grow(w.moveGains, cells)
+	w.pc[0] = grow(w.pc[0], nets)
+	w.pc[1] = grow(w.pc[1], nets)
+	if cfg.Engine == EngineCLIP {
+		w.initKey = grow(w.initKey, cells)
+	}
+	if cfg.Par != nil {
+		w.subSel = grow(w.subSel, cells)
+		w.deferred = grow(w.deferred, cells)
+		w.affected = grow(w.affected, cells)
+		w.affectedKey = grow(w.affectedKey, cells)
+		w.cellStamp = grow(w.cellStamp, cells)
+		w.netStamp = grow(w.netStamp, nets)
+	}
+}
+
+// sizeProp grows the buffers of the PROP engines for cells cells and
+// nets nets; every one is rewritten in full before any read
+// (computeCounts/initPass), so none needs clearing.
+func (w *Workspace) sizeProp(cfg Config, cells, nets int) {
+	w.active = grow(w.active, nets)
+	w.locked = grow(w.locked, cells)
+	w.gainF = grow(w.gainF, cells)
+	w.version = grow(w.version, cells)
+	w.pc[0] = grow(w.pc[0], nets)
+	w.pc[1] = grow(w.pc[1], nets)
+	w.lc[0] = grow(w.lc[0], nets)
+	w.lc[1] = grow(w.lc[1], nets)
+	w.moveCells = grow(w.moveCells, cells)
+	if cfg.Engine == EngineCLIPPROP {
+		w.initKeyF = grow(w.initKeyF, cells)
+	}
+}
+
 // bucket returns the side-s gain bucket sized for this run, reusing
 // the stored structure's arrays via Reset when one exists.
 func (w *Workspace) bucket(s, numCells, maxGain int, order gainbucket.Order, rng *rand.Rand) *gainbucket.Structure {
 	if w.buckets[s] == nil {
-		w.buckets[s] = gainbucket.New(numCells, maxGain, order, rng)
-	} else {
-		w.buckets[s].Reset(numCells, maxGain, order, rng)
+		w.buckets[s] = &gainbucket.Structure{}
 	}
+	w.buckets[s].Reset(numCells, maxGain, order, rng)
 	return w.buckets[s]
 }
 
-// growBool returns a length-n bool slice reusing buf when possible.
-// Contents are unspecified: callers reinitialize every entry they read
-// (initPass rewrites locked and active in full before any use).
-func growBool(buf []bool, n int) []bool {
+// grow returns a length-n slice reusing buf's backing array when it
+// has the capacity. Contents are unspecified.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	return buf[:n]
-}
-
-// growInt32 returns a length-n int32 slice reusing buf when possible.
-// Contents are unspecified.
-func growInt32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
-}
-
-// growFloat64 returns a length-n float64 slice reusing buf when
-// possible. Contents are unspecified.
-func growFloat64(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

@@ -76,6 +76,12 @@ type Config struct {
 	// before/after, moves tried/kept) and rebalance counts; nil costs
 	// one pointer check per pass.
 	Telemetry *telemetry.Collector
+	// WS optionally supplies reusable scratch memory (gain table,
+	// bucket structures, move log) shared across successive runs,
+	// making refinement allocation-free in steady state. Results are
+	// bit-identical with or without it. A Workspace must not be shared
+	// across goroutines; nil allocates scratch per run.
+	WS *Workspace
 }
 
 // Normalize fills defaults and validates.

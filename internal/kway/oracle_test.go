@@ -1,17 +1,23 @@
 package kway
 
-// Differential "Oracle" test for the blocked-target skip in
-// selectMove: complete passes must select exactly the moves of the
-// full bucket scan it replaced.
+// Differential "Oracle" tests: the blocked-target skip in selectMove
+// must select exactly the moves of the full bucket scan it replaced,
+// the critical-only moveNetUpdate must leave exactly the gains and
+// bucket order of a full recompute, and Workspace reuse must not
+// change any result.
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mlpart/internal/coarsen"
 	"mlpart/internal/fm"
+	"mlpart/internal/gainbucket"
 	"mlpart/internal/hypergraph"
 	"mlpart/internal/netgen"
+	"mlpart/internal/oracle"
 )
 
 // areaH is randomH with cell areas drawn from [minArea, 5]; a zero
@@ -163,4 +169,252 @@ func TestOracleSelectMoveMatchesFullScan(t *testing.T) {
 		t.Fatal("the full scan never met a blocked target; the skip went untested")
 	}
 	t.Logf("%d blocked-target scans elided", blocked)
+}
+
+// recomputeNetUpdate is moveNetUpdate before the critical-only update:
+// every free pin's contribution to every target is recomputed before
+// and after the count change, and each nonzero difference is applied
+// in pin order × ascending target.
+func recomputeNetUpdate(r *refiner, e int, from, to int32) {
+	pins := r.h.Pins(e)
+	var old []int32
+	for _, u := range pins {
+		if r.locked[u] || r.isFixed(u) {
+			continue
+		}
+		for t := int32(0); int(t) < r.k; t++ {
+			if t != r.p.Part[u] {
+				old = append(old, r.contrib(e, u, t))
+			}
+		}
+	}
+	oldSpan := r.span[e]
+	r.counts[e*r.k+int(from)]--
+	r.counts[e*r.k+int(to)]++
+	var span int32
+	if r.counts[e*r.k+int(from)] == 0 {
+		span--
+	}
+	if r.counts[e*r.k+int(to)] == 1 {
+		span++
+	}
+	r.span[e] = oldSpan + span
+	r.cost += int(r.h.NetWeight(e)) * (r.netCost(r.span[e]) - r.netCost(oldSpan))
+	i := 0
+	for _, u := range pins {
+		if r.locked[u] || r.isFixed(u) {
+			continue
+		}
+		for t := int32(0); int(t) < r.k; t++ {
+			if t != r.p.Part[u] {
+				delta := r.contrib(e, u, t) - old[i]
+				i++
+				if delta != 0 {
+					r.gain[int(u)*r.k+int(t)] += delta
+					r.buckets[t].Update(u, r.key(u, t))
+				}
+			}
+		}
+	}
+}
+
+// recomputeApplyMove is applyMove on recomputeNetUpdate.
+func recomputeApplyMove(r *refiner, v, t int32) {
+	from := r.p.Part[v]
+	r.locked[v] = true
+	for b := int32(0); int(b) < r.k; b++ {
+		if b != from && r.buckets[b].Contains(v) {
+			r.buckets[b].Remove(v)
+		}
+	}
+	r.areas[from] -= r.h.Area(int(v))
+	r.areas[t] += r.h.Area(int(v))
+	for _, e := range r.h.Nets(int(v)) {
+		if r.active[e] {
+			recomputeNetUpdate(r, int(e), from, t)
+		}
+	}
+	r.p.Part[v] = t
+	r.moveCells = append(r.moveCells, v)
+	r.moveFrom = append(r.moveFrom, from)
+}
+
+// bucketContents appends every target bucket to out in Iterate order
+// as (target, cell, key) triples.
+func bucketContents(out [][3]int, r *refiner) [][3]int {
+	for t := 0; t < r.k; t++ {
+		r.buckets[t].Iterate(func(v int32, g int) bool {
+			out = append(out, [3]int{t, int(v), g})
+			return true
+		})
+	}
+	return out
+}
+
+// TestOracleMoveNetUpdateMatchesRecompute runs complete passes of two
+// refiners in lockstep from the same partition and seed: one applies
+// moves through moveNetUpdate, the other through the recompute-all
+// reference. After every move the gain tables, the objective and the
+// bucket contents in Iterate order must agree.
+func TestOracleMoveNetUpdateMatchesRecompute(t *testing.T) {
+	var instances []*hypergraph.Hypergraph
+	rng := rand.New(rand.NewSource(53))
+	for i := 0; i < 2; i++ {
+		instances = append(instances, areaH(rng, 40+30*i, 50+30*i, 8, int64(i)))
+	}
+	levels := coarseLevels(t, 300, 11)
+	merged, err := hypergraph.MergeParallelNets(levels[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	instances = append(instances, merged, levels[3])
+	skipped, critical := 0, 0
+	var gotB, refB [][3]int
+	orders := []gainbucket.Order{gainbucket.LIFO, gainbucket.FIFO, gainbucket.Random}
+	for hi, h := range instances {
+		for _, k := range []int{2, 3, 4, 8} {
+			for _, eng := range []fm.Engine{fm.EngineFM, fm.EngineCLIP} {
+				for _, obj := range []Objective{NetCut, SumOfDegrees} {
+					for _, order := range orders {
+						for _, withFixed := range []bool{false, true} {
+							name := fmt.Sprintf("instance %d K=%d %v/%v/%v fixed=%v", hi, k, eng, obj, order, withFixed)
+							seed := int64(1000*hi + 100*k + 10*int(eng) + 3*int(obj) + int(order))
+							prng := rand.New(rand.NewSource(seed))
+							init := hypergraph.RandomPartition(h, k, 0.1, prng)
+							cfg := Config{K: k, Engine: eng, Objective: obj, Order: order}
+							if withFixed {
+								cfg.Fixed = make([]bool, h.NumCells())
+								for v := range cfg.Fixed {
+									cfg.Fixed[v] = prng.Intn(8) == 0
+								}
+							}
+							cfg, err := cfg.Normalize()
+							if err != nil {
+								t.Fatal(err)
+							}
+							got := newRefiner(h, init.Clone(), cfg, rand.New(rand.NewSource(seed)))
+							ref := newRefiner(h, init.Clone(), cfg, rand.New(rand.NewSource(seed)))
+							got.computeCounts()
+							ref.computeCounts()
+							for pass := 0; pass < 2; pass++ {
+								got.initPass()
+								ref.initPass()
+								bestGain, cumGain, bestLen := 0, 0, 0
+								for step := 0; ; step++ {
+									v, to := got.selectMove()
+									if w, wt := ref.selectMove(); v != w || to != wt {
+										t.Fatalf("%s pass %d step %d: selected (%d→%d), reference (%d→%d)", name, pass, step, v, to, w, wt)
+									}
+									if v < 0 {
+										break
+									}
+									from := got.p.Part[v]
+									for _, e := range h.Nets(int(v)) {
+										if !got.active[e] {
+											continue
+										}
+										if got.counts[int(e)*k+int(from)] > 2 && got.counts[int(e)*k+int(to)] > 1 {
+											skipped++
+										} else {
+											critical++
+										}
+									}
+									cumGain += int(got.gain[int(v)*k+int(to)])
+									got.applyMove(v, to)
+									recomputeApplyMove(ref, v, to)
+									if got.cost != ref.cost {
+										t.Fatalf("%s pass %d step %d: cost %d, reference %d", name, pass, step, got.cost, ref.cost)
+									}
+									for i := range got.gain {
+										if got.gain[i] != ref.gain[i] {
+											t.Fatalf("%s pass %d step %d: gain[cell %d → %d] = %d, reference %d",
+												name, pass, step, i/k, i%k, got.gain[i], ref.gain[i])
+										}
+									}
+									gotB, refB = bucketContents(gotB[:0], got), bucketContents(refB[:0], ref)
+									if !reflect.DeepEqual(gotB, refB) {
+										t.Fatalf("%s pass %d step %d: bucket contents diverge", name, pass, step)
+									}
+									if cumGain > bestGain {
+										bestGain, bestLen = cumGain, len(got.moveCells)
+									}
+								}
+								for _, r := range []*refiner{got, ref} {
+									for i := len(r.moveCells) - 1; i >= bestLen; i-- {
+										r.undoMove(r.moveCells[i], r.moveFrom[i])
+									}
+									r.moveCells = r.moveCells[:bestLen]
+									r.moveFrom = r.moveFrom[:bestLen]
+								}
+								if bestGain <= 0 {
+									break
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if skipped == 0 || critical == 0 {
+		t.Fatalf("net updates: %d skipped as non-critical, %d critical; both paths must be exercised", skipped, critical)
+	}
+	t.Logf("net updates: %d skipped as non-critical, %d critical", skipped, critical)
+}
+
+// TestOracleWorkspaceReuseBitIdentical runs a sequence of instances of
+// different sizes and K through one Workspace per engine × objective ×
+// bucket order, so every buffer arrives dirty from the previous run
+// and must shrink and regrow. Partitions and results must equal the
+// per-run allocating path (WS nil) bit for bit, and the reported
+// objectives must match the oracle recount.
+func TestOracleWorkspaceReuseBitIdentical(t *testing.T) {
+	steps := []struct {
+		cells, k int
+		fixed    bool
+	}{{150, 4, false}, {260, 8, true}, {90, 2, false}, {200, 4, true}, {120, 4, false}}
+	orders := []gainbucket.Order{gainbucket.LIFO, gainbucket.FIFO, gainbucket.Random}
+	for _, eng := range []fm.Engine{fm.EngineFM, fm.EngineCLIP} {
+		for _, obj := range []Objective{NetCut, SumOfDegrees} {
+			for _, order := range orders {
+				ws := &Workspace{}
+				for i, st := range steps {
+					name := fmt.Sprintf("%v/%v/%v step %d (n=%d K=%d fixed=%v)", eng, obj, order, i, st.cells, st.k, st.fixed)
+					seed := int64(700 + i)
+					h := areaH(rand.New(rand.NewSource(seed)), st.cells, st.cells+30, 6, 1)
+					cfg := Config{K: st.k, Engine: eng, Objective: obj, Order: order}
+					var init *hypergraph.Partition
+					if st.fixed {
+						prng := rand.New(rand.NewSource(seed + 1))
+						init = hypergraph.RandomPartition(h, st.k, 0.1, prng)
+						cfg.Fixed = make([]bool, st.cells)
+						for v := range cfg.Fixed {
+							cfg.Fixed[v] = prng.Intn(10) == 0
+						}
+					}
+					pFresh, resFresh, err := Partition(h, init, cfg, rand.New(rand.NewSource(seed)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.WS = ws
+					pWS, resWS, err := Partition(h, init, cfg, rand.New(rand.NewSource(seed)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if resFresh != resWS {
+						t.Fatalf("%s: results diverge: %+v vs %+v", name, resFresh, resWS)
+					}
+					if !reflect.DeepEqual(pFresh, pWS) {
+						t.Fatalf("%s: partitions diverge", name)
+					}
+					if want := oracle.WeightedCut(h, pWS); resWS.CutNets != want {
+						t.Fatalf("%s: reported cut %d, oracle %d", name, resWS.CutNets, want)
+					}
+					if want := oracle.WeightedSumOfDegrees(h, pWS); resWS.SumDegrees != want {
+						t.Fatalf("%s: reported sum of degrees %d, oracle %d", name, resWS.SumDegrees, want)
+					}
+				}
+			}
+		}
+	}
 }

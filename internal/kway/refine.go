@@ -9,12 +9,14 @@ import (
 	"mlpart/internal/hypergraph"
 )
 
-// refiner holds the per-run state of multi-way FM.
+// refiner holds the per-run state of multi-way FM; its slices alias
+// the Workspace's buffers.
 type refiner struct {
 	h   *hypergraph.Hypergraph
 	p   *hypergraph.Partition
 	cfg Config
 	rng *rand.Rand
+	ws  *Workspace
 
 	k      int
 	bound  hypergraph.BalanceBound
@@ -35,7 +37,7 @@ type refiner struct {
 	moveCells []int32
 	moveFrom  []int32
 
-	scratch []int32 // reusable buffer for moveNetUpdate
+	delta []int32 // moveNetUpdate's k × k rows, flat [b*k + t]
 
 	cost int // current objective over active nets
 }
@@ -43,15 +45,20 @@ type refiner struct {
 func newRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, rng *rand.Rand) *refiner {
 	n := h.NumCells()
 	k := cfg.K
+	ws := cfg.grab()
+	ws.size(cfg, n, h.NumNets())
 	r := &refiner{
-		h: h, p: p, cfg: cfg, rng: rng, k: k,
-		bound:  hypergraph.Balance(h, k, cfg.Tolerance),
-		areas:  make([]int64, k),
-		active: make([]bool, h.NumNets()),
-		counts: make([]int32, h.NumNets()*k),
-		span:   make([]int32, h.NumNets()),
-		gain:   make([]int32, n*k),
-		locked: make([]bool, n),
+		h: h, p: p, cfg: cfg, rng: rng, ws: ws, k: k,
+		bound:     hypergraph.Balance(h, k, cfg.Tolerance),
+		areas:     ws.areas,
+		active:    ws.active,
+		counts:    ws.counts,
+		span:      ws.span,
+		gain:      ws.gain,
+		locked:    ws.locked,
+		moveCells: ws.moveCells[:0],
+		moveFrom:  ws.moveFrom[:0],
+		delta:     ws.delta,
 	}
 	for e := 0; e < h.NumNets(); e++ {
 		r.active[e] = cfg.MaxNetSize < 0 || h.NetSize(e) <= cfg.MaxNetSize
@@ -60,12 +67,12 @@ func newRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, r
 	bucketRange := maxDeg
 	if cfg.Engine == fm.EngineCLIP {
 		bucketRange = 2 * maxDeg // doubled index range, as in §II.B
-		r.initKey = make([]int32, n*k)
+		r.initKey = ws.initKey
 	}
-	r.buckets = make([]*gainbucket.Structure, k)
 	for t := 0; t < k; t++ {
-		r.buckets[t] = gainbucket.New(n, bucketRange, cfg.Order, rng)
+		ws.bucket(t, n, bucketRange, cfg.Order, rng)
 	}
+	r.buckets = ws.buckets[:k]
 	return r
 }
 
@@ -98,7 +105,7 @@ func (r *refiner) run() Result {
 		}
 		costBefore := r.cost
 		improved, applied, tried := r.runPass()
-		r.cfg.Telemetry.RecordPass("kway-"+r.cfg.Engine.String(), res.Passes, costBefore, r.cost, tried, applied)
+		r.cfg.Telemetry.RecordPass(passLabel(r.cfg.Engine), res.Passes, costBefore, r.cost, tried, applied)
 		res.Passes++
 		res.Moves += applied
 		if improved <= 0 {
@@ -107,7 +114,20 @@ func (r *refiner) run() Result {
 	}
 	res.CutNets = r.p.WeightedCut(r.h)
 	res.SumDegrees = r.p.WeightedSumOfDegrees(r.h)
+	// Hand any move-log growth back to the workspace (appends stay
+	// within the pre-grown capacity today, but do not rely on it).
+	r.ws.moveCells = r.moveCells
+	r.ws.moveFrom = r.moveFrom
 	return res
+}
+
+// passLabel is the telemetry engine name of a k-way pass: a constant,
+// so recording a pass allocates nothing.
+func passLabel(e fm.Engine) string {
+	if e == fm.EngineCLIP {
+		return "kway-CLIP"
+	}
+	return "kway-FM"
 }
 
 // fireFault hits the kway.refine fault site. Cancel aborts like a
@@ -190,20 +210,27 @@ func (r *refiner) contrib(e int, u, t int32) int32 {
 	if from == t {
 		return 0
 	}
-	cf := r.counts[e*r.k+int(from)]
-	ct := r.counts[e*r.k+int(t)]
+	c := r.counts[e*r.k:]
+	return r.spanGain(r.h.NetWeight(e), r.span[e], c[from] == 1, c[t] == 0)
+}
+
+// spanGain is the objective decrease on a net of weight w spanning
+// span blocks when one of its pins moves to another block: leaves
+// reports that the pin is the last one in its block, enters that the
+// target block holds none of the net's pins. contrib, and hence every
+// gain, depends on a net's state only through these three inputs.
+func (r *refiner) spanGain(w, span int32, leaves, enters bool) int32 {
 	var dSpan int32 // span(after) − span(before)
-	if cf == 1 {
+	if leaves {
 		dSpan--
 	}
-	if ct == 0 {
+	if enters {
 		dSpan++
 	}
-	w := r.h.NetWeight(e)
 	switch r.cfg.Objective {
 	case NetCut:
-		before := r.span[e] > 1
-		after := r.span[e]+dSpan > 1
+		before := span > 1
+		after := span+dSpan > 1
 		switch {
 		case before && !after:
 			return w
@@ -323,59 +350,78 @@ func (r *refiner) applyMove(v, t int32) {
 		if !r.active[e] {
 			continue
 		}
-		r.moveNetUpdate(int(e), v, from, t)
+		r.moveNetUpdate(int(e), from, t)
 	}
 	r.p.Part[v] = t
 	r.moveCells = append(r.moveCells, v)
 	r.moveFrom = append(r.moveFrom, from)
 }
 
-// moveNetUpdate adjusts counts/span/cost for net e as v moves
-// from → to, and updates the gains of free pins by recomputing each
-// pin's per-net contribution before and after.
-func (r *refiner) moveNetUpdate(e int, v, from, to int32) {
-	pins := r.h.Pins(e)
-	// Record old contributions of free pins in a reusable buffer
-	// (|e| ≤ MaxNetSize entries × k−1 targets).
-	old := r.scratch[:0]
-	for _, u := range pins {
-		if r.locked[u] || r.isFixed(u) {
-			continue
-		}
-		for t := int32(0); int(t) < r.k; t++ {
-			if t != r.p.Part[u] {
-				old = append(old, r.contrib(e, u, t))
-			}
-		}
-	}
-	// Apply the count/span/cost change.
+// moveNetUpdate adjusts counts/span/cost for net e as one of its pins
+// moves from → to, and shifts the gains of e's free pins by the change
+// in e's contribution.
+//
+// contrib(e, u, t) reads only span(e), [count(Part[u]) == 1] and
+// [count(t) == 0] (spanGain), and the move changes only count(from)
+// and count(to). Unless count(from) was 1 or 2 or count(to) was 0 or
+// 1, none of those inputs changes for any (u, t) and no gain moves.
+// Otherwise the change depends on u only through b = Part[u], so it
+// is computed once per block row delta[b][t], lazily, and applied in
+// pin order × ascending t where nonzero — the same Update sequence as
+// recomputing every pin's contribution before and after, which keeps
+// the bucket order (and a Random order's RNG stream) unchanged.
+func (r *refiner) moveNetUpdate(e int, from, to int32) {
+	k := r.k
+	c := r.counts[e*k : e*k+k]
+	cf, ct := c[from], c[to]
 	oldSpan := r.span[e]
-	r.counts[e*r.k+int(from)]--
-	r.counts[e*r.k+int(to)]++
-	var span int32
-	if r.counts[e*r.k+int(from)] == 0 {
+	c[from]--
+	c[to]++
+	span := oldSpan
+	if cf == 1 {
 		span--
 	}
-	if r.counts[e*r.k+int(to)] == 1 {
+	if ct == 0 {
 		span++
 	}
-	r.span[e] = oldSpan + span
-	r.cost += int(r.h.NetWeight(e)) * (r.netCost(r.span[e]) - r.netCost(oldSpan))
-	r.scratch = old[:0]
-	// Recompute contributions and shift gains by the delta.
-	i := 0
-	for _, u := range pins {
+	r.span[e] = span
+	w := r.h.NetWeight(e)
+	r.cost += int(w) * (r.netCost(span) - r.netCost(oldSpan))
+	if cf > 2 && ct > 1 {
+		return
+	}
+	// before is a block's pin count ahead of the move.
+	before := func(b int32) int32 {
+		switch b {
+		case from:
+			return cf
+		case to:
+			return ct
+		}
+		return c[b]
+	}
+	var done uint64 // K ≤ 64: bit b marks delta row b as computed
+	for _, u := range r.h.Pins(e) {
 		if r.locked[u] || r.isFixed(u) {
 			continue
 		}
-		for t := int32(0); int(t) < r.k; t++ {
-			if t != r.p.Part[u] {
-				delta := r.contrib(e, u, t) - old[i]
-				i++
-				if delta != 0 {
-					r.gain[int(u)*r.k+int(t)] += delta
-					r.buckets[t].Update(u, r.key(u, t))
+		b := r.p.Part[u]
+		row := r.delta[int(b)*k : int(b)*k+k]
+		if done&(1<<uint(b)) == 0 {
+			done |= 1 << uint(b)
+			leftBefore, leftAfter := before(b) == 1, c[b] == 1
+			for t := int32(0); int(t) < k; t++ {
+				if t == b {
+					row[t] = 0
+					continue
 				}
+				row[t] = r.spanGain(w, span, leftAfter, c[t] == 0) - r.spanGain(w, oldSpan, leftBefore, before(t) == 0)
+			}
+		}
+		for t, d := range row {
+			if d != 0 {
+				r.gain[int(u)*k+t] += d
+				r.buckets[t].Update(u, r.key(u, int32(t)))
 			}
 		}
 	}
