@@ -51,8 +51,8 @@ crash-smoke:
 
 # Short fuzz runs: the parser hardening (resource limits, overflow
 # checks), the pipeline differential target (the coarsening hierarchy
-# must not depend on IntraParallelism, 0 included, and partitions must
-# be byte-identical at widths 1 and 4 and agree with the oracle), and
+# must not depend on IntraParallelism, and partitions must be
+# byte-identical at widths 0, 1 and 4 and agree with the oracle), and
 # the canonical options JSON round trip. The checked-in corpora under
 # internal/hypergraph/testdata/fuzz and testdata/fuzz seed them and run
 # in plain `make test` as well.
@@ -75,20 +75,20 @@ stats-smoke:
 	cmp /tmp/mlpart-stats-p1.stripped.json /tmp/mlpart-stats-p4.stripped.json
 
 # Intra-parallelism smoke: the end-to-end determinism contract of the
-# worker pool. The same instance through the CLI at -intra-parallel 1
-# and 8 must produce byte-identical partition files and byte-identical
-# timing-stripped stats reports (intra_workers and the *_par_regions
-# counters live in the timings block precisely so stripping removes
-# them).
+# worker pool. The same instance through the CLI with no pool
+# (-intra-parallel 0) and with 8 workers must produce byte-identical
+# partition files and byte-identical timing-stripped stats reports
+# (intra_workers and the *_par_regions counters live in the timings
+# block precisely so stripping removes them).
 par-smoke:
-	$(GO) run ./cmd/mlpart -in cmd/mlpart/testdata/smoke.hgr -out /tmp/mlpart-par-i1.part \
-		-starts 3 -parallel 2 -intra-parallel 1 -stats-json /tmp/mlpart-par-i1.json
+	$(GO) run ./cmd/mlpart -in cmd/mlpart/testdata/smoke.hgr -out /tmp/mlpart-par-i0.part \
+		-starts 3 -parallel 2 -intra-parallel 0 -stats-json /tmp/mlpart-par-i0.json
 	$(GO) run ./cmd/mlpart -in cmd/mlpart/testdata/smoke.hgr -out /tmp/mlpart-par-i8.part \
 		-starts 3 -parallel 2 -intra-parallel 8 -stats-json /tmp/mlpart-par-i8.json
-	cmp /tmp/mlpart-par-i1.part /tmp/mlpart-par-i8.part
-	$(GO) run ./cmd/statscheck -in /tmp/mlpart-par-i1.json -strip > /tmp/mlpart-par-i1.stripped.json
+	cmp /tmp/mlpart-par-i0.part /tmp/mlpart-par-i8.part
+	$(GO) run ./cmd/statscheck -in /tmp/mlpart-par-i0.json -strip > /tmp/mlpart-par-i0.stripped.json
 	$(GO) run ./cmd/statscheck -in /tmp/mlpart-par-i8.json -strip > /tmp/mlpart-par-i8.stripped.json
-	cmp /tmp/mlpart-par-i1.stripped.json /tmp/mlpart-par-i8.stripped.json
+	cmp /tmp/mlpart-par-i0.stripped.json /tmp/mlpart-par-i8.stripped.json
 
 # Service smoke: mlpartd's loopback self-test drives the daemon over
 # real HTTP (submit / wait / result, byte-identical cache hit, then a

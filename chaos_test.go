@@ -16,21 +16,16 @@ import (
 )
 
 // siteFires reports whether a site can trigger on the given entry
-// point (fm.pass is bipartition-only, kway.refine quadrisection-only;
-// fm.subround lives on the sub-round engine, so it needs
-// IntraParallelism > 0 — and that engine replaces serial FM/CLIP for
-// bipartitioning only, the k-way engine has no parallel refinement;
-// coarsen.match fires at every width; the server.* sites live in mlpartd's
+// point at any IntraParallelism (fm.pass is bipartition-only,
+// kway.refine quadrisection-only; the server.* sites live in mlpartd's
 // admission/job paths and the journal.* sites in its write-ahead log,
 // so none of them is ever reached through the library entry points).
-func siteFires(site faultinject.Site, k, intra int) bool {
+func siteFires(site faultinject.Site, k int) bool {
 	switch site {
 	case faultinject.SiteFMPass:
 		return k == 2
 	case faultinject.SiteKwayRefine:
 		return k == 4
-	case faultinject.SiteFMSubround:
-		return intra > 0 && k == 2
 	case faultinject.SiteServerAdmit, faultinject.SiteServerJob,
 		faultinject.SiteServerBatch, faultinject.SiteServerEvents,
 		faultinject.SiteJournalAppend, faultinject.SiteJournalReplay:
@@ -85,10 +80,10 @@ func TestChaosSweep(t *testing.T) {
 							}
 							faults += r.Faults
 						}
-						if siteFires(site, k, intra) && faults == 0 {
+						if siteFires(site, k) && faults == 0 {
 							t.Errorf("site %s armed but no faults fired", site)
 						}
-						if !siteFires(site, k, intra) && faults != 0 {
+						if !siteFires(site, k) && faults != 0 {
 							t.Errorf("site %s fired %d times on k=%d intra=%d, want 0", site, faults, k, intra)
 						}
 					})

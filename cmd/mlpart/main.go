@@ -17,10 +17,10 @@
 // refinement stats, rebalance counters, per-stage wall-clock) as
 // indented JSON. Everything except the timings block (the *_ns
 // fields plus the intra_workers and *_par_regions execution-profile
-// counters) is bit-identical across -parallel values and across
-// -intra-parallel worker counts >= 1. -v prints a human-readable
-// per-level summary of the winning start to stderr. -cpuprofile and
-// -memprofile write pprof profiles of the whole run.
+// counters) is bit-identical across -parallel and -intra-parallel
+// values. -v prints a human-readable per-level summary of the winning
+// start to stderr. -cpuprofile and -memprofile write pprof profiles of
+// the whole run.
 //
 // With -k 2 it bipartitions (the paper's ML_F / ML_C); with -k 4 it
 // quadrisects with the sum-of-degrees gain (§IV.D).
@@ -30,13 +30,10 @@
 // worker pool it bounds (0 = GOMAXPROCS-capped, 1 = sequential; the
 // result is bit-identical for every value, but it only helps when
 // -starts > 1). -intra-parallel is the intra-start axis: it sizes a
-// per-start worker pool that parallelizes match scoring and induce
-// assembly and switches refinement to the sub-round-synchronous
-// engine — the knob that speeds up a single large instance. 0 (the
-// default) is the exact legacy serial pipeline; any value >= 1 gives
-// bit-identical results across all values >= 1 (1 vs 8 workers only
-// changes wall-clock), though 0 and >= 1 may produce different,
-// equally valid cuts. The axes compose: total worker demand is
+// per-start worker pool that parallelizes match scoring, induce
+// assembly and the FM/CLIP gain recompute. 0 (the default) runs them
+// inline; every value gives bit-identical results (the width only
+// changes wall-clock). The axes compose: total worker demand is
 // roughly their product.
 //
 // Repeatable -chaos flags arm deterministic fault injection
@@ -86,7 +83,7 @@ func run() error {
 		tolerance = flag.Float64("tolerance", 0.1, "balance tolerance r")
 		starts    = flag.Int("starts", 1, "independent runs; best kept")
 		parallel  = flag.Int("parallel", 0, "inter-start worker pool for -starts (0 = GOMAXPROCS-capped, 1 = sequential; bit-identical results)")
-		intraPar  = flag.Int("intra-parallel", 0, "intra-start worker pool for match/induce/refine (0 = serial legacy pipeline; results identical for all values >= 1)")
+		intraPar  = flag.Int("intra-parallel", 0, "intra-start worker pool for match/induce and the FM/CLIP gain recompute (0 = inline; results identical for every value)")
 		seed      = flag.Int64("seed", 1997, "random seed")
 		stats     = flag.Bool("stats", false, "print circuit statistics before partitioning")
 		timeout   = flag.Duration("timeout", 0, "cancel after this duration, writing the best-so-far partition (0 = no limit)")

@@ -4,10 +4,11 @@ package mlpart
 // differential guard of the "one implementation per operation" design:
 // Match and induce run the same pool-driven code at every width, so the
 // coarsening hierarchy must not depend on IntraParallelism at all
-// (0 included), and the full pipeline must not depend on the width
-// once the pool is on. FuzzOptionsJSON pins the canonical options
-// encoding that mlpartd keys its result cache on. The checked-in
-// corpora under testdata/fuzz run with every `go test`.
+// (0 included). Refinement keeps its ordering decisions on the calling
+// goroutine, so the full pipeline must not depend on the width either.
+// FuzzOptionsJSON pins the canonical options encoding that mlpartd keys
+// its result cache on. The checked-in corpora under testdata/fuzz run
+// with every `go test`.
 
 import (
 	"bytes"
@@ -112,8 +113,8 @@ func FuzzPipeline(f *testing.F) {
 			t.Fatal("hierarchy differs between IntraParallelism 0 and 4")
 		}
 
-		// The pipeline at widths 1 and 4: byte-identical partitions, and
-		// each one valid, balanced and truthfully reported.
+		// The pipeline at widths 0, 1 and 4: byte-identical partitions,
+		// and each one valid, balanced and truthfully reported.
 		run := func(intra int) (*Partition, Info) {
 			opt := Options{Seed: seed, MatchingRatio: ratio, Threshold: threshold, Parallelism: 1, IntraParallelism: intra}
 			var p *Partition
@@ -141,10 +142,12 @@ func FuzzPipeline(f *testing.F) {
 			}
 			return p, info
 		}
-		p1, info1 := run(1)
-		p4, info4 := run(4)
-		if !slices.Equal(p1.Part, p4.Part) || info1.Cut != info4.Cut || info1.SumDegrees != info4.SumDegrees {
-			t.Fatalf("k=%d: IntraParallelism 1 and 4 disagree (cut %d vs %d)", k, info1.Cut, info4.Cut)
+		p0, info0 := run(0)
+		for _, intra := range []int{1, 4} {
+			p, info := run(intra)
+			if !slices.Equal(p0.Part, p.Part) || info0.Cut != info.Cut || info0.SumDegrees != info.SumDegrees {
+				t.Fatalf("k=%d: IntraParallelism 0 and %d disagree (cut %d vs %d)", k, intra, info0.Cut, info.Cut)
+			}
 		}
 	})
 }

@@ -4,16 +4,17 @@ package mlpart
 // smoke.hgr plus three pinned netgen circuits) through
 // Bipartition/Quadrisect/RecursiveBisect at fixed seeds must keep
 // producing the exact cuts recorded in testdata/golden_cuts.json —
-// and produce them bit-identically at Parallelism 1 and 4. Any
-// change to RNG consumption anywhere in the pipeline (the classic
-// symptom of a workspace that leaks state between levels or starts)
-// trips this test. Regenerate deliberately with:
+// and produce them bit-identically at Parallelism 1 and 4 and at
+// IntraParallelism 0, 1 and 8. Any change to RNG consumption anywhere
+// in the pipeline (the classic symptom of a workspace that leaks state
+// between levels or starts) trips this test. Regenerate deliberately with:
 //
 //	go test -run Golden -update-golden .
 
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -72,14 +73,12 @@ func goldenInstances(t *testing.T) []struct {
 	return out
 }
 
-// goldenRun executes one algorithm on one instance at the given
-// IntraParallelism. For the multi-start entry points it runs at
-// Parallelism 1 and 4 and fails unless the partitions are
-// bit-identical; with intra > 0 it additionally re-runs with an
-// 8-worker intra pool and requires bit-identity there too (the
-// tentpole contract: worker count never changes the result, only
-// 0-vs->=1 selects the algorithm).
-func goldenRun(t *testing.T, algorithm string, h *Hypergraph, intra int) int {
+// goldenRun executes one algorithm on one instance. For the
+// multi-start entry points it runs at Parallelism 1 and 4, and every
+// entry point re-runs with a 1- and an 8-worker intra pool; it fails
+// unless all of those partitions are bit-identical to the serial run
+// (worker counts are execution details and never change a result).
+func goldenRun(t *testing.T, algorithm string, h *Hypergraph) int {
 	t.Helper()
 	runAt := func(par, workers int) (*Partition, int) {
 		opt := Options{Seed: 7, Starts: 2, Parallelism: par, IntraParallelism: workers}
@@ -114,18 +113,18 @@ func goldenRun(t *testing.T, algorithm string, h *Hypergraph, intra int) int {
 			}
 		}
 	}
-	p1, cut1 := runAt(1, intra)
-	p4, cut4 := runAt(4, intra)
+	p1, cut1 := runAt(1, 0)
+	p4, cut4 := runAt(4, 0)
 	if cut1 != cut4 {
 		t.Fatalf("%s: cut %d at Parallelism 1, %d at Parallelism 4", algorithm, cut1, cut4)
 	}
 	samePart("Parallelism", p1, p4)
-	if intra > 0 {
-		p8, cut8 := runAt(1, 8)
-		if cut1 != cut8 {
-			t.Fatalf("%s: cut %d at IntraParallelism %d, %d at IntraParallelism 8", algorithm, cut1, intra, cut8)
+	for _, intra := range []int{1, 8} {
+		pi, cuti := runAt(1, intra)
+		if cut1 != cuti {
+			t.Fatalf("%s: cut %d at IntraParallelism 0, %d at IntraParallelism %d", algorithm, cut1, cuti, intra)
 		}
-		samePart("IntraParallelism", p1, p8)
+		samePart(fmt.Sprintf("IntraParallelism 0 and %d", intra), p1, pi)
 	}
 	if want := oracle.Cut(h, p1); cut1 != want {
 		t.Fatalf("%s: reported cut %d, oracle recount %d", algorithm, cut1, want)
@@ -134,29 +133,13 @@ func goldenRun(t *testing.T, algorithm string, h *Hypergraph, intra int) int {
 }
 
 func TestGoldenCuts(t *testing.T) {
-	cases := []struct {
-		alg   string
-		intra int
-		label string
-	}{
-		{"bipartition", 0, "bipartition"},
-		{"quadrisect", 0, "quadrisect"},
-		{"recursive-bisect", 0, "recursive-bisect"},
-		// The intra-parallel pipeline is a distinct deterministic
-		// algorithm (sub-round refinement), so its cuts are pinned
-		// separately; intra = 1 is the canonical representative and
-		// goldenRun cross-checks 8 workers against it.
-		{"bipartition", 1, "bipartition-intra"},
-		{"quadrisect", 1, "quadrisect-intra"},
-		{"recursive-bisect", 1, "recursive-bisect-intra"},
-	}
 	var got []goldenEntry
 	for _, inst := range goldenInstances(t) {
-		for _, tc := range cases {
+		for _, alg := range []string{"bipartition", "quadrisect", "recursive-bisect"} {
 			got = append(got, goldenEntry{
 				Instance:  inst.name,
-				Algorithm: tc.label,
-				Cut:       goldenRun(t, tc.alg, inst.h, tc.intra),
+				Algorithm: alg,
+				Cut:       goldenRun(t, alg, inst.h),
 			})
 		}
 	}

@@ -41,15 +41,10 @@ type Config struct {
 	// 0 means a generous default of 64.
 	MaxLevels int
 	// IntraParallelism sizes the intra-attempt worker pool. Match
-	// scoring and induce-CSR assembly have one implementation that runs
-	// on the pool at every width — 0 (the default) gives them the nil,
-	// one-wide inline pool — and their output never depends on the
-	// width. Refinement is where the width matters: 0 keeps the paper's
-	// serial FM/CLIP engine, and any value >= 1 switches to the
-	// sub-round-synchronous engine, a deterministic algorithm whose cuts
-	// can differ from the serial engine's but are bit-identical across
-	// all pool sizes, so results depend only on 0-vs->=1, never on the
-	// worker count. Negative values are rejected.
+	// scoring, induce-CSR assembly and the FM/CLIP gain recompute have
+	// one implementation that runs on the pool at every width — 0 (the
+	// default) gives them the nil, one-wide inline pool — and results
+	// never depend on the width. Negative values are rejected.
 	IntraParallelism int
 	// MergeParallelNets merges identical coarse nets into single
 	// weighted nets after each induction (hypergraph.MergeParallelNets).

@@ -32,8 +32,8 @@ type QuadConfig struct {
 	// IntraParallelism sizes the intra-attempt worker pool used for
 	// parallel match scoring and induce-CSR assembly during
 	// coarsening, as in Config.IntraParallelism (0 = serial). The
-	// k-way engine has no parallel path, so refinement is unaffected;
-	// k-way results are bit-identical for every value.
+	// k-way engine has no parallel path; results are bit-identical
+	// for every value.
 	IntraParallelism int
 	// Fixed marks pre-assigned cells of H_0 (e.g. I/O pads, §III.C);
 	// they keep the block given in Preassign and never move. Optional.

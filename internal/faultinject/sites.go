@@ -17,14 +17,6 @@ const (
 	// refinement as a Stop hook would; corrupt flips one cell without
 	// updating the incremental cut, which the audit layer must catch.
 	SiteFMPass Site = "fm.pass"
-	// SiteFMSubround fires at the head of every sub-round of the
-	// sub-round-synchronous parallel FM/CLIP engine (calling
-	// goroutine), so it only fires when IntraParallelism >= 1 for a
-	// bipartitioning refinement. Cancel aborts the pass as a Stop hook
-	// would (the best prefix is kept by rollback); corrupt flips one
-	// cell without updating the incremental cut, which the audit layer
-	// must catch.
-	SiteFMSubround Site = "fm.subround"
 	// SiteKwayRefine fires at every multi-way pass boundary, with the
 	// same cancel/corrupt semantics as SiteFMPass.
 	SiteKwayRefine Site = "kway.refine"
@@ -91,7 +83,6 @@ const (
 var AllSites = []Site{
 	SiteCoarsenMatch,
 	SiteFMPass,
-	SiteFMSubround,
 	SiteKwayRefine,
 	SiteCoreProject,
 	SiteCoreRebalance,

@@ -117,15 +117,12 @@ type Config struct {
 	// before/after, moves tried/kept, rollback depth) and rebalance
 	// counts; nil costs one pointer check per pass.
 	Telemetry *telemetry.Collector
-	// Par optionally selects the sub-round-synchronous parallel
-	// engine (subround.go) for FM and CLIP, fanning gain recomputation
-	// out over the pool's workers. nil keeps the serial engines. The
-	// parallel engine is bit-identical across pool sizes — a one-worker
-	// pool runs the same algorithm inline — but is a *different*
-	// algorithm than the serial one (selection keys can be one
-	// sub-round stale), so nil and non-nil legitimately differ. The
-	// PROP engines ignore Par and always run serially. Like WS, a pool
-	// belongs to one pipeline attempt at a time.
+	// Par optionally fans the per-pass gain recompute of FM and CLIP
+	// out over the pool's workers; nil runs it inline, as in
+	// coarsen.Config.Par. Selection, moves and bucket order stay on
+	// the calling goroutine, so the pool width never changes a result.
+	// The PROP engines ignore Par. Like WS, a pool belongs to one
+	// pipeline attempt at a time.
 	Par *intrapar.Pool
 	// WS optionally supplies reusable scratch memory (gain arrays,
 	// bucket structures, move logs) shared across successive runs,

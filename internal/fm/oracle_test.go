@@ -7,11 +7,13 @@ package fm
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mlpart/internal/coarsen"
 	"mlpart/internal/gainbucket"
 	"mlpart/internal/hypergraph"
+	"mlpart/internal/intrapar"
 	"mlpart/internal/netgen"
 	"mlpart/internal/oracle"
 )
@@ -59,6 +61,43 @@ func TestOracleWorkspaceReuseBitIdentical(t *testing.T) {
 				if want := oracle.WeightedCut(h, pWS); resWS.Cut != want {
 					t.Fatalf("engine %v order %v seed %d: reported cut %d, oracle %d",
 						eng, order, seed, resWS.Cut, want)
+				}
+			}
+		}
+	}
+}
+
+// TestOracleParMatchesInline pins the contract of Config.Par: the pool
+// only runs the per-cell gain recompute, so FM and CLIP with a
+// two-worker pool repeat the inline run exactly — same Result, same
+// partition — under every bucket order, with and without boundary
+// mode and CDIP backtracking.
+func TestOracleParMatchesInline(t *testing.T) {
+	pool := intrapar.New(2)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(23))
+	instances := []*hypergraph.Hypergraph{randomH(rng, 150, 180, 6), areaH(rng, 200, 240, 5, 1)}
+	for hi, h := range instances {
+		for _, eng := range []Engine{EngineFM, EngineCLIP} {
+			for _, order := range []gainbucket.Order{gainbucket.LIFO, gainbucket.FIFO, gainbucket.Random} {
+				for _, boundary := range []bool{false, true} {
+					for _, backtrack := range []bool{false, true} {
+						cfg := Config{Engine: eng, Order: order, Boundary: boundary, Backtrack: backtrack}
+						seed := int64(10*hi + int(order))
+						pInline, resInline, err := Partition(h, nil, cfg, rand.New(rand.NewSource(seed)))
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg.Par = pool
+						pPar, resPar, err := Partition(h, nil, cfg, rand.New(rand.NewSource(seed)))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if resInline != resPar || !reflect.DeepEqual(pInline.Part, pPar.Part) {
+							t.Fatalf("instance %d %v/%v boundary=%v backtrack=%v: pooled run diverges: %+v vs %+v",
+								hi, eng, order, boundary, backtrack, resPar, resInline)
+						}
+					}
 				}
 			}
 		}

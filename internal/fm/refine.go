@@ -112,10 +112,6 @@ type refiner struct {
 	moveGains []int32
 
 	activeCut int // number of active nets currently cut
-
-	// sub-round engine only (subround.go): stamp generation of the
-	// affected-cell gather.
-	stampGen int32
 }
 
 func newRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, rng *rand.Rand) *refiner {
@@ -148,9 +144,10 @@ func newRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, r
 	}
 	r.buckets[0] = ws.bucket(0, n, bucketRange, cfg.Order, rng)
 	r.buckets[1] = ws.bucket(1, n, bucketRange, cfg.Order, rng)
-	if cfg.Par != nil {
-		r.initSubround()
+	if ws.gainFn == nil {
+		ws.gainFn = ws.gains
 	}
+	ws.cur = r
 	return r
 }
 
@@ -170,21 +167,12 @@ func (r *refiner) run() Result {
 			break
 		}
 		cutBefore := r.activeCut
-		var improved, applied, tried int
-		if r.cfg.Par != nil {
-			var aborted bool
-			improved, applied, tried, aborted = r.runPassSub()
-			if aborted {
-				res.Interrupted = true
-			}
-		} else {
-			improved, applied, tried = r.runPass()
-		}
+		improved, applied, tried := r.runPass()
 		r.cfg.Telemetry.RecordPass(r.cfg.Engine.String(), res.Passes, cutBefore, r.activeCut, tried, applied)
 		res.Passes++
 		res.Moves += applied
 		res.MovesTried += tried
-		if res.Interrupted || improved <= 0 {
+		if improved <= 0 {
 			break
 		}
 	}
@@ -194,6 +182,7 @@ func (r *refiner) run() Result {
 	// within the pre-grown capacity today, but do not rely on it).
 	r.ws.moveCells = r.moveCells
 	r.ws.moveGains = r.moveGains
+	r.ws.cur = nil // retain nothing of this run
 	return res
 }
 
@@ -278,15 +267,29 @@ func (r *refiner) key(v int32) int {
 	return int(r.gain[v])
 }
 
-// initPass rebuilds gains, buckets and locks for a new pass.
+// gains is the range function of the gain recompute: it recomputes
+// the gain of every free cell in [lo, hi) of the run in flight.
+// computeGain only reads pin counts and each cell writes its own slot,
+// so Config.Par may run the ranges in parallel without changing a
+// result.
+func (w *Workspace) gains(_, lo, hi int) {
+	r := w.cur
+	for v := lo; v < hi; v++ {
+		if !r.locked[v] {
+			r.gain[v] = r.computeGain(int32(v))
+		}
+	}
+}
+
+// initPass rebuilds gains, buckets and locks for a new pass. The
+// bucket inserts stay serial in cell order, so the bucket state does
+// not depend on the pool width.
 func (r *refiner) initPass() {
 	n := r.h.NumCells()
 	r.buckets[0].Clear()
 	r.buckets[1].Clear()
-	for v := 0; v < n; v++ {
-		r.locked[v] = false
-		r.gain[v] = r.computeGain(int32(v))
-	}
+	clear(r.locked)
+	r.cfg.Par.Run(n, r.ws.gainFn)
 	if r.cfg.Engine == EngineCLIP {
 		copy(r.initKey, r.gain)
 	}
@@ -522,11 +525,11 @@ func (r *refiner) runPass() (improved, applied, tried int) {
 func (r *refiner) refreshGains() {
 	r.buckets[0].Clear()
 	r.buckets[1].Clear()
+	r.cfg.Par.Run(r.h.NumCells(), r.ws.gainFn)
 	for v := int32(0); int(v) < r.h.NumCells(); v++ {
 		if r.locked[v] {
 			continue
 		}
-		r.gain[v] = r.computeGain(v)
 		if r.cfg.Boundary && !r.onBoundary(v) {
 			continue
 		}

@@ -37,17 +37,11 @@ type Workspace struct {
 	moveGains []int32
 	buckets   [2]*gainbucket.Structure
 
-	// Sub-round-synchronous engine state (subround.go): the frozen-key
-	// selection batch, the affected-cell gather with the old bucket
-	// keys, the stamp arrays deduplicating the gather, and the cells
-	// pulled from the buckets as area-blocked within the current
-	// sub-round.
-	subSel      []int32
-	affected    []int32
-	affectedKey []int32
-	cellStamp   []int32
-	netStamp    []int32
-	deferred    []int32
+	// cur is the FM/CLIP run in flight that gains reads; gainFn is
+	// the gains method value, bound once per workspace so dispatching
+	// a recompute allocates nothing.
+	cur    *refiner
+	gainFn func(worker, lo, hi int)
 
 	// PROP engine state (prop.go).
 	lc       [2][]int32
@@ -70,8 +64,7 @@ func (c Config) grab() *Workspace {
 // Reserve grows every buffer a run under cfg reads to hold a
 // hypergraph of up to cells cells and nets nets, so later runs on
 // instances no larger reallocate nothing. Buffers only another engine
-// reads (CLIP's initKey, the PROP state, the sub-round gathers when
-// cfg.Par is nil) are left alone.
+// reads (CLIP's initKey, the PROP state) are left alone.
 func (w *Workspace) Reserve(cfg Config, cells, nets int) {
 	if cfg.Engine == EnginePROP || cfg.Engine == EngineCLIPPROP {
 		w.sizeProp(cfg, cells, nets)
@@ -82,12 +75,10 @@ func (w *Workspace) Reserve(cfg Config, cells, nets int) {
 	w.bucket(1, cells, 0, cfg.Order, nil)
 }
 
-// sizeFM grows the buffers of the FM/CLIP engines — and of the
-// sub-round engine when cfg.Par selects it — for cells cells and nets
-// nets. None of them need clearing: active, pc, gain and locked are
-// rewritten in full before any read (newRefiner/computePinCounts/
-// initPass), the move log and the sub-round gathers start each run
-// truncated, and initSubround clears the stamps.
+// sizeFM grows the buffers of the FM/CLIP engines for cells cells and
+// nets nets. None of them need clearing: active, pc, gain and locked
+// are rewritten in full before any read (newRefiner/computePinCounts/
+// initPass), and the move log starts each run truncated.
 func (w *Workspace) sizeFM(cfg Config, cells, nets int) {
 	w.active = grow(w.active, nets)
 	w.gain = grow(w.gain, cells)
@@ -98,14 +89,6 @@ func (w *Workspace) sizeFM(cfg Config, cells, nets int) {
 	w.pc[1] = grow(w.pc[1], nets)
 	if cfg.Engine == EngineCLIP {
 		w.initKey = grow(w.initKey, cells)
-	}
-	if cfg.Par != nil {
-		w.subSel = grow(w.subSel, cells)
-		w.deferred = grow(w.deferred, cells)
-		w.affected = grow(w.affected, cells)
-		w.affectedKey = grow(w.affectedKey, cells)
-		w.cellStamp = grow(w.cellStamp, cells)
-		w.netStamp = grow(w.netStamp, nets)
 	}
 }
 

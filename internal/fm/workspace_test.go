@@ -21,6 +21,8 @@ func TestRefineSteadyStateAllocations(t *testing.T) {
 	h := c.H
 	init := hypergraph.RandomPartition(h, 2, 0.1, rand.New(rand.NewSource(1)))
 	p := init.Clone()
+	pool := intrapar.New(2)
+	defer pool.Close()
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -29,6 +31,7 @@ func TestRefineSteadyStateAllocations(t *testing.T) {
 		{"CLIP", Config{Engine: EngineCLIP}},
 		{"CLIP+lookahead3", Config{Engine: EngineCLIP, Lookahead: 3}},
 		{"FM+boundary", Config{Engine: EngineFM, Boundary: true}},
+		{"CLIP+pool", Config{Engine: EngineCLIP, Par: pool}},
 	} {
 		cfg := tc.cfg
 		cfg.WS = &Workspace{}
@@ -54,19 +57,15 @@ func TestReserveCoversFinerLevels(t *testing.T) {
 	levels := coarseLevels(t, 2000, 5)
 	caps := func(w *Workspace) []int {
 		return []int{cap(w.active), cap(w.pc[0]), cap(w.pc[1]), cap(w.gain), cap(w.initKey), cap(w.locked),
-			cap(w.moveCells), cap(w.moveGains), cap(w.subSel), cap(w.affected), cap(w.affectedKey),
-			cap(w.cellStamp), cap(w.netStamp), cap(w.deferred), cap(w.lc[0]), cap(w.lc[1]),
+			cap(w.moveCells), cap(w.moveGains), cap(w.lc[0]), cap(w.lc[1]),
 			cap(w.gainF), cap(w.initKeyF), cap(w.version)}
 	}
-	pool := intrapar.New(2)
-	defer pool.Close()
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"FM", Config{Engine: EngineFM}},
 		{"CLIP", Config{Engine: EngineCLIP}},
-		{"CLIP sub-round", Config{Engine: EngineCLIP, Par: pool}},
 		{"CL-PR", Config{Engine: EngineCLIPPROP}},
 	} {
 		cfg, err := tc.cfg.Normalize()

@@ -212,18 +212,13 @@ type Options struct {
 	// The result is bit-identical for every Parallelism value.
 	Parallelism int
 	// IntraParallelism is the intra-start axis: it sizes a per-attempt
-	// worker pool that parallelizes match scoring and induce assembly
-	// during coarsening and switches FM/CLIP refinement to the
-	// sub-round-synchronous engine — useful when a single large
-	// instance must finish fast (Starts == 1), and composable with
-	// Parallelism (total worker demand is roughly the product).
-	// Coarsening runs the same code at every value and its output never
-	// depends on it. 0 (the default) refines with the paper's serial
-	// FM/CLIP engine; any value >= 1 selects the sub-round engine, and
-	// cuts and partitions are bit-identical across all values >= 1
-	// (only wall-clock changes). The sub-round engine is a different
-	// deterministic algorithm than the serial one, so 0 and >= 1 may
-	// produce different (equally valid) cuts. Negative is rejected.
+	// worker pool that parallelizes match scoring, induce assembly and
+	// the per-pass FM/CLIP gain recompute, and composes with
+	// Parallelism (total worker demand is roughly the product). Every
+	// stage runs the same code at every value, and every ordering
+	// decision stays on the attempt's goroutine, so cuts and partitions
+	// are bit-identical for every value, 0 (the default, no pool)
+	// included; only wall-clock changes. Negative is rejected.
 	IntraParallelism int
 	// MaxRetries is how many reseeded retries a start gets after an
 	// attempt fails without a usable solution (recovered panics that

@@ -196,9 +196,9 @@ func ParseOptionsJSON(data []byte) (Options, error) {
 }
 
 // Fingerprint returns a stable hex digest of o's result-affecting
-// configuration: the sha256 of the canonical JSON with Parallelism
-// forced to zero (the supervisor's results are bit-identical across
-// Parallelism, so worker count must not split cache entries). Two
+// configuration: the sha256 of the canonical JSON with Parallelism and
+// IntraParallelism forced to zero (results are bit-identical across
+// both worker counts, so they must not split cache entries). Two
 // Options with equal fingerprints — run on the same hypergraph and
 // block count — produce byte-identical partitions.
 func (o Options) Fingerprint() (string, error) {
@@ -207,12 +207,7 @@ func (o Options) Fingerprint() (string, error) {
 		return "", err
 	}
 	c.Parallelism = 0
-	// IntraParallelism changes the refinement algorithm at the 0-vs->=1
-	// boundary but is bit-identical across all values >= 1, so the
-	// fingerprint keeps the boundary and collapses the worker count.
-	if c.IntraParallelism > 1 {
-		c.IntraParallelism = 1
-	}
+	c.IntraParallelism = 0
 	// Audit only adds invariant checks — it can never change the
 	// solution — so audited and unaudited runs share a fingerprint.
 	c.Audit = false

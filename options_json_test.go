@@ -114,9 +114,14 @@ func TestOptionsFingerprint(t *testing.T) {
 	if len(base) != 64 {
 		t.Fatalf("fingerprint %q is not a sha256 hex digest", base)
 	}
-	// Parallelism and Audit never change the solution: same entry.
+	// Worker counts and Audit never change the solution: same entry.
 	if got := fp(Options{Seed: 1, Parallelism: 4}); got != base {
 		t.Error("Parallelism split the fingerprint")
+	}
+	for _, intra := range []int{1, 8} {
+		if got := fp(Options{Seed: 1, IntraParallelism: intra}); got != base {
+			t.Errorf("IntraParallelism %d split the fingerprint", intra)
+		}
 	}
 	if got := fp(Options{Seed: 1, Audit: true}); got != base {
 		t.Error("Audit split the fingerprint")

@@ -92,9 +92,9 @@ func TestOracleQuadrisectAcrossParallelism(t *testing.T) {
 }
 
 // TestOracleIntraParallelism sweeps the intra-start pool: every
-// worker count must pass the oracle recount, and every count >= 1
-// must produce the bit-identical partition (the sub-round engine is
-// one algorithm; the pool width is an execution detail). Combined
+// worker count must pass the oracle recount and reproduce the serial
+// (IntraParallelism 0) partition bit for bit — the pool width is an
+// execution detail, never an algorithm choice. Combined
 // with the Parallelism axis this exercises per-attempt pool
 // scoping — a pool shared across concurrent starts would corrupt a
 // private buffer here.
@@ -102,7 +102,7 @@ func TestOracleIntraParallelism(t *testing.T) {
 	for _, c := range oracleCircuits(t)[:2] {
 		for _, par := range []int{1, 4} {
 			var ref *Partition
-			for _, intra := range []int{1, 2, 8} {
+			for _, intra := range []int{0, 1, 2, 8} {
 				p, info, err := Bipartition(c.H, Options{Seed: 5, Starts: 4, Parallelism: par, IntraParallelism: intra})
 				if err != nil {
 					t.Fatalf("%s par %d intra %d: %v", c.Spec.Name, par, intra, err)
@@ -124,7 +124,7 @@ func TestOracleIntraParallelism(t *testing.T) {
 				}
 				for v := range p.Part {
 					if p.Part[v] != ref.Part[v] {
-						t.Fatalf("%s par %d: partition diverges between IntraParallelism 1 and %d at cell %d",
+						t.Fatalf("%s par %d: partition diverges between IntraParallelism 0 and %d at cell %d",
 							c.Spec.Name, par, intra, v)
 					}
 				}
@@ -175,21 +175,20 @@ func TestOracleUnderFaultInjection(t *testing.T) {
 	h := c.H
 	// Panic entries are confined to start 0 (spec suffix ":0") so the
 	// remaining starts stay clean and the run-level error is nil; the
-	// cancel/corrupt entries apply to every start. The subround plans
-	// target the sub-round engine's site, so those cases run with a
-	// worker pool; score-corrupt corrupts the matching sweep while it
-	// scores on a two-worker pool.
+	// cancel/corrupt entries apply to every start. The pooled plans
+	// repeat a panic and a cancel at fm.pass on a two-worker pool, and
+	// score-corrupt corrupts the matching sweep while it scores on one.
 	plans := map[string]struct {
 		specs []string
 		intra int
 	}{
-		"fm-panic":        {specs: []string{"fm.pass:panic:2:0"}},
-		"project-corrupt": {specs: []string{"core.project:corrupt:1"}},
-		"match-cancel":    {specs: []string{"coarsen.match:cancel:3"}},
-		"mixed":           {specs: []string{"fm.pass:panic:1:0", "core.rebalance:corrupt:1"}},
-		"subround-panic":  {specs: []string{"fm.subround:panic:2:0"}, intra: 2},
-		"subround-cancel": {specs: []string{"fm.subround:cancel:4"}, intra: 2},
-		"score-corrupt":   {specs: []string{"coarsen.match:corrupt:1"}, intra: 2},
+		"fm-panic":         {specs: []string{"fm.pass:panic:2:0"}},
+		"project-corrupt":  {specs: []string{"core.project:corrupt:1"}},
+		"match-cancel":     {specs: []string{"coarsen.match:cancel:3"}},
+		"mixed":            {specs: []string{"fm.pass:panic:1:0", "core.rebalance:corrupt:1"}},
+		"pooled-fm-panic":  {specs: []string{"fm.pass:panic:2:0"}, intra: 2},
+		"pooled-fm-cancel": {specs: []string{"fm.pass:cancel:4"}, intra: 2},
+		"score-corrupt":    {specs: []string{"coarsen.match:corrupt:1"}, intra: 2},
 	}
 	for name, tc := range plans {
 		t.Run(name, func(t *testing.T) {

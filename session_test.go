@@ -8,8 +8,8 @@ import (
 )
 
 // TestSessionMatchesOneShot runs a mixed job sequence on one Session —
-// large and small instances, both entry points, both serial engines
-// and the sub-round engine — so each job inherits workspaces reserved
+// large and small instances, both entry points, both engines, with
+// and without an intra pool — so each job inherits workspaces reserved
 // and dirtied by the jobs before it, shrinking and regrowing. Every
 // partition, Info and timing-stripped telemetry report must equal the
 // package-level call's byte for byte.

@@ -57,9 +57,9 @@ func TestTelemetryReportDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // TestTelemetryReportDeterministicAcrossIntraParallelism pins the
-// second half of the -stats-json contract: with the sub-round engine
-// selected (IntraParallelism >= 1), the stripped report is
-// byte-identical for every worker count and every Parallelism value.
+// second half of the -stats-json contract: the stripped report is
+// byte-identical for every IntraParallelism — the serial pipeline (0)
+// included — and every Parallelism value.
 // StripTimings zeroes the whole timings block — including the
 // intra_workers and *_par_regions execution-profile counters that
 // legitimately vary with pool width — so everything that remains is
@@ -74,16 +74,16 @@ func TestTelemetryReportDeterministicAcrossIntraParallelism(t *testing.T) {
 		{"quadrisect", func(opt Options) (*Partition, Info, error) { return Quadrisect(c.H, opt) }},
 	} {
 		t.Run(entry.name, func(t *testing.T) {
-			base := Options{Seed: 42, Starts: 4, Parallelism: 1, IntraParallelism: 1}
+			base := Options{Seed: 42, Starts: 4, Parallelism: 1}
 			want := reportBytes(t, entry.run, base)
 			for _, par := range []int{1, 4} {
-				for _, intra := range []int{2, 8} {
+				for _, intra := range []int{1, 2, 8} {
 					opt := base
 					opt.Parallelism = par
 					opt.IntraParallelism = intra
 					got := reportBytes(t, entry.run, opt)
 					if string(got) != string(want) {
-						t.Errorf("parallelism %d intra %d report differs from the 1-worker run:\n%s\nvs\n%s",
+						t.Errorf("parallelism %d intra %d report differs from the serial run:\n%s\nvs\n%s",
 							par, intra, got, want)
 					}
 				}
