@@ -2,23 +2,27 @@ package mlpart
 
 // Golden cut-value regression: pinned instances (the checked-in
 // smoke.hgr plus three pinned netgen circuits) through
-// Bipartition/Quadrisect/RecursiveBisect at fixed seeds must keep
-// producing the exact cuts recorded in testdata/golden_cuts.json —
-// and produce them bit-identically at Parallelism 1 and 4 and at
-// IntraParallelism 0, 1 and 8. Any change to RNG consumption anywhere
+// Bipartition/Quadrisect/RecursiveBisect, a V-cycle, quadrisection
+// with fixed pads and bipartition with parallel-net merging at fixed
+// seeds must keep producing the exact cuts recorded in
+// testdata/golden_cuts.json — and produce them bit-identically at
+// Parallelism 1 and 4 and at IntraParallelism 0, 1 and 8. Any change to RNG consumption anywhere
 // in the pipeline (the classic symptom of a workspace that leaks state
 // between levels or starts) trips this test. Regenerate deliberately with:
 //
 //	go test -run Golden -update-golden .
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"mlpart/internal/core"
 	"mlpart/internal/oracle"
 )
 
@@ -101,6 +105,36 @@ func goldenRun(t *testing.T, algorithm string, h *Hypergraph) int {
 				t.Fatal(err)
 			}
 			return p, oracle.Cut(h, p)
+		case "vcycle":
+			p, _, err := Bipartition(h, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pv, _, err := VCycle(h, p, 3, MLConfig{IntraParallelism: workers}, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pv, oracle.Cut(h, pv)
+		case "quadrisect-pads":
+			// Every 10th cell is a pad pre-assigned to block v%4.
+			fixed := make([]bool, h.NumCells())
+			pre := make([]int32, h.NumCells())
+			for v := 0; v < h.NumCells(); v += 10 {
+				fixed[v], pre[v] = true, int32(v%4)
+			}
+			cfg := QuadConfig{Fixed: fixed, Preassign: pre, IntraParallelism: workers}
+			p, res, err := core.QuadrisectCtx(context.Background(), h, cfg, rand.New(rand.NewSource(7)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p, res.CutNets
+		case "bipartition-merge":
+			cfg := MLConfig{MergeParallelNets: true, IntraParallelism: workers}
+			p, res, err := core.BipartitionCtx(context.Background(), h, cfg, rand.New(rand.NewSource(7)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p, res.Cut
 		}
 		t.Fatalf("unknown algorithm %q", algorithm)
 		return nil, 0
@@ -135,7 +169,7 @@ func goldenRun(t *testing.T, algorithm string, h *Hypergraph) int {
 func TestGoldenCuts(t *testing.T) {
 	var got []goldenEntry
 	for _, inst := range goldenInstances(t) {
-		for _, alg := range []string{"bipartition", "quadrisect", "recursive-bisect"} {
+		for _, alg := range []string{"bipartition", "quadrisect", "recursive-bisect", "vcycle", "quadrisect-pads", "bipartition-merge"} {
 			got = append(got, goldenEntry{
 				Instance:  inst.name,
 				Algorithm: alg,
