@@ -53,13 +53,16 @@ crash-smoke:
 # checks), the pipeline differential target (the coarsening hierarchy
 # must not depend on IntraParallelism, and partitions must be
 # byte-identical at widths 0, 1 and 4 and agree with the oracle), and
-# the canonical options JSON round trip. The checked-in corpora under
+# the canonical options JSON round trip, and mlpartd's POST /v1/jobs
+# decoder (malformed requests get a 4xx, never a 5xx or a panic, and
+# the job ledger stays balanced). The checked-in corpora under
 # internal/hypergraph/testdata/fuzz and testdata/fuzz seed them and run
 # in plain `make test` as well.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadHGR -fuzztime=10s ./internal/hypergraph
 	$(GO) test -run '^$$' -fuzz='^FuzzPipeline$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz='^FuzzOptionsJSON$$' -fuzztime=5s .
+	$(GO) test -run '^$$' -fuzz='^FuzzJobRequest$$' -fuzztime=5s ./internal/server
 
 # Telemetry smoke: run the CLI with -stats-json on the checked-in
 # mesh netlist at two parallelism levels, validate both reports with

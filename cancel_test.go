@@ -9,12 +9,14 @@ package mlpart
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"mlpart/internal/core"
+	"mlpart/internal/faultinject"
 	"mlpart/internal/kway"
 )
 
@@ -170,6 +172,89 @@ func TestVCycleCancelNeverWorse(t *testing.T) {
 	}
 	if err := q.Validate(h.NumCells()); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestVCyclePanicStaysInLibrary: a panic inside a V-cycle is recovered
+// by the level driver. VCycleCtx returns the best solution seen, which
+// is never worse than its input, together with the *InternalError.
+func TestVCyclePanicStaysInLibrary(t *testing.T) {
+	c, err := GenerateCircuit(CircuitSpec{Name: "vcp", Cells: 400, Nets: 450, Pins: 1450, Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := c.H
+	p, info, err := Bipartition(h, Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The hook panics on its third poll, inside the first cycle.
+	cfg := MLConfig{Refine: FMConfig{Stop: panicAfter(2)}}
+	q, cut, err := VCycleCtx(context.Background(), h, p, 3, cfg, 3)
+	var ierr *InternalError
+	if !errors.As(err, &ierr) {
+		t.Fatalf("error %v is not a *InternalError", err)
+	}
+	if q == nil {
+		t.Fatal("no partition alongside the recovered panic")
+	}
+	if err := q.Validate(h.NumCells()); err != nil {
+		t.Fatal(err)
+	}
+	if cut > info.Cut || cut != q.WeightedCut(h) {
+		t.Errorf("V-cycle returned cut %d (recount %d), input %d", cut, q.WeightedCut(h), info.Cut)
+	}
+	if !q.IsBalanced(h, Balance(h, 2, 0.1)) {
+		t.Error("unbalanced")
+	}
+}
+
+// TestCoarseningPanicKeepsPrefix pins the coarsening-panic contract of
+// the level driver for both k: a panic in the second Match keeps the
+// one-level hierarchy built so far, the run partitions and uncoarsens
+// it, and the panic comes back as a *PanicError with Stage "coarsen"
+// alongside a valid, balanced partition.
+func TestCoarseningPanicKeepsPrefix(t *testing.T) {
+	c, err := GenerateCircuit(CircuitSpec{Name: "cpp", Cells: 800, Nets: 860, Pins: 2700, Seed: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := c.H
+	for _, k := range []int{2, 4} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			plan := &FaultPlan{Entries: []FaultEntry{faultinject.On(faultinject.SiteCoarsenMatch, FaultPanic, 2)}}
+			rng := rand.New(rand.NewSource(2))
+			var p *Partition
+			var levels int
+			if k == 2 {
+				var res MLResult
+				p, res, err = core.BipartitionCtx(context.Background(), h, MLConfig{Audit: true, Inject: plan.NewInjector(0, 0)}, rng)
+				levels = res.Levels
+			} else {
+				var res QuadResult
+				p, res, err = core.QuadrisectCtx(context.Background(), h, QuadConfig{Audit: true, Inject: plan.NewInjector(0, 0)}, rng)
+				levels = res.Levels
+			}
+			pe, ok := core.AsPanicError(err)
+			if !ok {
+				t.Fatalf("error %v is not a *PanicError", err)
+			}
+			if pe.Stage != "coarsen" || pe.Level != 1 {
+				t.Errorf("panic at %s level %d, want coarsen level 1", pe.Stage, pe.Level)
+			}
+			if levels != 1 {
+				t.Errorf("Levels = %d, want the one-level prefix", levels)
+			}
+			if p == nil {
+				t.Fatal("no partition alongside the recovered panic")
+			}
+			if err := p.Validate(h.NumCells()); err != nil || p.K != k {
+				t.Fatalf("invalid %d-way partition (K=%d): %v", k, p.K, err)
+			}
+			if !p.IsBalanced(h, Balance(h, k, 0.1)) {
+				t.Error("partition violates the balance bound")
+			}
+		})
 	}
 }
 

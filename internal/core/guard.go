@@ -71,3 +71,12 @@ func mergeStop(prev func() bool, ctx context.Context) func() bool {
 		return ctx.Err() != nil
 	}
 }
+
+// orBackground normalizes a nil ctx from a caller to the root
+// context.
+func orBackground(ctx context.Context) context.Context {
+	if ctx == nil {
+		return context.Background() //mllint:ignore ctx-thread normalizing a nil ctx from the caller; there is no ambient deadline to discard
+	}
+	return ctx
+}

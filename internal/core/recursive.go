@@ -34,9 +34,7 @@ func RecursiveBisectCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, cf
 	if err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background() //mllint:ignore ctx-thread normalizing a nil ctx from the caller; there is no ambient deadline to discard
-	}
+	ctx = orBackground(ctx)
 	out := hypergraph.NewPartition(h.NumCells(), k)
 	cells := make([]int32, h.NumCells())
 	for v := range cells {

@@ -14,13 +14,14 @@ import (
 // per call (and the multi-start supervisor therefore gets one per
 // attempt goroutine), so hierarchy levels — and, in V-cycles, whole
 // cycles — reuse scratch memory while nothing is ever shared across
-// goroutines or retained in package state. The entry points Reserve
-// the refinement workspace for the input hypergraph once per attempt:
-// uncoarsening visits ever larger levels, and the finest is the input.
+// goroutines or retained in package state. The level driver's
+// refiners Reserve the refinement workspace for the input hypergraph
+// once per attempt: uncoarsening visits ever larger levels, and the
+// finest is the input.
 //
 // Partition buffers deliberately do NOT live here: projected solutions
 // escape to callers (VCycleCtx keeps the best candidate across
-// cycles), so the uncoarsening loops use per-call alternating buffers
+// cycles), so the level driver uses per-call alternating buffers
 // instead.
 type pipelineWS struct {
 	match  coarsen.Workspace
@@ -82,25 +83,4 @@ func (s *Scratch) attemptWS() *pipelineWS {
 		return &pipelineWS{}
 	}
 	return &s.ws
-}
-
-// projectionBuffers returns the two pre-sized partition buffers the
-// uncoarsening sweep alternates between; numCells is the finest
-// (largest) level, so no projection reallocates.
-func projectionBuffers(numCells, k int) (*hypergraph.Partition, *hypergraph.Partition) {
-	a := &hypergraph.Partition{Part: make([]int32, 0, numCells), K: k}
-	b := &hypergraph.Partition{Part: make([]int32, 0, numCells), K: k}
-	return a, b
-}
-
-// copyInto copies src into dst, reusing dst's backing array when large
-// enough — used to move the coarsest solution into a pre-sized
-// projection buffer before the uncoarsening sweep.
-func copyInto(dst, src *hypergraph.Partition) {
-	if cap(dst.Part) < len(src.Part) {
-		dst.Part = make([]int32, len(src.Part))
-	}
-	dst.Part = dst.Part[:len(src.Part)]
-	copy(dst.Part, src.Part)
-	dst.K = src.K
 }

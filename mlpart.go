@@ -188,10 +188,14 @@ func NewBuilder(n int) *Builder { return hypergraph.NewBuilder(n) }
 func Balance(h *Hypergraph, k int, r float64) BalanceBound { return hypergraph.Balance(h, k, r) }
 
 // Options is the convenience configuration for the one-call API.
-// The zero value reproduces the paper's best bipartitioning setup:
-// CLIP engine, LIFO buckets, R = 0.5, T = 35, r = 0.1.
+// The zero value runs ML_F: the FM engine, LIFO buckets, R = 0.5,
+// T = 35, r = 0.1. The paper's best bipartitioning setup is ML_C, the
+// same with Engine set to EngineCLIP.
 type Options struct {
-	// Engine: EngineFM or EngineCLIP. Default EngineCLIP (ML_C).
+	// Engine: EngineFM or EngineCLIP (the PROP engines are
+	// bipartition-only). Default EngineFM (ML_F), the zero value; an
+	// mlpartd job request with no "engine" runs it too. The mlpart CLI
+	// defaults to -engine clip (ML_C) instead.
 	Engine fm.Engine
 	// MatchingRatio R ∈ (0,1]. Default 0.5.
 	MatchingRatio float64

@@ -9,6 +9,7 @@ package mlpart
 // or attempts shows up as an oracle disagreement here.
 
 import (
+	"slices"
 	"testing"
 
 	"mlpart/internal/oracle"
@@ -143,15 +144,25 @@ func TestOracleVCycleAndRecursiveBisect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pv, cut, err := VCycle(h, p, 3, MLConfig{}, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := oracle.WeightedCut(h, pv); cut != want {
-		t.Fatalf("VCycle reported cut %d, oracle %d", cut, want)
-	}
-	if !oracle.Validate(h, pv, 2) || !oracle.Balanced(h, pv, 0.1) {
-		t.Fatal("VCycle solution fails oracle validity/balance")
+	// The audited V-cycle runs the per-level invariant checks of the
+	// level driver; it must pass them and return the same solution.
+	var first *Partition
+	for _, cfg := range []MLConfig{{}, {Audit: true}} {
+		pv, cut, err := VCycle(h, p, 3, cfg, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracle.WeightedCut(h, pv); cut != want {
+			t.Fatalf("VCycle (Audit %v) reported cut %d, oracle %d", cfg.Audit, cut, want)
+		}
+		if !oracle.Validate(h, pv, 2) || !oracle.Balanced(h, pv, 0.1) {
+			t.Fatalf("VCycle (Audit %v) solution fails oracle validity/balance", cfg.Audit)
+		}
+		if first == nil {
+			first = pv
+		} else if !slices.Equal(first.Part, pv.Part) {
+			t.Fatal("Audit changed the V-cycle solution")
+		}
 	}
 	pr, err := RecursiveBisect(h, 4, MLConfig{}, 33)
 	if err != nil {
