@@ -104,21 +104,33 @@ func TestOracleParMatchesInline(t *testing.T) {
 	}
 }
 
-// TestOracleRefineBalancedMatchesPartition pins the contract that let
-// the uncoarsening loops go in-place: RefineBalanced on a clone is
-// exactly Partition with an initial solution — same result, same RNG
-// consumption — and its cut survives the oracle recount.
-func TestOracleRefineBalancedMatchesPartition(t *testing.T) {
+// TestOracleRebalanceRefineMatchesPartition pins the contract that
+// lets the level driver refine in place: rebalancing a projected
+// solution when it violates the bound, then calling Refine on it, is
+// exactly Partition with that initial solution — same result, same RNG
+// consumption — and its cut survives the oracle recount. The initial
+// solution is unbalanced, so both sides rebalance.
+func TestOracleRebalanceRefineMatchesPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	h := randomH(rng, 150, 170, 5)
-	init := hypergraph.RandomPartition(h, 2, 0.1, rand.New(rand.NewSource(1)))
+	init := hypergraph.NewPartition(h.NumCells(), 2)
+	for v := 0; v < h.NumCells()/10; v++ {
+		init.Part[v] = 1
+	}
+	orig := init.Clone()
+	bound := hypergraph.Balance(h, 2, 0.1)
+	if init.IsBalanced(h, bound) {
+		t.Fatal("initial solution is balanced; the rebalance step goes untested")
+	}
 
 	pVia, resVia, err := Partition(h, init, Config{Engine: EngineCLIP}, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	inPlace := init.Clone()
-	resIn, err := RefineBalanced(h, inPlace, Config{Engine: EngineCLIP}, rand.New(rand.NewSource(2)))
+	rngIn := rand.New(rand.NewSource(2))
+	inPlace.Rebalance(h, bound, rngIn)
+	resIn, err := Refine(h, inPlace, Config{Engine: EngineCLIP}, rngIn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +146,8 @@ func TestOracleRefineBalancedMatchesPartition(t *testing.T) {
 		t.Fatalf("reported cut %d, oracle %d", resIn.Cut, want)
 	}
 	// Partition must not have mutated the caller's initial solution.
-	check := hypergraph.RandomPartition(h, 2, 0.1, rand.New(rand.NewSource(1)))
 	for v := range init.Part {
-		if init.Part[v] != check.Part[v] {
+		if init.Part[v] != orig.Part[v] {
 			t.Fatal("Partition mutated the caller's initial partition")
 		}
 	}
