@@ -50,7 +50,9 @@ crash-smoke:
 	$(GO) test -v -count=1 -run 'TestCmdMlpartdCrash|TestCmdStatscheckJournal' .
 
 # Short fuzz runs: the parser hardening (resource limits, overflow
-# checks), the pipeline differential target (the coarsening hierarchy
+# checks) for .hgr and .netD, the byte-level .hgr reader against its
+# frozen string-based reference (same error text or an identical
+# hypergraph), the pipeline differential target (the coarsening hierarchy
 # must not depend on IntraParallelism, and partitions must be
 # byte-identical at widths 0, 1 and 4 and agree with the oracle), and
 # the canonical options JSON round trip, and mlpartd's POST /v1/jobs
@@ -59,7 +61,9 @@ crash-smoke:
 # internal/hypergraph/testdata/fuzz and testdata/fuzz seed them and run
 # in plain `make test` as well.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzReadHGR -fuzztime=10s ./internal/hypergraph
+	$(GO) test -fuzz='^FuzzReadHGR$$' -fuzztime=10s ./internal/hypergraph
+	$(GO) test -run '^$$' -fuzz='^FuzzReadHGRMatchesReference$$' -fuzztime=10s ./internal/hypergraph
+	$(GO) test -run '^$$' -fuzz='^FuzzReadNetD$$' -fuzztime=5s ./internal/hypergraph
 	$(GO) test -run '^$$' -fuzz='^FuzzPipeline$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz='^FuzzOptionsJSON$$' -fuzztime=5s .
 	$(GO) test -run '^$$' -fuzz='^FuzzJobRequest$$' -fuzztime=5s ./internal/server

@@ -75,8 +75,9 @@ type refiner struct {
 	rng *rand.Rand
 	ws  *Workspace
 
-	bound hypergraph.BalanceBound
-	areas [2]int64
+	bound  hypergraph.BalanceBound
+	areas  [2]int64
+	maxDeg int // MaxWeightedDegree over the active nets: the gain bound
 
 	active  []bool     // net considered during refinement
 	pc      [2][]int32 // per net: pin count on each side
@@ -115,10 +116,10 @@ func newRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, r
 	for e := 0; e < h.NumNets(); e++ {
 		r.active[e] = cfg.MaxNetSize < 0 || h.NetSize(e) <= cfg.MaxNetSize
 	}
-	maxDeg := h.MaxWeightedDegree(cfg.MaxNetSize)
-	bucketRange := maxDeg
+	r.maxDeg = h.MaxWeightedDegree(cfg.MaxNetSize)
+	bucketRange := r.maxDeg
 	if cfg.Engine == EngineCLIP {
-		bucketRange = 2 * maxDeg // §II.B: the range of bucket indices must double
+		bucketRange = 2 * r.maxDeg // §II.B: the range of bucket indices must double
 	}
 	r.buckets[0] = ws.bucket(0, n, bucketRange, cfg.Order, rng)
 	r.buckets[1] = ws.bucket(1, n, bucketRange, cfg.Order, rng)
@@ -454,10 +455,7 @@ func (r *refiner) runPass() (improved, applied, tried int) {
 	// CDIP backtrack trigger: a cumulative loss of one maximum
 	// weighted degree below the best prefix means the sequence needs
 	// more than one perfect move to recover.
-	backtrackAt := r.h.MaxWeightedDegree(r.cfg.MaxNetSize)
-	if backtrackAt < 2 {
-		backtrackAt = 2
-	}
+	backtrackAt := max(r.maxDeg, 2)
 	for {
 		v := r.selectMove()
 		if v < 0 {

@@ -3,18 +3,23 @@ package hypergraph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates cells and nets and produces an immutable
 // Hypergraph. Nets with fewer than two distinct pins are dropped at
 // Build time (a net is defined to be a subset of V with size greater
 // than one); duplicate pins within a net are merged.
+//
+// Every net's pins are stored back to back in one flat buffer: net i
+// occupies pins[netEnd[i-1]:netEnd[i]] (netEnd[-1] taken as 0), so
+// adding a net appends to three slices instead of allocating one.
 type Builder struct {
 	numCells int
 	area     []int64
-	nets     [][]int32
-	weights  []int32 // parallel to nets; nil face means all 1
+	pins     []int32
+	netEnd   []int   // end offset of each net's window in pins
+	weights  []int32 // per net, parallel to netEnd
 	names    []string
 	err      error
 }
@@ -70,43 +75,51 @@ func (b *Builder) SetName(v int, name string) *Builder {
 // with fewer than two pins are silently dropped (per the paper's net
 // definition).
 func (b *Builder) AddNet(pins ...int) *Builder {
-	if b.err != nil {
-		return b
-	}
-	net := make([]int32, 0, len(pins))
-	for _, p := range pins {
-		if p < 0 || p >= b.numCells {
-			b.err = fmt.Errorf("hypergraph: AddNet pin %d out of range [0,%d)", p, b.numCells)
-			return b
-		}
-		net = append(net, int32(p))
-	}
-	b.nets = append(b.nets, net)
-	b.weights = append(b.weights, 1)
-	return b
+	return b.addNet(1, pins)
 }
 
 // AddWeightedNet appends a net with an integer weight ≥ 1; weighted
 // nets contribute their weight to the cut and to FM gains (input fmt
 // 1/11 files, merged parallel nets).
 func (b *Builder) AddWeightedNet(weight int32, pins ...int) *Builder {
+	if b.err == nil && weight < 1 {
+		b.err = fmt.Errorf("hypergraph: net weight %d < 1", weight)
+	}
+	return b.addNet(weight, pins)
+}
+
+func (b *Builder) addNet(weight int32, pins []int) *Builder {
 	if b.err != nil {
 		return b
 	}
-	if weight < 1 {
-		b.err = fmt.Errorf("hypergraph: net weight %d < 1", weight)
-		return b
+	for _, p := range pins {
+		if p < 0 || p >= b.numCells {
+			// The pins already appended are never built: once
+			// b.err is set, Build returns it.
+			b.err = fmt.Errorf("hypergraph: AddNet pin %d out of range [0,%d)", p, b.numCells)
+			return b
+		}
+		b.pins = append(b.pins, int32(p))
 	}
-	b.AddNet(pins...)
-	if b.err == nil {
-		b.weights[len(b.weights)-1] = weight
-	}
+	b.endNet(weight)
 	return b
 }
 
 // AddNet32 is AddNet for an []int32 pin list (avoids conversion churn
 // in generators). The slice is copied.
 func (b *Builder) AddNet32(pins []int32) *Builder {
+	return b.addNet32(1, pins)
+}
+
+// AddWeightedNet32 is AddWeightedNet for an []int32 pin list.
+func (b *Builder) AddWeightedNet32(weight int32, pins []int32) *Builder {
+	if b.err == nil && weight < 1 {
+		b.err = fmt.Errorf("hypergraph: net weight %d < 1", weight)
+	}
+	return b.addNet32(weight, pins)
+}
+
+func (b *Builder) addNet32(weight int32, pins []int32) *Builder {
 	if b.err != nil {
 		return b
 	}
@@ -116,105 +129,98 @@ func (b *Builder) AddNet32(pins []int32) *Builder {
 			return b
 		}
 	}
-	net := make([]int32, len(pins))
-	copy(net, pins)
-	b.nets = append(b.nets, net)
-	b.weights = append(b.weights, 1)
+	b.pins = append(b.pins, pins...)
+	b.endNet(weight)
 	return b
 }
 
-// AddWeightedNet32 is AddWeightedNet for an []int32 pin list.
-func (b *Builder) AddWeightedNet32(weight int32, pins []int32) *Builder {
-	if b.err != nil {
-		return b
-	}
-	if weight < 1 {
-		b.err = fmt.Errorf("hypergraph: net weight %d < 1", weight)
-		return b
-	}
-	b.AddNet32(pins)
-	if b.err == nil {
-		b.weights[len(b.weights)-1] = weight
-	}
-	return b
+// endNet closes the net whose pins were appended since the previous
+// one.
+func (b *Builder) endNet(weight int32) {
+	b.netEnd = append(b.netEnd, len(b.pins))
+	b.weights = append(b.weights, weight)
 }
 
 // Build finalizes the hypergraph. It returns an error if any prior
 // builder call recorded one.
+//
+// Build canonicalizes the builder's own buffer in place — each net
+// sorted and deduplicated, degenerate nets removed — so building
+// again, or after adding more nets, sees the same nets.
 func (b *Builder) Build() (*Hypergraph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	// Deduplicate pins within each net and drop degenerate nets.
-	kept := make([][]int32, 0, len(b.nets))
-	keptW := make([]int32, 0, len(b.nets))
-	weighted := false
-	for ni, net := range b.nets {
-		sort.Slice(net, func(i, j int) bool { return net[i] < net[j] })
-		out := net[:0]
-		var prev int32 = -1
+	kept, w, s := 0, 0, 0
+	for e, end := range b.netEnd {
+		net := b.pins[s:end]
+		s = end
+		slices.Sort(net)
+		from := w
+		prev := int32(-1)
 		for _, p := range net {
 			if p != prev {
-				out = append(out, p)
+				b.pins[w] = p
+				w++
 				prev = p
 			}
 		}
-		if len(out) >= 2 {
-			kept = append(kept, out)
-			w := b.weights[ni]
-			keptW = append(keptW, w)
-			if w != 1 {
-				weighted = true
-			}
+		if w-from < 2 {
+			w = from
+			continue
 		}
+		b.netEnd[kept] = w
+		b.weights[kept] = b.weights[e]
+		kept++
 	}
+	b.pins, b.netEnd, b.weights = b.pins[:w], b.netEnd[:kept], b.weights[:kept]
+	return b.finish()
+}
+
+// finish copies the builder's nets into exact-size CSR arrays and
+// derives the cell→net direction and the area statistics. The net
+// weights are kept only if some net has weight ≠ 1.
+func (b *Builder) finish() (*Hypergraph, error) {
+	numNets, numPins := len(b.netEnd), len(b.pins)
 	h := &Hypergraph{
 		numCells: b.numCells,
-		numNets:  len(kept),
+		numNets:  numNets,
 		area:     b.area,
 		names:    b.names,
 	}
-	if weighted {
-		h.netWeight = keptW
-	}
-	numPins := 0
-	for _, net := range kept {
-		numPins += len(net)
-	}
 	// The CSR offsets are int32; programmatic builders are not behind
-	// the parser Limits, so the pin total must be checked here before
-	// any narrowing below.
-	if numPins > math.MaxInt32 {
-		return nil, fmt.Errorf("hypergraph: %d pins overflow the int32 CSR index space", numPins)
-	}
-	h.netStart = make([]int32, len(kept)+1)
-	h.netPins = make([]int32, numPins)
-	at := int32(0)
-	for e, net := range kept {
-		h.netStart[e] = at
-		copy(h.netPins[at:], net)
-		at += int32(len(net)) //mllint:ignore unchecked-narrow len(net) <= numPins, checked against MaxInt32 above
-	}
-	h.netStart[len(kept)] = at
-
-	// Build the cell->net CSR by counting then filling.
-	deg := make([]int32, b.numCells+1)
-	for _, net := range kept {
-		for _, p := range net {
-			deg[p+1]++
+	// the parser Limits, so the offsets are checked before narrowing
+	// and before the pin arrays are allocated.
+	h.netStart = make([]int32, numNets+1)
+	for e, end := range b.netEnd {
+		if end > math.MaxInt32 {
+			return nil, fmt.Errorf("hypergraph: %d pins overflow the int32 CSR index space", numPins)
 		}
+		h.netStart[e+1] = int32(end)
 	}
+	h.netPins = make([]int32, numPins)
+	copy(h.netPins, b.pins)
+	if slices.ContainsFunc(b.weights, func(w int32) bool { return w != 1 }) {
+		h.netWeight = make([]int32, numNets)
+		copy(h.netWeight, b.weights)
+	}
+
+	// The cell→net CSR: count each cell's nets into cellStart, turn
+	// the counts into running ends, then fill from the last net back
+	// with cellStart itself as the cursor. The fill leaves each
+	// cellStart[v] at v's first slot and v's nets in increasing order.
 	h.cellStart = make([]int32, b.numCells+1)
-	for v := 0; v < b.numCells; v++ {
-		h.cellStart[v+1] = h.cellStart[v] + deg[v+1]
+	for _, p := range h.netPins {
+		h.cellStart[p]++
+	}
+	for v := 1; v <= b.numCells; v++ {
+		h.cellStart[v] += h.cellStart[v-1]
 	}
 	h.cellNets = make([]int32, numPins)
-	fill := make([]int32, b.numCells)
-	copy(fill, h.cellStart[:b.numCells])
-	for e, net := range kept {
-		for _, p := range net {
-			h.cellNets[fill[p]] = int32(e)
-			fill[p]++
+	for e := numNets - 1; e >= 0; e-- {
+		for _, p := range h.Pins(e) {
+			h.cellStart[p]--
+			h.cellNets[h.cellStart[p]] = int32(e)
 		}
 	}
 	for v, a := range b.area {
@@ -253,65 +259,5 @@ func (b *Builder) BuildRawForTest() (*Hypergraph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	h := &Hypergraph{
-		numCells: b.numCells,
-		numNets:  len(b.nets),
-		area:     b.area,
-		names:    b.names,
-	}
-	for _, w := range b.weights {
-		if w != 1 {
-			h.netWeight = b.weights
-			break
-		}
-	}
-	numPins := 0
-	for _, net := range b.nets {
-		numPins += len(net)
-	}
-	if numPins > math.MaxInt32 {
-		return nil, fmt.Errorf("hypergraph: %d pins overflow the int32 CSR index space", numPins)
-	}
-	h.netStart = make([]int32, len(b.nets)+1)
-	h.netPins = make([]int32, numPins)
-	at := int32(0)
-	for e, net := range b.nets {
-		h.netStart[e] = at
-		copy(h.netPins[at:], net)
-		at += int32(len(net)) //mllint:ignore unchecked-narrow len(net) <= numPins, checked against MaxInt32 above
-	}
-	h.netStart[len(b.nets)] = at
-	deg := make([]int32, b.numCells+1)
-	for _, net := range b.nets {
-		for _, p := range net {
-			deg[p+1]++
-		}
-	}
-	h.cellStart = make([]int32, b.numCells+1)
-	for v := 0; v < b.numCells; v++ {
-		h.cellStart[v+1] = h.cellStart[v] + deg[v+1]
-	}
-	h.cellNets = make([]int32, numPins)
-	fill := make([]int32, b.numCells)
-	copy(fill, h.cellStart[:b.numCells])
-	for e, net := range b.nets {
-		for _, p := range net {
-			h.cellNets[fill[p]] = int32(e)
-			fill[p]++
-		}
-	}
-	for v, a := range b.area {
-		total, err := addArea(h.totalArea, a)
-		if err != nil {
-			return nil, err
-		}
-		h.totalArea = total
-		if v == 0 || a < h.minArea {
-			h.minArea = a
-		}
-		if a > h.maxArea {
-			h.maxArea = a
-		}
-	}
-	return h, nil
+	return b.finish()
 }

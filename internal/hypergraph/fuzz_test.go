@@ -2,6 +2,7 @@ package hypergraph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -21,12 +22,9 @@ func FuzzReadHGR(f *testing.F) {
 	// Resource-limit and overflow probes: headers claiming absurd
 	// sizes, int64 area overflow, out-of-range net weights. All must
 	// fail cleanly before proportional allocation.
-	f.Add("99999999999999999999 2\n")
-	f.Add("2 99999999999999999999\n")
-	f.Add("1000000000 1000000000\n1 2\n")
-	f.Add("1 2 10\n1 2\n9223372036854775807\n9223372036854775807\n")
-	f.Add("1 2 1\n99999999999 1 2\n")
-	f.Add("1 2 1\n0 1 2\n")
+	for _, seed := range hgrLimitProbes {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, in string) {
 		h, err := ReadHGR(strings.NewReader(in))
 		if err != nil {
@@ -48,6 +46,94 @@ func FuzzReadHGR(f *testing.F) {
 			t.Fatal("round trip changed sizes")
 		}
 	})
+}
+
+// hgrLimitProbes are headers and lines that must trip a resource
+// limit or an overflow check before any proportional allocation.
+var hgrLimitProbes = []string{
+	"99999999999999999999 2\n",
+	"2 99999999999999999999\n",
+	"1000000000 1000000000\n1 2\n",
+	"1 2 10\n1 2\n9223372036854775807\n9223372036854775807\n",
+	"1 2 1\n99999999999 1 2\n",
+	"1 2 1\n0 1 2\n",
+}
+
+// FuzzReadHGRMatchesReference holds ReadHGRLimits to the frozen
+// string-based reader in reference_test.go: on every input, under the
+// default limits and under small ones, both must fail with the same
+// message or build identical hypergraphs.
+func FuzzReadHGRMatchesReference(f *testing.F) {
+	for _, seed := range []string{
+		"2 3\n1 2\n2 3\n",
+		"2\t3\n1\t2 \t3\n\t2  3\t\n",
+		"2 3\r\n1 2\r\n% comment\r\n2 3\r\n",
+		"% comment\n\n2 3\n  % indented comment\n1 2 3\n1 3\n",
+		"2 3\n1\u00a02 3\n\u00852\u00853\n",
+		"2\u00a03\n1 2\n2 3\n",
+		"1 2\n1\u00a0\u00852\n",
+		"3 4\n1 1 2\n3\n4 4\n",
+		"2 3\n2 1 2 1 3\n3 3 3\n",
+		"2 3 1\n5 1 2\n1 2 3\n",
+		"2 3 10\n1 2\n2 3\n4\n0\n 7 \n",
+		"2 3 11\n2 1 2\n3 2 3\n4\n5\n6\n",
+		"2 3 01\n2 1 2\n3 2 3\n",
+		"1 2 00\n1 2\n",
+		"1 2 7\n1 2\n",
+		"1 2 1\n\n",
+		"1 2 1\n3\n",
+		"+2 03\n+1 2\n-1 3\n",
+		"1 3\n1 x\n",
+		"1 3 10\n1 2\n1\n2 3\n",
+		"2 3\n1 2\n",
+		"",
+		"0 0\n",
+		"1 2 3 4\n",
+		"1 2\n1 2\xff\n",
+	} {
+		f.Add(seed)
+	}
+	for _, seed := range hgrLimitProbes {
+		f.Add(seed)
+	}
+	small := Limits{MaxCells: 8, MaxNets: 4, MaxPins: 12}
+	f.Fuzz(func(t *testing.T, in string) {
+		for _, lim := range []Limits{{}, small} {
+			got, err := ReadHGRLimits(strings.NewReader(in), lim)
+			want, wantErr := refReadHGRLimits(strings.NewReader(in), lim)
+			if (err != nil) != (wantErr != nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("%+v on %q: error %v, reference %v", lim, in, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if diff := sameHypergraph(got, want); diff != "" {
+				t.Fatalf("%+v on %q: %s differs from the reference", lim, in, diff)
+			}
+		}
+	})
+}
+
+// sameHypergraph names the first field in which a and b differ, or
+// returns "".
+func sameHypergraph(a, b *Hypergraph) string {
+	switch {
+	case a.numCells != b.numCells || a.numNets != b.numNets:
+		return "size"
+	case !slices.Equal(a.area, b.area):
+		return "area"
+	case a.totalArea != b.totalArea || a.minArea != b.minArea || a.maxArea != b.maxArea:
+		return "area totals"
+	case !slices.Equal(a.netStart, b.netStart) || !slices.Equal(a.netPins, b.netPins):
+		return "net CSR"
+	case !slices.Equal(a.cellStart, b.cellStart) || !slices.Equal(a.cellNets, b.cellNets):
+		return "cell CSR"
+	case (a.netWeight == nil) != (b.netWeight == nil) || !slices.Equal(a.netWeight, b.netWeight):
+		return "net weights"
+	case a.ContentHash() != b.ContentHash():
+		return "content hash"
+	}
+	return ""
 }
 
 func FuzzReadNetD(f *testing.F) {

@@ -1,6 +1,7 @@
 package hypergraph
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -98,6 +99,113 @@ func TestBuilderErrors(t *testing.T) {
 	}
 	if _, err := NewBuilder(-1).Build(); err == nil {
 		t.Error("expected error for negative cell count")
+	}
+}
+
+// messyNets adds m random nets to b and, if ref is not nil, to the
+// reference builder ref, cycling through the four AddNet forms, with unsorted and
+// duplicate pins, empty and single-pin nets, and weights 1..3.
+func messyNets(rng *rand.Rand, b *Builder, ref *refBuilder, n, m int) {
+	for e := 0; e < m; e++ {
+		pins := make([]int, rng.Intn(7))
+		pins32 := make([]int32, len(pins))
+		for i := range pins {
+			pins[i] = rng.Intn(n)
+			pins32[i] = int32(pins[i])
+		}
+		weight := int32(1)
+		switch e % 4 {
+		case 0:
+			b.AddNet(pins...)
+		case 1:
+			weight = int32(1 + rng.Intn(3))
+			b.AddWeightedNet(weight, pins...)
+		case 2:
+			b.AddNet32(pins32)
+		case 3:
+			weight = int32(1 + rng.Intn(3))
+			b.AddWeightedNet32(weight, pins32)
+		}
+		if ref != nil {
+			ref.AddWeightedNet32(weight, pins32)
+		}
+	}
+}
+
+// TestBuildMatchesReference holds Build to the frozen slice-per-net
+// builder in reference_test.go on programmatic input.
+func TestBuildMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(40)
+		b, ref := NewBuilder(n), refNewBuilder(n)
+		for v := 0; v < n; v++ {
+			a := int64(rng.Intn(4))
+			b.SetArea(v, a)
+			ref.SetArea(v, a)
+		}
+		messyNets(rng, b, ref, n, rng.Intn(120))
+		got, want := b.MustBuild(), ref.MustBuild(t)
+		if diff := sameHypergraph(got, want); diff != "" {
+			t.Fatalf("seed %d: %s differs from the reference", seed, diff)
+		}
+	}
+}
+
+// TestBuildExactSizeArrays: Build's arrays are allocated at their
+// final length, so a hypergraph retains no slack from the builder's
+// growing buffers.
+func TestBuildExactSizeArrays(t *testing.T) {
+	b := NewBuilder(60)
+	messyNets(rand.New(rand.NewSource(3)), b, nil, 60, 300)
+	h := b.MustBuild()
+	var text bytes.Buffer
+	if err := WriteHGR(&text, h); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ReadHGR(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*Hypergraph{h, parsed} {
+		if !h.Weighted() {
+			t.Fatal("want a weighted hypergraph, to check netWeight too")
+		}
+		for _, a := range []struct {
+			name     string
+			len, cap int
+		}{
+			{"netStart", len(h.netStart), cap(h.netStart)},
+			{"netPins", len(h.netPins), cap(h.netPins)},
+			{"cellStart", len(h.cellStart), cap(h.cellStart)},
+			{"cellNets", len(h.cellNets), cap(h.cellNets)},
+			{"netWeight", len(h.netWeight), cap(h.netWeight)},
+			{"area", len(h.area), cap(h.area)},
+		} {
+			if a.len != a.cap {
+				t.Errorf("%s: len %d, cap %d", a.name, a.len, a.cap)
+			}
+		}
+	}
+}
+
+// TestBuildTwiceIdentical: Build canonicalizes the builder in place,
+// so a second Build, or a Build after more nets, sees the same nets
+// as a builder that never built.
+func TestBuildTwiceIdentical(t *testing.T) {
+	const n = 40
+	b, ref := NewBuilder(n), refNewBuilder(n)
+	messyNets(rand.New(rand.NewSource(5)), b, ref, n, 150)
+	first, second := b.MustBuild(), b.MustBuild()
+	if diff := sameHypergraph(first, second); diff != "" {
+		t.Fatalf("second Build: %s differs", diff)
+	}
+	messyNets(rand.New(rand.NewSource(6)), b, ref, n, 150)
+	if diff := sameHypergraph(b.MustBuild(), ref.MustBuild(t)); diff != "" {
+		t.Fatalf("Build after more nets: %s differs from a fresh build", diff)
+	}
+	if err := first.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

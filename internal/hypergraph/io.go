@@ -2,11 +2,13 @@ package hypergraph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // The .hgr format is the hMETIS hypergraph format commonly used for
@@ -43,27 +45,37 @@ func WriteHGR(w io.Writer, h *Hypergraph) error {
 	default:
 		fmt.Fprintf(bw, "%d %d 11\n", h.NumNets(), h.NumCells())
 	}
+	// Each line is formatted into one reused buffer: no allocation
+	// per number.
+	var line []byte
 	for e := 0; e < h.NumNets(); e++ {
+		line = line[:0]
 		if weighted {
-			bw.WriteString(strconv.Itoa(int(h.NetWeight(e))))
-			bw.WriteByte(' ')
+			line = strconv.AppendInt(line, int64(h.NetWeight(e)), 10)
+			line = append(line, ' ')
 		}
-		pins := h.Pins(e)
-		for i, p := range pins {
+		for i, p := range h.Pins(e) {
 			if i > 0 {
-				bw.WriteByte(' ')
+				line = append(line, ' ')
 			}
-			bw.WriteString(strconv.Itoa(int(p) + 1))
+			line = strconv.AppendInt(line, int64(p)+1, 10)
 		}
-		bw.WriteByte('\n')
+		line = append(line, '\n')
+		bw.Write(line)
 	}
 	if !unit {
 		for v := 0; v < h.NumCells(); v++ {
-			fmt.Fprintf(bw, "%d\n", h.Area(v))
+			line = strconv.AppendInt(line[:0], h.Area(v), 10)
+			bw.Write(append(line, '\n'))
 		}
 	}
 	return bw.Flush()
 }
+
+// maxLineBytes is the longest line the parsers accept. Their scanner
+// buffers start small and grow on demand up to it, so parsing
+// allocates in proportion to the input, not to the limit.
+const maxLineBytes = 1 << 24
 
 // ReadHGR parses an hMETIS .hgr hypergraph under DefaultLimits.
 func ReadHGR(r io.Reader) (*Hypergraph, error) {
@@ -73,24 +85,29 @@ func ReadHGR(r io.Reader) (*Hypergraph, error) {
 // ReadHGRLimits parses an hMETIS .hgr hypergraph, rejecting inputs
 // that exceed lim (zero fields of lim select the defaults). Headers
 // over the limits fail before any proportional allocation.
+//
+// Lines are read and split in place as bytes, pins are appended
+// straight to the Builder's flat buffer, and integers are parsed
+// without a string per field, so a parse allocates a few dozen
+// objects whatever the net count.
 func ReadHGRLimits(r io.Reader, lim Limits) (*Hypergraph, error) {
 	lim = lim.normalize()
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, maxLineBytes)
 	line, err := nextLine(sc)
 	if err != nil {
 		return nil, fmt.Errorf("hgr: missing header: %w", err)
 	}
-	fields := strings.Fields(line)
+	fields := appendFields(nil, line)
 	if len(fields) < 2 || len(fields) > 3 {
 		return nil, fmt.Errorf("hgr: malformed header %q", line)
 	}
-	numNets, err := strconv.Atoi(fields[0])
-	if err != nil || numNets < 0 {
+	numNets, ok := atoi(fields[0])
+	if !ok || numNets < 0 {
 		return nil, fmt.Errorf("hgr: bad net count %q", fields[0])
 	}
-	numCells, err := strconv.Atoi(fields[1])
-	if err != nil || numCells < 0 {
+	numCells, ok := atoi(fields[1])
+	if !ok || numCells < 0 {
 		return nil, fmt.Errorf("hgr: bad cell count %q", fields[1])
 	}
 	if err := lim.checkNets(numNets); err != nil {
@@ -101,7 +118,7 @@ func ReadHGRLimits(r io.Reader, lim Limits) (*Hypergraph, error) {
 	}
 	cellWeights, netWeights := false, false
 	if len(fields) == 3 {
-		switch fields[2] {
+		switch string(fields[2]) {
 		case "0", "00":
 			// no weights
 		case "1", "01":
@@ -115,42 +132,41 @@ func ReadHGRLimits(r io.Reader, lim Limits) (*Hypergraph, error) {
 		}
 	}
 	b := NewBuilder(numCells)
-	pins := make([]int32, 0, 16)
 	totalPins := 0
 	for e := 0; e < numNets; e++ {
 		line, err := nextLine(sc)
 		if err != nil {
 			return nil, fmt.Errorf("hgr: net %d: %w", e+1, err)
 		}
-		fs := strings.Fields(line)
+		fields = appendFields(fields[:0], line)
+		pinFields := fields
 		weight := int32(1)
 		if netWeights {
-			if len(fs) == 0 {
+			if len(fields) == 0 {
 				return nil, fmt.Errorf("hgr: net %d: missing weight", e+1)
 			}
-			w, err := strconv.Atoi(fs[0])
-			if err != nil || w < 1 || w > math.MaxInt32 {
-				return nil, fmt.Errorf("hgr: net %d: bad weight %q", e+1, fs[0])
+			w, ok := atoi(fields[0])
+			if !ok || w < 1 || w > math.MaxInt32 {
+				return nil, fmt.Errorf("hgr: net %d: bad weight %q", e+1, fields[0])
 			}
 			weight = int32(w)
-			fs = fs[1:]
+			pinFields = fields[1:]
 		}
-		totalPins += len(fs)
+		totalPins += len(pinFields)
 		if err := lim.checkPins(totalPins); err != nil {
 			return nil, fmt.Errorf("hgr: net %d: %w", e+1, err)
 		}
-		pins = pins[:0]
-		for _, f := range fs {
-			p, err := strconv.Atoi(f)
-			if err != nil {
+		for _, f := range pinFields {
+			p, ok := atoi(f)
+			if !ok {
 				return nil, fmt.Errorf("hgr: net %d: bad pin %q", e+1, f)
 			}
 			if p < 1 || p > numCells {
 				return nil, fmt.Errorf("hgr: net %d: pin %d out of range [1,%d]", e+1, p, numCells)
 			}
-			pins = append(pins, int32(p-1))
+			b.pins = append(b.pins, int32(p-1))
 		}
-		b.AddWeightedNet32(weight, pins)
+		b.endNet(weight)
 	}
 	if cellWeights {
 		for v := 0; v < numCells; v++ {
@@ -158,8 +174,8 @@ func ReadHGRLimits(r io.Reader, lim Limits) (*Hypergraph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("hgr: weight of cell %d: %w", v+1, err)
 			}
-			a, err := strconv.ParseInt(strings.TrimSpace(line), 10, 64)
-			if err != nil || a < 0 {
+			a, ok := parseInt64(line)
+			if !ok || a < 0 {
 				return nil, fmt.Errorf("hgr: bad weight %q for cell %d", line, v+1)
 			}
 			b.SetArea(v, a)
@@ -168,18 +184,89 @@ func ReadHGRLimits(r io.Reader, lim Limits) (*Hypergraph, error) {
 	return b.Build()
 }
 
-func nextLine(sc *bufio.Scanner) (string, error) {
+// nextLine returns the next line that is neither blank nor a '%'
+// comment, trimmed of surrounding white space. The slice aliases the
+// scanner's buffer and is valid until the next Scan.
+func nextLine(sc *bufio.Scanner) ([]byte, error) {
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '%' {
 			continue
 		}
 		return line, nil
 	}
 	if err := sc.Err(); err != nil {
-		return "", err
+		return nil, err
 	}
-	return "", io.ErrUnexpectedEOF
+	return nil, io.ErrUnexpectedEOF
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// appendFields appends the white-space separated fields of line to
+// dst, splitting exactly as strings.Fields does. A line with a
+// non-ASCII byte goes through bytes.Fields, which knows the Unicode
+// spaces (U+0085, U+00A0, ...); an ASCII line is split in place.
+func appendFields(dst [][]byte, line []byte) [][]byte {
+	for _, c := range line {
+		if c >= utf8.RuneSelf {
+			return append(dst, bytes.Fields(line)...)
+		}
+	}
+	for i := 0; i < len(line); {
+		if asciiSpace[line[i]] {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(line) && !asciiSpace[line[j]] {
+			j++
+		}
+		dst = append(dst, line[i:j:j])
+		i = j
+	}
+	return dst
+}
+
+// atoi is strconv.Atoi for a byte slice, without the string.
+func atoi(s []byte) (int, bool) {
+	v, ok := parseInt64(s)
+	if !ok || v < math.MinInt || v > math.MaxInt {
+		return 0, false
+	}
+	return int(v), true
+}
+
+// parseInt64 is strconv.ParseInt(s, 10, 64) for a byte slice: an
+// optional sign, then one or more decimal digits, rejecting overflow.
+func parseInt64(s []byte) (int64, bool) {
+	neg := false
+	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
+		neg = s[0] == '-'
+		s = s[1:]
+	}
+	if len(s) == 0 {
+		return 0, false
+	}
+	const limit = uint64(1) << 63 // |MinInt64|
+	var n uint64
+	for _, c := range s {
+		if c < '0' || c > '9' || n > limit/10 {
+			return 0, false
+		}
+		n = n*10 + uint64(c-'0')
+		if n > limit {
+			return 0, false
+		}
+	}
+	if neg {
+		return -int64(n), true
+	}
+	if n == limit {
+		return 0, false
+	}
+	return int64(n), true
 }
 
 // WritePartition writes a partition as one block index per line

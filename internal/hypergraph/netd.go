@@ -46,15 +46,15 @@ func ReadNetD(netR io.Reader, areR io.Reader) (*NetDCircuit, error) {
 func ReadNetDLimits(netR io.Reader, areR io.Reader, lim Limits) (*NetDCircuit, error) {
 	lim = lim.normalize()
 	sc := bufio.NewScanner(netR)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, maxLineBytes)
 	header := make([]int, 0, 5)
 	for len(header) < 5 {
 		line, err := nextLine(sc)
 		if err != nil {
 			return nil, fmt.Errorf("netD: header: %w", err)
 		}
-		x, err := strconv.Atoi(line)
-		if err != nil {
+		x, ok := atoi(line)
+		if !ok {
 			return nil, fmt.Errorf("netD: bad header line %q", line)
 		}
 		header = append(header, x)
@@ -103,13 +103,14 @@ func ReadNetDLimits(netR io.Reader, areR io.Reader, lim Limits) (*NetDCircuit, e
 	}
 	pinCount := 0
 	for {
-		line, err := nextLine(sc)
+		text, err := nextLine(sc)
 		if err == io.ErrUnexpectedEOF {
 			break
 		}
 		if err != nil {
 			return nil, fmt.Errorf("netD: %w", err)
 		}
+		line := string(text)
 		fields := strings.Fields(line)
 		if len(fields) < 2 || len(fields) > 3 {
 			return nil, fmt.Errorf("netD: malformed pin line %q", line)
@@ -146,7 +147,7 @@ func ReadNetDLimits(netR io.Reader, areR io.Reader, lim Limits) (*NetDCircuit, e
 	// Areas.
 	if areR != nil {
 		asc := bufio.NewScanner(areR)
-		asc.Buffer(make([]byte, 1<<20), 1<<24)
+		asc.Buffer(nil, maxLineBytes)
 		for asc.Scan() {
 			line := strings.TrimSpace(asc.Text())
 			if line == "" || strings.HasPrefix(line, "%") {

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"mlpart/internal/hypergraph"
 )
@@ -111,7 +112,6 @@ func Generate(spec Spec) (*Circuit, error) {
 	}
 
 	pins := make([]int32, 0, 32)
-	seen := make(map[int32]bool, 32)
 	for e := 0; e < spec.Nets; e++ {
 		// Sample size.
 		size := 2
@@ -133,17 +133,14 @@ func Generate(spec Spec) (*Circuit, error) {
 		if n > width {
 			base = rng.Intn(n - width + 1)
 		}
-		// Draw `size` distinct cells from [base, base+width).
+		// Draw `size` distinct cells from [base, base+width); a net
+		// has at most 32 pins, so a scan beats a set.
 		pins = pins[:0]
-		for k := range seen {
-			delete(seen, k)
-		}
 		tries := 0
 		for len(pins) < size && tries < 8*size {
 			v := int32(base + rng.Intn(width))
 			tries++
-			if !seen[v] {
-				seen[v] = true
+			if !slices.Contains(pins, v) {
 				pins = append(pins, v)
 			}
 		}
