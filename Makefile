@@ -120,8 +120,8 @@ stream-smoke:
 		-cache -1 -batch-pins 1000000 -batch-delay 5ms | $(GO) run ./cmd/statscheck
 
 # Benchmark regression gate: cmd/benchrun sweeps the pinned netgen
-# instances, writes BENCH_<date>.json, and gates cuts (exact) and
-# allocs/op (tolerance) against the checked-in bench_baseline.json.
+# instances, writes BENCH_<date>.json, and gates cuts (exact), allocs/op
+# and bytes/op (tolerance) against the checked-in bench_baseline.json.
 # Timings are recorded but never gated. Two measured iterations keep
 # the smoke fast; regenerate the baseline deliberately with
 # `go run ./cmd/benchrun -update`.

@@ -9,8 +9,9 @@
 //   - cut and level counts must match the baseline exactly — the
 //     pipeline is deterministic, so any drift is a real behavior
 //     change, not noise;
-//   - allocations per op must stay within -tolerance (default +25%)
-//     of the baseline — the alloc-free-hot-paths guard;
+//   - allocations and bytes allocated per op must each stay within
+//     -tolerance (default +25%) of the baseline — the alloc-free
+//     hot paths and the sized-once workspaces guard;
 //   - wall-clock timings are recorded but never gated — they are
 //     machine-dependent.
 //
@@ -193,10 +194,13 @@ func gate(got, base *benchFile, tolerance float64) []string {
 		}
 		// Small fixed slack absorbs runtime accounting jitter on tiny
 		// counts; the multiplicative tolerance is the real gate.
-		limit := uint64(float64(b.AllocsPerOp)*(1+tolerance)) + 16
-		if g.AllocsPerOp > limit {
+		if limit := uint64(float64(b.AllocsPerOp)*(1+tolerance)) + 16; g.AllocsPerOp > limit {
 			bad = append(bad, fmt.Sprintf("%s: %d allocs/op, baseline %d (limit %d at tolerance %.0f%%)",
 				id, g.AllocsPerOp, b.AllocsPerOp, limit, tolerance*100))
+		}
+		if limit := uint64(float64(b.BytesPerOp)*(1+tolerance)) + 4<<10; g.BytesPerOp > limit {
+			bad = append(bad, fmt.Sprintf("%s: %d B/op, baseline %d (limit %d at tolerance %.0f%%)",
+				id, g.BytesPerOp, b.BytesPerOp, limit, tolerance*100))
 		}
 	}
 	return bad
@@ -204,7 +208,7 @@ func gate(got, base *benchFile, tolerance float64) []string {
 
 func run() error {
 	iters := flag.Int("iters", 5, "measured runs per case for the allocation count")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional allocs/op growth over the baseline")
+	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional allocs/op and B/op growth over the baseline")
 	baselinePath := flag.String("baseline", "bench_baseline.json", "checked-in baseline to gate against")
 	out := flag.String("out", "", "report path (default BENCH_<date>.json)")
 	update := flag.Bool("update", false, "rewrite the baseline from this run instead of gating")

@@ -194,7 +194,7 @@ sweep:
 			if j&255 == 0 && cfg.Stop != nil && cfg.Stop() {
 				break sweep
 			}
-			v := perm[j]
+			v := int(perm[j])
 			if c.CellToCluster[v] >= 0 || (cfg.Exclude != nil && cfg.Exclude[v]) {
 				continue
 			}
@@ -241,7 +241,7 @@ func (w *Workspace) score(worker, lo, hi int) {
 	s := &w.cur
 	ca, nb := w.connAcc[worker], w.neighbors[worker]
 	for i := lo; i < hi; i++ {
-		v := w.perm[s.base+i]
+		v := int(w.perm[s.base+i])
 		if s.c.CellToCluster[v] >= 0 || (s.cfg.Exclude != nil && s.cfg.Exclude[v]) {
 			w.spec[i] = -1 // skipped at apply; value never read
 			continue

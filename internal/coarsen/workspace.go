@@ -19,14 +19,17 @@ const scoreBlockSize = 512
 // Threading one Workspace through the Match calls of a multilevel run
 // makes the matching sweep allocation-free in steady state — only the
 // returned Clustering (which the hierarchy retains) is freshly
-// allocated per call.
+// allocated per call. The permutation and the accumulators are sized
+// by the cell count, so the first (finest) call of a run sizes them
+// for good; only a neighbor list may still lengthen on a coarse level
+// whose dense clusters have more distinct neighbors.
 //
 // Ownership rule: a Workspace belongs to exactly one goroutine and one
 // pipeline attempt at a time. It must never be stored in a package
 // level variable or shared across concurrent attempts; the multi-start
 // supervisor creates one per attempt. The zero value is ready to use.
 type Workspace struct {
-	perm []int
+	perm []int32
 	spec []int32 // speculative partner per slot of the current block
 
 	// Per-worker scratch, indexed by the pool's range index, so no two
@@ -84,16 +87,18 @@ func (w *Workspace) prepare(n, workers int) int {
 // return, consuming exactly the same rng values (one Intn per element,
 // replicating rand.Perm's insertion algorithm). Keeping the RNG stream
 // identical is what makes the workspace path bit-identical to the
-// allocating one.
-func permInto(buf []int, n int, rng *rand.Rand) []int {
+// allocating one. The entries are cell indices, so int32 holds them
+// at half the footprint of rand.Perm's []int.
+func permInto(buf []int32, n int, rng *rand.Rand) []int32 {
 	if cap(buf) < n {
-		buf = make([]int, n)
+		buf = make([]int32, n)
 	}
 	buf = buf[:n]
 	for i := 0; i < n; i++ {
 		j := rng.Intn(i + 1)
 		buf[i] = buf[j]
-		buf[j] = i
+		//mllint:ignore unchecked-narrow i < n = cell count, capped at MaxInt32 by Build/parse
+		buf[j] = int32(i)
 	}
 	return buf
 }

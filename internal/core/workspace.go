@@ -14,10 +14,16 @@ import (
 // per call (and the multi-start supervisor therefore gets one per
 // attempt goroutine), so hierarchy levels — and, in V-cycles, whole
 // cycles — reuse scratch memory while nothing is ever shared across
-// goroutines or retained in package state. The level driver's
-// refiners Reserve the refinement workspace for the input hypergraph
-// once per attempt: uncoarsening visits ever larger levels, and the
-// finest is the input.
+// goroutines or retained in package state.
+//
+// Sizing contract: every buffer in the bundle reaches its final size
+// at the finest level and never grows while the attempt runs, so an
+// attempt allocates only what its hierarchy and result keep plus one
+// input-sized scratch set. Coarsening gets this for free — its first
+// Match and InduceWSPar calls are on the input, and each level is
+// smaller than the last. Uncoarsening visits ever larger levels, so
+// the level driver's refiners Reserve the refinement workspace for
+// the input hypergraph once per attempt.
 //
 // Partition buffers deliberately do NOT live here: projected solutions
 // escape to callers (VCycleCtx keeps the best candidate across

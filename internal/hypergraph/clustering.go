@@ -28,6 +28,15 @@ func NewIdentityClustering(numCells int) *Clustering {
 // hypergraph with numCells cells: every cell assigned, every cluster
 // index in range, and every cluster non-empty.
 func (c *Clustering) Validate(numCells int) error {
+	var seen []bool
+	return c.validate(numCells, &seen)
+}
+
+// validate is Validate with caller-owned scratch for the occupancy
+// check: *seen is reallocated only when its capacity is below the
+// cluster count, so a workspace that threads one buffer through a
+// coarsening run allocates it once, at the finest level.
+func (c *Clustering) validate(numCells int, seen *[]bool) error {
 	if len(c.CellToCluster) != numCells {
 		return fmt.Errorf("clustering: maps %d cells, hypergraph has %d", len(c.CellToCluster), numCells)
 	}
@@ -37,14 +46,18 @@ func (c *Clustering) Validate(numCells int) error {
 	if numCells > 0 && c.NumClusters == 0 {
 		return fmt.Errorf("clustering: zero clusters for %d cells", numCells)
 	}
-	seen := make([]bool, c.NumClusters)
+	if cap(*seen) < c.NumClusters {
+		*seen = make([]bool, c.NumClusters)
+	}
+	occupied := (*seen)[:c.NumClusters]
+	clear(occupied)
 	for v, k := range c.CellToCluster {
 		if k < 0 || int(k) >= c.NumClusters {
 			return fmt.Errorf("clustering: cell %d in cluster %d out of range [0,%d)", v, k, c.NumClusters)
 		}
-		seen[k] = true
+		occupied[k] = true
 	}
-	for k, ok := range seen {
+	for k, ok := range occupied {
 		if !ok {
 			return fmt.Errorf("clustering: cluster %d is empty", k)
 		}

@@ -4,46 +4,85 @@ import (
 	"mlpart/internal/intrapar"
 )
 
-// InduceWorkspace holds the scratch memory of InduceWSPar: one set of
-// assembly buffers per pool worker, indexed by the pool's range index.
-// Threading one workspace through the induce calls of a multilevel run
-// reduces each level's allocations to the arrays the returned
-// Hypergraph actually retains (areas, the two CSR directions, optional
-// weights).
+// InduceWorkspace holds the scratch memory of InduceWSPar: the
+// assembly buffers, dedup stamps and fill cursors of every pool range,
+// and the clustering check's occupancy flags. Threading one workspace
+// through the induce calls of a multilevel run reduces each level's
+// allocations to the arrays the returned Hypergraph actually retains
+// (the struct, areas, the two CSR directions, optional weights).
+//
+// Sizing contract: every buffer reaches its final size at the first
+// (finest) call and never grows again while the run coarsens. The
+// assembly buffers are sized from the fine netlist, not grown by
+// appending: range w of a call assembles into its own window of one
+// pin buffer, one net-length buffer and one weight buffer, each window
+// as long as the fine pins or nets of that range, and a coarse net
+// never keeps more pins than its fine net. Stamps, cursors and flags
+// are sized by the cluster count, which only shrinks level by level.
+// A workspace reused on a larger input (a batch Scratch moving on to
+// a bigger job) grows once, on its first call for that input.
 //
 // Ownership rule: an InduceWorkspace belongs to exactly one goroutine
 // and one pipeline attempt at a time; never store one in a package
 // level variable or share it across concurrent attempts. The zero
 // value is ready to use.
 type InduceWorkspace struct {
-	mark    [][]int32 // per worker: cluster dedup stamps
-	pins    [][]int32 // per worker: kept coarse pins, concatenated
-	lens    [][]int32 // per worker: pin count per kept net
-	weights [][]int32 // per worker: weight per kept net
-	counts  [][]int32 // per worker: per-cluster pin counts → fill cursors
+	mark    [][]int32 // per range: cluster dedup stamps
+	pins    [][]int32 // per range: kept coarse pins, a window of pinBuf
+	lens    [][]int32 // per range: pin count per kept net, a window of lenBuf
+	weights [][]int32 // per range: weight per kept net, a window of weightBuf
+	counts  [][]int32 // per range: per-cluster pin counts → fill cursors
+	bases   []int     // per range: first coarse net index
+
+	pinBuf, lenBuf, weightBuf []int32 // window backing: fine pins, fine nets
+	seen                      []bool  // clustering check: cluster occupied
+
+	// cur is the call in flight that the range functions read; they
+	// are method values bound once per workspace, so dispatching a
+	// phase allocates nothing. InduceWSPar clears cur on return so a
+	// workspace never retains a hypergraph.
+	cur                                 induceState
+	assembleFn, sumFn, cursorFn, fillFn func(w, lo, hi int)
 }
 
-// grow sizes the scratch for the given worker count and cluster count.
-// Stamps and counts are (re)initialized by the workers themselves at
-// the start of each call.
-func (s *InduceWorkspace) grow(workers, k int) {
+// induceState is what the range functions need of one InduceWSPar call.
+type induceState struct {
+	h, hh *Hypergraph // fine input, coarse result
+	c     *Clustering
+	used  int // ranges the phase-1 Run issued
+}
+
+// grow sizes the scratch for the given worker count, cluster count
+// and fine netlist. Stamps and counts are (re)initialized by the
+// workers themselves at the start of each call.
+func (s *InduceWorkspace) grow(workers, k, numNets, numPins int) {
 	for len(s.mark) < workers {
 		s.mark = append(s.mark, nil)
 		s.pins = append(s.pins, nil)
 		s.lens = append(s.lens, nil)
 		s.weights = append(s.weights, nil)
 		s.counts = append(s.counts, nil)
+		s.bases = append(s.bases, 0)
 	}
 	for w := 0; w < workers; w++ {
-		if cap(s.mark[w]) < k {
-			s.mark[w] = make([]int32, k)
-		}
-		s.mark[w] = s.mark[w][:k]
-		if cap(s.counts[w]) < k {
-			s.counts[w] = make([]int32, k)
-		}
-		s.counts[w] = s.counts[w][:k]
+		s.mark[w] = resize(s.mark[w], k)
+		s.counts[w] = resize(s.counts[w], k)
 	}
+	s.pinBuf = resize(s.pinBuf, numPins)
+	s.lenBuf = resize(s.lenBuf, numNets)
+	s.weightBuf = resize(s.weightBuf, numNets)
+	if s.assembleFn == nil {
+		s.assembleFn, s.sumFn, s.cursorFn, s.fillFn = s.assemble, s.sumCounts, s.toCursors, s.fill
+	}
+}
+
+// resize returns buf with length n, reallocating only when its
+// capacity is too small. The contents are unspecified.
+func resize(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
 }
 
 // InduceWSPar constructs the coarser hypergraph H_{i+1} induced by a
@@ -86,11 +125,11 @@ func (s *InduceWorkspace) grow(workers, k int) {
 // is the same for every worker count (pinned by
 // TestInduceWSParIdenticalToSerial).
 func InduceWSPar(h *Hypergraph, c *Clustering, ws *InduceWorkspace, pool *intrapar.Pool) (*Hypergraph, error) {
-	if err := c.Validate(h.NumCells()); err != nil {
-		return nil, err
-	}
 	if ws == nil {
 		ws = &InduceWorkspace{}
+	}
+	if err := c.validate(h.NumCells(), &ws.seen); err != nil {
+		return nil, err
 	}
 	k := c.NumClusters
 
@@ -103,60 +142,25 @@ func InduceWSPar(h *Hypergraph, c *Clustering, ws *InduceWorkspace, pool *intrap
 		area[c.CellToCluster[v]] += h.Area(v)
 	}
 
-	workers := pool.Workers()
-	ws.grow(workers, k)
-
-	// Phase 1: per-range net assembly into private buffers. The stamp
-	// value is the global fine-net id, unique across ranges, so stale
-	// stamps from earlier calls must be cleared first (each worker
-	// clears its own arrays).
 	numFine := h.NumNets()
-	pool.Run(numFine, func(w, lo, hi int) {
-		mark, counts := ws.mark[w], ws.counts[w]
-		for i := range mark {
-			mark[i] = -1
-			counts[i] = 0
-		}
-		pins := ws.pins[w][:0]
-		lens := ws.lens[w][:0]
-		weights := ws.weights[w][:0]
-		for e := lo; e < hi; e++ {
-			base := len(pins)
-			for _, p := range h.Pins(e) {
-				kk := c.CellToCluster[p]
-				if mark[kk] != int32(e) {
-					mark[kk] = int32(e)
-					pins = append(pins, kk)
-				}
-			}
-			if len(pins)-base < 2 {
-				// |e*| = 1: dropped per Definition 1 / the net definition.
-				pins = pins[:base]
-				continue
-			}
-			sortPinWindow(pins[base:])
-			for _, p := range pins[base:] {
-				counts[p]++
-			}
-			//mllint:ignore unchecked-narrow one net's pin window ≤ cluster count ≤ fine cell count, capped at MaxInt32 by Build/parse
-			lens = append(lens, int32(len(pins)-base))
-			weights = append(weights, h.NetWeight(e))
-		}
-		ws.pins[w], ws.lens[w], ws.weights[w] = pins, lens, weights
-	})
+	workers := pool.Workers()
+	ws.grow(workers, k, numFine, h.NumPins())
+	ws.cur = induceState{h: h, c: c}
+
+	// Phase 1: per-range net assembly into private buffers.
+	pool.Run(numFine, ws.assembleFn)
 	// Run issues min(workers, numFine) ranges; the rest contribute
 	// nothing but their buffers may hold stale content from a larger
 	// earlier call.
-	used := workers
-	if numFine < used {
-		used = numFine
-	}
+	used := min(workers, numFine)
+	ws.cur.used = used
 
 	// Merge in range-index order = fine-net order: sizes first, then
 	// one contiguous copy per range.
 	numNets, totalPins := 0, 0
 	weighted := false
 	for w := 0; w < used; w++ {
+		ws.bases[w] = numNets
 		numNets += len(ws.lens[w])
 		totalPins += len(ws.pins[w])
 		for _, wt := range ws.weights[w] {
@@ -200,6 +204,7 @@ func InduceWSPar(h *Hypergraph, c *Clustering, ws *InduceWorkspace, pool *intrap
 			net++
 		}
 	}
+	ws.cur.hh = hh
 
 	// Cell→net CSR, two-phase count-then-fill. Counts per cluster were
 	// accumulated per range in phase 1; sum them into cellStart (the
@@ -208,54 +213,105 @@ func InduceWSPar(h *Hypergraph, c *Clustering, ws *InduceWorkspace, pool *intrap
 	// counts into its private fill cursors: cellStart[p] plus the
 	// counts of all lower-indexed ranges.
 	hh.cellStart = make([]int32, k+1)
-	pool.Run(k, func(_, lo, hi int) {
-		for p := lo; p < hi; p++ {
-			var s int32
-			for w := 0; w < used; w++ {
-				s += ws.counts[w][p]
-			}
-			hh.cellStart[p+1] = s
-		}
-	})
+	pool.Run(k, ws.sumFn)
 	for v := 0; v < k; v++ {
 		hh.cellStart[v+1] += hh.cellStart[v]
 	}
-	pool.Run(k, func(_, lo, hi int) {
-		for p := lo; p < hi; p++ {
-			run := hh.cellStart[p]
-			for w := 0; w < used; w++ {
-				cnt := ws.counts[w][p]
-				ws.counts[w][p] = run
-				run += cnt
-			}
-		}
-	})
+	pool.Run(k, ws.cursorFn)
 
 	// Phase 2: parallel fill. Range w owns coarse nets
-	// [netBase_w, netBase_w+len(lens_w)) and writes each of its pins at
+	// [bases[w], bases[w]+len(lens[w])) and writes each of its pins at
 	// its own cursor — cursor windows of different ranges are disjoint
 	// by construction, and within a range nets are visited in ascending
-	// order, so each cell's net list comes out in net order. Run is keyed on numFine again so the
-	// range indices match phase 1.
+	// order, so each cell's net list comes out in net order. Run is
+	// keyed on numFine again so the range indices match phase 1.
 	hh.cellNets = make([]int32, totalPins)
-	netBase := 0
-	bases := make([]int, used)
-	for w := 0; w < used; w++ {
-		bases[w] = netBase
-		netBase += len(ws.lens[w])
+	pool.Run(numFine, ws.fillFn)
+	ws.cur = induceState{}
+	return hh, nil
+}
+
+// assemble is phase 1 for the fine nets [lo, hi): it dedups, sorts and
+// keeps each net's coarse pins, and counts pins per cluster. The
+// stamp value is the global fine-net id, unique across ranges, so
+// stale stamps from earlier calls are cleared first. The range writes
+// its windows of the shared buffers, which the fine pin and net
+// counts of [lo, hi) bound, so the appends never reallocate.
+func (ws *InduceWorkspace) assemble(w, lo, hi int) {
+	h, c := ws.cur.h, ws.cur.c
+	mark, counts := ws.mark[w], ws.counts[w]
+	for i := range mark {
+		mark[i] = -1
+		counts[i] = 0
 	}
-	pool.Run(numFine, func(w, lo, hi int) {
-		cur := ws.counts[w]
-		for i := range ws.lens[w] {
-			e := bases[w] + i
-			for _, p := range hh.netPins[hh.netStart[e]:hh.netStart[e+1]] {
-				//mllint:ignore unchecked-narrow coarse net index ≤ fine net count, capped at MaxInt32 by Build/parse
-				hh.cellNets[cur[p]] = int32(e)
-				cur[p]++
+	p0, p1 := h.netStart[lo], h.netStart[hi]
+	pins := ws.pinBuf[p0:p0:p1]
+	lens := ws.lenBuf[lo:lo:hi]
+	weights := ws.weightBuf[lo:lo:hi]
+	for e := lo; e < hi; e++ {
+		base := len(pins)
+		for _, p := range h.Pins(e) {
+			kk := c.CellToCluster[p]
+			if mark[kk] != int32(e) {
+				mark[kk] = int32(e)
+				pins = append(pins, kk)
 			}
 		}
-	})
-	return hh, nil
+		if len(pins)-base < 2 {
+			// |e*| = 1: dropped per Definition 1 / the net definition.
+			pins = pins[:base]
+			continue
+		}
+		sortPinWindow(pins[base:])
+		for _, p := range pins[base:] {
+			counts[p]++
+		}
+		//mllint:ignore unchecked-narrow one net's pin window ≤ cluster count ≤ fine cell count, capped at MaxInt32 by Build/parse
+		lens = append(lens, int32(len(pins)-base))
+		weights = append(weights, h.NetWeight(e))
+	}
+	ws.pins[w], ws.lens[w], ws.weights[w] = pins, lens, weights
+}
+
+// sumCounts writes each cluster's pin total over all ranges into
+// cellStart[p+1] for the clusters [lo, hi).
+func (ws *InduceWorkspace) sumCounts(_, lo, hi int) {
+	cellStart := ws.cur.hh.cellStart
+	for p := lo; p < hi; p++ {
+		var s int32
+		for w := 0; w < ws.cur.used; w++ {
+			s += ws.counts[w][p]
+		}
+		cellStart[p+1] = s
+	}
+}
+
+// toCursors turns the per-range counts of the clusters [lo, hi) into
+// fill cursors: cellStart[p] plus the counts of all lower ranges.
+func (ws *InduceWorkspace) toCursors(_, lo, hi int) {
+	cellStart := ws.cur.hh.cellStart
+	for p := lo; p < hi; p++ {
+		run := cellStart[p]
+		for w := 0; w < ws.cur.used; w++ {
+			cnt := ws.counts[w][p]
+			ws.counts[w][p] = run
+			run += cnt
+		}
+	}
+}
+
+// fill is phase 2 for range w: it writes the range's coarse nets into
+// the cell→net CSR at the range's own cursors.
+func (ws *InduceWorkspace) fill(w, _, _ int) {
+	hh, cur := ws.cur.hh, ws.counts[w]
+	for i := range ws.lens[w] {
+		e := ws.bases[w] + i
+		for _, p := range hh.netPins[hh.netStart[e]:hh.netStart[e+1]] {
+			//mllint:ignore unchecked-narrow coarse net index ≤ fine net count, capped at MaxInt32 by Build/parse
+			hh.cellNets[cur[p]] = int32(e)
+			cur[p]++
+		}
+	}
 }
 
 // sortPinWindow sorts one net's pin window ascending, in place and

@@ -175,7 +175,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	idemKey := r.Header.Get("Idempotency-Key")
-	j, replayed, rej := s.admitJob(h, k, opt, timeout, req.Stats, key, idemKey, reqBytes)
+	v, replayed, rej := s.admitJob(h, k, opt, timeout, req.Stats, key, idemKey, reqBytes)
 	if rej != nil {
 		if rej.retryAfter > 0 {
 			w.Header().Set("Retry-After", strconv.FormatInt(int64((rej.retryAfter+time.Second-1)/time.Second), 10))
@@ -184,10 +184,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mu.Lock()
-	v := j.snapshotLocked()
-	s.mu.Unlock()
-	w.Header().Set("Location", "/v1/jobs/"+j.id)
+	w.Header().Set("Location", "/v1/jobs/"+v.ID)
 	if replayed {
 		// Duplicate of an earlier submission with the same
 		// Idempotency-Key: answer with the original job, 200 not 202 —

@@ -439,9 +439,12 @@ type rejection struct {
 
 // admitJob registers and enqueues a submission that has already been
 // parsed and hashed. timeout is the validated per-job deadline (0
-// selects DefaultTimeout). It returns the job on acceptance — with
-// replayed=true when an Idempotency-Key matched an earlier admission
-// and no new job was created — or a rejection. A panic out of
+// selects DefaultTimeout). It returns the job's snapshot on acceptance
+// — with replayed=true when an Idempotency-Key matched an earlier
+// admission and no new job was created — or a rejection. The snapshot
+// is taken under the lock that admits the job, before any worker can
+// pick it up, so the reply shows the admitted state: queued, or
+// completed for a cache hit at admission. A panic out of
 // admitJob (the server.admit fault site) unwinds into the handler's
 // recover barrier and rejects only this submission; mu is released by
 // the deferred Unlock.
@@ -452,7 +455,7 @@ type rejection struct {
 // counter ever refers to a job the journal does not know about. A
 // failed append rejects the submission with 503 journal_error rather
 // than accepting a job that a crash would silently lose.
-func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeout time.Duration, wantStats bool, key cacheKey, idemKey string, reqBytes []byte) (*job, bool, *rejection) {
+func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeout time.Duration, wantStats bool, key cacheKey, idemKey string, reqBytes []byte) (view, bool, *rejection) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -461,19 +464,19 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 	if idemKey != "" {
 		if e, ok := s.idem[idemKey]; ok {
 			if e.key != key {
-				return nil, false, &rejection{status: 409, code: "idempotency_conflict",
+				return view{}, false, &rejection{status: 409, code: "idempotency_conflict",
 					msg: fmt.Sprintf("Idempotency-Key already used by job %s for a different request", e.id)}
 			}
 			if j, ok := s.jobs[e.id]; ok {
 				s.stats.IdempotentReplay()
-				return j, true, nil
+				return j.snapshotLocked(), true, nil
 			}
 		}
 	}
 
 	if s.draining {
 		s.stats.RejectDraining()
-		return nil, false, &rejection{status: 503, code: "draining", msg: "server is draining; not accepting jobs", retryAfter: s.cfg.RetryAfter}
+		return view{}, false, &rejection{status: 503, code: "draining", msg: "server is draining; not accepting jobs", retryAfter: s.cfg.RetryAfter}
 	}
 
 	// Every submission consumes a sequence number, accepted or not:
@@ -488,7 +491,7 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 			// Shed as if the queue were full — the deterministic
 			// overload path.
 			s.stats.RejectQueueFull()
-			return nil, false, &rejection{status: 429, code: "queue_full", msg: "admission shed (injected)", retryAfter: s.cfg.RetryAfter}
+			return view{}, false, &rejection{status: 429, code: "queue_full", msg: "admission shed (injected)", retryAfter: s.cfg.RetryAfter}
 		case faultinject.ActCorrupt:
 			// Nothing to corrupt at admission; no-op.
 		}
@@ -516,7 +519,7 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 	// job's first journal appearance.
 	if res, ok := s.cache.get(key); ok && !s.cacheBypassed(seq) {
 		if rej := s.journalAcceptLocked(j, reqBytes); rej != nil {
-			return nil, false, rej
+			return view{}, false, rej
 		}
 		s.jobs[j.id] = j
 		s.registerIdemLocked(j)
@@ -526,7 +529,7 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 		j.cacheHit = true
 		r := res
 		s.finishLocked(j, StatusCompleted, &r, nil, true)
-		return j, false, nil
+		return j.snapshotLocked(), false, nil
 	}
 
 	// Batch-lane routing: small jobs are coalesced instead of taking a
@@ -538,10 +541,10 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 	if s.batch != nil && j.h.NumPins() <= s.cfg.BatchPinLimit {
 		if s.batchPending >= s.cfg.QueueDepth {
 			s.stats.RejectQueueFull()
-			return nil, false, &rejection{status: 429, code: "queue_full", msg: fmt.Sprintf("batch lane full (%d jobs)", s.cfg.QueueDepth), retryAfter: s.cfg.RetryAfter}
+			return view{}, false, &rejection{status: 429, code: "queue_full", msg: fmt.Sprintf("batch lane full (%d jobs)", s.cfg.QueueDepth), retryAfter: s.cfg.RetryAfter}
 		}
 		if rej := s.journalAcceptLocked(j, reqBytes); rej != nil {
-			return nil, false, rej
+			return view{}, false, rej
 		}
 		j.batched = true
 		s.batchPending++
@@ -551,7 +554,7 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 		s.stats.CacheMiss()
 		s.batch.Add(j)
 		s.publishJobEvent(j, "queued", StatusQueued, 0, false)
-		return j, false, nil
+		return j.snapshotLocked(), false, nil
 	}
 
 	// Capacity check before the journal append: sends happen only
@@ -560,10 +563,10 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 	// block, and we never journal a job we end up shedding.
 	if len(s.queue) == cap(s.queue) {
 		s.stats.RejectQueueFull()
-		return nil, false, &rejection{status: 429, code: "queue_full", msg: fmt.Sprintf("admission queue full (%d jobs)", s.cfg.QueueDepth), retryAfter: s.cfg.RetryAfter}
+		return view{}, false, &rejection{status: 429, code: "queue_full", msg: fmt.Sprintf("admission queue full (%d jobs)", s.cfg.QueueDepth), retryAfter: s.cfg.RetryAfter}
 	}
 	if rej := s.journalAcceptLocked(j, reqBytes); rej != nil {
-		return nil, false, rej
+		return view{}, false, rej
 	}
 	s.queue <- j
 	s.jobs[j.id] = j
@@ -571,7 +574,7 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 	s.stats.Accept()
 	s.stats.CacheMiss()
 	s.publishJobEvent(j, "queued", StatusQueued, 0, false)
-	return j, false, nil
+	return j.snapshotLocked(), false, nil
 }
 
 // journalAcceptLocked makes the accepted record durable before the

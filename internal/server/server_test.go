@@ -192,6 +192,70 @@ func TestSubmitCompleteAndResult(t *testing.T) {
 	}
 }
 
+// TestSubmitReplyShowsAdmittedState stresses the POST /v1/jobs reply:
+// it is a snapshot taken under the lock that admits the job, so
+// however fast a worker picks a tiny job up, every 202 reads "queued",
+// or "completed" when the result cache answered at admission.
+func TestSubmitReplyShowsAdmittedState(t *testing.T) {
+	_, hs := newTestServer(t, Config{QueueDepth: 256})
+	hgr := testHGR(t, 3, 3)
+	const clients, perClient = 4, 60
+	var wg sync.WaitGroup
+	ids := make(chan string, clients*perClient)
+	bad := make(chan string, clients*perClient)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				seed := c*perClient + i
+				if i%4 == 3 {
+					seed-- // resubmit the previous job: a cache hit once it has finished
+				}
+				body, err := json.Marshal(map[string]any{"hgr": hgr, "k": 2, "options": map[string]any{"seed": seed}})
+				if err != nil {
+					bad <- err.Error()
+					return
+				}
+				resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+				if err != nil {
+					bad <- err.Error()
+					return
+				}
+				var v jobView
+				err = json.NewDecoder(resp.Body).Decode(&v)
+				resp.Body.Close()
+				switch {
+				case err != nil:
+					bad <- fmt.Sprintf("job %d: decode reply: %v", seed, err)
+				case resp.StatusCode != http.StatusAccepted:
+					bad <- fmt.Sprintf("job %d: status %d", seed, resp.StatusCode)
+				case v.Status != string(StatusQueued) && v.Status != string(StatusCompleted):
+					bad <- fmt.Sprintf("job %s: 202 reads %q", v.ID, v.Status)
+				default:
+					ids <- v.ID
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(ids)
+	close(bad)
+	for msg := range bad {
+		t.Error(msg)
+	}
+	n := 0
+	for id := range ids {
+		if fin := waitTerminal(t, hs.URL, id); fin.Status != string(StatusCompleted) {
+			t.Errorf("job %s ended %q", id, fin.Status)
+		}
+		n++
+	}
+	if n != clients*perClient {
+		t.Errorf("%d of %d submissions admitted", n, clients*perClient)
+	}
+}
+
 func TestBadSubmissions(t *testing.T) {
 	s, hs := newTestServer(t, Config{})
 	_ = s
