@@ -136,10 +136,13 @@ bench-test:
 	$(GO) -C mlbench test ./...
 
 # Differential oracle suite: the optimized pipeline against the slow
-# from-scratch reference (internal/oracle), and the refiners' move
-# selection against the full bucket scan, twice to catch state
-# leaking between runs, under the race detector.
+# from-scratch reference (internal/oracle), the refiners' move
+# selection against the full bucket scan, the FM/CLIP refiner in
+# lockstep with a frozen copy of the engine before its packed net
+# record, and the gain buckets against a naive reference, twice to
+# catch state leaking between runs, under the race detector.
 oracle:
 	$(GO) test -race -run Oracle -count=2 . ./internal/fm ./internal/kway ./internal/oracle
+	$(GO) test -race -run 'Oracle|Differential' -count=2 ./internal/gainbucket
 
 check: build vet test race lint chaos crash-smoke fuzz-smoke stats-smoke par-smoke serve-smoke stream-smoke oracle bench-smoke bench-test

@@ -166,41 +166,51 @@ func TestChaosRetriesExhaust(t *testing.T) {
 
 // TestChaosCorruptionCaughtByAudit pins that a corrupted solution at
 // a refinement pass boundary is detected by the audit layer as a
-// typed *AuditError (or absorbed into a still-valid solution) —
-// never silently returned as a corrupt "success".
+// typed *AuditError, or absorbed into a still-valid solution — never
+// silently returned as a corrupt "success", and never a crash
+// (*InternalError) of the refiner reading its own stale state. The
+// sweep corrupts the first, second or third pass boundary of 60
+// circuits.
 func TestChaosCorruptionCaughtByAudit(t *testing.T) {
-	c, err := GenerateCircuit(CircuitSpec{Name: "chaoscor", Cells: 300, Nets: 340, Pins: 1100, Seed: 53})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := c.H
-	opt := Options{
-		Seed:       63,
-		Starts:     1,
-		MaxRetries: -1, // no reseeded retry: surface the first attempt's fate
-		Audit:      true,
-		Inject: &FaultPlan{
-			Entries: []FaultEntry{faultinject.On(faultinject.SiteFMPass, FaultCorrupt, 1)},
-		},
-	}
-	p, _, err := Bipartition(h, opt)
-	if err != nil {
-		var aerr *AuditError
-		var ierr *InternalError
-		if !errors.As(err, &aerr) && !errors.As(err, &ierr) {
-			t.Fatalf("corruption surfaced as untyped error: %v", err)
+	audited, absorbed := 0, 0
+	for seed := int64(53); seed <= 112; seed++ {
+		c, err := GenerateCircuit(CircuitSpec{Name: "chaoscor", Cells: 300, Nets: 340, Pins: 1100, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return
+		h := c.H
+		for hit := 1; hit <= 3; hit++ {
+			opt := Options{
+				Seed:       seed + 10,
+				Starts:     1,
+				MaxRetries: -1, // no reseeded retry: surface the first attempt's fate
+				Audit:      true,
+				Inject: &FaultPlan{
+					Entries: []FaultEntry{faultinject.On(faultinject.SiteFMPass, FaultCorrupt, hit)},
+				},
+			}
+			p, _, err := Bipartition(h, opt)
+			if err != nil {
+				var aerr *AuditError
+				if !errors.As(err, &aerr) {
+					t.Fatalf("circuit %d hit %d: corruption surfaced as %T, want *AuditError: %v", seed, hit, err, err)
+				}
+				audited++
+				continue
+			}
+			// The corruption was absorbed by later passes; the result
+			// must be fully valid.
+			if p == nil {
+				t.Fatalf("circuit %d hit %d: nil partition with nil error", seed, hit)
+			}
+			if verr := p.Validate(h.NumCells()); verr != nil {
+				t.Fatalf("circuit %d hit %d: invalid partition: %v", seed, hit, verr)
+			}
+			if !p.IsBalanced(h, Balance(h, 2, 0.1)) {
+				t.Fatalf("circuit %d hit %d: unbalanced partition", seed, hit)
+			}
+			absorbed++
+		}
 	}
-	// The corruption was absorbed by later passes; the result must be
-	// fully valid.
-	if p == nil {
-		t.Fatal("nil partition with nil error")
-	}
-	if verr := p.Validate(h.NumCells()); verr != nil {
-		t.Fatalf("invalid partition: %v", verr)
-	}
-	if !p.IsBalanced(h, Balance(h, 2, 0.1)) {
-		t.Fatal("unbalanced partition")
-	}
+	t.Logf("%d runs caught by the audit, %d absorbed into a valid result", audited, absorbed)
 }

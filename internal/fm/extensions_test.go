@@ -120,7 +120,7 @@ func TestLevelGainDefinition(t *testing.T) {
 	p := &hypergraph.Partition{Part: []int32{0, 0, 1, 1}, K: 2}
 	cfg, _ := Config{Lookahead: 2}.Normalize()
 	r := newRefiner(h, p, cfg, rand.New(rand.NewSource(0)))
-	r.computePinCounts()
+	r.countPins()
 	r.initPass()
 	// γ2(0): net A has free(F)=2 → +1; net B: free(T of move, side 1)
 	// = 1 = k−1 → −1. Total 0.
@@ -205,7 +205,7 @@ func TestBacktrackTriesFewerOrEqualBadMoves(t *testing.T) {
 	p := hypergraph.RandomPartition(h, 2, 0.1, rng)
 	cfg, _ := Config{Backtrack: true}.Normalize()
 	r := newRefiner(h, p, cfg, rng)
-	r.computePinCounts()
+	r.countPins()
 	improved, _, _ := r.runPass()
 	if improved < 0 {
 		t.Error("negative pass gain")

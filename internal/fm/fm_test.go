@@ -258,7 +258,7 @@ func TestIncrementalGainsMatchRecompute(t *testing.T) {
 		p := hypergraph.RandomPartition(h, 2, 0.1, rng)
 		cfg, _ := Config{}.Normalize()
 		r := newRefiner(h, p, cfg, rng)
-		r.computePinCounts()
+		r.countPins()
 		r.initPass()
 		for step := 0; step < 20; step++ {
 			v := r.selectMove()
@@ -287,11 +287,11 @@ func TestActiveCutTracking(t *testing.T) {
 	p := hypergraph.RandomPartition(h, 2, 0.1, rng)
 	cfg, _ := Config{}.Normalize()
 	r := newRefiner(h, p, cfg, rng)
-	r.computePinCounts()
+	r.countPins()
 	recount := func() int {
 		n := 0
 		for e := 0; e < h.NumNets(); e++ {
-			if r.active[e] && r.pc[0][e] > 0 && r.pc[1][e] > 0 {
+			if c0 := int(r.nets[e].c0); c0 != inactive && c0 > 0 && c0 < h.NetSize(e) {
 				n++
 			}
 		}
@@ -325,7 +325,7 @@ func TestPassGainMatchesCutDelta(t *testing.T) {
 		p := hypergraph.RandomPartition(h, 2, 0.1, rng)
 		cfg, _ := Config{}.Normalize()
 		r := newRefiner(h, p, cfg, rng)
-		r.computePinCounts()
+		r.countPins()
 		before := r.activeCut
 		improved, _, _ := r.runPass()
 		if got := before - r.activeCut; got != improved {
@@ -558,7 +558,7 @@ func TestWeightedIncrementalGainsMatchRecompute(t *testing.T) {
 		p := hypergraph.RandomPartition(h, 2, 0.1, rng)
 		cfg, _ := Config{}.Normalize()
 		r := newRefiner(h, p, cfg, rng)
-		r.computePinCounts()
+		r.countPins()
 		r.initPass()
 		for step := 0; step < 15; step++ {
 			v := r.selectMove()

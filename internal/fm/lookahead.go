@@ -42,7 +42,7 @@ func (r *refiner) levelGain(v int32, k int32) int32 {
 	to := 1 - from
 	var g int32
 	for _, e := range r.h.Nets(int(v)) {
-		if !r.active[e] {
+		if r.nets[e].c0 == inactive {
 			continue
 		}
 		w := r.h.NetWeight(int(e))

@@ -6,8 +6,10 @@ package fm
 // reported cut must survive internal/oracle's from-scratch recount.
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mlpart/internal/coarsen"
@@ -284,8 +286,8 @@ func TestOracleSelectMoveMatchesFullScan(t *testing.T) {
 				init := hypergraph.RandomPartition(h, 2, tol, rand.New(rand.NewSource(seed)))
 				got := newRefiner(h, init.Clone(), cfg, rand.New(rand.NewSource(seed)))
 				ref := newRefiner(h, init.Clone(), cfg, rand.New(rand.NewSource(seed)))
-				got.computePinCounts()
-				ref.computePinCounts()
+				got.countPins()
+				ref.countPins()
 				for pass := 0; pass < 10; pass++ {
 					got.initPass()
 					ref.initPass()
@@ -322,4 +324,157 @@ func TestOracleSelectMoveMatchesFullScan(t *testing.T) {
 		t.Fatal("the full scan never met a blocked side; the skip went untested")
 	}
 	t.Logf("%d blocked-side scans elided", blocked)
+}
+
+// lockstepH returns a random instance with cell areas in [minArea, 5],
+// net weights in [1, maxWeight] and nets of 2 to maxPins pins, plus
+// one net over the first big cells when big > 0.
+func lockstepH(rng *rand.Rand, n, m, maxPins int, minArea int64, maxWeight int32, big int) *hypergraph.Hypergraph {
+	b := hypergraph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		b.SetArea(v, minArea+rng.Int63n(6-minArea))
+	}
+	for e := 0; e < m; e++ {
+		pins := make([]int, 2+rng.Intn(maxPins-1))
+		for i := range pins {
+			pins[i] = rng.Intn(n)
+		}
+		b.AddWeightedNet(1+rng.Int31n(maxWeight), pins...)
+	}
+	if big > 0 {
+		pins := make([]int, big)
+		for i := range pins {
+			pins[i] = i
+		}
+		b.AddNet(pins...)
+	}
+	return b.MustBuild()
+}
+
+// TestOracleRefinerMatchesReference runs whole passes of the refiner
+// in lockstep with refRefiner, the frozen copy of the engine before
+// the packed net record (reference_test.go), from the same partition
+// and seed. After every move the gains, the bucket contents in
+// Iterate order, the partition, the side areas and the active cut
+// must agree; after every pass, the rollback's partition and the
+// pass's results must too. The refiner reuses one dirty Workspace
+// throughout, the reference allocates per run.
+func TestOracleRefinerMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	instances := []*hypergraph.Hypergraph{
+		lockstepH(rng, 90, 110, 5, 0, 1, 0),
+		lockstepH(rng, 110, 130, 4, 1, 1, 0),
+		lockstepH(rng, 100, 120, 6, 0, 4, 0),
+		lockstepH(rng, 215, 160, 4, 1, 1, 205),
+	}
+	levels := coarseLevels(t, 300, 13)
+	merged, err := hypergraph.MergeParallelNets(levels[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !merged.Weighted() {
+		t.Fatal("merged level has no weighted nets")
+	}
+	instances = append(instances, levels[1], merged)
+
+	variants := []Config{
+		{},
+		{Boundary: true},
+		{Backtrack: true},
+		{Lookahead: 3},
+		{Lookahead: 3, Backtrack: true},
+		{EarlyExit: true},
+		{Boundary: true, Backtrack: true},
+	}
+	maxNets := []int{-1, 200, 3}
+	tolerances := []float64{0.1, 0.02}
+	ws := &Workspace{}
+	var gotB, refB [][3]int
+	runs, moves := 0, 0
+	for hi, h := range instances {
+		for _, eng := range []Engine{EngineFM, EngineCLIP} {
+			for oi, order := range []gainbucket.Order{gainbucket.LIFO, gainbucket.FIFO, gainbucket.Random} {
+				for vi, variant := range variants {
+					cfg := variant
+					cfg.Engine, cfg.Order = eng, order
+					cfg.MaxNetSize = maxNets[(hi+oi+vi)%len(maxNets)]
+					cfg.Tolerance = tolerances[(hi+vi)%len(tolerances)]
+					cfg, err := cfg.Normalize()
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("instance %d %v/%v boundary=%v backtrack=%v lookahead=%d earlyexit=%v maxnet=%d r=%v",
+						hi, eng, order, cfg.Boundary, cfg.Backtrack, cfg.Lookahead, cfg.EarlyExit, cfg.MaxNetSize, cfg.Tolerance)
+					seed := int64(1000*hi + 100*int(eng) + 10*oi + vi)
+					init := hypergraph.RandomPartition(h, 2, cfg.Tolerance, rand.New(rand.NewSource(seed)))
+					ref := newRefRefiner(h, init.Clone(), cfg, rand.New(rand.NewSource(seed)))
+					cfg.WS = ws
+					got := newRefiner(h, init.Clone(), cfg, rand.New(rand.NewSource(seed)))
+					ref.computePinCounts()
+					if cut, want := got.countPins(), init.WeightedCut(h); cut != want {
+						t.Fatalf("%s: initial cut %d, recount %d", name, cut, want)
+					}
+					same := func(when string) {
+						t.Helper()
+						if !slices.Equal(got.p.Part, ref.p.Part) {
+							t.Fatalf("%s %s: partitions diverge", name, when)
+						}
+						if got.activeCut != ref.activeCut || got.areas != ref.areas {
+							t.Fatalf("%s %s: active cut %d areas %v, reference %d %v",
+								name, when, got.activeCut, got.areas, ref.activeCut, ref.areas)
+						}
+					}
+					same("after the count")
+					runs++
+					for pass := 0; pass < 8; pass++ {
+						got.initPass()
+						ref.initPass()
+						for step := 0; ; step++ {
+							when := fmt.Sprintf("pass %d step %d", pass, step)
+							more := got.step()
+							if refMore := ref.step(); more != refMore {
+								t.Fatalf("%s %s: step %v, reference %v", name, when, more, refMore)
+							}
+							same(when)
+							if !slices.Equal(got.gain[:h.NumCells()], ref.gain) {
+								t.Fatalf("%s %s: gains diverge", name, when)
+							}
+							gotB = walkBuckets(gotB[:0], got.buckets)
+							refB = walkBuckets(refB[:0], ref.buckets)
+							if !slices.Equal(gotB, refB) {
+								t.Fatalf("%s %s: bucket contents diverge", name, when)
+							}
+							if !more {
+								break
+							}
+							moves++
+						}
+						improved, applied, tried := got.endPass()
+						rImproved, rApplied, rTried := ref.endPass()
+						if improved != rImproved || applied != rApplied || tried != rTried {
+							t.Fatalf("%s pass %d: result (%d, %d, %d), reference (%d, %d, %d)",
+								name, pass, improved, applied, tried, rImproved, rApplied, rTried)
+						}
+						same(fmt.Sprintf("pass %d rollback", pass))
+						if improved <= 0 {
+							break
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d runs, %d moves in lockstep", runs, moves)
+}
+
+// walkBuckets appends both sides' bucket contents in Iterate order to
+// out as (side, cell, key) triples.
+func walkBuckets(out [][3]int, buckets [2]*gainbucket.Structure) [][3]int {
+	for s, b := range buckets {
+		b.Iterate(func(v int32, k int) bool {
+			out = append(out, [3]int{s, int(v), k})
+			return true
+		})
+	}
+	return out
 }

@@ -94,7 +94,7 @@ func TestPROPGainReducesToFMAtZeroProb(t *testing.T) {
 	pr.computeCounts()
 	cfgF, _ := Config{}.Normalize()
 	fr := newRefiner(h, p.Clone(), cfgF, rng)
-	fr.computePinCounts()
+	fr.countPins()
 	for v := int32(0); int(v) < h.NumCells(); v++ {
 		want := float64(fr.computeGain(v))
 		got := pr.computeGain(v)

@@ -68,6 +68,11 @@ func Refine(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, rng *
 // Config.WS, or a throwaway) so repeated calls reuse memory; within a
 // run, buckets are rebuilt per pass (the paper's implementation
 // reinitializes the entire bucket structure before each pass).
+//
+// The partition's state per net is one netRec: the side-0 pin count
+// and the XOR of the side-0 pin ids. Side 1 follows from the net's
+// size and the XOR of all its pins, so the lone pin left on either
+// side is read off the record instead of found by a pin scan.
 type refiner struct {
 	h   *hypergraph.Hypergraph
 	p   *hypergraph.Partition
@@ -79,19 +84,35 @@ type refiner struct {
 	areas  [2]int64
 	maxDeg int // MaxWeightedDegree over the active nets: the gain bound
 
-	active  []bool     // net considered during refinement
-	pc      [2][]int32 // per net: pin count on each side
-	gain    []int32    // current real cut gain of moving each cell
-	initKey []int32    // CLIP: gain at pass start (bucket key = gain − initKey)
+	nets    []netRec // per net: side-0 pins, or inactive
+	netXor  []int32  // per net: XOR of all its pin ids
+	gain    []int32  // current real cut gain of moving each cell
+	initKey []int32  // CLIP: gain at pass start (bucket key = gain − initKey)
 	locked  []bool
 	buckets [2]*gainbucket.Structure
 
-	// move log for rollback
-	moveCells []int32
-	moveGains []int32
+	moveCells []int32 // the pass's moves, for rollback
+	activeCut int     // number of active nets currently cut
 
-	activeCut int // number of active nets currently cut
+	// The pass in flight: the running tally of the move sequence, and
+	// the active cut and side areas of its best prefix.
+	cumGain   int
+	bestGain  int
+	bestLen   int
+	sinceBest int
+	tried     int
+	bestCut   int
+	bestAreas [2]int64
 }
+
+// netRec is the refinement state of one net: c0 pins on side 0 whose
+// ids XOR to x0. c0 is inactive for nets over MaxNetSize, which
+// refinement ignores.
+type netRec struct {
+	c0, x0 int32
+}
+
+const inactive = -1
 
 func newRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, rng *rand.Rand) *refiner {
 	n := h.NumCells()
@@ -102,19 +123,14 @@ func newRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, r
 	r := &refiner{
 		h: h, p: p, cfg: cfg, rng: rng, ws: ws,
 		bound:     hypergraph.Balance(h, 2, cfg.Tolerance),
-		active:    ws.active,
+		nets:      ws.nets,
+		netXor:    ws.netXor,
 		gain:      ws.gain,
 		locked:    ws.locked,
 		moveCells: ws.moveCells[:0],
-		moveGains: ws.moveGains[:0],
 	}
-	r.pc[0] = ws.pc[0]
-	r.pc[1] = ws.pc[1]
 	if cfg.Engine == EngineCLIP {
 		r.initKey = ws.initKey
-	}
-	for e := 0; e < h.NumNets(); e++ {
-		r.active[e] = cfg.MaxNetSize < 0 || h.NetSize(e) <= cfg.MaxNetSize
 	}
 	r.maxDeg = h.MaxWeightedDegree(cfg.MaxNetSize)
 	bucketRange := r.maxDeg
@@ -131,8 +147,7 @@ func newRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, r
 }
 
 func (r *refiner) run() Result {
-	res := Result{InitialCut: r.p.WeightedCut(r.h)}
-	r.computePinCounts()
+	res := Result{InitialCut: r.countPins()}
 	maxPasses := r.cfg.MaxPasses
 	if maxPasses == 0 {
 		maxPasses = 1 << 30
@@ -160,16 +175,18 @@ func (r *refiner) run() Result {
 	// Hand any move-log growth back to the workspace (appends stay
 	// within the pre-grown capacity today, but do not rely on it).
 	r.ws.moveCells = r.moveCells
-	r.ws.moveGains = r.moveGains
 	r.ws.cur = nil // retain nothing of this run
 	return res
 }
 
 // fireFault hits the fm.pass fault site. Cancel behaves exactly like
 // a Stop hook firing at this boundary (returns true to abort);
-// corrupt flips one cell across the cut *without* updating the
-// incremental state — res.Cut stays truthful (recounted at the end)
-// while res.ActiveCut goes stale, which the audit layer must catch.
+// corrupt flips one cell across the cut and moves it in the net
+// records, but leaves the side areas and the active cut stale —
+// res.Cut stays truthful (recounted at the end) while res.ActiveCut
+// goes stale, which the audit layer must catch. Keeping the records in
+// step with the partition means the lone-pin lookup always names a
+// cell, so the fault stays a wrong answer and never becomes a crash.
 func (r *refiner) fireFault(res *Result) bool {
 	switch r.cfg.Inject.Fire(faultinject.SiteFMPass) {
 	case faultinject.ActCancel:
@@ -177,35 +194,62 @@ func (r *refiner) fireFault(res *Result) bool {
 		return true
 	case faultinject.ActCorrupt:
 		if n := r.h.NumCells(); n > 0 {
-			v := r.rng.Intn(n)
-			r.p.Part[v] = 1 - r.p.Part[v]
+			v := int32(r.rng.Intn(n))
+			from := r.p.Part[v]
+			for _, e := range r.h.Nets(int(v)) {
+				if rec := &r.nets[e]; rec.c0 != inactive {
+					rec.c0 += 2*from - 1
+					rec.x0 ^= v
+				}
+			}
+			r.p.Part[v] = 1 - from
 		}
 	}
 	return false
 }
 
-// computePinCounts fills pc and activeCut from the current partition.
-func (r *refiner) computePinCounts() {
-	for e := 0; e < r.h.NumNets(); e++ {
-		r.pc[0][e] = 0
-		r.pc[1][e] = 0
-	}
-	for v := 0; v < r.h.NumCells(); v++ {
-		s := r.p.Part[v]
+// countPins builds netXor, the net records, the active cut and the
+// side areas from the partition, and returns the cut over all nets,
+// ignored ones included.
+func (r *refiner) countPins() (cut int) {
+	clear(r.netXor)
+	r.areas[0], r.areas[1] = 0, 0
+	for v := int32(0); int(v) < r.h.NumCells(); v++ {
+		r.areas[r.p.Part[v]] += r.h.Area(int(v))
 		for _, e := range r.h.Nets(int(v)) {
-			r.pc[s][e]++
+			r.netXor[e] ^= v
+		}
+	}
+	return r.countNets()
+}
+
+// countNets recounts the net records and the active cut from the
+// partition, and returns the cut over all nets.
+func (r *refiner) countNets() (cut int) {
+	clear(r.nets)
+	for v := int32(0); int(v) < r.h.NumCells(); v++ {
+		if r.p.Part[v] == 0 {
+			for _, e := range r.h.Nets(int(v)) {
+				r.nets[e].c0++
+				r.nets[e].x0 ^= v
+			}
 		}
 	}
 	r.activeCut = 0
-	for e := 0; e < r.h.NumNets(); e++ {
-		if r.active[e] && r.pc[0][e] > 0 && r.pc[1][e] > 0 {
-			r.activeCut += int(r.h.NetWeight(e))
+	for e := range r.nets {
+		size := r.h.NetSize(e)
+		isCut := r.nets[e].c0 > 0 && int(r.nets[e].c0) < size
+		w := int(r.h.NetWeight(e))
+		if isCut {
+			cut += w
+		}
+		if r.cfg.MaxNetSize >= 0 && size > r.cfg.MaxNetSize {
+			r.nets[e].c0 = inactive
+		} else if isCut {
+			r.activeCut += w
 		}
 	}
-	r.areas[0], r.areas[1] = 0, 0
-	for v := 0; v < r.h.NumCells(); v++ {
-		r.areas[r.p.Part[v]] += r.h.Area(v)
-	}
+	return cut
 }
 
 // computeGain returns the cut gain of moving cell v to the other
@@ -214,14 +258,20 @@ func (r *refiner) computeGain(v int32) int32 {
 	s := r.p.Part[v]
 	var g int32
 	for _, e := range r.h.Nets(int(v)) {
-		if !r.active[e] {
+		c0 := int(r.nets[e].c0)
+		if c0 == inactive {
 			continue
 		}
+		size := r.h.NetSize(int(e))
+		cs := c0 // pins on v's side
+		if s == 1 {
+			cs = size - c0
+		}
 		w := r.h.NetWeight(int(e))
-		if r.pc[s][e] == 1 {
+		if cs == 1 {
 			g += w
 		}
-		if r.pc[1-s][e] == 0 {
+		if cs == size {
 			g -= w
 		}
 	}
@@ -231,7 +281,7 @@ func (r *refiner) computeGain(v int32) int32 {
 // onBoundary reports whether v is incident to a cut active net.
 func (r *refiner) onBoundary(v int32) bool {
 	for _, e := range r.h.Nets(int(v)) {
-		if r.active[e] && r.pc[0][e] > 0 && r.pc[1][e] > 0 {
+		if c0 := int(r.nets[e].c0); c0 > 0 && c0 < r.h.NetSize(int(e)) {
 			return true
 		}
 	}
@@ -285,7 +335,8 @@ func (r *refiner) initPass() {
 		r.buckets[1].ConcatenateToZero()
 	}
 	r.moveCells = r.moveCells[:0]
-	r.moveGains = r.moveGains[:0]
+	r.cumGain, r.bestGain, r.bestLen, r.sinceBest, r.tried = 0, 0, 0, 0, 0
+	r.bestCut, r.bestAreas = r.activeCut, r.areas
 }
 
 // slack returns the largest cell area that can leave side s without
@@ -325,14 +376,13 @@ func (r *refiner) selectMove() int32 {
 		if slack < minArea && r.cfg.Order != gainbucket.Random {
 			continue
 		}
-		r.buckets[s].Iterate(func(v int32, k int) bool {
+		c := r.buckets[s].Walk()
+		for v, k, ok := c.Next(); ok; v, k, ok = c.Next() {
 			if r.h.Area(int(v)) <= slack {
-				cand[s] = v
-				key[s] = k
-				return false
+				cand[s], key[s] = v, k
+				break
 			}
-			return true
-		})
+		}
 	}
 	var v int32
 	switch {
@@ -357,74 +407,85 @@ func (r *refiner) selectMove() int32 {
 	return v
 }
 
-// applyMove moves v to the other side, locking it, updating pin
-// counts, neighbor gains and bucket positions, and logging the move.
+// applyMove moves v to the other side, locking it, updating the net
+// records, neighbor gains and bucket positions, and logging the move.
+//
+// Per net, the gain rule follows the pin counts across the move: a
+// net with no pin on the to-side becomes cut, so every free pin gains
+// from a follow-up move; a lone to-side free pin loses its incentive;
+// a net left with no from-side pin is uncut, so every free pin loses;
+// and the last free from-side pin could now uncut it. The lone pins
+// come from the records' XORs. On a 2-pin net the other pin gets two
+// of these updates back to back, of the same sign, so it gets one
+// update of twice the weight instead.
 func (r *refiner) applyMove(v int32) {
 	from := r.p.Part[v]
 	to := 1 - from
-	realGain := r.gain[v]
 	if r.buckets[from].Contains(v) {
 		r.buckets[from].Remove(v)
 	}
 	r.locked[v] = true
 	r.areas[from] -= r.h.Area(int(v))
 	r.areas[to] += r.h.Area(int(v))
+	d := 2*from - 1            // change of the side-0 count
+	maskT, maskF := -to, -from // all ones for side 1: the XOR then takes netXor in
 
 	for _, e := range r.h.Nets(int(v)) {
-		if !r.active[e] {
+		rec := &r.nets[e]
+		c0, x0 := int(rec.c0), rec.x0
+		if c0 == inactive {
 			continue
 		}
+		rec.c0 += d
+		rec.x0 ^= v
 		w := r.h.NetWeight(int(e))
-		pcF, pcT := r.pc[from], r.pc[to]
 		pins := r.h.Pins(int(e))
-		// Before the move: if the to-side count is 0 this net was
-		// uncut and will become cut — every free pin gains from a
-		// follow-up move; if it is 1, the lone to-side free cell
-		// loses its incentive.
-		switch pcT[e] {
-		case 0:
-			for _, u := range pins {
-				if !r.locked[u] {
-					r.adjustGain(u, +w)
-				}
-			}
-		case 1:
-			for _, u := range pins {
-				if !r.locked[u] && r.p.Part[u] == to {
-					r.adjustGain(u, -w)
-				}
-			}
+		cT := c0 // to-side pins before the move
+		if to == 1 {
+			cT = len(pins) - c0
 		}
-		// Track the active cut as nets cross the boundary.
-		if pcT[e] == 0 {
+		if len(pins) == 2 {
+			u := pins[0] ^ pins[1] ^ v
+			if cT == 0 {
+				r.activeCut += int(w)
+			} else {
+				r.activeCut -= int(w)
+				w = -w
+			}
+			if !r.locked[u] {
+				r.adjustGain(u, 2*w)
+			}
+			continue
+		}
+		switch cT {
+		case 0:
 			r.activeCut += int(w) // net becomes cut
+			for _, u := range pins {
+				if !r.locked[u] {
+					r.adjustGain(u, +w)
+				}
+			}
+		case 1:
+			if u := x0 ^ r.netXor[e]&maskT; !r.locked[u] {
+				r.adjustGain(u, -w)
+			}
 		}
-		pcF[e]--
-		pcT[e]++
-		if pcF[e] == 0 {
-			r.activeCut -= int(w) // net becomes uncut
-		}
-		// After the move: if the from-side count dropped to 0 the net
-		// is now uncut — follow-up moves no longer help; if it
-		// dropped to 1, the last from-side free cell could uncut it.
-		switch pcF[e] {
+		switch len(pins) - cT - 1 { // from-side pins after the move
 		case 0:
+			r.activeCut -= int(w) // net becomes uncut
 			for _, u := range pins {
 				if !r.locked[u] {
 					r.adjustGain(u, -w)
 				}
 			}
 		case 1:
-			for _, u := range pins {
-				if !r.locked[u] && r.p.Part[u] == from {
-					r.adjustGain(u, +w)
-				}
+			if u := rec.x0 ^ r.netXor[e]&maskF; !r.locked[u] {
+				r.adjustGain(u, +w)
 			}
 		}
 	}
-	r.p.Part[v] = int32(to)
+	r.p.Part[v] = to
 	r.moveCells = append(r.moveCells, v)
-	r.moveGains = append(r.moveGains, realGain)
 }
 
 // adjustGain shifts the gain of free cell u by delta and keeps its
@@ -446,53 +507,65 @@ func (r *refiner) adjustGain(u int32, delta int32) {
 // tried.
 func (r *refiner) runPass() (improved, applied, tried int) {
 	r.initPass()
-	bestGain, cumGain := 0, 0
-	bestLen := 0
-	sinceBest := 0
+	for r.step() {
+	}
+	return r.endPass()
+}
+
+// step selects and applies one move of the pass in flight, and
+// reports whether the pass goes on.
+func (r *refiner) step() bool {
+	v := r.selectMove()
+	if v < 0 {
+		return false
+	}
+	r.cumGain += int(r.gain[v])
+	r.tried++
+	r.applyMove(v)
+	if r.cumGain > r.bestGain {
+		r.bestGain = r.cumGain
+		r.bestLen = len(r.moveCells)
+		r.sinceBest = 0
+		r.bestCut, r.bestAreas = r.activeCut, r.areas
+		return true
+	}
+	r.sinceBest++
 	// Early-exit window: after this many consecutive non-improving
 	// moves the pass is abandoned (Chaco/Metis-style).
-	window := r.h.NumCells()/4 + 50
+	if r.cfg.EarlyExit && r.sinceBest > r.h.NumCells()/4+50 {
+		return false
+	}
 	// CDIP backtrack trigger: a cumulative loss of one maximum
 	// weighted degree below the best prefix means the sequence needs
 	// more than one perfect move to recover.
-	backtrackAt := max(r.maxDeg, 2)
-	for {
-		v := r.selectMove()
-		if v < 0 {
-			break
+	if r.cfg.Backtrack && r.bestGain-r.cumGain >= max(r.maxDeg, 2) {
+		// Reverse the bad sequence; the reversed cells stay locked in
+		// place so a different sequence is tried.
+		for i := len(r.moveCells) - 1; i >= r.bestLen; i-- {
+			r.undoMove(r.moveCells[i])
 		}
-		cumGain += int(r.gain[v])
-		tried++
-		r.applyMove(v)
-		if cumGain > bestGain {
-			bestGain = cumGain
-			bestLen = len(r.moveCells)
-			sinceBest = 0
-			continue
-		}
-		sinceBest++
-		if r.cfg.EarlyExit && sinceBest > window {
-			break
-		}
-		if r.cfg.Backtrack && bestGain-cumGain >= backtrackAt {
-			// Reverse the bad sequence; the reversed cells stay
-			// locked in place so a different sequence is tried.
-			for i := len(r.moveCells) - 1; i >= bestLen; i-- {
-				r.undoMove(r.moveCells[i])
-			}
-			r.moveCells = r.moveCells[:bestLen]
-			r.moveGains = r.moveGains[:bestLen]
-			cumGain = bestGain
-			sinceBest = 0
-			r.refreshGains()
-		}
+		r.moveCells = r.moveCells[:r.bestLen]
+		r.cumGain = r.bestGain
+		r.sinceBest = 0
+		r.refreshGains()
 	}
-	// Roll back the suffix after the best prefix.
-	for i := len(r.moveCells) - 1; i >= bestLen; i-- {
-		r.undoMove(r.moveCells[i])
+	return true
+}
+
+// endPass rolls the pass back to its best prefix and returns the
+// pass's realized gain and its kept and tried move counts. Most tried
+// moves are rolled back, so rather than undo them one by one it flips
+// their cells back and recounts the net records from the partition;
+// the active cut and side areas return to the values tracked at the
+// best prefix. Gains are left stale; the next pass recomputes them.
+func (r *refiner) endPass() (improved, applied, tried int) {
+	for _, v := range r.moveCells[r.bestLen:] {
+		r.p.Part[v] = 1 - r.p.Part[v]
 	}
-	r.moveCells = r.moveCells[:bestLen]
-	return bestGain, bestLen, tried
+	r.moveCells = r.moveCells[:r.bestLen]
+	r.countNets()
+	r.activeCut, r.areas = r.bestCut, r.bestAreas
+	return r.bestGain, r.bestLen, r.tried
 }
 
 // refreshGains recomputes the gains of all free cells and rebuilds
@@ -514,26 +587,32 @@ func (r *refiner) refreshGains() {
 }
 
 // undoMove reverses a logged move of cell v: flips it back and
-// restores pin counts, areas and the active cut. Gains are left
-// stale; the next pass recomputes them.
+// restores the net records, areas and the active cut. Gains are left
+// stale for refreshGains.
 func (r *refiner) undoMove(v int32) {
 	cur := r.p.Part[v] // side it was moved to
 	orig := 1 - cur
+	d := 2*cur - 1 // change of the side-0 count
 	for _, e := range r.h.Nets(int(v)) {
-		if !r.active[e] {
+		rec := &r.nets[e]
+		c0 := int(rec.c0)
+		if c0 == inactive {
 			continue
 		}
-		w := int(r.h.NetWeight(int(e)))
-		if r.pc[orig][e] == 0 {
-			r.activeCut += w
+		rec.c0 += d
+		rec.x0 ^= v
+		size := r.h.NetSize(int(e))
+		cCur := c0 // pins on v's current side before the undo
+		if cur == 1 {
+			cCur = size - c0
 		}
-		r.pc[cur][e]--
-		r.pc[orig][e]++
-		if r.pc[cur][e] == 0 {
-			r.activeCut -= w
+		if cCur == size {
+			r.activeCut += int(r.h.NetWeight(int(e))) // net becomes cut
+		} else if cCur == 1 {
+			r.activeCut -= int(r.h.NetWeight(int(e))) // net becomes uncut
 		}
 	}
 	r.areas[cur] -= r.h.Area(int(v))
 	r.areas[orig] += r.h.Area(int(v))
-	r.p.Part[v] = int32(orig)
+	r.p.Part[v] = orig
 }

@@ -7,11 +7,11 @@ import (
 )
 
 // Workspace holds the per-run scratch memory of the refinement
-// engines: activity flags, pin counters, gain arrays, the move log,
-// the two gain-bucket structures of the FM/CLIP engines, and the
-// heap/probability state of the PROP engines. Threading one Workspace
-// through the Refine/Partition calls of a multilevel run makes
-// refinement allocation-free in steady state.
+// engines: the FM/CLIP net records, gain arrays, the move log, the two gain-bucket structures of the FM/CLIP
+// engines, and the pin counters and heap/probability state of the
+// PROP engines. Threading one Workspace through the Refine/Partition
+// calls of a multilevel run makes refinement allocation-free in
+// steady state.
 //
 // Buffers only grow. Uncoarsening refines ever larger levels, so a
 // multilevel caller sizes the Workspace once for the finest level
@@ -28,13 +28,12 @@ import (
 // are bit-identical (pinned by the oracle differential tests).
 type Workspace struct {
 	// FM/CLIP engine state (refine.go).
-	active    []bool
-	pc        [2][]int32
+	nets      []netRec
+	netXor    []int32
 	gain      []int32
 	initKey   []int32
 	locked    []bool
 	moveCells []int32
-	moveGains []int32
 	buckets   [2]*gainbucket.Structure
 
 	// cur is the FM/CLIP run in flight that gains reads; gainFn is
@@ -44,6 +43,8 @@ type Workspace struct {
 	gainFn func(worker, lo, hi int)
 
 	// PROP engine state (prop.go).
+	active   []bool
+	pc       [2][]int32
 	lc       [2][]int32
 	gainF    []float64
 	initKeyF []float64
@@ -76,17 +77,15 @@ func (w *Workspace) Reserve(cfg Config, cells, nets int) {
 }
 
 // sizeFM grows the buffers of the FM/CLIP engines for cells cells and
-// nets nets. None of them need clearing: active, pc, gain and locked
-// are rewritten in full before any read (newRefiner/computePinCounts/
-// initPass), and the move log starts each run truncated.
+// nets nets. None of them need clearing: nets, netXor, gain and locked
+// are rewritten in full before any read (countPins/initPass), and the
+// move log starts each run truncated.
 func (w *Workspace) sizeFM(cfg Config, cells, nets int) {
-	w.active = grow(w.active, nets)
+	w.nets = grow(w.nets, nets)
+	w.netXor = grow(w.netXor, nets)
 	w.gain = grow(w.gain, cells)
 	w.locked = grow(w.locked, cells)
 	w.moveCells = grow(w.moveCells, cells)
-	w.moveGains = grow(w.moveGains, cells)
-	w.pc[0] = grow(w.pc[0], nets)
-	w.pc[1] = grow(w.pc[1], nets)
 	if cfg.Engine == EngineCLIP {
 		w.initKey = grow(w.initKey, cells)
 	}

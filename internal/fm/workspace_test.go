@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mlpart/internal/gainbucket"
 	"mlpart/internal/hypergraph"
 	"mlpart/internal/intrapar"
 	"mlpart/internal/netgen"
@@ -29,6 +30,8 @@ func TestRefineSteadyStateAllocations(t *testing.T) {
 	}{
 		{"FM", Config{Engine: EngineFM}},
 		{"CLIP", Config{Engine: EngineCLIP}},
+		{"FM/Random", Config{Engine: EngineFM, Order: gainbucket.Random}},
+		{"CLIP/Random", Config{Engine: EngineCLIP, Order: gainbucket.Random}},
 		{"CLIP+lookahead3", Config{Engine: EngineCLIP, Lookahead: 3}},
 		{"FM+boundary", Config{Engine: EngineFM, Boundary: true}},
 		{"CLIP+pool", Config{Engine: EngineCLIP, Par: pool}},
@@ -56,8 +59,8 @@ func TestRefineSteadyStateAllocations(t *testing.T) {
 func TestReserveCoversFinerLevels(t *testing.T) {
 	levels := coarseLevels(t, 2000, 5)
 	caps := func(w *Workspace) []int {
-		return []int{cap(w.active), cap(w.pc[0]), cap(w.pc[1]), cap(w.gain), cap(w.initKey), cap(w.locked),
-			cap(w.moveCells), cap(w.moveGains), cap(w.lc[0]), cap(w.lc[1]),
+		return []int{cap(w.nets), cap(w.netXor), cap(w.gain), cap(w.initKey), cap(w.locked),
+			cap(w.moveCells), cap(w.active), cap(w.pc[0]), cap(w.pc[1]), cap(w.lc[0]), cap(w.lc[1]),
 			cap(w.gainF), cap(w.initKeyF), cap(w.version)}
 	}
 	for _, tc := range []struct {

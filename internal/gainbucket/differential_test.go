@@ -195,25 +195,31 @@ func TestDifferentialAgainstNaiveReference(t *testing.T) {
 	}
 }
 
-// TestDifferentialIterateOrder pins Iterate's within-bucket order
-// against the reference for the deterministic organizations: LIFO
-// yields newest-first, FIFO oldest-first, both in decreasing gain
-// order across buckets.
+// TestDifferentialIterateOrder pins Iterate's order against the
+// reference after inserts and in-place Updates: decreasing gain across
+// buckets; within a bucket newest first for LIFO, oldest first for
+// FIFO, and for Random the newest-first list shuffled with one
+// rng.Shuffle per bucket entered, so an early stop leaves the RNG
+// exactly where the collect-and-shuffle walk it replaced left it.
 func TestDifferentialIterateOrder(t *testing.T) {
-	for _, order := range []Order{LIFO, FIFO} {
+	for _, order := range []Order{LIFO, FIFO, Random} {
 		for trial := 0; trial < 200; trial++ {
 			ops := rand.New(rand.NewSource(int64(trial)))
-			s := New(12, 6, order, nil)
+			s := New(12, 6, order, rand.New(rand.NewSource(int64(trial)+1)))
+			refRng := rand.New(rand.NewSource(int64(trial) + 1))
 			ref := newRef()
-			for i := 0; i < 10; i++ {
+			for i := 0; i < 16; i++ {
 				v := int32(ops.Intn(12)) //mllint:ignore unchecked-narrow small test cell id
+				g := ops.Intn(13) - 6
 				if s.Contains(v) {
+					s.Update(v, g)
+					ref.update(v, g)
 					continue
 				}
-				g := ops.Intn(13) - 6
 				s.Insert(v, g)
 				ref.insert(v, g)
 			}
+			stop := 1 + ops.Intn(ref.len())
 			var got []int32
 			s.Iterate(func(v int32, gain int) bool {
 				if gain != ref.entries[v].gain {
@@ -221,10 +227,11 @@ func TestDifferentialIterateOrder(t *testing.T) {
 						order, trial, gain, v, ref.entries[v].gain)
 				}
 				got = append(got, v)
-				return true
+				return len(got) < stop
 			})
 			// Reference order: sort by (gain desc, seq) with the
-			// organization's tie direction.
+			// organization's tie direction, then shuffle each bucket
+			// the walk entered for Random.
 			want := make([]int32, 0, ref.len())
 			for v := range ref.entries {
 				want = append(want, v)
@@ -236,7 +243,7 @@ func TestDifferentialIterateOrder(t *testing.T) {
 					if a.gain < b.gain {
 						swap = true
 					} else if a.gain == b.gain {
-						if order == LIFO && a.seq < b.seq {
+						if order != FIFO && a.seq < b.seq {
 							swap = true
 						}
 						if order == FIFO && a.seq > b.seq {
@@ -250,6 +257,21 @@ func TestDifferentialIterateOrder(t *testing.T) {
 					}
 				}
 			}
+			if order == Random {
+				for lo := 0; lo < stop; {
+					hi := lo
+					for hi < len(want) && ref.entries[want[hi]].gain == ref.entries[want[lo]].gain {
+						hi++
+					}
+					bucket := want[lo:hi]
+					refRng.Shuffle(len(bucket), func(i, j int) { bucket[i], bucket[j] = bucket[j], bucket[i] })
+					lo = hi
+				}
+				if a, b := s.rng.Int63(), refRng.Int63(); a != b {
+					t.Fatalf("%v trial %d: RNG out of step after Iterate: %d vs %d", order, trial, a, b)
+				}
+			}
+			want = want[:stop]
 			if len(got) != len(want) {
 				t.Fatalf("%v trial %d: Iterate visited %d cells, want %d", order, trial, len(got), len(want))
 			}
@@ -257,6 +279,9 @@ func TestDifferentialIterateOrder(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("%v trial %d: Iterate order %v, reference %v", order, trial, got, want)
 				}
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("%v trial %d: %v", order, trial, err)
 			}
 		}
 	}

@@ -60,6 +60,10 @@ type Structure struct {
 	bucket []int32 // per cell: bucket index, or -1 if absent
 	maxIdx int     // highest possibly-non-empty bucket index
 	size   int
+
+	// shuffled is the grow-only scratch a Random cursor shuffles the
+	// bucket it walks into.
+	shuffled []int32
 }
 
 // New returns a Structure for numCells cells with gains in
@@ -131,25 +135,59 @@ func (s *Structure) MaxGain() int { return s.offset }
 // Insert adds cell v with the given gain. v must not already be
 // present, and gain must lie within [-maxGain, maxGain].
 func (s *Structure) Insert(v int32, gain int) {
+	idx := s.index(gain)
+	if s.bucket[v] != nilCell {
+		panic(fmt.Sprintf("gainbucket: cell %d already present", v))
+	}
+	s.link(v, idx)
+	s.size++
+}
+
+// Remove deletes cell v; v must be present.
+func (s *Structure) Remove(v int32) {
+	if s.bucket[v] == nilCell {
+		panic(fmt.Sprintf("gainbucket: cell %d not present", v))
+	}
+	s.unlink(v)
+	s.bucket[v] = nilCell
+	s.size--
+}
+
+// Update moves cell v to a new gain, leaving the structure exactly as
+// Remove followed by Insert would: v is relinked at the head (LIFO,
+// Random) or tail (FIFO) of its new bucket even when the gain is
+// unchanged. v must be present.
+func (s *Structure) Update(v int32, newGain int) {
+	if s.bucket[v] == nilCell {
+		panic(fmt.Sprintf("gainbucket: cell %d not present", v))
+	}
+	idx := s.index(newGain)
+	s.unlink(v)
+	s.link(v, idx)
+}
+
+// index returns the bucket index of gain, panicking outside the range
+// the structure was built with.
+func (s *Structure) index(gain int) int {
 	idx := gain + s.offset
 	if idx < 0 || idx >= len(s.heads) {
 		panic(fmt.Sprintf("gainbucket: gain %d outside [-%d,%d]", gain, s.offset, s.offset))
 	}
-	if s.bucket[v] != nilCell {
-		panic(fmt.Sprintf("gainbucket: cell %d already present", v))
-	}
+	return idx
+}
+
+// link adds v to bucket idx: appended at the tail for FIFO, pushed at
+// the head otherwise (Random randomizes on removal instead).
+func (s *Structure) link(v int32, idx int) {
 	s.bucket[v] = int32(idx)
 	head := s.heads[idx]
 	if s.order == FIFO && head != nilCell {
-		// Append at tail.
 		tail := s.tails[idx]
 		s.next[tail] = v
 		s.prev[v] = tail
 		s.next[v] = nilCell
 		s.tails[idx] = v
 	} else {
-		// Push at head (LIFO and Random insert at head; Random
-		// randomizes on removal instead).
 		s.prev[v] = nilCell
 		s.next[v] = head
 		if head != nilCell {
@@ -163,15 +201,12 @@ func (s *Structure) Insert(v int32, gain int) {
 	if idx > s.maxIdx {
 		s.maxIdx = idx
 	}
-	s.size++
 }
 
-// Remove deletes cell v; v must be present.
-func (s *Structure) Remove(v int32) {
+// unlink takes v out of its bucket's list; bucket[v] is left for the
+// caller to overwrite.
+func (s *Structure) unlink(v int32) {
 	idx := s.bucket[v]
-	if idx == nilCell {
-		panic(fmt.Sprintf("gainbucket: cell %d not present", v))
-	}
 	p, n := s.prev[v], s.next[v]
 	if p != nilCell {
 		s.next[p] = n
@@ -183,15 +218,6 @@ func (s *Structure) Remove(v int32) {
 	} else if s.tails != nil {
 		s.tails[idx] = p
 	}
-	s.bucket[v] = nilCell
-	s.size--
-}
-
-// Update moves cell v to a new gain; equivalent to Remove+Insert but
-// callers use it to express intent.
-func (s *Structure) Update(v int32, newGain int) {
-	s.Remove(v)
-	s.Insert(v, newGain)
 }
 
 // Best returns the cell that the bucket organization selects from the
@@ -211,31 +237,72 @@ func (s *Structure) Best() (v int32, gain int, ok bool) {
 // false. It is how FM scans for the best *feasible* move without
 // mutating the structure.
 func (s *Structure) Iterate(f func(v int32, gain int) bool) {
-	idx := s.topIndex()
-	for ; idx >= 0; idx-- {
-		if s.heads[idx] == nilCell {
+	c := s.Walk()
+	for v, g, ok := c.Next(); ok && f(v, g); v, g, ok = c.Next() {
+	}
+}
+
+// Cursor walks a Structure in Iterate order one Next call at a time,
+// so a scan needs no callback. The structure must not change while a
+// cursor is in use, and a Random structure serves one cursor at a
+// time: the cursor shuffles each bucket it enters into the
+// structure's scratch buffer, with the draws Iterate makes.
+type Cursor struct {
+	s   *Structure
+	idx int   // bucket being walked
+	v   int32 // next cell to return, or nilCell at the bucket's end
+	i   int   // Random: position of v in s.shuffled
+}
+
+// Walk returns a cursor before the first cell of the highest
+// non-empty bucket.
+func (s *Structure) Walk() Cursor {
+	return Cursor{s: s, idx: s.topIndex() + 1, v: nilCell}
+}
+
+// Next returns the next cell and its gain; ok is false once every
+// bucket has been walked.
+func (c *Cursor) Next() (v int32, gain int, ok bool) {
+	if c.v == nilCell && !c.enter() {
+		return nilCell, 0, false
+	}
+	v = c.v
+	if c.s.order == Random {
+		c.i++
+		c.v = nilCell
+		if c.i < len(c.s.shuffled) {
+			c.v = c.s.shuffled[c.i]
+		}
+	} else {
+		c.v = c.s.next[v]
+	}
+	return v, c.idx - c.s.offset, true
+}
+
+// enter moves the cursor to the first cell of the next non-empty
+// bucket down, shuffling that bucket first under Random order; false
+// when none is left.
+func (c *Cursor) enter() bool {
+	s := c.s
+	for c.idx--; c.idx >= 0; c.idx-- {
+		head := s.heads[c.idx]
+		if head == nilCell {
 			continue
 		}
 		if s.order == Random {
-			// Visit in random order: collect then shuffle.
-			var cells []int32
-			for v := s.heads[idx]; v != nilCell; v = s.next[v] {
-				cells = append(cells, v)
+			buf := s.shuffled[:0]
+			for v := head; v != nilCell; v = s.next[v] {
+				buf = append(buf, v)
 			}
-			s.rng.Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
-			for _, v := range cells {
-				if !f(v, idx-s.offset) {
-					return
-				}
-			}
-			continue
+			s.rng.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
+			s.shuffled = buf
+			c.i = 0
+			head = buf[0]
 		}
-		for v := s.heads[idx]; v != nilCell; v = s.next[v] {
-			if !f(v, idx-s.offset) {
-				return
-			}
-		}
+		c.v = head
+		return true
 	}
+	return false
 }
 
 // topIndex advances the max cursor down to the highest non-empty

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mlpart/internal/fm"
+	"mlpart/internal/gainbucket"
 	"mlpart/internal/hypergraph"
 	"mlpart/internal/netgen"
 )
@@ -22,27 +23,33 @@ func TestRefineSteadyStateAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := c.H
-	for _, k := range []int{4, 8} {
-		init := hypergraph.RandomPartition(h, k, 0.1, rand.New(rand.NewSource(1)))
+	check := func(cfg Config) {
+		init := hypergraph.RandomPartition(h, cfg.K, 0.1, rand.New(rand.NewSource(1)))
 		p := init.Clone()
+		cfg.WS = &Workspace{}
+		rng := rand.New(rand.NewSource(2))
+		refine := func() {
+			copy(p.Part, init.Part)
+			if _, err := Refine(h, p, cfg, rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+		refine() // warm the workspace
+		name := fmt.Sprintf("K=%d %v/%v/%v", cfg.K, cfg.Engine, cfg.Objective, cfg.Order)
+		if allocs := testing.AllocsPerRun(5, refine); allocs > 3 {
+			t.Errorf("%s: %.1f allocations per Refine with a warm Workspace, want ≤ 3", name, allocs)
+		}
+	}
+	for _, k := range []int{4, 8} {
 		for _, eng := range []fm.Engine{fm.EngineFM, fm.EngineCLIP} {
 			for _, obj := range []Objective{SumOfDegrees, NetCut} {
-				cfg := Config{K: k, Engine: eng, Objective: obj, WS: &Workspace{}}
-				rng := rand.New(rand.NewSource(2))
-				refine := func() {
-					copy(p.Part, init.Part)
-					if _, err := Refine(h, p, cfg, rng); err != nil {
-						t.Fatal(err)
-					}
-				}
-				refine() // warm the workspace
-				name := fmt.Sprintf("K=%d %v/%v", k, eng, obj)
-				if allocs := testing.AllocsPerRun(5, refine); allocs > 3 {
-					t.Errorf("%s: %.1f allocations per Refine with a warm Workspace, want ≤ 3", name, allocs)
-				}
+				check(Config{K: k, Engine: eng, Objective: obj})
 			}
 		}
 	}
+	// Random order shuffles each bucket it scans in a scratch buffer
+	// the bucket structure keeps.
+	check(Config{K: 4, Engine: fm.EngineFM, Objective: SumOfDegrees, Order: gainbucket.Random})
 }
 
 // TestReserveCoversFinerLevels pins the once-per-attempt sizing: a
