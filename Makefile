@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint chaos crash-smoke fuzz-smoke stats-smoke par-smoke serve-smoke stream-smoke bench-smoke bench-test oracle check
+.PHONY: all build vet test race lint chaos crash-smoke fuzz-smoke stats-smoke par-smoke serve-smoke bench-smoke bench-test oracle check
 
 all: build
 
@@ -31,14 +31,15 @@ lint:
 # Chaos suite: the deterministic fault-injection sweep (every site ×
 # every fault kind × both entry points) plus the parallel multi-start
 # supervisor tests and the mlpartd server chaos sweep (faults at
-# server.admit / server.job / server.batch / server.events under a
-# concurrent burst: every accepted job must reach exactly one terminal
-# status and a poisoned batch job fails alone), under the race
-# detector — the recovery paths must be both correct and race-free.
+# server.admit / server.job / server.events under a concurrent burst:
+# every accepted job must reach exactly one terminal status, and a job
+# after a panicked one on the same worker completes normally), under
+# the race detector — the recovery paths must be both correct and
+# race-free.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestParallelMultiStart|TestRecoveredStart|TestAttemptTimeout|TestOuterCancel|TestRetried|TestRunStarts' . ./internal/core
 	$(GO) test -race ./internal/faultinject ./internal/journal ./internal/intrapar
-	$(GO) test -race -run 'TestChaosSweepServer|TestChaosSweepJournal|TestDrainMidBurst|TestQueueFullSheds|TestAdmitPanic|TestJobPanic|TestBatch|TestSSE' ./internal/server
+	$(GO) test -race -run 'TestChaosSweepServer|TestChaosSweepJournal|TestDrainMidBurst|TestQueueFullSheds|TestAdmitPanic|TestJobPanic|TestWorkerSession|TestSSE' ./internal/server
 
 # Crash durability harness: launch cmd/mlpartd as a real subprocess
 # with a write-ahead job journal, SIGKILL it at a deterministic
@@ -98,26 +99,19 @@ par-smoke:
 	cmp /tmp/mlpart-par-i0.stripped.json /tmp/mlpart-par-i8.stripped.json
 
 # Service smoke: mlpartd's loopback self-test drives the daemon over
-# real HTTP (submit / wait / result, byte-identical cache hit, then a
-# self-delivered SIGTERM through the production drain path) and the
-# final service stats are piped into cmd/statscheck, which validates
-# the mlpartd-stats/1 accounting ledger from stdin.
+# real HTTP (submit / wait / result and a byte-identical cache hit; then
+# a burst of distinct-seed jobs while one SSE consumer checks the
+# queued → started → completed event order and Last-Event-ID resume, a
+# second reads service-wide ledger deltas from /v1/events, and /statsz
+# answers in both the mlpartd-stats/1 and mlpart-bench/1 schemas),
+# then a self-delivered SIGTERM takes the production drain path. The
+# final service stats go to a file (so a failing self-test fails the
+# target) that cmd/statscheck validates against the mlpartd-stats/1
+# accounting ledger.
 serve-smoke:
 	$(GO) build -o /tmp/mlpartd-smoke ./cmd/mlpartd
-	/tmp/mlpartd-smoke -smoke -in cmd/mlpart/testdata/smoke.hgr | $(GO) run ./cmd/statscheck
-
-# Streaming smoke: the batching + SSE variant of the service smoke. A
-# burst of small jobs (distinct seeds, cache off) rides the micro-batch
-# lane while one SSE consumer checks the queued → started → completed
-# event order and Last-Event-ID resume on a real socket, a second
-# reads service-wide ledger deltas from /v1/events, /statsz answers in
-# both the mlpartd-stats/1 and mlpart-bench/1 schemas, and the final
-# ledger (batched / batch_flushes / events_dropped included) is
-# validated by cmd/statscheck.
-stream-smoke:
-	$(GO) build -o /tmp/mlpartd-stream ./cmd/mlpartd
-	/tmp/mlpartd-stream -smoke -stream -in cmd/mlpart/testdata/smoke.hgr \
-		-cache -1 -batch-pins 1000000 -batch-delay 5ms | $(GO) run ./cmd/statscheck
+	/tmp/mlpartd-smoke -smoke -in cmd/mlpart/testdata/smoke.hgr > /tmp/mlpartd-smoke-stats.json
+	$(GO) run ./cmd/statscheck -in /tmp/mlpartd-smoke-stats.json
 
 # Benchmark regression gate: cmd/benchrun sweeps the pinned netgen
 # instances, writes BENCH_<date>.json, and gates cuts (exact), allocs/op
@@ -145,4 +139,4 @@ oracle:
 	$(GO) test -race -run Oracle -count=2 . ./internal/fm ./internal/kway ./internal/oracle
 	$(GO) test -race -run 'Oracle|Differential' -count=2 ./internal/gainbucket
 
-check: build vet test race lint chaos crash-smoke fuzz-smoke stats-smoke par-smoke serve-smoke stream-smoke oracle bench-smoke bench-test
+check: build vet test race lint chaos crash-smoke fuzz-smoke stats-smoke par-smoke serve-smoke oracle bench-smoke bench-test

@@ -26,8 +26,7 @@ func siteFires(site faultinject.Site, k int) bool {
 		return k == 2
 	case faultinject.SiteKwayRefine:
 		return k == 4
-	case faultinject.SiteServerAdmit, faultinject.SiteServerJob,
-		faultinject.SiteServerBatch, faultinject.SiteServerEvents,
+	case faultinject.SiteServerAdmit, faultinject.SiteServerJob, faultinject.SiteServerEvents,
 		faultinject.SiteJournalAppend, faultinject.SiteJournalReplay:
 		return false
 	}

@@ -7,11 +7,9 @@
 //	mlpartd [-addr :7997] [-queue 64] [-workers 0] [-cache 256]
 //	        [-default-timeout 30s] [-max-timeout 5m] [-drain-timeout 10s]
 //	        [-retries 1] [-journal jobs.wal] [-addr-file path]
-//	        [-batch-pins 0] [-batch-max 8] [-batch-delay 2ms]
-//	        [-batch-workers 1] [-progress-interval 250ms]
-//	        [-crash-after-appends n]
+//	        [-progress-interval 250ms] [-crash-after-appends n]
 //	        [-chaos site:kind:n[:start]] [-chaos-seed 1]
-//	        [-smoke] [-stream] [-in circuit.hgr]
+//	        [-smoke] [-in circuit.hgr]
 //
 // API (JSON):
 //
@@ -36,14 +34,12 @@
 //	                            ?schema=bench serves per-stage timing
 //	                            aggregates in the mlpart-bench/1 schema.
 //
-// -batch-pins n routes jobs whose hypergraph has at most n pins onto
-// the micro-batch lane: small jobs are coalesced (up to -batch-max
-// per batch, lingering at most -batch-delay) and executed on
-// -batch-workers dedicated executors that reuse one workspace set per
-// worker across the whole batch. Batching is a scheduling detail:
-// result documents are byte-identical batched or solo, and one
-// crashing job never poisons its batchmates. 0 (the default)
-// disables the lane.
+// Each of the -workers executors owns one reusable workspace set
+// (an mlpart.Session) and runs every job it dequeues on it, so a
+// stream of small jobs does not regrow the pipeline's buffers per
+// job. Reuse is invisible in results: result documents are
+// byte-identical to a one-shot run, and a retry after a failed
+// attempt runs on fresh workspaces.
 //
 // SIGTERM or SIGINT starts a graceful drain: admission stops (503),
 // in-flight and queued jobs get -drain-timeout to finish, stragglers
@@ -53,21 +49,16 @@
 // always exits 0 on a clean drain.
 //
 // -smoke runs the self-test used by `make serve-smoke`: the daemon
-// binds a loopback port, drives a real HTTP client through submit /
-// wait / result, re-submits to verify the cache hit returns a
-// byte-identical result body, then delivers SIGTERM to itself to
+// binds a loopback port and drives a real HTTP client through submit /
+// wait / result, re-submitting to verify the cache hit returns a
+// byte-identical result body. A burst of jobs with distinct seeds (so
+// the result cache never collapses them) follows: one SSE consumer
+// verifies the queued → started → completed event order and
+// Last-Event-ID resume on a real socket, a second consumer reads
+// service-wide ledger deltas from /v1/events, and /statsz is checked
+// in both schemas. The daemon then delivers SIGTERM to itself to
 // exercise the production drain path and prints the final stats JSON
-// to stdout.
-//
-// -smoke -stream runs the streaming variant used by
-// `make stream-smoke` instead: a burst of small jobs (distinct seeds,
-// so the result cache never collapses them) exercises the micro-batch
-// lane, one SSE consumer verifies the queued → started → completed
-// event order and Last-Event-ID resume on a real socket, a second
-// consumer reads service-wide ledger deltas from /v1/events, and
-// /statsz is checked in both schemas before the self-SIGTERM. The
-// final stats JSON (including the batched / batch_flushes /
-// events_dropped counters) goes to stdout for statscheck.
+// to stdout for statscheck.
 //
 // -journal makes accepted jobs crash-durable: every job lifecycle
 // transition is appended to a write-ahead journal and synced before
@@ -135,15 +126,10 @@ func run() error {
 		retries      = flag.Int("retries", 0, "extra attempts per failed job (0 = default 1, negative disables)")
 		journalPath  = flag.String("journal", "", "write-ahead job journal path (empty disables crash durability)")
 		addrFile     = flag.String("addr-file", "", "write the bound listen address to this file (crash-harness port discovery)")
-		batchPins    = flag.Int("batch-pins", 0, "micro-batch jobs with at most this many pins (0 disables batching)")
-		batchMax     = flag.Int("batch-max", 0, "jobs per micro-batch (0 = default 8)")
-		batchDelay   = flag.Duration("batch-delay", 0, "max linger before a partial batch is cut (0 = default 2ms)")
-		batchWorkers = flag.Int("batch-workers", 0, "dedicated batch executors (0 = default 1)")
 		progressIvl  = flag.Duration("progress-interval", 0, "SSE progress event period for running jobs (0 = default 250ms, negative disables)")
 		crashAfter   = flag.Int("crash-after-appends", 0, "SIGKILL self after the n-th durable journal append (crash harness only)")
 		chaosSeed    = flag.Int64("chaos-seed", 1, "seed for probabilistic -chaos triggers")
 		smoke        = flag.Bool("smoke", false, "run the loopback self-test and exit")
-		stream       = flag.Bool("stream", false, "with -smoke: run the batching + SSE streaming self-test instead")
 		in           = flag.String("in", "", "netlist for -smoke (hMETIS .hgr)")
 	)
 	var chaos chaosFlags
@@ -163,10 +149,6 @@ func run() error {
 		DrainTimeout:     *drainTimeout,
 		MaxRetries:       *retries,
 		JournalPath:      *journalPath,
-		BatchPinLimit:    *batchPins,
-		BatchMax:         *batchMax,
-		BatchDelay:       *batchDelay,
-		BatchWorkers:     *batchWorkers,
 		ProgressInterval: *progressIvl,
 		Inject:           plan,
 	}
@@ -217,11 +199,7 @@ func run() error {
 
 	smokeErr := make(chan error, 1)
 	if *smoke {
-		if *stream {
-			go func() { smokeErr <- runStreamSmoke(ln.Addr().String(), *in, *batchPins > 0) }()
-		} else {
-			go func() { smokeErr <- runSmoke(ln.Addr().String(), *in) }()
-		}
+		go func() { smokeErr <- runSmoke(ln.Addr().String(), *in) }()
 	}
 
 	var clientErr error
@@ -263,10 +241,9 @@ func run() error {
 	return clientErr
 }
 
-// runSmoke drives the daemon through a real client flow on addr:
-// submit, wait, fetch the result, re-submit for a byte-identical
-// cache hit, check the probes, then SIGTERM the process to exercise
-// the production drain.
+// runSmoke drives the daemon through real client flows on addr —
+// the probes, a byte-identical cache hit, then a streamed burst — and
+// SIGTERMs the process to exercise the production drain.
 func runSmoke(addr, in string) error {
 	if in == "" {
 		return fmt.Errorf("-smoke requires -in")
@@ -310,6 +287,9 @@ func runSmoke(addr, in string) error {
 	fmt.Fprintf(os.Stderr, "mlpartd: smoke ok: %d-byte result, cache %s then %s\n",
 		len(first.result), first.cache, second.cache)
 
+	if err := streamSmoke(client, base, hgr); err != nil {
+		return err
+	}
 	return syscall.Kill(os.Getpid(), syscall.SIGTERM)
 }
 
@@ -384,29 +364,13 @@ func expectOK(client *http.Client, url string) error {
 	return nil
 }
 
-// runStreamSmoke is the -smoke -stream self-test: a burst of small
-// jobs through the micro-batch lane, one SSE consumer per contract
-// (job lifecycle order, Last-Event-ID resume, service-wide ledger
-// deltas), a /statsz check in both schemas, then SIGTERM to drain.
-func runStreamSmoke(addr, in string, batching bool) error {
-	if in == "" {
-		return fmt.Errorf("-smoke requires -in")
-	}
-	hgr, err := os.ReadFile(in)
-	if err != nil {
-		return err
-	}
-	base := "http://" + addr
-	client := &http.Client{Timeout: 30 * time.Second}
-
-	for _, probe := range []string{"/healthz", "/readyz"} {
-		if err := expectOK(client, base+probe); err != nil {
-			return err
-		}
-	}
-
+// streamSmoke submits a burst of jobs with distinct seeds and checks
+// the streaming surfaces: one SSE consumer per contract (job lifecycle
+// order, Last-Event-ID resume, service-wide ledger deltas) and /statsz
+// in both schemas.
+func streamSmoke(client *http.Client, base string, hgr []byte) error {
 	// Burst: distinct seeds give distinct fingerprints, so the result
-	// cache never collapses the jobs and every one exercises the lane.
+	// cache never collapses the jobs and every one computes.
 	const burst = 8
 	ids := make([]string, 0, burst)
 	for i := 0; i < burst; i++ {
@@ -477,17 +441,13 @@ func runStreamSmoke(addr, in string, batching bool) error {
 			return err
 		}
 		var v struct {
-			Status  string `json:"status"`
-			Batched bool   `json:"batched"`
+			Status string `json:"status"`
 		}
 		if err := json.Unmarshal(data, &v); err != nil {
 			return err
 		}
 		if v.Status != "completed" {
-			return fmt.Errorf("job %s ended %q, want completed: %s", id, v.Status, data)
-		}
-		if batching && !v.Batched {
-			return fmt.Errorf("job %s (burst %d) not batched with batching enabled", id, i)
+			return fmt.Errorf("job %s (burst %d) ended %q, want completed: %s", id, i, v.Status, data)
 		}
 		if err := expectOK(client, base+"/v1/jobs/"+id+"/result"); err != nil {
 			return err
@@ -514,28 +474,17 @@ func runStreamSmoke(addr, in string, batching bool) error {
 		return fmt.Errorf("/statsz?schema=bench: no entries after %d completed jobs", burst)
 	}
 	var svc struct {
-		Schema       string `json:"schema"`
-		Batched      int64  `json:"batched"`
-		BatchFlushes int64  `json:"batch_flushes"`
+		Schema string `json:"schema"`
 	}
 	if err := getJSON(client, base+"/statsz", &svc); err != nil {
 		return err
 	}
-	if batching {
-		if svc.Batched != burst {
-			return fmt.Errorf("/statsz: batched = %d, want %d", svc.Batched, burst)
-		}
-		if svc.BatchFlushes == 0 {
-			return fmt.Errorf("/statsz: batched = %d with batch_flushes = 0", svc.Batched)
-		}
-	} else if svc.Batched != 0 {
-		return fmt.Errorf("/statsz: batched = %d with batching disabled", svc.Batched)
+	if svc.Schema != "mlpartd-stats/1" {
+		return fmt.Errorf("/statsz: schema %q, want mlpartd-stats/1", svc.Schema)
 	}
 
-	fmt.Fprintf(os.Stderr, "mlpartd: stream smoke ok: %d jobs, %d events on %s, %d batched over %d flushes\n",
-		burst, len(frames), ids[0], svc.Batched, svc.BatchFlushes)
-
-	return syscall.Kill(os.Getpid(), syscall.SIGTERM)
+	fmt.Fprintf(os.Stderr, "mlpartd: stream smoke ok: %d jobs, %d events on %s\n", burst, len(frames), ids[0])
+	return nil
 }
 
 // consumeJobEvents reads the full SSE stream for one job — the

@@ -99,9 +99,9 @@ func run() error {
 		if *strip {
 			return fmt.Errorf("%s: -strip applies only to %s run reports", name, "mlpart-stats/1")
 		}
-		fmt.Fprintf(os.Stderr, "statscheck: %s ok (service: %d accepted, %d completed, %d rejected, %d batched/%d flushes, cache %d/%d)\n",
+		fmt.Fprintf(os.Stderr, "statscheck: %s ok (service: %d accepted, %d completed, %d rejected, cache %d/%d)\n",
 			name, r.Accepted, r.Completed, r.RejectedQueueFull+r.RejectedDraining,
-			r.Batched, r.BatchFlushes, r.CacheHits, r.CacheHits+r.CacheMisses)
+			r.CacheHits, r.CacheHits+r.CacheMisses)
 		return nil
 	default:
 		var r mlpart.Report
@@ -146,8 +146,6 @@ func validateService(r *telemetry.ServiceReport) error {
 		{"idempotent_replays", r.IdempotentReplays},
 		{"cache_hits", r.CacheHits},
 		{"cache_misses", r.CacheMisses},
-		{"batched", r.Batched},
-		{"batch_flushes", r.BatchFlushes},
 		{"events_dropped", r.EventsDropped},
 		{"queued", r.Queued},
 		{"running", r.Running},
@@ -175,17 +173,6 @@ func validateService(r *telemetry.ServiceReport) error {
 	// balanced across restarts).
 	if r.Recovered > r.Accepted {
 		return fmt.Errorf("recovered %d exceeds accepted %d", r.Recovered, r.Accepted)
-	}
-	// Batched jobs are a subset of accepted jobs (the batch lane is a
-	// scheduling decision made after admission).
-	if r.Batched > r.Accepted {
-		return fmt.Errorf("batched %d exceeds accepted %d", r.Batched, r.Accepted)
-	}
-	// A batched job can only have run inside a cut batch, and the
-	// server bumps batch_flushes before counting any of the batch's
-	// jobs — so batched > 0 with no flush is an accounting bug.
-	if r.Batched > 0 && r.BatchFlushes == 0 {
-		return fmt.Errorf("batched %d with batch_flushes = 0", r.Batched)
 	}
 	if r.UptimeNS <= 0 {
 		return fmt.Errorf("uptime_ns = %d, want > 0", r.UptimeNS)

@@ -392,8 +392,9 @@ func TestCmdExperimentsDeterministic(t *testing.T) {
 }
 
 // TestCmdMlpartdSmoke drives the daemon's loopback self-test — a real
-// HTTP submit/wait/result flow, a byte-identical cache hit, and a
-// self-delivered SIGTERM through the production drain path — then
+// HTTP submit/wait/result flow, a byte-identical cache hit, a streamed
+// burst of eight distinct jobs, and a self-delivered SIGTERM through
+// the production drain path — then
 // pipes the final stats JSON into statscheck via stdin, covering the
 // mlpartd-stats/1 validation path and the stdin input mode at once.
 func TestCmdMlpartdSmoke(t *testing.T) {
@@ -422,7 +423,8 @@ func TestCmdMlpartdSmoke(t *testing.T) {
 	if err := json.Unmarshal(out, &rep); err != nil {
 		t.Fatalf("smoke stats output: %v\n%s", err, out)
 	}
-	if rep.Schema != "mlpartd-stats/1" || rep.Accepted != 2 || rep.Completed != 2 ||
+	// Two cache-flow submissions plus the eight-job burst.
+	if rep.Schema != "mlpartd-stats/1" || rep.Accepted != 10 || rep.Completed != 10 ||
 		rep.CacheHits != 1 || !rep.Draining {
 		t.Errorf("unexpected smoke stats: %+v", rep)
 	}
@@ -437,7 +439,7 @@ func TestCmdMlpartdSmoke(t *testing.T) {
 	}
 
 	// A snapshot violating the accounting ledger must fail.
-	bad := strings.Replace(string(out), `"completed": 2`, `"completed": 1`, 1)
+	bad := strings.Replace(string(out), `"completed": 10`, `"completed": 9`, 1)
 	if bad == string(out) {
 		t.Fatalf("could not corrupt the snapshot:\n%s", out)
 	}

@@ -128,7 +128,6 @@ var deterministicPkgs = []string{
 	"internal/analysis",
 	"internal/analysis/cfg",
 	"internal/journal",
-	"internal/server/batcher",
 }
 
 // checksFor selects which checks apply to the package at importPath.

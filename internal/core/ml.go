@@ -136,8 +136,8 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg Config, r
 		return nil, Result{}, err
 	}
 	ctx = orBackground(ctx)
-	// One workspace bundle per attempt (or the caller's shared Scratch
-	// for batched runs); the intra-parallelism pool lives exactly as
+	// One workspace bundle per attempt (or the caller's reused Scratch
+	// for Session runs); the intra-parallelism pool lives exactly as
 	// long as the attempt.
 	ws := cfg.Scratch.attemptWS()
 	defer ws.startPool(cfg.IntraParallelism)()

@@ -130,8 +130,8 @@ func QuadrisectCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg QuadConfig
 			}
 		}
 	}
-	// One workspace bundle per attempt (or the caller's shared Scratch
-	// for batched runs); the intra-parallelism pool accelerates
+	// One workspace bundle per attempt (or the caller's reused Scratch
+	// for Session runs); the intra-parallelism pool accelerates
 	// coarsening only.
 	ws := cfg.Scratch.attemptWS()
 	defer ws.startPool(cfg.IntraParallelism)()

@@ -59,16 +59,16 @@ func (ws *pipelineWS) startPool(intra int) func() {
 }
 
 // Scratch is a reusable pipeline workspace bundle for sequential
-// batch execution. A caller that runs many small attempts
-// back-to-back on one goroutine (mlpartd's micro-batcher) threads one
+// execution. A caller that runs many attempts back-to-back on one
+// goroutine (an mlpart.Session, one per mlpartd executor) threads one
 // Scratch through Config.Scratch / QuadConfig.Scratch so successive
 // attempts reuse the same match/induce/refine buffers instead of
 // growing a fresh set per job — the per-job setup cost is amortized
-// across the batch.
+// across the executor's jobs.
 //
 // Contract: a Scratch is single-goroutine. At most one attempt may
-// use it at a time, so callers must force sequential execution
-// (Parallelism 1) for every run that carries it. Reuse is
+// use it at a time, so callers pass it only to runs whose starts
+// execute one at a time (Starts 1 or Parallelism 1). Reuse is
 // bit-identity preserving: every workspace in the bundle is fully
 // reset at the start of each use, so a result computed on a reused
 // Scratch is byte-identical to one computed on a fresh bundle — the

@@ -40,16 +40,6 @@ const (
 	// path; cancel behaves as a client cancellation; delay eats into
 	// the job's deadline. Never reached by the library entry points.
 	SiteServerJob Site = "server.job"
-	// SiteServerBatch fires at the head of a batched job's first
-	// execution attempt, before the shared-workspace session is used.
-	// A panic fails only that job's attempt — its batchmates must
-	// complete (the "share workspaces, never fate" contract); cancel
-	// behaves as a client cancellation of the batched job; corrupt
-	// models a distrusted shared workspace — the job falls back to a
-	// fresh solo workspace (degraded throughput, identical bytes);
-	// delay stalls the batch worker, eating into every batchmate's
-	// deadline. Never reached by the library entry points.
-	SiteServerBatch Site = "server.batch"
 	// SiteServerEvents fires at the head of each event-stream
 	// subscription (GET /v1/jobs/{id}/events and /v1/events). A panic
 	// fails only that subscription with a 500 — the job and the other
@@ -88,7 +78,6 @@ var AllSites = []Site{
 	SiteCoreRebalance,
 	SiteServerAdmit,
 	SiteServerJob,
-	SiteServerBatch,
 	SiteServerEvents,
 	SiteJournalAppend,
 	SiteJournalReplay,

@@ -19,8 +19,8 @@ import (
 // as long as the fine pins or nets of that range, and a coarse net
 // never keeps more pins than its fine net. Stamps, cursors and flags
 // are sized by the cluster count, which only shrinks level by level.
-// A workspace reused on a larger input (a batch Scratch moving on to
-// a bigger job) grows once, on its first call for that input.
+// A workspace reused on a larger input (a Session's Scratch moving on
+// to a bigger job) grows once, on its first call for that input.
 //
 // Ownership rule: an InduceWorkspace belongs to exactly one goroutine
 // and one pipeline attempt at a time; never store one in a package

@@ -142,7 +142,6 @@ type svcDelta struct {
 	Failed        int64  `json:"failed"`
 	Queued        int64  `json:"queued"`
 	Running       int64  `json:"running"`
-	Batched       int64  `json:"batched"`
 	EventsDropped int64  `json:"events_dropped"`
 }
 
@@ -174,7 +173,6 @@ func (s *Server) publishJobEvent(j *job, name string, status Status, attempt int
 			Failed:        rep.Failed,
 			Queued:        rep.Queued,
 			Running:       rep.Running,
-			Batched:       rep.Batched,
 			EventsDropped: rep.EventsDropped,
 		}), false)
 	}

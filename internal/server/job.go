@@ -96,9 +96,6 @@ type job struct {
 	// process death (or a replayed terminal tombstone).
 	idemKey   string
 	recovered bool
-	// batched marks a job routed onto the micro-batch lane. Purely a
-	// scheduling annotation: results are byte-identical either way.
-	batched bool
 
 	// events is the job's lifecycle event stream; it has its own lock
 	// and is safe to publish to with or without the server mutex.
@@ -135,13 +132,10 @@ type view struct {
 	Interrupted bool   `json:"interrupted,omitempty"`
 	// Recovered marks a job that survived a process death: re-enqueued
 	// from the journal, or a replayed terminal tombstone.
-	Recovered bool `json:"recovered,omitempty"`
-	// Batched marks a job executed on the micro-batch lane; a
-	// scheduling annotation, never part of the result document.
-	Batched bool              `json:"batched,omitempty"`
-	Error   *ErrorReport      `json:"error,omitempty"`
-	Result  *Result           `json:"result,omitempty"`
-	Stats   *telemetry.Report `json:"stats,omitempty"`
+	Recovered bool              `json:"recovered,omitempty"`
+	Error     *ErrorReport      `json:"error,omitempty"`
+	Result    *Result           `json:"result,omitempty"`
+	Stats     *telemetry.Report `json:"stats,omitempty"`
 }
 
 // snapshotLocked renders the job's current state; callers hold the
@@ -157,7 +151,6 @@ func (j *job) snapshotLocked() view {
 		CacheHit:    j.cacheHit,
 		Interrupted: j.interrupted,
 		Recovered:   j.recovered,
-		Batched:     j.batched,
 		Error:       j.errrep,
 		Result:      j.result,
 		Stats:       j.report,

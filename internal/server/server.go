@@ -37,7 +37,6 @@ import (
 	"mlpart/internal/faultinject"
 	"mlpart/internal/hypergraph"
 	"mlpart/internal/journal"
-	"mlpart/internal/server/batcher"
 	"mlpart/internal/telemetry"
 )
 
@@ -48,8 +47,9 @@ type Config struct {
 	// queue sheds new submissions with 429 + Retry-After.
 	QueueDepth int
 	// Workers is the number of concurrent job executors (default
-	// min(4, GOMAXPROCS)). Parallelism *within* a job is the job's
-	// own options.parallelism.
+	// min(4, GOMAXPROCS)). Each executor owns one mlpart.Session and
+	// runs every job it dequeues on that Session's workspaces.
+	// Parallelism *within* a job is the job's own options.parallelism.
 	Workers int
 	// DefaultTimeout is the per-job deadline applied when a
 	// submission names none (default 30s).
@@ -89,20 +89,12 @@ type Config struct {
 	// journal append with the 1-based append count. The crash harness
 	// uses it to SIGKILL the process at exact journal positions.
 	JournalAppendHook func(n int)
-	// BatchPinLimit routes accepted jobs whose hypergraph has at most
-	// this many pins onto the micro-batch lane: small jobs are
-	// coalesced into batches and executed back-to-back on a shared
-	// workspace session, amortizing per-job setup. 0 (the default)
-	// disables batching entirely. Result bytes are identical either
-	// way — batching is a throughput decision, never a result one.
+	// BatchPinLimit is ignored. Every executor already reuses its own
+	// workspaces, which was the only effect of the removed micro-batch
+	// lane; the field stays so existing callers still compile.
+	//
+	// Deprecated: no effect; will be removed.
 	BatchPinLimit int
-	// BatchMax cuts a batch at this many jobs (default 8); BatchDelay
-	// is the linger before a partial batch is cut (default 2ms);
-	// BatchWorkers is the number of batch executors, each owning one
-	// workspace session (default 1).
-	BatchMax     int
-	BatchDelay   time.Duration
-	BatchWorkers int
 	// EventBuffer is the per-subscriber event channel capacity
 	// (default 16); a subscriber that falls this far behind is dropped
 	// rather than ever blocking the job. EventHistory bounds each
@@ -155,15 +147,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 64 << 20
 	}
-	if c.BatchMax == 0 {
-		c.BatchMax = 8
-	}
-	if c.BatchDelay == 0 {
-		c.BatchDelay = 2 * time.Millisecond
-	}
-	if c.BatchWorkers == 0 {
-		c.BatchWorkers = 1
-	}
 	if c.EventBuffer == 0 {
 		c.EventBuffer = 16
 	}
@@ -194,7 +177,6 @@ func (c Config) Validate() error {
 		{"drain timeout", c.DrainTimeout},
 		{"retry-after", c.RetryAfter},
 		{"retry backoff", c.RetryBackoff},
-		{"batch delay", c.BatchDelay},
 	} {
 		if d.v < 0 {
 			return fmt.Errorf("server: negative %s %v", d.name, d.v)
@@ -204,9 +186,6 @@ func (c Config) Validate() error {
 		name string
 		v    int
 	}{
-		{"batch pin limit", c.BatchPinLimit},
-		{"batch max", c.BatchMax},
-		{"batch worker count", c.BatchWorkers},
 		{"event buffer", c.EventBuffer},
 		{"event history", c.EventHistory},
 	} {
@@ -238,28 +217,17 @@ type Server struct {
 	// against the state transitions they record.
 	jnl *journal.Writer
 
-	// batch is the micro-batch lane; nil when BatchPinLimit is 0.
-	// sessions holds one shared-workspace session per batch worker —
-	// a session is single-goroutine, and each batch worker runs its
-	// batches serially, so worker w exclusively owns sessions[w].
-	batch    *batcher.Batcher[*job]
-	sessions []*mlpart.Session
-
 	// svcEvents is the service-wide ledger event stream (/v1/events).
 	svcEvents *eventLog
 
-	// mu guards jobs, seq, draining, idem, batchPending, every queue
-	// send, and every job state transition.
+	// mu guards jobs, seq, draining, idem, every queue send, and every
+	// job state transition.
 	mu       sync.Mutex
 	jobs     map[string]*job
 	seq      int
 	draining bool
 	queue    chan *job
-	// batchPending counts jobs accepted onto the batch lane that have
-	// not started executing — the lane's own occupancy for the
-	// overload shed, mirroring len(queue) on the solo lane.
-	batchPending int
-	cache        *resultCache
+	cache    *resultCache
 	// idem maps an Idempotency-Key to the job it first admitted, plus
 	// that job's cache key for conflict detection. Rebuilt from the
 	// journal on restart.
@@ -316,9 +284,6 @@ func New(cfg Config) (*Server, error) {
 	// process already acknowledged.
 	s.queue = make(chan *job, cfg.QueueDepth+len(recovered))
 	for _, j := range recovered {
-		// Recovered jobs always run on the solo lane: crash-replay must
-		// reproduce the acknowledged jobs' bytes, and solo execution is
-		// the identity the batch lane is held to anyway.
 		j.events = newEventLog(cfg.EventHistory)
 		s.jobs[j.id] = j
 		s.stats.Accept()
@@ -327,25 +292,16 @@ func New(cfg Config) (*Server, error) {
 		s.publishJobEvent(j, "queued", StatusQueued, 0, false)
 	}
 
-	if cfg.BatchPinLimit > 0 {
-		s.sessions = make([]*mlpart.Session, cfg.BatchWorkers)
-		for i := range s.sessions {
-			s.sessions[i] = mlpart.NewSession()
-		}
-		s.batch = batcher.New(batcher.Config{
-			MaxBatch: cfg.BatchMax,
-			MaxDelay: cfg.BatchDelay,
-			Workers:  cfg.BatchWorkers,
-		}, s.runBatch)
-	}
-
+	// Each worker runs its jobs one at a time, so it can own one
+	// Session (single-goroutine by contract) for its whole lifetime.
 	var wg sync.WaitGroup
 	wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
+		sess := mlpart.NewSession()
 		go func() {
 			defer wg.Done()
 			for j := range s.queue {
-				s.runJob(j)
+				s.runJob(j, sess)
 			}
 		}()
 	}
@@ -390,13 +346,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		go func() {
 			grace := time.AfterFunc(s.cfg.DrainTimeout, s.runCancel)
 			<-s.workersDone
-			// The batch lane drains after the solo workers: Close cuts
-			// any lingering partial batch and waits for the batch
-			// workers; the grace timer stays armed over both waits, so
-			// a hung batched job is still cancelled into drained.
-			if s.batch != nil {
-				s.batch.Close()
-			}
 			grace.Stop()
 			s.runCancel()
 			// Every accepted job is terminal once the workers exit, so
@@ -529,31 +478,6 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 		j.cacheHit = true
 		r := res
 		s.finishLocked(j, StatusCompleted, &r, nil, true)
-		return j.snapshotLocked(), false, nil
-	}
-
-	// Batch-lane routing: small jobs are coalesced instead of taking a
-	// solo queue slot. The lane has its own occupancy bound (mirroring
-	// QueueDepth) so a flood of small jobs sheds with 429 exactly like
-	// the solo lane. The Add below cannot race Close: both the Add and
-	// the draining flag live under mu, and Close runs only after
-	// draining is set.
-	if s.batch != nil && j.h.NumPins() <= s.cfg.BatchPinLimit {
-		if s.batchPending >= s.cfg.QueueDepth {
-			s.stats.RejectQueueFull()
-			return view{}, false, &rejection{status: 429, code: "queue_full", msg: fmt.Sprintf("batch lane full (%d jobs)", s.cfg.QueueDepth), retryAfter: s.cfg.RetryAfter}
-		}
-		if rej := s.journalAcceptLocked(j, reqBytes); rej != nil {
-			return view{}, false, rej
-		}
-		j.batched = true
-		s.batchPending++
-		s.jobs[j.id] = j
-		s.registerIdemLocked(j)
-		s.stats.Accept()
-		s.stats.CacheMiss()
-		s.batch.Add(j)
-		s.publishJobEvent(j, "queued", StatusQueued, 0, false)
 		return j.snapshotLocked(), false, nil
 	}
 
@@ -721,32 +645,9 @@ func (s *Server) WaitJob(ctx context.Context, id string) (view, bool, error) {
 	return j.snapshotLocked(), true, nil
 }
 
-// runJob executes one dequeued job to a terminal status on the solo
-// lane: fresh workspaces per attempt.
-func (s *Server) runJob(j *job) { s.runJobWith(j, nil) }
-
-// runBatch is the batch lane's executor, invoked by the batcher once
-// per cut batch. The batch shares worker w's workspace session —
-// never fate: each job runs through the same panic-isolated attempt
-// machinery as a solo job, so a poisoned job fails (or retries on a
-// fresh workspace) while its batchmates complete normally. The flush
-// counter is bumped before any job counts as batched, keeping the
-// batched > 0 => batch_flushes > 0 ledger invariant true at every
-// sampling instant.
-func (s *Server) runBatch(w int, batch []*job) {
-	s.stats.BatchFlush()
-	for _, j := range batch {
-		s.mu.Lock()
-		s.batchPending--
-		s.mu.Unlock()
-		s.stats.BatchJob()
-		s.runJobWith(j, s.sessions[w])
-	}
-}
-
-// runJobWith executes one job to a terminal status, optionally on a
-// shared-workspace session (batch lane).
-func (s *Server) runJobWith(j *job, sess *mlpart.Session) {
+// runJob executes one dequeued job to a terminal status on the
+// executing worker's Session.
+func (s *Server) runJob(j *job, sess *mlpart.Session) {
 	s.mu.Lock()
 	if j.status.Terminal() {
 		// Cancelled while queued; already terminal.
@@ -831,11 +732,10 @@ func (s *Server) runJobWith(j *job, sess *mlpart.Session) {
 
 // execute runs the job's attempts to a classification: terminal
 // status, result, error report, telemetry report, interrupted flag,
-// and attempt count. sess, when non-nil, is the batch lane's shared
-// workspace session — used for the first attempt only: a retry
-// follows a failure that may have left the shared workspaces poisoned
-// mid-operation, so every retry runs on fresh solo workspaces (bytes
-// are identical either way).
+// and attempt count. sess is the worker's Session, used for the first
+// attempt only: a retry follows a failure that may have left the
+// reused workspaces poisoned mid-operation, so every retry runs on
+// fresh workspaces (bytes are identical either way).
 func (s *Server) execute(jctx, dctx context.Context, j *job, sess *mlpart.Session) (Status, *Result, *ErrorReport, *telemetry.Report, bool, int) {
 	retries := s.cfg.MaxRetries
 	if retries < 0 {
@@ -844,9 +744,8 @@ func (s *Server) execute(jctx, dctx context.Context, j *job, sess *mlpart.Sessio
 	var firstErr error
 	attempts := 0
 	for attempt := 0; attempt <= retries; attempt++ {
-		attemptSess := sess
 		if attempt > 0 {
-			attemptSess = nil
+			sess = mlpart.NewSession()
 			s.stats.Retry()
 			s.publishJobEvent(j, "retrying", StatusRunning, attempt+1, false)
 			select {
@@ -856,7 +755,7 @@ func (s *Server) execute(jctx, dctx context.Context, j *job, sess *mlpart.Sessio
 		}
 		attempts = attempt + 1
 
-		p, info, report, err := s.attempt(jctx, j, attempt, attemptSess)
+		p, info, report, err := s.attempt(jctx, j, attempt, sess)
 
 		// Classification order matters: an interruption cause wins
 		// over whatever partial error the wind-down produced, and
@@ -891,8 +790,8 @@ func (s *Server) execute(jctx, dctx context.Context, j *job, sess *mlpart.Sessio
 	}, nil, false, attempts
 }
 
-// attempt runs one panic-isolated execution attempt, on sess's shared
-// workspaces when non-nil (batch lane) and on fresh ones otherwise.
+// attempt runs one panic-isolated execution attempt on sess's
+// workspaces.
 func (s *Server) attempt(ctx context.Context, j *job, attempt int, sess *mlpart.Session) (p *mlpart.Partition, info mlpart.Info, report *telemetry.Report, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -904,20 +803,6 @@ func (s *Server) attempt(ctx context.Context, j *job, attempt int, sess *mlpart.
 	}()
 
 	if inj := s.cfg.Inject.NewInjector(j.seq, attempt); inj != nil {
-		// The batch fault site, hit only on the batch lane. Panic
-		// unwinds into the recover above and fails this job alone — the
-		// worker's loop in runBatch never sees it, so batchmates run
-		// unaffected; corrupt models a distrusted shared workspace (the
-		// job falls back to fresh solo workspaces, same bytes); cancel
-		// emulates a client cancel; delay stalls the batch worker.
-		if sess != nil {
-			switch inj.Fire(faultinject.SiteServerBatch) {
-			case faultinject.ActCancel:
-				s.Cancel(j.id)
-			case faultinject.ActCorrupt:
-				sess = nil
-			}
-		}
 		// The job fault site. Panic unwinds into the recover above and
 		// consumes one attempt; delay eats into the deadline; cancel
 		// emulates a client cancellation; corrupt is handled at the
@@ -932,15 +817,11 @@ func (s *Server) attempt(ctx context.Context, j *job, attempt int, sess *mlpart.
 	// client only when the job asked for stats.
 	opt := j.opt
 	opt.Telemetry = mlpart.NewTelemetry()
-	switch {
-	case j.k == 2 && sess != nil:
+	switch j.k {
+	case 2:
 		p, info, err = sess.BipartitionCtx(ctx, j.h, opt)
-	case j.k == 2:
-		p, info, err = mlpart.BipartitionCtx(ctx, j.h, opt)
-	case j.k == 4 && sess != nil:
+	case 4:
 		p, info, err = sess.QuadrisectCtx(ctx, j.h, opt)
-	case j.k == 4:
-		p, info, err = mlpart.QuadrisectCtx(ctx, j.h, opt)
 	default:
 		return nil, mlpart.Info{}, nil, fmt.Errorf("server: bad k %d", j.k)
 	}

@@ -83,13 +83,11 @@ type ServiceReport struct {
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 
-	// Batched counts accepted jobs executed on the micro-batch lane
-	// (small jobs coalesced onto a shared-workspace worker); every
-	// batched job is also counted in Accepted, so Batched <= Accepted.
-	// BatchFlushes counts batches cut (by size, linger, or close);
-	// BatchFlushes is bumped before any of the batch's jobs is counted
-	// in Batched, so Batched > 0 implies BatchFlushes > 0 at every
-	// sampling instant — cmd/statscheck enforces both invariants.
+	// Batched and BatchFlushes always read 0: mlpartd has no batch
+	// lane any more. They remain, with their JSON keys, only so the
+	// mlpartd-stats/1 shape and existing readers stay unchanged.
+	//
+	// Deprecated: always 0; will be removed.
 	Batched      int64 `json:"batched"`
 	BatchFlushes int64 `json:"batch_flushes"`
 
@@ -143,8 +141,6 @@ type ServiceCollector struct {
 	idempotentReplays atomic.Int64
 	cacheHits         atomic.Int64
 	cacheMisses       atomic.Int64
-	batched           atomic.Int64
-	batchFlushes      atomic.Int64
 	eventsDropped     atomic.Int64
 	queued            atomic.Int64
 	running           atomic.Int64
@@ -213,14 +209,6 @@ func (s *ServiceCollector) IdempotentReplay() { s.idempotentReplays.Add(1) }
 // CacheHit / CacheMiss record one result-cache lookup.
 func (s *ServiceCollector) CacheHit()  { s.cacheHits.Add(1) }
 func (s *ServiceCollector) CacheMiss() { s.cacheMisses.Add(1) }
-
-// BatchFlush records one micro-batch cut and handed to a batch
-// worker. The worker calls it before BatchJob for any of the batch's
-// jobs, preserving the Batched > 0 => BatchFlushes > 0 invariant.
-func (s *ServiceCollector) BatchFlush() { s.batchFlushes.Add(1) }
-
-// BatchJob records one job executed on the micro-batch lane.
-func (s *ServiceCollector) BatchJob() { s.batched.Add(1) }
 
 // EventDropped records one event-stream subscriber dropped for
 // falling behind.
@@ -295,8 +283,6 @@ func (s *ServiceCollector) Snapshot(queueCap int, draining bool, uptimeNS int64)
 		IdempotentReplays:   s.idempotentReplays.Load(),
 		CacheHits:           s.cacheHits.Load(),
 		CacheMisses:         s.cacheMisses.Load(),
-		Batched:             s.batched.Load(),
-		BatchFlushes:        s.batchFlushes.Load(),
 		EventsDropped:       s.eventsDropped.Load(),
 		Queued:              s.queued.Load(),
 		Running:             s.running.Load(),

@@ -375,8 +375,8 @@ func BipartitionCtx(ctx context.Context, h *Hypergraph, opt Options) (*Partition
 
 // bipartitionCtx is the shared implementation behind BipartitionCtx
 // and Session.BipartitionCtx; scratch, when non-nil, is the session's
-// reusable workspace bundle (the caller has already forced sequential
-// execution for it).
+// reusable workspace bundle, passed only when the starts run one at a
+// time.
 func bipartitionCtx(ctx context.Context, h *Hypergraph, opt Options, scratch *core.Scratch) (*Partition, Info, error) {
 	opt, err := opt.normalize()
 	if err != nil {
@@ -435,8 +435,8 @@ func QuadrisectCtx(ctx context.Context, h *Hypergraph, opt Options) (*Partition,
 
 // quadrisectCtx is the shared implementation behind QuadrisectCtx and
 // Session.QuadrisectCtx; scratch, when non-nil, is the session's
-// reusable workspace bundle (the caller has already forced sequential
-// execution for it).
+// reusable workspace bundle, passed only when the starts run one at a
+// time.
 func quadrisectCtx(ctx context.Context, h *Hypergraph, opt Options, scratch *core.Scratch) (*Partition, Info, error) {
 	opt, err := opt.normalize()
 	if err != nil {

@@ -3,16 +3,21 @@ package mlpart
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
+
+	"mlpart/internal/faultinject"
 )
 
 // TestSessionMatchesOneShot runs a mixed job sequence on one Session —
 // large and small instances, both entry points, both engines, with
 // and without an intra pool — so each job inherits workspaces reserved
-// and dirtied by the jobs before it, shrinking and regrowing. Every
-// partition, Info and timing-stripped telemetry report must equal the
-// package-level call's byte for byte.
+// and dirtied by the jobs before it, shrinking and regrowing. One job
+// panics mid-refinement, abandoning the workspaces mid-pass; another
+// runs its starts in parallel, which the Session must leave to fresh
+// workspaces. Every partition, Info and timing-stripped telemetry
+// report must equal the package-level call's byte for byte.
 func TestSessionMatchesOneShot(t *testing.T) {
 	circuit := func(name string, cells int, seed int64) *Hypergraph {
 		c, err := GenerateCircuit(CircuitSpec{Name: name, Cells: cells, Nets: cells + cells/10, Seed: seed})
@@ -24,24 +29,34 @@ func TestSessionMatchesOneShot(t *testing.T) {
 	large, small := circuit("session-large", 2500, 21), circuit("session-small", 400, 22)
 	type runFn func(context.Context, *Hypergraph, Options) (*Partition, Info, error)
 	s := NewSession()
+	panicking := &FaultPlan{Seed: 1, Entries: []FaultEntry{faultinject.On(faultinject.SiteFMPass, faultinject.KindPanic, 3)}}
 	jobs := []struct {
 		name          string
 		h             *Hypergraph
 		opt           Options
 		session, once runFn
+		// reuse is whether the Session runs the job on its own
+		// workspaces; fault is whether the job reports an error.
+		reuse, fault bool
 	}{
-		{"large quadrisect", large, Options{Engine: EngineFM, Seed: 1, Starts: 2}, s.QuadrisectCtx, QuadrisectCtx},
-		{"small bipartition", small, Options{Engine: EngineFM, Seed: 2, IntraParallelism: 2}, s.BipartitionCtx, BipartitionCtx},
-		{"large CLIP bipartition", large, Options{Engine: EngineCLIP, Seed: 3, Starts: 2}, s.BipartitionCtx, BipartitionCtx},
-		{"small quadrisect", small, Options{Engine: EngineCLIP, Seed: 4}, s.QuadrisectCtx, QuadrisectCtx},
+		{"large quadrisect", large, Options{Engine: EngineFM, Seed: 1, Starts: 2, Parallelism: 1}, s.QuadrisectCtx, QuadrisectCtx, true, false},
+		{"small bipartition", small, Options{Engine: EngineFM, Seed: 2, IntraParallelism: 2}, s.BipartitionCtx, BipartitionCtx, true, false},
+		{"large CLIP bipartition", large, Options{Engine: EngineCLIP, Seed: 3, Starts: 2, Parallelism: 1}, s.BipartitionCtx, BipartitionCtx, true, false},
+		{"large bipartition panicking in fm.pass", large, Options{Engine: EngineFM, Seed: 5, Inject: panicking}, s.BipartitionCtx, BipartitionCtx, true, true},
+		{"large bipartition after the panic", large, Options{Engine: EngineFM, Seed: 6}, s.BipartitionCtx, BipartitionCtx, true, false},
+		{"small quadrisect", small, Options{Engine: EngineCLIP, Seed: 4}, s.QuadrisectCtx, QuadrisectCtx, true, false},
+		{"large parallel multi-start", large, Options{Engine: EngineFM, Seed: 7, Starts: 2, Parallelism: 0}, s.BipartitionCtx, BipartitionCtx, false, false},
 	}
 	for _, job := range jobs {
+		if got := s.scratchFor(job.opt) != nil; got != job.reuse {
+			t.Errorf("%s: Session reuses its workspaces = %v, want %v", job.name, got, job.reuse)
+		}
 		run := func(fn runFn) (*Partition, Info, []byte) {
 			opt := job.opt
 			opt.Telemetry = NewTelemetry()
 			p, info, err := fn(context.Background(), job.h, opt)
-			if err != nil {
-				t.Fatalf("%s: %v", job.name, err)
+			if (err != nil) != job.fault {
+				t.Fatalf("%s: error %v, want an error: %v", job.name, err, job.fault)
 			}
 			r := opt.Telemetry.Report()
 			r.StripTimings()
@@ -56,8 +71,10 @@ func TestSessionMatchesOneShot(t *testing.T) {
 		if !reflect.DeepEqual(pS, pO) {
 			t.Errorf("%s: session partition differs from the one-shot call", job.name)
 		}
-		if !reflect.DeepEqual(infoS, infoO) {
-			t.Errorf("%s: session Info %+v, one-shot %+v", job.name, infoS, infoO)
+		// Compared as text: a recovered panic's error carries the
+		// stack it was raised on, which differs between call paths.
+		if a, b := fmt.Sprintf("%+v", infoS), fmt.Sprintf("%+v", infoO); a != b {
+			t.Errorf("%s: session Info %s, one-shot %s", job.name, a, b)
 		}
 		if string(repS) != string(repO) {
 			t.Errorf("%s: timing-stripped telemetry reports differ", job.name)
