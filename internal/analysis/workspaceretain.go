@@ -9,8 +9,9 @@ import (
 
 // WorkspaceRetain enforces the workspace-ownership contract of the
 // allocation-free hot paths: a workspace (coarsen.Workspace,
-// fm.Workspace, hypergraph.InduceWorkspace, core's pipelineWS — any
-// named struct whose name marks it as reusable scratch) is owned by
+// fm.Workspace, hypergraph.InduceWorkspace, core's pipelineWS and
+// its hierarchy store hierarchyWorkspace — any named struct whose name
+// marks it as reusable scratch) is owned by
 // exactly one attempt and lives on that attempt's stack or config.
 // Retaining one in a package-level variable — directly, behind a
 // pointer, or inside a container — turns per-attempt scratch into

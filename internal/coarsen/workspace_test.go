@@ -2,8 +2,10 @@ package coarsen
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"mlpart/internal/hypergraph"
 	"mlpart/internal/intrapar"
 )
 
@@ -75,6 +77,34 @@ func TestMatchSteadyStateAllocations(t *testing.T) {
 		}
 		if large > small {
 			t.Fatalf("%s: Match allocations grow with n: %.0f → %.0f", tc.name, small, large)
+		}
+	}
+}
+
+// TestMatchIntoDirtyDestination checks MatchInto against Match when
+// the destination holds a larger clustering from an earlier call: the
+// array is reused, and every entry is rewritten.
+func TestMatchIntoDirtyDestination(t *testing.T) {
+	dst := &hypergraph.Clustering{CellToCluster: make([]int32, 400), NumClusters: 7}
+	for v := range dst.CellToCluster {
+		dst.CellToCluster[v] = 12345
+	}
+	backing := &dst.CellToCluster[0]
+	for seed := int64(0); seed < 5; seed++ {
+		rng := rand.New(rand.NewSource(700 + seed))
+		h := randomH(rng, 100+int(seed)*50, 130+int(seed)*50, 5)
+		want, err := Match(h, Config{}, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := MatchInto(h, Config{}, rand.New(rand.NewSource(seed)), dst); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, dst) {
+			t.Fatalf("seed %d: MatchInto into a dirty destination differs from Match", seed)
+		}
+		if &dst.CellToCluster[0] != backing {
+			t.Fatalf("seed %d: MatchInto reallocated a destination array long enough to reuse", seed)
 		}
 	}
 }

@@ -13,13 +13,14 @@ import (
 //
 // Every net's pins are stored back to back in one flat buffer: net i
 // occupies pins[netEnd[i-1]:netEnd[i]] (netEnd[-1] taken as 0), so
-// adding a net appends to three slices instead of allocating one.
+// adding a net appends to two slices instead of allocating one. The
+// per-net weights exist only once some net weighs more than 1.
 type Builder struct {
 	numCells int
 	area     []int64
 	pins     []int32
-	netEnd   []int   // end offset of each net's window in pins
-	weights  []int32 // per net, parallel to netEnd
+	netEnd   []int32 // end offset of each net's window in pins
+	weights  []int32 // per net, parallel to netEnd; nil while all are 1
 	names    []string
 	err      error
 }
@@ -135,10 +136,28 @@ func (b *Builder) addNet32(weight int32, pins []int32) *Builder {
 }
 
 // endNet closes the net whose pins were appended since the previous
-// one.
+// one. The CSR offsets are int32, and programmatic builders are not
+// behind the parser Limits, so a pin count past MaxInt32 is an error
+// here, before Build allocates anything.
 func (b *Builder) endNet(weight int32) {
-	b.netEnd = append(b.netEnd, len(b.pins))
-	b.weights = append(b.weights, weight)
+	end := len(b.pins)
+	if end > math.MaxInt32 {
+		if b.err == nil {
+			b.err = fmt.Errorf("hypergraph: %d pins overflow the int32 CSR index space", end)
+		}
+		return
+	}
+	if weight != 1 && b.weights == nil {
+		// The first weighted net: every net before it weighs 1.
+		b.weights = make([]int32, len(b.netEnd), cap(b.netEnd))
+		for e := range b.weights {
+			b.weights[e] = 1
+		}
+	}
+	b.netEnd = append(b.netEnd, int32(end))
+	if b.weights != nil {
+		b.weights = append(b.weights, weight)
+	}
 }
 
 // Build finalizes the hypergraph. It returns an error if any prior
@@ -151,7 +170,7 @@ func (b *Builder) Build() (*Hypergraph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	kept, w, s := 0, 0, 0
+	kept, w, s := 0, int32(0), int32(0)
 	for e, end := range b.netEnd {
 		net := b.pins[s:end]
 		s = end
@@ -170,10 +189,15 @@ func (b *Builder) Build() (*Hypergraph, error) {
 			continue
 		}
 		b.netEnd[kept] = w
-		b.weights[kept] = b.weights[e]
+		if b.weights != nil {
+			b.weights[kept] = b.weights[e]
+		}
 		kept++
 	}
-	b.pins, b.netEnd, b.weights = b.pins[:w], b.netEnd[:kept], b.weights[:kept]
+	b.pins, b.netEnd = b.pins[:w], b.netEnd[:kept]
+	if b.weights != nil {
+		b.weights = b.weights[:kept]
+	}
 	return b.finish()
 }
 
@@ -188,16 +212,9 @@ func (b *Builder) finish() (*Hypergraph, error) {
 		area:     b.area,
 		names:    b.names,
 	}
-	// The CSR offsets are int32; programmatic builders are not behind
-	// the parser Limits, so the offsets are checked before narrowing
-	// and before the pin arrays are allocated.
+	// endNet kept every offset within int32.
 	h.netStart = make([]int32, numNets+1)
-	for e, end := range b.netEnd {
-		if end > math.MaxInt32 {
-			return nil, fmt.Errorf("hypergraph: %d pins overflow the int32 CSR index space", numPins)
-		}
-		h.netStart[e+1] = int32(end)
-	}
+	copy(h.netStart[1:], b.netEnd)
 	h.netPins = make([]int32, numPins)
 	copy(h.netPins, b.pins)
 	if slices.ContainsFunc(b.weights, func(w int32) bool { return w != 1 }) {

@@ -81,3 +81,43 @@ func TestSessionMatchesOneShot(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionDirtyStoreMatchesOneShot runs jobs of 8k, 1k, 3k and 8k
+// cells on one Session, alternating bipartition and quadrisection, so
+// every job rebuilds its hierarchy in slots an earlier job left holding
+// a different one. Each partition and Info must equal the one-shot
+// call's.
+func TestSessionDirtyStoreMatchesOneShot(t *testing.T) {
+	type runFn func(context.Context, *Hypergraph, Options) (*Partition, Info, error)
+	s := NewSession()
+	jobs := []struct {
+		cells         int
+		session, once runFn
+	}{
+		{8000, s.BipartitionCtx, BipartitionCtx},
+		{1000, s.QuadrisectCtx, QuadrisectCtx},
+		{3000, s.BipartitionCtx, BipartitionCtx},
+		{8000, s.QuadrisectCtx, QuadrisectCtx},
+	}
+	for i, job := range jobs {
+		c, err := GenerateCircuit(CircuitSpec{Name: "dirty-store", Cells: job.cells, Nets: job.cells + job.cells/16, Seed: int64(40 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := Options{Seed: int64(i + 1)}
+		pS, infoS, err := job.session(context.Background(), c.H, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pO, infoO, err := job.once(context.Background(), c.H, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(pS, pO) {
+			t.Errorf("job %d (%d cells): session partition differs from the one-shot call", i, job.cells)
+		}
+		if a, b := fmt.Sprintf("%+v", infoS), fmt.Sprintf("%+v", infoO); a != b {
+			t.Errorf("job %d (%d cells): session Info %s, one-shot %s", i, job.cells, a, b)
+		}
+	}
+}
