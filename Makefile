@@ -56,9 +56,12 @@ crash-smoke:
 # hypergraph), the pipeline differential target (the coarsening hierarchy
 # must not depend on IntraParallelism, and partitions must be
 # byte-identical at widths 0, 1 and 4 and agree with the oracle), and
-# the canonical options JSON round trip, and mlpartd's POST /v1/jobs
+# the canonical options JSON round trip, mlpartd's POST /v1/jobs
 # decoder (malformed requests get a 4xx, never a 5xx or a panic, and
-# the job ledger stays balanced). The checked-in corpora under
+# the job ledger stays balanced; and the decoder agrees with its frozen
+# json.Decoder reference on every body), and journal replay (a torn or
+# corrupt journal truncates to a consistent prefix that re-encodes
+# intact). The checked-in corpora under
 # internal/hypergraph/testdata/fuzz and testdata/fuzz seed them and run
 # in plain `make test` as well.
 fuzz-smoke:
@@ -68,6 +71,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzPipeline$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz='^FuzzOptionsJSON$$' -fuzztime=5s .
 	$(GO) test -run '^$$' -fuzz='^FuzzJobRequest$$' -fuzztime=5s ./internal/server
+	$(GO) test -run '^$$' -fuzz='^FuzzJobRequestDecoder$$' -fuzztime=5s ./internal/server
+	$(GO) test -run '^$$' -fuzz='^FuzzJournalReplay$$' -fuzztime=5s ./internal/journal
 
 # Telemetry smoke: run the CLI with -stats-json on the checked-in
 # mesh netlist at two parallelism levels, validate both reports with

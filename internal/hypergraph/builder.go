@@ -23,6 +23,10 @@ type Builder struct {
 	weights  []int32 // per net, parallel to netEnd; nil while all are 1
 	names    []string
 	err      error
+	// ownsPins marks a Builder that is discarded after Build, so the
+	// hypergraph may keep its pin buffer when that is exactly the
+	// size of the built pins (the parser's, sized from its text).
+	ownsPins bool
 }
 
 // NewBuilder returns a Builder for a hypergraph with numCells cells,
@@ -215,8 +219,12 @@ func (b *Builder) finish() (*Hypergraph, error) {
 	// endNet kept every offset within int32.
 	h.netStart = make([]int32, numNets+1)
 	copy(h.netStart[1:], b.netEnd)
-	h.netPins = make([]int32, numPins)
-	copy(h.netPins, b.pins)
+	if b.ownsPins && cap(b.pins) == numPins {
+		h.netPins, b.pins = b.pins, nil
+	} else {
+		h.netPins = make([]int32, numPins)
+		copy(h.netPins, b.pins)
+	}
 	if slices.ContainsFunc(b.weights, func(w int32) bool { return w != 1 }) {
 		h.netWeight = make([]int32, numNets)
 		copy(h.netWeight, b.weights)

@@ -62,7 +62,8 @@ var hgrLimitProbes = []string{
 // FuzzReadHGRMatchesReference holds ReadHGRLimits to the frozen
 // string-based reader in reference_test.go: on every input, under the
 // default limits and under small ones, both must fail with the same
-// message or build identical hypergraphs.
+// message or build identical hypergraphs. ReadHGRText, the same parser
+// with its buffers sized from the text, must agree with both.
 func FuzzReadHGRMatchesReference(f *testing.F) {
 	for _, seed := range []string{
 		"2 3\n1 2\n2 3\n",
@@ -109,6 +110,18 @@ func FuzzReadHGRMatchesReference(f *testing.F) {
 			}
 			if diff := sameHypergraph(got, want); diff != "" {
 				t.Fatalf("%+v on %q: %s differs from the reference", lim, in, diff)
+			}
+		}
+		for _, lim := range []Limits{{}, small} {
+			got, err := ReadHGRText([]byte(in), lim)
+			want, wantErr := ReadHGRLimits(strings.NewReader(in), lim)
+			if (err != nil) != (wantErr != nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("%+v on %q: ReadHGRText error %v, ReadHGRLimits %v", lim, in, err, wantErr)
+			}
+			if err == nil {
+				if diff := sameHypergraph(got, want); diff != "" {
+					t.Fatalf("%+v on %q: ReadHGRText %s differs from ReadHGRLimits", lim, in, diff)
+				}
 			}
 		}
 	})

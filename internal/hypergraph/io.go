@@ -89,8 +89,53 @@ func ReadHGR(r io.Reader) (*Hypergraph, error) {
 // Lines are read and split in place as bytes, pins are appended
 // straight to the Builder's flat buffer, and integers are parsed
 // without a string per field, so a parse allocates a few dozen
-// objects whatever the net count.
+// objects whatever the net count. The net offsets are sized once from
+// the header's net count, as the cell areas are from its cell count.
 func ReadHGRLimits(r io.Reader, lim Limits) (*Hypergraph, error) {
+	return readHGR(r, lim, textSize{fields: -1, lines: -1})
+}
+
+// ReadHGRText is ReadHGRLimits over .hgr text already held in memory.
+// A count of the text's fields and lines bounds its pins and nets, so
+// the Builder's buffers are reserved once at that size instead of
+// growing by doubling, and never beyond what the text can hold. When
+// the count is exact — no comments, duplicate pins or dropped nets —
+// the pin buffer becomes the hypergraph's own instead of being copied.
+func ReadHGRText(text []byte, lim Limits) (*Hypergraph, error) {
+	return readHGR(bytes.NewReader(text), lim, countText(text))
+}
+
+// textSize bounds what an in-memory .hgr text can hold: its
+// white-space separated fields and its lines. -1 means unknown (a
+// stream).
+type textSize struct {
+	fields, lines int
+}
+
+// countText counts the ASCII-white-space separated fields and the
+// lines of text. A line with a Unicode space may split into more
+// fields than counted; the count is only a reservation, and appends
+// grow past it.
+func countText(text []byte) textSize {
+	n := textSize{lines: 1}
+	inField := false
+	for _, c := range text {
+		if c == '\n' {
+			n.lines++
+		}
+		if asciiSpace[c] {
+			inField = false
+		} else if !inField {
+			inField = true
+			n.fields++
+		}
+	}
+	return n
+}
+
+// readHGR is the one .hgr parser; size, when known, caps the Builder's
+// up-front reservations.
+func readHGR(r io.Reader, lim Limits, size textSize) (*Hypergraph, error) {
 	lim = lim.normalize()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, maxLineBytes)
@@ -132,6 +177,25 @@ func ReadHGRLimits(r io.Reader, lim Limits) (*Hypergraph, error) {
 		}
 	}
 	b := NewBuilder(numCells)
+	nets := numNets
+	if size.lines >= 0 {
+		nets = min(nets, size.lines-1) // a net takes a line after the header
+	}
+	b.netEnd = make([]int32, 0, nets)
+	if size.fields >= 0 {
+		// The text's fields less the header's and the declared
+		// weights: for a well-formed text without comments, exactly
+		// its pins.
+		pins := size.fields - len(fields)
+		if netWeights {
+			pins -= numNets
+		}
+		if cellWeights {
+			pins -= numCells
+		}
+		b.pins = make([]int32, 0, max(0, min(pins, lim.MaxPins)))
+		b.ownsPins = true
+	}
 	totalPins := 0
 	for e := 0; e < numNets; e++ {
 		line, err := nextLine(sc)

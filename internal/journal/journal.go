@@ -28,6 +28,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -79,9 +80,12 @@ type Record struct {
 	// Recovered marks a record rewritten by post-replay compaction —
 	// the job survived at least one process death.
 	Recovered bool `json:"recovered,omitempty"`
-	// Request is the original submission document (the POST /v1/jobs
-	// body, re-marshaled), kept only while the job is live; compaction
-	// drops it from closed jobs.
+	// Request is the last field: frameEncoder appends it after the
+	// others. It is the original submission document (the POST /v1/jobs
+	// body as received; the frame stores it compacted), kept only while
+	// the job is live; compaction drops it from closed jobs. Journals
+	// written before the body was kept as received hold the request
+	// re-marshaled; both decode the same.
 	Request json.RawMessage `json:"request,omitempty"`
 }
 
@@ -106,20 +110,85 @@ type ReplayStats struct {
 	Truncated bool
 }
 
-// encodeFrame renders rec as one length-prefixed, checksummed frame.
-func encodeFrame(rec *Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
+// keepFrameBytes caps the frame buffer a frameEncoder keeps between
+// records: a larger frame's buffer is dropped once written, so one
+// 64 MiB job does not pin 64 MiB in the Writer.
+const keepFrameBytes = 1 << 20
+
+// frameEncoder renders records as frames in one reused buffer. It must
+// not be copied once used: its json.Encoder writes to buf by address.
+type frameEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+	// esc holds a compacted request that still needs HTML escaping.
+	esc bytes.Buffer
+}
+
+// encode renders rec as one length-prefixed, checksummed frame: an
+// 8-byte header gap, the record's JSON straight after it, then the
+// length and CRC filled in. The payload is byte-identical to
+// json.Marshal(rec). The record's small fields go through a
+// json.Encoder; the request, its last field and the one that scales
+// with the job, is compacted and HTML-escaped straight into the frame,
+// as json.Marshal renders a RawMessage, so it is never held in the
+// encoder's pooled state or copied twice. The frame aliases the
+// encoder's buffer and is valid until the next encode or release.
+func (fe *frameEncoder) encode(rec *Record) ([]byte, error) {
+	if fe.enc == nil {
+		fe.enc = json.NewEncoder(&fe.buf)
+	}
+	fe.buf.Reset()
+	var gap [headerSize]byte
+	fe.buf.Write(gap[:])
+	head := *rec
+	head.Request = nil
+	if err := fe.enc.Encode(&head); err != nil {
 		return nil, fmt.Errorf("journal: encode record: %w", err)
 	}
+	fe.buf.Truncate(fe.buf.Len() - 1) // Encode's newline
+	if len(rec.Request) > 0 {
+		fe.buf.Truncate(fe.buf.Len() - 1) // the closing brace
+		fe.buf.WriteString(`,"request":`)
+		if err := fe.appendRequest(rec.Request); err != nil {
+			return nil, fmt.Errorf("journal: encode record request: %w", err)
+		}
+		fe.buf.WriteByte('}')
+	}
+	frame := fe.buf.Bytes()
+	payload := frame[headerSize:]
 	if len(payload) > maxFrame {
 		return nil, fmt.Errorf("journal: record payload %d bytes exceeds frame cap %d", len(payload), maxFrame)
 	}
-	frame := make([]byte, headerSize+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[headerSize:], payload)
 	return frame, nil
+}
+
+// appendRequest appends req compacted, with <, >, & and U+2028/U+2029
+// escaped: json.Marshal's rendering of a RawMessage. Those characters
+// can only occur inside strings, so HTMLEscape after Compact is the
+// same as escaping while compacting; a request without them, the usual
+// case, is compacted straight into the frame.
+func (fe *frameEncoder) appendRequest(req []byte) error {
+	if !bytes.ContainsAny(req, "<>&") && !bytes.Contains(req, []byte("\u2028")) && !bytes.Contains(req, []byte("\u2029")) {
+		return json.Compact(&fe.buf, req)
+	}
+	fe.esc.Reset()
+	if err := json.Compact(&fe.esc, req); err != nil {
+		return err
+	}
+	json.HTMLEscape(&fe.buf, fe.esc.Bytes())
+	return nil
+}
+
+// release drops a buffer grown past keepFrameBytes.
+func (fe *frameEncoder) release() {
+	if fe.buf.Cap() > keepFrameBytes {
+		fe.buf = bytes.Buffer{}
+	}
+	if fe.esc.Cap() > keepFrameBytes {
+		fe.esc = bytes.Buffer{}
+	}
 }
 
 // decodeFrame decodes the frame at data[off:]. ok is false when the
@@ -212,8 +281,9 @@ func Rewrite(path string, recs []Record) error {
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after a successful rename
+	var fe frameEncoder
 	for i := range recs {
-		frame, err := encodeFrame(&recs[i])
+		frame, err := fe.encode(&recs[i])
 		if err != nil {
 			tmp.Close()
 			return err
@@ -222,6 +292,7 @@ func Rewrite(path string, recs []Record) error {
 			tmp.Close()
 			return fmt.Errorf("journal: compact write: %w", err)
 		}
+		fe.release()
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -271,6 +342,7 @@ type Options struct {
 type Writer struct {
 	mu   sync.Mutex
 	f    *os.File
+	fe   frameEncoder // every frame is built in its buffer
 	n    int
 	err  error // sticky: a torn write leaves the journal read-only
 	inj  *faultinject.Injector
@@ -304,10 +376,11 @@ func (w *Writer) Append(rec Record) error {
 	if w.err != nil {
 		return w.err
 	}
-	frame, err := encodeFrame(&rec)
+	frame, err := w.fe.encode(&rec)
 	if err != nil {
 		return err
 	}
+	defer w.fe.release()
 	if w.inj != nil {
 		switch w.inj.Fire(faultinject.SiteJournalAppend) {
 		case faultinject.ActCancel:

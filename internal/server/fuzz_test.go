@@ -41,6 +41,7 @@ func FuzzJobRequest(f *testing.F) {
 		`null`,
 		`{`,
 		``,
+		`{"hgr":` + jsonString(mesh) + `}{"k":4}`,
 	} {
 		f.Add([]byte(seed))
 	}

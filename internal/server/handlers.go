@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -18,7 +22,7 @@ import (
 // jobRequest is the POST /v1/jobs submission document.
 type jobRequest struct {
 	// HGR is the hypergraph in hMETIS text format.
-	HGR string `json:"hgr"`
+	HGR hgrText `json:"hgr"`
 	// K is the block count: 2 (bipartition, the default) or 4
 	// (quadrisection).
 	K int `json:"k,omitempty"`
@@ -32,6 +36,110 @@ type jobRequest struct {
 	// Stats asks the job to collect a telemetry report, served in the
 	// job view's stats field.
 	Stats bool `json:"stats,omitempty"`
+}
+
+// hgrText is a request's hgr string, kept as the bytes encoding/json
+// unquoted it into — or, for a string without escapes, as a slice of
+// the body itself — so the text is never copied into a Go string. It
+// is a struct so that "hgr": null leaves it unchanged, as it leaves a
+// string.
+type hgrText struct{ text []byte }
+
+// UnmarshalText keeps text without copying it: encoding/json passes
+// either a slice of its input, the request body that nothing writes
+// to once read, or a fresh unquote buffer.
+func (t *hgrText) UnmarshalText(text []byte) error {
+	t.text = text
+	return nil
+}
+
+// jobRequestFields are jobRequest's JSON names, read from its tags.
+var jobRequestFields = func() []string {
+	t := reflect.TypeFor[jobRequest]()
+	names := make([]string, t.NumField())
+	for i := range names {
+		names[i], _, _ = strings.Cut(t.Field(i).Tag.Get("json"), ",")
+	}
+	return names
+}()
+
+// anyValue is a JSON value the key pass of decodeJobRequest skips
+// without copying it.
+type anyValue struct{}
+
+func (*anyValue) UnmarshalJSON([]byte) error { return nil }
+
+// readBody reads a request body into one buffer. A Content-Length
+// within limit sizes it exactly; without one the buffer grows as the
+// body arrives. body must already be bounded by limit (MaxBytesReader),
+// so a declared length never makes it allocate more than limit.
+func readBody(body io.Reader, contentLength, limit int64) ([]byte, error) {
+	size := int64(512)
+	if contentLength >= 0 && contentLength <= limit {
+		size = contentLength
+	}
+	buf := make([]byte, 0, size)
+	for {
+		if len(buf) == cap(buf) {
+			// Full: probe for one more byte before growing, so a body
+			// that matches its declared length is never copied.
+			var probe [1]byte
+			if n, err := io.ReadFull(body, probe[:]); n == 0 {
+				if err == io.EOF {
+					return buf, nil
+				}
+				return nil, err
+			}
+			buf = append(buf, probe[0])
+			continue
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// decodeJobRequest decodes a POST /v1/jobs body. It accepts exactly
+// what json.Decoder with DisallowUnknownFields accepts as the body's
+// only value: one JSON value, white space after it, and only keys that
+// name a jobRequest field exactly or under Unicode case folding — the
+// way encoding/json matches them. A first pass collects the keys
+// without copying a value; the second decodes the fields.
+func decodeJobRequest(body []byte) (jobRequest, error) {
+	var keys map[string]anyValue
+	if err := json.Unmarshal(body, &keys); err != nil {
+		return jobRequest{}, err
+	}
+	var unknown []string
+	for key := range keys {
+		if !slices.ContainsFunc(jobRequestFields, func(f string) bool { return strings.EqualFold(key, f) }) {
+			unknown = append(unknown, key)
+		}
+	}
+	if len(unknown) > 0 {
+		return jobRequest{}, fmt.Errorf("json: unknown field %q", slices.Min(unknown))
+	}
+	var req jobRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return jobRequest{}, err
+	}
+	return req, nil
+}
+
+// readJobRequest reads and decodes a POST /v1/jobs body of at most
+// limit bytes, returning the request and the body as received.
+func readJobRequest(w http.ResponseWriter, r *http.Request, limit int64) (jobRequest, []byte, error) {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
+	if err != nil {
+		return jobRequest{}, nil, err
+	}
+	req, err := decodeJobRequest(body)
+	return req, body, err
 }
 
 // errorBody is the JSON error envelope every non-2xx response uses.
@@ -49,12 +157,12 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, b)
 }
 
+// writeJSON writes v as one line of compact JSON. Every reply goes
+// through it, so equal values give byte-identical replies.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // after WriteHeader there is no better report than the broken pipe itself
+	_ = json.NewEncoder(w).Encode(v) // after WriteHeader there is no better report than the broken pipe itself
 }
 
 // Handler returns the service's HTTP API:
@@ -102,11 +210,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req jobRequest
-	if err := dec.Decode(&req); err != nil {
+	req, body, err := readJobRequest(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
 		s.stats.RejectInvalid()
 		writeError(w, http.StatusBadRequest, "bad_request", "invalid job request: "+err.Error())
 		return
@@ -151,12 +256,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if strings.TrimSpace(req.HGR) == "" {
+	if len(bytes.TrimSpace(req.HGR.text)) == 0 {
 		s.stats.RejectInvalid()
 		writeError(w, http.StatusBadRequest, "bad_request", "missing hgr")
 		return
 	}
-	h, err := hypergraph.ReadHGRLimits(strings.NewReader(req.HGR), s.cfg.Limits)
+	h, err := hypergraph.ReadHGRText(req.HGR.text, s.cfg.Limits)
 	if err != nil {
 		s.stats.RejectInvalid()
 		writeError(w, http.StatusBadRequest, "bad_request", "invalid hgr: "+err.Error())
@@ -165,17 +270,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	key := cacheKey{content: h.ContentHash(), fingerprint: fp, k: k}
 
-	// The canonical re-encoding of the request is what the journal
-	// stores with the accepted record: it is exactly what recovery
-	// needs to rebuild and re-run the job after a crash.
-	reqBytes, err := json.Marshal(req)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", "could not encode request for the journal: "+err.Error())
-		return
-	}
-
+	// The journal stores the body as received with the accepted
+	// record: it decoded to this request above, and decodes the same
+	// way when recovery rebuilds and re-runs the job after a crash.
 	idemKey := r.Header.Get("Idempotency-Key")
-	v, replayed, rej := s.admitJob(h, k, opt, timeout, req.Stats, key, idemKey, reqBytes)
+	v, replayed, rej := s.admitJob(h, k, opt, timeout, req.Stats, key, idemKey, body)
 	if rej != nil {
 		if rej.retryAfter > 0 {
 			w.Header().Set("Retry-After", strconv.FormatInt(int64((rej.retryAfter+time.Second-1)/time.Second), 10))

@@ -31,7 +31,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"mlpart"
@@ -237,7 +236,7 @@ func rebuildJob(acc journal.Record, limits hypergraph.Limits) (*job, error) {
 			return nil, fmt.Errorf("journaled options: %w", err)
 		}
 	}
-	h, err := hypergraph.ReadHGRLimits(strings.NewReader(req.HGR), limits)
+	h, err := hypergraph.ReadHGRText(req.HGR.text, limits)
 	if err != nil {
 		return nil, fmt.Errorf("journaled hgr: %w", err)
 	}

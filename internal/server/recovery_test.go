@@ -36,7 +36,7 @@ func acceptedFor(t *testing.T, id string, seq int, hgr, idemKey string) journal.
 	if err != nil {
 		t.Fatalf("fingerprint: %v", err)
 	}
-	req, err := json.Marshal(jobRequest{HGR: hgr, K: 2})
+	req, err := json.Marshal(map[string]any{"hgr": hgr, "k": 2})
 	if err != nil {
 		t.Fatalf("marshal request: %v", err)
 	}
@@ -410,5 +410,85 @@ func TestChaosSweepJournal(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReplayRemarshaledJournal replays a journal written by the server
+// before it journaled request bodies as received (commit 41cb2d9), when
+// the accepted record held the request re-marshaled: testdata holds
+// j-000000 closed (completed) and j-000001 accepted but never started —
+// a k=4 job with options, stats and an Idempotency-Key, submitted as
+// the body in remarshaled-open-request.json. The restarted server must
+// tombstone the first, run the second to completion, and serve the
+// same result bytes as a fresh submission of that body.
+func TestReplayRemarshaledJournal(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "remarshaled.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := os.ReadFile(filepath.Join("testdata", "remarshaled-open-request.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, hs := newTestServer(t, Config{JournalPath: path, Workers: 1})
+	if v, ok := s.Job("j-000000"); !ok || v.Status != StatusCompleted || !v.Recovered {
+		t.Errorf("closed job j-000000 = %+v (found %v), want a completed tombstone", v, ok)
+	}
+	if jv := waitTerminal(t, hs.URL, "j-000001"); jv.Status != string(StatusCompleted) || !jv.Recovered {
+		t.Fatalf("open job j-000001 = status %q recovered %v, want completed/true", jv.Status, jv.Recovered)
+	}
+	recovered, _ := getResult(t, hs.URL, "j-000001")
+	checkLedger(t, s)
+
+	// The journaled Idempotency-Key still names the recovered job.
+	if code, v, replay := postJobIdem(t, hs.URL, body, "fixture-b"); code != http.StatusOK || v.ID != "j-000001" || replay != "replay" {
+		t.Errorf("idempotent resubmission = %d %q %q, want 200 j-000001 replay", code, v.ID, replay)
+	}
+
+	_, fresh := newTestServer(t, Config{Workers: 1, CacheCap: -1})
+	code, v, data := postJob(t, fresh.URL, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("fresh submission: %d: %s", code, data)
+	}
+	if jv := waitTerminal(t, fresh.URL, v.ID); jv.Status != string(StatusCompleted) {
+		t.Fatalf("fresh job ended %q", jv.Status)
+	}
+	if want, _ := getResult(t, fresh.URL, v.ID); !bytes.Equal(recovered, want) {
+		t.Errorf("recovered result differs from a fresh submission's:\n%s\nwant\n%s", recovered, want)
+	}
+}
+
+// TestJournalKeepsRequestAsReceived: the accepted record carries the
+// submitted body itself — case-variant keys and all, compacted by the
+// frame encoding — not a re-encoding of the decoded request.
+func TestJournalKeepsRequestAsReceived(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	s, err := New(Config{JournalPath: path, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := "{ \"HGR\" : " + jsonString(testHGR(t, 4, 4)) + ",\n  \"K\" : 4, \"options\": { \"starts\": 2 } }\n"
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("POST: %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := journal.Load(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.Compact(&want, []byte(body)); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 || recs[0].Type != journal.TypeAccepted || !bytes.Equal(recs[0].Request, want.Bytes()) {
+		t.Fatalf("journal starts %+v, want an accepted record with request %s", recs[:min(1, len(recs))], want.Bytes())
 	}
 }
