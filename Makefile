@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint chaos crash-smoke fuzz-smoke stats-smoke par-smoke serve-smoke bench-smoke bench-test oracle check
+.PHONY: all build vet test race lint chaos crash-smoke fuzz-smoke stats-smoke serve-smoke bench-smoke bench-test oracle check
 
 all: build
 
@@ -38,7 +38,7 @@ lint:
 # race-free.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestParallelMultiStart|TestRecoveredStart|TestAttemptTimeout|TestOuterCancel|TestRetried|TestRunStarts' . ./internal/core
-	$(GO) test -race ./internal/faultinject ./internal/journal ./internal/intrapar
+	$(GO) test -race ./internal/faultinject ./internal/journal
 	$(GO) test -race -run 'TestChaosSweepServer|TestChaosSweepJournal|TestDrainMidBurst|TestQueueFullSheds|TestAdmitPanic|TestJobPanic|TestWorkerSession|TestSSE' ./internal/server
 
 # Crash durability harness: launch cmd/mlpartd as a real subprocess
@@ -53,9 +53,9 @@ crash-smoke:
 # Short fuzz runs: the parser hardening (resource limits, overflow
 # checks) for .hgr and .netD, the byte-level .hgr reader against its
 # frozen string-based reference (same error text or an identical
-# hypergraph), the pipeline differential target (the coarsening hierarchy
-# must not depend on IntraParallelism, and partitions must be
-# byte-identical at widths 0, 1 and 4 and agree with the oracle), and
+# hypergraph), the pipeline target (the coarsening hierarchy must be a
+# pure function of the seed, and partitions must agree with the
+# oracle), and
 # the canonical options JSON round trip, mlpartd's POST /v1/jobs
 # decoder (malformed requests get a 4xx, never a 5xx or a panic, and
 # the job ledger stays balanced; and the decoder agrees with its frozen
@@ -76,32 +76,18 @@ fuzz-smoke:
 
 # Telemetry smoke: run the CLI with -stats-json on the checked-in
 # mesh netlist at two parallelism levels, validate both reports with
-# cmd/statscheck, and require the timing-stripped reports to be
-# byte-identical (the determinism contract of the stats schema).
+# cmd/statscheck, and require the partition files and the
+# timing-stripped reports to be byte-identical (the determinism
+# contract of the starts axis and of the stats schema).
 stats-smoke:
-	$(GO) run ./cmd/mlpart -in cmd/mlpart/testdata/smoke.hgr -out /dev/null \
+	$(GO) run ./cmd/mlpart -in cmd/mlpart/testdata/smoke.hgr -out /tmp/mlpart-stats-p1.part \
 		-starts 3 -parallel 1 -stats-json /tmp/mlpart-stats-p1.json
-	$(GO) run ./cmd/mlpart -in cmd/mlpart/testdata/smoke.hgr -out /dev/null \
+	$(GO) run ./cmd/mlpart -in cmd/mlpart/testdata/smoke.hgr -out /tmp/mlpart-stats-p4.part \
 		-starts 3 -parallel 4 -stats-json /tmp/mlpart-stats-p4.json
+	cmp /tmp/mlpart-stats-p1.part /tmp/mlpart-stats-p4.part
 	$(GO) run ./cmd/statscheck -in /tmp/mlpart-stats-p1.json -strip > /tmp/mlpart-stats-p1.stripped.json
 	$(GO) run ./cmd/statscheck -in /tmp/mlpart-stats-p4.json -strip > /tmp/mlpart-stats-p4.stripped.json
 	cmp /tmp/mlpart-stats-p1.stripped.json /tmp/mlpart-stats-p4.stripped.json
-
-# Intra-parallelism smoke: the end-to-end determinism contract of the
-# worker pool. The same instance through the CLI with no pool
-# (-intra-parallel 0) and with 8 workers must produce byte-identical
-# partition files and byte-identical timing-stripped stats reports
-# (intra_workers and the *_par_regions counters live in the timings
-# block precisely so stripping removes them).
-par-smoke:
-	$(GO) run ./cmd/mlpart -in cmd/mlpart/testdata/smoke.hgr -out /tmp/mlpart-par-i0.part \
-		-starts 3 -parallel 2 -intra-parallel 0 -stats-json /tmp/mlpart-par-i0.json
-	$(GO) run ./cmd/mlpart -in cmd/mlpart/testdata/smoke.hgr -out /tmp/mlpart-par-i8.part \
-		-starts 3 -parallel 2 -intra-parallel 8 -stats-json /tmp/mlpart-par-i8.json
-	cmp /tmp/mlpart-par-i0.part /tmp/mlpart-par-i8.part
-	$(GO) run ./cmd/statscheck -in /tmp/mlpart-par-i0.json -strip > /tmp/mlpart-par-i0.stripped.json
-	$(GO) run ./cmd/statscheck -in /tmp/mlpart-par-i8.json -strip > /tmp/mlpart-par-i8.stripped.json
-	cmp /tmp/mlpart-par-i0.stripped.json /tmp/mlpart-par-i8.stripped.json
 
 # Service smoke: mlpartd's loopback self-test drives the daemon over
 # real HTTP (submit / wait / result and a byte-identical cache hit; then
@@ -130,7 +116,7 @@ bench-smoke:
 # The benchmark module's own tests (mlbench is a separate module, so
 # `go test ./...` at the root skips it): they pin the traced layer
 # replay of fm/kway Partition and Refine byte-identical to the library
-# entry points for k=2 and k=4 at intra-parallelism 0 and 2.
+# entry points for k=2 and k=4.
 bench-test:
 	$(GO) -C mlbench test ./...
 
@@ -144,4 +130,4 @@ oracle:
 	$(GO) test -race -run Oracle -count=2 . ./internal/fm ./internal/kway ./internal/oracle
 	$(GO) test -race -run 'Oracle|Differential' -count=2 ./internal/gainbucket
 
-check: build vet test race lint chaos crash-smoke fuzz-smoke stats-smoke par-smoke serve-smoke oracle bench-smoke bench-test
+check: build vet test race lint chaos crash-smoke fuzz-smoke stats-smoke serve-smoke oracle bench-smoke bench-test

@@ -22,7 +22,7 @@ func hierarchyOneLevel(c *Circuit, rng *rand.Rand) (*Hypergraph, *Clustering, er
 	if err != nil {
 		return nil, nil, err
 	}
-	coarse, err := hypergraph.InduceWSPar(c.H, cl, nil, nil)
+	coarse, err := hypergraph.InduceInto(c.H, cl, nil, &hypergraph.Hypergraph{})
 	if err != nil {
 		return nil, nil, err
 	}

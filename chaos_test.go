@@ -16,7 +16,7 @@ import (
 )
 
 // siteFires reports whether a site can trigger on the given entry
-// point at any IntraParallelism (fm.pass is bipartition-only,
+// point (fm.pass is bipartition-only,
 // kway.refine quadrisection-only; the server.* sites live in mlpartd's
 // admission/job paths and the journal.* sites in its write-ahead log,
 // so none of them is ever reached through the library entry points).
@@ -40,6 +40,9 @@ func TestChaosSweep(t *testing.T) {
 	}
 	h := c.H
 	for _, k := range []int{2, 4} {
+		// IntraParallelism is accepted and ignored: the intra2 rows pin
+		// that a run carrying it behaves like one without it under every
+		// fault.
 		for _, intra := range []int{0, 2} {
 			for _, site := range faultinject.AllSites {
 				for _, kind := range faultinject.Kinds {

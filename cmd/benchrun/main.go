@@ -45,17 +45,13 @@ type stageNS struct {
 }
 
 type benchEntry struct {
-	Instance  string `json:"instance"`
-	Algorithm string `json:"algorithm"`
-	// IntraParallelism is the worker-pool width the row ran with
-	// (0 = no pool). Part of the row identity: paired rows measure the
-	// same case inline and pooled.
-	IntraParallelism int     `json:"intra_parallelism"`
-	Cut              int     `json:"cut"`
-	Levels           int     `json:"levels"`
-	AllocsPerOp      uint64  `json:"allocs_per_op"`
-	BytesPerOp       uint64  `json:"bytes_per_op"`
-	StageNS          stageNS `json:"stage_ns"`
+	Instance    string  `json:"instance"`
+	Algorithm   string  `json:"algorithm"`
+	Cut         int     `json:"cut"`
+	Levels      int     `json:"levels"`
+	AllocsPerOp uint64  `json:"allocs_per_op"`
+	BytesPerOp  uint64  `json:"bytes_per_op"`
+	StageNS     stageNS `json:"stage_ns"`
 }
 
 type benchFile struct {
@@ -65,20 +61,18 @@ type benchFile struct {
 	Entries []benchEntry `json:"entries"`
 }
 
-// benchCase is one pinned (instance, algorithm, intra-parallelism)
-// triple.
+// benchCase is one pinned (instance, algorithm) pair.
 type benchCase struct {
 	spec      mlpart.CircuitSpec
 	algorithm string
-	intra     int
 }
 
 func benchCases() []benchCase {
 	a := mlpart.CircuitSpec{Name: "bench-a", Cells: 1000, Nets: 1100, Pins: 3600, Seed: 201}
 	b := mlpart.CircuitSpec{Name: "bench-b", Cells: 2000, Nets: 2100, Pins: 7000, Seed: 202}
 	c := mlpart.CircuitSpec{Name: "bench-c", Cells: 3000, Nets: 3200, Pins: 10500, Seed: 203}
-	// bench-m is the medium instance of the paired serial/intra-parallel
-	// rows: the largest that keeps the smoke gate fast.
+	// bench-m is the medium instance: the largest that keeps the smoke
+	// gate fast.
 	m := mlpart.CircuitSpec{Name: "bench-m", Cells: 16000, Nets: 17000, Pins: 56000, Seed: 204}
 	return []benchCase{
 		{spec: a, algorithm: "bipartition"},
@@ -86,19 +80,14 @@ func benchCases() []benchCase {
 		{spec: c, algorithm: "bipartition"},
 		{spec: a, algorithm: "quadrisect"},
 		{spec: b, algorithm: "quadrisect"},
-		// Paired serial/parallel rows: identical case except for the
-		// worker pool, so the report carries the pool's total-time
-		// ratio (printed after the table) run over run.
-		{spec: b, algorithm: "bipartition", intra: 4},
 		{spec: m, algorithm: "bipartition"},
-		{spec: m, algorithm: "bipartition", intra: 4},
 	}
 }
 
 // runOnce executes the case's algorithm with an armed telemetry
 // collector and returns the cut, level count, and stage profile.
 func runOnce(bc benchCase, h *mlpart.Hypergraph, tel *mlpart.Telemetry) (int, int, error) {
-	opt := mlpart.Options{Seed: 7, Starts: 2, Parallelism: 1, IntraParallelism: bc.intra, Telemetry: tel}
+	opt := mlpart.Options{Seed: 7, Starts: 2, Parallelism: 1, Telemetry: tel}
 	var info mlpart.Info
 	var err error
 	switch bc.algorithm {
@@ -157,14 +146,13 @@ func measure(bc benchCase, iters int) (benchEntry, error) {
 	runtime.ReadMemStats(&after)
 
 	return benchEntry{
-		Instance:         bc.spec.Name,
-		Algorithm:        bc.algorithm,
-		IntraParallelism: bc.intra,
-		Cut:              cut,
-		Levels:           levels,
-		AllocsPerOp:      (after.Mallocs - before.Mallocs) / uint64(iters),
-		BytesPerOp:       (after.TotalAlloc - before.TotalAlloc) / uint64(iters),
-		StageNS:          prof,
+		Instance:    bc.spec.Name,
+		Algorithm:   bc.algorithm,
+		Cut:         cut,
+		Levels:      levels,
+		AllocsPerOp: (after.Mallocs - before.Mallocs) / uint64(iters),
+		BytesPerOp:  (after.TotalAlloc - before.TotalAlloc) / uint64(iters),
+		StageNS:     prof,
 	}, nil
 }
 
@@ -180,10 +168,9 @@ func gate(got, base *benchFile, tolerance float64) []string {
 	}
 	for i, b := range base.Entries {
 		g := got.Entries[i]
-		id := fmt.Sprintf("%s/%s/intra%d", g.Instance, g.Algorithm, g.IntraParallelism)
-		if g.Instance != b.Instance || g.Algorithm != b.Algorithm || g.IntraParallelism != b.IntraParallelism {
-			bad = append(bad, fmt.Sprintf("entry %d: case %s, baseline %s/%s/intra%d",
-				i, id, b.Instance, b.Algorithm, b.IntraParallelism))
+		id := g.Instance + "/" + g.Algorithm
+		if g.Instance != b.Instance || g.Algorithm != b.Algorithm {
+			bad = append(bad, fmt.Sprintf("entry %d: case %s, baseline %s/%s", i, id, b.Instance, b.Algorithm))
 			continue
 		}
 		if g.Cut != b.Cut {
@@ -222,30 +209,13 @@ func run() error {
 	for _, bc := range benchCases() {
 		e, err := measure(bc, *iters)
 		if err != nil {
-			return fmt.Errorf("%s/%s/intra%d: %w", bc.spec.Name, bc.algorithm, bc.intra, err)
+			return fmt.Errorf("%s/%s: %w", bc.spec.Name, bc.algorithm, err)
 		}
-		fmt.Printf("%-8s %-12s intra=%-2d cut=%-5d levels=%-3d allocs/op=%-7d B/op=%-9d coarsen=%.1fms refine=%.1fms project=%.2fms\n",
-			e.Instance, e.Algorithm, e.IntraParallelism, e.Cut, e.Levels, e.AllocsPerOp, e.BytesPerOp,
+		fmt.Printf("%-8s %-12s cut=%-5d levels=%-3d allocs/op=%-7d B/op=%-9d coarsen=%.1fms refine=%.1fms project=%.2fms\n",
+			e.Instance, e.Algorithm, e.Cut, e.Levels, e.AllocsPerOp, e.BytesPerOp,
 			float64(e.StageNS.Coarsen)/1e6, float64(e.StageNS.Refine)/1e6, float64(e.StageNS.Project)/1e6)
 		report.Entries = append(report.Entries, e)
 	}
-	// Surface the end-to-end ratio of every paired serial/parallel row:
-	// same instance and algorithm, serial (intra 0) vs pooled. The
-	// partitions are identical, so only the time can differ.
-	for _, s := range report.Entries {
-		if s.IntraParallelism != 0 {
-			continue
-		}
-		for _, p := range report.Entries {
-			if p.Instance == s.Instance && p.Algorithm == s.Algorithm && p.IntraParallelism > 0 && p.StageNS.Total > 0 {
-				fmt.Printf("%s/%s: total %.1fms serial -> %.1fms at intra-par %d (%.2fx)\n",
-					s.Instance, s.Algorithm,
-					float64(s.StageNS.Total)/1e6, float64(p.StageNS.Total)/1e6,
-					p.IntraParallelism, float64(s.StageNS.Total)/float64(p.StageNS.Total))
-			}
-		}
-	}
-
 	path := *out
 	if path == "" {
 		path = "BENCH_" + report.Date + ".json"

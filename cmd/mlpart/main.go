@@ -6,8 +6,7 @@
 //
 //	mlpart -in circuit.hgr|circuit.netD [-out circuit.part] [-k 2|4]
 //	       [-engine clip|fm] [-ratio 0.5] [-threshold 35]
-//	       [-tolerance 0.1] [-starts 1] [-parallel 0]
-//	       [-intra-parallel 0] [-seed 1997]
+//	       [-tolerance 0.1] [-starts 1] [-parallel 0] [-seed 1997]
 //	       [-stats] [-timeout 30s] [-audit] [-chaos site:kind:n]
 //	       [-stats-json stats.json] [-v]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -15,26 +14,20 @@
 // -stats-json arms the telemetry collector and writes the run report
 // (schema "mlpart-stats/1": per-level coarsening stats, per-pass
 // refinement stats, rebalance counters, per-stage wall-clock) as
-// indented JSON. Everything except the timings block (the *_ns
-// fields plus the intra_workers and *_par_regions execution-profile
-// counters) is bit-identical across -parallel and -intra-parallel
-// values. -v prints a human-readable per-level summary of the winning
+// indented JSON. Everything except the timings block is
+// bit-identical across -parallel values. -v prints a human-readable per-level summary of the winning
 // start to stderr. -cpuprofile and -memprofile write pprof profiles of
 // the whole run.
 //
 // With -k 2 it bipartitions (the paper's ML_F / ML_C); with -k 4 it
 // quadrisects with the sum-of-degrees gain (§IV.D).
 //
-// Parallelism has two independent axes. -parallel is the inter-start
-// axis: starts run under a fault-isolated parallel supervisor whose
-// worker pool it bounds (0 = GOMAXPROCS-capped, 1 = sequential; the
-// result is bit-identical for every value, but it only helps when
-// -starts > 1). -intra-parallel is the intra-start axis: it sizes a
-// per-start worker pool that parallelizes match scoring, induce
-// assembly and the FM/CLIP gain recompute. 0 (the default) runs them
-// inline; every value gives bit-identical results (the width only
-// changes wall-clock). The axes compose: total worker demand is
-// roughly their product.
+// -parallel runs starts under a fault-isolated parallel supervisor
+// whose worker pool it bounds (0 = GOMAXPROCS-capped, 1 = sequential;
+// the result is bit-identical for every value, but it only helps when
+// -starts > 1). Each start runs serially; the library's
+// Options.IntraParallelism and mlpartd's intra_parallelism job option
+// are accepted and ignored.
 //
 // Repeatable -chaos flags arm deterministic fault injection
 // ("site:kind:n[:start]", e.g. -chaos fm.pass:panic:2) for testing
@@ -83,7 +76,6 @@ func run() error {
 		tolerance = flag.Float64("tolerance", 0.1, "balance tolerance r")
 		starts    = flag.Int("starts", 1, "independent runs; best kept")
 		parallel  = flag.Int("parallel", 0, "inter-start worker pool for -starts (0 = GOMAXPROCS-capped, 1 = sequential; bit-identical results)")
-		intraPar  = flag.Int("intra-parallel", 0, "intra-start worker pool for match/induce and the FM/CLIP gain recompute (0 = inline; results identical for every value)")
 		seed      = flag.Int64("seed", 1997, "random seed")
 		stats     = flag.Bool("stats", false, "print circuit statistics before partitioning")
 		timeout   = flag.Duration("timeout", 0, "cancel after this duration, writing the best-so-far partition (0 = no limit)")
@@ -145,14 +137,13 @@ func run() error {
 			*in, s.Cells, s.Nets, s.Pins, s.AvgNet, s.MaxNet)
 	}
 	opt := mlpart.Options{
-		MatchingRatio:    *ratio,
-		Threshold:        *threshold,
-		Tolerance:        *tolerance,
-		Seed:             *seed,
-		Starts:           *starts,
-		Parallelism:      *parallel,
-		IntraParallelism: *intraPar,
-		Audit:            *audit,
+		MatchingRatio: *ratio,
+		Threshold:     *threshold,
+		Tolerance:     *tolerance,
+		Seed:          *seed,
+		Starts:        *starts,
+		Parallelism:   *parallel,
+		Audit:         *audit,
 	}
 	if *statsJSON != "" || *verbose {
 		opt.Telemetry = mlpart.NewTelemetry()

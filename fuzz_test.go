@@ -1,17 +1,15 @@
 package mlpart
 
-// Fuzz targets over the public entry points. FuzzPipeline is the
-// differential guard of the "one implementation per operation" design:
-// Match and induce run the same pool-driven code at every width, so the
-// coarsening hierarchy must not depend on IntraParallelism at all
-// (0 included). Refinement keeps its ordering decisions on the calling
-// goroutine, so the full pipeline must not depend on the width either.
-// FuzzOptionsJSON pins the canonical options encoding that mlpartd keys
-// its result cache on. The checked-in corpora under testdata/fuzz run
-// with every `go test`.
+// Fuzz targets over the public entry points. FuzzPipeline runs the
+// whole pipeline on small fuzzed hypergraphs: the coarsening hierarchy
+// must be a pure function of the seed, and every partition must be
+// valid, balanced and truthfully reported. FuzzOptionsJSON pins the
+// canonical options encoding that mlpartd keys its result cache on.
+// The checked-in corpora under testdata/fuzz run with every `go test`.
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"slices"
 	"testing"
@@ -96,58 +94,43 @@ func FuzzPipeline(f *testing.F) {
 		threshold := 2 + int(thresholdSel)%40
 		merge := kSel&2 != 0
 
-		// Coarsening is one implementation at every width: the nil pool
-		// (IntraParallelism 0) and a four-worker pool build the same
-		// hierarchy from the same RNG stream.
+		// The same seed builds the same hierarchy.
 		hcfg := core.Config{Threshold: threshold, Ratio: ratio, MergeParallelNets: merge}
 		h0, c0, err := core.Hierarchy(h, hcfg, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		hcfg.IntraParallelism = 4
-		h4, c4, err := core.Hierarchy(h, hcfg, rand.New(rand.NewSource(seed)))
+		h1, c1, err := core.Hierarchy(h, hcfg, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameHierarchy(h0, h4, c0, c4) {
-			t.Fatal("hierarchy differs between IntraParallelism 0 and 4")
+		if !sameHierarchy(h0, h1, c0, c1) {
+			t.Fatal("hierarchy differs between two runs on the same seed")
 		}
 
-		// The pipeline at widths 0, 1 and 4: byte-identical partitions,
-		// and each one valid, balanced and truthfully reported.
-		run := func(intra int) (*Partition, Info) {
-			opt := Options{Seed: seed, MatchingRatio: ratio, Threshold: threshold, Parallelism: 1, IntraParallelism: intra}
-			var p *Partition
-			var info Info
-			var err error
-			if k == 2 {
-				p, info, err = Bipartition(h, opt)
-			} else {
-				p, info, err = Quadrisect(h, opt)
-			}
-			if err != nil {
-				t.Fatalf("k=%d intra=%d: %v", k, intra, err)
-			}
-			if !oracle.Validate(h, p, k) {
-				t.Fatalf("k=%d intra=%d: invalid partition", k, intra)
-			}
-			if !oracle.Balanced(h, p, 0.1) {
-				t.Fatalf("k=%d intra=%d: balance bound violated", k, intra)
-			}
-			if want := oracle.Cut(h, p); info.Cut != want {
-				t.Fatalf("k=%d intra=%d: reported cut %d, oracle %d", k, intra, info.Cut, want)
-			}
-			if want := oracle.SumOfDegrees(h, p); info.SumDegrees != want {
-				t.Fatalf("k=%d intra=%d: reported sum of degrees %d, oracle %d", k, intra, info.SumDegrees, want)
-			}
-			return p, info
+		// The partition is valid, balanced and truthfully reported.
+		opt := Options{Seed: seed, MatchingRatio: ratio, Threshold: threshold, Parallelism: 1}
+		var p *Partition
+		var info Info
+		if k == 2 {
+			p, info, err = Bipartition(h, opt)
+		} else {
+			p, info, err = Quadrisect(h, opt)
 		}
-		p0, info0 := run(0)
-		for _, intra := range []int{1, 4} {
-			p, info := run(intra)
-			if !slices.Equal(p0.Part, p.Part) || info0.Cut != info.Cut || info0.SumDegrees != info.SumDegrees {
-				t.Fatalf("k=%d: IntraParallelism 0 and %d disagree (cut %d vs %d)", k, intra, info0.Cut, info.Cut)
-			}
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if !oracle.Validate(h, p, k) {
+			t.Fatalf("k=%d: invalid partition", k)
+		}
+		if !oracle.Balanced(h, p, 0.1) {
+			t.Fatalf("k=%d: balance bound violated", k)
+		}
+		if want := oracle.Cut(h, p); info.Cut != want {
+			t.Fatalf("k=%d: reported cut %d, oracle %d", k, info.Cut, want)
+		}
+		if want := oracle.SumOfDegrees(h, p); info.SumDegrees != want {
+			t.Fatalf("k=%d: reported sum of degrees %d, oracle %d", k, info.SumDegrees, want)
 		}
 	})
 }
@@ -159,10 +142,15 @@ func FuzzOptionsJSON(f *testing.F) {
 	f.Add([]byte(`{"engine":"nope"}`))
 	f.Add([]byte(`{"seed":1} {"seed":2}`))
 	f.Add([]byte(`[`))
+	f.Add([]byte(`{}}`))
+	f.Add([]byte(`{}]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		o, err := ParseOptionsJSON(data) // must never panic
 		if err != nil {
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("accepted %q, which is not one JSON document", data)
 		}
 		c1, err := o.CanonicalJSON()
 		if err != nil {

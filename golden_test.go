@@ -6,7 +6,7 @@ package mlpart
 // with fixed pads and bipartition with parallel-net merging at fixed
 // seeds must keep producing the exact cuts recorded in
 // testdata/golden_cuts.json — and produce them bit-identically at
-// Parallelism 1 and 4 and at IntraParallelism 0, 1 and 8. Any change to RNG consumption anywhere
+// Parallelism 1 and 4. Any change to RNG consumption anywhere
 // in the pipeline (the classic symptom of a workspace that leaks state
 // between levels or starts) trips this test. Regenerate deliberately with:
 //
@@ -16,10 +16,10 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"mlpart/internal/core"
@@ -77,15 +77,13 @@ func goldenInstances(t *testing.T) []struct {
 	return out
 }
 
-// goldenRun executes one algorithm on one instance. For the
-// multi-start entry points it runs at Parallelism 1 and 4, and every
-// entry point re-runs with a 1- and an 8-worker intra pool; it fails
-// unless all of those partitions are bit-identical to the serial run
-// (worker counts are execution details and never change a result).
+// goldenRun executes one algorithm on one instance at Parallelism 1
+// and 4; it fails unless both partitions are bit-identical (the worker
+// count is an execution detail and never changes a result).
 func goldenRun(t *testing.T, algorithm string, h *Hypergraph) int {
 	t.Helper()
-	runAt := func(par, workers int) (*Partition, int) {
-		opt := Options{Seed: 7, Starts: 2, Parallelism: par, IntraParallelism: workers}
+	runAt := func(par int) (*Partition, int) {
+		opt := Options{Seed: 7, Starts: 2, Parallelism: par}
 		switch algorithm {
 		case "bipartition":
 			p, info, err := Bipartition(h, opt)
@@ -100,7 +98,7 @@ func goldenRun(t *testing.T, algorithm string, h *Hypergraph) int {
 			}
 			return p, info.Cut
 		case "recursive-bisect":
-			p, err := RecursiveBisect(h, 4, MLConfig{IntraParallelism: workers}, 7)
+			p, err := RecursiveBisect(h, 4, MLConfig{}, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +108,7 @@ func goldenRun(t *testing.T, algorithm string, h *Hypergraph) int {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pv, _, err := VCycle(h, p, 3, MLConfig{IntraParallelism: workers}, 7)
+			pv, _, err := VCycle(h, p, 3, MLConfig{}, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,14 +120,14 @@ func goldenRun(t *testing.T, algorithm string, h *Hypergraph) int {
 			for v := 0; v < h.NumCells(); v += 10 {
 				fixed[v], pre[v] = true, int32(v%4)
 			}
-			cfg := QuadConfig{Fixed: fixed, Preassign: pre, IntraParallelism: workers}
+			cfg := QuadConfig{Fixed: fixed, Preassign: pre}
 			p, res, err := core.QuadrisectCtx(context.Background(), h, cfg, rand.New(rand.NewSource(7)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return p, res.CutNets
 		case "bipartition-merge":
-			cfg := MLConfig{MergeParallelNets: true, IntraParallelism: workers}
+			cfg := MLConfig{MergeParallelNets: true}
 			p, res, err := core.BipartitionCtx(context.Background(), h, cfg, rand.New(rand.NewSource(7)))
 			if err != nil {
 				t.Fatal(err)
@@ -139,26 +137,13 @@ func goldenRun(t *testing.T, algorithm string, h *Hypergraph) int {
 		t.Fatalf("unknown algorithm %q", algorithm)
 		return nil, 0
 	}
-	samePart := func(label string, a, b *Partition) {
-		t.Helper()
-		for v := range a.Part {
-			if a.Part[v] != b.Part[v] {
-				t.Fatalf("%s: partitions diverge across %s at cell %d", algorithm, label, v)
-			}
-		}
-	}
-	p1, cut1 := runAt(1, 0)
-	p4, cut4 := runAt(4, 0)
+	p1, cut1 := runAt(1)
+	p4, cut4 := runAt(4)
 	if cut1 != cut4 {
 		t.Fatalf("%s: cut %d at Parallelism 1, %d at Parallelism 4", algorithm, cut1, cut4)
 	}
-	samePart("Parallelism", p1, p4)
-	for _, intra := range []int{1, 8} {
-		pi, cuti := runAt(1, intra)
-		if cut1 != cuti {
-			t.Fatalf("%s: cut %d at IntraParallelism 0, %d at IntraParallelism %d", algorithm, cut1, cuti, intra)
-		}
-		samePart(fmt.Sprintf("IntraParallelism 0 and %d", intra), p1, pi)
+	if !slices.Equal(p1.Part, p4.Part) {
+		t.Fatalf("%s: partitions diverge across Parallelism", algorithm)
 	}
 	if want := oracle.Cut(h, p1); cut1 != want {
 		t.Fatalf("%s: reported cut %d, oracle recount %d", algorithm, cut1, want)

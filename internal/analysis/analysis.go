@@ -120,7 +120,6 @@ func AllChecks() []Check {
 var deterministicPkgs = []string{
 	"internal/coarsen",
 	"internal/fm",
-	"internal/intrapar",
 	"internal/kway",
 	"internal/gainbucket",
 	"internal/core",
@@ -153,9 +152,9 @@ var deterministicPkgs = []string{
 //     chan-close: every package — racy captures, leaked locks,
 //     miscounted WaitGroups and double closes are wrong wherever
 //     they appear (cmd/ and examples/ included).
-//   - par-purity: the deterministic packages — intra-run parallelism
-//     lands inside the pipeline, so everything a goroutine there can
-//     reach must already be pure. The analysis packages are in the
+//   - par-purity: the deterministic packages — the multi-start
+//     supervisor runs pipeline attempts on goroutines, so everything a
+//     goroutine there can reach must already be pure. The analysis packages are in the
 //     deterministic set too (self-analysis): the linter's own output
 //     ordering is a determinism contract.
 //   - numcpu-pool: every package — worker pools must size themselves

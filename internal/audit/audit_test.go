@@ -36,7 +36,7 @@ func TestCheckClustering(t *testing.T) {
 	h := testGraph(t)
 	// Pairs (0,1) (2,3) (4,5) → 3 clusters.
 	c := &hypergraph.Clustering{CellToCluster: []int32{0, 0, 1, 1, 2, 2}, NumClusters: 3}
-	coarse, err := hypergraph.InduceWSPar(h, c, nil, nil)
+	coarse, err := hypergraph.InduceInto(h, c, nil, &hypergraph.Hypergraph{})
 	if err != nil {
 		t.Fatal(err)
 	}

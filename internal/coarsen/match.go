@@ -55,12 +55,10 @@ type Config struct {
 	// returned Clustering is freshly allocated). A Workspace must not
 	// be shared across goroutines; nil allocates scratch per call.
 	WS *Workspace
-	// Par is the pool candidate scoring runs on; nil is the one-wide
-	// inline pool. The output is bit-identical for every pool size —
-	// scoring is speculative and side-effect-free, and all pairing
-	// decisions stay on the calling goroutine — so Par only changes
-	// wall-clock time. Like WS, a pool belongs to one pipeline attempt
-	// at a time.
+	// Par is ignored: Match is one serial sweep.
+	//
+	// Deprecated: the intra-run pool is gone; the next benchmark change
+	// removes this field.
 	Par *intrapar.Pool
 }
 
@@ -120,33 +118,6 @@ func Conn(h *hypergraph.Hypergraph, v, w int, maxNetSize int) float64 {
 // reaches cfg.Ratio, and every remaining unmatched module is assigned
 // its own cluster.
 //
-// The sweep looks inherently sequential — each pairing removes two
-// cells from every later candidate set — but the choice rule makes
-// speculation exact: bestPartner is the argmax under a total order on
-// (score desc, index asc), scores do not depend on the matched state,
-// and matching only ever shrinks the candidate set. So a partner chosen
-// against a snapshot of the matched state remains the argmax over any
-// later subset that still contains it. The permutation is therefore
-// processed in blocks:
-//
-//  1. Score the block's cells over the pool's fixed ranges against the
-//     matched state at block start (pure reads; each worker owns a
-//     private conn accumulator and writes only its own slots of the
-//     speculative-partner array).
-//  2. Apply in permutation order on the calling goroutine (ratio stop,
-//     Stop polling cadence, skip rules). A speculative partner that is
-//     still unmatched is provably the live choice; one that got matched
-//     earlier in the block (or a cell whose snapshot said "no
-//     candidate" — the set only shrank) is recomputed against the live
-//     state.
-//
-// A one-wide pool (cfg.Par nil or of one worker) scores one slot per
-// block, so speculation never fails and no cell is scored twice. Every
-// pairing decision happens on the calling goroutine, so the clustering
-// and the RNG stream are the same for every block size and worker
-// count — pinned by TestMatchParIdenticalToSerial and the
-// oracle/golden suites.
-//
 // The returned Clustering is freshly allocated: Match is MatchInto a
 // new Clustering.
 func Match(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*hypergraph.Clustering, error) {
@@ -194,44 +165,31 @@ func MatchInto(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand, dst *hyperg
 	}
 	ws := cfg.grab()
 	ws.perm = permInto(ws.perm, n, rng)
-	perm := ws.perm
-	block := ws.prepare(n, cfg.Par.Workers())
-	ws.cur = sweepState{h: h, cfg: cfg, c: c}
+	// Grown accumulators come zeroed from make, and bestPartner leaves
+	// every entry it touches zero again.
+	ws.connAcc = hypergraph.Resize(ws.connAcc, n)
 
 	k := int32(0)
 	nMatch := 0
-sweep:
-	for j := 0; j < n; {
-		end := min(j+block, n)
-		ws.cur.base = j
-		cfg.Par.Run(end-j, ws.scoreFn)
-		for ; j < end; j++ {
-			if float64(nMatch)/float64(n) >= cfg.Ratio {
-				break sweep
-			}
-			if j&255 == 0 && cfg.Stop != nil && cfg.Stop() {
-				break sweep
-			}
-			v := int(perm[j])
-			if c.CellToCluster[v] >= 0 || (cfg.Exclude != nil && cfg.Exclude[v]) {
-				continue
-			}
-			best := ws.spec[j-ws.cur.base]
-			if best >= 0 && c.CellToCluster[best] >= 0 {
-				// The speculative partner was matched earlier in this
-				// block; recompute against the live state with worker 0's
-				// scratch, which is all zeros again after its scan.
-				best, ws.neighbors[0] = bestPartner(h, &cfg, c, v, ws.connAcc[0], ws.neighbors[0])
-			}
-			c.CellToCluster[v] = k
-			if best >= 0 {
-				c.CellToCluster[best] = k
-				nMatch += 2
-			}
-			k++
+	for j, v := range ws.perm {
+		if float64(nMatch)/float64(n) >= cfg.Ratio {
+			break
 		}
+		if j&255 == 0 && cfg.Stop != nil && cfg.Stop() {
+			break
+		}
+		if c.CellToCluster[v] >= 0 || (cfg.Exclude != nil && cfg.Exclude[v]) {
+			continue
+		}
+		var best int32
+		best, ws.neighbors = bestPartner(h, &cfg, c, int(v), ws.connAcc, ws.neighbors)
+		c.CellToCluster[v] = k
+		if best >= 0 {
+			c.CellToCluster[best] = k
+			nMatch += 2
+		}
+		k++
 	}
-	ws.cur = sweepState{} // retain nothing of this call
 	// Steps 8–10: every remaining unmatched module becomes a
 	// singleton cluster.
 	for v := 0; v < n; v++ {
@@ -251,24 +209,6 @@ sweep:
 	return nil
 }
 
-// score is the pool range function of the matching sweep: it scores
-// the permutation slots [base+lo, base+hi) of the current block
-// against the matched state at block start, writing each cell's
-// speculative partner into its own spec slot.
-func (w *Workspace) score(worker, lo, hi int) {
-	s := &w.cur
-	ca, nb := w.connAcc[worker], w.neighbors[worker]
-	for i := lo; i < hi; i++ {
-		v := int(w.perm[s.base+i])
-		if s.c.CellToCluster[v] >= 0 || (s.cfg.Exclude != nil && s.cfg.Exclude[v]) {
-			w.spec[i] = -1 // skipped at apply; value never read
-			continue
-		}
-		w.spec[i], nb = bestPartner(s.h, &s.cfg, s.c, v, ca, nb)
-	}
-	w.neighbors[worker] = nb
-}
-
 // bestPartner scans v's nets and returns the unmatched, non-excluded,
 // same-block partner maximizing conn(v, ·) of §III.A — or -1 when v
 // has no candidate. connAcc must be all-zeros on entry and is restored
@@ -276,13 +216,9 @@ func (w *Workspace) score(worker, lo, hi int) {
 // reset during the best-candidate scan). neighbors is caller scratch;
 // the possibly-grown slice is returned.
 //
-// The selection is order-independent: equal scores tie-break to the
-// lowest cell index (neighbors is ordered by net traversal, so without
-// the explicit rule the winner would depend on pin order), making the
-// choice the argmax under a total order on (score desc, index asc).
-// That property is what lets Match score candidates speculatively
-// against a snapshot and still reproduce the one-slot-per-block result
-// exactly.
+// Equal scores tie-break to the lowest cell index: neighbors is
+// ordered by net traversal, so without the explicit rule the winner
+// would depend on pin order.
 func bestPartner(h *hypergraph.Hypergraph, cfg *Config, c *hypergraph.Clustering, v int, connAcc []float64, neighbors []int32) (int32, []int32) {
 	neighbors = neighbors[:0]
 	av := h.Area(v)

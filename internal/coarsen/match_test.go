@@ -204,7 +204,7 @@ func TestCoarsenInduces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := hypergraph.InduceWSPar(h, c, nil, nil)
+	coarse, err := hypergraph.InduceInto(h, c, nil, &hypergraph.Hypergraph{})
 	if err != nil {
 		t.Fatal(err)
 	}

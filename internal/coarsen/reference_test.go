@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mlpart/internal/hypergraph"
-	"mlpart/internal/intrapar"
 )
 
 func sameClustering(a, b *hypergraph.Clustering) bool {
@@ -25,7 +24,7 @@ func sameClustering(a, b *hypergraph.Clustering) bool {
 // permutation (rand.Perm consumes the RNG exactly as Match does), the
 // same ratio test and Stop cadence, and each partner picked by
 // evaluating Conn over every eligible neighbor, ties to the lowest
-// index. It shares no code with the sweep beyond Conn.
+// index. It shares no code with Match beyond Conn.
 func referenceMatch(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) *hypergraph.Clustering {
 	cfg, err := cfg.Normalize()
 	if err != nil {
@@ -84,12 +83,10 @@ func referenceMatch(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) *hyper
 	return &hypergraph.Clustering{CellToCluster: cl, NumClusters: int(k)}
 }
 
-// TestMatchParIdenticalToSerial is the contract of the blocked sweep:
+// TestMatchParIdenticalToSerial pins Match to the Fig. 3 reference:
 // for every configuration axis (ratio, exclusions, restricted
-// coarsening, stop hooks) and matched RNG streams, the nil pool (one
-// slot per score block) reproduces the Fig. 3 reference, and pools of
-// 1, 2 and 8 workers (2 and 8 score 512-slot blocks speculatively)
-// reproduce the nil pool bit for bit, consuming the same RNG draws.
+// coarsening, stop hooks) and matched RNG streams, it returns the same
+// clustering and consumes the same RNG draws.
 func TestMatchParIdenticalToSerial(t *testing.T) {
 	type variant struct {
 		name string
@@ -115,61 +112,40 @@ func TestMatchParIdenticalToSerial(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		setup := rand.New(rand.NewSource(seed))
-		// Sizes straddle the 512-slot score block so multi-block sweeps
-		// and the final partial block are both exercised.
+		// Sizes straddle the 256-slot Stop polling cadence.
 		h := randomH(setup, 300+setup.Intn(1000), 600+setup.Intn(1500), 6)
 		for _, vr := range variants {
 			refRng := rand.New(rand.NewSource(seed))
 			ref := referenceMatch(h, vr.mk(h, rand.New(rand.NewSource(seed+100))), refRng)
-			serialRng := rand.New(rand.NewSource(seed))
-			want, err := Match(h, vr.mk(h, rand.New(rand.NewSource(seed+100))), serialRng)
+			rng := rand.New(rand.NewSource(seed))
+			got, err := Match(h, vr.mk(h, rand.New(rand.NewSource(seed+100))), rng)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameClustering(ref, want) {
-				t.Fatalf("seed %d %s: nil-pool clustering differs from the Fig. 3 reference", seed, vr.name)
+			if !sameClustering(ref, got) {
+				t.Fatalf("seed %d %s: clustering differs from the Fig. 3 reference", seed, vr.name)
 			}
-			wantNext := serialRng.Int63()
-			if refNext := refRng.Int63(); refNext != wantNext {
-				t.Fatalf("seed %d %s: nil-pool RNG stream diverged from the reference", seed, vr.name)
-			}
-			for _, workers := range []int{1, 2, 8} {
-				pool := intrapar.New(workers)
-				cfg := vr.mk(h, rand.New(rand.NewSource(seed+100)))
-				cfg.Par = pool
-				parRng := rand.New(rand.NewSource(seed))
-				got, err := Match(h, cfg, parRng)
-				pool.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameClustering(want, got) {
-					t.Fatalf("seed %d %s workers %d: clustering differs from the nil pool", seed, vr.name, workers)
-				}
-				if gotNext := parRng.Int63(); gotNext != wantNext {
-					t.Fatalf("seed %d %s workers %d: RNG stream diverged", seed, vr.name, workers)
-				}
+			if refRng.Int63() != rng.Int63() {
+				t.Fatalf("seed %d %s: RNG stream diverged from the reference", seed, vr.name)
 			}
 		}
 	}
 }
 
-// TestMatchParWorkspaceReuse checks the parallel scratch's reuse
-// invariant: a workspace carried across differently-sized parallel
-// Match calls never changes results.
+// TestMatchParWorkspaceReuse checks the scratch's reuse invariant: a
+// workspace carried across differently-sized Match calls never changes
+// results.
 func TestMatchParWorkspaceReuse(t *testing.T) {
 	setup := rand.New(rand.NewSource(7))
 	big := randomH(setup, 900, 1400, 6)
 	small := randomH(setup, 60, 100, 4)
-	pool := intrapar.New(4)
-	defer pool.Close()
 	ws := &Workspace{}
 	for i, h := range []*hypergraph.Hypergraph{big, small, big} {
-		want, err := Match(h, Config{Par: pool}, rand.New(rand.NewSource(11)))
+		want, err := Match(h, Config{}, rand.New(rand.NewSource(11)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Match(h, Config{Par: pool, WS: ws}, rand.New(rand.NewSource(11)))
+		got, err := Match(h, Config{WS: ws}, rand.New(rand.NewSource(11)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mlpart/internal/hypergraph"
-	"mlpart/internal/intrapar"
 )
 
 // TestWorkspaceMatchBitIdentical pins the workspace contract: Match
@@ -41,18 +40,15 @@ func TestWorkspaceMatchBitIdentical(t *testing.T) {
 }
 
 // TestMatchSteadyStateAllocations is the regression test for the
-// hoisted candidate-score buffers and the once-bound score function:
-// once the workspace is warm, a Match call allocates only the returned
-// Clustering (the struct and its CellToCluster slice) — zero
-// allocations per vertex or per score block — so the per-call
-// allocation count must not grow with the instance size, on the nil
-// pool (one block per cell) or on a two-worker pool.
+// hoisted candidate-score buffers: once the workspace is warm, a Match
+// call allocates only the returned Clustering (the struct and its
+// CellToCluster slice) — zero allocations per vertex — so the per-call
+// allocation count must not grow with the instance size.
 func TestMatchSteadyStateAllocations(t *testing.T) {
-	measure := func(n int, pool *intrapar.Pool) float64 {
+	measure := func(n int) float64 {
 		rng := rand.New(rand.NewSource(9))
 		h := randomH(rng, n, n+n/10, 5)
-		ws := &Workspace{}
-		cfg := Config{Ratio: 1.0, WS: ws, Par: pool}
+		cfg := Config{Ratio: 1.0, WS: &Workspace{}}
 		mrng := rand.New(rand.NewSource(1))
 		if _, err := Match(h, cfg, mrng); err != nil { // warm the workspace
 			t.Fatal(err)
@@ -63,21 +59,14 @@ func TestMatchSteadyStateAllocations(t *testing.T) {
 			}
 		})
 	}
-	pool := intrapar.New(2)
-	defer pool.Close()
-	for _, tc := range []struct {
-		name string
-		pool *intrapar.Pool
-	}{{"nil-pool", nil}, {"width-2", pool}} {
-		small, large := measure(200, tc.pool), measure(2000, tc.pool)
-		// The Clustering escape is 2 allocations; leave headroom for the
-		// runtime's accounting jitter but nothing n-proportional.
-		if small > 4 || large > 4 {
-			t.Fatalf("%s: steady-state Match allocations: n=200 → %.0f, n=2000 → %.0f; want ≤ 4 (zero per vertex)", tc.name, small, large)
-		}
-		if large > small {
-			t.Fatalf("%s: Match allocations grow with n: %.0f → %.0f", tc.name, small, large)
-		}
+	small, large := measure(200), measure(2000)
+	// The Clustering escape is 2 allocations; leave headroom for the
+	// runtime's accounting jitter but nothing n-proportional.
+	if small > 4 || large > 4 {
+		t.Fatalf("steady-state Match allocations: n=200 → %.0f, n=2000 → %.0f; want ≤ 4 (zero per vertex)", small, large)
+	}
+	if large > small {
+		t.Fatalf("Match allocations grow with n: %.0f → %.0f", small, large)
 	}
 }
 

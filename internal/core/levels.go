@@ -100,8 +100,8 @@ type levelConfig struct {
 
 // normalize fills the defaults shared by Config and QuadConfig
 // (T = defaultT, R = 1.0, one coarsest start, 64 levels) and validates
-// them together with the intra-parallelism width.
-func (lc levelConfig) normalize(defaultT, intra int) (levelConfig, error) {
+// them.
+func (lc levelConfig) normalize(defaultT int) (levelConfig, error) {
 	if lc.threshold == 0 {
 		lc.threshold = defaultT
 	}
@@ -123,8 +123,6 @@ func (lc levelConfig) normalize(defaultT, intra int) (levelConfig, error) {
 		return lc, fmt.Errorf("core: CoarsestStarts %d < 1", lc.starts)
 	case lc.maxLevels < 1:
 		return lc, fmt.Errorf("core: MaxLevels %d < 1", lc.maxLevels)
-	case intra < 0:
-		return lc, fmt.Errorf("core: IntraParallelism %d < 0", intra)
 	}
 	return lc, nil
 }
@@ -178,11 +176,7 @@ func (r levelRun) levels() int { return len(r.cells) - 1 }
 // a failed audit returns the partition of the level that failed.
 func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelRefiner[R], rng *rand.Rand, ws *pipelineWS) (*hypergraph.Partition, levelRun, []R, error) {
 	tel := lc.tel
-	regions := ws.pool.Regions()
 	levels, run, err := coarsenLevels(ctx, top, lc, rng, ws)
-	tel.RecordParRegions(telemetry.StageCoarsen, ws.pool.Regions()-regions)
-	regions = ws.pool.Regions()
-	defer func() { tel.RecordParRegions(telemetry.StageRefine, ws.pool.Regions()-regions) }()
 	var firstErr error
 	// degrade keeps the first recovered panic and reports any other
 	// error, which ends the run.
@@ -406,7 +400,7 @@ func coarsenLevels(ctx context.Context, top level, lc levelConfig, rng *rand.Ran
 		slot := ws.levels.slot(i)
 		c := &slot.c
 		var coarseH *hypergraph.Hypergraph
-		matchCfg := coarsen.Config{Ratio: lc.ratio, Exclude: cur.fixed, SameBlockOnly: cur.part, Stop: mergeStop(nil, ctx), Inject: lc.inject, Telemetry: lc.tel, WS: &ws.match, Par: ws.pool}
+		matchCfg := coarsen.Config{Ratio: lc.ratio, Exclude: cur.fixed, SameBlockOnly: cur.part, Stop: mergeStop(nil, ctx), Inject: lc.inject, Telemetry: lc.tel, WS: &ws.match}
 		lc.tel.SetLevel(i)
 		timer := lc.tel.StartTimer(telemetry.StageCoarsen)
 		gerr := Guard("coarsen", i, func() error {
@@ -414,7 +408,7 @@ func coarsenLevels(ctx context.Context, top level, lc levelConfig, rng *rand.Ran
 				return err
 			}
 			var err error
-			coarseH, err = hypergraph.InduceInto(cur.h, c, &ws.induce, ws.pool, &slot.h)
+			coarseH, err = hypergraph.InduceInto(cur.h, c, &ws.induce, &slot.h)
 			if err == nil && lc.merge {
 				coarseH, err = hypergraph.MergeParallelNets(coarseH)
 			}

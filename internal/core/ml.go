@@ -37,19 +37,12 @@ type Config struct {
 	// degenerate instances where Match cannot shrink the netlist.
 	// 0 means a generous default of 64.
 	MaxLevels int
-	// IntraParallelism sizes the intra-attempt worker pool. Match
-	// scoring, induce-CSR assembly and the FM/CLIP gain recompute have
-	// one implementation that runs on the pool at every width — 0 (the
-	// default) gives them the nil, one-wide inline pool — and results
-	// never depend on the width. Negative values are rejected.
-	IntraParallelism int
 	// MergeParallelNets merges identical coarse nets into single
 	// weighted nets after each induction (hypergraph.MergeParallelNets).
 	// The weighted cut is provably unchanged, but the coarse netlists
 	// shrink, which speeds refinement — the hMETIS-era optimization
 	// that the paper's Definition 1 forgoes (ablation-mergenets
-	// measures it). The induction itself is the same pool-driven
-	// assembly either way.
+	// measures it).
 	MergeParallelNets bool
 	// Audit enables from-scratch invariant checks (package audit) at
 	// every level transition: clustering well-formedness and area
@@ -76,7 +69,7 @@ type Config struct {
 
 // Normalize fills defaults and validates.
 func (c Config) Normalize() (Config, error) {
-	lc, err := c.levels().normalize(35, c.IntraParallelism)
+	lc, err := c.levels().normalize(35)
 	if err != nil {
 		return c, err
 	}
@@ -136,12 +129,9 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg Config, r
 		return nil, Result{}, err
 	}
 	ctx = orBackground(ctx)
-	// One workspace bundle per attempt (or the caller's reused Scratch
-	// for Session runs); the intra-parallelism pool lives exactly as
-	// long as the attempt.
+	// One workspace bundle per attempt, or the caller's reused Scratch
+	// for Session runs.
 	ws := cfg.Scratch.attemptWS()
-	defer ws.startPool(cfg.IntraParallelism)()
-	cfg.Telemetry.RecordIntraWorkers(cfg.IntraParallelism)
 	p, run, results, err := runLevels(ctx, level{h: h}, cfg.levels(), newFMLevels(ctx, cfg, ws, h), rng, ws)
 	res := Result{Levels: run.levels(), CoarsestCells: run.cells[len(run.cells)-1], LevelCells: run.cells, RefineResults: results, Interrupted: run.interrupted}
 	if finished(p, err) {
@@ -189,8 +179,6 @@ func VCycleCtx(ctx context.Context, h *hypergraph.Hypergraph, p *hypergraph.Part
 	// hierarchies have the same shape, so the scratch arrays and the
 	// hierarchy store stabilize after the first cycle.
 	ws := cfg.Scratch.attemptWS()
-	defer ws.startPool(cfg.IntraParallelism)()
-	cfg.Telemetry.RecordIntraWorkers(cfg.IntraParallelism)
 	eng := newFMLevels(ctx, cfg, ws, h)
 	best := p.Clone()
 	bestCut := best.WeightedCut(h)
@@ -238,7 +226,6 @@ func newFMLevels(ctx context.Context, cfg Config, ws *pipelineWS, h *hypergraph.
 	r.Inject = cfg.Inject
 	r.Telemetry = cfg.Telemetry
 	r.WS = &ws.refine
-	r.Par = ws.pool
 	ws.refine.Reserve(r, h.NumCells(), h.NumNets())
 	return fmLevels{cfg: r}
 }
@@ -294,7 +281,6 @@ func Hierarchy(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) ([]*hypergr
 	// The bundle, and the hierarchy store the levels live in, are
 	// dropped on return, so the levels returned are the caller's alone.
 	ws := &pipelineWS{}
-	defer ws.startPool(cfg.IntraParallelism)()
 	//mllint:ignore ctx-thread Hierarchy is a non-cancellable inspection helper; coarsening alone is cheap
 	levels, _, err := coarsenLevels(context.Background(), level{h: h}, cfg.levels(), rng, ws)
 	if err != nil {

@@ -320,7 +320,7 @@ func TestHierarchyClusteringsComposeToCoarsest(t *testing.T) {
 	if err := flat.Validate(h.NumCells()); err != nil {
 		t.Fatal(err)
 	}
-	induced, err := hypergraph.InduceWSPar(h, flat, nil, nil)
+	induced, err := hypergraph.InduceInto(h, flat, nil, &hypergraph.Hypergraph{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestMergeParallelNetsShrinksCoarseNetlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := hypergraph.InduceWSPar(h, c, nil, nil)
+	plain, err := hypergraph.InduceInto(h, c, nil, &hypergraph.Hypergraph{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func TestVCycleRestrictedMatchingPreservesSolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := hypergraph.InduceWSPar(h, c, nil, nil)
+	coarse, err := hypergraph.InduceInto(h, c, nil, &hypergraph.Hypergraph{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,12 +27,6 @@ type QuadConfig struct {
 	CoarsestStarts int
 	// MaxLevels as in Config. Default 64.
 	MaxLevels int
-	// IntraParallelism sizes the intra-attempt worker pool used for
-	// parallel match scoring and induce-CSR assembly during
-	// coarsening, as in Config.IntraParallelism (0 = serial). The
-	// k-way engine has no parallel path; results are bit-identical
-	// for every value.
-	IntraParallelism int
 	// Fixed marks pre-assigned cells of H_0 (e.g. I/O pads, §III.C);
 	// they keep the block given in Preassign and never move. Optional.
 	Fixed []bool
@@ -56,7 +50,7 @@ type QuadConfig struct {
 
 // Normalize fills defaults and validates.
 func (c QuadConfig) Normalize() (QuadConfig, error) {
-	lc, err := c.levels().normalize(100, c.IntraParallelism)
+	lc, err := c.levels().normalize(100)
 	if err != nil {
 		return c, err
 	}
@@ -130,12 +124,9 @@ func QuadrisectCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg QuadConfig
 			}
 		}
 	}
-	// One workspace bundle per attempt (or the caller's reused Scratch
-	// for Session runs); the intra-parallelism pool accelerates
-	// coarsening only.
+	// One workspace bundle per attempt, or the caller's reused Scratch
+	// for Session runs.
 	ws := cfg.Scratch.attemptWS()
-	defer ws.startPool(cfg.IntraParallelism)()
-	cfg.Telemetry.RecordIntraWorkers(cfg.IntraParallelism)
 	top := level{h: h, fixed: cfg.Fixed, pre: cfg.Preassign}
 	p, run, _, err := runLevels(ctx, top, cfg.levels(), newKwayLevels(ctx, cfg, ws, h), rng, ws)
 	res := QuadResult{Levels: run.levels(), CoarsestCells: run.cells[len(run.cells)-1], LevelCells: run.cells, Interrupted: run.interrupted}

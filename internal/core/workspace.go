@@ -6,7 +6,6 @@ import (
 	"mlpart/internal/coarsen"
 	"mlpart/internal/fm"
 	"mlpart/internal/hypergraph"
-	"mlpart/internal/intrapar"
 	"mlpart/internal/kway"
 )
 
@@ -45,11 +44,6 @@ type pipelineWS struct {
 	refine fm.Workspace
 	kway   kway.Workspace
 	levels hierarchyWorkspace
-
-	// pool is the attempt's intra-parallelism worker pool, nil for the
-	// serial pipeline. Created once per attempt (goroutines spin up
-	// once, not per level) and closed when the attempt returns.
-	pool *intrapar.Pool
 }
 
 // hierarchyWorkspace is the hierarchy store: slot i holds the storage
@@ -79,23 +73,6 @@ func (hw *hierarchyWorkspace) slot(i int) *levelSlot {
 		hw.slots = append(hw.slots, &levelSlot{})
 	}
 	return hw.slots[i]
-}
-
-// startPool arms the attempt's worker pool for IntraParallelism intra
-// (0 keeps the serial pipeline: a nil pool). The returned cleanup is
-// always safe to defer. Both branches reset ws.pool so a reused
-// bundle (Scratch) never hands a closed — or stale — pool to a later
-// attempt with a different IntraParallelism.
-func (ws *pipelineWS) startPool(intra int) func() {
-	if intra <= 0 {
-		ws.pool = nil
-		return func() {}
-	}
-	ws.pool = intrapar.New(intra)
-	return func() {
-		ws.pool.Close()
-		ws.pool = nil
-	}
 }
 
 // Scratch is a reusable pipeline workspace bundle for sequential

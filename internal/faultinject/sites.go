@@ -7,11 +7,10 @@ package faultinject
 // packages), keeping the registry the one auditable source of truth
 // for what the chaos suite must cover.
 const (
-	// SiteCoarsenMatch fires at the head of every coarsen.Match call, at
-	// every IntraParallelism (the matching sweep has one implementation
-	// for every pool width). Cancel stops matching immediately
-	// (all-singleton clustering); corrupt swaps two cells between
-	// clusters (well-formed, worse).
+	// SiteCoarsenMatch fires at the head of every coarsen.Match call
+	// (one serial sweep; IntraParallelism is ignored). Cancel stops
+	// matching immediately (all-singleton clustering); corrupt swaps
+	// two cells between clusters (well-formed, worse).
 	SiteCoarsenMatch Site = "coarsen.match"
 	// SiteFMPass fires at every FM/PROP pass boundary. Cancel aborts
 	// refinement as a Stop hook would; corrupt flips one cell without

@@ -117,12 +117,10 @@ type Config struct {
 	// before/after, moves tried/kept, rollback depth) and rebalance
 	// counts; nil costs one pointer check per pass.
 	Telemetry *telemetry.Collector
-	// Par optionally fans the per-pass gain recompute of FM and CLIP
-	// out over the pool's workers; nil runs it inline, as in
-	// coarsen.Config.Par. Selection, moves and bucket order stay on
-	// the calling goroutine, so the pool width never changes a result.
-	// The PROP engines ignore Par. Like WS, a pool belongs to one
-	// pipeline attempt at a time.
+	// Par is ignored: the gain recompute is serial.
+	//
+	// Deprecated: the intra-run pool is gone; the next benchmark change
+	// removes this field.
 	Par *intrapar.Pool
 	// WS optionally supplies reusable scratch memory (gain arrays,
 	// bucket structures, move logs) shared across successive runs,

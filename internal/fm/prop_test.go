@@ -3,12 +3,10 @@ package fm
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
 	"mlpart/internal/hypergraph"
-	"mlpart/internal/intrapar"
 )
 
 func TestPROPFindsOptimumOnTwoClusters(t *testing.T) {
@@ -54,31 +52,6 @@ func TestPROPNeverWorsens(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestSubroundPROPIgnoresPar pins the documented fallback: the PROP
-// engines run serially whether or not a pool is supplied, with
-// bit-identical results.
-func TestSubroundPROPIgnoresPar(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	h := randomH(rng, 60, 120, 5)
-	p := hypergraph.RandomPartition(h, 2, 0.1, rng)
-	pool := intrapar.New(4)
-	defer pool.Close()
-	for _, eng := range []Engine{EnginePROP, EngineCLIPPROP} {
-		p0, p4 := p.Clone(), p.Clone()
-		r0, err := Refine(h, p0, Config{Engine: eng}, rand.New(rand.NewSource(9)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r4, err := Refine(h, p4, Config{Engine: eng, Par: pool}, rand.New(rand.NewSource(9)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(p0.Part, p4.Part) || r0 != r4 {
-			t.Fatalf("%v: results differ with and without a pool", eng)
-		}
 	}
 }
 

@@ -139,10 +139,6 @@ func newRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, r
 	}
 	r.buckets[0] = ws.bucket(0, n, bucketRange, cfg.Order, rng)
 	r.buckets[1] = ws.bucket(1, n, bucketRange, cfg.Order, rng)
-	if ws.gainFn == nil {
-		ws.gainFn = ws.gains
-	}
-	ws.cur = r
 	return r
 }
 
@@ -175,7 +171,6 @@ func (r *refiner) run() Result {
 	// Hand any move-log growth back to the workspace (appends stay
 	// within the pre-grown capacity today, but do not rely on it).
 	r.ws.moveCells = r.moveCells
-	r.ws.cur = nil // retain nothing of this run
 	return res
 }
 
@@ -296,29 +291,22 @@ func (r *refiner) key(v int32) int {
 	return int(r.gain[v])
 }
 
-// gains is the range function of the gain recompute: it recomputes
-// the gain of every free cell in [lo, hi) of the run in flight.
-// computeGain only reads pin counts and each cell writes its own slot,
-// so Config.Par may run the ranges in parallel without changing a
-// result.
-func (w *Workspace) gains(_, lo, hi int) {
-	r := w.cur
-	for v := lo; v < hi; v++ {
+// recomputeGains recomputes the gain of every free cell.
+func (r *refiner) recomputeGains() {
+	for v := range r.gain {
 		if !r.locked[v] {
 			r.gain[v] = r.computeGain(int32(v))
 		}
 	}
 }
 
-// initPass rebuilds gains, buckets and locks for a new pass. The
-// bucket inserts stay serial in cell order, so the bucket state does
-// not depend on the pool width.
+// initPass rebuilds gains, buckets and locks for a new pass.
 func (r *refiner) initPass() {
 	n := r.h.NumCells()
 	r.buckets[0].Clear()
 	r.buckets[1].Clear()
 	clear(r.locked)
-	r.cfg.Par.Run(n, r.ws.gainFn)
+	r.recomputeGains()
 	if r.cfg.Engine == EngineCLIP {
 		copy(r.initKey, r.gain)
 	}
@@ -574,7 +562,7 @@ func (r *refiner) endPass() (improved, applied, tried int) {
 func (r *refiner) refreshGains() {
 	r.buckets[0].Clear()
 	r.buckets[1].Clear()
-	r.cfg.Par.Run(r.h.NumCells(), r.ws.gainFn)
+	r.recomputeGains()
 	for v := int32(0); int(v) < r.h.NumCells(); v++ {
 		if r.locked[v] {
 			continue

@@ -36,12 +36,6 @@ type Workspace struct {
 	moveCells []int32
 	buckets   [2]*gainbucket.Structure
 
-	// cur is the FM/CLIP run in flight that gains reads; gainFn is
-	// the gains method value, bound once per workspace so dispatching
-	// a recompute allocates nothing.
-	cur    *refiner
-	gainFn func(worker, lo, hi int)
-
 	// PROP engine state (prop.go).
 	active   []bool
 	pc       [2][]int32

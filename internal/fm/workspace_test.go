@@ -7,7 +7,6 @@ import (
 
 	"mlpart/internal/gainbucket"
 	"mlpart/internal/hypergraph"
-	"mlpart/internal/intrapar"
 	"mlpart/internal/netgen"
 )
 
@@ -22,8 +21,6 @@ func TestRefineSteadyStateAllocations(t *testing.T) {
 	h := c.H
 	init := hypergraph.RandomPartition(h, 2, 0.1, rand.New(rand.NewSource(1)))
 	p := init.Clone()
-	pool := intrapar.New(2)
-	defer pool.Close()
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -34,7 +31,6 @@ func TestRefineSteadyStateAllocations(t *testing.T) {
 		{"CLIP/Random", Config{Engine: EngineCLIP, Order: gainbucket.Random}},
 		{"CLIP+lookahead3", Config{Engine: EngineCLIP, Lookahead: 3}},
 		{"FM+boundary", Config{Engine: EngineFM, Boundary: true}},
-		{"CLIP+pool", Config{Engine: EngineCLIP, Par: pool}},
 	} {
 		cfg := tc.cfg
 		cfg.WS = &Workspace{}

@@ -71,6 +71,36 @@ func TestReadHGRTextSized(t *testing.T) {
 	}
 }
 
+// TestReadHGRHeaderReservesNothing pins that a header alone reserves
+// nothing in proportion to its counts: the 17-byte text below declares
+// 16M nets and 8M cells, within the default Limits, and must fail at
+// net 1 through either reader having allocated under 1 MiB.
+func TestReadHGRHeaderReservesNothing(t *testing.T) {
+	const in = "16777216 8388608\n"
+	for _, tc := range []struct {
+		name string
+		read func() (*hypergraph.Hypergraph, error)
+	}{
+		{"ReadHGRLimits", func() (*hypergraph.Hypergraph, error) {
+			return hypergraph.ReadHGRLimits(strings.NewReader(in), hypergraph.Limits{})
+		}},
+		{"ReadHGRText", func() (*hypergraph.Hypergraph, error) {
+			return hypergraph.ReadHGRText([]byte(in), hypergraph.Limits{})
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := tc.read()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "net 1") {
+			t.Errorf("%s: error %v, want a failure at net 1", tc.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: %d bytes allocated for a %d-byte header, want < 1 MiB", tc.name, got, len(in))
+		}
+	}
+}
+
 // TestWriteHGRAllocations guards the writer: numbers are formatted
 // into one reused line buffer, so the allocation count does not grow
 // with the pin count.

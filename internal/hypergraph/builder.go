@@ -35,11 +35,16 @@ func NewBuilder(numCells int) *Builder {
 	if numCells < 0 {
 		return &Builder{err: fmt.Errorf("hypergraph: negative cell count %d", numCells)}
 	}
-	b := &Builder{numCells: numCells, area: make([]int64, numCells)}
-	for i := range b.area {
-		b.area[i] = 1
+	return &Builder{numCells: numCells, area: unitAreas(numCells)}
+}
+
+// unitAreas returns n areas of 1.
+func unitAreas(n int) []int64 {
+	area := make([]int64, n)
+	for i := range area {
+		area[i] = 1
 	}
-	return b
+	return area
 }
 
 // SetArea sets the area of cell v. Areas must be non-negative.

@@ -44,7 +44,7 @@ func TestInduceTiny(t *testing.T) {
 	h := tiny(t)
 	// Merge {0,1} and {4,5}; 2 and 3 stay singletons.
 	c := &Clustering{CellToCluster: []int32{0, 0, 1, 2, 3, 3}, NumClusters: 4}
-	coarse, err := InduceWSPar(h, c, nil, nil)
+	coarse, err := InduceInto(h, c, nil, &Hypergraph{})
 	if err != nil {
 		t.Fatalf("induce: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestInduceAreasSum(t *testing.T) {
 	// Paper example: clustering two modules with areas 4 and 7 yields
 	// a module of area 11.
 	c := &Clustering{CellToCluster: []int32{0, 0, 1, 1}, NumClusters: 2}
-	coarse, err := InduceWSPar(h, c, nil, nil)
+	coarse, err := InduceInto(h, c, nil, &Hypergraph{})
 	if err != nil {
 		t.Fatalf("induce: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestInduceKeepsParallelNets(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	c := &Clustering{CellToCluster: []int32{0, 0, 1, 1}, NumClusters: 2}
-	coarse, err := InduceWSPar(h, c, nil, nil)
+	coarse, err := InduceInto(h, c, nil, &Hypergraph{})
 	if err != nil {
 		t.Fatalf("induce: %v", err)
 	}
@@ -111,7 +111,7 @@ func TestInduceKeepsParallelNets(t *testing.T) {
 func TestInduceInvalidClustering(t *testing.T) {
 	h := tiny(t)
 	c := &Clustering{CellToCluster: []int32{0, 0, 0}, NumClusters: 1} // wrong length
-	if _, err := InduceWSPar(h, c, nil, nil); err == nil {
+	if _, err := InduceInto(h, c, nil, &Hypergraph{}); err == nil {
 		t.Error("expected error for invalid clustering")
 	}
 }
@@ -164,7 +164,7 @@ func TestPropertyInduceConservesAreaAndValidates(t *testing.T) {
 		n := 2 + rng.Intn(50)
 		h := randomHypergraph(rng, n, rng.Intn(100))
 		c := randomClustering(rng, n)
-		coarse, err := InduceWSPar(h, c, nil, nil)
+		coarse, err := InduceInto(h, c, nil, &Hypergraph{})
 		if err != nil {
 			return false
 		}
@@ -185,7 +185,7 @@ func TestPropertyInduceNetSizesShrink(t *testing.T) {
 		n := 2 + rng.Intn(50)
 		h := randomHypergraph(rng, n, rng.Intn(100))
 		c := randomClustering(rng, n)
-		coarse, err := InduceWSPar(h, c, nil, nil)
+		coarse, err := InduceInto(h, c, nil, &Hypergraph{})
 		if err != nil {
 			return false
 		}

@@ -5,76 +5,33 @@ import (
 )
 
 // InduceWorkspace holds the scratch memory of InduceInto: the
-// assembly buffers, dedup stamps and fill cursors of every pool range,
-// and the clustering check's occupancy flags. Threading one workspace
-// through the induce calls of a multilevel run reduces each level's
+// assembly buffers, the dedup stamps and fill cursors, and the
+// clustering check's occupancy flags. Threading one workspace through
+// the induce calls of a multilevel run reduces each level's
 // allocations to the arrays the returned Hypergraph actually retains
-// (the struct, areas, the two CSR directions, optional weights), and
-// a reused destination Hypergraph per level removes those too.
+// (the struct, areas, the two CSR directions, optional weights), and a
+// reused destination Hypergraph per level removes those too.
 //
 // Sizing contract: every buffer reaches its final size at the first
 // (finest) call and never grows again while the run coarsens. The
 // assembly buffers are sized from the fine netlist, not grown by
-// appending: range w of a call assembles into its own window of one
-// pin buffer, one net-length buffer and one weight buffer, each window
-// as long as the fine pins or nets of that range, and a coarse net
-// never keeps more pins than its fine net. Stamps, cursors and flags
-// are sized by the cluster count, which only shrinks level by level.
-// A workspace reused on a larger input (a Session's Scratch moving on
-// to a bigger job) grows once, on its first call for that input.
+// appending, since a coarse net never keeps more pins than its fine
+// net. Stamps, cursors and flags are sized by the cluster count, which
+// only shrinks level by level. A workspace reused on a larger input (a
+// Session's Scratch moving on to a bigger job) grows once, on its
+// first call for that input.
 //
 // Ownership rule: an InduceWorkspace belongs to exactly one goroutine
 // and one pipeline attempt at a time; never store one in a package
 // level variable or share it across concurrent attempts. The zero
 // value is ready to use.
 type InduceWorkspace struct {
-	mark    [][]int32 // per range: cluster dedup stamps
-	pins    [][]int32 // per range: kept coarse pins, a window of pinBuf
-	lens    [][]int32 // per range: pin count per kept net, a window of lenBuf
-	weights [][]int32 // per range: weight per kept net, a window of weightBuf
-	counts  [][]int32 // per range: per-cluster pin counts → fill cursors
-	bases   []int     // per range: first coarse net index
-
-	pinBuf, lenBuf, weightBuf []int32 // window backing: fine pins, fine nets
-	seen                      []bool  // clustering check: cluster occupied
-
-	// cur is the call in flight that the range functions read; they
-	// are method values bound once per workspace, so dispatching a
-	// phase allocates nothing. InduceInto clears cur on return so a
-	// workspace never retains a hypergraph.
-	cur                                 induceState
-	assembleFn, sumFn, cursorFn, fillFn func(w, lo, hi int)
-}
-
-// induceState is what the range functions need of one InduceInto call.
-type induceState struct {
-	h, hh *Hypergraph // fine input, coarse result
-	c     *Clustering
-	used  int // ranges the phase-1 Run issued
-}
-
-// grow sizes the scratch for the given worker count, cluster count
-// and fine netlist. Stamps and counts are (re)initialized by the
-// workers themselves at the start of each call.
-func (s *InduceWorkspace) grow(workers, k, numNets, numPins int) {
-	for len(s.mark) < workers {
-		s.mark = append(s.mark, nil)
-		s.pins = append(s.pins, nil)
-		s.lens = append(s.lens, nil)
-		s.weights = append(s.weights, nil)
-		s.counts = append(s.counts, nil)
-		s.bases = append(s.bases, 0)
-	}
-	for w := 0; w < workers; w++ {
-		s.mark[w] = Resize(s.mark[w], k)
-		s.counts[w] = Resize(s.counts[w], k)
-	}
-	s.pinBuf = Resize(s.pinBuf, numPins)
-	s.lenBuf = Resize(s.lenBuf, numNets)
-	s.weightBuf = Resize(s.weightBuf, numNets)
-	if s.assembleFn == nil {
-		s.assembleFn, s.sumFn, s.cursorFn, s.fillFn = s.assemble, s.sumCounts, s.toCursors, s.fill
-	}
+	mark    []int32 // per cluster: the fine net that last kept it
+	counts  []int32 // per cluster: pin count, then fill cursor
+	pins    []int32 // kept coarse pins, as long as the fine pins
+	ends    []int32 // per kept net: end of its pins, as many as the fine nets
+	weights []int32 // per kept net: its weight
+	seen    []bool  // clustering check: cluster occupied
 }
 
 // Resize returns buf with length n, reallocating to exactly n only
@@ -87,28 +44,23 @@ func Resize[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// InduceWSPar constructs the coarser hypergraph H_{i+1} induced by a
-// clustering P^k of H_i, exactly following Definition 1 of the paper:
-// every net e of H_i becomes the net e* spanning the set of clusters
-// containing modules of e, unless |e*| = 1, in which case it is
-// dropped. Cluster areas are the sums of their member areas. Parallel
-// nets are kept (each contributes to the cut separately, as in the
-// paper); MergeParallelNets is the optional post-step that merges them.
+// InduceInto constructs the coarser hypergraph H_{i+1} induced by a
+// clustering P^k of H_i into dst, which it returns, exactly following
+// Definition 1 of the paper: every net e of H_i becomes the net e*
+// spanning the set of clusters containing modules of e, unless
+// |e*| = 1, in which case it is dropped. Cluster areas are the sums of
+// their member areas. Parallel nets are kept (each contributes to the
+// cut separately, as in the paper); MergeParallelNets is the optional
+// post-step that merges them.
 //
 // The result is byte-identical to building the coarse netlist through
 // Builder: nets keep fine-net order, pins are sorted ascending and
 // deduplicated, coarse nets with fewer than two pins are dropped, and
 // the weighted flag is set iff any kept net has weight ≠ 1. It is
-// freshly allocated and independent of ws, so reusing the workspace
-// for the next level never aliases a returned hypergraph; nil ws
-// allocates scratch per call. InduceWSPar is InduceInto into a new
-// Hypergraph.
-func InduceWSPar(h *Hypergraph, c *Clustering, ws *InduceWorkspace, pool *intrapar.Pool) (*Hypergraph, error) {
-	return InduceInto(h, c, ws, pool, &Hypergraph{})
-}
-
-// InduceInto is InduceWSPar building into dst, which it returns. The
-// arrays dst holds are the storage: each grows only, to the exact
+// independent of ws, so reusing the workspace for the next level never
+// aliases a returned hypergraph; nil ws allocates scratch per call.
+//
+// The arrays dst holds are the storage: each grows only, to the exact
 // length this level needs, and is rewritten in full before it is read
 // (the area sums, netStart[0] and cellStart[0] are explicit clears).
 // Every field of dst is overwritten, so nothing of the hypergraph it
@@ -117,31 +69,7 @@ func InduceWSPar(h *Hypergraph, c *Clustering, ws *InduceWorkspace, pool *intrap
 // hierarchy of the same or smaller size without allocating; the
 // net-weight storage is kept only while the levels are weighted.
 // dst must not be h. On error dst is left unchanged.
-//
-// The CSR assembly runs on pool (nil is the one-wide inline pool). The
-// expensive parts — per-net pin dedup + sort, and the cell→net fill —
-// decompose over fixed fine-net ranges with no ordering decisions left
-// to scheduling:
-//
-//  1. Each worker assembles the kept coarse nets of its own net range
-//     into private buffers (private dedup stamps, private per-cluster
-//     pin counts). Ranges are contiguous and ascending, so
-//     concatenating the per-worker outputs in range-index order
-//     reproduces fine-net order exactly.
-//  2. The merge (memcopy in range order on the calling goroutine)
-//     materializes the net→pin CSR; the cell→net CSR then comes from a
-//     two-phase count-then-fill: per-cluster counts are summed across
-//     workers and prefix-summed into cellStart, each worker's counts
-//     are turned into private fill cursors (cellStart[p] plus the
-//     counts of all lower-indexed workers), and the fill runs over the
-//     net ranges again, each worker writing its own nets into its own
-//     cursor windows.
-//
-// Every parallel write lands in a worker-owned buffer or cursor
-// window, and every merge happens in range-index order, so the result
-// is the same for every worker count (pinned by
-// TestInduceWSParIdenticalToSerial).
-func InduceInto(h *Hypergraph, c *Clustering, ws *InduceWorkspace, pool *intrapar.Pool, dst *Hypergraph) (*Hypergraph, error) {
+func InduceInto(h *Hypergraph, c *Clustering, ws *InduceWorkspace, dst *Hypergraph) (*Hypergraph, error) {
 	if ws == nil {
 		ws = &InduceWorkspace{}
 	}
@@ -158,47 +86,14 @@ func InduceInto(h *Hypergraph, c *Clustering, ws *InduceWorkspace, pool *intrapa
 	}
 	hh := dst
 
-	// Cluster areas are retained by the result. The scatter pattern
-	// (area[cluster] += ...) does not range-decompose without
-	// per-worker copies of the whole array, and it is a cheap O(cells)
-	// pass — keep it on the calling goroutine. A reused dst holds an
-	// earlier level's areas, so the sums start from an explicit clear.
+	// A reused dst holds an earlier level's areas, so the sums start
+	// from an explicit clear.
 	area := Resize(old.area, k)
 	clear(area)
 	hh.area = area
 	for v := 0; v < h.NumCells(); v++ {
 		area[c.CellToCluster[v]] += h.Area(v)
 	}
-
-	numFine := h.NumNets()
-	workers := pool.Workers()
-	ws.grow(workers, k, numFine, h.NumPins())
-	ws.cur = induceState{h: h, c: c}
-
-	// Phase 1: per-range net assembly into private buffers.
-	pool.Run(numFine, ws.assembleFn)
-	// Run issues min(workers, numFine) ranges; the rest contribute
-	// nothing but their buffers may hold stale content from a larger
-	// earlier call.
-	used := min(workers, numFine)
-	ws.cur.used = used
-
-	// Merge in range-index order = fine-net order: sizes first, then
-	// one contiguous copy per range.
-	numNets, totalPins := 0, 0
-	weighted := false
-	for w := 0; w < used; w++ {
-		ws.bases[w] = numNets
-		numNets += len(ws.lens[w])
-		totalPins += len(ws.pins[w])
-		for _, wt := range ws.weights[w] {
-			if wt != 1 {
-				weighted = true
-				break
-			}
-		}
-	}
-	hh.numNets = numNets
 	for v, a := range area {
 		if v == 0 || a < hh.minArea {
 			hh.minArea = a
@@ -207,74 +102,21 @@ func InduceInto(h *Hypergraph, c *Clustering, ws *InduceWorkspace, pool *intrapa
 			hh.maxArea = a
 		}
 	}
-	// The loop below writes netStart from index 1 on, and the copies
-	// fill netPins and netWeight in full.
-	hh.netStart = Resize(old.netStart, numNets+1)
-	hh.netPins = Resize(old.netPins, totalPins)
-	hh.netStart[0] = 0
-	if weighted {
-		hh.netWeight = Resize(old.netWeight, numNets)
-	}
-	net, pin := 0, 0
-	for w := 0; w < used; w++ {
-		copy(hh.netPins[pin:], ws.pins[w])
-		if weighted {
-			copy(hh.netWeight[net:], ws.weights[w])
-		}
-		for _, l := range ws.lens[w] {
-			pin += int(l)
-			//mllint:ignore unchecked-narrow coarse pin total ≤ fine pin total, which Build/parse already capped at MaxInt32
-			hh.netStart[net+1] = int32(pin)
-			net++
-		}
-	}
-	ws.cur.hh = hh
 
-	// Cell→net CSR, two-phase count-then-fill. Counts per cluster were
-	// accumulated per range in phase 1; sum them into cellStart (the
-	// scatter decomposes over *clusters* now, so this is parallel and
-	// write-disjoint), prefix-sum serially, then turn each range's
-	// counts into its private fill cursors: cellStart[p] plus the
-	// counts of all lower-indexed ranges.
-	// sumCounts writes cellStart from index 1 on.
-	hh.cellStart = Resize(old.cellStart, k+1)
-	hh.cellStart[0] = 0
-	pool.Run(k, ws.sumFn)
-	for v := 0; v < k; v++ {
-		hh.cellStart[v+1] += hh.cellStart[v]
-	}
-	pool.Run(k, ws.cursorFn)
-
-	// Phase 2: parallel fill. Range w owns coarse nets
-	// [bases[w], bases[w]+len(lens[w])) and writes each of its pins at
-	// its own cursor — cursor windows of different ranges are disjoint
-	// by construction, and within a range nets are visited in ascending
-	// order, so each cell's net list comes out in net order. Run is
-	// keyed on numFine again so the range indices match phase 1.
-	hh.cellNets = Resize(old.cellNets, totalPins)
-	pool.Run(numFine, ws.fillFn)
-	ws.cur = induceState{}
-	return hh, nil
-}
-
-// assemble is phase 1 for the fine nets [lo, hi): it dedups, sorts and
-// keeps each net's coarse pins, and counts pins per cluster. The
-// stamp value is the global fine-net id, unique across ranges, so
-// stale stamps from earlier calls are cleared first. The range writes
-// its windows of the shared buffers, which the fine pin and net
-// counts of [lo, hi) bound, so the appends never reallocate.
-func (ws *InduceWorkspace) assemble(w, lo, hi int) {
-	h, c := ws.cur.h, ws.cur.c
-	mark, counts := ws.mark[w], ws.counts[w]
+	// Net→pin CSR: each fine net's clusters, deduplicated by stamping
+	// them with the net id and sorted, go to the workspace, and the
+	// per-cluster pin counts with them. The buffers hold the fine
+	// netlist's counts, so the appends never reallocate.
+	mark, counts := Resize(ws.mark, k), Resize(ws.counts, k)
 	for i := range mark {
 		mark[i] = -1
 		counts[i] = 0
 	}
-	p0, p1 := h.netStart[lo], h.netStart[hi]
-	pins := ws.pinBuf[p0:p0:p1]
-	lens := ws.lenBuf[lo:lo:hi]
-	weights := ws.weightBuf[lo:lo:hi]
-	for e := lo; e < hi; e++ {
+	pins := Resize(ws.pins, h.NumPins())[:0]
+	ends := Resize(ws.ends, h.NumNets())[:0]
+	weights := Resize(ws.weights, h.NumNets())[:0]
+	weighted := false
+	for e := 0; e < h.NumNets(); e++ {
 		base := len(pins)
 		for _, p := range h.Pins(e) {
 			kk := c.CellToCluster[p]
@@ -292,52 +134,51 @@ func (ws *InduceWorkspace) assemble(w, lo, hi int) {
 		for _, p := range pins[base:] {
 			counts[p]++
 		}
-		//mllint:ignore unchecked-narrow one net's pin window ≤ cluster count ≤ fine cell count, capped at MaxInt32 by Build/parse
-		lens = append(lens, int32(len(pins)-base))
-		weights = append(weights, h.NetWeight(e))
+		//mllint:ignore unchecked-narrow coarse pin total ≤ fine pin total, which Build/parse already capped at MaxInt32
+		ends = append(ends, int32(len(pins)))
+		w := h.NetWeight(e)
+		weights = append(weights, w)
+		weighted = weighted || w != 1
 	}
-	ws.pins[w], ws.lens[w], ws.weights[w] = pins, lens, weights
-}
+	ws.mark, ws.counts, ws.pins, ws.ends, ws.weights = mark, counts, pins, ends, weights
 
-// sumCounts writes each cluster's pin total over all ranges into
-// cellStart[p+1] for the clusters [lo, hi).
-func (ws *InduceWorkspace) sumCounts(_, lo, hi int) {
-	cellStart := ws.cur.hh.cellStart
-	for p := lo; p < hi; p++ {
-		var s int32
-		for w := 0; w < ws.cur.used; w++ {
-			s += ws.counts[w][p]
-		}
-		cellStart[p+1] = s
+	numNets := len(ends)
+	hh.numNets = numNets
+	hh.netStart = Resize(old.netStart, numNets+1)
+	hh.netStart[0] = 0
+	copy(hh.netStart[1:], ends)
+	hh.netPins = Resize(old.netPins, len(pins))
+	copy(hh.netPins, pins)
+	if weighted {
+		hh.netWeight = Resize(old.netWeight, numNets)
+		copy(hh.netWeight, weights)
 	}
-}
 
-// toCursors turns the per-range counts of the clusters [lo, hi) into
-// fill cursors: cellStart[p] plus the counts of all lower ranges.
-func (ws *InduceWorkspace) toCursors(_, lo, hi int) {
-	cellStart := ws.cur.hh.cellStart
-	for p := lo; p < hi; p++ {
-		run := cellStart[p]
-		for w := 0; w < ws.cur.used; w++ {
-			cnt := ws.counts[w][p]
-			ws.counts[w][p] = run
-			run += cnt
-		}
+	// Cell→net CSR: prefix-sum the pin counts into cellStart, turn each
+	// count into its cluster's fill cursor, and fill in net order, so
+	// each cell's net list comes out ascending.
+	hh.cellStart = Resize(old.cellStart, k+1)
+	hh.cellStart[0] = 0
+	for p, n := range counts {
+		hh.cellStart[p+1] = hh.cellStart[p] + n
+		counts[p] = hh.cellStart[p]
 	}
-}
-
-// fill is phase 2 for range w: it writes the range's coarse nets into
-// the cell→net CSR at the range's own cursors.
-func (ws *InduceWorkspace) fill(w, _, _ int) {
-	hh, cur := ws.cur.hh, ws.counts[w]
-	for i := range ws.lens[w] {
-		e := ws.bases[w] + i
+	hh.cellNets = Resize(old.cellNets, len(pins))
+	for e := 0; e < numNets; e++ {
 		for _, p := range hh.netPins[hh.netStart[e]:hh.netStart[e+1]] {
 			//mllint:ignore unchecked-narrow coarse net index ≤ fine net count, capped at MaxInt32 by Build/parse
-			hh.cellNets[cur[p]] = int32(e)
-			cur[p]++
+			hh.cellNets[counts[p]] = int32(e)
+			counts[p]++
 		}
 	}
+	return hh, nil
+}
+
+// InduceWSPar is InduceInto into a new Hypergraph; the pool is ignored.
+//
+// Deprecated: use InduceInto. The next benchmark change removes it.
+func InduceWSPar(h *Hypergraph, c *Clustering, ws *InduceWorkspace, _ *intrapar.Pool) (*Hypergraph, error) {
+	return InduceInto(h, c, ws, &Hypergraph{})
 }
 
 // sortPinWindow sorts one net's pin window ascending, in place and

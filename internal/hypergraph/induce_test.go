@@ -3,12 +3,10 @@ package hypergraph
 import (
 	"math/rand"
 	"testing"
-
-	"mlpart/internal/intrapar"
 )
 
 // buildRandom builds a random weighted hypergraph and a random
-// clustering with k non-empty clusters for the parallel-induce tests.
+// clustering with k non-empty clusters for the induce tests.
 func buildRandom(rng *rand.Rand, n, m int) (*Hypergraph, *Clustering) {
 	b := NewBuilder(n)
 	for v := 0; v < n; v++ {
@@ -79,7 +77,7 @@ func sameCSR(t *testing.T, want, got *Hypergraph) {
 // referenceInduce builds the coarse netlist of Definition 1 through
 // Builder, whose documented contract (pins sorted ascending and
 // deduplicated, nets with fewer than two pins dropped, net order kept,
-// weighted iff a kept net has weight ≠ 1) is the one InduceWSPar
+// weighted iff a kept net has weight ≠ 1) is the one InduceInto
 // promises to reproduce byte for byte.
 func referenceInduce(t *testing.T, h *Hypergraph, c *Clustering) *Hypergraph {
 	t.Helper()
@@ -106,9 +104,8 @@ func referenceInduce(t *testing.T, h *Hypergraph, c *Clustering) *Hypergraph {
 }
 
 // TestInduceWSParIdenticalToSerial pins the byte-identity contract of
-// the assembly against the Builder reference across pool widths (the
-// nil one-wide pool, 1, 2 and 8 workers), instance sizes (fewer nets
-// than workers, and full-width fan-out) and dirty reused workspaces.
+// the assembly against the Builder reference across instance sizes
+// and a dirty workspace reused from case to case.
 func TestInduceWSParIdenticalToSerial(t *testing.T) {
 	ws := &InduceWorkspace{} // deliberately shared and dirty across cases
 	for seed := int64(1); seed <= 5; seed++ {
@@ -116,49 +113,31 @@ func TestInduceWSParIdenticalToSerial(t *testing.T) {
 		n := 2 + rng.Intn(400)
 		m := rng.Intn(600)
 		h, c := buildRandom(rng, n, m)
-		want := referenceInduce(t, h, c)
-		if got, err := InduceWSPar(h, c, ws, nil); err != nil {
+		got, err := InduceInto(h, c, ws, &Hypergraph{})
+		if err != nil {
 			t.Fatal(err)
-		} else {
-			sameCSR(t, want, got)
 		}
-		for _, workers := range []int{1, 2, 8} {
-			pool := intrapar.New(workers)
-			got, err := InduceWSPar(h, c, ws, pool)
-			pool.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameCSR(t, want, got)
-		}
+		sameCSR(t, referenceInduce(t, h, c), got)
 	}
 }
 
-// TestInduceWSParTinyInstances exercises the degenerate shapes: no
-// nets at all, and fewer nets than workers (unissued ranges must not
-// leak stale buffers into the merge), at every pool width.
+// TestInduceWSParTinyInstances exercises the degenerate shapes — no
+// nets at all, one net, three nets — on a workspace a larger instance
+// has dirtied.
 func TestInduceWSParTinyInstances(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 8} {
-		var pool *intrapar.Pool // nil: the one-wide inline pool
-		if workers > 0 {
-			pool = intrapar.New(workers)
-		}
-		ws := &InduceWorkspace{}
-		// First, a big instance to dirty the per-worker buffers.
-		rng := rand.New(rand.NewSource(3))
-		h, c := buildRandom(rng, 200, 300)
-		if _, err := InduceWSPar(h, c, ws, pool); err != nil {
+	ws := &InduceWorkspace{}
+	rng := rand.New(rand.NewSource(3))
+	h, c := buildRandom(rng, 200, 300)
+	if _, err := InduceInto(h, c, ws, &Hypergraph{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []int{0, 1, 3} {
+		h, c := buildRandom(rng, 10, m)
+		got, err := InduceInto(h, c, ws, &Hypergraph{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range []int{0, 1, 3} {
-			h, c := buildRandom(rng, 10, m)
-			got, err := InduceWSPar(h, c, ws, pool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameCSR(t, referenceInduce(t, h, c), got)
-		}
-		pool.Close()
+		sameCSR(t, referenceInduce(t, h, c), got)
 	}
 }
 
@@ -182,7 +161,7 @@ func TestInduceIntoDirtyDestination(t *testing.T) {
 			dst.area[:cap(dst.area)][j] = 1 << 40
 		}
 		netStart, area := dst.netStart[:cap(dst.netStart)], dst.area[:cap(dst.area)]
-		got, err := InduceInto(h, c, ws, nil, dst)
+		got, err := InduceInto(h, c, ws, dst)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -89,8 +89,9 @@ func ReadHGR(r io.Reader) (*Hypergraph, error) {
 // Lines are read and split in place as bytes, pins are appended
 // straight to the Builder's flat buffer, and integers are parsed
 // without a string per field, so a parse allocates a few dozen
-// objects whatever the net count. The net offsets are sized once from
-// the header's net count, as the cell areas are from its cell count.
+// objects whatever the net count. Nothing is sized from the header's
+// counts before the input shows them: the net offsets grow as nets
+// arrive, and the cell areas are allocated after the net section.
 func ReadHGRLimits(r io.Reader, lim Limits) (*Hypergraph, error) {
 	return readHGR(r, lim, textSize{fields: -1, lines: -1})
 }
@@ -176,12 +177,16 @@ func readHGR(r io.Reader, lim Limits, size textSize) (*Hypergraph, error) {
 			return nil, fmt.Errorf("hgr: unsupported fmt %q", fields[2])
 		}
 	}
-	b := NewBuilder(numCells)
-	nets := numNets
+	// Nothing is reserved from the header's counts alone, so a short
+	// input declaring huge counts fails before allocating in proportion
+	// to them: a stream's net offsets grow as its nets arrive, a text's
+	// are capped by its lines, and the cell areas wait for the net
+	// section to end.
+	b := &Builder{numCells: numCells}
 	if size.lines >= 0 {
-		nets = min(nets, size.lines-1) // a net takes a line after the header
+		// A net takes a line after the header.
+		b.netEnd = make([]int32, 0, min(numNets, size.lines-1))
 	}
-	b.netEnd = make([]int32, 0, nets)
 	if size.fields >= 0 {
 		// The text's fields less the header's and the declared
 		// weights: for a well-formed text without comments, exactly
@@ -232,18 +237,23 @@ func readHGR(r io.Reader, lim Limits, size textSize) (*Hypergraph, error) {
 		}
 		b.endNet(weight)
 	}
-	if cellWeights {
-		for v := 0; v < numCells; v++ {
-			line, err := nextLine(sc)
-			if err != nil {
-				return nil, fmt.Errorf("hgr: weight of cell %d: %w", v+1, err)
-			}
-			a, ok := parseInt64(line)
-			if !ok || a < 0 {
-				return nil, fmt.Errorf("hgr: bad weight %q for cell %d", line, v+1)
-			}
-			b.SetArea(v, a)
+	if !cellWeights {
+		b.area = unitAreas(numCells)
+		return b.Build()
+	}
+	if size.lines >= 0 {
+		b.area = make([]int64, 0, min(numCells, size.lines))
+	}
+	for v := 0; v < numCells; v++ {
+		line, err := nextLine(sc)
+		if err != nil {
+			return nil, fmt.Errorf("hgr: weight of cell %d: %w", v+1, err)
 		}
+		a, ok := parseInt64(line)
+		if !ok || a < 0 {
+			return nil, fmt.Errorf("hgr: bad weight %q for cell %d", line, v+1)
+		}
+		b.area = append(b.area, a)
 	}
 	return b.Build()
 }

@@ -3,8 +3,8 @@ package hypergraph_test
 // FuzzProjectRoundTrip drives the induce/project pair of Definitions
 // 1 and 2 at random instances and random clusterings: the coarse
 // hypergraph must preserve the total area and the vertex accounting,
-// a dirty reused workspace and a two-worker pool must reproduce the
-// workspace-free one-wide induction exactly, and a coarse solution
+// a dirty reused workspace must reproduce the workspace-free
+// induction exactly, and a coarse solution
 // must keep its oracle-recomputed cut under projection (nets dropped
 // by |e*| = 1 are exactly the nets a projected solution can never
 // cut). The file lives in the external test package so it can import
@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"mlpart/internal/hypergraph"
-	"mlpart/internal/intrapar"
 	"mlpart/internal/oracle"
 )
 
@@ -63,7 +62,7 @@ func FuzzProjectRoundTrip(f *testing.F) {
 			}
 		}
 
-		coarse, err := hypergraph.InduceWSPar(h, c, nil, nil)
+		coarse, err := hypergraph.InduceInto(h, c, nil, &hypergraph.Hypergraph{})
 		if err != nil {
 			t.Fatalf("induce: %v", err)
 		}
@@ -78,15 +77,12 @@ func FuzzProjectRoundTrip(f *testing.F) {
 		}
 
 		// The workspace path must match the allocating path exactly,
-		// even when the workspace arrives dirty from another instance
-		// and the assembly is split over two workers.
+		// even when the workspace arrives dirty from another instance.
 		ws := &hypergraph.InduceWorkspace{}
-		pool := intrapar.New(2)
-		defer pool.Close()
-		if _, err := hypergraph.InduceWSPar(h, c, ws, pool); err != nil {
+		if _, err := hypergraph.InduceInto(h, c, ws, &hypergraph.Hypergraph{}); err != nil {
 			t.Fatal(err)
 		}
-		coarse2, err := hypergraph.InduceWSPar(h, c, ws, pool)
+		coarse2, err := hypergraph.InduceInto(h, c, ws, &hypergraph.Hypergraph{})
 		if err != nil {
 			t.Fatal(err)
 		}

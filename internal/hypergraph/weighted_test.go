@@ -69,7 +69,7 @@ func TestInduceMergedCutEquivalence(t *testing.T) {
 		n := 4 + rng.Intn(40)
 		h := randomHypergraph(rng, n, 10+rng.Intn(80))
 		c := randomClustering(rng, n)
-		plain, err := InduceWSPar(h, c, nil, nil)
+		plain, err := InduceInto(h, c, nil, &Hypergraph{})
 		if err != nil {
 			return false
 		}

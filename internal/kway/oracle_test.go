@@ -54,7 +54,7 @@ func coarseLevels(t *testing.T, cells int, seed int64) []*hypergraph.Hypergraph 
 		if err != nil {
 			t.Fatal(err)
 		}
-		coarse, err := hypergraph.InduceWSPar(h, cl, nil, nil)
+		coarse, err := hypergraph.InduceInto(h, cl, nil, &hypergraph.Hypergraph{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -462,6 +462,64 @@ func TestReplayRemarshaledJournal(t *testing.T) {
 	}
 }
 
+// TestJournalReplayIgnoresIntraParallelism replays a journal written
+// by the server while Options.IntraParallelism still sized a worker
+// pool (commit f0e244d): testdata holds one open k=2 job, accepted and
+// never started, submitted with Idempotency-Key "intra-fixture" as the
+// body in intra-parallelism-open-request.json, whose options carry
+// "intra_parallelism": 2. The key is accepted and ignored now, so the
+// restarted server must run the job to completion, serve the result
+// bytes of a fresh submission without the key, and still answer the
+// Idempotency-Key with the recovered job.
+func TestJournalReplayIgnoresIntraParallelism(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "intra-parallelism.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := os.ReadFile(filepath.Join("testdata", "intra-parallelism-open-request.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, hs := newTestServer(t, Config{JournalPath: path, Workers: 1})
+	if jv := waitTerminal(t, hs.URL, "j-000000"); jv.Status != string(StatusCompleted) || !jv.Recovered {
+		t.Fatalf("open job j-000000 = status %q recovered %v, want completed/true", jv.Status, jv.Recovered)
+	}
+	recovered, _ := getResult(t, hs.URL, "j-000000")
+	checkLedger(t, s)
+	if code, v, replay := postJobIdem(t, hs.URL, body, "intra-fixture"); code != http.StatusOK || v.ID != "j-000000" || replay != "replay" {
+		t.Errorf("idempotent resubmission = %d %q %q, want 200 j-000000 replay", code, v.ID, replay)
+	}
+
+	var req map[string]any
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	opts := req["options"].(map[string]any)
+	if _, ok := opts["intra_parallelism"]; !ok {
+		t.Fatal("fixture request carries no intra_parallelism")
+	}
+	delete(opts, "intra_parallelism")
+	plain, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fresh := newTestServer(t, Config{Workers: 1, CacheCap: -1})
+	code, v, data := postJob(t, fresh.URL, plain)
+	if code != http.StatusAccepted {
+		t.Fatalf("fresh submission: %d: %s", code, data)
+	}
+	if jv := waitTerminal(t, fresh.URL, v.ID); jv.Status != string(StatusCompleted) {
+		t.Fatalf("fresh job ended %q", jv.Status)
+	}
+	if want, _ := getResult(t, fresh.URL, v.ID); !bytes.Equal(recovered, want) {
+		t.Errorf("recovered result differs from a fresh submission without the key:\n%s\nwant\n%s", recovered, want)
+	}
+}
+
 // TestJournalKeepsRequestAsReceived: the accepted record carries the
 // submitted body itself — case-variant keys and all, compacted by the
 // frame encoding — not a re-encoding of the decoded request.

@@ -316,14 +316,13 @@ type BenchStageNS struct {
 // cumulative over every executed attempt, and the allocation fields
 // are zero — a live service cannot bracket runs with MemStats reads.
 type BenchEntry struct {
-	Instance         string       `json:"instance"`
-	Algorithm        string       `json:"algorithm"`
-	IntraParallelism int          `json:"intra_parallelism"`
-	Cut              int          `json:"cut"`
-	Levels           int          `json:"levels"`
-	AllocsPerOp      uint64       `json:"allocs_per_op"`
-	BytesPerOp       uint64       `json:"bytes_per_op"`
-	StageNS          BenchStageNS `json:"stage_ns"`
+	Instance    string       `json:"instance"`
+	Algorithm   string       `json:"algorithm"`
+	Cut         int          `json:"cut"`
+	Levels      int          `json:"levels"`
+	AllocsPerOp uint64       `json:"allocs_per_op"`
+	BytesPerOp  uint64       `json:"bytes_per_op"`
+	StageNS     BenchStageNS `json:"stage_ns"`
 }
 
 // BenchReport is the mlpart-bench/1 document.

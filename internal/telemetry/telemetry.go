@@ -84,11 +84,11 @@ type PassStat struct {
 	RolledBack int `json:"rolled_back"`
 }
 
-// StageTimings is the wall-clock-and-machine profile of one start.
-// All fields describe how the run executed, not what it computed —
-// they vary with IntraParallelism and worker counts while the
-// algorithmic payload stays bit-identical — so StripTimings zeroes
-// the whole struct for byte-for-byte report comparison.
+// StageTimings is the wall-clock profile of one start. All fields
+// describe how the run executed, not what it computed — they vary
+// from run to run while the algorithmic payload stays bit-identical —
+// so StripTimings zeroes the whole struct for byte-for-byte report
+// comparison.
 type StageTimings struct {
 	CoarsenNS   int64 `json:"coarsen_ns"`
 	RefineNS    int64 `json:"refine_ns"`
@@ -97,14 +97,10 @@ type StageTimings struct {
 	// TotalNS is the supervised start's end-to-end duration,
 	// including retries.
 	TotalNS int64 `json:"total_ns"`
-	// IntraWorkers is the intra-attempt pool size the start ran with
-	// (0 = serial pipeline). Execution-profile data, stripped with the
-	// timings: the payload is identical for every worker count.
-	IntraWorkers int `json:"intra_workers"`
-	// CoarsenParRegions / RefineParRegions count the parallel regions
-	// (pool.Run calls) each stage dispatched. Deterministic for a
-	// fixed configuration, but 0-vs-nonzero depends on IntraWorkers,
-	// so they live with the timings and are stripped with them.
+	// CoarsenParRegions and RefineParRegions always read 0: the
+	// pipeline has no parallel regions.
+	//
+	// Deprecated: the next benchmark change removes both fields.
 	CoarsenParRegions int64 `json:"coarsen_par_regions"`
 	RefineParRegions  int64 `json:"refine_par_regions"`
 }
@@ -264,30 +260,6 @@ func (c *Collector) RecordPass(engine string, pass, cutBefore, cutAfter, tried, 
 		MovesKept:  kept,
 		RolledBack: tried - kept,
 	})
-}
-
-// RecordIntraWorkers records the intra-attempt pool size the start ran
-// with (0 = serial pipeline).
-func (c *Collector) RecordIntraWorkers(workers int) {
-	if c == nil {
-		return
-	}
-	c.cur.Timings.IntraWorkers = workers
-}
-
-// RecordParRegions adds parallel-region counts (pool.Run dispatches)
-// to the given stage's profile; only the coarsen and refine stages
-// have parallel regions.
-func (c *Collector) RecordParRegions(stage Stage, regions int64) {
-	if c == nil {
-		return
-	}
-	switch stage {
-	case StageCoarsen:
-		c.cur.Timings.CoarsenParRegions += regions
-	case StageRefine:
-		c.cur.Timings.RefineParRegions += regions
-	}
 }
 
 // RecordRebalance counts one explicit rebalance that moved the given

@@ -215,14 +215,12 @@ type Options struct {
 	// 0 means min(GOMAXPROCS, Starts), 1 forces sequential execution.
 	// The result is bit-identical for every Parallelism value.
 	Parallelism int
-	// IntraParallelism is the intra-start axis: it sizes a per-attempt
-	// worker pool that parallelizes match scoring, induce assembly and
-	// the per-pass FM/CLIP gain recompute, and composes with
-	// Parallelism (total worker demand is roughly the product). Every
-	// stage runs the same code at every value, and every ordering
-	// decision stays on the attempt's goroutine, so cuts and partitions
-	// are bit-identical for every value, 0 (the default, no pool)
-	// included; only wall-clock changes. Negative is rejected.
+	// IntraParallelism is accepted and ignored: every start runs
+	// serially, so results and timings are the same for every value.
+	// Negative is still rejected, and its JSON key still decodes, so
+	// requests and journals written with it keep working.
+	//
+	// Deprecated: it has no effect.
 	IntraParallelism int
 	// MaxRetries is how many reseeded retries a start gets after an
 	// attempt fails without a usable solution (recovered panics that
@@ -386,12 +384,11 @@ func bipartitionCtx(ctx context.Context, h *Hypergraph, opt Options, scratch *co
 		ctx = context.Background()
 	}
 	cfg := core.Config{
-		Threshold:        opt.Threshold,
-		Ratio:            opt.MatchingRatio,
-		Refine:           fm.Config{Engine: opt.Engine, Tolerance: opt.Tolerance},
-		IntraParallelism: opt.IntraParallelism,
-		Audit:            opt.Audit,
-		Scratch:          scratch,
+		Threshold: opt.Threshold,
+		Ratio:     opt.MatchingRatio,
+		Refine:    fm.Config{Engine: opt.Engine, Tolerance: opt.Tolerance},
+		Audit:     opt.Audit,
+		Scratch:   scratch,
 	}
 	type sol struct {
 		p   *Partition
@@ -459,9 +456,8 @@ func quadrisectCtx(ctx context.Context, h *Hypergraph, opt Options, scratch *cor
 			Objective: kway.SumOfDegrees,
 			Tolerance: opt.Tolerance,
 		},
-		IntraParallelism: opt.IntraParallelism,
-		Audit:            opt.Audit,
-		Scratch:          scratch,
+		Audit:   opt.Audit,
+		Scratch: scratch,
 	}
 	type sol struct {
 		p   *Partition

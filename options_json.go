@@ -28,6 +28,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"time"
 
@@ -156,9 +157,10 @@ func ParseOptionsJSON(data []byte) (Options, error) {
 	if err := dec.Decode(&c); err != nil {
 		return Options{}, fmt.Errorf("mlpart: options JSON: %w", err)
 	}
-	// A second document in the same payload is malformed input, not
-	// extra configuration.
-	if dec.More() {
+	// Anything but whitespace after the document — a second document,
+	// or a stray closing delimiter, in front of which More reports
+	// false — is malformed input, not extra configuration.
+	if _, err := dec.Token(); err != io.EOF {
 		return Options{}, fmt.Errorf("mlpart: options JSON: trailing data after document")
 	}
 	engine, err := ParseEngine(c.Engine)
@@ -197,8 +199,9 @@ func ParseOptionsJSON(data []byte) (Options, error) {
 
 // Fingerprint returns a stable hex digest of o's result-affecting
 // configuration: the sha256 of the canonical JSON with Parallelism and
-// IntraParallelism forced to zero (results are bit-identical across
-// both worker counts, so they must not split cache entries). Two
+// IntraParallelism forced to zero (results are bit-identical for every
+// worker count, and IntraParallelism is ignored, so neither may split
+// cache entries). Two
 // Options with equal fingerprints — run on the same hypergraph and
 // block count — produce byte-identical partitions.
 func (o Options) Fingerprint() (string, error) {

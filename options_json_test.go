@@ -60,6 +60,8 @@ func TestParseOptionsJSONStrict(t *testing.T) {
 		{"negative parallelism", `{"parallelism":-2}`, "parallelism"},
 		{"negative timeout", `{"attempt_timeout_ns":-5}`, "attempt_timeout_ns"},
 		{"trailing data", `{"engine":"fm"} {"engine":"clip"}`, "trailing"},
+		{"trailing brace", `{}}`, "trailing"},
+		{"trailing bracket", `{}]`, "trailing"},
 		{"malformed", `{`, "options JSON"},
 	}
 	for _, c := range cases {

@@ -92,48 +92,6 @@ func TestOracleQuadrisectAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestOracleIntraParallelism sweeps the intra-start pool: every
-// worker count must pass the oracle recount and reproduce the serial
-// (IntraParallelism 0) partition bit for bit — the pool width is an
-// execution detail, never an algorithm choice. Combined
-// with the Parallelism axis this exercises per-attempt pool
-// scoping — a pool shared across concurrent starts would corrupt a
-// private buffer here.
-func TestOracleIntraParallelism(t *testing.T) {
-	for _, c := range oracleCircuits(t)[:2] {
-		for _, par := range []int{1, 4} {
-			var ref *Partition
-			for _, intra := range []int{0, 1, 2, 8} {
-				p, info, err := Bipartition(c.H, Options{Seed: 5, Starts: 4, Parallelism: par, IntraParallelism: intra})
-				if err != nil {
-					t.Fatalf("%s par %d intra %d: %v", c.Spec.Name, par, intra, err)
-				}
-				if !oracle.Validate(c.H, p, 2) {
-					t.Fatalf("%s par %d intra %d: invalid partition", c.Spec.Name, par, intra)
-				}
-				if want := oracle.Cut(c.H, p); info.Cut != want {
-					t.Fatalf("%s par %d intra %d: reported cut %d, oracle %d",
-						c.Spec.Name, par, intra, info.Cut, want)
-				}
-				if !oracle.Balanced(c.H, p, 0.1) {
-					t.Fatalf("%s par %d intra %d: oracle finds the §III.B bound violated",
-						c.Spec.Name, par, intra)
-				}
-				if ref == nil {
-					ref = p
-					continue
-				}
-				for v := range p.Part {
-					if p.Part[v] != ref.Part[v] {
-						t.Fatalf("%s par %d: partition diverges between IntraParallelism 0 and %d at cell %d",
-							c.Spec.Name, par, intra, v)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestOracleVCycleAndRecursiveBisect covers the remaining public
 // entry points that reuse workspaces across whole cycles (VCycle) and
 // across recursion (RecursiveBisect).
@@ -186,9 +144,10 @@ func TestOracleUnderFaultInjection(t *testing.T) {
 	h := c.H
 	// Panic entries are confined to start 0 (spec suffix ":0") so the
 	// remaining starts stay clean and the run-level error is nil; the
-	// cancel/corrupt entries apply to every start. The pooled plans
-	// repeat a panic and a cancel at fm.pass on a two-worker pool, and
-	// score-corrupt corrupts the matching sweep while it scores on one.
+	// cancel/corrupt entries apply to every start. The pooled-* and
+	// score-corrupt plans, named for the intra-run pool they once ran
+	// on, set IntraParallelism 2, which is accepted and ignored: a run
+	// carrying it must recover exactly like one without it.
 	plans := map[string]struct {
 		specs []string
 		intra int

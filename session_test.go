@@ -11,8 +11,8 @@ import (
 )
 
 // TestSessionMatchesOneShot runs a mixed job sequence on one Session —
-// large and small instances, both entry points, both engines, with
-// and without an intra pool — so each job inherits workspaces reserved
+// large and small instances, both entry points, both engines — so
+// each job inherits workspaces reserved
 // and dirtied by the jobs before it, shrinking and regrowing. One job
 // panics mid-refinement, abandoning the workspaces mid-pass; another
 // runs its starts in parallel, which the Session must leave to fresh
@@ -40,7 +40,7 @@ func TestSessionMatchesOneShot(t *testing.T) {
 		reuse, fault bool
 	}{
 		{"large quadrisect", large, Options{Engine: EngineFM, Seed: 1, Starts: 2, Parallelism: 1}, s.QuadrisectCtx, QuadrisectCtx, true, false},
-		{"small bipartition", small, Options{Engine: EngineFM, Seed: 2, IntraParallelism: 2}, s.BipartitionCtx, BipartitionCtx, true, false},
+		{"small bipartition", small, Options{Engine: EngineFM, Seed: 2}, s.BipartitionCtx, BipartitionCtx, true, false},
 		{"large CLIP bipartition", large, Options{Engine: EngineCLIP, Seed: 3, Starts: 2, Parallelism: 1}, s.BipartitionCtx, BipartitionCtx, true, false},
 		{"large bipartition panicking in fm.pass", large, Options{Engine: EngineFM, Seed: 5, Inject: panicking}, s.BipartitionCtx, BipartitionCtx, true, true},
 		{"large bipartition after the panic", large, Options{Engine: EngineFM, Seed: 6}, s.BipartitionCtx, BipartitionCtx, true, false},
