@@ -124,8 +124,10 @@ bench-test:
 # from-scratch reference (internal/oracle), the refiners' move
 # selection against the full bucket scan, the FM/CLIP refiner in
 # lockstep with a frozen copy of the engine before its packed net
-# record, and the gain buckets against a naive reference, twice to
-# catch state leaking between runs, under the race detector.
+# record, the k-way refiner in lockstep with a frozen copy from before
+# its closed-form gain updates, and the gain buckets against a naive
+# reference, twice to catch state leaking between runs, under the race
+# detector.
 oracle:
 	$(GO) test -race -run Oracle -count=2 . ./internal/fm ./internal/kway ./internal/oracle
 	$(GO) test -race -run 'Oracle|Differential' -count=2 ./internal/gainbucket

@@ -10,6 +10,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"mlpart/internal/faultinject"
@@ -33,63 +35,97 @@ func siteFires(site faultinject.Site, k int) bool {
 	return true
 }
 
+// chaosRun is one chaos-sweep call's outcome.
+type chaosRun struct {
+	p    *Partition
+	info Info
+	err  error
+}
+
+// digest renders everything a caller can read off a chaos run except
+// error texts, which may carry stacks: the partition, the reported
+// objectives and each start's report.
+func (r chaosRun) digest() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "err=%T cut=%d sod=%d levels=%d starts=%d best=%d interrupted=%v\n",
+		r.err, r.info.Cut, r.info.SumDegrees, r.info.Levels, r.info.Starts, r.info.BestStart, r.info.Interrupted)
+	for _, s := range r.info.StartReports {
+		fmt.Fprintf(&b, "start %d %v attempts=%d cost=%d faults=%d interrupted=%v err=%T\n",
+			s.Start, s.Outcome, s.Attempts, s.Cost, s.Faults, s.Interrupted, s.Err)
+	}
+	if r.p != nil {
+		fmt.Fprintf(&b, "K=%d part=%v", r.p.K, r.p.Part)
+	}
+	return b.String()
+}
+
+// TestChaosSweep arms each site × kind once per entry point. The
+// intra0 rows check the robustness contract on the run. The intra2
+// rows rerun the same fault plan with IntraParallelism 2, which is
+// accepted and ignored, and require the intra0 run's partition,
+// objectives and start reports byte for byte.
 func TestChaosSweep(t *testing.T) {
 	c, err := GenerateCircuit(CircuitSpec{Name: "chaos", Cells: 300, Nets: 340, Pins: 1100, Seed: 51})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := c.H
+	run := func(k int, site faultinject.Site, kind faultinject.Kind, intra int) chaosRun {
+		opt := Options{
+			Seed:             61,
+			Starts:           2,
+			IntraParallelism: intra,
+			Audit:            true,
+			Inject: &FaultPlan{
+				Seed:    7,
+				Entries: []FaultEntry{faultinject.On(site, kind, 1)},
+			},
+		}
+		var r chaosRun
+		if k == 2 {
+			r.p, r.info, r.err = BipartitionCtx(context.Background(), h, opt)
+		} else {
+			r.p, r.info, r.err = QuadrisectCtx(context.Background(), h, opt)
+		}
+		return r
+	}
 	for _, k := range []int{2, 4} {
-		// IntraParallelism is accepted and ignored: the intra2 rows pin
-		// that a run carrying it behaves like one without it under every
-		// fault.
-		for _, intra := range []int{0, 2} {
-			for _, site := range faultinject.AllSites {
-				for _, kind := range faultinject.Kinds {
-					site, kind, k, intra := site, kind, k, intra
-					t.Run(fmt.Sprintf("k%d/intra%d/%s/%s", k, intra, site, kind), func(t *testing.T) {
-						t.Parallel()
-						opt := Options{
-							Seed:             61,
-							Starts:           2,
-							IntraParallelism: intra,
-							Audit:            true,
-							Inject: &FaultPlan{
-								Seed:    7,
-								Entries: []FaultEntry{faultinject.On(site, kind, 1)},
-							},
+		for _, site := range faultinject.AllSites {
+			for _, kind := range faultinject.Kinds {
+				site, kind, k := site, kind, k
+				// The intra0 run, shared by both rows of the combo.
+				serial := sync.OnceValue(func() chaosRun { return run(k, site, kind, 0) })
+				t.Run(fmt.Sprintf("k%d/intra0/%s/%s", k, site, kind), func(t *testing.T) {
+					t.Parallel()
+					r := serial()
+					checkChaosOutcome(t, h, k, r.p, r.info, r.err)
+					if len(r.info.StartReports) != 2 {
+						t.Fatalf("got %d start reports, want 2", len(r.info.StartReports))
+					}
+					if r.info.Interrupted {
+						t.Errorf("synthetic fault must not set Info.Interrupted (caller ctx was never done)")
+					}
+					faults := 0
+					for _, s := range r.info.StartReports {
+						if s.Start < 0 || s.Start >= 2 {
+							t.Errorf("report start index %d out of range", s.Start)
 						}
-						// err is per subtest: the subtests run in parallel.
-						var p *Partition
-						var info Info
-						var err error
-						if k == 2 {
-							p, info, err = BipartitionCtx(context.Background(), h, opt)
-						} else {
-							p, info, err = QuadrisectCtx(context.Background(), h, opt)
-						}
-						checkChaosOutcome(t, h, k, p, info, err)
-						if len(info.StartReports) != opt.Starts {
-							t.Fatalf("got %d start reports, want %d", len(info.StartReports), opt.Starts)
-						}
-						if info.Interrupted {
-							t.Errorf("synthetic fault must not set Info.Interrupted (caller ctx was never done)")
-						}
-						faults := 0
-						for _, r := range info.StartReports {
-							if r.Start < 0 || r.Start >= opt.Starts {
-								t.Errorf("report start index %d out of range", r.Start)
-							}
-							faults += r.Faults
-						}
-						if siteFires(site, k) && faults == 0 {
-							t.Errorf("site %s armed but no faults fired", site)
-						}
-						if !siteFires(site, k) && faults != 0 {
-							t.Errorf("site %s fired %d times on k=%d intra=%d, want 0", site, faults, k, intra)
-						}
-					})
-				}
+						faults += s.Faults
+					}
+					if siteFires(site, k) && faults == 0 {
+						t.Errorf("site %s armed but no faults fired", site)
+					}
+					if !siteFires(site, k) && faults != 0 {
+						t.Errorf("site %s fired %d times on k=%d, want 0", site, faults, k)
+					}
+				})
+				t.Run(fmt.Sprintf("k%d/intra2/%s/%s", k, site, kind), func(t *testing.T) {
+					t.Parallel()
+					got, want := run(k, site, kind, 2).digest(), serial().digest()
+					if got != want {
+						t.Errorf("IntraParallelism 2 changed the outcome:\n%s\nintra0:\n%s", got, want)
+					}
+				})
 			}
 		}
 	}

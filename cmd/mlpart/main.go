@@ -20,7 +20,10 @@
 // the whole run.
 //
 // With -k 2 it bipartitions (the paper's ML_F / ML_C); with -k 4 it
-// quadrisects with the sum-of-degrees gain (§IV.D).
+// quadrisects with the sum-of-degrees gain (§IV.D). Without -engine,
+// -k 2 runs CLIP (ML_C) and -k 4 runs FM (ML_F), the paper's better
+// engine for each (Tables IV and IX); -engine clip still runs k-way
+// CLIP.
 //
 // -parallel runs starts under a fault-isolated parallel supervisor
 // whose worker pool it bounds (0 = GOMAXPROCS-capped, 1 = sequential;
@@ -70,7 +73,7 @@ func run() error {
 		in        = flag.String("in", "", "input .hgr netlist (required)")
 		out       = flag.String("out", "", "output partition file (default stdout)")
 		k         = flag.Int("k", 2, "number of blocks: 2 (bipartition) or 4 (quadrisect)")
-		engine    = flag.String("engine", "clip", "refinement engine: clip, fm, prop, or clprop")
+		engine    = flag.String("engine", "", "refinement engine: clip, fm, prop, or clprop (default clip for -k 2, fm for -k 4)")
 		ratio     = flag.Float64("ratio", 0, "matching ratio R in (0,1] (default 0.5 bipartition, 1.0 quadrisect)")
 		threshold = flag.Int("threshold", 0, "coarsening threshold T (default 35 bipartition, 100 quadrisect)")
 		tolerance = flag.Float64("tolerance", 0.1, "balance tolerance r")
@@ -155,7 +158,14 @@ func run() error {
 		}
 		opt.Inject = plan
 	}
-	switch *engine {
+	name := *engine
+	if name == "" {
+		name = "clip"
+		if *k == 4 {
+			name = "fm"
+		}
+	}
+	switch name {
 	case "clip":
 		opt.Engine = mlpart.EngineCLIP
 	case "fm":
@@ -165,7 +175,7 @@ func run() error {
 	case "clprop":
 		opt.Engine = mlpart.EngineCLIPPROP
 	default:
-		return fmt.Errorf("unknown engine %q (want clip, fm, prop, or clprop)", *engine)
+		return fmt.Errorf("unknown engine %q (want clip, fm, prop, or clprop)", name)
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

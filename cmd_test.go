@@ -114,12 +114,25 @@ func TestCmdBenchgenAndMlpart(t *testing.T) {
 		t.Fatalf("mlpart netD input: %v\n%s", err, out)
 	}
 
-	// Quadrisection through the CLI.
-	out, err = exec.Command(filepath.Join(bins, "mlpart"),
-		"-in", filepath.Join(dir, "bm1.hgr"), "-k", "4", "-engine", "fm").CombinedOutput()
-	if err != nil {
-		t.Fatalf("mlpart -k 4: %v\n%s", err, out)
+	// Quadrisection through the CLI: without -engine, -k 4 runs FM and
+	// writes the bytes of an explicit -engine fm.
+	quad := func(name string, engine ...string) []byte {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		args := append([]string{"-in", filepath.Join(dir, "bm1.hgr"), "-k", "4", "-out", path}, engine...)
+		if out, err := exec.Command(filepath.Join(bins, "mlpart"), args...).CombinedOutput(); err != nil {
+			t.Fatalf("mlpart -k 4 %v: %v\n%s", engine, err, out)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
+	if def, fm := quad("default.part"), quad("fm.part", "-engine", "fm"); string(def) != string(fm) {
+		t.Error("-k 4 without -engine wrote other bytes than -k 4 -engine fm")
+	}
+	quad("clip.part", "-engine", "clip")
 
 	// Error paths.
 	if out, err := exec.Command(filepath.Join(bins, "mlpart"),

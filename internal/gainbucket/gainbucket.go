@@ -47,8 +47,9 @@ func (o Order) String() string {
 const nilCell = int32(-1)
 
 // Structure is one gain-bucket array over cells 0..n-1. An FM
-// bipartitioner keeps two (one per side); a k-way partitioner keeps
-// k·(k−1).
+// bipartitioner keeps two (one per side); the k-way partitioner keeps
+// K, one per target block, each holding every free cell outside that
+// block keyed by its gain for moving there.
 type Structure struct {
 	order  Order
 	rng    *rand.Rand
@@ -234,8 +235,8 @@ func (s *Structure) Best() (v int32, gain int, ok bool) {
 // Iterate walks the cells of the highest non-empty buckets in
 // decreasing gain order, in the organization's preference order
 // within a bucket, calling f for each; iteration stops when f returns
-// false. It is how FM scans for the best *feasible* move without
-// mutating the structure.
+// false. FM's lookahead tie-break scans with it; the move selectors of
+// FM and the k-way engine walk a Cursor instead.
 func (s *Structure) Iterate(f func(v int32, gain int) bool) {
 	c := s.Walk()
 	for v, g, ok := c.Next(); ok && f(v, g); v, g, ok = c.Next() {

@@ -10,9 +10,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mlpart/internal/coarsen"
+	"mlpart/internal/faultinject"
 	"mlpart/internal/fm"
 	"mlpart/internal/gainbucket"
 	"mlpart/internal/hypergraph"
@@ -24,6 +26,12 @@ import (
 // minimum keeps zero-area cells in play, whose presence disables the
 // blocked-target skip (no block is ever too full for a zero-area cell).
 func areaH(rng *rand.Rand, n, m, maxPins int, minArea int64) *hypergraph.Hypergraph {
+	return weightedH(rng, n, m, maxPins, minArea, 1, 0)
+}
+
+// weightedH is areaH with net weights in [1, maxWeight], plus one net
+// over the first big cells when big > 0.
+func weightedH(rng *rand.Rand, n, m, maxPins int, minArea int64, maxWeight int32, big int) *hypergraph.Hypergraph {
 	b := hypergraph.NewBuilder(n)
 	for v := 0; v < n; v++ {
 		b.SetArea(v, minArea+rng.Int63n(6-minArea))
@@ -32,6 +40,17 @@ func areaH(rng *rand.Rand, n, m, maxPins int, minArea int64) *hypergraph.Hypergr
 		pins := make([]int, 2+rng.Intn(maxPins-1))
 		for i := range pins {
 			pins[i] = rng.Intn(n)
+		}
+		w := int32(1)
+		if maxWeight > 1 {
+			w += rng.Int31n(maxWeight)
+		}
+		b.AddWeightedNet(w, pins...)
+	}
+	if big > 0 {
+		pins := make([]int, big)
+		for i := range pins {
+			pins[i] = i
 		}
 		b.AddNet(pins...)
 	}
@@ -173,18 +192,24 @@ func TestOracleSelectMoveMatchesFullScan(t *testing.T) {
 
 // recomputeNetUpdate is moveNetUpdate before the critical-only update:
 // every free pin's contribution to every target is recomputed before
-// and after the count change, and each nonzero difference is applied
-// in pin order × ascending target.
+// and after the count change, through the frozen spanGain, and each
+// nonzero difference is applied in pin order × ascending target.
+// Fixed cells are locked from initPass on.
 func recomputeNetUpdate(r *refiner, e int, from, to int32) {
+	contrib := func(u, t int32) int32 {
+		b := r.p.Part[u]
+		c := r.counts[e*r.k:]
+		return refSpanGain(r.cfg.Objective, r.h.NetWeight(e), r.span[e], c[b] == 1, c[t] == 0)
+	}
 	pins := r.h.Pins(e)
 	var old []int32
 	for _, u := range pins {
-		if r.locked[u] || r.isFixed(u) {
+		if r.locked[u] {
 			continue
 		}
 		for t := int32(0); int(t) < r.k; t++ {
 			if t != r.p.Part[u] {
-				old = append(old, r.contrib(e, u, t))
+				old = append(old, contrib(u, t))
 			}
 		}
 	}
@@ -202,16 +227,21 @@ func recomputeNetUpdate(r *refiner, e int, from, to int32) {
 	r.cost += int(r.h.NetWeight(e)) * (r.netCost(r.span[e]) - r.netCost(oldSpan))
 	i := 0
 	for _, u := range pins {
-		if r.locked[u] || r.isFixed(u) {
+		if r.locked[u] {
 			continue
 		}
 		for t := int32(0); int(t) < r.k; t++ {
 			if t != r.p.Part[u] {
-				delta := r.contrib(e, u, t) - old[i]
+				delta := contrib(u, t) - old[i]
 				i++
 				if delta != 0 {
-					r.gain[int(u)*r.k+int(t)] += delta
-					r.buckets[t].Update(u, r.key(u, t))
+					j := int(u)*r.k + int(t)
+					r.gain[j] += delta
+					key := r.gain[j]
+					if r.cfg.Engine == fm.EngineCLIP {
+						key -= r.initKey[j]
+					}
+					r.buckets[t].Update(u, int(key))
 				}
 			}
 		}
@@ -237,18 +267,6 @@ func recomputeApplyMove(r *refiner, v, t int32) {
 	r.p.Part[v] = t
 	r.moveCells = append(r.moveCells, v)
 	r.moveFrom = append(r.moveFrom, from)
-}
-
-// bucketContents appends every target bucket to out in Iterate order
-// as (target, cell, key) triples.
-func bucketContents(out [][3]int, r *refiner) [][3]int {
-	for t := 0; t < r.k; t++ {
-		r.buckets[t].Iterate(func(v int32, g int) bool {
-			out = append(out, [3]int{t, int(v), g})
-			return true
-		})
-	}
-	return out
 }
 
 // TestOracleMoveNetUpdateMatchesRecompute runs complete passes of two
@@ -331,7 +349,7 @@ func TestOracleMoveNetUpdateMatchesRecompute(t *testing.T) {
 												name, pass, step, i/k, i%k, got.gain[i], ref.gain[i])
 										}
 									}
-									gotB, refB = bucketContents(gotB[:0], got), bucketContents(refB[:0], ref)
+									gotB, refB = walkBuckets(gotB[:0], got.buckets), walkBuckets(refB[:0], ref.buckets)
 									if !reflect.DeepEqual(gotB, refB) {
 										t.Fatalf("%s pass %d step %d: bucket contents diverge", name, pass, step)
 									}
@@ -414,6 +432,191 @@ func TestOracleWorkspaceReuseBitIdentical(t *testing.T) {
 						t.Fatalf("%s: reported sum of degrees %d, oracle %d", name, resWS.SumDegrees, want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestOracleRefinerMatchesReference runs whole passes of the refiner
+// in lockstep with refRefiner, the frozen copy of the engine before the
+// closed-form gain updates (reference_test.go), from the same partition
+// and seed, over LIFO, FIFO and Random order, FM and CLIP, sum of
+// degrees and net cut, with and without fixed cells, on unit and
+// weighted nets. After every move the selected (cell, target), the
+// partition, the gain table, the objective, the block areas and every
+// target bucket's walk order must agree; after every pass, the
+// rollback's partition and objective too. A whole Refine run must then
+// report the reference's Result and partition. The refiner reuses one
+// dirty Workspace throughout, the reference allocates per run.
+func TestOracleRefinerMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	instances := []*hypergraph.Hypergraph{
+		weightedH(rng, 90, 110, 5, 0, 1, 0),
+		weightedH(rng, 110, 130, 7, 1, 3, 0),
+		weightedH(rng, 215, 160, 4, 1, 1, 205),
+	}
+	levels := coarseLevels(t, 300, 13)
+	merged, err := hypergraph.MergeParallelNets(levels[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !merged.Weighted() {
+		t.Fatal("merged level has no weighted nets")
+	}
+	instances = append(instances, levels[1], merged)
+
+	ks := []int{2, 4, 7}
+	maxNets := []int{-1, 200, 3}
+	tolerances := []float64{0.1, 0.05}
+	orders := []gainbucket.Order{gainbucket.LIFO, gainbucket.FIFO, gainbucket.Random}
+	ws := &Workspace{}
+	var gotB, refB [][3]int
+	runs, moves := 0, 0
+	for hi, h := range instances {
+		for _, eng := range []fm.Engine{fm.EngineFM, fm.EngineCLIP} {
+			for _, obj := range []Objective{SumOfDegrees, NetCut} {
+				for oi, order := range orders {
+					for fi, withFixed := range []bool{false, true} {
+						vi := 2*oi + fi
+						seed := int64(1000*hi + 100*int(eng) + 10*int(obj) + vi)
+						prng := rand.New(rand.NewSource(seed))
+						cfg := Config{
+							K: ks[(hi+vi)%len(ks)], Engine: eng, Objective: obj, Order: order,
+							MaxNetSize: maxNets[(hi+oi)%len(maxNets)],
+							Tolerance:  tolerances[(hi+vi)%len(tolerances)],
+						}
+						init := hypergraph.RandomPartition(h, cfg.K, cfg.Tolerance, prng)
+						if withFixed {
+							cfg.Fixed = make([]bool, h.NumCells())
+							for v := range cfg.Fixed {
+								cfg.Fixed[v] = prng.Intn(8) == 0
+							}
+						}
+						cfg, err := cfg.Normalize()
+						if err != nil {
+							t.Fatal(err)
+						}
+						name := fmt.Sprintf("instance %d K=%d %v/%v/%v fixed=%v maxnet=%d r=%v",
+							hi, cfg.K, eng, obj, order, withFixed, cfg.MaxNetSize, cfg.Tolerance)
+						ref := newRefRefiner(h, init.Clone(), cfg, rand.New(rand.NewSource(seed)))
+						cfg.WS = ws
+						got := newRefiner(h, init.Clone(), cfg, rand.New(rand.NewSource(seed)))
+						got.computeCounts()
+						ref.computeCounts()
+						same := func(when string) {
+							t.Helper()
+							if !slices.Equal(got.p.Part, ref.p.Part) {
+								t.Fatalf("%s %s: partitions diverge", name, when)
+							}
+							if got.cost != ref.cost || !slices.Equal(got.areas, ref.areas) {
+								t.Fatalf("%s %s: cost %d areas %v, reference %d %v", name, when, got.cost, got.areas, ref.cost, ref.areas)
+							}
+						}
+						same("after the count")
+						runs++
+						for pass := 0; pass < 8; pass++ {
+							got.initPass()
+							ref.initPass()
+							bestGain, cumGain, bestLen := 0, 0, 0
+							for step := 0; ; step++ {
+								when := fmt.Sprintf("pass %d step %d", pass, step)
+								v, to := got.selectMove()
+								if w, wt := ref.selectMove(); v != w || to != wt {
+									t.Fatalf("%s %s: selected (%d→%d), reference (%d→%d)", name, when, v, to, w, wt)
+								}
+								if v < 0 {
+									break
+								}
+								cumGain += int(got.gain[int(v)*cfg.K+int(to)])
+								got.applyMove(v, to)
+								ref.applyMove(v, to)
+								moves++
+								same(when)
+								if i := firstDiff(got.gain, ref.gain); i >= 0 {
+									t.Fatalf("%s %s: gain(%d → %d) = %d, reference %d", name, when, i/cfg.K, i%cfg.K, got.gain[i], ref.gain[i])
+								}
+								gotB, refB = walkBuckets(gotB[:0], got.buckets), walkBuckets(refB[:0], ref.buckets)
+								if !slices.Equal(gotB, refB) {
+									t.Fatalf("%s %s: bucket walks diverge", name, when)
+								}
+								if cumGain > bestGain {
+									bestGain, bestLen = cumGain, len(got.moveCells)
+								}
+							}
+							for i := len(got.moveCells) - 1; i >= bestLen; i-- {
+								got.undoMove(got.moveCells[i], got.moveFrom[i])
+								ref.undoMove(ref.moveCells[i], ref.moveFrom[i])
+							}
+							same(fmt.Sprintf("pass %d rollback", pass))
+							if bestGain <= 0 {
+								break
+							}
+						}
+
+						pGot, pRef := init.Clone(), init.Clone()
+						resGot, err := Refine(h, pGot, cfg, rand.New(rand.NewSource(seed)))
+						if err != nil {
+							t.Fatal(err)
+						}
+						resRef := newRefRefiner(h, pRef, cfg, rand.New(rand.NewSource(seed))).run()
+						if resGot != resRef {
+							t.Fatalf("%s: Refine %+v, reference %+v", name, resGot, resRef)
+						}
+						if !slices.Equal(pGot.Part, pRef.Part) {
+							t.Fatalf("%s: Refine partition diverges", name)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d runs, %d moves in lockstep", runs, moves)
+}
+
+// firstDiff returns the first index where a and b differ, or -1.
+func firstDiff(a, b []int32) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// walkBuckets appends every target bucket's cells in walk order to out
+// as (target, cell, key) triples.
+func walkBuckets(out [][3]int, buckets []*gainbucket.Structure) [][3]int {
+	for t, b := range buckets {
+		b.Iterate(func(v int32, g int) bool {
+			out = append(out, [3]int{t, int(v), g})
+			return true
+		})
+	}
+	return out
+}
+
+// TestOracleCorruptFaultReportsRecount arms the kway.refine corrupt
+// fault, which moves a cell without updating the pin counts. The
+// reported objectives must still equal the oracle recount of the
+// returned partition, although the maintained spans are stale.
+func TestOracleCorruptFaultReportsRecount(t *testing.T) {
+	h := areaH(rand.New(rand.NewSource(71)), 200, 240, 6, 1)
+	for _, obj := range []Objective{SumOfDegrees, NetCut} {
+		for nth := 1; nth <= 3; nth++ {
+			plan := &faultinject.Plan{Seed: 5, Entries: []faultinject.Entry{faultinject.On(faultinject.SiteKwayRefine, faultinject.KindCorrupt, nth)}}
+			inj := plan.NewInjector(0, 0)
+			p, res, err := Partition(h, nil, Config{Objective: obj, Inject: inj}, rand.New(rand.NewSource(int64(nth))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inj.Fired() == 0 {
+				t.Fatalf("%v nth %d: the fault never fired", obj, nth)
+			}
+			if want := oracle.WeightedCut(h, p); res.CutNets != want {
+				t.Errorf("%v nth %d: reported cut %d, oracle %d", obj, nth, res.CutNets, want)
+			}
+			if want := oracle.WeightedSumOfDegrees(h, p); res.SumDegrees != want {
+				t.Errorf("%v nth %d: reported sum of degrees %d, oracle %d", obj, nth, res.SumDegrees, want)
 			}
 		}
 	}

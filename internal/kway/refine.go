@@ -26,8 +26,8 @@ type refiner struct {
 	counts  []int32 // per net × block pin counts, flat [e*k + b]
 	span    []int32 // per net: number of blocks spanned (active nets)
 	gain    []int32 // per cell × target block, flat [v*k + t]
-	initKey []int32 // CLIP: gain at pass start (bucket key = gain − initKey)
-	locked  []bool
+	initKey []int32 // CLIP: gain at pass start (bucket key = gain − initKey); nil under FM
+	locked  []bool  // moved this pass, or fixed
 
 	// buckets[t] holds every free, non-fixed cell v with part[v] != t
 	// keyed by gain(v→t).
@@ -37,9 +37,11 @@ type refiner struct {
 	moveCells []int32
 	moveFrom  []int32
 
-	delta []int32 // moveNetUpdate's k × k rows, flat [b*k + t]
-
 	cost int // current objective over active nets
+
+	// stale reports that a corrupt fault moved a cell behind the
+	// counts' back, so the spans no longer describe the partition.
+	stale bool
 }
 
 func newRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, rng *rand.Rand) *refiner {
@@ -58,7 +60,6 @@ func newRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, r
 		locked:    ws.locked,
 		moveCells: ws.moveCells[:0],
 		moveFrom:  ws.moveFrom[:0],
-		delta:     ws.delta,
 	}
 	for e := 0; e < h.NumNets(); e++ {
 		r.active[e] = cfg.MaxNetSize < 0 || h.NetSize(e) <= cfg.MaxNetSize
@@ -76,21 +77,10 @@ func newRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, r
 	return r
 }
 
-// key returns the bucket key of moving v to t under the engine.
-func (r *refiner) key(v, t int32) int {
-	i := int(v)*r.k + int(t)
-	if r.cfg.Engine == fm.EngineCLIP {
-		return int(r.gain[i] - r.initKey[i])
-	}
-	return int(r.gain[i])
-}
-
 func (r *refiner) run() Result {
-	res := Result{
-		InitialCutNets:    r.p.WeightedCut(r.h),
-		InitialSumDegrees: r.p.WeightedSumOfDegrees(r.h),
-	}
 	r.computeCounts()
+	var res Result
+	res.InitialCutNets, res.InitialSumDegrees = r.objectives()
 	maxPasses := r.cfg.MaxPasses
 	if maxPasses == 0 {
 		maxPasses = 1 << 30
@@ -112,13 +102,32 @@ func (r *refiner) run() Result {
 			break
 		}
 	}
-	res.CutNets = r.p.WeightedCut(r.h)
-	res.SumDegrees = r.p.WeightedSumOfDegrees(r.h)
+	res.CutNets, res.SumDegrees = r.objectives()
 	// Hand any move-log growth back to the workspace (appends stay
 	// within the pre-grown capacity today, but do not rely on it).
 	r.ws.moveCells = r.moveCells
 	r.ws.moveFrom = r.moveFrom
 	return res
+}
+
+// objectives returns the weighted cut and sum of degrees over all
+// nets. Active nets read the span the moves maintain; a net over
+// MaxNetSize is left out of the moves, so its span is recounted from
+// the partition, as is every net's once a corrupt fault made the
+// spans stale.
+func (r *refiner) objectives() (cut, sumDegrees int) {
+	for e := 0; e < r.h.NumNets(); e++ {
+		span := int(r.span[e])
+		if r.stale || !r.active[e] {
+			span = r.p.NetSpan(r.h, e)
+		}
+		if span > 1 {
+			w := int(r.h.NetWeight(e))
+			cut += w
+			sumDegrees += w * (span - 1)
+		}
+	}
+	return cut, sumDegrees
 }
 
 // passLabel is the telemetry engine name of a k-way pass: a constant,
@@ -133,8 +142,8 @@ func passLabel(e fm.Engine) string {
 // fireFault hits the kway.refine fault site. Cancel aborts like a
 // Stop hook; corrupt moves one random non-fixed cell to the next
 // block without updating the incremental counts — the reported
-// CutNets/SumDegrees stay truthful (recounted above), while balance
-// can break, which the per-level audit catches.
+// CutNets/SumDegrees stay truthful (objectives recounts every net),
+// while balance can break, which the per-level audit catches.
 func (r *refiner) fireFault(res *Result) bool {
 	switch r.cfg.Inject.Fire(faultinject.SiteKwayRefine) {
 	case faultinject.ActCancel:
@@ -149,6 +158,7 @@ func (r *refiner) fireFault(res *Result) bool {
 		for tries := 0; tries < n; tries++ {
 			if r.cfg.Fixed == nil || !r.cfg.Fixed[v] {
 				r.p.Part[v] = (r.p.Part[v] + 1) % int32(r.k)
+				r.stale = true
 				break
 			}
 			v = (v + 1) % n
@@ -203,85 +213,77 @@ func (r *refiner) netCost(span int32) int {
 	}
 }
 
-// contrib returns net e's contribution to gain(u → t): the objective
-// decrease on e if u moved from its block to t right now.
-func (r *refiner) contrib(e int, u, t int32) int32 {
-	from := r.p.Part[u]
-	if from == t {
+// netGain is the contribution of a net of weight w spanning span
+// blocks to gain(u → t), for a pin u in block b ≠ t, with cb and ct
+// the net's pin counts in b and t: the objective decrease if u moved
+// to t right now.
+//
+// Under sum of degrees the span falls by one when u is b's last pin
+// and rises by one when t holds no pin, so the gain is
+// w·[cb = 1] − w·[ct = 0]. Under net cut only a net spanning one or
+// two blocks can change state: an uncut net of two or more pins
+// becomes cut, and a cut net whose other pins all sit in t becomes
+// uncut.
+func (r *refiner) netGain(w, span, cb, ct int32) int32 {
+	if r.cfg.Objective == NetCut {
+		switch {
+		case span == 1 && cb > 1:
+			return -w
+		case span == 2 && cb == 1 && ct > 0:
+			return w
+		}
 		return 0
 	}
-	c := r.counts[e*r.k:]
-	return r.spanGain(r.h.NetWeight(e), r.span[e], c[from] == 1, c[t] == 0)
+	var g int32
+	if cb == 1 {
+		g = w
+	}
+	if ct == 0 {
+		g -= w
+	}
+	return g
 }
 
-// spanGain is the objective decrease on a net of weight w spanning
-// span blocks when one of its pins moves to another block: leaves
-// reports that the pin is the last one in its block, enters that the
-// target block holds none of the net's pins. contrib, and hence every
-// gain, depends on a net's state only through these three inputs.
-func (r *refiner) spanGain(w, span int32, leaves, enters bool) int32 {
-	var dSpan int32 // span(after) − span(before)
-	if leaves {
-		dSpan--
-	}
-	if enters {
-		dSpan++
-	}
-	switch r.cfg.Objective {
-	case NetCut:
-		before := span > 1
-		after := span+dSpan > 1
-		switch {
-		case before && !after:
-			return w
-		case !before && after:
-			return -w
-		default:
-			return 0
-		}
-	default: // SumOfDegrees: cost = w·(span−1), gain = −w·dSpan
-		return -w * dSpan
-	}
-}
-
-// computeGains fills gain[v][t] for all free cells from scratch.
+// computeGains fills gain[v][t] for every unlocked cell from scratch,
+// net by net. A cell's own-block entry stays 0.
 func (r *refiner) computeGains() {
-	for i := range r.gain {
-		r.gain[i] = 0
-	}
-	for v := int32(0); int(v) < r.h.NumCells(); v++ {
-		if r.isFixed(v) {
+	clear(r.gain)
+	k := r.k
+	for e := 0; e < r.h.NumNets(); e++ {
+		if !r.active[e] {
 			continue
 		}
-		for _, e := range r.h.Nets(int(v)) {
-			if !r.active[e] {
+		c := r.counts[e*k : e*k+k]
+		w, span := r.h.NetWeight(e), r.span[e]
+		for _, u := range r.h.Pins(e) {
+			if r.locked[u] {
 				continue
 			}
-			for t := int32(0); int(t) < r.k; t++ {
-				if t != r.p.Part[v] {
-					r.gain[int(v)*r.k+int(t)] += r.contrib(int(e), v, t)
+			b := r.p.Part[u]
+			g := r.gain[int(u)*k : int(u)*k+k]
+			for t, ct := range c {
+				if int32(t) != b {
+					g[t] += r.netGain(w, span, c[b], ct)
 				}
 			}
 		}
 	}
 }
 
-func (r *refiner) isFixed(v int32) bool {
-	return r.cfg.Fixed != nil && r.cfg.Fixed[v]
-}
-
-// initPass rebuilds gains, buckets and locks.
+// initPass locks the fixed cells and unlocks the rest, then rebuilds
+// gains and buckets. From here on a fixed cell is just a locked one.
 func (r *refiner) initPass() {
-	n := r.h.NumCells()
-	for v := 0; v < n; v++ {
-		r.locked[v] = false
+	if r.cfg.Fixed != nil {
+		copy(r.locked, r.cfg.Fixed)
+	} else {
+		clear(r.locked)
 	}
 	r.computeGains()
 	for t := 0; t < r.k; t++ {
 		r.buckets[t].Clear()
 	}
-	for v := int32(0); int(v) < n; v++ {
-		if r.isFixed(v) {
+	for v := int32(0); int(v) < r.h.NumCells(); v++ {
+		if r.locked[v] {
 			continue
 		}
 		for t := int32(0); int(t) < r.k; t++ {
@@ -290,7 +292,7 @@ func (r *refiner) initPass() {
 			}
 		}
 	}
-	if r.cfg.Engine == fm.EngineCLIP {
+	if r.initKey != nil {
 		copy(r.initKey, r.gain)
 		for t := 0; t < r.k; t++ {
 			r.buckets[t].ConcatenateToZero()
@@ -300,37 +302,36 @@ func (r *refiner) initPass() {
 	r.moveFrom = r.moveFrom[:0]
 }
 
-// feasible reports whether moving v to block t keeps the balance.
-func (r *refiner) feasible(v, t int32) bool {
-	from := r.p.Part[v]
-	a := r.h.Area(int(v))
-	return r.areas[t]+a <= r.bound.Hi && r.areas[from]-a >= r.bound.Lo
-}
-
-// selectMove returns the best feasible (cell, target) or (-1, -1).
+// selectMove returns the best feasible (cell, target) or (-1, -1):
+// the first feasible cell of each target's bucket walk, the highest
+// gain winning and ties going to the lowest target. A walk stops at
+// the first cell no better than the best so far, since buckets
+// descend.
 //
 // A target block that cannot take even the smallest cell has no
-// feasible move, so its bucket is skipped rather than scanned to the
-// end. Random order still scans, because Iterate shuffles with the
-// run's RNG and skipping would shift the stream.
+// feasible move, so its bucket is skipped rather than walked to the
+// end. Random order still walks it, because the cursor shuffles each
+// bucket it enters with the run's RNG and skipping would shift the
+// stream.
 func (r *refiner) selectMove() (int32, int32) {
 	bestV, bestT := int32(-1), int32(-1)
 	bestG := 0
 	minArea := r.h.MinCellArea()
 	for t := int32(0); int(t) < r.k; t++ {
-		if r.areas[t]+minArea > r.bound.Hi && r.cfg.Order != gainbucket.Random {
+		room := r.bound.Hi - r.areas[t]
+		if room < minArea && r.cfg.Order != gainbucket.Random {
 			continue
 		}
-		r.buckets[t].Iterate(func(v int32, g int) bool {
+		c := r.buckets[t].Walk()
+		for v, g, ok := c.Next(); ok; v, g, ok = c.Next() {
 			if bestV >= 0 && g <= bestG {
-				return false // buckets descend; nothing better here
+				break
 			}
-			if r.feasible(v, t) {
+			if a := r.h.Area(int(v)); a <= room && r.areas[r.p.Part[v]]-a >= r.bound.Lo {
 				bestV, bestT, bestG = v, t, g
-				return false
+				break
 			}
-			return true
-		})
+		}
 	}
 	return bestV, bestT
 }
@@ -340,7 +341,7 @@ func (r *refiner) applyMove(v, t int32) {
 	from := r.p.Part[v]
 	r.locked[v] = true
 	for b := int32(0); int(b) < r.k; b++ {
-		if b != from && r.buckets[b].Contains(v) {
+		if b != from {
 			r.buckets[b].Remove(v)
 		}
 	}
@@ -357,19 +358,22 @@ func (r *refiner) applyMove(v, t int32) {
 	r.moveFrom = append(r.moveFrom, from)
 }
 
-// moveNetUpdate adjusts counts/span/cost for net e as one of its pins
-// moves from → to, and shifts the gains of e's free pins by the change
-// in e's contribution.
+// moveNetUpdate adjusts counts, span and cost for net e as one of its
+// pins moves from → to, and shifts the gains of e's free pins by the
+// change in e's contribution (netGain).
 //
-// contrib(e, u, t) reads only span(e), [count(Part[u]) == 1] and
-// [count(t) == 0] (spanGain), and the move changes only count(from)
-// and count(to). Unless count(from) was 1 or 2 or count(to) was 0 or
-// 1, none of those inputs changes for any (u, t) and no gain moves.
-// Otherwise the change depends on u only through b = Part[u], so it
-// is computed once per block row delta[b][t], lazily, and applied in
-// pin order × ascending t where nonzero — the same Update sequence as
-// recomputing every pin's contribution before and after, which keeps
-// the bucket order (and a Random order's RNG stream) unchanged.
+// Let cf and ct be the pin counts of from and to before the move.
+// Under sum of degrees the move changes at most four terms:
+//   - column from: every pin outside from loses w on from when cf = 1;
+//   - column to: every pin outside to gains w on to when ct = 0;
+//   - the one pin left in from gains w on every target when cf = 2;
+//   - to's former lone pin loses w on every target when ct = 1.
+//
+// When cf > 2 and ct > 1 none applies, and no term of net cut changes
+// either. The shifts go out in pin order × ascending target, nonzero
+// only: the Update sequence of recomputing every pin's contribution
+// before and after, so LIFO, FIFO and Random bucket order and every
+// move stay those of the full recompute.
 func (r *refiner) moveNetUpdate(e int, from, to int32) {
 	k := r.k
 	c := r.counts[e*k : e*k+k]
@@ -390,7 +394,93 @@ func (r *refiner) moveNetUpdate(e int, from, to int32) {
 	if cf > 2 && ct > 1 {
 		return
 	}
-	// before is a block's pin count ahead of the move.
+	if r.cfg.Objective == NetCut {
+		r.cutNetUpdate(e, from, to, cf, ct, oldSpan)
+		return
+	}
+	var colFrom, colTo, rowFrom, rowTo int32
+	if cf == 1 {
+		colFrom = -w
+	}
+	if ct == 0 {
+		colTo = w
+	}
+	if cf == 2 {
+		rowFrom = w
+	}
+	if ct == 1 {
+		rowTo = -w
+	}
+	lo, dLo, hi, dHi := from, colFrom, to, colTo
+	if lo > hi {
+		lo, dLo, hi, dHi = hi, dHi, lo, dLo
+	}
+	for _, u := range r.h.Pins(e) {
+		if r.locked[u] {
+			continue
+		}
+		switch r.p.Part[u] {
+		case from:
+			r.shiftRow(u, from, rowFrom, to, colTo)
+		case to:
+			r.shiftRow(u, to, rowTo, from, colFrom)
+		default:
+			if dLo != 0 {
+				r.shift(u, lo, dLo)
+			}
+			if dHi != 0 {
+				r.shift(u, hi, dHi)
+			}
+		}
+	}
+}
+
+// shiftRow shifts gain(u → t) by d on every target t ≠ b, u's block,
+// plus dc on target tc, in ascending t. d and dc are never of opposite
+// signs, so every shift of a nonzero d is nonzero.
+func (r *refiner) shiftRow(u, b, d, tc, dc int32) {
+	if d == 0 {
+		if dc != 0 {
+			r.shift(u, tc, dc)
+		}
+		return
+	}
+	for t := int32(0); int(t) < r.k; t++ {
+		switch t {
+		case b:
+		case tc:
+			r.shift(u, t, d+dc)
+		default:
+			r.shift(u, t, d)
+		}
+	}
+}
+
+// shift adds d to gain(u → t) and moves u to its new key in bucket t.
+func (r *refiner) shift(u, t, d int32) {
+	i := int(u)*r.k + int(t)
+	r.gain[i] += d
+	key := r.gain[i]
+	if r.initKey != nil {
+		key -= r.initKey[i]
+	}
+	r.buckets[t].Update(u, int(key))
+}
+
+// cutNetUpdate is moveNetUpdate's gain shift under net cut, after the
+// counts and span have moved: each free pin's contribution to each
+// target is evaluated before and after the move, and the nonzero
+// differences are applied in pin order × ascending target. A net that
+// spans three or more blocks before and after contributes nothing
+// either way.
+func (r *refiner) cutNetUpdate(e int, from, to, cf, ct, oldSpan int32) {
+	span := r.span[e]
+	if oldSpan > 2 && span > 2 {
+		return
+	}
+	k := r.k
+	c := r.counts[e*k : e*k+k]
+	w := r.h.NetWeight(e)
 	before := func(b int32) int32 {
 		switch b {
 		case from:
@@ -400,28 +490,17 @@ func (r *refiner) moveNetUpdate(e int, from, to int32) {
 		}
 		return c[b]
 	}
-	var done uint64 // K ≤ 64: bit b marks delta row b as computed
 	for _, u := range r.h.Pins(e) {
-		if r.locked[u] || r.isFixed(u) {
+		if r.locked[u] {
 			continue
 		}
 		b := r.p.Part[u]
-		row := r.delta[int(b)*k : int(b)*k+k]
-		if done&(1<<uint(b)) == 0 {
-			done |= 1 << uint(b)
-			leftBefore, leftAfter := before(b) == 1, c[b] == 1
-			for t := int32(0); int(t) < k; t++ {
-				if t == b {
-					row[t] = 0
-					continue
-				}
-				row[t] = r.spanGain(w, span, leftAfter, c[t] == 0) - r.spanGain(w, oldSpan, leftBefore, before(t) == 0)
+		for t := int32(0); int(t) < k; t++ {
+			if t == b {
+				continue
 			}
-		}
-		for t, d := range row {
-			if d != 0 {
-				r.gain[int(u)*k+t] += d
-				r.buckets[t].Update(u, r.key(u, int32(t)))
+			if d := r.netGain(w, span, c[b], c[t]) - r.netGain(w, oldSpan, before(b), before(t)); d != 0 {
+				r.shift(u, t, d)
 			}
 		}
 	}

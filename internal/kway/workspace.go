@@ -9,10 +9,10 @@ import (
 
 // Workspace holds the per-run scratch memory of the k-way engine:
 // activity flags, per-net block pin counts and spans, the cell ×
-// target gain table, the move log, the K gain-bucket structures and
-// the delta rows of the incremental gain update. Threading one
-// Workspace through the Refine/Partition calls of a multilevel run
-// makes refinement allocation-free in steady state.
+// target gain table, the move log and the K gain-bucket structures,
+// one per target block. Threading one Workspace through the
+// Refine/Partition calls of a multilevel run makes refinement
+// allocation-free in steady state.
 //
 // Buffers only grow. Uncoarsening refines ever larger levels, so a
 // multilevel caller sizes the Workspace once for the finest level
@@ -37,7 +37,6 @@ type Workspace struct {
 	moveCells []int32
 	moveFrom  []int32
 	buckets   []*gainbucket.Structure
-	delta     []int32 // k × k gain-change rows of moveNetUpdate
 }
 
 // grab returns the workspace to use for one run: the caller's, or a
@@ -76,7 +75,6 @@ func (w *Workspace) size(cfg Config, cells, nets int) {
 	w.areas = grow(w.areas, k)
 	w.moveCells = grow(w.moveCells, cells)
 	w.moveFrom = grow(w.moveFrom, cells)
-	w.delta = grow(w.delta, k*k)
 }
 
 // bucket returns target t's gain bucket sized for this run, reusing

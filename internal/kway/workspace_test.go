@@ -60,7 +60,7 @@ func TestReserveCoversFinerLevels(t *testing.T) {
 	levels := coarseLevels(t, 2000, 5)
 	caps := func(w *Workspace) []int {
 		return []int{cap(w.active), cap(w.counts), cap(w.span), cap(w.gain), cap(w.initKey), cap(w.locked),
-			cap(w.areas), cap(w.moveCells), cap(w.moveFrom), cap(w.buckets), cap(w.delta)}
+			cap(w.areas), cap(w.moveCells), cap(w.moveFrom), cap(w.buckets)}
 	}
 	for _, eng := range []fm.Engine{fm.EngineFM, fm.EngineCLIP} {
 		for _, k := range []int{2, 4, 8} {

@@ -195,7 +195,8 @@ type Options struct {
 	// Engine: EngineFM or EngineCLIP (the PROP engines are
 	// bipartition-only). Default EngineFM (ML_F), the zero value; an
 	// mlpartd job request with no "engine" runs it too. The mlpart CLI
-	// defaults to -engine clip (ML_C) instead.
+	// defaults to -engine clip (ML_C) for -k 2 instead, and to fm for
+	// -k 4.
 	Engine fm.Engine
 	// MatchingRatio R ∈ (0,1]. Default 0.5.
 	MatchingRatio float64

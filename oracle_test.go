@@ -144,29 +144,22 @@ func TestOracleUnderFaultInjection(t *testing.T) {
 	h := c.H
 	// Panic entries are confined to start 0 (spec suffix ":0") so the
 	// remaining starts stay clean and the run-level error is nil; the
-	// cancel/corrupt entries apply to every start. The pooled-* and
-	// score-corrupt plans, named for the intra-run pool they once ran
-	// on, set IntraParallelism 2, which is accepted and ignored: a run
-	// carrying it must recover exactly like one without it.
-	plans := map[string]struct {
-		specs []string
-		intra int
-	}{
-		"fm-panic":         {specs: []string{"fm.pass:panic:2:0"}},
-		"project-corrupt":  {specs: []string{"core.project:corrupt:1"}},
-		"match-cancel":     {specs: []string{"coarsen.match:cancel:3"}},
-		"mixed":            {specs: []string{"fm.pass:panic:1:0", "core.rebalance:corrupt:1"}},
-		"pooled-fm-panic":  {specs: []string{"fm.pass:panic:2:0"}, intra: 2},
-		"pooled-fm-cancel": {specs: []string{"fm.pass:cancel:4"}, intra: 2},
-		"score-corrupt":    {specs: []string{"coarsen.match:corrupt:1"}, intra: 2},
+	// cancel/corrupt entries apply to every start.
+	plans := map[string][]string{
+		"fm-panic":        {"fm.pass:panic:2:0"},
+		"fm-cancel":       {"fm.pass:cancel:4"},
+		"project-corrupt": {"core.project:corrupt:1"},
+		"match-cancel":    {"coarsen.match:cancel:3"},
+		"match-corrupt":   {"coarsen.match:corrupt:1"},
+		"mixed":           {"fm.pass:panic:1:0", "core.rebalance:corrupt:1"},
 	}
-	for name, tc := range plans {
+	for name, specs := range plans {
 		t.Run(name, func(t *testing.T) {
-			plan, err := ParseFaultSpec(tc.specs, 17)
+			plan, err := ParseFaultSpec(specs, 17)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, info, err := Bipartition(h, Options{Seed: 41, Starts: 3, Parallelism: 2, IntraParallelism: tc.intra, Inject: plan})
+			p, info, err := Bipartition(h, Options{Seed: 41, Starts: 3, Parallelism: 2, Inject: plan})
 			if err != nil {
 				t.Fatalf("faults confined to some starts must not fail the run: %v", err)
 			}
