@@ -2,19 +2,22 @@ package mlpart
 
 // Fuzz targets over the public entry points. FuzzPipeline runs the
 // whole pipeline on small fuzzed hypergraphs: the coarsening hierarchy
-// must be a pure function of the seed, and every partition must be
-// valid, balanced and truthfully reported. FuzzOptionsJSON pins the
+// must be a pure function of the seed with every level complete, every
+// partition must be valid, balanced and truthfully reported, and a
+// Session that ran a larger job first must return the same bytes. FuzzOptionsJSON pins the
 // canonical options encoding that mlpartd keys its result cache on.
 // The checked-in corpora under testdata/fuzz run with every `go test`.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"mlpart/internal/core"
+	"mlpart/internal/netgen"
 	"mlpart/internal/oracle"
 )
 
@@ -56,7 +59,8 @@ func fuzzHypergraph(data []byte) *Hypergraph {
 }
 
 // sameHierarchy reports whether two coarsening hierarchies are equal
-// level by level: the clusterings and every coarse net's pin list.
+// level by level: the clusterings, every net's pin list and every
+// cell's net list.
 func sameHierarchy(ha, hb []*Hypergraph, ca, cb []*Clustering) bool {
 	if len(ha) != len(hb) || len(ca) != len(cb) {
 		return false
@@ -76,9 +80,19 @@ func sameHierarchy(ha, hb []*Hypergraph, ca, cb []*Clustering) bool {
 				return false
 			}
 		}
+		for v := 0; v < a.NumCells(); v++ {
+			if !slices.Equal(a.Nets(v), b.Nets(v)) {
+				return false
+			}
+		}
 	}
 	return true
 }
+
+// fuzzWarmup is the circuit a Session partitions before the fuzzed
+// op, so that the op runs on hierarchy slots and workspaces that are
+// larger than it needs and hold another job's levels.
+var fuzzWarmup = netgen.MustGenerate(netgen.Spec{Name: "fuzz-warmup", Cells: 160, Nets: 170, Pins: 540, Seed: 5})
 
 func FuzzPipeline(f *testing.F) {
 	f.Add([]byte{30, 0, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 11, 12, 4, 13, 14, 15, 16, 17, 18}, int64(1), byte(0), byte(9), byte(3))
@@ -107,6 +121,11 @@ func FuzzPipeline(f *testing.F) {
 		if !sameHierarchy(h0, h1, c0, c1) {
 			t.Fatal("hierarchy differs between two runs on the same seed")
 		}
+		for i, l := range h0 {
+			if err := l.Validate(); err != nil {
+				t.Fatalf("Hierarchy level %d: %v", i, err)
+			}
+		}
 
 		// The partition is valid, balanced and truthfully reported.
 		opt := Options{Seed: seed, MatchingRatio: ratio, Threshold: threshold, Parallelism: 1}
@@ -131,6 +150,24 @@ func FuzzPipeline(f *testing.F) {
 		}
 		if want := oracle.SumOfDegrees(h, p); info.SumDegrees != want {
 			t.Fatalf("k=%d: reported sum of degrees %d, oracle %d", k, info.SumDegrees, want)
+		}
+
+		// A Session whose store holds a larger job's hierarchy returns
+		// the one-shot bytes.
+		s := NewSession()
+		run := s.BipartitionCtx
+		if k == 4 {
+			run = s.QuadrisectCtx
+		}
+		if _, _, err := run(context.Background(), fuzzWarmup.H, opt); err != nil {
+			t.Fatal(err)
+		}
+		sp, _, err := run(context.Background(), h, opt)
+		if err != nil {
+			t.Fatalf("k=%d on a warm Session: %v", k, err)
+		}
+		if sp.K != p.K || !slices.Equal(sp.Part, p.Part) {
+			t.Fatalf("k=%d: a warm Session's partition differs from the one-shot call", k)
 		}
 	})
 }

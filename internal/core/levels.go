@@ -218,6 +218,9 @@ func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelR
 	tel.SetLevel(m)
 	timer := tel.StartTimer(telemetry.StageRefine)
 	gerr := Guard("coarsest-partition", m, func() error {
+		// The last induce lent the coarsest level the shared cell side,
+		// unless coarsening stopped after inducing a level it dropped.
+		ws.induce.RestoreCellSide(coarsest.h)
 		if coarsest.part != nil {
 			p = coarsest.part
 			var err error
@@ -345,6 +348,9 @@ func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelR
 		if engineOK && !cancelled {
 			rtimer := tel.StartTimer(telemetry.StageRefine)
 			gerr := Guard("refine", i, func() error {
+				// Coarse levels keep only their net side; the level
+				// below took the shared cell side, so rebuild it here.
+				ws.induce.RestoreCellSide(l.h)
 				var err error
 				r, err = eng.refine(l, p, rng)
 				return err
@@ -385,9 +391,12 @@ func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelR
 // returned as a *PanicError alongside the valid hierarchy prefix.
 //
 // Level i+1 is built into slot i of ws.levels: its clustering, its
-// hypergraph and its fixed, pre and part arrays are the slot's, each
-// rewritten whole. The levels are valid until the next coarsenLevels
-// on ws.
+// hypergraph's areas and net side, and its fixed, pre and part arrays
+// are the slot's, each rewritten whole. Its cell side is the one
+// ws.induce lends to the level in use: Match reads it, and the next
+// induce takes it back, so every level but the last ends without one
+// (MergeParallelNets levels keep their own). The levels are valid
+// until the next coarsenLevels on ws.
 func coarsenLevels(ctx context.Context, top level, lc levelConfig, rng *rand.Rand, ws *pipelineWS) ([]level, levelRun, error) {
 	levels := []level{top}
 	run := levelRun{cells: []int{top.h.NumCells()}}
@@ -408,7 +417,7 @@ func coarsenLevels(ctx context.Context, top level, lc levelConfig, rng *rand.Ran
 				return err
 			}
 			var err error
-			coarseH, err = hypergraph.InduceInto(cur.h, c, &ws.induce, &slot.h)
+			coarseH, err = hypergraph.InduceShared(cur.h, c, &ws.induce, &slot.h)
 			if err == nil && lc.merge {
 				coarseH, err = hypergraph.MergeParallelNets(coarseH)
 			}

@@ -271,6 +271,8 @@ func (e fmLevels) audit(l *level, p *hypergraph.Partition, r fm.Result, engineRa
 
 // Hierarchy exposes the coarsening phase on its own: it returns the
 // sequence of hypergraphs H_0..H_m and the clusterings between them.
+// Every level is complete, with both CSR directions in arrays of its
+// own.
 // Useful for inspecting coarsening behaviour (examples, tests,
 // experiments on hierarchy depth).
 func Hierarchy(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) ([]*hypergraph.Hypergraph, []*hypergraph.Clustering, error) {
@@ -289,6 +291,11 @@ func Hierarchy(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) ([]*hypergr
 	hs := make([]*hypergraph.Hypergraph, len(levels))
 	cs := make([]*hypergraph.Clustering, 0, len(levels)-1)
 	for i, l := range levels {
+		if i > 0 {
+			// The sweep keeps one cell side for the level in use; the
+			// caller gets every level complete.
+			ws.induce.OwnCellSide(l.h)
+		}
 		hs[i] = l.h
 		if l.c != nil {
 			cs = append(cs, l.c)

@@ -203,18 +203,29 @@ func TestCoarsestStarts(t *testing.T) {
 
 func TestNetlessHypergraphTerminates(t *testing.T) {
 	// No nets: Match produces all singletons → no shrink → must not
-	// loop forever.
-	h := hypergraph.NewBuilder(100).MustBuild()
-	rng := rand.New(rand.NewSource(11))
-	p, res, err := Bipartition(h, Config{Threshold: 10}, rng)
-	if err != nil {
-		t.Fatal(err)
+	// loop forever. The second instance loses its 2-pin nets as
+	// coarsening merges their cells, so coarsening stops at a coarse
+	// level whose cell side the dropped level's induce took, and the
+	// coarsest start must rebuild it.
+	paired := hypergraph.NewBuilder(100)
+	for v := 0; v < 50; v += 2 {
+		paired.AddNet(v, v+1)
 	}
-	if res.Cut != 0 {
-		t.Errorf("cut = %d, want 0", res.Cut)
-	}
-	if err := p.Validate(100); err != nil {
-		t.Error(err)
+	for i, h := range []*hypergraph.Hypergraph{hypergraph.NewBuilder(100).MustBuild(), paired.MustBuild()} {
+		rng := rand.New(rand.NewSource(11))
+		p, res, err := Bipartition(h, Config{Threshold: 10}, rng)
+		if err != nil {
+			t.Fatalf("instance %d: %v", i, err)
+		}
+		if res.Cut != 0 {
+			t.Errorf("instance %d: cut = %d, want 0", i, res.Cut)
+		}
+		if err := p.Validate(100); err != nil {
+			t.Errorf("instance %d: %v", i, err)
+		}
+		if i == 1 && res.Levels == 0 {
+			t.Errorf("instance %d did not coarsen", i)
+		}
 	}
 }
 

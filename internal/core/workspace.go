@@ -10,9 +10,10 @@ import (
 )
 
 // pipelineWS bundles the workspaces of one pipeline attempt: the
-// matching sweep's score buffers, the induce accumulators, the
-// refinement engines' arrays and buckets, and the hierarchy store that
-// holds the coarse levels. Every entry point creates one per call (and
+// matching sweep's score buffers, the induce accumulators (which also
+// hold the one shared cell side, lent to the level being matched or
+// refined), the refinement engines' arrays and buckets, and the
+// hierarchy store that holds the coarse levels' net sides. Every entry point creates one per call (and
 // the multi-start supervisor therefore gets one per attempt
 // goroutine), so hierarchy levels — and, in V-cycles, whole cycles —
 // reuse memory while nothing is ever shared across goroutines or
@@ -50,6 +51,9 @@ type pipelineWS struct {
 // of the clustering of level i and of the level i+1 it induces.
 // Paper Fig. 2 keeps every level H_1..H_m for the uncoarsening sweep,
 // so the store keeps one slot per depth rather than a single buffer.
+// Only the level in use reads its cell→net lists, so a slot keeps its
+// level's net side and the bundle's induce workspace keeps one cell
+// side, rebuilt for each level the sweep refines.
 type hierarchyWorkspace struct {
 	slots []*levelSlot
 }
@@ -57,9 +61,11 @@ type hierarchyWorkspace struct {
 // levelSlot is the reusable storage of one coarse level. The level's
 // hypergraph, clustering and partition are the slot's own values,
 // rewritten whole by each build, so a level costs one slot header and
-// no arrays once the store has held a hierarchy as large.
+// no arrays once the store has held a hierarchy as large. The
+// hypergraph owns its areas, net side and weights; its cell side, when
+// it has one, is the induce workspace's.
 type levelSlot struct {
-	h     hypergraph.Hypergraph // the coarse hypergraph
+	h     hypergraph.Hypergraph // the coarse hypergraph, net side only
 	c     hypergraph.Clustering // the clustering of the finer level
 	fixed []bool                // pads (QuadConfig.Fixed) carried up
 	pre   []int32               // their blocks
@@ -91,8 +97,9 @@ func (hw *hierarchyWorkspace) slot(i int) *levelSlot {
 //
 // Retention: a Scratch keeps the largest hierarchy and the largest
 // scratch set it has served until it is dropped. After one job on an
-// 8k-cell netgen circuit that is 108 to 125 bytes per input pin, of
-// which the hierarchy store is about 80.
+// 8k-cell netgen circuit (k = 2 or 4) that is 77 to 96 bytes per input
+// pin, of which the hierarchy store, with the one shared cell side, is
+// about 55.
 type Scratch struct {
 	ws  pipelineWS
 	rng *rand.Rand

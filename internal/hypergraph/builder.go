@@ -235,24 +235,7 @@ func (b *Builder) finish() (*Hypergraph, error) {
 		copy(h.netWeight, b.weights)
 	}
 
-	// The cell→net CSR: count each cell's nets into cellStart, turn
-	// the counts into running ends, then fill from the last net back
-	// with cellStart itself as the cursor. The fill leaves each
-	// cellStart[v] at v's first slot and v's nets in increasing order.
-	h.cellStart = make([]int32, b.numCells+1)
-	for _, p := range h.netPins {
-		h.cellStart[p]++
-	}
-	for v := 1; v <= b.numCells; v++ {
-		h.cellStart[v] += h.cellStart[v-1]
-	}
-	h.cellNets = make([]int32, numPins)
-	for e := numNets - 1; e >= 0; e-- {
-		for _, p := range h.Pins(e) {
-			h.cellStart[p]--
-			h.cellNets[h.cellStart[p]] = int32(e)
-		}
-	}
+	h.buildCellSide(nil, nil)
 	for v, a := range b.area {
 		total, err := addArea(h.totalArea, a)
 		if err != nil {

@@ -145,17 +145,7 @@ func TestComposeMismatch(t *testing.T) {
 
 // randomClustering produces a valid random clustering of n cells.
 func randomClustering(rng *rand.Rand, n int) *Clustering {
-	k := 1 + rng.Intn(n)
-	c := &Clustering{CellToCluster: make([]int32, n), NumClusters: k}
-	// Guarantee non-empty clusters: first k cells seed each cluster.
-	perm := rng.Perm(n)
-	for i := 0; i < k; i++ {
-		c.CellToCluster[perm[i]] = int32(i)
-	}
-	for i := k; i < n; i++ {
-		c.CellToCluster[perm[i]] = int32(rng.Intn(k))
-	}
-	return c
+	return randomKClustering(rng, n, 1+rng.Intn(n))
 }
 
 func TestPropertyInduceConservesAreaAndValidates(t *testing.T) {

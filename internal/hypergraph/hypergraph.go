@@ -8,7 +8,10 @@
 // carry integer areas. The representation is CSR (compressed sparse
 // row) in both directions — net→pins and cell→nets — so that
 // golem3-scale instances (10^5 cells, 3×10^5 pins) stay
-// allocation-light and cache-friendly.
+// allocation-light and cache-friendly. The cell→net direction is
+// derived from the net→pins one, so a multilevel run may keep a coarse
+// level's net side only and rebuild its cell side when the level is
+// used again (InduceShared, RestoreCellSide).
 package hypergraph
 
 import (
@@ -31,7 +34,9 @@ type Hypergraph struct {
 	netStart []int32 // len numNets+1
 	netPins  []int32 // len numPins
 
-	// cell -> incident nets, CSR
+	// cell -> incident nets, CSR, each cell's nets ascending; both nil
+	// while an InduceWorkspace has lent this level's cell side to
+	// another level
 	cellStart []int32 // len numCells+1
 	cellNets  []int32 // len numPins
 
@@ -106,6 +111,32 @@ func (h *Hypergraph) Pins(e int) []int32 {
 // must not modify it.
 func (h *Hypergraph) Nets(v int) []int32 {
 	return h.cellNets[h.cellStart[v]:h.cellStart[v+1]]
+}
+
+// buildCellSide derives the cell→net CSR from the net side into start
+// and nets, grown as Resize grows them, and installs them in h. It
+// counts each cell's nets into start, turns the counts into running
+// ends, then fills from the last net back with start itself as the
+// cursor, which leaves each start[v] at v's first slot and v's nets in
+// increasing order: the layout Builder and InduceInto produce.
+func (h *Hypergraph) buildCellSide(start, nets []int32) {
+	start = Resize(start, h.numCells+1)
+	clear(start)
+	for _, p := range h.netPins {
+		start[p]++
+	}
+	for v := 1; v <= h.numCells; v++ {
+		start[v] += start[v-1]
+	}
+	nets = Resize(nets, len(h.netPins))
+	for e := h.numNets - 1; e >= 0; e-- {
+		for _, p := range h.Pins(e) {
+			start[p]--
+			//mllint:ignore unchecked-narrow net index < numNets, capped at MaxInt32 by Build/parse
+			nets[start[p]] = int32(e)
+		}
+	}
+	h.cellStart, h.cellNets = start, nets
 }
 
 // NetSize returns |e|, the number of pins on net e.
@@ -251,6 +282,11 @@ func (h *Hypergraph) Validate() error {
 	if minA != h.minArea {
 		return fmt.Errorf("hypergraph: minArea %d != actual %d", h.minArea, minA)
 	}
+	// stamp[v] is the last net seen to list v.
+	stamp := make([]int32, h.numCells)
+	for v := range stamp {
+		stamp[v] = -1
+	}
 	for e := 0; e < h.numNets; e++ {
 		if h.netStart[e] > h.netStart[e+1] {
 			return fmt.Errorf("hypergraph: netStart not monotone at %d", e)
@@ -259,18 +295,23 @@ func (h *Hypergraph) Validate() error {
 		if len(pins) < 2 {
 			return fmt.Errorf("hypergraph: net %d has %d pins; nets must have size > 1", e, len(pins))
 		}
-		seen := make(map[int32]bool, len(pins))
 		for _, p := range pins {
 			if p < 0 || int(p) >= h.numCells {
 				return fmt.Errorf("hypergraph: net %d references cell %d out of range", e, p)
 			}
-			if seen[p] {
+			if stamp[p] == int32(e) {
 				return fmt.Errorf("hypergraph: net %d has duplicate pin %d", e, p)
 			}
-			seen[p] = true
+			stamp[p] = int32(e)
 		}
 	}
-	// Cross-check cell->net direction against net->cell.
+	// Cross-check cell->net direction against net->cell: each cell
+	// lists exactly the nets that hold it, strictly ascending. With the
+	// degrees right, walking the nets in order must meet each cell's
+	// list entry by entry, count serving as each cell's cursor.
+	if h.cellStart[0] != 0 {
+		return fmt.Errorf("hypergraph: cellStart[0] = %d, want 0", h.cellStart[0])
+	}
 	count := make([]int32, h.numCells)
 	for e := 0; e < h.numNets; e++ {
 		for _, p := range h.Pins(e) {
@@ -281,20 +322,14 @@ func (h *Hypergraph) Validate() error {
 		if h.Degree(v) != int(count[v]) {
 			return fmt.Errorf("hypergraph: cell %d degree %d != pin count %d", v, h.Degree(v), count[v])
 		}
-		for _, e := range h.Nets(v) {
-			if e < 0 || int(e) >= h.numNets {
-				return fmt.Errorf("hypergraph: cell %d references net %d out of range", v, e)
+	}
+	copy(count, h.cellStart)
+	for e := 0; e < h.numNets; e++ {
+		for _, p := range h.Pins(e) {
+			if got := h.cellNets[count[p]]; got != int32(e) {
+				return fmt.Errorf("hypergraph: cell %d lists net %d where net %d belongs; a cell lists the nets holding it, strictly ascending", p, got, e)
 			}
-			found := false
-			for _, p := range h.Pins(int(e)) {
-				if int(p) == v {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("hypergraph: cell %d lists net %d but net lacks the pin", v, e)
-			}
+			count[p]++
 		}
 	}
 	if h.names != nil && len(h.names) != h.numCells {

@@ -256,6 +256,30 @@ func TestCrossDirectionConsistency(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsCorruptCellSide corrupts one cellNets entry of
+// cell 3, whose nets are {1, 2}, so that the degrees still match the
+// pin counts: Validate must reject a net listed twice with another
+// left out, a list out of order, and a net that lacks the cell.
+func TestValidateRejectsCorruptCellSide(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		nets [2]int32
+	}{
+		{"net listed twice, net 2 left out", [2]int32{1, 1}},
+		{"nets descending", [2]int32{2, 1}},
+		{"net 3 lacks the cell", [2]int32{1, 3}},
+	} {
+		h := tiny(t)
+		if got := h.Nets(3); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+			t.Fatalf("cell 3 lists nets %v, want [1 2]", got)
+		}
+		copy(h.cellNets[h.cellStart[3]:], tc.nets[:])
+		if err := h.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted cell 3's nets %v", tc.name, tc.nets)
+		}
+	}
+}
+
 func TestMaxDegreeWithNetFilter(t *testing.T) {
 	b := NewBuilder(12)
 	big := make([]int, 11)

@@ -5,19 +5,21 @@ import (
 )
 
 // InduceWorkspace holds the scratch memory of InduceInto: the
-// assembly buffers, the dedup stamps and fill cursors, and the
-// clustering check's occupancy flags. Threading one workspace through
-// the induce calls of a multilevel run reduces each level's
-// allocations to the arrays the returned Hypergraph actually retains
-// (the struct, areas, the two CSR directions, optional weights), and a
-// reused destination Hypergraph per level removes those too.
+// assembly buffers, the dedup stamps, and the clustering check's
+// occupancy flags. Threading one workspace through the induce calls of
+// a multilevel run reduces each level's allocations to the arrays the
+// returned Hypergraph actually retains (the struct, areas, the two CSR
+// directions, optional weights), and a reused destination Hypergraph
+// per level removes those too. With InduceShared the levels retain no
+// cell side: the workspace holds one, for the level in use.
 //
 // Sizing contract: every buffer reaches its final size at the first
 // (finest) call and never grows again while the run coarsens. The
 // assembly buffers are sized from the fine netlist, not grown by
 // appending, since a coarse net never keeps more pins than its fine
-// net. Stamps, cursors and flags are sized by the cluster count, which
-// only shrinks level by level. A workspace reused on a larger input (a
+// net. Stamps and flags are sized by the cluster count, which only
+// shrinks level by level, and the shared cell offsets by the largest
+// level lent the cell side. A workspace reused on a larger input (a
 // Session's Scratch moving on to a bigger job) grows once, on its
 // first call for that input.
 //
@@ -27,11 +29,17 @@ import (
 // value is ready to use.
 type InduceWorkspace struct {
 	mark    []int32 // per cluster: the fine net that last kept it
-	counts  []int32 // per cluster: pin count, then fill cursor
-	pins    []int32 // kept coarse pins, as long as the fine pins
 	ends    []int32 // per kept net: end of its pins, as many as the fine nets
 	weights []int32 // per kept net: its weight
 	seen    []bool  // clustering check: cluster occupied
+
+	// pins stages the kept coarse pins during a call and is as long as
+	// the fine pins. Between calls it and cellStart are the shared cell
+	// side, lent to holder, so a hierarchy keeps one cell side for the
+	// level in use instead of one per level.
+	pins      []int32
+	cellStart []int32
+	holder    *Hypergraph
 }
 
 // Resize returns buf with length n, reallocating to exactly n only
@@ -62,7 +70,8 @@ func Resize[T any](buf []T, n int) []T {
 //
 // The arrays dst holds are the storage: each grows only, to the exact
 // length this level needs, and is rewritten in full before it is read
-// (the area sums, netStart[0] and cellStart[0] are explicit clears).
+// (the area sums, netStart[0] and the cell counts are explicit
+// clears).
 // Every field of dst is overwritten, so nothing of the hypergraph it
 // held before — its areas, weights, names — carries over. A
 // multilevel run that keeps one Hypergraph per level rebuilds a
@@ -73,9 +82,84 @@ func InduceInto(h *Hypergraph, c *Clustering, ws *InduceWorkspace, dst *Hypergra
 	if ws == nil {
 		ws = &InduceWorkspace{}
 	}
-	if err := c.validate(h.NumCells(), &ws.seen); err != nil {
+	old, err := induceNets(h, c, ws, dst)
+	if err != nil {
 		return nil, err
 	}
+	dst.buildCellSide(old.cellStart, old.cellNets)
+	return dst, nil
+}
+
+// InduceShared is InduceInto, except that dst keeps only the areas,
+// the net side and the weights: its cell side is ws's shared one,
+// lent to dst until the next InduceInto, InduceShared or
+// RestoreCellSide on ws takes it back. A level whose cell side was
+// taken back has none (Nets and Degree panic, Validate fails) until
+// RestoreCellSide rebuilds it. The multilevel driver reads only the
+// cell side of the level it matches or refines, so its hierarchy
+// keeps one cell side in all instead of one per level.
+//
+// The lent cell side is the staging buffer the next call writes the
+// coarse pins to, which is why the call takes it back first. Apart
+// from where the cell side lives, dst is what InduceInto returns.
+func InduceShared(h *Hypergraph, c *Clustering, ws *InduceWorkspace, dst *Hypergraph) (*Hypergraph, error) {
+	if _, err := induceNets(h, c, ws, dst); err != nil {
+		return nil, err
+	}
+	ws.lend(dst)
+	return dst, nil
+}
+
+// RestoreCellSide gives h a cell side again if it has none: it
+// rebuilds the cell side from h's net side into ws's shared storage,
+// taking that storage back from the level holding it. The result is
+// the cell side InduceInto would have built. A hypergraph with a cell
+// side, its own or the lent one, is left as is.
+func (ws *InduceWorkspace) RestoreCellSide(h *Hypergraph) {
+	if h.cellStart == nil {
+		ws.lend(h)
+	}
+}
+
+// OwnCellSide gives h a cell side in new arrays of its own, rebuilt
+// from its net side, so that h outlives ws: a level holding ws's
+// shared cell side stops holding it, and a level without one gets one.
+func (ws *InduceWorkspace) OwnCellSide(h *Hypergraph) {
+	if ws.holder == h {
+		ws.holder = nil
+	}
+	h.buildCellSide(nil, nil)
+}
+
+// lend builds h's cell side into the shared storage and makes h its
+// holder.
+func (ws *InduceWorkspace) lend(h *Hypergraph) {
+	ws.takeBack()
+	h.buildCellSide(ws.cellStart, ws.pins)
+	ws.cellStart, ws.pins, ws.holder = h.cellStart, h.cellNets, h
+}
+
+// takeBack removes the shared cell side from its holder, which is left
+// with none, before the storage is overwritten.
+func (ws *InduceWorkspace) takeBack() {
+	if ws.holder != nil {
+		ws.holder.cellStart, ws.holder.cellNets = nil, nil
+		ws.holder = nil
+	}
+}
+
+// induceNets is InduceInto up to the cell side: it writes the areas,
+// the net side and the weights of the coarse hypergraph into dst,
+// whose cell side it leaves nil, and returns the arrays dst held
+// before. dst is unchanged on error.
+func induceNets(h *Hypergraph, c *Clustering, ws *InduceWorkspace, dst *Hypergraph) (Hypergraph, error) {
+	if err := c.validate(h.NumCells(), &ws.seen); err != nil {
+		return Hypergraph{}, err
+	}
+	// The staging below overwrites the shared cell side. Taking it
+	// back first also keeps a dst that held it from reusing it as its
+	// own.
+	ws.takeBack()
 	k := c.NumClusters
 	old := *dst
 	*dst = Hypergraph{
@@ -104,13 +188,12 @@ func InduceInto(h *Hypergraph, c *Clustering, ws *InduceWorkspace, dst *Hypergra
 	}
 
 	// Net→pin CSR: each fine net's clusters, deduplicated by stamping
-	// them with the net id and sorted, go to the workspace, and the
-	// per-cluster pin counts with them. The buffers hold the fine
-	// netlist's counts, so the appends never reallocate.
-	mark, counts := Resize(ws.mark, k), Resize(ws.counts, k)
+	// them with the net id and sorted, go to the workspace. The
+	// buffers hold the fine netlist's counts, so the appends never
+	// reallocate.
+	mark := Resize(ws.mark, k)
 	for i := range mark {
 		mark[i] = -1
-		counts[i] = 0
 	}
 	pins := Resize(ws.pins, h.NumPins())[:0]
 	ends := Resize(ws.ends, h.NumNets())[:0]
@@ -131,16 +214,13 @@ func InduceInto(h *Hypergraph, c *Clustering, ws *InduceWorkspace, dst *Hypergra
 			continue
 		}
 		sortPinWindow(pins[base:])
-		for _, p := range pins[base:] {
-			counts[p]++
-		}
 		//mllint:ignore unchecked-narrow coarse pin total ≤ fine pin total, which Build/parse already capped at MaxInt32
 		ends = append(ends, int32(len(pins)))
 		w := h.NetWeight(e)
 		weights = append(weights, w)
 		weighted = weighted || w != 1
 	}
-	ws.mark, ws.counts, ws.pins, ws.ends, ws.weights = mark, counts, pins, ends, weights
+	ws.mark, ws.pins, ws.ends, ws.weights = mark, pins, ends, weights
 
 	numNets := len(ends)
 	hh.numNets = numNets
@@ -153,25 +233,7 @@ func InduceInto(h *Hypergraph, c *Clustering, ws *InduceWorkspace, dst *Hypergra
 		hh.netWeight = Resize(old.netWeight, numNets)
 		copy(hh.netWeight, weights)
 	}
-
-	// Cell→net CSR: prefix-sum the pin counts into cellStart, turn each
-	// count into its cluster's fill cursor, and fill in net order, so
-	// each cell's net list comes out ascending.
-	hh.cellStart = Resize(old.cellStart, k+1)
-	hh.cellStart[0] = 0
-	for p, n := range counts {
-		hh.cellStart[p+1] = hh.cellStart[p] + n
-		counts[p] = hh.cellStart[p]
-	}
-	hh.cellNets = Resize(old.cellNets, len(pins))
-	for e := 0; e < numNets; e++ {
-		for _, p := range hh.netPins[hh.netStart[e]:hh.netStart[e+1]] {
-			//mllint:ignore unchecked-narrow coarse net index ≤ fine net count, capped at MaxInt32 by Build/parse
-			hh.cellNets[counts[p]] = int32(e)
-			counts[p]++
-		}
-	}
-	return hh, nil
+	return old, nil
 }
 
 // InduceWSPar is InduceInto into a new Hypergraph; the pool is ignored.

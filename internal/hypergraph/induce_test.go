@@ -25,7 +25,12 @@ func buildRandom(rng *rand.Rand, n, m int) (*Hypergraph, *Clustering) {
 		}
 	}
 	h := b.MustBuild()
-	k := 1 + rng.Intn(n)
+	return h, randomClustering(rng, n)
+}
+
+// randomKClustering returns a random clustering of n cells into k
+// non-empty clusters.
+func randomKClustering(rng *rand.Rand, n, k int) *Clustering {
 	c := &Clustering{CellToCluster: make([]int32, n), NumClusters: k}
 	for i, v := range rng.Perm(n) {
 		if i < k {
@@ -34,7 +39,7 @@ func buildRandom(rng *rand.Rand, n, m int) (*Hypergraph, *Clustering) {
 			c.CellToCluster[v] = int32(rng.Intn(k)) //mllint:ignore unchecked-narrow cluster id < n, test-sized
 		}
 	}
-	return h, c
+	return c
 }
 
 // sameCSR compares every retained array of two induced hypergraphs
@@ -178,4 +183,83 @@ func TestInduceIntoDirtyDestination(t *testing.T) {
 			t.Errorf("case %d: InduceInto reallocated arrays a larger earlier level left in dst", i)
 		}
 	}
+}
+
+// TestInduceSharedLendsOneCellSide pins the shared cell side. Chains
+// of InduceShared levels, on a workspace and destinations a larger
+// chain left dirty, must give every level InduceInto's areas and net
+// side. Only the last level may hold a cell side: every other has
+// none, so Validate fails and Nets panics rather than return another
+// level's lists. RestoreCellSide must give any level back exactly
+// InduceInto's cell side, taking it from the level that held it; an
+// InduceInto on the workspace takes it back too; and OwnCellSide
+// leaves a level a cell side no later call takes.
+func TestInduceSharedLendsOneCellSide(t *testing.T) {
+	ws := &InduceWorkspace{}
+	dsts := make([]Hypergraph, 6)
+	for round, n := range []int{600, 300} {
+		rng := rand.New(rand.NewSource(int64(round + 1)))
+		cur, _ := buildRandom(rng, n, 3*n/2)
+		input := cur
+		var want, got []*Hypergraph
+		for i := range dsts {
+			c := randomKClustering(rng, cur.NumCells(), max(1, cur.NumCells()/2))
+			w, err := InduceInto(cur, c, nil, &Hypergraph{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := InduceShared(cur, c, ws, &dsts[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got = append(want, w), append(got, g)
+			cur = g
+		}
+		last := len(got) - 1
+		for i, g := range got {
+			if i == last {
+				sameCSR(t, want[i], g)
+				continue
+			}
+			if g.cellStart != nil || g.cellNets != nil {
+				t.Fatalf("round %d: level %d kept a cell side after level %d took it", round, i, i+1)
+			}
+			if g.Validate() == nil {
+				t.Errorf("round %d: level %d without a cell side passed Validate", round, i)
+			}
+			if !panics(func() { g.Nets(0) }) {
+				t.Errorf("round %d: Nets on level %d without a cell side did not panic", round, i)
+			}
+		}
+		for _, i := range []int{2, 0, last, 4, 1} {
+			ws.RestoreCellSide(got[i])
+			sameCSR(t, want[i], got[i])
+			if err := got[i].Validate(); err != nil {
+				t.Fatalf("round %d: restored level %d: %v", round, i, err)
+			}
+			for j, g := range got {
+				if j != i && g.cellStart != nil {
+					t.Fatalf("round %d: level %d kept a cell side after level %d took it", round, j, i)
+				}
+			}
+		}
+		if _, err := InduceInto(input, randomKClustering(rng, n, n/3), ws, &Hypergraph{}); err != nil {
+			t.Fatal(err)
+		}
+		if got[1].cellStart != nil {
+			t.Fatalf("round %d: InduceInto staged its pins over the cell side level 1 held", round)
+		}
+		ws.RestoreCellSide(got[3])
+		ws.OwnCellSide(got[3])
+		ws.RestoreCellSide(got[2])
+		sameCSR(t, want[3], got[3])
+		sameCSR(t, want[2], got[2])
+	}
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }
