@@ -92,9 +92,9 @@ stats-smoke:
 # Service smoke: mlpartd's loopback self-test drives the daemon over
 # real HTTP (submit / wait / result and a byte-identical cache hit; then
 # a burst of distinct-seed jobs while one SSE consumer checks the
-# queued → started → completed event order and Last-Event-ID resume, a
-# second reads service-wide ledger deltas from /v1/events, and /statsz
-# answers in both the mlpartd-stats/1 and mlpart-bench/1 schemas),
+# queued → started → completed event order and Last-Event-ID resume,
+# and /statsz answers in both the mlpartd-stats/1 and mlpart-bench/1
+# schemas),
 # then a self-delivered SIGTERM takes the production drain path. The
 # final service stats go to a file (so a failing self-test fails the
 # target) that cmd/statscheck validates against the mlpartd-stats/1

@@ -3,8 +3,9 @@
 // entry points, collects the best cut, the per-stage wall-clock
 // profile (from the telemetry layer), and steady-state allocations
 // per run, and emits a BENCH_<date>.json report (schema
-// mlpart-bench/1). Against the checked-in bench_baseline.json it
-// enforces the regression gate:
+// mlpart-bench/1, the telemetry.BenchReport layout that mlpartd's
+// /statsz?schema=bench also serves). Against the checked-in
+// bench_baseline.json it enforces the regression gate:
 //
 //   - cut and level counts must match the baseline exactly — the
 //     pipeline is deterministic, so any drift is a real behavior
@@ -22,6 +23,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -30,36 +32,8 @@ import (
 	"time"
 
 	"mlpart"
+	"mlpart/internal/telemetry"
 )
-
-const benchSchema = "mlpart-bench/1"
-
-// stageNS is the per-stage wall-clock profile summed over all starts,
-// in nanoseconds. Informational only: never part of the gate.
-type stageNS struct {
-	Coarsen   int64 `json:"coarsen_ns"`
-	Refine    int64 `json:"refine_ns"`
-	Project   int64 `json:"project_ns"`
-	Rebalance int64 `json:"rebalance_ns"`
-	Total     int64 `json:"total_ns"`
-}
-
-type benchEntry struct {
-	Instance    string  `json:"instance"`
-	Algorithm   string  `json:"algorithm"`
-	Cut         int     `json:"cut"`
-	Levels      int     `json:"levels"`
-	AllocsPerOp uint64  `json:"allocs_per_op"`
-	BytesPerOp  uint64  `json:"bytes_per_op"`
-	StageNS     stageNS `json:"stage_ns"`
-}
-
-type benchFile struct {
-	Schema  string       `json:"schema"`
-	Date    string       `json:"date"`
-	GoVers  string       `json:"go_version"`
-	Entries []benchEntry `json:"entries"`
-}
 
 // benchCase is one pinned (instance, algorithm) pair.
 type benchCase struct {
@@ -105,63 +79,56 @@ func runOnce(bc benchCase, h *mlpart.Hypergraph, tel *mlpart.Telemetry) (int, in
 }
 
 // measure runs one case: a telemetric run for cut/levels/stage
-// profile, then iters untimed runs bracketed by MemStats reads for
+// profile (summed over all starts; informational only, never part of
+// the gate), then iters untimed runs bracketed by MemStats reads for
 // steady-state allocations per op (telemetry stays disabled there so
 // the collector's own record appends don't pollute the hot-path
 // count).
-func measure(bc benchCase, iters int) (benchEntry, error) {
+func measure(bc benchCase, iters int) (telemetry.BenchEntry, error) {
 	circ, err := mlpart.GenerateCircuit(bc.spec)
 	if err != nil {
-		return benchEntry{}, err
+		return telemetry.BenchEntry{}, err
 	}
 	h := circ.H
 
 	tel := mlpart.NewTelemetry()
 	cut, levels, err := runOnce(bc, h, tel)
 	if err != nil {
-		return benchEntry{}, err
-	}
-	var prof stageNS
-	for _, s := range tel.Report().PerStart {
-		prof.Coarsen += s.Timings.CoarsenNS
-		prof.Refine += s.Timings.RefineNS
-		prof.Project += s.Timings.ProjectNS
-		prof.Rebalance += s.Timings.RebalanceNS
-		prof.Total += s.Timings.TotalNS
+		return telemetry.BenchEntry{}, err
 	}
 
 	// Warm run, then measure. Parallelism is 1 and nothing else runs,
 	// so the Mallocs delta is attributable to the pipeline.
 	if _, _, err := runOnce(bc, h, nil); err != nil {
-		return benchEntry{}, err
+		return telemetry.BenchEntry{}, err
 	}
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < iters; i++ {
 		if _, _, err := runOnce(bc, h, nil); err != nil {
-			return benchEntry{}, err
+			return telemetry.BenchEntry{}, err
 		}
 	}
 	runtime.ReadMemStats(&after)
 
-	return benchEntry{
+	return telemetry.BenchEntry{
 		Instance:    bc.spec.Name,
 		Algorithm:   bc.algorithm,
 		Cut:         cut,
 		Levels:      levels,
 		AllocsPerOp: (after.Mallocs - before.Mallocs) / uint64(iters),
 		BytesPerOp:  (after.TotalAlloc - before.TotalAlloc) / uint64(iters),
-		StageNS:     prof,
+		StageNS:     tel.Report().BenchStages(),
 	}, nil
 }
 
 // gate compares the fresh report against the baseline and returns the
 // list of violations.
-func gate(got, base *benchFile, tolerance float64) []string {
+func gate(got, base *telemetry.BenchReport, tolerance float64) []string {
 	var bad []string
-	if base.Schema != benchSchema {
-		return []string{fmt.Sprintf("baseline schema %q, want %q (regenerate with -update)", base.Schema, benchSchema)}
+	if base.Schema != telemetry.BenchSchemaVersion {
+		return []string{fmt.Sprintf("baseline schema %q, want %q (regenerate with -update)", base.Schema, telemetry.BenchSchemaVersion)}
 	}
 	if len(base.Entries) != len(got.Entries) {
 		return []string{fmt.Sprintf("baseline has %d entries, run produced %d (regenerate with -update)", len(base.Entries), len(got.Entries))}
@@ -201,8 +168,8 @@ func run() error {
 	update := flag.Bool("update", false, "rewrite the baseline from this run instead of gating")
 	flag.Parse()
 
-	report := benchFile{
-		Schema: benchSchema,
+	report := telemetry.BenchReport{
+		Schema: telemetry.BenchSchemaVersion,
 		Date:   time.Now().UTC().Format("2006-01-02"),
 		GoVers: runtime.Version(),
 	}
@@ -213,18 +180,18 @@ func run() error {
 		}
 		fmt.Printf("%-8s %-12s cut=%-5d levels=%-3d allocs/op=%-7d B/op=%-9d coarsen=%.1fms refine=%.1fms project=%.2fms\n",
 			e.Instance, e.Algorithm, e.Cut, e.Levels, e.AllocsPerOp, e.BytesPerOp,
-			float64(e.StageNS.Coarsen)/1e6, float64(e.StageNS.Refine)/1e6, float64(e.StageNS.Project)/1e6)
+			float64(e.StageNS.CoarsenNS)/1e6, float64(e.StageNS.RefineNS)/1e6, float64(e.StageNS.ProjectNS)/1e6)
 		report.Entries = append(report.Entries, e)
 	}
 	path := *out
 	if path == "" {
 		path = "BENCH_" + report.Date + ".json"
 	}
-	data, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := report.WriteJSON(&buf); err != nil {
 		return err
 	}
-	data = append(data, '\n')
+	data := buf.Bytes()
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return err
 	}
@@ -242,7 +209,7 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("missing baseline (bootstrap with -update): %w", err)
 	}
-	var base benchFile
+	var base telemetry.BenchReport
 	if err := json.Unmarshal(baseData, &base); err != nil {
 		return fmt.Errorf("baseline %s: %w", *baselinePath, err)
 	}

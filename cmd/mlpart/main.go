@@ -165,17 +165,8 @@ func run() error {
 			name = "fm"
 		}
 	}
-	switch name {
-	case "clip":
-		opt.Engine = mlpart.EngineCLIP
-	case "fm":
-		opt.Engine = mlpart.EngineFM
-	case "prop":
-		opt.Engine = mlpart.EnginePROP
-	case "clprop":
-		opt.Engine = mlpart.EngineCLIPPROP
-	default:
-		return fmt.Errorf("unknown engine %q (want clip, fm, prop, or clprop)", name)
+	if opt.Engine, err = mlpart.ParseEngine(name); err != nil {
+		return err
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

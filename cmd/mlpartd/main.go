@@ -7,7 +7,7 @@
 //	mlpartd [-addr :7997] [-queue 64] [-workers 0] [-cache 256]
 //	        [-default-timeout 30s] [-max-timeout 5m] [-drain-timeout 10s]
 //	        [-retries 1] [-journal jobs.wal] [-addr-file path]
-//	        [-progress-interval 250ms] [-crash-after-appends n]
+//	        [-crash-after-appends n]
 //	        [-chaos site:kind:n[:start]] [-chaos-seed 1]
 //	        [-smoke] [-in circuit.hgr]
 //
@@ -25,9 +25,8 @@
 //	GET    /v1/jobs/{id}/result deterministic result document
 //	                            (X-Mlpartd-Cache: hit|miss).
 //	GET    /v1/jobs/{id}/events live job lifecycle stream (SSE:
-//	                            queued, started, retrying, progress,
-//	                            terminal); Last-Event-ID resumes.
-//	GET    /v1/events           service-wide ledger delta stream (SSE).
+//	                            queued, started, retrying, terminal);
+//	                            Last-Event-ID resumes.
 //	GET    /healthz /readyz     liveness / readiness probes.
 //	GET    /statsz              service counters, schema
 //	                            mlpartd-stats/1 (pipe into statscheck);
@@ -54,9 +53,8 @@
 // byte-identical result body. A burst of jobs with distinct seeds (so
 // the result cache never collapses them) follows: one SSE consumer
 // verifies the queued → started → completed event order and
-// Last-Event-ID resume on a real socket, a second consumer reads
-// service-wide ledger deltas from /v1/events, and /statsz is checked
-// in both schemas. The daemon then delivers SIGTERM to itself to
+// Last-Event-ID resume on a real socket, and /statsz is checked in
+// both schemas. The daemon then delivers SIGTERM to itself to
 // exercise the production drain path and prints the final stats JSON
 // to stdout for statscheck.
 //
@@ -82,7 +80,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -126,7 +123,6 @@ func run() error {
 		retries      = flag.Int("retries", 0, "extra attempts per failed job (0 = default 1, negative disables)")
 		journalPath  = flag.String("journal", "", "write-ahead job journal path (empty disables crash durability)")
 		addrFile     = flag.String("addr-file", "", "write the bound listen address to this file (crash-harness port discovery)")
-		progressIvl  = flag.Duration("progress-interval", 0, "SSE progress event period for running jobs (0 = default 250ms, negative disables)")
 		crashAfter   = flag.Int("crash-after-appends", 0, "SIGKILL self after the n-th durable journal append (crash harness only)")
 		chaosSeed    = flag.Int64("chaos-seed", 1, "seed for probabilistic -chaos triggers")
 		smoke        = flag.Bool("smoke", false, "run the loopback self-test and exit")
@@ -141,16 +137,15 @@ func run() error {
 		return err
 	}
 	cfg := server.Config{
-		QueueDepth:       *queue,
-		Workers:          *workers,
-		CacheCap:         *cache,
-		DefaultTimeout:   *defTimeout,
-		MaxTimeout:       *maxTimeout,
-		DrainTimeout:     *drainTimeout,
-		MaxRetries:       *retries,
-		JournalPath:      *journalPath,
-		ProgressInterval: *progressIvl,
-		Inject:           plan,
+		QueueDepth:     *queue,
+		Workers:        *workers,
+		CacheCap:       *cache,
+		DefaultTimeout: *defTimeout,
+		MaxTimeout:     *maxTimeout,
+		DrainTimeout:   *drainTimeout,
+		MaxRetries:     *retries,
+		JournalPath:    *journalPath,
+		Inject:         plan,
 	}
 	if *crashAfter > 0 {
 		if *journalPath == "" {
@@ -365,9 +360,8 @@ func expectOK(client *http.Client, url string) error {
 }
 
 // streamSmoke submits a burst of jobs with distinct seeds and checks
-// the streaming surfaces: one SSE consumer per contract (job lifecycle
-// order, Last-Event-ID resume, service-wide ledger deltas) and /statsz
-// in both schemas.
+// the job event stream (lifecycle order and Last-Event-ID resume) and
+// /statsz in both schemas.
 func streamSmoke(client *http.Client, base string, hgr []byte) error {
 	// Burst: distinct seeds give distinct fingerprints, so the result
 	// cache never collapses the jobs and every one computes.
@@ -454,11 +448,6 @@ func streamSmoke(client *http.Client, base string, hgr []byte) error {
 		}
 	}
 
-	// The service-wide stream replays ledger deltas for the burst.
-	if err := readServiceEvents(base, 3); err != nil {
-		return fmt.Errorf("service events: %w", err)
-	}
-
 	// /statsz must answer in both schemas.
 	var bench struct {
 		Schema  string           `json:"schema"`
@@ -520,7 +509,9 @@ func consumeJobEvents(base, id string, lastID int64) ([]server.SSEFrame, error) 
 
 // checkLifecycle asserts the ordered SSE contract on one job's
 // frames: ids gapless from firstID, queued first, started before the
-// single terminal event, which comes last.
+// single terminal event, which comes last. Only queued, started,
+// retrying and the terminal event may appear; anything else (a
+// heartbeat, say) fails the smoke.
 func checkLifecycle(frames []server.SSEFrame, firstID int64) error {
 	if len(frames) < 3 {
 		return fmt.Errorf("only %d frames, want at least queued/started/terminal", len(frames))
@@ -537,7 +528,7 @@ func checkLifecycle(frames []server.SSEFrame, firstID int64) error {
 			}
 		case "started":
 			started = true
-		case "progress", "retrying":
+		case "retrying":
 		case "completed":
 			if !started {
 				return fmt.Errorf("completed before started")
@@ -551,40 +542,6 @@ func checkLifecycle(frames []server.SSEFrame, firstID int64) error {
 	}
 	if last := frames[len(frames)-1].Event; last != "completed" {
 		return fmt.Errorf("stream ends with %q, want completed", last)
-	}
-	return nil
-}
-
-// readServiceEvents reads n frames from the never-ending /v1/events
-// stream and verifies they are ledger deltas, then hangs up.
-func readServiceEvents(base string, n int) error {
-	resp, err := http.DefaultClient.Get(base + "/v1/events")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("/v1/events: %s", resp.Status)
-	}
-	br := bufio.NewReader(resp.Body)
-	var p server.SSEParser
-	for i := 0; i < n; i++ {
-		f, err := server.ReadSSEFrame(br, &p)
-		if err != nil {
-			return fmt.Errorf("frame %d: %w", i, err)
-		}
-		if f.Event != "ledger" {
-			return fmt.Errorf("frame %d: event %q, want ledger", i, f.Event)
-		}
-		var delta struct {
-			Change string `json:"change"`
-		}
-		if err := json.Unmarshal([]byte(f.Data), &delta); err != nil {
-			return fmt.Errorf("frame %d data: %w", i, err)
-		}
-		if delta.Change == "" {
-			return fmt.Errorf("frame %d: empty change in %s", i, f.Data)
-		}
 	}
 	return nil
 }

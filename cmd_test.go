@@ -139,9 +139,17 @@ func TestCmdBenchgenAndMlpart(t *testing.T) {
 		"-in", filepath.Join(dir, "balu.hgr"), "-k", "3").CombinedOutput(); err == nil {
 		t.Errorf("-k 3 should fail, got:\n%s", out)
 	}
+	// An unknown -engine fails with ParseEngine's error, the one the
+	// options JSON "engine" field reports too.
+	_, perr := ParseEngine("magic")
+	if perr == nil {
+		t.Fatal(`ParseEngine("magic") accepted an unknown engine`)
+	}
 	if out, err := exec.Command(filepath.Join(bins, "mlpart"),
 		"-in", filepath.Join(dir, "balu.hgr"), "-engine", "magic").CombinedOutput(); err == nil {
 		t.Errorf("bad engine should fail, got:\n%s", out)
+	} else if !strings.Contains(string(out), perr.Error()) {
+		t.Errorf("bad engine: output %q lacks ParseEngine's error %q", out, perr)
 	}
 	if _, err := exec.Command(filepath.Join(bins, "mlpart"),
 		"-in", filepath.Join(dir, "missing.hgr")).CombinedOutput(); err == nil {

@@ -188,15 +188,20 @@ func (e kwayLevels) degraded(*hypergraph.Hypergraph, *hypergraph.Partition) kway
 	return kway.Result{}
 }
 
-// audit checks a k-way level solution: validity, expected K, and (when
+// audit checks a k-way level solution: validity, expected K, (when
 // no cells are fixed — pre-assignments can make the §III.B bound
-// unsatisfiable) the balance bound.
-func (e kwayLevels) audit(l *level, p *hypergraph.Partition, _ kway.Result, _ bool) error {
+// unsatisfiable) the balance bound, and, when the engine ran, its
+// reported cut and sum of degrees against from-scratch recounts.
+func (e kwayLevels) audit(l *level, p *hypergraph.Partition, r kway.Result, engineRan bool) error {
 	chk := audit.NoChecks()
 	chk.K = e.cfg.K
 	if l.fixed == nil {
 		bound := hypergraph.Balance(l.h, e.cfg.K, e.cfg.Tolerance)
 		chk.Bound = &bound
+	}
+	if engineRan {
+		chk.WeightedCut = r.CutNets
+		chk.SumDegrees = r.SumDegrees
 	}
 	return audit.CheckPartition(l.h, p, chk)
 }

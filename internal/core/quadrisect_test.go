@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mlpart/internal/audit"
 	"mlpart/internal/hypergraph"
 	"mlpart/internal/kway"
 )
@@ -199,5 +200,42 @@ func TestDirectVsRecursiveQuadrisection(t *testing.T) {
 	t.Logf("direct quadrisection total %d vs recursive bisection total %d", direct, recursive)
 	if direct > 2*recursive || recursive > 2*direct {
 		t.Errorf("approaches diverge beyond 2x: direct %d, recursive %d", direct, recursive)
+	}
+}
+
+// TestKwayLevelAuditChecksObjectives: a level audit cross-checks the
+// engine's reported cut and sum of degrees when the engine ran, so a
+// result off by one in either fails with an *audit.Error, and the
+// degraded path (engine did not run) is not held to them.
+func TestKwayLevelAuditChecksObjectives(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	h := randomH(rng, 120, 200, 5)
+	cfg, err := QuadConfig{}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := kwayLevels{cfg: cfg.Refine}
+	l := &level{h: h}
+	p, r, err := eng.start(l, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.audit(l, p, r, true); err != nil {
+		t.Fatalf("audit of the engine's own result: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		r    kway.Result
+	}{
+		{"cut+1", kway.Result{CutNets: r.CutNets + 1, SumDegrees: r.SumDegrees}},
+		{"sumdeg-1", kway.Result{CutNets: r.CutNets, SumDegrees: r.SumDegrees - 1}},
+	} {
+		err := eng.audit(l, p, tc.r, true)
+		if _, ok := err.(*audit.Error); !ok {
+			t.Errorf("%s: audit returned %v, want an *audit.Error", tc.name, err)
+		}
+		if err := eng.audit(l, p, tc.r, false); err != nil {
+			t.Errorf("%s: audit without an engine run: %v", tc.name, err)
+		}
 	}
 }

@@ -39,8 +39,8 @@ const (
 	// path; cancel behaves as a client cancellation; delay eats into
 	// the job's deadline. Never reached by the library entry points.
 	SiteServerJob Site = "server.job"
-	// SiteServerEvents fires at the head of each event-stream
-	// subscription (GET /v1/jobs/{id}/events and /v1/events). A panic
+	// SiteServerEvents fires at the head of each job event-stream
+	// subscription (GET /v1/jobs/{id}/events). A panic
 	// fails only that subscription with a 500 — the job and the other
 	// subscribers are unaffected; cancel drops the subscriber
 	// immediately after the replay, the way an overflowing slow

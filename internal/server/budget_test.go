@@ -31,10 +31,9 @@ func TestSubmitAllocationBudget(t *testing.T) {
 	// submitted after it stay queued and no execution allocates while
 	// the submission is measured.
 	s, err := New(Config{
-		Workers:          1,
-		CacheCap:         -1,
-		ProgressInterval: -1,
-		JournalPath:      filepath.Join(t.TempDir(), "journal"),
+		Workers:     1,
+		CacheCap:    -1,
+		JournalPath: filepath.Join(t.TempDir(), "journal"),
 		Inject: &faultinject.Plan{Seed: 1, Entries: []faultinject.Entry{{
 			Site: faultinject.SiteServerJob, Kind: faultinject.KindDelay,
 			OnHit: 1, Delay: time.Second, Start: 0,

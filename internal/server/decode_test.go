@@ -206,7 +206,7 @@ func TestReadBodyExactSize(t *testing.T) {
 // TestSubmitRejectsTrailingData: a second document after the request
 // is malformed input, never ignored; white space after it is fine.
 func TestSubmitRejectsTrailingData(t *testing.T) {
-	s, err := New(Config{Workers: 1, ProgressInterval: -1})
+	s, err := New(Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,9 @@ package server
 
 // Live event streaming. Every job owns an eventLog — a monotonically
 // numbered history of its lifecycle events (queued, started,
-// retrying, periodic progress, then exactly one terminal event) — and
-// the server owns one more for the service-wide ledger stream. The
-// cardinal rule is that a subscriber can never hold up a job: publish
+// retrying, then exactly one terminal event); it is the only event
+// surface, and /statsz is the only view of the ledger. The cardinal
+// rule is that a subscriber can never hold up a job: publish
 // is non-blocking, and a subscriber whose buffer is full is dropped
 // (counted in events_dropped) instead of waited on. The bounded
 // history makes Last-Event-ID resume work without unbounded memory.
@@ -56,8 +56,7 @@ func newEventLog(histCap int) *eventLog {
 // returns how many subscribers were dropped for being full. terminal
 // marks the log complete: the event is delivered, then every
 // remaining subscriber's channel is closed and later publishes are
-// no-ops (a late progress tick racing the terminal transition must
-// not resurrect a finished stream).
+// no-ops, so a finished stream is never resurrected.
 func (l *eventLog) publish(name string, data []byte, terminal bool) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -132,19 +131,6 @@ type jobEventData struct {
 	Attempt int    `json:"attempt,omitempty"`
 }
 
-// svcDelta is the payload of a service-wide ledger event: what
-// changed plus the counter values after the change.
-type svcDelta struct {
-	Change        string `json:"change"`
-	JobID         string `json:"job_id,omitempty"`
-	Accepted      int64  `json:"accepted"`
-	Completed     int64  `json:"completed"`
-	Failed        int64  `json:"failed"`
-	Queued        int64  `json:"queued"`
-	Running       int64  `json:"running"`
-	EventsDropped int64  `json:"events_dropped"`
-}
-
 // mustJSON marshals a payload built from plain structs; a failure is
 // a programming error, and an empty payload degrades the event, not
 // the job.
@@ -156,26 +142,11 @@ func mustJSON(v any) []byte {
 	return b
 }
 
-// publishJobEvent emits one lifecycle event on j's stream, mirrors
-// ledger-relevant changes ("queued", "started", terminals) onto the
-// service-wide stream, and counts any dropped subscribers. Safe to
-// call with or without s.mu held: only the event logs' own locks and
-// atomic counters are touched.
+// publishJobEvent emits one lifecycle event on j's stream and counts
+// any dropped subscribers. Safe to call with or without s.mu held:
+// only the event log's own lock and atomic counters are touched.
 func (s *Server) publishJobEvent(j *job, name string, status Status, attempt int, terminal bool) {
 	dropped := j.events.publish(name, mustJSON(jobEventData{JobID: j.id, Status: status, Attempt: attempt}), terminal)
-	if name != "progress" && name != "retrying" {
-		rep := s.stats.Snapshot(s.cfg.QueueDepth, false, 0)
-		dropped += s.svcEvents.publish("ledger", mustJSON(svcDelta{
-			Change:        name,
-			JobID:         j.id,
-			Accepted:      rep.Accepted,
-			Completed:     rep.Completed,
-			Failed:        rep.Failed,
-			Queued:        rep.Queued,
-			Running:       rep.Running,
-			EventsDropped: rep.EventsDropped,
-		}), false)
-	}
 	for i := 0; i < dropped; i++ {
 		s.stats.EventDropped()
 	}

@@ -1,6 +1,6 @@
 package server
 
-// Protocol tests for the SSE event streams: exact lifecycle order,
+// Protocol tests for the per-job SSE event stream: exact lifecycle order,
 // Last-Event-ID resume, the drop-don't-block rule for stalled
 // subscribers, and a fuzz target on the frame parser the stream
 // clients use.
@@ -55,11 +55,12 @@ func eventNames(frames []SSEFrame) []string {
 	return names
 }
 
-// TestSSEEventOrder asserts the exact stream for a clean job:
-// queued, started, completed with gapless ids from 1 — identical
-// whether the consumer attached live or replays after the fact.
+// TestSSEEventOrder asserts the exact stream for a clean job under
+// the default event settings: queued, started, completed with gapless
+// ids from 1 and nothing else — identical whether the consumer
+// attached live or replays after the fact.
 func TestSSEEventOrder(t *testing.T) {
-	_, hs := newTestServer(t, Config{CacheCap: -1, ProgressInterval: -1})
+	_, hs := newTestServer(t, Config{CacheCap: -1})
 	hgr := testHGR(t, 6, 6)
 	_, v, _ := postJob(t, hs.URL, submitBody(t, hgr, 2, map[string]any{"seed": int64(1)}, nil))
 	waitTerminal(t, hs.URL, v.ID)
@@ -91,7 +92,7 @@ func TestSSEEventOrder(t *testing.T) {
 // the stream must show the retry transition and end failed.
 func TestSSERetryingEvent(t *testing.T) {
 	_, hs := newTestServer(t, Config{
-		CacheCap: -1, ProgressInterval: -1, MaxRetries: 1,
+		CacheCap: -1, MaxRetries: 1,
 		Inject: &faultinject.Plan{Seed: 1, Entries: []faultinject.Entry{
 			faultinject.On(faultinject.SiteServerJob, faultinject.KindPanic, 1),
 		}},
@@ -121,7 +122,7 @@ func TestSSERetryingEvent(t *testing.T) {
 // past the end is an empty (but well-formed) stream, and a malformed
 // id is a 400.
 func TestSSELastEventIDResume(t *testing.T) {
-	_, hs := newTestServer(t, Config{CacheCap: -1, ProgressInterval: -1})
+	_, hs := newTestServer(t, Config{CacheCap: -1})
 	hgr := testHGR(t, 6, 6)
 	_, v, _ := postJob(t, hs.URL, submitBody(t, hgr, 2, map[string]any{"seed": int64(3)}, nil))
 	waitTerminal(t, hs.URL, v.ID)
@@ -164,19 +165,21 @@ func TestSSELastEventIDResume(t *testing.T) {
 // disconnected, events_dropped increments, and the job completes
 // promptly — publishing never waits on a slow consumer.
 func TestSSEStalledSubscriberDropped(t *testing.T) {
-	// The job runs for ~1s (injected delay) while progress events tick
-	// every 50ms, so a one-slot subscriber that never drains is
-	// guaranteed to overflow regardless of attach timing.
+	// Job 0 holds the only worker in an injected ~1s delay, so job 1
+	// is still queued when the subscriber attaches: its queued event
+	// is replayed, and the two lifecycle events still to come
+	// (started, completed) overflow a one-slot buffer that is never
+	// drained, whatever the attach timing.
 	s, hs := newTestServer(t, Config{
 		CacheCap: -1, Workers: 1,
-		ProgressInterval: 50 * time.Millisecond,
 		Inject: &faultinject.Plan{Seed: 1, Entries: []faultinject.Entry{{
 			Site: faultinject.SiteServerJob, Kind: faultinject.KindDelay,
-			OnHit: 1, Delay: time.Second, Start: faultinject.AnyStart,
+			OnHit: 1, Delay: time.Second, Start: 0,
 		}}},
 	})
 	hgr := testHGR(t, 6, 6)
-	_, v, _ := postJob(t, hs.URL, submitBody(t, hgr, 2, map[string]any{"seed": int64(4)}, nil))
+	postJob(t, hs.URL, submitBody(t, hgr, 2, map[string]any{"seed": int64(4)}, nil))
+	_, v, _ := postJob(t, hs.URL, submitBody(t, hgr, 2, map[string]any{"seed": int64(5)}, nil))
 
 	// White-box: subscribe directly to the job's event log with a
 	// one-slot buffer and never read it. The HTTP path cannot starve
@@ -192,6 +195,9 @@ func TestSSEStalledSubscriberDropped(t *testing.T) {
 	if sub == nil {
 		t.Fatalf("job already terminal before subscribe (replayed %d events)", len(replay))
 	}
+	if len(replay) != 1 || replay[0].name != "queued" {
+		t.Fatalf("replayed %d events at subscribe, want only queued: the job was not held in the queue", len(replay))
+	}
 
 	start := time.Now()
 	fin := waitTerminal(t, hs.URL, v.ID)
@@ -202,11 +208,10 @@ func TestSSEStalledSubscriberDropped(t *testing.T) {
 		t.Fatalf("job took %v with a stalled subscriber attached", elapsed)
 	}
 
-	// The first post-subscribe event fills the one-slot buffer; the
-	// next finds it full, is dropped, and the subscriber is
-	// disconnected.
-	if got := s.Stats().EventsDropped; got < 1 {
-		t.Errorf("events_dropped = %d, want >= 1", got)
+	// started fills the one-slot buffer; completed finds it full, so
+	// the subscriber is dropped and disconnected.
+	if got := s.Stats().EventsDropped; got != 1 {
+		t.Errorf("events_dropped = %d, want 1", got)
 	}
 	select {
 	case _, ok := <-sub.ch:

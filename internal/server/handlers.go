@@ -178,7 +178,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 //	GET    /v1/jobs/{id}/result deterministic result document (X-Mlpartd-Cache: hit|miss)
 //	GET    /v1/jobs/{id}/events live job lifecycle stream (Server-Sent Events;
 //	                            Last-Event-ID resumes after the named event id)
-//	GET    /v1/events           service-wide ledger delta stream (SSE)
 //	GET    /healthz             liveness (always 200 while the process serves)
 //	GET    /readyz              readiness (503 once draining)
 //	GET    /statsz              service counters (schema mlpartd-stats/1);
@@ -191,7 +190,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleGetResult)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
-	mux.HandleFunc("GET /v1/events", s.handleServiceEvents)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /statsz", s.handleStatsz)
@@ -452,35 +450,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		s.stats.EventDropped()
 	}
 	s.serveSSE(w, r, replay, sub, j.events)
-}
-
-// handleServiceEvents streams the service-wide ledger deltas; the
-// stream ends with the drained event when the service shuts down.
-func (s *Server) handleServiceEvents(w http.ResponseWriter, r *http.Request) {
-	defer func() {
-		if v := recover(); v != nil {
-			writeError(w, http.StatusInternalServerError, "internal",
-				fmt.Sprintf("event stream failed: %v", v))
-		}
-	}()
-	lastID, err := parseLastEventID(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	dropNow := false
-	if inj := s.cfg.Inject.NewInjector(0, 0); inj != nil {
-		if inj.Fire(faultinject.SiteServerEvents) == faultinject.ActCancel {
-			dropNow = true
-		}
-	}
-	replay, sub := s.svcEvents.subscribe(lastID, s.cfg.EventBuffer)
-	if dropNow && sub != nil {
-		s.svcEvents.unsubscribe(sub)
-		sub = nil
-		s.stats.EventDropped()
-	}
-	s.serveSSE(w, r, replay, sub, s.svcEvents)
 }
 
 // serveSSE writes the replay then relays live events until the stream

@@ -102,9 +102,6 @@ type Config struct {
 	// Last-Event-ID resume can reach back into.
 	EventBuffer  int
 	EventHistory int
-	// ProgressInterval is the period of the progress events a running
-	// job's stream carries (default 250ms; negative disables them).
-	ProgressInterval time.Duration
 	// Inject arms deterministic fault injection at the server.admit
 	// and server.job sites. Per-submission injectors are derived from
 	// the admission sequence number — every submission consumes one,
@@ -152,9 +149,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EventHistory == 0 {
 		c.EventHistory = 64
-	}
-	if c.ProgressInterval == 0 {
-		c.ProgressInterval = 250 * time.Millisecond
 	}
 	return c
 }
@@ -217,9 +211,6 @@ type Server struct {
 	// against the state transitions they record.
 	jnl *journal.Writer
 
-	// svcEvents is the service-wide ledger event stream (/v1/events).
-	svcEvents *eventLog
-
 	// mu guards jobs, seq, draining, idem, every queue send, and every
 	// job state transition.
 	mu       sync.Mutex
@@ -268,7 +259,6 @@ func New(cfg Config) (*Server, error) {
 		workersDone: make(chan struct{}),
 		drained:     make(chan struct{}),
 	}
-	s.svcEvents = newEventLog(cfg.EventHistory)
 
 	var recovered []*job
 	if cfg.JournalPath != "" {
@@ -354,9 +344,6 @@ func (s *Server) Drain(ctx context.Context) error {
 			if s.jnl != nil {
 				_ = s.jnl.Close()
 			}
-			// The service-wide stream ends with a drained event; its
-			// subscribers' channels close, ending their streams.
-			s.svcEvents.publish("drained", mustJSON(svcDelta{Change: "drained"}), true)
 			close(s.drained)
 		}()
 	})
@@ -699,24 +686,6 @@ func (s *Server) runJob(j *job, sess *mlpart.Session) {
 		}
 	}()
 
-	// Periodic progress heartbeats on the job's event stream while it
-	// executes. A tick racing the terminal transition is harmless: the
-	// event log refuses publishes after its terminal event.
-	if s.cfg.ProgressInterval > 0 {
-		tick := time.NewTicker(s.cfg.ProgressInterval)
-		defer tick.Stop()
-		go func() {
-			for {
-				select {
-				case <-tick.C:
-					s.publishJobEvent(j, "progress", StatusRunning, 0, false)
-				case <-watch:
-					return
-				}
-			}
-		}()
-	}
-
 	st, res, rep, report, interrupted, attempts := s.execute(jctx, dctx, j, sess)
 
 	s.mu.Lock()
@@ -827,15 +796,7 @@ func (s *Server) attempt(ctx context.Context, j *job, attempt int, sess *mlpart.
 	}
 	report = opt.Telemetry.Report()
 	if err == nil && p != nil {
-		var t telemetry.StageTimings
-		for _, ps := range report.PerStart {
-			t.CoarsenNS += ps.Timings.CoarsenNS
-			t.RefineNS += ps.Timings.RefineNS
-			t.ProjectNS += ps.Timings.ProjectNS
-			t.RebalanceNS += ps.Timings.RebalanceNS
-			t.TotalNS += ps.Timings.TotalNS
-		}
-		s.stats.AddStage(j.k, info.Cut, info.Levels, t)
+		s.stats.AddStage(j.k, info.Cut, info.Levels, report.BenchStages())
 	}
 	if !j.wantStats {
 		report = nil

@@ -216,7 +216,7 @@ func (s *ServiceCollector) EventDropped() { s.eventsDropped.Add(1) }
 
 // AddStage folds one executed attempt's stage profile into the
 // per-algorithm bench aggregate.
-func (s *ServiceCollector) AddStage(k, cut, levels int, t StageTimings) {
+func (s *ServiceCollector) AddStage(k, cut, levels int, t BenchStageNS) {
 	s.bench.mu.Lock()
 	defer s.bench.mu.Unlock()
 	if s.bench.agg == nil {
@@ -229,11 +229,7 @@ func (s *ServiceCollector) AddStage(k, cut, levels int, t StageTimings) {
 	}
 	a.jobs++
 	a.cut, a.levels = cut, levels
-	a.stage.CoarsenNS += t.CoarsenNS
-	a.stage.RefineNS += t.RefineNS
-	a.stage.ProjectNS += t.ProjectNS
-	a.stage.RebalanceNS += t.RebalanceNS
-	a.stage.TotalNS += t.TotalNS
+	a.stage.add(t)
 }
 
 // FinishJob records a running job reaching the named terminal status
@@ -295,8 +291,8 @@ func (s *ServiceCollector) Snapshot(queueCap int, draining bool, uptimeNS int64)
 // The mlpart-bench/1 view: /statsz?schema=bench renders the service's
 // cumulative per-stage timing aggregates in the exact JSON layout
 // cmd/benchrun emits, so the same tooling reads offline benchmark
-// reports and live service profiles. The struct trio below mirrors
-// benchrun's stageNS / benchEntry / benchFile field for field.
+// reports and live service profiles. cmd/benchrun writes its reports
+// with the struct trio below.
 
 // BenchSchemaVersion identifies the bench JSON layout.
 const BenchSchemaVersion = "mlpart-bench/1"
@@ -308,6 +304,30 @@ type BenchStageNS struct {
 	ProjectNS   int64 `json:"project_ns"`
 	RebalanceNS int64 `json:"rebalance_ns"`
 	TotalNS     int64 `json:"total_ns"`
+}
+
+func (t *BenchStageNS) add(o BenchStageNS) {
+	t.CoarsenNS += o.CoarsenNS
+	t.RefineNS += o.RefineNS
+	t.ProjectNS += o.ProjectNS
+	t.RebalanceNS += o.RebalanceNS
+	t.TotalNS += o.TotalNS
+}
+
+// BenchStages sums the run's per-start wall-clock profiles into one
+// mlpart-bench/1 stage profile.
+func (r *Report) BenchStages() BenchStageNS {
+	var t BenchStageNS
+	for _, ps := range r.PerStart {
+		t.add(BenchStageNS{
+			CoarsenNS:   ps.Timings.CoarsenNS,
+			RefineNS:    ps.Timings.RefineNS,
+			ProjectNS:   ps.Timings.ProjectNS,
+			RebalanceNS: ps.Timings.RebalanceNS,
+			TotalNS:     ps.Timings.TotalNS,
+		})
+	}
+	return t
 }
 
 // BenchEntry is one aggregate row. For the service view, Instance is

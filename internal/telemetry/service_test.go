@@ -104,3 +104,29 @@ func TestServiceReportWriteJSON(t *testing.T) {
 		t.Errorf("round trip: %+v != %+v", back, r)
 	}
 }
+
+// TestBenchStagesFeedSnapshot: a report's per-start timings sum into
+// one stage profile, and AddStage accumulates those profiles per k
+// into the mlpart-bench/1 view.
+func TestBenchStagesFeedSnapshot(t *testing.T) {
+	r := &Report{PerStart: []StartStats{
+		{Timings: StageTimings{CoarsenNS: 1, RefineNS: 2, ProjectNS: 3, RebalanceNS: 4, TotalNS: 10, RefineParRegions: 7}},
+		{Timings: StageTimings{CoarsenNS: 10, RefineNS: 20, ProjectNS: 30, RebalanceNS: 40, TotalNS: 100}},
+	}}
+	want := BenchStageNS{CoarsenNS: 11, RefineNS: 22, ProjectNS: 33, RebalanceNS: 44, TotalNS: 110}
+	if got := r.BenchStages(); got != want {
+		t.Fatalf("BenchStages = %+v, want %+v", got, want)
+	}
+	var s ServiceCollector
+	s.AddStage(4, 9, 3, r.BenchStages())
+	s.AddStage(4, 8, 2, r.BenchStages())
+	b := s.BenchSnapshot("2026-01-01")
+	if len(b.Entries) != 1 {
+		t.Fatalf("%d bench entries, want 1", len(b.Entries))
+	}
+	e := b.Entries[0]
+	want = BenchStageNS{CoarsenNS: 22, RefineNS: 44, ProjectNS: 66, RebalanceNS: 88, TotalNS: 220}
+	if e.Algorithm != "quadrisect" || e.Cut != 8 || e.Levels != 2 || e.StageNS != want {
+		t.Errorf("bench entry %+v, want quadrisect, cut 8, levels 2, stages %+v", e, want)
+	}
+}
