@@ -10,11 +10,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"mlpart/internal/faultinject"
+	"mlpart/internal/oracle"
+	"mlpart/internal/telemetry"
 )
 
 // siteFires reports whether a site can trigger on the given entry
@@ -251,4 +254,65 @@ func TestChaosCorruptionCaughtByAudit(t *testing.T) {
 		}
 	}
 	t.Logf("%d runs caught by the audit, %d absorbed into a valid result", audited, absorbed)
+}
+
+// TestChaosStalledLevel aims every coarsen.match fault at the Match
+// that stalls, the one whose level coarsening drops. Corrupting,
+// cancelling or delaying it leaves the partition of the clean run
+// unchanged, since the level is dropped either way; a panic there is
+// recovered with the hierarchy prefix kept. Every outcome must pass
+// the oracle.
+func TestChaosStalledLevel(t *testing.T) {
+	c, err := GenerateCircuit(CircuitSpec{Name: "chaos-stall", Cells: 2000, Nets: 2150, Pins: 7000, Seed: 53})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := c.H
+	run := func(entries ...FaultEntry) (*Partition, Info, ReportStartStats, error) {
+		tel := NewTelemetry()
+		opt := Options{Seed: 63, Audit: true, Telemetry: tel, Inject: &FaultPlan{Seed: 7, Entries: entries}}
+		p, info, err := BipartitionCtx(context.Background(), h, opt)
+		return p, info, tel.Report().PerStart[0], err
+	}
+	clean, cleanInfo, stats, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.CoarsenStop != telemetry.CoarsenStopStalled {
+		t.Fatalf("the clean run's coarsening stopped with %q, want a stall", stats.CoarsenStop)
+	}
+	// Match runs once per kept level, then once more for the level
+	// that stalled.
+	stalled := cleanInfo.Levels + 1
+	for _, kind := range faultinject.Kinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			p, info, stats, err := run(faultinject.On(faultinject.SiteCoarsenMatch, kind, stalled))
+			checkChaosOutcome(t, h, 2, p, info, err)
+			if p == nil {
+				t.Fatal("no partition")
+			}
+			if want := oracle.Cut(h, p); info.Cut != want {
+				t.Fatalf("reported cut %d, oracle %d", info.Cut, want)
+			}
+			if got := info.StartReports[0].Faults; got != 1 {
+				t.Fatalf("%d faults fired, want 1", got)
+			}
+			if kind == FaultPanic {
+				if info.StartReports[0].Outcome != StartRecovered || info.Levels != cleanInfo.Levels {
+					t.Errorf("start %v with %d levels, want %v with the clean run's %d", info.StartReports[0].Outcome, info.Levels, StartRecovered, cleanInfo.Levels)
+				}
+				return
+			}
+			if err != nil || !slices.Equal(p.Part, clean.Part) {
+				t.Errorf("a %s fault on the dropped level changed the run (err %v)", kind, err)
+			}
+			want := telemetry.CoarsenStopStalled
+			if kind == FaultCancel {
+				want = telemetry.CoarsenStopCancelled
+			}
+			if stats.CoarsenStop != want {
+				t.Errorf("coarsening stopped with %q, want %q", stats.CoarsenStop, want)
+			}
+		})
+	}
 }

@@ -275,6 +275,9 @@ func printTelemetrySummary(r *mlpart.Report) {
 		fmt.Fprintf(os.Stderr, "  level %d: %d cells, %d nets, %d pins (%d pairs, %d singletons, max area %d)\n",
 			l.Level, l.Cells, l.Nets, l.Pins, l.MatchedPairs, l.Singletons, l.LargestClusterArea)
 	}
+	if s.CoarsenStop != "" {
+		fmt.Fprintf(os.Stderr, "  coarsening stopped: %s\n", s.CoarsenStop)
+	}
 	for _, ps := range s.Passes {
 		cut := "n/a"
 		if ps.CutBefore >= 0 {

@@ -1,12 +1,13 @@
 // Command statscheck validates a statistics report: either a
 // -stats-json run report written by cmd/mlpart (schema
-// mlpart-stats/1: header consistency, per-start completeness,
-// internal counter invariants, non-zero wall-clock totals) or a
-// /statsz service snapshot from mlpartd (schema mlpartd-stats/1:
-// accounting invariants — accepted = terminals + queued + running,
-// including the crash-recovery counters). The schema is detected from
-// the document. It is the validation half of `make stats-smoke`,
-// `make serve-smoke`, and `make crash-smoke`.
+// mlpart-stats/1: header consistency, per-start completeness and
+// coarsening stop reasons, internal counter invariants, non-zero
+// wall-clock totals) or a /statsz service snapshot from mlpartd
+// (schema mlpartd-stats/1: accounting invariants — accepted =
+// terminals + queued + running, including the crash-recovery
+// counters). The schema is detected from the document. It is the
+// validation half of `make stats-smoke`, `make serve-smoke`, and
+// `make crash-smoke`.
 //
 // Usage:
 //
@@ -38,6 +39,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"mlpart"
 	"mlpart/internal/journal"
@@ -208,6 +210,12 @@ func validate(r *mlpart.Report, minLevels, minPasses int) error {
 		}
 		if s.Attempts < 1 {
 			return fmt.Errorf("start %d: attempts = %d < 1", i, s.Attempts)
+		}
+		// A start with a clean outcome finished coarsening and says why
+		// it stopped; a recovered, cancelled or failed one may not have.
+		clean := s.Outcome == "ok" || s.Outcome == "retried" || s.Outcome == "timed-out"
+		if (clean || s.CoarsenStop != "") && !slices.Contains(telemetry.CoarsenStops, s.CoarsenStop) {
+			return fmt.Errorf("start %d (%s): coarsen_stop %q, want one of %v", i, s.Outcome, s.CoarsenStop, telemetry.CoarsenStops)
 		}
 		for j, l := range s.Coarsening {
 			if l.Cells <= 0 || l.Nets < 0 || l.Pins < 0 {

@@ -231,7 +231,8 @@ func TestCmdStatsJSON(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mlpart -stats-json (parallel %d): %v\n%s", par, err, out)
 		}
-		if !strings.Contains(string(out), "best start") || !strings.Contains(string(out), "level 0:") {
+		if !strings.Contains(string(out), "best start") || !strings.Contains(string(out), "level 0:") ||
+			!strings.Contains(string(out), "coarsening stopped: ") {
 			t.Errorf("-v summary missing from stderr:\n%s", out)
 		}
 		// statscheck validates and emits the stripped canonical form.

@@ -24,6 +24,14 @@ type Config struct {
 	// half the modules, slowing coarsening and deepening the
 	// hierarchy. Default 1.0.
 	Ratio float64
+	// StallFraction is the stall rule's fraction f ∈ (0, 1]: when the
+	// sweep visits every module without reaching Ratio and its
+	// clustering would keep more than f of the movable (non-excluded)
+	// cells, the level has stalled and Match merges nothing (every
+	// cell a singleton), which ends coarsening. 0 means
+	// DefaultStallFraction; 1 turns the rule off, as in the paper's
+	// Fig. 2, which coarsens until no pair can merge.
+	StallFraction float64
 	// MaxNetSize: nets with more modules are ignored when computing
 	// conn(v, w), to keep Match linear time. Default 10 (§III.A).
 	MaxNetSize int
@@ -62,6 +70,9 @@ type Config struct {
 	Par *intrapar.Pool
 }
 
+// DefaultStallFraction is the StallFraction that 0 selects.
+const DefaultStallFraction = 0.90
+
 // Normalize fills defaults and validates.
 func (c Config) Normalize() (Config, error) {
 	if c.Ratio == 0 {
@@ -69,6 +80,12 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if math.IsNaN(c.Ratio) || c.Ratio <= 0 || c.Ratio > 1 {
 		return c, fmt.Errorf("coarsen: matching ratio %v outside (0,1]", c.Ratio)
+	}
+	if c.StallFraction == 0 {
+		c.StallFraction = DefaultStallFraction
+	}
+	if math.IsNaN(c.StallFraction) || c.StallFraction <= 0 || c.StallFraction > 1 {
+		return c, fmt.Errorf("coarsen: stall fraction %v outside (0,1]", c.StallFraction)
 	}
 	if c.MaxNetSize == 0 {
 		c.MaxNetSize = 10
@@ -110,19 +127,36 @@ func Conn(h *hypergraph.Hypergraph, v, w int, maxNetSize int) float64 {
 	return sum / float64(h.Area(v)+h.Area(w))
 }
 
+// Outcome says how a Match sweep ended.
+type Outcome int8
+
+const (
+	// Swept: the sweep reached Ratio or visited every module, and its
+	// clustering stands.
+	Swept Outcome = iota
+	// Stalled: the sweep visited every module without reaching Ratio
+	// and kept more than StallFraction of the movable cells, so the
+	// clustering is all singletons.
+	Stalled
+	// Stopped: the Stop hook, or a synthetic cancellation, ended the
+	// sweep early. A stopped sweep is never a stall.
+	Stopped
+)
+
 // Match constructs a clustering P^k of h following Fig. 3. Modules
 // are visited in a random permutation; each unmatched module v is
 // paired with the unmatched neighbor w maximizing conn(v, w), forming
 // the cluster {v, w}; if no unmatched neighbor exists, v becomes a
 // singleton. Matching stops once the fraction of matched modules
 // reaches cfg.Ratio, and every remaining unmatched module is assigned
-// its own cluster.
+// its own cluster. A stalled sweep (see Config.StallFraction) returns
+// every module as its own cluster instead.
 //
 // The returned Clustering is freshly allocated: Match is MatchInto a
 // new Clustering.
 func Match(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*hypergraph.Clustering, error) {
 	c := &hypergraph.Clustering{}
-	if err := MatchInto(h, cfg, rng, c); err != nil {
+	if _, err := MatchInto(h, cfg, rng, c); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -131,19 +165,19 @@ func Match(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*hypergraph.Cl
 // MatchInto is Match writing the clustering into dst. dst's
 // CellToCluster array is reused when it is long enough and otherwise
 // replaced by one of exactly the cell count; every entry is rewritten,
-// so whatever dst held before does not show. On error dst is left
-// unchanged.
-func MatchInto(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand, dst *hypergraph.Clustering) error {
+// so whatever dst held before does not show. It reports how the
+// sweep ended. On error dst is left unchanged.
+func MatchInto(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand, dst *hypergraph.Clustering) (Outcome, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
-		return err
+		return Swept, err
 	}
 	n := h.NumCells()
 	if cfg.Exclude != nil && len(cfg.Exclude) != n {
-		return fmt.Errorf("coarsen: Exclude has %d entries, hypergraph has %d cells", len(cfg.Exclude), n)
+		return Swept, fmt.Errorf("coarsen: Exclude has %d entries, hypergraph has %d cells", len(cfg.Exclude), n)
 	}
 	if cfg.SameBlockOnly != nil && len(cfg.SameBlockOnly.Part) != n {
-		return fmt.Errorf("coarsen: SameBlockOnly partition has %d cells, hypergraph has %d", len(cfg.SameBlockOnly.Part), n)
+		return Swept, fmt.Errorf("coarsen: SameBlockOnly partition has %d cells, hypergraph has %d", len(cfg.SameBlockOnly.Part), n)
 	}
 	act := faultinject.ActNone
 	if cfg.Inject != nil {
@@ -161,7 +195,7 @@ func MatchInto(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand, dst *hyperg
 		c.CellToCluster[v] = -1
 	}
 	if n == 0 {
-		return nil
+		return Swept, nil
 	}
 	ws := cfg.grab()
 	ws.perm = permInto(ws.perm, n, rng)
@@ -170,15 +204,21 @@ func MatchInto(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand, dst *hyperg
 	ws.connAcc = hypergraph.Resize(ws.connAcc, n)
 
 	k := int32(0)
-	nMatch := 0
+	nMatch, excluded := 0, 0
+	out := Swept
 	for j, v := range ws.perm {
 		if float64(nMatch)/float64(n) >= cfg.Ratio {
 			break
 		}
 		if j&255 == 0 && cfg.Stop != nil && cfg.Stop() {
+			out = Stopped
 			break
 		}
-		if c.CellToCluster[v] >= 0 || (cfg.Exclude != nil && cfg.Exclude[v]) {
+		if cfg.Exclude != nil && cfg.Exclude[v] {
+			excluded++
+			continue
+		}
+		if c.CellToCluster[v] >= 0 {
 			continue
 		}
 		var best int32
@@ -189,6 +229,19 @@ func MatchInto(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand, dst *hyperg
 			nMatch += 2
 		}
 		k++
+	}
+	if movable := n - excluded; out == Swept && nMatch > 0 && float64(nMatch)/float64(n) < cfg.Ratio &&
+		float64(movable-nMatch/2) > cfg.StallFraction*float64(movable) {
+		// The sweep ran out of modules before reaching R, and the
+		// movable cells would keep more than f of their count: the
+		// level has stalled. Merge nothing; the permutation drew the
+		// same RNG values as the full sweep. (A sweep that found no
+		// pair at all is no stall: it made no progress on its own.)
+		out = Stalled
+		k = 0
+		for v := range c.CellToCluster {
+			c.CellToCluster[v] = -1
+		}
 	}
 	// Steps 8–10: every remaining unmatched module becomes a
 	// singleton cluster.
@@ -206,7 +259,7 @@ func MatchInto(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand, dst *hyperg
 	// outcome is derivable from the totals in O(1).
 	pairs := n - c.NumClusters
 	cfg.Telemetry.RecordMatch(pairs, c.NumClusters-pairs)
-	return nil
+	return out, nil
 }
 
 // bestPartner scans v's nets and returns the unmatched, non-excluded,

@@ -224,10 +224,11 @@ func TestConfigNormalize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Ratio != 1.0 || c.MaxNetSize != 10 {
+	if c.Ratio != 1.0 || c.MaxNetSize != 10 || c.StallFraction != DefaultStallFraction {
 		t.Errorf("defaults = %+v", c)
 	}
-	for _, bad := range []Config{{Ratio: -0.2}, {Ratio: 1.5}, {MaxNetSize: 1}} {
+	for _, bad := range []Config{{Ratio: -0.2}, {Ratio: 1.5}, {MaxNetSize: 1},
+		{StallFraction: math.NaN()}, {StallFraction: -0.5}, {StallFraction: -math.SmallestNonzeroFloat64}, {StallFraction: 1.01}, {StallFraction: math.Inf(1)}} {
 		if _, err := bad.Normalize(); err == nil {
 			t.Errorf("config %+v should fail", bad)
 		}
@@ -444,5 +445,104 @@ func TestMatchTelemetryCounts(t *testing.T) {
 	if s2.Coarsening[0].MatchedPairs != wantPairs || s2.Coarsening[0].Singletons != c.NumClusters-wantPairs {
 		t.Errorf("level entry %+v, want pairs=%d singletons=%d",
 			s2.Coarsening[0], wantPairs, c.NumClusters-wantPairs)
+	}
+}
+
+// sparseH has n cells and one 2-pin net per entry of pairs: a level
+// where the sweep runs out of modules long before it reaches R = 1.
+func sparseH(n int, pairs ...[2]int) *hypergraph.Hypergraph {
+	b := hypergraph.NewBuilder(n)
+	for _, p := range pairs {
+		b.AddNet(p[0], p[1])
+	}
+	return b.MustBuild()
+}
+
+// TestMatchStallDropsLevel: one pair among 100 cells keeps 99% of the
+// cells, so the default rule drops the level, while f = 1 keeps the
+// Fig. 3 clustering. Both sweeps consume the same RNG draws: the
+// stream after a stalled Match is the stream after the full one.
+func TestMatchStallDropsLevel(t *testing.T) {
+	h := sparseH(100, [2]int{3, 7})
+	for _, tc := range []struct {
+		f        float64
+		out      Outcome
+		clusters int
+	}{{0, Stalled, 100}, {0.9, Stalled, 100}, {0.99, Swept, 99}, {1, Swept, 99}} {
+		rng := rand.New(rand.NewSource(11))
+		var c hypergraph.Clustering
+		out, err := MatchInto(h, Config{StallFraction: tc.f}, rng, &c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != tc.out || c.NumClusters != tc.clusters {
+			t.Errorf("f = %v: outcome %d with %d clusters, want %d with %d", tc.f, out, c.NumClusters, tc.out, tc.clusters)
+		}
+		if err := c.Validate(h.NumCells()); err != nil {
+			t.Errorf("f = %v: %v", tc.f, err)
+		}
+		full := rand.New(rand.NewSource(11))
+		if _, err := Match(h, Config{StallFraction: 1}, full); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rng.Int63(), full.Int63(); got != want {
+			t.Errorf("f = %v: the next RNG draw is %d after Match, %d after the full sweep", tc.f, got, want)
+		}
+	}
+}
+
+// TestMatchStallNeedsSweepToRunOut: at R = 0.05 every level keeps
+// 97.5% of its cells, but the sweep stops because it reached R, so
+// the level stands.
+func TestMatchStallNeedsSweepToRunOut(t *testing.T) {
+	h := randomH(rand.New(rand.NewSource(12)), 400, 600, 4)
+	var c hypergraph.Clustering
+	out, err := MatchInto(h, Config{Ratio: 0.05}, rand.New(rand.NewSource(13)), &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != Swept || c.NumClusters != 390 {
+		t.Errorf("R = 0.05: outcome %d with %d clusters, want %d with 390", out, c.NumClusters, Swept)
+	}
+}
+
+// TestMatchStallCountsMovableCellsOnly: 92 excluded pads and 8
+// movable cells that pair up completely. The clustering keeps 96 of
+// 100 cells, but only half of the movable ones, so it is no stall.
+func TestMatchStallCountsMovableCellsOnly(t *testing.T) {
+	h := sparseH(100, [2]int{0, 1}, [2]int{2, 3}, [2]int{4, 5}, [2]int{6, 7}, [2]int{7, 50})
+	exclude := make([]bool, 100)
+	for v := 8; v < 100; v++ {
+		exclude[v] = true
+	}
+	var c hypergraph.Clustering
+	out, err := MatchInto(h, Config{Exclude: exclude}, rand.New(rand.NewSource(14)), &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != Swept || c.NumClusters != 96 {
+		t.Errorf("outcome %d with %d clusters, want %d with 96", out, c.NumClusters, Swept)
+	}
+}
+
+// TestMatchStopIsNotStall: a Stop hook that ends the sweep after 256
+// modules leaves the few pairs formed so far. The clustering keeps
+// more than f of the cells without reaching R, but a stopped sweep is
+// no stall, so the pairs stand.
+func TestMatchStopIsNotStall(t *testing.T) {
+	var pairs [][2]int
+	for v := 0; v < 40; v += 2 {
+		pairs = append(pairs, [2]int{v, v + 1})
+	}
+	h := sparseH(1000, pairs...)
+	polls := 0
+	stop := func() bool { polls++; return polls > 1 }
+	var c hypergraph.Clustering
+	out, err := MatchInto(h, Config{Stop: stop}, rand.New(rand.NewSource(15)), &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != Stopped || c.NumClusters == 1000 || c.NumClusters <= 950 {
+		t.Errorf("outcome %d with %d clusters, want %d with a few pairs", out, c.NumClusters, Stopped)
 	}
 }

@@ -86,7 +86,7 @@ func TestMatchIntoDirtyDestination(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := MatchInto(h, Config{}, rand.New(rand.NewSource(seed)), dst); err != nil {
+		if _, err := MatchInto(h, Config{}, rand.New(rand.NewSource(seed)), dst); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, dst) {

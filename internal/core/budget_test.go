@@ -6,8 +6,10 @@ import (
 	"runtime"
 	"testing"
 
+	"mlpart/internal/coarsen"
 	"mlpart/internal/hypergraph"
 	"mlpart/internal/netgen"
+	"mlpart/internal/telemetry"
 )
 
 // TestBipartitionAllocationBudget bounds what one multilevel attempt
@@ -19,6 +21,10 @@ import (
 // input's pins and does not grow with the hierarchy's depth. Coarse
 // levels share one cell side, so a change that gives each level its
 // own again (about 4.5 bytes per input pin per level) fails the bound.
+// The hierarchy itself is bounded too: the stall rule ends it after 11
+// levels that keep 47.8 bytes per input pin, where coarsening until no
+// pair merges built 19 levels keeping 62.2, so stalled levels coming
+// back fail the level bound.
 func TestBipartitionAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -27,10 +33,12 @@ func TestBipartitionAllocationBudget(t *testing.T) {
 	// The input-sized scratch set: refinement arrays and gain buckets,
 	// match accumulators and permutation, induce windows (whose pin
 	// buffer doubles as the shared cell side), the shared cell offsets
-	// and the two projection buffers — about 42 bytes per pin on this
+	// and the two projection buffers — about 33 bytes per pin on this
 	// circuit. Buffers that grow per level or by doubling push it past
 	// 60.
-	const scratchBytesPerPin = 48
+	const scratchBytesPerPin = 40
+	// The arrays the hierarchy keeps.
+	const levelBytesPerPin = 50
 	circ := netgen.MustGenerate(netgen.Spec{Name: "budget", Cells: 8000, Nets: 8500, Pins: 28000, Seed: seed})
 	h := circ.H
 	cfg := Config{Ratio: 0.5}
@@ -49,6 +57,10 @@ func TestBipartitionAllocationBudget(t *testing.T) {
 	}
 	for _, c := range cs {
 		levelBytes += 4 * uint64(len(c.CellToCluster))
+	}
+	if limit := levelBytesPerPin * uint64(h.NumPins()); levelBytes > limit {
+		t.Errorf("the %d-level hierarchy keeps %d bytes, want ≤ %d (%d per input pin): has coarsening stopped stalling?",
+			len(hs)-1, levelBytes, limit, levelBytesPerPin)
 	}
 
 	// Warm-up: the first call in a process also pays one-time runtime
@@ -134,38 +146,72 @@ func TestScratchSteadyStateAllocationBudget(t *testing.T) {
 
 // TestVCycleLaterCyclesReuseHierarchy checks that a V-cycle's cycles
 // after the first rebuild their restricted hierarchies in the store
-// the first cycle filled: the second cycle adds no coarse-level
-// arrays, only what a warm job allocates (see the steady-state bound).
+// the first cycle filled: the second cycle adds no coarse-level arrays,
+// only what a warm job allocates (see the steady-state bound). With
+// the stall rule on, the second cycle, restricted around a better
+// solution, stalls deeper than the first; only the levels below the
+// first cycle's deepest need new slots, and the bound grows by exactly
+// their arrays. With f = 1 neither cycle stalls and no level is new.
 func TestVCycleLaterCyclesReuseHierarchy(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
 	circ := netgen.MustGenerate(netgen.Spec{Name: "vcycle-budget", Cells: 8000, Nets: 8500, Pins: 28000, Seed: 1997})
 	h := circ.H
-	cfg := Config{Ratio: 0.5}
 	start := hypergraph.RandomPartition(h, 2, 0.1, rand.New(rand.NewSource(3)))
-	run := func(cycles int) (uint64, int) {
-		rng := rand.New(rand.NewSource(5))
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, cut, err := VCycleCtx(context.Background(), h, start, cycles, cfg, rng)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+	for _, f := range []float64{1, coarsen.DefaultStallFraction} {
+		cfg := Config{Ratio: 0.5, StallFraction: f}
+		run := func(cycles int, tel *telemetry.Collector) (uint64, int) {
+			cfg := cfg
+			cfg.Telemetry = tel
+			rng := rand.New(rand.NewSource(5))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, cut, err := VCycleCtx(context.Background(), h, start, cycles, cfg, rng)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return after.TotalAlloc - before.TotalAlloc, cut
 		}
-		return after.TotalAlloc - before.TotalAlloc, cut
-	}
-	run(1) // warm-up: one-time runtime costs are not the cycle's
-	one, cut := run(1)
-	if cut >= start.WeightedCut(h) {
-		t.Fatalf("the first cycle did not improve the start (cut %d), so no second cycle runs", cut)
-	}
-	two, _ := run(2)
-	second := two - min(two, one)
-	// A cycle also clones the best solution it starts from.
-	limit := (partitionMultiple+1)*4*uint64(h.NumCells()) + slackBytes
-	t.Logf("first cycle %d bytes, second cycle %d bytes", one, second)
-	if second > limit {
-		t.Errorf("the second V-cycle allocated %d bytes, want ≤ %d: it should rebuild its levels in the first cycle's store", second, limit)
+		run(1, nil) // warm-up: one-time runtime costs are not the cycle's
+		one, cut := run(1, nil)
+		if cut >= start.WeightedCut(h) {
+			t.Fatalf("f = %v: the first cycle did not improve the start (cut %d), so no second cycle runs", f, cut)
+		}
+		two, _ := run(2, nil)
+		second := two - min(two, one)
+		// The levels of both cycles, from a separate run: telemetry
+		// draws no random numbers, so the hierarchies are the same.
+		tel := telemetry.New()
+		run(2, tel)
+		var cycles [][]telemetry.LevelStat
+		for _, l := range tel.TakeStart(0, "ok", 1, 0, 1).Coarsening {
+			if l.Level == 0 {
+				cycles = append(cycles, nil)
+			}
+			cycles[len(cycles)-1] = append(cycles[len(cycles)-1], l)
+		}
+		if len(cycles) != 2 {
+			t.Fatalf("f = %v: telemetry shows %d coarsenings, want 2", f, len(cycles))
+		}
+		// A level below the first cycle's deepest takes a new slot: its
+		// areas, net side and pushed-up solution, and the clustering of
+		// the level above it.
+		var newLevels uint64
+		for i := len(cycles[0]); i < len(cycles[1]); i++ {
+			l, finer := cycles[1][i], cycles[1][i-1]
+			newLevels += uint64(8*l.Cells + 4*(l.Nets+1) + 4*l.Pins + 4*l.Cells + 4*finer.Cells)
+		}
+		if f == 1 && newLevels != 0 {
+			t.Errorf("f = 1: the second cycle built %d levels, the first %d", len(cycles[1]), len(cycles[0]))
+		}
+		// A cycle also clones the best solution it starts from.
+		limit := (partitionMultiple+1)*4*uint64(h.NumCells()) + slackBytes + newLevels
+		t.Logf("f = %v: first cycle %d bytes (%d levels), second cycle %d bytes (%d levels, %d bytes of new ones)",
+			f, one, len(cycles[0]), second, len(cycles[1]), newLevels)
+		if second > limit {
+			t.Errorf("f = %v: the second V-cycle allocated %d bytes, want ≤ %d: it should rebuild its levels in the first cycle's store", f, second, limit)
+		}
 	}
 }

@@ -90,6 +90,7 @@ func (l *level) coarser(c *hypergraph.Clustering, coarseH *hypergraph.Hypergraph
 type levelConfig struct {
 	threshold int
 	ratio     float64
+	stall     float64
 	starts    int
 	maxLevels int
 	merge     bool
@@ -99,14 +100,17 @@ type levelConfig struct {
 }
 
 // normalize fills the defaults shared by Config and QuadConfig
-// (T = defaultT, R = 1.0, one coarsest start, 64 levels) and validates
-// them.
+// (T = defaultT, R = 1.0, f = coarsen.DefaultStallFraction, one
+// coarsest start, 64 levels) and validates them.
 func (lc levelConfig) normalize(defaultT int) (levelConfig, error) {
 	if lc.threshold == 0 {
 		lc.threshold = defaultT
 	}
 	if lc.ratio == 0 {
 		lc.ratio = 1.0
+	}
+	if lc.stall == 0 {
+		lc.stall = coarsen.DefaultStallFraction
 	}
 	if lc.starts == 0 {
 		lc.starts = 1
@@ -119,6 +123,8 @@ func (lc levelConfig) normalize(defaultT int) (levelConfig, error) {
 		return lc, fmt.Errorf("core: threshold %d < 2", lc.threshold)
 	case math.IsNaN(lc.ratio) || lc.ratio <= 0 || lc.ratio > 1:
 		return lc, fmt.Errorf("core: matching ratio %v outside (0,1]", lc.ratio)
+	case math.IsNaN(lc.stall) || lc.stall <= 0 || lc.stall > 1:
+		return lc, fmt.Errorf("core: stall fraction %v outside (0,1]", lc.stall)
 	case lc.starts < 1:
 		return lc, fmt.Errorf("core: CoarsestStarts %d < 1", lc.starts)
 	case lc.maxLevels < 1:
@@ -219,7 +225,7 @@ func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelR
 	timer := tel.StartTimer(telemetry.StageRefine)
 	gerr := Guard("coarsest-partition", m, func() error {
 		// The last induce lent the coarsest level the shared cell side,
-		// unless coarsening stopped after inducing a level it dropped.
+		// unless a panic in the next induce took it back.
 		ws.induce.RestoreCellSide(coarsest.h)
 		if coarsest.part != nil {
 			p = coarsest.part
@@ -387,8 +393,11 @@ func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelR
 // coarsenLevels is the coarsening phase (Steps 1–5 of Fig. 2): Match,
 // induce, optionally merge parallel nets, audit, record telemetry, and
 // repeat on the coarser netlist while it has more than T movable
-// cells. Cancellation stops coarsening early; a panic inside a step is
-// returned as a *PanicError alongside the valid hierarchy prefix.
+// cells. It also stops when Match merges nothing: the level stalled
+// (coarsen.Config.StallFraction) or no pair could merge. Cancellation
+// stops coarsening early; a panic inside a step is returned as a
+// *PanicError alongside the valid hierarchy prefix. Why coarsening
+// stopped goes to the telemetry.
 //
 // Level i+1 is built into slot i of ws.levels: its clustering, its
 // hypergraph's areas and net side, and its fixed, pre and part arrays
@@ -400,23 +409,34 @@ func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelR
 func coarsenLevels(ctx context.Context, top level, lc levelConfig, rng *rand.Rand, ws *pipelineWS) ([]level, levelRun, error) {
 	levels := []level{top}
 	run := levelRun{cells: []int{top.h.NumCells()}}
-	for cur := &levels[0]; cur.movable() > lc.threshold && len(levels) <= lc.maxLevels; cur = &levels[len(levels)-1] {
+	var stop string
+	for cur := &levels[0]; ; cur = &levels[len(levels)-1] {
+		if cur.movable() <= lc.threshold {
+			stop = telemetry.CoarsenStopThreshold
+			break
+		}
+		if len(levels) > lc.maxLevels {
+			stop = telemetry.CoarsenStopMaxLevels
+			break
+		}
 		if ctx.Err() != nil {
 			run.interrupted = true
+			stop = telemetry.CoarsenStopCancelled
 			break
 		}
 		i := len(levels) - 1
 		slot := ws.levels.slot(i)
 		c := &slot.c
 		var coarseH *hypergraph.Hypergraph
-		matchCfg := coarsen.Config{Ratio: lc.ratio, Exclude: cur.fixed, SameBlockOnly: cur.part, Stop: mergeStop(nil, ctx), Inject: lc.inject, Telemetry: lc.tel, WS: &ws.match}
+		var out coarsen.Outcome
+		matchCfg := coarsen.Config{Ratio: lc.ratio, StallFraction: lc.stall, Exclude: cur.fixed, SameBlockOnly: cur.part, Stop: mergeStop(nil, ctx), Inject: lc.inject, Telemetry: lc.tel, WS: &ws.match}
 		lc.tel.SetLevel(i)
 		timer := lc.tel.StartTimer(telemetry.StageCoarsen)
 		gerr := Guard("coarsen", i, func() error {
-			if err := coarsen.MatchInto(cur.h, matchCfg, rng, c); err != nil {
+			var err error
+			if out, err = coarsen.MatchInto(cur.h, matchCfg, rng, c); err != nil || c.NumClusters >= cur.h.NumCells() {
 				return err
 			}
-			var err error
 			coarseH, err = hypergraph.InduceShared(cur.h, c, &ws.induce, &slot.h)
 			if err == nil && lc.merge {
 				coarseH, err = hypergraph.MergeParallelNets(coarseH)
@@ -427,9 +447,19 @@ func coarsenLevels(ctx context.Context, top level, lc levelConfig, rng *rand.Ran
 		if gerr != nil {
 			return levels, run, gerr
 		}
-		if coarseH.NumCells() >= cur.h.NumCells() {
-			// Match made no progress (e.g. a netless instance with
-			// R ≈ 0); stop rather than loop forever.
+		if coarseH == nil {
+			// Match merged nothing, so the level is dropped before it
+			// is induced: it stalled, it was stopped, or no pair could
+			// merge (e.g. a netless instance with R ≈ 0). Stop rather
+			// than loop forever.
+			switch out {
+			case coarsen.Stalled:
+				stop = telemetry.CoarsenStopStalled
+			case coarsen.Stopped:
+				stop = telemetry.CoarsenStopCancelled
+			default:
+				stop = telemetry.CoarsenStopNoProgress
+			}
 			break
 		}
 		if lc.audit {
@@ -446,6 +476,7 @@ func coarsenLevels(ctx context.Context, top level, lc levelConfig, rng *rand.Ran
 		levels = append(levels, cur.coarser(c, coarseH, slot))
 		run.cells = append(run.cells, coarseH.NumCells())
 	}
+	lc.tel.RecordCoarsenStop(stop)
 	return levels, run, nil
 }
 

@@ -26,6 +26,12 @@ type Config struct {
 	// Ratio is the matching ratio R passed to Match. Default 1.0;
 	// the paper's best bipartitioning results use R = 0.5.
 	Ratio float64
+	// StallFraction is the stall rule's fraction f passed to Match
+	// (coarsen.Config.StallFraction): coarsening ends at the first
+	// level whose sweep runs out before R and keeps more than f of the
+	// movable cells. 0 means coarsen.DefaultStallFraction; 1 is the
+	// paper's Fig. 2, which the experiment tables use.
+	StallFraction float64
 	// Refine configures the FMPartition engine used at every level
 	// (engine FM gives ML_F, engine CLIP gives ML_C).
 	Refine fm.Config
@@ -73,7 +79,7 @@ func (c Config) Normalize() (Config, error) {
 	if err != nil {
 		return c, err
 	}
-	c.Threshold, c.Ratio, c.CoarsestStarts, c.MaxLevels = lc.threshold, lc.ratio, lc.starts, lc.maxLevels
+	c.Threshold, c.Ratio, c.StallFraction, c.CoarsestStarts, c.MaxLevels = lc.threshold, lc.ratio, lc.stall, lc.starts, lc.maxLevels
 	if c.Refine, err = c.Refine.Normalize(); err != nil {
 		return c, err
 	}
@@ -102,7 +108,7 @@ type Result struct {
 
 // levels returns the level-driver parameters of c.
 func (c Config) levels() levelConfig {
-	return levelConfig{threshold: c.Threshold, ratio: c.Ratio, starts: c.CoarsestStarts, maxLevels: c.MaxLevels, merge: c.MergeParallelNets, audit: c.Audit, inject: c.Inject, tel: c.Telemetry}
+	return levelConfig{threshold: c.Threshold, ratio: c.Ratio, stall: c.StallFraction, starts: c.CoarsestStarts, maxLevels: c.MaxLevels, merge: c.MergeParallelNets, audit: c.Audit, inject: c.Inject, tel: c.Telemetry}
 }
 
 // Bipartition runs the ML algorithm of Fig. 2 on h and returns the

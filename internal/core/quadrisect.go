@@ -20,6 +20,8 @@ type QuadConfig struct {
 	Threshold int
 	// Ratio is the matching ratio R. Default 1.0.
 	Ratio float64
+	// StallFraction as in Config. Default coarsen.DefaultStallFraction.
+	StallFraction float64
 	// Refine configures the Sanchis-style multi-way engine used at
 	// every level. Refine.K defaults to 4 (quadrisection).
 	Refine kway.Config
@@ -54,7 +56,7 @@ func (c QuadConfig) Normalize() (QuadConfig, error) {
 	if err != nil {
 		return c, err
 	}
-	c.Threshold, c.Ratio, c.CoarsestStarts, c.MaxLevels = lc.threshold, lc.ratio, lc.starts, lc.maxLevels
+	c.Threshold, c.Ratio, c.StallFraction, c.CoarsestStarts, c.MaxLevels = lc.threshold, lc.ratio, lc.stall, lc.starts, lc.maxLevels
 	if (c.Fixed == nil) != (c.Preassign == nil) {
 		return c, fmt.Errorf("core: Fixed and Preassign must be set together")
 	}
@@ -70,7 +72,7 @@ func (c QuadConfig) Normalize() (QuadConfig, error) {
 
 // levels returns the level-driver parameters of c.
 func (c QuadConfig) levels() levelConfig {
-	return levelConfig{threshold: c.Threshold, ratio: c.Ratio, starts: c.CoarsestStarts, maxLevels: c.MaxLevels, audit: c.Audit, inject: c.Inject, tel: c.Telemetry}
+	return levelConfig{threshold: c.Threshold, ratio: c.Ratio, stall: c.StallFraction, starts: c.CoarsestStarts, maxLevels: c.MaxLevels, audit: c.Audit, inject: c.Inject, tel: c.Telemetry}
 }
 
 // QuadResult reports what a multilevel k-way run did.

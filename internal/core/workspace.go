@@ -97,9 +97,9 @@ func (hw *hierarchyWorkspace) slot(i int) *levelSlot {
 //
 // Retention: a Scratch keeps the largest hierarchy and the largest
 // scratch set it has served until it is dropped. After one job on an
-// 8k-cell netgen circuit (k = 2 or 4) that is 77 to 96 bytes per input
+// 8k-cell netgen circuit (k = 2 or 4) that is 72 to 78 bytes per input
 // pin, of which the hierarchy store, with the one shared cell side, is
-// about 55.
+// 29 to 48.
 type Scratch struct {
 	ws  pipelineWS
 	rng *rand.Rand

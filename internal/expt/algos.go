@@ -32,7 +32,7 @@ func algoCLIP(h *hypergraph.Hypergraph) Algo {
 }
 
 func algoML(h *hypergraph.Hypergraph, engine fm.Engine, ratio float64) Algo {
-	cfg := core.Config{Ratio: ratio, Threshold: 35, Refine: fm.Config{Engine: engine}}
+	cfg := core.Config{StallFraction: 1, Ratio: ratio, Threshold: 35, Refine: fm.Config{Engine: engine}}
 	return func(rng *rand.Rand) (int, error) {
 		_, res, err := core.Bipartition(h, cfg, rng)
 		return res.Cut, err
@@ -69,9 +69,10 @@ func algoLSMC4(h *hypergraph.Hypergraph, engine fm.Engine, descents int) Algo {
 
 func algoMLQuad(h *hypergraph.Hypergraph, engine fm.Engine) Algo {
 	cfg := core.QuadConfig{
-		Threshold: 100,
-		Ratio:     1.0,
-		Refine:    kway.Config{K: 4, Engine: engine, Objective: kway.SumOfDegrees},
+		StallFraction: 1,
+		Threshold:     100,
+		Ratio:         1.0,
+		Refine:        kway.Config{K: 4, Engine: engine, Objective: kway.SumOfDegrees},
 	}
 	return func(rng *rand.Rand) (int, error) {
 		_, res, err := core.Quadrisect(h, cfg, rng)

@@ -40,7 +40,7 @@ func algoGFM(h *hypergraph.Hypergraph) Algo {
 
 func algoTwoPhase(h *hypergraph.Hypergraph) Algo {
 	return func(rng *rand.Rand) (int, error) {
-		_, res, err := core.TwoPhase(h, core.Config{Refine: fm.Config{Engine: fm.EngineCLIP}}, rng)
+		_, res, err := core.TwoPhase(h, core.Config{StallFraction: 1, Refine: fm.Config{Engine: fm.EngineCLIP}}, rng)
 		return res.Cut, err
 	}
 }
@@ -170,7 +170,7 @@ func AblationRecursive(opts Options) (*Table, error) {
 	for _, c := range circuits {
 		direct := RunMany(opts.Runs, opts.Workers, opts.Seed, algoMLQuad(c.H, fm.EngineFM))
 		rec := RunMany(opts.Runs, opts.Workers, opts.Seed, func(rng *rand.Rand) (int, error) {
-			p, err := core.RecursiveBisect(c.H, 4, core.Config{}, rng)
+			p, err := core.RecursiveBisect(c.H, 4, core.Config{StallFraction: 1}, rng)
 			if err != nil {
 				return 0, err
 			}
@@ -203,7 +203,7 @@ func AblationVCycle(opts Options) (*Table, error) {
 		Title:   fmt.Sprintf("ML_C vs ML_C + V-cycles (avg cut, %d runs)", opts.Runs),
 		Columns: []string{"Test Case", "AVG-ML", "AVG-ML+V", "CPU-ML", "CPU-ML+V"},
 	}
-	mlCfg := core.Config{Ratio: 0.5, Refine: fm.Config{Engine: fm.EngineCLIP}}
+	mlCfg := core.Config{StallFraction: 1, Ratio: 0.5, Refine: fm.Config{Engine: fm.EngineCLIP}}
 	for _, c := range circuits {
 		plain := RunMany(opts.Runs, opts.Workers, opts.Seed, algoMLOpts(c.H, mlCfg))
 		vc := RunMany(opts.Runs, opts.Workers, opts.Seed, func(rng *rand.Rand) (int, error) {
@@ -245,10 +245,10 @@ func AblationMergeNets(opts Options) (*Table, error) {
 	}
 	for _, c := range circuits {
 		plain := RunMany(opts.Runs, opts.Workers, opts.Seed, algoMLOpts(c.H, core.Config{
-			Ratio: 0.5, Refine: fm.Config{Engine: fm.EngineCLIP},
+			Ratio: 0.5, StallFraction: 1, Refine: fm.Config{Engine: fm.EngineCLIP},
 		}))
 		merged := RunMany(opts.Runs, opts.Workers, opts.Seed, algoMLOpts(c.H, core.Config{
-			Ratio: 0.5, Refine: fm.Config{Engine: fm.EngineCLIP}, MergeParallelNets: true,
+			Ratio: 0.5, StallFraction: 1, Refine: fm.Config{Engine: fm.EngineCLIP}, MergeParallelNets: true,
 		}))
 		if plain.Err != nil {
 			return nil, plain.Err

@@ -34,10 +34,11 @@ func StageProfile(opts Options) (*Table, error) {
 	for _, c := range circuits {
 		tel := telemetry.New()
 		cfg := core.Config{
-			Ratio:     0.5,
-			Threshold: 35,
-			Refine:    fm.Config{Engine: fm.EngineCLIP},
-			Telemetry: tel,
+			StallFraction: 1,
+			Ratio:         0.5,
+			Threshold:     35,
+			Refine:        fm.Config{Engine: fm.EngineCLIP},
+			Telemetry:     tel,
 		}
 		rng := rand.New(rand.NewSource(RunSeed(opts.Seed, 0)))
 		_, res, err := core.Bipartition(c.H, cfg, rng)

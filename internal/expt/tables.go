@@ -440,7 +440,7 @@ func AblationBucketOrder(opts Options) (*Table, error) {
 	for _, c := range circuits {
 		var rs [3]RunStats
 		for i, ord := range orders {
-			cfg := core.Config{Ratio: 0.5, Refine: fm.Config{Engine: fm.EngineCLIP, Order: ord}}
+			cfg := core.Config{StallFraction: 1, Ratio: 0.5, Refine: fm.Config{Engine: fm.EngineCLIP, Order: ord}}
 			rs[i] = RunMany(opts.Runs, opts.Workers, opts.Seed, algoMLOpts(c.H, cfg))
 			if rs[i].Err != nil {
 				return nil, rs[i].Err
@@ -514,7 +514,7 @@ func AblationBoundary(opts Options) (*Table, error) {
 	for _, c := range circuits {
 		var rs [4]RunStats
 		for i, v := range variants {
-			cfg := core.Config{Ratio: 0.5, Refine: v}
+			cfg := core.Config{StallFraction: 1, Ratio: 0.5, Refine: v}
 			rs[i] = RunMany(opts.Runs, opts.Workers, opts.Seed, algoMLOpts(c.H, cfg))
 			if rs[i].Err != nil {
 				return nil, rs[i].Err
@@ -548,7 +548,7 @@ func AblationCoarsestStarts(opts Options) (*Table, error) {
 	for _, c := range circuits {
 		var rs [3]RunStats
 		for i, s := range starts {
-			cfg := core.Config{Ratio: 0.5, CoarsestStarts: s, Refine: fm.Config{Engine: fm.EngineCLIP}}
+			cfg := core.Config{StallFraction: 1, Ratio: 0.5, CoarsestStarts: s, Refine: fm.Config{Engine: fm.EngineCLIP}}
 			rs[i] = RunMany(opts.Runs, opts.Workers, opts.Seed, algoMLOpts(c.H, cfg))
 			if rs[i].Err != nil {
 				return nil, rs[i].Err

@@ -84,6 +84,26 @@ type PassStat struct {
 	RolledBack int `json:"rolled_back"`
 }
 
+// Why coarsening stopped (StartStats.CoarsenStop).
+const (
+	// CoarsenStopThreshold: the coarsest level has at most T movable
+	// cells, the paper's Fig. 2 stop.
+	CoarsenStopThreshold = "threshold"
+	// CoarsenStopStalled: Match's stall rule found the next level would
+	// keep more than the stall fraction of the cells, and dropped it.
+	CoarsenStopStalled = "stalled"
+	// CoarsenStopNoProgress: Match found no pair to merge.
+	CoarsenStopNoProgress = "no-progress"
+	// CoarsenStopMaxLevels: the hierarchy reached its depth cap.
+	CoarsenStopMaxLevels = "max-levels"
+	// CoarsenStopCancelled: cancellation, real or injected, ended
+	// coarsening.
+	CoarsenStopCancelled = "cancelled"
+)
+
+// CoarsenStops lists every CoarsenStop value.
+var CoarsenStops = []string{CoarsenStopThreshold, CoarsenStopStalled, CoarsenStopNoProgress, CoarsenStopMaxLevels, CoarsenStopCancelled}
+
 // StageTimings is the wall-clock profile of one start. All fields
 // describe how the run executed, not what it computed — they vary
 // from run to run while the algorithmic payload stays bit-identical —
@@ -120,6 +140,10 @@ type StartStats struct {
 	// Coarsening holds one entry per coarsening level, in level
 	// order.
 	Coarsening []LevelStat `json:"coarsening,omitempty"`
+	// CoarsenStop says why coarsening ended: one of CoarsenStops, or
+	// empty when the start never finished coarsening (an error or a
+	// panic ended it, or the start was skipped).
+	CoarsenStop string `json:"coarsen_stop,omitempty"`
 	// Passes holds one entry per refinement pass, in execution
 	// order (coarsest level first).
 	Passes []PassStat `json:"passes,omitempty"`
@@ -244,6 +268,16 @@ func (c *Collector) RecordLevel(cells, nets, pins int, largestClusterArea int64)
 	c.pendingPairs, c.pendingSingletons = 0, 0
 }
 
+// RecordCoarsenStop records why coarsening ended (one of
+// CoarsenStops); a later coarsening of the same attempt, such as the
+// next V-cycle, overwrites it.
+func (c *Collector) RecordCoarsenStop(reason string) {
+	if c == nil {
+		return
+	}
+	c.cur.CoarsenStop = reason
+}
+
 // RecordPass appends one refinement-pass entry at the current level.
 // tried counts all moves attempted, kept those surviving rollback.
 func (c *Collector) RecordPass(engine string, pass, cutBefore, cutAfter, tried, kept int) {
@@ -317,6 +351,7 @@ func (c *Collector) TakeStart(start int, outcome string, attempts, cost int, tot
 	s := StartStats{Start: start, Outcome: outcome, Attempts: attempts, Cost: cost}
 	if c != nil {
 		s.Coarsening = c.cur.Coarsening
+		s.CoarsenStop = c.cur.CoarsenStop
 		s.Passes = c.cur.Passes
 		s.Rebalances = c.cur.Rebalances
 		s.RebalanceMoved = c.cur.RebalanceMoved
