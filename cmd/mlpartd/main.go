@@ -6,7 +6,7 @@
 //
 //	mlpartd [-addr :7997] [-queue 64] [-workers 0] [-cache 256]
 //	        [-default-timeout 30s] [-max-timeout 5m] [-drain-timeout 10s]
-//	        [-retries 1] [-journal jobs.wal] [-addr-file path]
+//	        [-journal jobs.wal] [-addr-file path]
 //	        [-crash-after-appends n]
 //	        [-chaos site:kind:n[:start]] [-chaos-seed 1]
 //	        [-smoke] [-in circuit.hgr]
@@ -25,7 +25,7 @@
 //	GET    /v1/jobs/{id}/result deterministic result document
 //	                            (X-Mlpartd-Cache: hit|miss).
 //	GET    /v1/jobs/{id}/events live job lifecycle stream (SSE:
-//	                            queued, started, retrying, terminal);
+//	                            queued, started, terminal);
 //	                            Last-Event-ID resumes.
 //	GET    /healthz /readyz     liveness / readiness probes.
 //	GET    /statsz              service counters, schema
@@ -37,8 +37,9 @@
 // (an mlpart.Session) and runs every job it dequeues on it, so a
 // stream of small jobs does not regrow the pipeline's buffers per
 // job. Reuse is invisible in results: result documents are
-// byte-identical to a one-shot run, and a retry after a failed
-// attempt runs on fresh workspaces.
+// byte-identical to a one-shot run, and a job that follows a panicked
+// one on the same worker completes normally. Each job runs once; a
+// failed job ends "failed" with a typed error report.
 //
 // SIGTERM or SIGINT starts a graceful drain: admission stops (503),
 // in-flight and queued jobs get -drain-timeout to finish, stragglers
@@ -58,12 +59,12 @@
 // exercise the production drain path and prints the final stats JSON
 // to stdout for statscheck.
 //
-// -journal makes accepted jobs crash-durable: every job lifecycle
-// transition is appended to a write-ahead journal and synced before
-// it is acknowledged, and on startup the journal is replayed —
-// accepted-but-unfinished jobs from a killed predecessor are re-run,
-// closed jobs stay queryable, torn tails are truncated. See the
-// README's "Crash recovery" section.
+// -journal makes accepted jobs crash-durable: each job gets two
+// write-ahead journal records, an accepted record synced before the
+// job is acknowledged and a terminal record when it ends. On startup
+// the journal is replayed — accepted-but-unfinished jobs from a killed
+// predecessor are re-run, closed jobs stay queryable, torn tails are
+// truncated. See the README's "Crash recovery" section.
 //
 // Repeatable -chaos flags arm deterministic fault injection at the
 // server.admit / server.job sites, the journal.append /
@@ -120,7 +121,6 @@ func run() error {
 		defTimeout   = flag.Duration("default-timeout", 0, "per-job deadline when the submission names none (0 = default 30s)")
 		maxTimeout   = flag.Duration("max-timeout", 0, "cap on client-requested deadlines (0 = default 5m)")
 		drainTimeout = flag.Duration("drain-timeout", 0, "grace period for in-flight jobs on shutdown (0 = default 10s)")
-		retries      = flag.Int("retries", 0, "extra attempts per failed job (0 = default 1, negative disables)")
 		journalPath  = flag.String("journal", "", "write-ahead job journal path (empty disables crash durability)")
 		addrFile     = flag.String("addr-file", "", "write the bound listen address to this file (crash-harness port discovery)")
 		crashAfter   = flag.Int("crash-after-appends", 0, "SIGKILL self after the n-th durable journal append (crash harness only)")
@@ -143,7 +143,6 @@ func run() error {
 		DefaultTimeout: *defTimeout,
 		MaxTimeout:     *maxTimeout,
 		DrainTimeout:   *drainTimeout,
-		MaxRetries:     *retries,
 		JournalPath:    *journalPath,
 		Inject:         plan,
 	}
@@ -509,8 +508,8 @@ func consumeJobEvents(base, id string, lastID int64) ([]server.SSEFrame, error) 
 
 // checkLifecycle asserts the ordered SSE contract on one job's
 // frames: ids gapless from firstID, queued first, started before the
-// single terminal event, which comes last. Only queued, started,
-// retrying and the terminal event may appear; anything else (a
+// single terminal event, which comes last. Only queued, started and
+// the terminal event may appear; anything else (a retry or a
 // heartbeat, say) fails the smoke.
 func checkLifecycle(frames []server.SSEFrame, firstID int64) error {
 	if len(frames) < 3 {
@@ -528,7 +527,6 @@ func checkLifecycle(frames []server.SSEFrame, firstID int64) error {
 			}
 		case "started":
 			started = true
-		case "retrying":
 		case "completed":
 			if !started {
 				return fmt.Errorf("completed before started")

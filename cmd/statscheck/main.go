@@ -9,6 +9,10 @@
 // validation half of `make stats-smoke`, `make serve-smoke`, and
 // `make crash-smoke`.
 //
+// mlpartd-stats/1 no longer has the retried key: mlpartd runs each job
+// once, so the count of extra job attempts is gone. Snapshots written
+// before that still validate; the key is ignored.
+//
 // Usage:
 //
 //	statscheck -in stats.json [-min-levels 1] [-min-passes 1] [-strip]
@@ -27,7 +31,9 @@
 // -journal switches to offline journal inspection: the write-ahead
 // job journal at the given path is replayed read-only, its lifecycle
 // invariants checked (one accepted and at most one terminal record
-// per job, accepted always first, known terminal statuses), and a
+// per job, accepted always first, known terminal statuses; the started
+// records of journals written before mlpartd stopped appending them
+// are counted and must follow their accepted record), and a
 // mlpartd-journal/1 dump printed to stdout — per-job state plus
 // torn-tail accounting. The crash harness diffs these dumps across a
 // kill/restart cycle.
@@ -140,7 +146,6 @@ func validateService(r *telemetry.ServiceReport) error {
 		{"cancelled", r.Cancelled},
 		{"deadline_exceeded", r.DeadlineExceeded},
 		{"drained", r.Drained},
-		{"retried", r.Retried},
 		{"recovered", r.Recovered},
 		{"replayed_terminal", r.ReplayedTerminal},
 		{"torn_tail_truncated", r.TornTailTruncated},
@@ -266,7 +271,8 @@ type journalDump struct {
 	ValidBytes int64 `json:"valid_bytes"`
 	TornBytes  int64 `json:"torn_bytes"`
 	Truncated  bool  `json:"truncated"`
-	// Record-type totals.
+	// Record-type totals. Started is 0 for journals written by a
+	// current mlpartd, which journals only accepted and terminal.
 	Accepted int `json:"accepted"`
 	Started  int `json:"started"`
 	Terminal int `json:"terminal"`

@@ -204,12 +204,12 @@ func TestCmdMlpartdCrashRecovery(t *testing.T) {
 	journal := filepath.Join(dir, "jobs.wal")
 
 	// Phase 1: the victim. It SIGKILLs itself the instant the 5th
-	// journal record is durable — mid-burst by construction: with the
-	// result cache off, closing a job takes three appends (accepted,
-	// started, terminal), so by append 5 a second job has been
-	// journaled whose terminal record could not have been written yet.
-	// (The cache must be off here: a cache hit closes a duplicate in
-	// two appends and can leave nothing open at the kill.)
+	// journal record is durable — mid-burst by construction: every job
+	// is journaled as exactly two appends (accepted, then terminal), so
+	// after an odd number of appends at least one job has its accepted
+	// record and not its terminal one. Five appends journal at least
+	// three jobs and close at most two. With the result cache off each
+	// of them runs the pipeline between its two records.
 	victim := startDaemon(t, bins, dir,
 		"-journal", journal, "-crash-after-appends", "5", "-workers", "1", "-cache", "-1")
 	acked := submitBurst(t, victim.addr, body, 8, "crash-key-0")
@@ -414,6 +414,8 @@ func TestCmdStatscheckJournal(t *testing.T) {
 			ContentHash: "c", Fingerprint: "f", Request: []byte(`{"hgr":"x"}`)}
 	}
 
+	// The started record is what mlpartd journaled before it wrote
+	// only accepted and terminal; old journals must still validate.
 	good := write(t, "good.wal",
 		acc("j-000000", 0),
 		journal.Record{Type: journal.TypeStarted, ID: "j-000000", Seq: 0},
@@ -541,9 +543,9 @@ func TestCmdMlpartdCrashSession(t *testing.T) {
 	_ = ref.cmd.Process.Signal(syscall.SIGTERM)
 	ref.wait()
 
-	// Phase 1: the victim dies on the 5th durable append. With the
-	// cache off a job closes in three appends, so at least one
-	// journaled job is still open at the kill.
+	// Phase 1: the victim dies on the 5th durable append. A job closes
+	// in two appends (accepted, terminal), so after an odd number of
+	// appends at least one journaled job is still open at the kill.
 	dir := t.TempDir()
 	wal := filepath.Join(dir, "jobs.wal")
 	victim := startDaemon(t, bins, dir,

@@ -34,10 +34,10 @@ const (
 	// were full; delay slows admission. Never reached by the library
 	// entry points.
 	SiteServerAdmit Site = "server.admit"
-	// SiteServerJob fires at the head of each mlpartd job execution
-	// attempt. A panic fails the attempt into the job's retry/backoff
-	// path; cancel behaves as a client cancellation; delay eats into
-	// the job's deadline. Never reached by the library entry points.
+	// SiteServerJob fires at the head of each mlpartd job's run. A
+	// panic fails the job with a typed "internal" error report; cancel
+	// behaves as a client cancellation; delay eats into the job's
+	// deadline. Never reached by the library entry points.
 	SiteServerJob Site = "server.job"
 	// SiteServerEvents fires at the head of each job event-stream
 	// subscription (GET /v1/jobs/{id}/events). A panic

@@ -1,9 +1,8 @@
 // Package journal is the crash-durability layer of mlpartd: an
 // append-only, fsync-disciplined write-ahead log of job lifecycle
 // records. The server appends an "accepted" record before it
-// acknowledges a submission, a "started" record when a worker picks
-// the job up, and exactly one "terminal" record when the job reaches
-// its terminal status — so after a crash (OOM kill, SIGKILL, power
+// acknowledges a submission and exactly one "terminal" record when
+// the job reaches its terminal status — so after a crash (OOM kill, SIGKILL, power
 // loss) the journal is the authoritative account of which accepted
 // jobs still owe the client a terminal status.
 //
@@ -48,9 +47,10 @@ const (
 	// TypeAccepted: the job was admitted; written and synced before
 	// the 202 response. Carries everything needed to re-run the job.
 	TypeAccepted Type = "accepted"
-	// TypeStarted: a worker began executing the job. Advisory — a
-	// crash between accepted and terminal re-enqueues the job whether
-	// or not it had started.
+	// TypeStarted: a worker began executing the job. The server no
+	// longer writes it; journals that carry it still load, and replay
+	// ignores it — a crash between accepted and terminal re-enqueues
+	// the job whether or not it had started.
 	TypeStarted Type = "started"
 	// TypeTerminal: the job reached its terminal status. A job with a
 	// replayed terminal record is closed and must never be re-run.
@@ -59,7 +59,7 @@ const (
 
 // Record is one journal entry. Accepted records carry the request
 // payload (so the job can be rebuilt after a restart) plus the
-// identity fields; started and terminal records are slim — results
+// identity fields; terminal (and legacy started) records are slim — results
 // are deliberately not journaled, because the pipeline is
 // deterministic and a recomputation is byte-identical.
 type Record struct {

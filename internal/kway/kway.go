@@ -99,6 +99,8 @@ func (c Config) Normalize() (Config, error) {
 	}
 	switch c.Engine {
 	case fm.EngineFM, fm.EngineCLIP:
+	case fm.EnginePROP, fm.EngineCLIPPROP:
+		return c, fmt.Errorf("kway: engine %v is bipartition-only", c.Engine)
 	default:
 		return c, fmt.Errorf("kway: unknown engine %d", int(c.Engine))
 	}

@@ -1,13 +1,13 @@
 package server
 
 // Live event streaming. Every job owns an eventLog — a monotonically
-// numbered history of its lifecycle events (queued, started,
-// retrying, then exactly one terminal event); it is the only event
-// surface, and /statsz is the only view of the ledger. The cardinal
-// rule is that a subscriber can never hold up a job: publish
-// is non-blocking, and a subscriber whose buffer is full is dropped
-// (counted in events_dropped) instead of waited on. The bounded
-// history makes Last-Event-ID resume work without unbounded memory.
+// numbered history of its lifecycle events (queued, started, then
+// exactly one terminal event); it is the only event surface, and
+// /statsz is the only view of the ledger. The cardinal rule is that a
+// subscriber can never hold up a job: publish is non-blocking, and a
+// subscriber whose buffer is full is dropped (counted in
+// events_dropped) instead of waited on. The bounded history makes
+// Last-Event-ID resume work without unbounded memory.
 
 import (
 	"encoding/json"
@@ -126,9 +126,8 @@ func (l *eventLog) unsubscribe(sub *eventSub) {
 
 // jobEventData is the payload of a per-job lifecycle event.
 type jobEventData struct {
-	JobID   string `json:"job_id"`
-	Status  Status `json:"status"`
-	Attempt int    `json:"attempt,omitempty"`
+	JobID  string `json:"job_id"`
+	Status Status `json:"status"`
 }
 
 // mustJSON marshals a payload built from plain structs; a failure is
@@ -145,8 +144,8 @@ func mustJSON(v any) []byte {
 // publishJobEvent emits one lifecycle event on j's stream and counts
 // any dropped subscribers. Safe to call with or without s.mu held:
 // only the event log's own lock and atomic counters are touched.
-func (s *Server) publishJobEvent(j *job, name string, status Status, attempt int, terminal bool) {
-	dropped := j.events.publish(name, mustJSON(jobEventData{JobID: j.id, Status: status, Attempt: attempt}), terminal)
+func (s *Server) publishJobEvent(j *job, name string, status Status, terminal bool) {
+	dropped := j.events.publish(name, mustJSON(jobEventData{JobID: j.id, Status: status}), terminal)
 	for i := 0; i < dropped; i++ {
 		s.stats.EventDropped()
 	}

@@ -88,32 +88,34 @@ func TestSSEEventOrder(t *testing.T) {
 	}
 }
 
-// TestSSERetryingEvent arms a panic at the job site on every attempt:
-// the stream must show the retry transition and end failed.
-func TestSSERetryingEvent(t *testing.T) {
+// TestSSEFailedJobEvents arms a panic at the job site: the job runs
+// once, and its stream is exactly queued, started, failed — no retry
+// event, and no attempt field in any payload.
+func TestSSEFailedJobEvents(t *testing.T) {
 	_, hs := newTestServer(t, Config{
-		CacheCap: -1, MaxRetries: 1,
+		CacheCap: -1,
 		Inject: &faultinject.Plan{Seed: 1, Entries: []faultinject.Entry{
 			faultinject.On(faultinject.SiteServerJob, faultinject.KindPanic, 1),
 		}},
 	})
 	hgr := testHGR(t, 6, 6)
 	_, v, _ := postJob(t, hs.URL, submitBody(t, hgr, 2, map[string]any{"seed": int64(2)}, nil))
-	waitTerminal(t, hs.URL, v.ID)
+	if fin := waitTerminal(t, hs.URL, v.ID); fin.Error == nil || fin.Error.Code != "internal" {
+		t.Fatalf("job error = %+v, want code internal", fin.Error)
+	}
 
 	frames := collectEvents(t, hs.URL, v.ID, -1)
-	want := []string{"queued", "started", "retrying", "failed"}
+	want := []string{"queued", "started", "failed"}
 	if got := eventNames(frames); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("event order %v, want %v", got, want)
 	}
-	var data struct {
-		Attempt int `json:"attempt"`
-	}
-	if err := json.Unmarshal([]byte(frames[2].Data), &data); err != nil {
-		t.Fatalf("retrying data: %v: %s", err, frames[2].Data)
-	}
-	if data.Attempt != 2 {
-		t.Errorf("retrying attempt = %d, want 2", data.Attempt)
+	for i, f := range frames {
+		if f.ID != int64(i+1) {
+			t.Errorf("frame %d: id %d, want %d", i, f.ID, i+1)
+		}
+		if strings.Contains(f.Data, "attempt") {
+			t.Errorf("frame %d data carries an attempt: %s", i, f.Data)
+		}
 	}
 }
 

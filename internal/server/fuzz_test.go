@@ -50,7 +50,6 @@ func FuzzJobRequest(f *testing.F) {
 		Workers:        1,
 		DefaultTimeout: 200 * time.Millisecond,
 		MaxTimeout:     time.Second,
-		MaxRetries:     -1,
 		CacheCap:       -1,
 		MaxBodyBytes:   1 << 16,
 		Limits:         hypergraph.Limits{MaxCells: 256, MaxNets: 256, MaxPins: 2048},

@@ -38,6 +38,32 @@ type jobRequest struct {
 	Stats bool `json:"stats,omitempty"`
 }
 
+// blocks returns the request's block count: k, with 0 selecting 2.
+func (r *jobRequest) blocks() (int, error) {
+	switch r.K {
+	case 0:
+		return 2, nil
+	case 2, 4:
+		return r.K, nil
+	}
+	return 0, fmt.Errorf("k must be 2 or 4, got %d", r.K)
+}
+
+// options decodes the request's options document — absent or null
+// selects the defaults — and checks it for a k-way run with
+// Options.Validate, so admission and recovery refuse exactly the
+// options the entry point would.
+func (r *jobRequest) options(k int) (mlpart.Options, error) {
+	opt := mlpart.Options{}
+	if len(r.Options) > 0 && string(r.Options) != "null" {
+		var err error
+		if opt, err = mlpart.ParseOptionsJSON(r.Options); err != nil {
+			return opt, err
+		}
+	}
+	return opt, opt.Validate(k)
+}
+
 // hgrText is a request's hgr string, kept as the bytes encoding/json
 // unquoted it into — or, for a string without escapes, as a slice of
 // the body itself — so the text is never copied into a Go string. It
@@ -215,13 +241,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	k := req.K
-	if k == 0 {
-		k = 2
-	}
-	if k != 2 && k != 4 {
+	k, err := req.blocks()
+	if err != nil {
 		s.stats.RejectInvalid()
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("k must be 2 or 4, got %d", k))
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	if req.TimeoutMS < 0 {
@@ -237,15 +260,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	opt := mlpart.Options{}
-	if len(req.Options) > 0 && string(req.Options) != "null" {
-		var err error
-		opt, err = mlpart.ParseOptionsJSON(req.Options)
-		if err != nil {
-			s.stats.RejectInvalid()
-			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-			return
-		}
+	opt, err := req.options(k)
+	if err != nil {
+		s.stats.RejectInvalid()
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		return
 	}
 	fp, err := opt.Fingerprint()
 	if err != nil {
@@ -274,8 +293,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	idemKey := r.Header.Get("Idempotency-Key")
 	v, replayed, rej := s.admitJob(h, k, opt, timeout, req.Stats, key, idemKey, body)
 	if rej != nil {
-		if rej.retryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.FormatInt(int64((rej.retryAfter+time.Second-1)/time.Second), 10))
+		if rej.status == http.StatusTooManyRequests || rej.status == http.StatusServiceUnavailable {
+			w.Header().Set("Retry-After", retryAfterSecs)
 		}
 		writeError(w, rej.status, rej.code, rej.msg)
 		return
@@ -368,7 +387,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if s.Draining() {
-		w.Header().Set("Retry-After", strconv.FormatInt(int64((s.cfg.RetryAfter+time.Second-1)/time.Second), 10))
+		w.Header().Set("Retry-After", retryAfterSecs)
 		w.WriteHeader(http.StatusServiceUnavailable)
 		_, _ = w.Write([]byte("draining\n"))
 		return
@@ -443,7 +462,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			dropNow = true
 		}
 	}
-	replay, sub := j.events.subscribe(lastID, s.cfg.EventBuffer)
+	replay, sub := j.events.subscribe(lastID, eventBuffer)
 	if dropNow && sub != nil {
 		j.events.unsubscribe(sub)
 		sub = nil

@@ -21,8 +21,8 @@ const (
 	StatusRunning Status = "running"
 	// StatusCompleted: finished with a feasible partition.
 	StatusCompleted Status = "completed"
-	// StatusFailed: every execution attempt failed without a usable
-	// solution; the job carries a typed ErrorReport.
+	// StatusFailed: the job's run ended without a usable solution;
+	// the job carries a typed ErrorReport.
 	StatusFailed Status = "failed"
 	// StatusCancelled: the client cancelled the job (DELETE).
 	StatusCancelled Status = "cancelled"
@@ -45,8 +45,8 @@ func (s Status) Terminal() bool {
 }
 
 // ErrorReport is the typed failure record of a failed job — the
-// graceful-degradation contract: a job that exhausts its retries
-// reports what went wrong instead of taking the process down.
+// graceful-degradation contract: a job that fails reports what went
+// wrong instead of taking the process down.
 type ErrorReport struct {
 	// Code classifies the failure: "internal" (recovered panic),
 	// "audit" (invariant violation caught by the audit layer), or
@@ -54,17 +54,15 @@ type ErrorReport struct {
 	Code string `json:"code"`
 	// Message is the underlying error text.
 	Message string `json:"message"`
-	// Attempts is how many execution attempts the job used.
-	Attempts int `json:"attempts"`
 }
 
 // Result is the deterministic result document served at
 // /v1/jobs/{id}/result. It is a pure function of (hypergraph content,
 // k, options fingerprint): byte-identical across Parallelism values
 // and across cache hit vs miss — the server's cache-transparency
-// contract. Nondeterministic fields (timings, attempt counts, cache
-// provenance) are deliberately excluded; cache provenance travels in
-// the X-Mlpartd-Cache response header instead.
+// contract. Nondeterministic fields (timings, cache provenance) are
+// deliberately excluded; cache provenance travels in the
+// X-Mlpartd-Cache response header instead.
 type Result struct {
 	ContentHash string  `json:"content_hash"`
 	Fingerprint string  `json:"fingerprint"`
@@ -102,7 +100,6 @@ type job struct {
 	events *eventLog
 
 	status      Status
-	attempts    int
 	cacheHit    bool
 	interrupted bool
 	result      *Result
@@ -119,15 +116,14 @@ type job struct {
 }
 
 // view is the job JSON document served at /v1/jobs/{id}. Unlike
-// Result it may carry nondeterministic fields (attempts, cache_hit,
-// stats timings).
+// Result it may carry nondeterministic fields (cache_hit, stats
+// timings).
 type view struct {
 	ID          string `json:"id"`
 	Status      Status `json:"status"`
 	K           int    `json:"k"`
 	ContentHash string `json:"content_hash"`
 	Fingerprint string `json:"fingerprint"`
-	Attempts    int    `json:"attempts"`
 	CacheHit    bool   `json:"cache_hit"`
 	Interrupted bool   `json:"interrupted,omitempty"`
 	// Recovered marks a job that survived a process death: re-enqueued
@@ -147,7 +143,6 @@ func (j *job) snapshotLocked() view {
 		K:           j.k,
 		ContentHash: j.key.content,
 		Fingerprint: j.key.fingerprint,
-		Attempts:    j.attempts,
 		CacheHit:    j.cacheHit,
 		Interrupted: j.interrupted,
 		Recovered:   j.recovered,

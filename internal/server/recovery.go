@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"time"
 
-	"mlpart"
 	"mlpart/internal/faultinject"
 	"mlpart/internal/hypergraph"
 	"mlpart/internal/journal"
@@ -116,9 +115,10 @@ func (s *Server) recoverJournal() ([]*job, error) {
 
 		j, err := rebuildJob(acc, s.cfg.Limits)
 		if err != nil {
-			// The journaled request no longer parses — possible only if
-			// limits tightened across the restart (or the record was
-			// corrupted yet re-checksummed). The job still owes a
+			// The journaled request no longer passes admission — its
+			// options were accepted before admission checked them for
+			// k, limits tightened across the restart, or the record was
+			// corrupted yet re-checksummed. The job still owes a
 			// terminal status: close it as failed rather than dropping
 			// it silently.
 			term := journal.Record{Type: journal.TypeTerminal, ID: id, Seq: acc.Seq, Status: string(StatusFailed)}
@@ -204,37 +204,32 @@ func (s *Server) registerTombstone(acc, term journal.Record) {
 		status:    st,
 		cancelc:   make(chan struct{}),
 		done:      make(chan struct{}),
-		events:    newEventLog(s.cfg.EventHistory),
+		events:    newEventLog(eventHistory),
 	}
 	close(j.done)
 	s.jobs[j.id] = j
 	s.stats.ReplayTerminal()
 	// A tombstone's event stream is born complete: one terminal event,
 	// so a subscriber gets the replayed status and a clean end.
-	s.publishJobEvent(j, string(st), st, 0, true)
+	s.publishJobEvent(j, string(st), st, true)
 }
 
 // rebuildJob reconstructs a runnable job from a journaled accepted
-// record, revalidating the request exactly as admission did.
+// record, revalidating the request exactly as admission does now: a
+// job journaled before admission checked its options for k fails
+// here and is closed failed.
 func rebuildJob(acc journal.Record, limits hypergraph.Limits) (*job, error) {
 	var req jobRequest
 	if err := json.Unmarshal(acc.Request, &req); err != nil {
 		return nil, fmt.Errorf("journaled request does not decode: %w", err)
 	}
-	k := req.K
-	if k == 0 {
-		k = 2
+	k, err := req.blocks()
+	if err != nil {
+		return nil, fmt.Errorf("journaled request: %w", err)
 	}
-	if k != 2 && k != 4 {
-		return nil, fmt.Errorf("journaled request has bad k %d", k)
-	}
-	opt := mlpart.Options{}
-	if len(req.Options) > 0 && string(req.Options) != "null" {
-		var err error
-		opt, err = mlpart.ParseOptionsJSON(req.Options)
-		if err != nil {
-			return nil, fmt.Errorf("journaled options: %w", err)
-		}
+	opt, err := req.options(k)
+	if err != nil {
+		return nil, fmt.Errorf("journaled options: %w", err)
 	}
 	h, err := hypergraph.ReadHGRText(req.HGR.text, limits)
 	if err != nil {

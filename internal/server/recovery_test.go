@@ -101,6 +101,8 @@ func TestRestartRecoversAcceptedJobs(t *testing.T) {
 	}
 	hgr := testHGR(t, 8, 8)
 	path := filepath.Join(t.TempDir(), "jobs.wal")
+	// The started records are the shape of a journal from before the
+	// server stopped writing them; replay must still accept them.
 	writeJournal(t, path,
 		acceptedFor(t, "j-000000", 0, hgr, ""),
 		journal.Record{Type: journal.TypeStarted, ID: "j-000000", Seq: 0},
@@ -211,6 +213,71 @@ func TestJournalSurvivesGracefulRestart(t *testing.T) {
 	res2, _ := getResult(t, hs2, v3.ID)
 	if !bytes.Equal(res1, res2) {
 		t.Errorf("result changed across restart:\n%s\nvs\n%s", res1, res2)
+	}
+}
+
+// TestJournalTwoRecordsPerJob runs one job, then submits it again for
+// a cache hit at admission: each must leave exactly an accepted and a
+// terminal record in the journal, in that order.
+func TestJournalTwoRecordsPerJob(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	s, err := New(Config{JournalPath: path, Workers: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	base := httptestStart(t, s)
+	body := submitBody(t, testHGR(t, 6, 6), 2, nil, nil)
+	var want []string
+	for i := 0; i < 2; i++ {
+		code, v, data := postJob(t, base, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("submission %d: %d: %s", i, code, data)
+		}
+		if fin := waitTerminal(t, base, v.ID); fin.Status != string(StatusCompleted) || fin.CacheHit != (i == 1) {
+			t.Fatalf("submission %d ended %q, cache hit %v", i, fin.Status, fin.CacheHit)
+		}
+		want = append(want, v.ID+" accepted", v.ID+" terminal")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	recs, _, err := journal.Load(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range recs {
+		got = append(got, r.ID+" "+string(r.Type))
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("journal records %v, want %v", got, want)
+	}
+}
+
+// TestRecoveryClosesUnrunnableJob replays an open k=4 job whose
+// options admission refuses (engine prop, journaled before admission
+// checked options for k): recovery must close it failed with code
+// recovery instead of running it.
+func TestRecoveryClosesUnrunnableJob(t *testing.T) {
+	hgr := testHGR(t, 6, 6)
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	acc := acceptedFor(t, "j-000000", 0, hgr, "")
+	acc.K = 4
+	acc.Request = submitBody(t, hgr, 4, map[string]any{"engine": "prop"}, nil)
+	writeJournal(t, path, acc)
+
+	s, err := New(Config{JournalPath: path})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	v, ok := s.Job("j-000000")
+	if !ok || v.Status != StatusFailed || v.Error == nil || v.Error.Code != "recovery" ||
+		!strings.Contains(v.Error.Message, "bipartition-only") {
+		t.Fatalf("replayed job = %+v (error %+v), want failed with a recovery error naming the engine", v, v.Error)
+	}
+	if rep := s.Stats(); rep.Recovered != 0 || rep.Accepted != 0 {
+		t.Errorf("counters: recovered %d accepted %d, want 0 and 0", rep.Recovered, rep.Accepted)
 	}
 }
 
@@ -376,7 +443,7 @@ func TestChaosSweepJournal(t *testing.T) {
 					acceptedFor(t, "j-000001", 1, hgr, ""),
 				)
 				s, err := New(Config{
-					JournalPath: path, Workers: 2, MaxRetries: 2,
+					JournalPath: path, Workers: 2,
 					Inject: &faultinject.Plan{Seed: 42, Entries: []faultinject.Entry{
 						faultinject.On(site, kind, 2),
 					}},

@@ -17,8 +17,11 @@
 //     hit is byte-identical to a recomputation.
 //   - Fault isolation per job: a panic — internal or injected through
 //     the server.admit / server.job fault sites — fails only the
-//     submission or attempt it hit; attempts are retried with backoff
-//     up to MaxRetries and then reported as a typed ErrorReport.
+//     submission or job it hit; a failed job carries a typed
+//     ErrorReport. Each admitted job runs once: the pipeline is a pure
+//     function of its inputs, so re-running a failed job would repeat
+//     the same computation (its starts already get the supervisor's
+//     reseeded retries).
 //   - Graceful degradation on shutdown: Drain stops admission, gives
 //     in-flight and queued jobs a grace period, then winds the rest
 //     down cooperatively into the drained terminal status.
@@ -60,16 +63,6 @@ type Config struct {
 	// queued jobs before cancelling them into the drained status
 	// (default 10s).
 	DrainTimeout time.Duration
-	// RetryAfter is the client backoff hint attached to overload and
-	// draining rejections (default 1s).
-	RetryAfter time.Duration
-	// MaxRetries is how many extra execution attempts a job gets
-	// after an attempt dies without a usable solution (default 1;
-	// negative disables retries).
-	MaxRetries int
-	// RetryBackoff is the base delay between job attempts; the nth
-	// retry waits n*RetryBackoff (default 5ms).
-	RetryBackoff time.Duration
 	// CacheCap bounds the result cache in entries (default 256;
 	// negative disables caching).
 	CacheCap int
@@ -95,23 +88,29 @@ type Config struct {
 	//
 	// Deprecated: no effect; will be removed.
 	BatchPinLimit int
-	// EventBuffer is the per-subscriber event channel capacity
-	// (default 16); a subscriber that falls this far behind is dropped
-	// rather than ever blocking the job. EventHistory bounds each
-	// job's replayable event history (default 64) — the window
-	// Last-Event-ID resume can reach back into.
-	EventBuffer  int
-	EventHistory int
 	// Inject arms deterministic fault injection at the server.admit
 	// and server.job sites. Per-submission injectors are derived from
 	// the admission sequence number — every submission consumes one,
 	// accepted or not — so a plan entry with Start s targets the s-th
-	// submission; the retry index is the job's attempt number. The
-	// journal.append and journal.replay sites use the fixed derivation
-	// (start 0, retry 0) with OnHit counting appends / replayed frames.
-	// Nil adds one pointer check per site.
+	// submission (retry index 0: a job runs once). The journal.append
+	// and journal.replay sites use the fixed derivation (start 0, retry
+	// 0) with OnHit counting appends / replayed frames. Nil adds one
+	// pointer check per site.
 	Inject *faultinject.Plan
 }
+
+const (
+	// retryAfterSecs is the Retry-After hint, in seconds, attached to
+	// overload and draining rejections.
+	retryAfterSecs = "1"
+	// eventBuffer is the per-subscriber event channel capacity: a
+	// subscriber that falls this far behind is dropped rather than
+	// ever blocking the job.
+	eventBuffer = 16
+	// eventHistory bounds each job's replayable event history — the
+	// window Last-Event-ID resume can reach back into.
+	eventHistory = 64
+)
 
 func (c Config) withDefaults() Config {
 	if c.QueueDepth == 0 {
@@ -129,26 +128,11 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = 10 * time.Second
 	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 1
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 5 * time.Millisecond
-	}
 	if c.CacheCap == 0 {
 		c.CacheCap = 256
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 64 << 20
-	}
-	if c.EventBuffer == 0 {
-		c.EventBuffer = 16
-	}
-	if c.EventHistory == 0 {
-		c.EventHistory = 64
 	}
 	return c
 }
@@ -169,22 +153,9 @@ func (c Config) Validate() error {
 		{"default timeout", c.DefaultTimeout},
 		{"max timeout", c.MaxTimeout},
 		{"drain timeout", c.DrainTimeout},
-		{"retry-after", c.RetryAfter},
-		{"retry backoff", c.RetryBackoff},
 	} {
 		if d.v < 0 {
 			return fmt.Errorf("server: negative %s %v", d.name, d.v)
-		}
-	}
-	for _, n := range []struct {
-		name string
-		v    int
-	}{
-		{"event buffer", c.EventBuffer},
-		{"event history", c.EventHistory},
-	} {
-		if n.v < 0 {
-			return fmt.Errorf("server: negative %s %d", n.name, n.v)
 		}
 	}
 	return c.Inject.Validate()
@@ -274,12 +245,12 @@ func New(cfg Config) (*Server, error) {
 	// process already acknowledged.
 	s.queue = make(chan *job, cfg.QueueDepth+len(recovered))
 	for _, j := range recovered {
-		j.events = newEventLog(cfg.EventHistory)
+		j.events = newEventLog(eventHistory)
 		s.jobs[j.id] = j
 		s.stats.Accept()
 		s.stats.RecoverJob()
 		s.queue <- j
-		s.publishJobEvent(j, "queued", StatusQueued, 0, false)
+		s.publishJobEvent(j, "queued", StatusQueued, false)
 	}
 
 	// Each worker runs its jobs one at a time, so it can own one
@@ -365,12 +336,12 @@ func (s *Server) Close() error {
 	return s.Drain(context.Background())
 }
 
-// rejection is a structured pre-admission refusal.
+// rejection is a structured pre-admission refusal. A 429 or 503 is
+// one the client may retry later; its reply carries Retry-After.
 type rejection struct {
-	status     int
-	code       string
-	msg        string
-	retryAfter time.Duration
+	status int
+	code   string
+	msg    string
 }
 
 // admitJob registers and enqueues a submission that has already been
@@ -412,7 +383,7 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 
 	if s.draining {
 		s.stats.RejectDraining()
-		return view{}, false, &rejection{status: 503, code: "draining", msg: "server is draining; not accepting jobs", retryAfter: s.cfg.RetryAfter}
+		return view{}, false, &rejection{status: 503, code: "draining", msg: "server is draining; not accepting jobs"}
 	}
 
 	// Every submission consumes a sequence number, accepted or not:
@@ -427,7 +398,7 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 			// Shed as if the queue were full — the deterministic
 			// overload path.
 			s.stats.RejectQueueFull()
-			return view{}, false, &rejection{status: 429, code: "queue_full", msg: "admission shed (injected)", retryAfter: s.cfg.RetryAfter}
+			return view{}, false, &rejection{status: 429, code: "queue_full", msg: "admission shed (injected)"}
 		case faultinject.ActCorrupt:
 			// Nothing to corrupt at admission; no-op.
 		}
@@ -446,7 +417,7 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 		status:    StatusQueued,
 		cancelc:   make(chan struct{}),
 		done:      make(chan struct{}),
-		events:    newEventLog(s.cfg.EventHistory),
+		events:    newEventLog(eventHistory),
 	}
 
 	// Admission-time cache lookup: a hit completes the job without
@@ -461,7 +432,7 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 		s.registerIdemLocked(j)
 		s.stats.Accept()
 		s.stats.CacheHit()
-		s.publishJobEvent(j, "queued", StatusQueued, 0, false)
+		s.publishJobEvent(j, "queued", StatusQueued, false)
 		j.cacheHit = true
 		r := res
 		s.finishLocked(j, StatusCompleted, &r, nil, true)
@@ -474,7 +445,7 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 	// block, and we never journal a job we end up shedding.
 	if len(s.queue) == cap(s.queue) {
 		s.stats.RejectQueueFull()
-		return view{}, false, &rejection{status: 429, code: "queue_full", msg: fmt.Sprintf("admission queue full (%d jobs)", s.cfg.QueueDepth), retryAfter: s.cfg.RetryAfter}
+		return view{}, false, &rejection{status: 429, code: "queue_full", msg: fmt.Sprintf("admission queue full (%d jobs)", s.cfg.QueueDepth)}
 	}
 	if rej := s.journalAcceptLocked(j, reqBytes); rej != nil {
 		return view{}, false, rej
@@ -484,7 +455,7 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 	s.registerIdemLocked(j)
 	s.stats.Accept()
 	s.stats.CacheMiss()
-	s.publishJobEvent(j, "queued", StatusQueued, 0, false)
+	s.publishJobEvent(j, "queued", StatusQueued, false)
 	return j.snapshotLocked(), false, nil
 }
 
@@ -509,7 +480,7 @@ func (s *Server) journalAcceptLocked(j *job, reqBytes []byte) *rejection {
 	}
 	s.stats.JournalAppendError()
 	return &rejection{status: 503, code: "journal_error",
-		msg: "could not journal the submission: " + err.Error(), retryAfter: s.cfg.RetryAfter}
+		msg: "could not journal the submission: " + err.Error()}
 }
 
 // registerIdemLocked records the job's Idempotency-Key; callers hold
@@ -577,7 +548,7 @@ func (s *Server) finishLocked(j *job, st Status, res *Result, rep *ErrorReport, 
 	close(j.done)
 	// The terminal event ends the job's stream: subscribers get it and
 	// their channels close.
-	s.publishJobEvent(j, string(st), st, 0, true)
+	s.publishJobEvent(j, string(st), st, true)
 }
 
 // Cancel requests client cancellation of a job. A queued job is
@@ -649,13 +620,7 @@ func (s *Server) runJob(j *job, sess *mlpart.Session) {
 	}
 	j.status = StatusRunning
 	s.stats.StartJob()
-	s.publishJobEvent(j, "started", StatusRunning, 0, false)
-	// The started record is advisory (recovery re-enqueues on
-	// accepted-without-terminal either way), so a failed append only
-	// bumps the counter.
-	if err := s.journalAppend(journal.Record{Type: journal.TypeStarted, ID: j.id, Seq: j.seq}); err != nil {
-		s.stats.JournalAppendError()
-	}
+	s.publishJobEvent(j, "started", StatusRunning, false)
 	// Execution-time cache recheck: an identical job may have
 	// completed while this one sat in the queue.
 	if res, ok := s.cache.get(j.key); ok && !s.cacheBypassed(j.seq) {
@@ -686,10 +651,9 @@ func (s *Server) runJob(j *job, sess *mlpart.Session) {
 		}
 	}()
 
-	st, res, rep, report, interrupted, attempts := s.execute(jctx, dctx, j, sess)
+	st, res, rep, report, interrupted := s.execute(jctx, dctx, j, sess)
 
 	s.mu.Lock()
-	j.attempts = attempts
 	j.interrupted = interrupted
 	j.report = report
 	if st == StatusCompleted && res != nil && rep == nil && !interrupted {
@@ -699,69 +663,38 @@ func (s *Server) runJob(j *job, sess *mlpart.Session) {
 	s.mu.Unlock()
 }
 
-// execute runs the job's attempts to a classification: terminal
-// status, result, error report, telemetry report, interrupted flag,
-// and attempt count. sess is the worker's Session, used for the first
-// attempt only: a retry follows a failure that may have left the
-// reused workspaces poisoned mid-operation, so every retry runs on
-// fresh workspaces (bytes are identical either way).
-func (s *Server) execute(jctx, dctx context.Context, j *job, sess *mlpart.Session) (Status, *Result, *ErrorReport, *telemetry.Report, bool, int) {
-	retries := s.cfg.MaxRetries
-	if retries < 0 {
-		retries = 0
-	}
-	var firstErr error
-	attempts := 0
-	for attempt := 0; attempt <= retries; attempt++ {
-		if attempt > 0 {
-			sess = mlpart.NewSession()
-			s.stats.Retry()
-			s.publishJobEvent(j, "retrying", StatusRunning, attempt+1, false)
-			select {
-			case <-time.After(time.Duration(attempt) * s.cfg.RetryBackoff):
-			case <-jctx.Done():
-			}
-		}
-		attempts = attempt + 1
+// execute runs the job once on the worker's Session and classifies
+// the outcome: terminal status, result, error report, telemetry report
+// and interrupted flag.
+func (s *Server) execute(jctx, dctx context.Context, j *job, sess *mlpart.Session) (Status, *Result, *ErrorReport, *telemetry.Report, bool) {
+	p, info, report, err := s.attempt(jctx, j, sess)
 
-		p, info, report, err := s.attempt(jctx, j, attempt, sess)
-
-		// Classification order matters: an interruption cause wins
-		// over whatever partial error the wind-down produced, and
-		// client cancel > drain > deadline (when one fires, the
-		// derived contexts all read done).
-		switch {
-		case j.clientCancelled():
-			return StatusCancelled, s.resultOf(j, p, info), nil, report, true, attempts
-		case s.runCtx.Err() != nil:
-			return StatusDrained, s.resultOf(j, p, info), nil, report, true, attempts
-		case errors.Is(dctx.Err(), context.DeadlineExceeded):
-			return StatusDeadlineExceeded, s.resultOf(j, p, info), nil, report, true, attempts
-		case err == nil && p != nil:
-			return StatusCompleted, s.resultOf(j, p, info), nil, report, info.Interrupted, attempts
-		case p != nil:
-			// Recovered fault with a feasible degraded solution: keep
-			// it, report the fault, do not cache (see runJob).
-			return StatusCompleted, s.resultOf(j, p, info), &ErrorReport{
-				Code: errCode(err), Message: err.Error(), Attempts: attempts,
-			}, report, info.Interrupted, attempts
-		default:
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
+	// Classification order matters: an interruption cause wins over
+	// whatever partial error the wind-down produced, and client cancel
+	// > drain > deadline (when one fires, the derived contexts all read
+	// done).
+	switch {
+	case j.clientCancelled():
+		return StatusCancelled, s.resultOf(j, p, info), nil, report, true
+	case s.runCtx.Err() != nil:
+		return StatusDrained, s.resultOf(j, p, info), nil, report, true
+	case errors.Is(dctx.Err(), context.DeadlineExceeded):
+		return StatusDeadlineExceeded, s.resultOf(j, p, info), nil, report, true
+	case err == nil && p != nil:
+		return StatusCompleted, s.resultOf(j, p, info), nil, report, info.Interrupted
+	case p != nil:
+		// Recovered fault with a feasible degraded solution: keep it,
+		// report the fault, do not cache (see runJob).
+		return StatusCompleted, s.resultOf(j, p, info), &ErrorReport{Code: errCode(err), Message: err.Error()}, report, info.Interrupted
+	case err == nil:
+		err = errors.New("server: job produced no solution")
 	}
-	if firstErr == nil {
-		firstErr = errors.New("server: job produced no solution")
-	}
-	return StatusFailed, nil, &ErrorReport{
-		Code: errCode(firstErr), Message: firstErr.Error(), Attempts: attempts,
-	}, nil, false, attempts
+	return StatusFailed, nil, &ErrorReport{Code: errCode(err), Message: err.Error()}, nil, false
 }
 
-// attempt runs one panic-isolated execution attempt on sess's
+// attempt runs the job's one panic-isolated execution on sess's
 // workspaces.
-func (s *Server) attempt(ctx context.Context, j *job, attempt int, sess *mlpart.Session) (p *mlpart.Partition, info mlpart.Info, report *telemetry.Report, err error) {
+func (s *Server) attempt(ctx context.Context, j *job, sess *mlpart.Session) (p *mlpart.Partition, info mlpart.Info, report *telemetry.Report, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			p, report = nil, nil
@@ -771,11 +704,12 @@ func (s *Server) attempt(ctx context.Context, j *job, attempt int, sess *mlpart.
 		}
 	}()
 
-	if inj := s.cfg.Inject.NewInjector(j.seq, attempt); inj != nil {
+	if inj := s.cfg.Inject.NewInjector(j.seq, 0); inj != nil {
 		// The job fault site. Panic unwinds into the recover above and
-		// consumes one attempt; delay eats into the deadline; cancel
-		// emulates a client cancellation; corrupt is handled at the
-		// cache layer (cacheBypassed), so it is a no-op here.
+		// fails the job with code internal; delay eats into the
+		// deadline; cancel emulates a client cancellation; corrupt is
+		// handled at the cache layer (cacheBypassed), so it is a no-op
+		// here.
 		if inj.Fire(faultinject.SiteServerJob) == faultinject.ActCancel {
 			s.Cancel(j.id)
 		}

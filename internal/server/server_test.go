@@ -8,11 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"mlpart"
 	"mlpart/internal/faultinject"
 	"mlpart/internal/hypergraph"
 	"mlpart/internal/netgen"
@@ -67,7 +70,6 @@ type jobView struct {
 	ID          string          `json:"id"`
 	Status      string          `json:"status"`
 	CacheHit    bool            `json:"cache_hit"`
-	Attempts    int             `json:"attempts"`
 	Interrupted bool            `json:"interrupted"`
 	Recovered   bool            `json:"recovered"`
 	Error       *ErrorReport    `json:"error"`
@@ -289,6 +291,82 @@ func TestBadSubmissions(t *testing.T) {
 	}
 }
 
+// TestUnrunnableOptionsRejected submits options that decode but that
+// the entry point for k cannot run. Each must be refused at admission
+// with a 400 counted in invalid and never journaled, and the library
+// entry point must return the same error before any start runs.
+func TestUnrunnableOptionsRejected(t *testing.T) {
+	var appends atomic.Int64
+	s, hs := newTestServer(t, Config{
+		JournalPath:       filepath.Join(t.TempDir(), "jobs.wal"),
+		JournalAppendHook: func(int) { appends.Add(1) },
+	})
+	hgr := testHGR(t, 4, 4)
+	h, err := hypergraph.ReadHGRText([]byte(hgr), hypergraph.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := []int{2, 4}
+	cases := []struct {
+		name    string
+		options map[string]any
+		ks      []int
+		want    string
+	}{
+		{"tolerance 1.5", map[string]any{"tolerance": 1.5}, both, "tolerance"},
+		{"tolerance -0.1", map[string]any{"tolerance": -0.1}, both, "tolerance"},
+		{"threshold 1", map[string]any{"threshold": 1}, both, "threshold"},
+		{"threshold -5", map[string]any{"threshold": -5}, both, "threshold"},
+		{"matching ratio 2", map[string]any{"matching_ratio": 2}, both, "matching ratio"},
+		{"engine prop", map[string]any{"engine": "prop"}, []int{4}, "PROP is bipartition-only"},
+		{"engine clprop", map[string]any{"engine": "clprop"}, []int{4}, "CL-PR is bipartition-only"},
+	}
+	invalid := 0
+	for _, tc := range cases {
+		for _, k := range tc.ks {
+			name := fmt.Sprintf("%s k=%d", tc.name, k)
+			code, _, data := postJob(t, hs.URL, submitBody(t, hgr, k, tc.options, nil))
+			var eb errorBody
+			if err := json.Unmarshal(data, &eb); err != nil || code != http.StatusBadRequest || eb.Error.Code != "bad_request" {
+				t.Errorf("%s: status %d, want 400 bad_request: %s", name, code, data)
+			} else {
+				invalid++
+			}
+
+			raw, err := json.Marshal(tc.options)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt, err := mlpart.ParseOptionsJSON(raw)
+			if err != nil {
+				t.Fatalf("%s: options do not decode: %v", name, err)
+			}
+			opt.Starts = 3
+			entry := mlpart.Bipartition
+			if k == 4 {
+				entry = mlpart.Quadrisect
+			}
+			p, info, err := entry(h, opt)
+			switch {
+			case err == nil || p != nil:
+				t.Errorf("%s: library returned partition %v, error %v; want only an error", name, p != nil, err)
+			case info.StartReports != nil:
+				t.Errorf("%s: library ran %d starts before refusing", name, len(info.StartReports))
+			case !strings.Contains(err.Error(), tc.want):
+				t.Errorf("%s: library error %q does not name %q", name, err, tc.want)
+			case code == http.StatusBadRequest && err.Error() != eb.Error.Message:
+				t.Errorf("%s: library error %q, admission %q", name, err, eb.Error.Message)
+			}
+		}
+	}
+	if rep := s.Stats(); rep.Invalid != int64(invalid) || rep.Accepted != 0 {
+		t.Errorf("ledger: invalid %d accepted %d, want %d and 0", rep.Invalid, rep.Accepted, invalid)
+	}
+	if n := appends.Load(); n != 0 {
+		t.Errorf("refused submissions made %d journal appends, want 0", n)
+	}
+}
+
 // TestQueueFullSheds fills the admission queue behind a deliberately
 // slowed worker and asserts the burst is shed with structured 429s
 // carrying Retry-After, while every accepted job still terminates.
@@ -426,12 +504,11 @@ func TestCacheHitIdentity(t *testing.T) {
 	}
 }
 
-// TestDeadlineExceeded holds the only attempt past a tiny job
-// deadline and requires the deadline-exceeded terminal status.
+// TestDeadlineExceeded holds the job's run past a tiny deadline and
+// requires the deadline-exceeded terminal status.
 func TestDeadlineExceeded(t *testing.T) {
 	s, hs := newTestServer(t, Config{
-		MaxRetries: -1,
-		CacheCap:   -1,
+		CacheCap: -1,
 		Inject: &faultinject.Plan{Entries: []faultinject.Entry{{
 			Site: faultinject.SiteServerJob, Kind: faultinject.KindDelay,
 			OnHit: 1, Delay: 400 * time.Millisecond, Start: faultinject.AnyStart,
@@ -554,90 +631,6 @@ func TestAdmitPanicIsolated(t *testing.T) {
 	fin := waitTerminal(t, hs.URL, v.ID)
 	if fin.Status != string(StatusCompleted) {
 		t.Fatalf("job after panic ended %q", fin.Status)
-	}
-	checkLedger(t, s)
-}
-
-// TestJobPanicRetries injects a panic into the first execution
-// attempt only; the retry completes and reports two attempts.
-func TestJobPanicRetries(t *testing.T) {
-	s, hs := newTestServer(t, Config{
-		CacheCap: -1,
-		Inject: &faultinject.Plan{Entries: []faultinject.Entry{{
-			Site: faultinject.SiteServerJob, Kind: faultinject.KindPanic,
-			OnHit: 1, Start: 0,
-		}}},
-	})
-	hgr := testHGR(t, 6, 6)
-	// The injector is derived from (seq, attempt); the plan's Start
-	// targets seq 0, and faultinject arms OnHit entries only for
-	// retry 0 unless re-derived — attempt 1 gets a fresh injector
-	// with the same entry, so guard with Fired semantics: the panic
-	// fires each attempt's first hit. The pipeline-level behavior we
-	// assert is only "the job ends in a terminal status with a typed
-	// error or a completed retry".
-	code, v, data := postJob(t, hs.URL, submitBody(t, hgr, 2, nil, nil))
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d: %s", code, data)
-	}
-	fin := waitTerminal(t, hs.URL, v.ID)
-	switch fin.Status {
-	case string(StatusCompleted):
-		if fin.Attempts < 1 {
-			t.Fatalf("completed with %d attempts", fin.Attempts)
-		}
-	case string(StatusFailed):
-		if fin.Error == nil || fin.Error.Code != "internal" {
-			t.Fatalf("failed without a typed internal error: %+v", fin.Error)
-		}
-		if fin.Error.Attempts < 2 {
-			t.Fatalf("failed after %d attempts, want retries", fin.Error.Attempts)
-		}
-	default:
-		t.Fatalf("job ended %q", fin.Status)
-	}
-	checkLedger(t, s)
-}
-
-// TestJobPanicExhaustsRetries arms a panic on every attempt of
-// submission 0: the job must end failed with a typed "internal"
-// ErrorReport counting all attempts, and the server must keep
-// serving.
-func TestJobPanicExhaustsRetries(t *testing.T) {
-	entries := []faultinject.Entry{}
-	// One entry per (attempt) since injectors are re-derived with the
-	// retry index; AnyStart would hit every job, so pin to seq 0.
-	entries = append(entries, faultinject.Entry{
-		Site: faultinject.SiteServerJob, Kind: faultinject.KindPanic, OnHit: 1, Start: 0,
-	})
-	s, hs := newTestServer(t, Config{
-		MaxRetries: 2,
-		CacheCap:   -1,
-		Inject:     &faultinject.Plan{Entries: entries},
-	})
-	hgr := testHGR(t, 4, 4)
-	code, v, data := postJob(t, hs.URL, submitBody(t, hgr, 2, nil, nil))
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d: %s", code, data)
-	}
-	fin := waitTerminal(t, hs.URL, v.ID)
-	if fin.Status != string(StatusFailed) {
-		t.Fatalf("job ended %q, want failed (panic armed on every attempt)", fin.Status)
-	}
-	if fin.Error == nil || fin.Error.Code != "internal" || fin.Error.Attempts != 3 {
-		t.Fatalf("error report %+v, want internal after 3 attempts", fin.Error)
-	}
-	if rep := s.Stats(); rep.Retried != 2 {
-		t.Errorf("retried = %d, want 2", rep.Retried)
-	}
-
-	// The process is still healthy: the next job completes.
-	code, v2, _ := postJob(t, hs.URL, submitBody(t, hgr, 2, map[string]any{"seed": 9}, nil))
-	if code != http.StatusAccepted {
-		t.Fatalf("follow-up submit: %d", code)
-	}
-	if fin := waitTerminal(t, hs.URL, v2.ID); fin.Status != string(StatusCompleted) {
-		t.Fatalf("follow-up job ended %q", fin.Status)
 	}
 	checkLedger(t, s)
 }
@@ -790,7 +783,6 @@ func TestChaosSweepServer(t *testing.T) {
 					Workers:    2,
 					QueueDepth: 16,
 					CacheCap:   -1,
-					MaxRetries: 1,
 					Inject: &faultinject.Plan{Seed: 7, Entries: []faultinject.Entry{{
 						Site: site, Kind: kind, Prob: 0.5,
 						Delay: 20 * time.Millisecond, Start: faultinject.AnyStart,

@@ -127,7 +127,6 @@ func TestWorkerSessionAfterPanic(t *testing.T) {
 
 	s, hs := newTestServer(t, Config{
 		Workers: 1, QueueDepth: 16, CacheCap: -1,
-		MaxRetries: -1, // no retries: the panic must be terminal
 		Inject: &faultinject.Plan{Seed: 1, Entries: []faultinject.Entry{
 			faultinject.OnStart(faultinject.SiteServerJob, faultinject.KindPanic, 1, victim),
 		}},

@@ -52,11 +52,6 @@ type ServiceReport struct {
 	DeadlineExceeded int64 `json:"deadline_exceeded"`
 	Drained          int64 `json:"drained"`
 
-	// Retried counts job execution attempts beyond each job's first —
-	// the server-side retry/backoff path, not the supervisor's
-	// per-start retries.
-	Retried int64 `json:"retried"`
-
 	// Crash-recovery counters (write-ahead journal). Recovered counts
 	// jobs re-enqueued at startup because a previous process died
 	// after accepting them but before they reached a terminal status;
@@ -133,7 +128,6 @@ type ServiceCollector struct {
 	cancelled         atomic.Int64
 	deadlineExceeded  atomic.Int64
 	drained           atomic.Int64
-	retried           atomic.Int64
 	recovered         atomic.Int64
 	replayedTerminal  atomic.Int64
 	tornTruncated     atomic.Int64
@@ -183,9 +177,6 @@ func (s *ServiceCollector) StartJob() {
 	s.queued.Add(-1)
 	s.running.Add(1)
 }
-
-// Retry records one job execution attempt beyond the first.
-func (s *ServiceCollector) Retry() { s.retried.Add(1) }
 
 // RecoverJob records one journaled job re-enqueued at startup; the
 // caller also calls Accept for it, keeping the ledger balanced.
@@ -271,7 +262,6 @@ func (s *ServiceCollector) Snapshot(queueCap int, draining bool, uptimeNS int64)
 		Cancelled:           s.cancelled.Load(),
 		DeadlineExceeded:    s.deadlineExceeded.Load(),
 		Drained:             s.drained.Load(),
-		Retried:             s.retried.Load(),
 		Recovered:           s.recovered.Load(),
 		ReplayedTerminal:    s.replayedTerminal.Load(),
 		TornTailTruncated:   s.tornTruncated.Load(),

@@ -10,8 +10,8 @@ import (
 func TestServiceCollectorLifecycle(t *testing.T) {
 	var s ServiceCollector
 
-	// Three accepted jobs: one completes, one fails after a retry,
-	// one is drained straight out of the queue.
+	// Three accepted jobs: one completes, one fails, one is drained
+	// straight out of the queue.
 	s.Accept()
 	s.Accept()
 	s.Accept()
@@ -20,7 +20,6 @@ func TestServiceCollectorLifecycle(t *testing.T) {
 	s.FinishJob("completed", false)
 	s.CacheMiss()
 	s.StartJob()
-	s.Retry()
 	s.FinishJob("failed", false)
 	s.FinishJob("drained", true)
 	s.RejectQueueFull()
@@ -44,7 +43,7 @@ func TestServiceCollectorLifecycle(t *testing.T) {
 	want := ServiceReport{
 		Schema: ServiceSchemaVersion, Accepted: 3,
 		RejectedQueueFull: 1, RejectedDraining: 1, Invalid: 1,
-		Completed: 1, Failed: 1, Drained: 1, Retried: 1,
+		Completed: 1, Failed: 1, Drained: 1,
 		Recovered: 1, ReplayedTerminal: 1, TornTailTruncated: 1,
 		JournalAppendErrors: 1, IdempotentReplays: 1,
 		CacheHits: 1, CacheMisses: 2,

@@ -295,6 +295,70 @@ func (o Options) supervisor() core.SuperOptions {
 	}
 }
 
+// Validate reports the error Bipartition (k = 2) or Quadrisect (k = 4)
+// would return for o before running anything. It normalizes the
+// same core configuration the entry point runs, so every range check
+// stays with the package that owns it; the entry points run it before
+// any start, and mlpartd runs it at admission.
+func (o Options) Validate(k int) error {
+	var err error
+	switch k {
+	case 2:
+		_, _, err = o.bipartitionConfig(nil)
+	case 4:
+		_, _, err = o.quadrisectConfig(nil)
+	default:
+		err = fmt.Errorf("mlpart: k must be 2 or 4, got %d", k)
+	}
+	return err
+}
+
+// bipartitionConfig normalizes o and returns it with the core
+// configuration each bipartition start runs, after checking that
+// configuration.
+func (o Options) bipartitionConfig(scratch *core.Scratch) (Options, core.Config, error) {
+	o, err := o.normalize()
+	if err != nil {
+		return o, core.Config{}, err
+	}
+	cfg := core.Config{
+		Threshold: o.Threshold,
+		Ratio:     o.MatchingRatio,
+		Refine:    fm.Config{Engine: o.Engine, Tolerance: o.Tolerance},
+		Audit:     o.Audit,
+		Scratch:   scratch,
+	}
+	_, err = cfg.Normalize()
+	return o, cfg, err
+}
+
+// quadrisectConfig is bipartitionConfig for quadrisection.
+func (o Options) quadrisectConfig(scratch *core.Scratch) (Options, core.QuadConfig, error) {
+	o, err := o.normalize()
+	if err != nil {
+		return o, core.QuadConfig{}, err
+	}
+	//mllint:ignore float-eq exact sentinel: 0.5 is the assigned default, never the result of arithmetic
+	if o.MatchingRatio == 0.5 && o.Threshold == 0 {
+		// The paper's quadrisection setup: R = 1.0, T = 100.
+		o.MatchingRatio = 1.0
+	}
+	cfg := core.QuadConfig{
+		Threshold: o.Threshold,
+		Ratio:     o.MatchingRatio,
+		Refine: kway.Config{
+			K:         4,
+			Engine:    o.Engine,
+			Objective: kway.SumOfDegrees,
+			Tolerance: o.Tolerance,
+		},
+		Audit:   o.Audit,
+		Scratch: scratch,
+	}
+	_, err = cfg.Normalize()
+	return o, cfg, err
+}
+
 // NewTelemetry returns an armed statistics collector for
 // Options.Telemetry. One collector serves one run.
 func NewTelemetry() *Telemetry { return telemetry.New() }
@@ -377,19 +441,12 @@ func BipartitionCtx(ctx context.Context, h *Hypergraph, opt Options) (*Partition
 // reusable workspace bundle, passed only when the starts run one at a
 // time.
 func bipartitionCtx(ctx context.Context, h *Hypergraph, opt Options, scratch *core.Scratch) (*Partition, Info, error) {
-	opt, err := opt.normalize()
+	opt, cfg, err := opt.bipartitionConfig(scratch)
 	if err != nil {
 		return nil, errInfo(), err
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	cfg := core.Config{
-		Threshold: opt.Threshold,
-		Ratio:     opt.MatchingRatio,
-		Refine:    fm.Config{Engine: opt.Engine, Tolerance: opt.Tolerance},
-		Audit:     opt.Audit,
-		Scratch:   scratch,
 	}
 	type sol struct {
 		p   *Partition
@@ -436,29 +493,12 @@ func QuadrisectCtx(ctx context.Context, h *Hypergraph, opt Options) (*Partition,
 // reusable workspace bundle, passed only when the starts run one at a
 // time.
 func quadrisectCtx(ctx context.Context, h *Hypergraph, opt Options, scratch *core.Scratch) (*Partition, Info, error) {
-	opt, err := opt.normalize()
+	opt, cfg, err := opt.quadrisectConfig(scratch)
 	if err != nil {
 		return nil, errInfo(), err
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	//mllint:ignore float-eq exact sentinel: 0.5 is the assigned default, never the result of arithmetic
-	if opt.MatchingRatio == 0.5 && opt.Threshold == 0 {
-		// The paper's quadrisection setup: R = 1.0, T = 100.
-		opt.MatchingRatio = 1.0
-	}
-	cfg := core.QuadConfig{
-		Threshold: opt.Threshold,
-		Ratio:     opt.MatchingRatio,
-		Refine: kway.Config{
-			K:         4,
-			Engine:    opt.Engine,
-			Objective: kway.SumOfDegrees,
-			Tolerance: opt.Tolerance,
-		},
-		Audit:   opt.Audit,
-		Scratch: scratch,
 	}
 	type sol struct {
 		p   *Partition
