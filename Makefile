@@ -34,13 +34,14 @@ lint:
 # server.admit / server.job / server.events under a concurrent burst:
 # every accepted job must reach exactly one terminal status, a job
 # after a panicked one on the same worker completes normally, and a
-# panicked job runs once and streams queued, started, failed), under
-# the race detector — the recovery paths must be both correct and
+# panicked job runs once and streams queued, started, failed, and a
+# cancel or drain racing a worker's start leaves no finished job
+# holding its netlist), under the race detector — the recovery paths must be both correct and
 # race-free.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestParallelMultiStart|TestRecoveredStart|TestAttemptTimeout|TestOuterCancel|TestRetried|TestRunStarts' . ./internal/core
 	$(GO) test -race ./internal/faultinject ./internal/journal
-	$(GO) test -race -run 'TestChaosSweepServer|TestChaosSweepJournal|TestDrainMidBurst|TestQueueFullSheds|TestAdmitPanic|TestWorkerSession|TestSSE' ./internal/server
+	$(GO) test -race -run 'TestChaosSweepServer|TestChaosSweepJournal|TestDrainMidBurst|TestQueueFullSheds|TestAdmitPanic|TestWorkerSession|TestSSE|TestCancelRacesWorkerStart' ./internal/server
 
 # Crash durability harness: launch cmd/mlpartd as a real subprocess
 # with a write-ahead job journal, SIGKILL it at a deterministic

@@ -401,7 +401,9 @@ func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelR
 //
 // Level i+1 is built into slot i of ws.levels: its clustering, its
 // hypergraph's areas and net side, and its fixed, pre and part arrays
-// are the slot's, each rewritten whole. Its cell side is the one
+// are the slot's, each rewritten whole. Match writes into the store's
+// candidate clustering, which becomes slot i only if the level stands,
+// so a dropped Match never adds a slot. Its cell side is the one
 // ws.induce lends to the level in use: Match reads it, and the next
 // induce takes it back, so every level but the last ends without one
 // (MergeParallelNets levels keep their own). The levels are valid
@@ -425,8 +427,8 @@ func coarsenLevels(ctx context.Context, top level, lc levelConfig, rng *rand.Ran
 			break
 		}
 		i := len(levels) - 1
-		slot := ws.levels.slot(i)
-		c := &slot.c
+		c := ws.levels.candidate(i)
+		var slot *levelSlot
 		var coarseH *hypergraph.Hypergraph
 		var out coarsen.Outcome
 		matchCfg := coarsen.Config{Ratio: lc.ratio, StallFraction: lc.stall, Exclude: cur.fixed, SameBlockOnly: cur.part, Stop: mergeStop(nil, ctx), Inject: lc.inject, Telemetry: lc.tel, WS: &ws.match}
@@ -437,7 +439,8 @@ func coarsenLevels(ctx context.Context, top level, lc levelConfig, rng *rand.Ran
 			if out, err = coarsen.MatchInto(cur.h, matchCfg, rng, c); err != nil || c.NumClusters >= cur.h.NumCells() {
 				return err
 			}
-			coarseH, err = hypergraph.InduceShared(cur.h, c, &ws.induce, &slot.h)
+			slot = ws.levels.keep(i)
+			coarseH, err = hypergraph.InduceShared(cur.h, &slot.c, &ws.induce, &slot.h)
 			if err == nil && lc.merge {
 				coarseH, err = hypergraph.MergeParallelNets(coarseH)
 			}
@@ -463,7 +466,7 @@ func coarsenLevels(ctx context.Context, top level, lc levelConfig, rng *rand.Ran
 			break
 		}
 		if lc.audit {
-			err := audit.CheckClustering(cur.h, c, coarseH)
+			err := audit.CheckClustering(cur.h, &slot.c, coarseH)
 			if err == nil {
 				err = audit.CheckHypergraph(coarseH)
 			}
@@ -472,8 +475,8 @@ func coarsenLevels(ctx context.Context, top level, lc levelConfig, rng *rand.Ran
 			}
 		}
 		lc.tel.RecordLevel(coarseH.NumCells(), coarseH.NumNets(), coarseH.NumPins(), coarseH.MaxCellArea())
-		cur.c = c
-		levels = append(levels, cur.coarser(c, coarseH, slot))
+		cur.c = &slot.c
+		levels = append(levels, cur.coarser(cur.c, coarseH, slot))
 		run.cells = append(run.cells, coarseH.NumCells())
 	}
 	lc.tel.RecordCoarsenStop(stop)

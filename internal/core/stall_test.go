@@ -134,7 +134,9 @@ func TestStallRulePadHeavyQuadrisection(t *testing.T) {
 }
 
 // TestStalledLevelNeverInduced: the Match that stalls is dropped
-// before induce, so no store slot holds a hypergraph for it.
+// before induce, and before it takes a store slot, so a fresh store
+// ends with exactly one slot per coarse level built, each holding its
+// level.
 func TestStalledLevelNeverInduced(t *testing.T) {
 	h := netgen.MustGenerate(netgen.Spec{Name: "store", Cells: 3000, Nets: 3200, Pins: 10500, Seed: 24}).H
 	s := NewScratch()
@@ -142,9 +144,12 @@ func TestStalledLevelNeverInduced(t *testing.T) {
 	if reason != telemetry.CoarsenStopStalled {
 		t.Fatalf("coarsening stopped with %q, want a stall", reason)
 	}
-	for i, sl := range s.ws.levels.slots[res.Levels:] {
-		if sl.h.NumCells() != 0 {
-			t.Errorf("slot %d holds a %d-cell level after a %d-level run: the stalled level was induced", res.Levels+i, sl.h.NumCells(), res.Levels)
+	if got := len(s.ws.levels.slots); got != res.Levels {
+		t.Fatalf("the store holds %d slots after a %d-level run, want one per coarse level", got, res.Levels)
+	}
+	for i, sl := range s.ws.levels.slots {
+		if sl.h.NumCells() != res.LevelCells[i+1] {
+			t.Errorf("slot %d holds a %d-cell level, want level %d's %d cells", i, sl.h.NumCells(), i+1, res.LevelCells[i+1])
 		}
 	}
 }

@@ -54,8 +54,15 @@ type pipelineWS struct {
 // Only the level in use reads its cell→net lists, so a slot keeps its
 // level's net side and the bundle's induce workspace keeps one cell
 // side, rebuilt for each level the sweep refines.
+//
+// Match runs before the store knows whether its level stands, so a
+// depth the store has no slot for yet is matched into spare, which
+// moves into a new slot only when the level is kept. A dropped Match
+// (stalled, stopped, or with nothing to merge) therefore never adds a
+// slot: the store holds exactly one per coarse level it has built.
 type hierarchyWorkspace struct {
 	slots []*levelSlot
+	spare hypergraph.Clustering
 }
 
 // levelSlot is the reusable storage of one coarse level. The level's
@@ -72,11 +79,22 @@ type levelSlot struct {
 	part  hypergraph.Partition  // the V-cycle solution carried up
 }
 
-// slot returns the storage to build depth i into, adding it on first
-// use.
-func (hw *hierarchyWorkspace) slot(i int) *levelSlot {
-	for len(hw.slots) <= i {
-		hw.slots = append(hw.slots, &levelSlot{})
+// candidate returns the clustering to match depth i into: slot i's
+// when the store has one, the spare otherwise. Depths are built in
+// order, so i is at most len(hw.slots).
+func (hw *hierarchyWorkspace) candidate(i int) *hypergraph.Clustering {
+	if i < len(hw.slots) {
+		return &hw.slots[i].c
+	}
+	return &hw.spare
+}
+
+// keep returns the slot to build depth i into once its Match stands,
+// adding it, with the spare's clustering, when it is new.
+func (hw *hierarchyWorkspace) keep(i int) *levelSlot {
+	if i == len(hw.slots) {
+		hw.slots = append(hw.slots, &levelSlot{c: hw.spare})
+		hw.spare = hypergraph.Clustering{}
 	}
 	return hw.slots[i]
 }

@@ -100,18 +100,18 @@ func TestSubmitAllocationBudget(t *testing.T) {
 	in := body(2)
 	id, got := post(in)
 	s.mu.Lock()
-	j := s.jobs[id]
+	st, jh := s.jobs[id].status, s.jobs[id].h
 	s.mu.Unlock()
-	if j.status != StatusQueued {
-		t.Fatalf("measured job is %s, want queued", j.status)
+	if st != StatusQueued {
+		t.Fatalf("measured job is %s, want queued", st)
 	}
-	kept := 8*j.h.NumCells() + 4*(j.h.NumNets()+1) + 8*j.h.NumPins() + 4*(j.h.NumCells()+1)
-	if j.h.Weighted() {
-		kept += 4 * j.h.NumNets()
+	kept := 8*jh.NumCells() + 4*(jh.NumNets()+1) + 8*jh.NumPins() + 4*(jh.NumCells()+1)
+	if jh.Weighted() {
+		kept += 4 * jh.NumNets()
 	}
 	limit := 3*uint64(len(in)) + uint64(kept) + slackBytes
 	t.Logf("%d-pin job, %d-byte body: %d bytes allocated, %.2f × body beyond the hypergraph's %d",
-		j.h.NumPins(), len(in), got, float64(got-min(got, uint64(kept)))/float64(len(in)), kept)
+		jh.NumPins(), len(in), got, float64(got-min(got, uint64(kept)))/float64(len(in)), kept)
 	if got > limit {
 		t.Errorf("one submission allocated %d bytes, want ≤ %d (3 × %d-byte body + hypergraph %d + %d)",
 			got, limit, len(in), kept, slackBytes)

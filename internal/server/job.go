@@ -74,12 +74,17 @@ type Result struct {
 }
 
 // job is one accepted submission. Mutable fields are guarded by the
-// server mutex; the immutable inputs (h, opt, k, key) are set at
+// server mutex; the immutable inputs (opt, k, key) are set at
 // admission and read freely by the worker.
 type job struct {
 	id  string
 	seq int // 0-based admission sequence; drives fault derivation
 
+	// h is the parsed netlist, guarded by the server mutex and held by
+	// one owner at a time: the queued job from admission (or journal
+	// rebuild) until the worker takes it as it marks the job running.
+	// finishLocked clears it on every terminal path, so a finished job
+	// keeps its view, events and result but never its input.
 	h   *mlpart.Hypergraph
 	k   int
 	opt mlpart.Options

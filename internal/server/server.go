@@ -528,6 +528,9 @@ func (s *Server) cacheBypassed(seq int) bool {
 
 // finishLocked moves j to a terminal status exactly once; callers
 // hold mu. fromQueue records whether the job never started running.
+// It drops the job's parsed input: nothing reads it once the job is
+// terminal, and the job table keeps every finished job for the life of
+// the process.
 // The exactly-once guarantee extends to the journal: the terminal
 // record is appended on the one transition that flips the status, so
 // a journal can never carry two terminal records for an id. An append
@@ -539,6 +542,7 @@ func (s *Server) finishLocked(j *job, st Status, res *Result, rep *ErrorReport, 
 		return
 	}
 	j.status = st
+	j.h = nil
 	j.result = res
 	j.errrep = rep
 	if err := s.journalAppend(journal.Record{Type: journal.TypeTerminal, ID: j.id, Seq: j.seq, Status: string(st)}); err != nil {
@@ -604,7 +608,9 @@ func (s *Server) WaitJob(ctx context.Context, id string) (view, bool, error) {
 }
 
 // runJob executes one dequeued job to a terminal status on the
-// executing worker's Session.
+// executing worker's Session. The worker takes the job's parsed input
+// under mu as it marks the job running, so from then on only this call
+// holds it.
 func (s *Server) runJob(j *job, sess *mlpart.Session) {
 	s.mu.Lock()
 	if j.status.Terminal() {
@@ -619,6 +625,8 @@ func (s *Server) runJob(j *job, sess *mlpart.Session) {
 		return
 	}
 	j.status = StatusRunning
+	h := j.h
+	j.h = nil
 	s.stats.StartJob()
 	s.publishJobEvent(j, "started", StatusRunning, false)
 	// Execution-time cache recheck: an identical job may have
@@ -651,7 +659,7 @@ func (s *Server) runJob(j *job, sess *mlpart.Session) {
 		}
 	}()
 
-	st, res, rep, report, interrupted := s.execute(jctx, dctx, j, sess)
+	st, res, rep, report, interrupted := s.execute(jctx, dctx, j, h, sess)
 
 	s.mu.Lock()
 	j.interrupted = interrupted
@@ -663,11 +671,11 @@ func (s *Server) runJob(j *job, sess *mlpart.Session) {
 	s.mu.Unlock()
 }
 
-// execute runs the job once on the worker's Session and classifies
-// the outcome: terminal status, result, error report, telemetry report
-// and interrupted flag.
-func (s *Server) execute(jctx, dctx context.Context, j *job, sess *mlpart.Session) (Status, *Result, *ErrorReport, *telemetry.Report, bool) {
-	p, info, report, err := s.attempt(jctx, j, sess)
+// execute runs the job once on h, its parsed input, on the worker's
+// Session and classifies the outcome: terminal status, result, error
+// report, telemetry report and interrupted flag.
+func (s *Server) execute(jctx, dctx context.Context, j *job, h *mlpart.Hypergraph, sess *mlpart.Session) (Status, *Result, *ErrorReport, *telemetry.Report, bool) {
+	p, info, report, err := s.attempt(jctx, j, h, sess)
 
 	// Classification order matters: an interruption cause wins over
 	// whatever partial error the wind-down produced, and client cancel
@@ -692,9 +700,9 @@ func (s *Server) execute(jctx, dctx context.Context, j *job, sess *mlpart.Sessio
 	return StatusFailed, nil, &ErrorReport{Code: errCode(err), Message: err.Error()}, nil, false
 }
 
-// attempt runs the job's one panic-isolated execution on sess's
+// attempt runs the job's one panic-isolated execution on h, on sess's
 // workspaces.
-func (s *Server) attempt(ctx context.Context, j *job, sess *mlpart.Session) (p *mlpart.Partition, info mlpart.Info, report *telemetry.Report, err error) {
+func (s *Server) attempt(ctx context.Context, j *job, h *mlpart.Hypergraph, sess *mlpart.Session) (p *mlpart.Partition, info mlpart.Info, report *telemetry.Report, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			p, report = nil, nil
@@ -722,9 +730,9 @@ func (s *Server) attempt(ctx context.Context, j *job, sess *mlpart.Session) (p *
 	opt.Telemetry = mlpart.NewTelemetry()
 	switch j.k {
 	case 2:
-		p, info, err = sess.BipartitionCtx(ctx, j.h, opt)
+		p, info, err = sess.BipartitionCtx(ctx, h, opt)
 	case 4:
-		p, info, err = sess.QuadrisectCtx(ctx, j.h, opt)
+		p, info, err = sess.QuadrisectCtx(ctx, h, opt)
 	default:
 		return nil, mlpart.Info{}, nil, fmt.Errorf("server: bad k %d", j.k)
 	}
