@@ -36,12 +36,15 @@ lint:
 # after a panicked one on the same worker completes normally, and a
 # panicked job runs once and streams queued, started, failed, and a
 # cancel or drain racing a worker's start leaves no finished job
-# holding its netlist), under the race detector — the recovery paths must be both correct and
-# race-free.
+# holding its netlist), plus the refiners' pass-site faults (a cancel
+# at fm.pass or kway.refine, like a Stop hook or MaxPasses, ends every
+# engine's run at the same pass boundary), under the race detector —
+# the recovery paths must be both correct and race-free.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestParallelMultiStart|TestRecoveredStart|TestAttemptTimeout|TestOuterCancel|TestRetried|TestRunStarts' . ./internal/core
 	$(GO) test -race ./internal/faultinject ./internal/journal
 	$(GO) test -race -run 'TestChaosSweepServer|TestChaosSweepJournal|TestDrainMidBurst|TestQueueFullSheds|TestAdmitPanic|TestWorkerSession|TestSSE|TestCancelRacesWorkerStart' ./internal/server
+	$(GO) test -race -run TestPassContract ./internal/fm ./internal/kway
 
 # Crash durability harness: launch cmd/mlpartd as a real subprocess
 # with a write-ahead job journal, SIGKILL it at a deterministic

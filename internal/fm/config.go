@@ -9,7 +9,8 @@
 // given a netlist and an initial solution (or nil for random), it
 // returns a refined bipartitioning. Nets with more than MaxNetSize
 // modules are ignored during refinement and reinserted when measuring
-// solution quality, exactly as in §III.B.
+// solution quality, exactly as in §III.B. Its pass loop is Passes, the
+// one pass driver of every engine here and of package kway's.
 package fm
 
 import (
@@ -91,7 +92,8 @@ type Config struct {
 	Boundary bool
 	// EarlyExit, when true, terminates a pass once a long suffix of
 	// moves has failed to improve on the pass best (§V future work,
-	// after Chaco/Metis early pass termination).
+	// after Chaco/Metis early pass termination). Not supported by the
+	// PROP engines.
 	EarlyExit bool
 	// InitialProb is p₀ of the PROP engines (probability that a free
 	// cell will move). Default 0.95 per [13]. Ignored by FM and CLIP.
@@ -167,6 +169,9 @@ func (c Config) Normalize() (Config, error) {
 		}
 		if c.Backtrack {
 			return c, fmt.Errorf("fm: backtracking is not supported by the PROP engines")
+		}
+		if c.EarlyExit {
+			return c, fmt.Errorf("fm: early exit is not supported by the PROP engines")
 		}
 	}
 	switch c.Order {

@@ -121,7 +121,7 @@ func TestLevelGainDefinition(t *testing.T) {
 	cfg, _ := Config{Lookahead: 2}.Normalize()
 	r := newRefiner(h, p, cfg, rand.New(rand.NewSource(0)))
 	r.countPins()
-	r.initPass()
+	r.InitPass()
 	// γ2(0): net A has free(F)=2 → +1; net B: free(T of move, side 1)
 	// = 1 = k−1 → −1. Total 0.
 	if g := r.levelGain(0, 2); g != 0 {
@@ -206,7 +206,8 @@ func TestBacktrackTriesFewerOrEqualBadMoves(t *testing.T) {
 	cfg, _ := Config{Backtrack: true}.Normalize()
 	r := newRefiner(h, p, cfg, rng)
 	r.countPins()
-	improved, _, _ := r.runPass()
+	d := cfg.passes(h.NumCells(), r.maxDeg)
+	improved, _, _ := d.Pass(r)
 	if improved < 0 {
 		t.Error("negative pass gain")
 	}

@@ -259,7 +259,7 @@ func TestIncrementalGainsMatchRecompute(t *testing.T) {
 		cfg, _ := Config{}.Normalize()
 		r := newRefiner(h, p, cfg, rng)
 		r.countPins()
-		r.initPass()
+		r.InitPass()
 		for step := 0; step < 20; step++ {
 			v := r.selectMove()
 			if v < 0 {
@@ -297,7 +297,7 @@ func TestActiveCutTracking(t *testing.T) {
 		}
 		return n
 	}
-	r.initPass()
+	r.InitPass()
 	for step := 0; step < 25; step++ {
 		v := r.selectMove()
 		if v < 0 {
@@ -327,7 +327,8 @@ func TestPassGainMatchesCutDelta(t *testing.T) {
 		r := newRefiner(h, p, cfg, rng)
 		r.countPins()
 		before := r.activeCut
-		improved, _, _ := r.runPass()
+		var d Passes
+		improved, _, _ := d.Pass(r)
 		if got := before - r.activeCut; got != improved {
 			t.Fatalf("seed %d: pass reported gain %d but cut fell by %d", seed, improved, got)
 		}
@@ -559,7 +560,7 @@ func TestWeightedIncrementalGainsMatchRecompute(t *testing.T) {
 		cfg, _ := Config{}.Normalize()
 		r := newRefiner(h, p, cfg, rng)
 		r.countPins()
-		r.initPass()
+		r.InitPass()
 		for step := 0; step < 15; step++ {
 			v := r.selectMove()
 			if v < 0 {

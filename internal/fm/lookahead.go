@@ -85,14 +85,9 @@ func (r *refiner) lookaheadRefine(v int32) int32 {
 			return true
 		}
 		// Compare lexicographically on (γ_2, ..., γ_r).
-		better := false
 		for i := range bestVec {
-			g := r.levelGain(u, int32(i+2))
-			if g > bestVec[i] {
-				better = true
-			}
-			if g != bestVec[i] {
-				if better {
+			if g := r.levelGain(u, int32(i+2)); g != bestVec[i] {
+				if g > bestVec[i] {
 					best = u
 					for j := range bestVec {
 						bestVec[j] = r.levelGain(u, int32(j+2))

@@ -250,8 +250,8 @@ func TestOracleSelectMoveMatchesFullScan(t *testing.T) {
 				got.countPins()
 				ref.countPins()
 				for pass := 0; pass < 10; pass++ {
-					got.initPass()
-					ref.initPass()
+					got.InitPass()
+					ref.InitPass()
 					bestGain, cumGain, bestLen := 0, 0, 0
 					for step := 0; ; step++ {
 						v := got.selectMove()
@@ -371,6 +371,7 @@ func TestOracleRefinerMatchesReference(t *testing.T) {
 					ref := newRefRefiner(h, init.Clone(), cfg, rand.New(rand.NewSource(seed)))
 					cfg.WS = ws
 					got := newRefiner(h, init.Clone(), cfg, rand.New(rand.NewSource(seed)))
+					d := cfg.passes(h.NumCells(), got.maxDeg)
 					ref.computePinCounts()
 					if cut, want := got.countPins(), init.WeightedCut(h); cut != want {
 						t.Fatalf("%s: initial cut %d, recount %d", name, cut, want)
@@ -388,11 +389,11 @@ func TestOracleRefinerMatchesReference(t *testing.T) {
 					same("after the count")
 					runs++
 					for pass := 0; pass < 8; pass++ {
-						got.initPass()
+						d.begin(got)
 						ref.initPass()
 						for step := 0; ; step++ {
 							when := fmt.Sprintf("pass %d step %d", pass, step)
-							more := got.step()
+							more := d.step(got)
 							if refMore := ref.step(); more != refMore {
 								t.Fatalf("%s %s: step %v, reference %v", name, when, more, refMore)
 							}
@@ -410,7 +411,7 @@ func TestOracleRefinerMatchesReference(t *testing.T) {
 							}
 							moves++
 						}
-						improved, applied, tried := got.endPass()
+						improved, applied, tried := d.end(got)
 						rImproved, rApplied, rTried := ref.endPass()
 						if improved != rImproved || applied != rApplied || tried != rTried {
 							t.Fatalf("%s pass %d: result (%d, %d, %d), reference (%d, %d, %d)",

@@ -30,7 +30,6 @@ import (
 	"math"
 	"math/rand"
 
-	"mlpart/internal/faultinject"
 	"mlpart/internal/hypergraph"
 )
 
@@ -115,7 +114,7 @@ func newPropRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Confi
 			maxNet = h.NetSize(e)
 		}
 	}
-	ws.pows = grow(ws.pows, maxNet+1)
+	ws.pows = hypergraph.Resize(ws.pows, maxNet+1)
 	r.pows = ws.pows
 	r.pows[0] = 1
 	for k := 1; k <= maxNet; k++ {
@@ -128,30 +127,10 @@ func newPropRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Confi
 }
 
 func (r *propRefiner) run() Result {
-	res := Result{InitialCut: r.p.WeightedCut(r.h)}
-	maxPasses := r.cfg.MaxPasses
-	if maxPasses == 0 {
-		maxPasses = 1 << 30
-	}
-	for pass := 0; pass < maxPasses; pass++ {
-		if r.cfg.Stop != nil && r.cfg.Stop() {
-			res.Interrupted = true
-			break
-		}
-		if r.cfg.Inject != nil && r.fireFault(&res) {
-			break
-		}
-		improved, applied, tried := r.runPass()
-		// PROP keeps no incremental cut counter; -1 marks the cut
-		// fields unavailable rather than paying a recount per pass.
-		r.cfg.Telemetry.RecordPass(r.cfg.Engine.String(), res.Passes, -1, -1, tried, applied)
-		res.Passes++
-		res.Moves += applied
-		res.MovesTried += tried
-		if improved <= 0 {
-			break
-		}
-	}
+	initial := r.p.WeightedCut(r.h)
+	d := r.cfg.passes(r.h.NumCells(), 0) // no Backtrack under PROP
+	res := d.Run(r)
+	res.InitialCut = initial
 	res.Cut = r.p.WeightedCut(r.h)
 	res.ActiveCut = -1 // PROP keeps no incremental cut counter
 	// Heap entries grow past n via lazy deletion; keep the growth.
@@ -161,40 +140,33 @@ func (r *propRefiner) run() Result {
 	return res
 }
 
-// fireFault hits the fm.pass fault site for the PROP engine, with the
-// same semantics as (*refiner).fireFault. PROP keeps no incremental
-// cut counter, so a corrupt flip here degrades quality (or balance,
-// which the audit balance check catches) without an ActiveCut
-// mismatch.
-func (r *propRefiner) fireFault(res *Result) bool {
-	switch r.cfg.Inject.Fire(faultinject.SiteFMPass) {
-	case faultinject.ActCancel:
-		res.Interrupted = true
-		return true
-	case faultinject.ActCorrupt:
-		if n := r.h.NumCells(); n > 0 {
-			v := r.rng.Intn(n)
-			r.p.Part[v] = 1 - r.p.Part[v]
-		}
+// Corrupt flips one random cell. PROP keeps no incremental cut
+// counter, so this degrades quality (or balance, which the audit
+// balance check catches) without an ActiveCut mismatch.
+func (r *propRefiner) Corrupt() {
+	if n := r.h.NumCells(); n > 0 {
+		v := r.rng.Intn(n)
+		r.p.Part[v] = 1 - r.p.Part[v]
 	}
-	return false
 }
+
+// Cost is -1: PROP keeps no incremental cut counter, and a recount
+// per pass would cost more than the record is worth.
+func (r *propRefiner) Cost() int { return -1 }
 
 // computeCounts fills pin counts and areas from the partition.
 func (r *propRefiner) computeCounts() {
-	for e := 0; e < r.h.NumNets(); e++ {
-		r.pc[0][e], r.pc[1][e] = 0, 0
-		r.lc[0][e], r.lc[1][e] = 0, 0
-	}
+	clear(r.pc[0])
+	clear(r.pc[1])
+	clear(r.lc[0])
+	clear(r.lc[1])
+	r.areas[0], r.areas[1] = 0, 0
 	for v := 0; v < r.h.NumCells(); v++ {
 		s := r.p.Part[v]
+		r.areas[s] += r.h.Area(v)
 		for _, e := range r.h.Nets(v) {
 			r.pc[s][e]++
 		}
-	}
-	r.areas[0], r.areas[1] = 0, 0
-	for v := 0; v < r.h.NumCells(); v++ {
-		r.areas[r.p.Part[v]] += r.h.Area(v)
 	}
 }
 
@@ -261,15 +233,15 @@ func (r *propRefiner) push(v int32) {
 	heap.Push(&r.heaps[r.p.Part[v]], propEntry{key: r.key(v), cell: v, version: r.version[v]})
 }
 
-func (r *propRefiner) initPass() {
+// InitPass recounts the pins and rebuilds gains and heaps for a new
+// pass.
+func (r *propRefiner) InitPass() {
 	n := r.h.NumCells()
 	r.computeCounts()
 	r.heaps[0] = r.heaps[0][:0]
 	r.heaps[1] = r.heaps[1][:0]
-	for v := 0; v < n; v++ {
-		r.locked[v] = false
-		r.version[v] = 0
-	}
+	clear(r.locked)
+	clear(r.version)
 	for v := int32(0); int(v) < n; v++ {
 		r.gain[v] = r.computeGain(v)
 	}
@@ -418,26 +390,22 @@ func (r *propRefiner) undoMove(v int32) {
 	r.p.Part[v] = int32(orig)
 }
 
-func (r *propRefiner) runPass() (improved, applied, tried int) {
-	r.initPass()
-	bestGain, cumGain := 0, 0
-	bestLen := 0
-	for {
-		v := r.selectMove()
-		if v < 0 {
-			break
-		}
-		cumGain += r.realGain(v)
-		r.applyMove(v)
-		if cumGain > bestGain {
-			bestGain = cumGain
-			bestLen = len(r.moveCells)
-		}
+// Move selects and applies the pass's next move.
+func (r *propRefiner) Move() (int, bool) {
+	v := r.selectMove()
+	if v < 0 {
+		return 0, false
 	}
-	tried = len(r.moveCells)
-	for i := len(r.moveCells) - 1; i >= bestLen; i-- {
+	g := r.realGain(v)
+	r.applyMove(v)
+	return g, true
+}
+
+// Rollback undoes the moves after the first keep, last first; PROP
+// never resumes a pass.
+func (r *propRefiner) Rollback(keep int, _ bool) {
+	for i := len(r.moveCells) - 1; i >= keep; i-- {
 		r.undoMove(r.moveCells[i])
 	}
-	r.moveCells = r.moveCells[:bestLen]
-	return bestGain, bestLen, tried
+	r.moveCells = r.moveCells[:keep]
 }

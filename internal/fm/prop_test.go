@@ -109,7 +109,7 @@ func TestPROPLockedPinsZeroA(t *testing.T) {
 	cfg, _ := Config{Engine: EnginePROP}.Normalize()
 	r := newPropRefiner(h, p, cfg, rand.New(rand.NewSource(0)))
 	r.computeCounts()
-	r.initPass()
+	r.InitPass()
 	// Lock cell 1 by moving it.
 	r.applyMove(1)
 	// Now cell 0's net has a locked pin on side 1 (where 1 landed);
@@ -128,7 +128,7 @@ func TestPROPIncrementalMatchesRecompute(t *testing.T) {
 	p := hypergraph.RandomPartition(h, 2, 0.1, rng)
 	cfg, _ := Config{Engine: EnginePROP}.Normalize()
 	r := newPropRefiner(h, p, cfg, rng)
-	r.initPass()
+	r.InitPass()
 	for step := 0; step < 15; step++ {
 		v := r.selectMove()
 		if v < 0 {
@@ -154,7 +154,8 @@ func TestPROPPassGainMatchesCutDelta(t *testing.T) {
 		cfg, _ := Config{Engine: EnginePROP}.Normalize()
 		r := newPropRefiner(h, p, cfg, rng)
 		before := p.Cut(h)
-		improved, _, _ := r.runPass()
+		var d Passes
+		improved, _, _ := d.Pass(r)
 		after := p.Cut(h)
 		// improved counts only active nets; with default MaxNetSize
 		// all nets here are active.
@@ -170,6 +171,9 @@ func TestPROPConfigValidation(t *testing.T) {
 		{Engine: EnginePROP, InitialProb: -0.1},
 		{Engine: EnginePROP, Boundary: true},
 		{Engine: EngineCLIPPROP, Lookahead: 3},
+		{Engine: EnginePROP, EarlyExit: true},
+		{Engine: EngineCLIPPROP, EarlyExit: true},
+		{Engine: EnginePROP, Backtrack: true},
 	} {
 		if _, err := bad.Normalize(); err == nil {
 			t.Errorf("bad config accepted: %+v", bad)

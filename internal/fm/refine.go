@@ -58,9 +58,7 @@ func Refine(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, rng *
 	if cfg.Engine == EnginePROP || cfg.Engine == EngineCLIPPROP {
 		return newPropRefiner(h, p, cfg, rng).run(), nil
 	}
-	r := newRefiner(h, p, cfg, rng)
-	res := r.run()
-	return res, nil
+	return newRefiner(h, p, cfg, rng).run(), nil
 }
 
 // refiner holds all per-run state. It is rebuilt for each Refine
@@ -93,16 +91,6 @@ type refiner struct {
 
 	moveCells []int32 // the pass's moves, for rollback
 	activeCut int     // number of active nets currently cut
-
-	// The pass in flight: the running tally of the move sequence, and
-	// the active cut and side areas of its best prefix.
-	cumGain   int
-	bestGain  int
-	bestLen   int
-	sinceBest int
-	tried     int
-	bestCut   int
-	bestAreas [2]int64
 }
 
 // netRec is the refinement state of one net: c0 pins on side 0 whose
@@ -129,12 +117,10 @@ func newRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, r
 		locked:    ws.locked,
 		moveCells: ws.moveCells[:0],
 	}
-	if cfg.Engine == EngineCLIP {
-		r.initKey = ws.initKey
-	}
 	r.maxDeg = h.MaxWeightedDegree(cfg.MaxNetSize)
 	bucketRange := r.maxDeg
 	if cfg.Engine == EngineCLIP {
+		r.initKey = ws.initKey
 		bucketRange = 2 * r.maxDeg // §II.B: the range of bucket indices must double
 	}
 	r.buckets[0] = ws.bucket(0, n, bucketRange, cfg.Order, rng)
@@ -143,29 +129,10 @@ func newRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, r
 }
 
 func (r *refiner) run() Result {
-	res := Result{InitialCut: r.countPins()}
-	maxPasses := r.cfg.MaxPasses
-	if maxPasses == 0 {
-		maxPasses = 1 << 30
-	}
-	for pass := 0; pass < maxPasses; pass++ {
-		if r.cfg.Stop != nil && r.cfg.Stop() {
-			res.Interrupted = true
-			break
-		}
-		if r.cfg.Inject != nil && r.fireFault(&res) {
-			break
-		}
-		cutBefore := r.activeCut
-		improved, applied, tried := r.runPass()
-		r.cfg.Telemetry.RecordPass(r.cfg.Engine.String(), res.Passes, cutBefore, r.activeCut, tried, applied)
-		res.Passes++
-		res.Moves += applied
-		res.MovesTried += tried
-		if improved <= 0 {
-			break
-		}
-	}
+	initial := r.countPins()
+	d := r.cfg.passes(r.h.NumCells(), r.maxDeg)
+	res := d.Run(r)
+	res.InitialCut = initial
 	res.Cut = r.p.WeightedCut(r.h)
 	res.ActiveCut = r.activeCut
 	// Hand any move-log growth back to the workspace (appends stay
@@ -174,34 +141,55 @@ func (r *refiner) run() Result {
 	return res
 }
 
-// fireFault hits the fm.pass fault site. Cancel behaves exactly like
-// a Stop hook firing at this boundary (returns true to abort);
-// corrupt flips one cell across the cut and moves it in the net
-// records, but leaves the side areas and the active cut stale —
-// res.Cut stays truthful (recounted at the end) while res.ActiveCut
-// goes stale, which the audit layer must catch. Keeping the records in
-// step with the partition means the lone-pin lookup always names a
-// cell, so the fault stays a wrong answer and never becomes a crash.
-func (r *refiner) fireFault(res *Result) bool {
-	switch r.cfg.Inject.Fire(faultinject.SiteFMPass) {
-	case faultinject.ActCancel:
-		res.Interrupted = true
-		return true
-	case faultinject.ActCorrupt:
-		if n := r.h.NumCells(); n > 0 {
-			v := int32(r.rng.Intn(n))
-			from := r.p.Part[v]
-			for _, e := range r.h.Nets(int(v)) {
-				if rec := &r.nets[e]; rec.c0 != inactive {
-					rec.c0 += 2*from - 1
-					rec.x0 ^= v
-				}
-			}
-			r.p.Part[v] = 1 - from
+// passes returns the pass driver of a run under c on cells cells,
+// whose gains are bounded by maxDeg.
+func (c Config) passes(cells, maxDeg int) Passes {
+	d := Passes{
+		MaxPasses: c.MaxPasses,
+		Stop:      c.Stop,
+		Inject:    c.Inject,
+		Site:      faultinject.SiteFMPass,
+		Telemetry: c.Telemetry,
+		Label:     c.Engine.String(),
+	}
+	if c.EarlyExit {
+		// Chaco/Metis-style: the pass is abandoned after this many
+		// consecutive non-improving moves.
+		d.Window = cells/4 + 50
+	}
+	if c.Backtrack {
+		// A cumulative loss of one maximum weighted degree below the
+		// best prefix needs more than one perfect move to recover.
+		d.Backtrack = max(maxDeg, 2)
+	}
+	return d
+}
+
+// Corrupt is the fm.pass corrupt fault: it flips one cell across the
+// cut and moves it in the net records, but leaves the side areas and
+// the active cut stale — res.Cut stays truthful (recounted at the end)
+// while res.ActiveCut goes stale, which the audit layer must catch.
+// Keeping the records in step with the partition means the lone-pin
+// lookup always names a cell, so the fault stays a wrong answer and
+// never becomes a crash.
+func (r *refiner) Corrupt() {
+	n := r.h.NumCells()
+	if n == 0 {
+		return
+	}
+	v := int32(r.rng.Intn(n))
+	from := r.p.Part[v]
+	for _, e := range r.h.Nets(int(v)) {
+		if rec := &r.nets[e]; rec.c0 != inactive {
+			rec.c0 += 2*from - 1
+			rec.x0 ^= v
 		}
 	}
-	return false
+	r.p.Part[v] = 1 - from
 }
+
+// Cost is the active cut.
+func (r *refiner) Cost() int { return r.activeCut }
 
 // countPins builds netXor, the net records, the active cut and the
 // side areas from the partition, and returns the cut over all nets,
@@ -215,12 +203,13 @@ func (r *refiner) countPins() (cut int) {
 			r.netXor[e] ^= v
 		}
 	}
-	return r.countNets()
+	cut, r.activeCut = r.countNets()
+	return cut
 }
 
-// countNets recounts the net records and the active cut from the
-// partition, and returns the cut over all nets.
-func (r *refiner) countNets() (cut int) {
+// countNets recounts the net records from the partition, and returns
+// the cut over all nets and over the active ones.
+func (r *refiner) countNets() (cut, active int) {
 	clear(r.nets)
 	for v := int32(0); int(v) < r.h.NumCells(); v++ {
 		if r.p.Part[v] == 0 {
@@ -230,7 +219,6 @@ func (r *refiner) countNets() (cut int) {
 			}
 		}
 	}
-	r.activeCut = 0
 	for e := range r.nets {
 		size := r.h.NetSize(e)
 		isCut := r.nets[e].c0 > 0 && int(r.nets[e].c0) < size
@@ -241,10 +229,10 @@ func (r *refiner) countNets() (cut int) {
 		if r.cfg.MaxNetSize >= 0 && size > r.cfg.MaxNetSize {
 			r.nets[e].c0 = inactive
 		} else if isCut {
-			r.activeCut += w
+			active += w
 		}
 	}
-	return cut
+	return cut, active
 }
 
 // computeGain returns the cut gain of moving cell v to the other
@@ -300,8 +288,8 @@ func (r *refiner) recomputeGains() {
 	}
 }
 
-// initPass rebuilds gains, buckets and locks for a new pass.
-func (r *refiner) initPass() {
+// InitPass rebuilds gains, buckets and locks for a new pass.
+func (r *refiner) InitPass() {
 	n := r.h.NumCells()
 	r.buckets[0].Clear()
 	r.buckets[1].Clear()
@@ -323,8 +311,6 @@ func (r *refiner) initPass() {
 		r.buckets[1].ConcatenateToZero()
 	}
 	r.moveCells = r.moveCells[:0]
-	r.cumGain, r.bestGain, r.bestLen, r.sinceBest, r.tried = 0, 0, 0, 0, 0
-	r.bestCut, r.bestAreas = r.activeCut, r.areas
 }
 
 // slack returns the largest cell area that can leave side s without
@@ -489,71 +475,44 @@ func (r *refiner) adjustGain(u int32, delta int32) {
 	}
 }
 
-// runPass executes one FM pass and rolls back to the best prefix.
-// It returns the realized gain (initial cut − best cut within the
-// pass, over active nets), the number of moves kept, and the number
-// tried.
-func (r *refiner) runPass() (improved, applied, tried int) {
-	r.initPass()
-	for r.step() {
-	}
-	return r.endPass()
-}
-
-// step selects and applies one move of the pass in flight, and
-// reports whether the pass goes on.
-func (r *refiner) step() bool {
+// Move selects and applies the pass's next move.
+func (r *refiner) Move() (int, bool) {
 	v := r.selectMove()
 	if v < 0 {
-		return false
+		return 0, false
 	}
-	r.cumGain += int(r.gain[v])
-	r.tried++
+	g := int(r.gain[v])
 	r.applyMove(v)
-	if r.cumGain > r.bestGain {
-		r.bestGain = r.cumGain
-		r.bestLen = len(r.moveCells)
-		r.sinceBest = 0
-		r.bestCut, r.bestAreas = r.activeCut, r.areas
-		return true
-	}
-	r.sinceBest++
-	// Early-exit window: after this many consecutive non-improving
-	// moves the pass is abandoned (Chaco/Metis-style).
-	if r.cfg.EarlyExit && r.sinceBest > r.h.NumCells()/4+50 {
-		return false
-	}
-	// CDIP backtrack trigger: a cumulative loss of one maximum
-	// weighted degree below the best prefix means the sequence needs
-	// more than one perfect move to recover.
-	if r.cfg.Backtrack && r.bestGain-r.cumGain >= max(r.maxDeg, 2) {
-		// Reverse the bad sequence; the reversed cells stay locked in
-		// place so a different sequence is tried.
-		for i := len(r.moveCells) - 1; i >= r.bestLen; i-- {
-			r.undoMove(r.moveCells[i])
-		}
-		r.moveCells = r.moveCells[:r.bestLen]
-		r.cumGain = r.bestGain
-		r.sinceBest = 0
-		r.refreshGains()
-	}
-	return true
+	return g, true
 }
 
-// endPass rolls the pass back to its best prefix and returns the
-// pass's realized gain and its kept and tried move counts. Most tried
-// moves are rolled back, so rather than undo them one by one it flips
-// their cells back and recounts the net records from the partition;
-// the active cut and side areas return to the values tracked at the
-// best prefix. Gains are left stale; the next pass recomputes them.
-func (r *refiner) endPass() (improved, applied, tried int) {
-	for _, v := range r.moveCells[r.bestLen:] {
-		r.p.Part[v] = 1 - r.p.Part[v]
+// Rollback undoes the moves after the first keep. A CDIP backtrack
+// (resume) undoes them one by one; the reversed cells stay locked in
+// place so a different sequence is tried, and the free cells' gains
+// are recomputed. At the end of a pass most tried moves are rolled
+// back, so rather than undo them one by one it flips their cells back
+// and recounts the net records from the partition. The side areas
+// follow each flip, and the active cut regains each flipped cell's
+// gain, which stayed as it was when the cell moved and locked. Gains
+// are left stale; the next pass recomputes them.
+func (r *refiner) Rollback(keep int, resume bool) {
+	if resume {
+		for i := len(r.moveCells) - 1; i >= keep; i-- {
+			r.undoMove(r.moveCells[i])
+		}
+		r.moveCells = r.moveCells[:keep]
+		r.refreshGains()
+		return
 	}
-	r.moveCells = r.moveCells[:r.bestLen]
+	for _, v := range r.moveCells[keep:] {
+		s := r.p.Part[v]
+		r.areas[s] -= r.h.Area(int(v))
+		r.areas[1-s] += r.h.Area(int(v))
+		r.activeCut += int(r.gain[v])
+		r.p.Part[v] = 1 - s
+	}
+	r.moveCells = r.moveCells[:keep]
 	r.countNets()
-	r.activeCut, r.areas = r.bestCut, r.bestAreas
-	return r.bestGain, r.bestLen, r.tried
 }
 
 // refreshGains recomputes the gains of all free cells and rebuilds

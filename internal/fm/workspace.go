@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"mlpart/internal/gainbucket"
+	"mlpart/internal/hypergraph"
 )
 
 // Workspace holds the per-run scratch memory of the refinement
@@ -72,34 +73,34 @@ func (w *Workspace) Reserve(cfg Config, cells, nets int) {
 
 // sizeFM grows the buffers of the FM/CLIP engines for cells cells and
 // nets nets. None of them need clearing: nets, netXor, gain and locked
-// are rewritten in full before any read (countPins/initPass), and the
+// are rewritten in full before any read (countPins/InitPass), and the
 // move log starts each run truncated.
 func (w *Workspace) sizeFM(cfg Config, cells, nets int) {
-	w.nets = grow(w.nets, nets)
-	w.netXor = grow(w.netXor, nets)
-	w.gain = grow(w.gain, cells)
-	w.locked = grow(w.locked, cells)
-	w.moveCells = grow(w.moveCells, cells)
+	w.nets = hypergraph.Resize(w.nets, nets)
+	w.netXor = hypergraph.Resize(w.netXor, nets)
+	w.gain = hypergraph.Resize(w.gain, cells)
+	w.locked = hypergraph.Resize(w.locked, cells)
+	w.moveCells = hypergraph.Resize(w.moveCells, cells)
 	if cfg.Engine == EngineCLIP {
-		w.initKey = grow(w.initKey, cells)
+		w.initKey = hypergraph.Resize(w.initKey, cells)
 	}
 }
 
 // sizeProp grows the buffers of the PROP engines for cells cells and
 // nets nets; every one is rewritten in full before any read
-// (computeCounts/initPass), so none needs clearing.
+// (computeCounts/InitPass), so none needs clearing.
 func (w *Workspace) sizeProp(cfg Config, cells, nets int) {
-	w.active = grow(w.active, nets)
-	w.locked = grow(w.locked, cells)
-	w.gainF = grow(w.gainF, cells)
-	w.version = grow(w.version, cells)
-	w.pc[0] = grow(w.pc[0], nets)
-	w.pc[1] = grow(w.pc[1], nets)
-	w.lc[0] = grow(w.lc[0], nets)
-	w.lc[1] = grow(w.lc[1], nets)
-	w.moveCells = grow(w.moveCells, cells)
+	w.active = hypergraph.Resize(w.active, nets)
+	w.locked = hypergraph.Resize(w.locked, cells)
+	w.gainF = hypergraph.Resize(w.gainF, cells)
+	w.version = hypergraph.Resize(w.version, cells)
+	w.pc[0] = hypergraph.Resize(w.pc[0], nets)
+	w.pc[1] = hypergraph.Resize(w.pc[1], nets)
+	w.lc[0] = hypergraph.Resize(w.lc[0], nets)
+	w.lc[1] = hypergraph.Resize(w.lc[1], nets)
+	w.moveCells = hypergraph.Resize(w.moveCells, cells)
 	if cfg.Engine == EngineCLIPPROP {
-		w.initKeyF = grow(w.initKeyF, cells)
+		w.initKeyF = hypergraph.Resize(w.initKeyF, cells)
 	}
 }
 
@@ -111,13 +112,4 @@ func (w *Workspace) bucket(s, numCells, maxGain int, order gainbucket.Order, rng
 	}
 	w.buckets[s].Reset(numCells, maxGain, order, rng)
 	return w.buckets[s]
-}
-
-// grow returns a length-n slice reusing buf's backing array when it
-// has the capacity. Contents are unspecified.
-func grow[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
 }

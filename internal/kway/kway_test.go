@@ -172,7 +172,7 @@ func TestGainConsistencyWhiteBox(t *testing.T) {
 			r := newRefiner(h, p.Clone(), cfg, rng)
 			r.p = p.Clone()
 			r.computeCounts()
-			r.initPass()
+			r.InitPass()
 			for step := 0; step < 15; step++ {
 				v, t0 := r.selectMove()
 				if v < 0 {
@@ -219,7 +219,7 @@ func TestCostTrackingWhiteBox(t *testing.T) {
 		}
 		return c
 	}
-	r.initPass()
+	r.InitPass()
 	for step := 0; step < 20; step++ {
 		v, t0 := r.selectMove()
 		if v < 0 {
@@ -247,7 +247,8 @@ func TestPassGainMatchesObjectiveDelta(t *testing.T) {
 		r := newRefiner(h, p, cfg, rng)
 		r.computeCounts()
 		before := r.cost
-		improved, _, _ := r.runPass()
+		var d fm.Passes
+		improved, _, _ := d.Pass(r)
 		if got := before - r.cost; got != improved {
 			t.Fatalf("seed %d: pass gain %d but cost fell by %d", seed, improved, got)
 		}
@@ -389,7 +390,7 @@ func TestCLIPKwayGainConsistencyWhiteBox(t *testing.T) {
 		cfg, _ := Config{Engine: fm.EngineCLIP}.Normalize()
 		r := newRefiner(h, p.Clone(), cfg, rng)
 		r.computeCounts()
-		r.initPass()
+		r.InitPass()
 		for step := 0; step < 12; step++ {
 			v, t0 := r.selectMove()
 			if v < 0 {
@@ -457,7 +458,7 @@ func TestWeightedKwayGainConsistency(t *testing.T) {
 	cfg, _ := Config{}.Normalize()
 	r := newRefiner(h, p, cfg, rng)
 	r.computeCounts()
-	r.initPass()
+	r.InitPass()
 	for step := 0; step < 12; step++ {
 		v, t0 := r.selectMove()
 		if v < 0 {

@@ -152,8 +152,8 @@ func TestOracleSelectMoveMatchesFullScan(t *testing.T) {
 					got.computeCounts()
 					ref.computeCounts()
 					for pass := 0; pass < 10; pass++ {
-						got.initPass()
-						ref.initPass()
+						got.InitPass()
+						ref.InitPass()
 						bestGain, cumGain, bestLen := 0, 0, 0
 						for step := 0; ; step++ {
 							v, to := got.selectMove()
@@ -194,7 +194,7 @@ func TestOracleSelectMoveMatchesFullScan(t *testing.T) {
 // every free pin's contribution to every target is recomputed before
 // and after the count change, through the frozen spanGain, and each
 // nonzero difference is applied in pin order × ascending target.
-// Fixed cells are locked from initPass on.
+// Fixed cells are locked from InitPass on.
 func recomputeNetUpdate(r *refiner, e int, from, to int32) {
 	contrib := func(u, t int32) int32 {
 		b := r.p.Part[u]
@@ -315,8 +315,8 @@ func TestOracleMoveNetUpdateMatchesRecompute(t *testing.T) {
 							got.computeCounts()
 							ref.computeCounts()
 							for pass := 0; pass < 2; pass++ {
-								got.initPass()
-								ref.initPass()
+								got.InitPass()
+								ref.InitPass()
 								bestGain, cumGain, bestLen := 0, 0, 0
 								for step := 0; ; step++ {
 									v, to := got.selectMove()
@@ -515,7 +515,7 @@ func TestOracleRefinerMatchesReference(t *testing.T) {
 						same("after the count")
 						runs++
 						for pass := 0; pass < 8; pass++ {
-							got.initPass()
+							got.InitPass()
 							ref.initPass()
 							bestGain, cumGain, bestLen := 0, 0, 0
 							for step := 0; ; step++ {

@@ -47,7 +47,10 @@ type refiner struct {
 func newRefiner(h *hypergraph.Hypergraph, p *hypergraph.Partition, cfg Config, rng *rand.Rand) *refiner {
 	n := h.NumCells()
 	k := cfg.K
-	ws := cfg.grab()
+	ws := cfg.WS
+	if ws == nil {
+		ws = &Workspace{}
+	}
 	ws.size(cfg, n, h.NumNets())
 	r := &refiner{
 		h: h, p: p, cfg: cfg, rng: rng, ws: ws, k: k,
@@ -81,27 +84,19 @@ func (r *refiner) run() Result {
 	r.computeCounts()
 	var res Result
 	res.InitialCutNets, res.InitialSumDegrees = r.objectives()
-	maxPasses := r.cfg.MaxPasses
-	if maxPasses == 0 {
-		maxPasses = 1 << 30
+	d := fm.Passes{
+		MaxPasses: r.cfg.MaxPasses,
+		Stop:      r.cfg.Stop,
+		Inject:    r.cfg.Inject,
+		Site:      faultinject.SiteKwayRefine,
+		Telemetry: r.cfg.Telemetry,
+		Label:     "kway-FM",
 	}
-	for pass := 0; pass < maxPasses; pass++ {
-		if r.cfg.Stop != nil && r.cfg.Stop() {
-			res.Interrupted = true
-			break
-		}
-		if r.cfg.Inject != nil && r.fireFault(&res) {
-			break
-		}
-		costBefore := r.cost
-		improved, applied, tried := r.runPass()
-		r.cfg.Telemetry.RecordPass(passLabel(r.cfg.Engine), res.Passes, costBefore, r.cost, tried, applied)
-		res.Passes++
-		res.Moves += applied
-		if improved <= 0 {
-			break
-		}
+	if r.initKey != nil {
+		d.Label = "kway-CLIP"
 	}
+	t := d.Run(r)
+	res.Passes, res.Moves, res.Interrupted = t.Passes, t.Moves, t.Interrupted
 	res.CutNets, res.SumDegrees = r.objectives()
 	// Hand any move-log growth back to the workspace (appends stay
 	// within the pre-grown capacity today, but do not rely on it).
@@ -130,49 +125,34 @@ func (r *refiner) objectives() (cut, sumDegrees int) {
 	return cut, sumDegrees
 }
 
-// passLabel is the telemetry engine name of a k-way pass: a constant,
-// so recording a pass allocates nothing.
-func passLabel(e fm.Engine) string {
-	if e == fm.EngineCLIP {
-		return "kway-CLIP"
+// Corrupt is the kway.refine corrupt fault: it moves one random
+// non-fixed cell to the next block without updating the incremental
+// counts — the reported CutNets/SumDegrees stay truthful (objectives
+// recounts every net), while balance can break, which the per-level
+// audit catches.
+func (r *refiner) Corrupt() {
+	n := r.h.NumCells()
+	if n == 0 {
+		return
 	}
-	return "kway-FM"
+	v := r.rng.Intn(n)
+	for tries := 0; tries < n; tries++ {
+		if r.cfg.Fixed == nil || !r.cfg.Fixed[v] {
+			r.p.Part[v] = (r.p.Part[v] + 1) % int32(r.k)
+			r.stale = true
+			return
+		}
+		v = (v + 1) % n
+	}
 }
 
-// fireFault hits the kway.refine fault site. Cancel aborts like a
-// Stop hook; corrupt moves one random non-fixed cell to the next
-// block without updating the incremental counts — the reported
-// CutNets/SumDegrees stay truthful (objectives recounts every net),
-// while balance can break, which the per-level audit catches.
-func (r *refiner) fireFault(res *Result) bool {
-	switch r.cfg.Inject.Fire(faultinject.SiteKwayRefine) {
-	case faultinject.ActCancel:
-		res.Interrupted = true
-		return true
-	case faultinject.ActCorrupt:
-		n := r.h.NumCells()
-		if n == 0 {
-			break
-		}
-		v := r.rng.Intn(n)
-		for tries := 0; tries < n; tries++ {
-			if r.cfg.Fixed == nil || !r.cfg.Fixed[v] {
-				r.p.Part[v] = (r.p.Part[v] + 1) % int32(r.k)
-				r.stale = true
-				break
-			}
-			v = (v + 1) % n
-		}
-	}
-	return false
-}
+// Cost is the configured objective over active nets.
+func (r *refiner) Cost() int { return r.cost }
 
 // computeCounts fills counts, span, areas and cost from the current
 // partition.
 func (r *refiner) computeCounts() {
-	for i := range r.counts {
-		r.counts[i] = 0
-	}
+	clear(r.counts)
 	for v := 0; v < r.h.NumCells(); v++ {
 		b := r.p.Part[v]
 		for _, e := range r.h.Nets(v) {
@@ -192,9 +172,7 @@ func (r *refiner) computeCounts() {
 			r.cost += int(r.h.NetWeight(e)) * r.netCost(span)
 		}
 	}
-	for b := range r.areas {
-		r.areas[b] = 0
-	}
+	clear(r.areas)
 	for v := 0; v < r.h.NumCells(); v++ {
 		r.areas[r.p.Part[v]] += r.h.Area(v)
 	}
@@ -270,9 +248,9 @@ func (r *refiner) computeGains() {
 	}
 }
 
-// initPass locks the fixed cells and unlocks the rest, then rebuilds
+// InitPass locks the fixed cells and unlocks the rest, then rebuilds
 // gains and buckets. From here on a fixed cell is just a locked one.
-func (r *refiner) initPass() {
+func (r *refiner) InitPass() {
 	if r.cfg.Fixed != nil {
 		copy(r.locked, r.cfg.Fixed)
 	} else {
@@ -506,31 +484,25 @@ func (r *refiner) cutNetUpdate(e int, from, to, cf, ct, oldSpan int32) {
 	}
 }
 
-// runPass executes one multi-way pass with rollback to the best
-// prefix; returns (realized gain, moves kept, moves tried).
-func (r *refiner) runPass() (improved, applied, tried int) {
-	r.initPass()
-	bestGain, cumGain := 0, 0
-	bestLen := 0
-	for {
-		v, t := r.selectMove()
-		if v < 0 {
-			break
-		}
-		cumGain += int(r.gain[int(v)*r.k+int(t)])
-		r.applyMove(v, t)
-		if cumGain > bestGain {
-			bestGain = cumGain
-			bestLen = len(r.moveCells)
-		}
+// Move selects and applies the pass's next move.
+func (r *refiner) Move() (int, bool) {
+	v, t := r.selectMove()
+	if v < 0 {
+		return 0, false
 	}
-	tried = len(r.moveCells)
-	for i := len(r.moveCells) - 1; i >= bestLen; i-- {
+	g := int(r.gain[int(v)*r.k+int(t)])
+	r.applyMove(v, t)
+	return g, true
+}
+
+// Rollback undoes the moves after the first keep, last first; the
+// k-way engine never resumes a pass.
+func (r *refiner) Rollback(keep int, _ bool) {
+	for i := len(r.moveCells) - 1; i >= keep; i-- {
 		r.undoMove(r.moveCells[i], r.moveFrom[i])
 	}
-	r.moveCells = r.moveCells[:bestLen]
-	r.moveFrom = r.moveFrom[:bestLen]
-	return bestGain, bestLen, tried
+	r.moveCells = r.moveCells[:keep]
+	r.moveFrom = r.moveFrom[:keep]
 }
 
 // undoMove reverses a logged move of v back to block orig. Gains are
