@@ -34,11 +34,14 @@ lint:
 # server.admit / server.job / server.events under a concurrent burst:
 # every accepted job must reach exactly one terminal status, a job
 # after a panicked one on the same worker completes normally, and a
-# panicked job runs once and streams queued, started, failed, and a
-# cancel or drain racing a worker's start leaves no finished job
-# holding its netlist), plus the refiners' pass-site faults (a cancel
-# at fm.pass or kway.refine, like a Stop hook or MaxPasses, ends every
-# engine's run at the same pass boundary), under the race detector —
+# panicked job runs once and streams queued, started, failed, every
+# lifecycle path streams its exact events with resume from each id, an
+# unread stream never holds its job up, a server.events cancel cuts a
+# live stream, and a cancel or drain racing a worker's start leaves no
+# finished job holding its netlist), plus the refiners' pass-site
+# faults (a cancel at fm.pass or kway.refine, like a Stop hook or
+# MaxPasses, ends every engine's run at the same pass boundary), under
+# the race detector —
 # the recovery paths must be both correct and race-free.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestParallelMultiStart|TestRecoveredStart|TestAttemptTimeout|TestOuterCancel|TestRetried|TestRunStarts' . ./internal/core

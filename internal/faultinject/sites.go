@@ -39,14 +39,13 @@ const (
 	// behaves as a client cancellation; delay eats into the job's
 	// deadline. Never reached by the library entry points.
 	SiteServerJob Site = "server.job"
-	// SiteServerEvents fires at the head of each job event-stream
-	// subscription (GET /v1/jobs/{id}/events). A panic
-	// fails only that subscription with a 500 — the job and the other
-	// subscribers are unaffected; cancel drops the subscriber
-	// immediately after the replay, the way an overflowing slow
-	// consumer would be dropped; delay stalls the subscription
-	// handshake, never the job. Never reached by the library entry
-	// points.
+	// SiteServerEvents fires at the head of each job event stream
+	// (GET /v1/jobs/{id}/events). A panic fails only that stream with
+	// a 500 — the job and the other streams are unaffected; cancel
+	// ends a stream whose job is not yet terminal after the events so
+	// far, counted in events_dropped (a finished job's stream is
+	// complete either way); delay stalls the stream's handshake, never
+	// the job. Never reached by the library entry points.
 	SiteServerEvents Site = "server.events"
 	// SiteJournalAppend fires inside every write-ahead journal append,
 	// before the frame reaches the file. A panic unwinds into the

@@ -17,7 +17,6 @@ package gfm
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"mlpart/internal/fm"
 	"mlpart/internal/hypergraph"
@@ -118,7 +117,7 @@ func Bipartition(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*hypergr
 			}
 		}
 		// Round back to a balanced bipartition at the area median.
-		cand := splitAtAreaMedian(h, x)
+		cand := &hypergraph.Partition{Part: netmodel.SplitAtAreaMedian(h, x), K: 2}
 		cres, err := fm.Refine(h, cand, cfg.Refine, rng)
 		if err != nil {
 			return nil, Result{}, err
@@ -133,25 +132,4 @@ func Bipartition(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*hypergr
 	}
 	res.Cut = bestCut
 	return best, res, nil
-}
-
-// splitAtAreaMedian orders cells by the relaxed coordinate and cuts
-// at half the total area.
-func splitAtAreaMedian(h *hypergraph.Hypergraph, x []float64) *hypergraph.Partition {
-	n := h.NumCells()
-	order := make([]int32, n)
-	for v := range order {
-		order[v] = int32(v)
-	}
-	sort.SliceStable(order, func(i, j int) bool { return x[order[i]] < x[order[j]] })
-	p := hypergraph.NewPartition(n, 2)
-	half := h.TotalArea() / 2
-	var cum int64
-	for _, v := range order {
-		if cum >= half {
-			p.Part[v] = 1
-		}
-		cum += h.Area(int(v))
-	}
-	return p
 }

@@ -7,6 +7,9 @@
 package netmodel
 
 import (
+	"cmp"
+	"slices"
+
 	"mlpart/internal/hypergraph"
 )
 
@@ -52,6 +55,36 @@ func Build(h *hypergraph.Hypergraph, cliqueLimit int) *Graph {
 		g.deg[b] += w
 	})
 	return g
+}
+
+// SortByKey stably orders ids by ascending key[id]: ties keep their
+// order, so the result is one fixed permutation.
+func SortByKey(ids []int32, key []float64) {
+	slices.SortStableFunc(ids, func(a, b int32) int { return cmp.Compare(key[a], key[b]) })
+}
+
+// SplitAtAreaMedian orders the cells of h by ascending key (SortByKey)
+// and cuts the order where the cumulative area reaches half the total:
+// it returns side 0 for the cells before the cut and 1 from the cut on
+// — the single area-balanced split of a 1-D embedding that the
+// spectral, GFM and GORDIAN-style baselines round with.
+func SplitAtAreaMedian(h *hypergraph.Hypergraph, key []float64) []int32 {
+	n := h.NumCells()
+	order := make([]int32, n)
+	for v := range order {
+		order[v] = int32(v)
+	}
+	SortByKey(order, key)
+	half := h.TotalArea() / 2
+	side := make([]int32, n)
+	var cum int64
+	for _, v := range order {
+		if cum >= half {
+			side[v] = 1
+		}
+		cum += h.Area(int(v))
+	}
+	return side
 }
 
 // forEachEdge enumerates the undirected edges of the net model.

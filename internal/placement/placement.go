@@ -13,7 +13,6 @@ package placement
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"mlpart/internal/hypergraph"
 	"mlpart/internal/netmodel"
@@ -215,29 +214,6 @@ func cg(matvec func(x, y []float64), diag, b, x []float64, tol float64, maxIter 
 	return maxIter
 }
 
-// splitByCoordinate orders cells by coordinate and returns a 0/1 flag
-// per cell: 0 for the low half, 1 for the high half, split at the
-// area median (GORDIAN's "single split that evenly divides the
-// area").
-func splitByCoordinate(h *hypergraph.Hypergraph, pos []float64) []int32 {
-	n := h.NumCells()
-	order := make([]int32, n)
-	for v := range order {
-		order[v] = int32(v)
-	}
-	sort.SliceStable(order, func(i, j int) bool { return pos[order[i]] < pos[order[j]] })
-	half := h.TotalArea() / 2
-	flag := make([]int32, n)
-	var cum int64
-	for _, v := range order {
-		if cum >= half {
-			flag[v] = 1
-		}
-		cum += h.Area(int(v))
-	}
-	return flag
-}
-
 // Quadrisect runs the GORDIAN-style flow on h. pads flags the
 // pre-placed I/O cells; if nil or fewer than 4 pads are flagged, a
 // deterministic pseudo-random pad set of max(8, n/50) cells is
@@ -311,9 +287,11 @@ func Quadrisect(h *hypergraph.Hypergraph, pads []bool, cfg Config, rng *rand.Ran
 	res.X, res.CGIterationsX = solve1D(h, g, fixed, padX, cfg)
 	res.Y, res.CGIterationsY = solve1D(h, g, fixed, padY, cfg)
 
-	// Horizontal split, then global vertical split → quadrants.
-	xf := splitByCoordinate(h, res.X)
-	yf := splitByCoordinate(h, res.Y)
+	// Horizontal split, then global vertical split → quadrants, each
+	// at the area median (GORDIAN's "single split that evenly divides
+	// the area").
+	xf := netmodel.SplitAtAreaMedian(h, res.X)
+	yf := netmodel.SplitAtAreaMedian(h, res.Y)
 	p := hypergraph.NewPartition(n, 4)
 	for v := 0; v < n; v++ {
 		p.Part[v] = xf[v] + 2*yf[v]

@@ -21,6 +21,7 @@ import (
 
 	"mlpart/internal/core"
 	"mlpart/internal/hypergraph"
+	"mlpart/internal/netmodel"
 )
 
 // Config parameterizes the top-down placer.
@@ -307,7 +308,7 @@ func SpreadToGrid(h *hypergraph.Hypergraph, x, y []float64) (sx, sy []float64) {
 	for v := range order {
 		order[v] = int32(v)
 	}
-	sortBy(order, x)
+	netmodel.SortByKey(order, x)
 	perCol := (n + cols - 1) / cols
 	for c := 0; c*perCol < n; c++ {
 		lo := c * perCol
@@ -318,50 +319,13 @@ func SpreadToGrid(h *hypergraph.Hypergraph, x, y []float64) (sx, sy []float64) {
 		col := order[lo:hi]
 		tmp := make([]int32, len(col))
 		copy(tmp, col)
-		sortBy(tmp, y)
+		netmodel.SortByKey(tmp, y)
 		for r, v := range tmp {
 			sx[v] = (float64(c) + 0.5) / float64(cols)
 			sy[v] = (float64(r) + 0.5) / float64(perCol)
 		}
 	}
 	return sx, sy
-}
-
-// sortBy stably sorts ids by the given key values.
-func sortBy(ids []int32, key []float64) {
-	tmp := make([]int32, len(ids))
-	var ms func(lo, hi int)
-	ms = func(lo, hi int) {
-		if hi-lo < 2 {
-			return
-		}
-		mid := (lo + hi) / 2
-		ms(lo, mid)
-		ms(mid, hi)
-		i, j, k := lo, mid, lo
-		for i < mid && j < hi {
-			if key[ids[i]] <= key[ids[j]] {
-				tmp[k] = ids[i]
-				i++
-			} else {
-				tmp[k] = ids[j]
-				j++
-			}
-			k++
-		}
-		for i < mid {
-			tmp[k] = ids[i]
-			i++
-			k++
-		}
-		for j < hi {
-			tmp[k] = ids[j]
-			j++
-			k++
-		}
-		copy(ids[lo:hi], tmp[lo:hi])
-	}
-	ms(0, len(ids))
 }
 
 // HPWL returns the half-perimeter wirelength of a placement: the sum

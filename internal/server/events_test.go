@@ -1,20 +1,27 @@
 package server
 
-// Protocol tests for the per-job SSE event stream: exact lifecycle order,
-// Last-Event-ID resume, the drop-don't-block rule for stalled
-// subscribers, and a fuzz target on the frame parser the stream
-// clients use.
+// Protocol tests for the per-job SSE event stream: the exact stream of
+// every lifecycle path, Last-Event-ID resume on finished and live jobs,
+// that an unread stream never holds up its job, the server.events
+// cancel cut, and a fuzz target on the frame parser the stream clients
+// use.
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"mlpart/internal/faultinject"
+	"mlpart/internal/journal"
 )
 
 // collectEvents reads one job's full SSE stream (it ends after the
@@ -162,69 +169,236 @@ func TestSSELastEventIDResume(t *testing.T) {
 	}
 }
 
-// TestSSEStalledSubscriberDropped asserts the drop-don't-block rule
-// at the server layer: a subscriber that never drains its buffer is
-// disconnected, events_dropped increments, and the job completes
-// promptly — publishing never waits on a slow consumer.
-func TestSSEStalledSubscriberDropped(t *testing.T) {
-	// Job 0 holds the only worker in an injected ~1s delay, so job 1
-	// is still queued when the subscriber attaches: its queued event
-	// is replayed, and the two lifecycle events still to come
-	// (started, completed) overflow a one-slot buffer that is never
-	// drained, whatever the attach timing.
+// lifecycleFrames is the exact stream of job id through the named
+// events: gapless ids from 1, each payload the job id and the status
+// the event reports.
+func lifecycleFrames(id string, events ...string) []SSEFrame {
+	frames := make([]SSEFrame, len(events))
+	for i, ev := range events {
+		st := ev
+		switch ev {
+		case "queued":
+			st = string(StatusQueued)
+		case "started":
+			st = string(StatusRunning)
+		}
+		frames[i] = SSEFrame{ID: int64(i + 1), Event: ev,
+			Data: fmt.Sprintf(`{"job_id":%q,"status":%q}`, id, st)}
+	}
+	return frames
+}
+
+// TestSSELifecyclePaths pins the stream of every lifecycle path — the
+// event names, the gapless ids from 1 and the payload bytes — and
+// requires a resume from each id to give exactly the frames after it.
+func TestSSELifecyclePaths(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	recHGR := testHGR(t, 5, 5)
+	tomb := acceptedFor(t, "j-000001", 1, recHGR, "")
+	writeJournal(t, path,
+		acceptedFor(t, "j-000000", 0, recHGR, ""),
+		tomb,
+		journal.Record{Type: journal.TypeTerminal, ID: tomb.ID, Seq: tomb.Seq, Status: string(StatusCompleted)})
+	at := func(seq int, kind faultinject.Kind, delay time.Duration) faultinject.Entry {
+		return faultinject.Entry{Site: faultinject.SiteServerJob, Kind: kind, OnHit: 1, Delay: delay, Start: seq}
+	}
+	// The journal holds submissions 0 and 1, so live ones start at 2.
+	s, hs := newTestServer(t, Config{
+		JournalPath:  path,
+		Workers:      1,
+		QueueDepth:   16,
+		DrainTimeout: 50 * time.Millisecond,
+		Inject: &faultinject.Plan{Seed: 1, Entries: []faultinject.Entry{
+			at(4, faultinject.KindCancel, 0),
+			at(5, faultinject.KindDelay, 300*time.Millisecond),
+			at(6, faultinject.KindDelay, 500*time.Millisecond),
+			at(10, faultinject.KindDelay, 500*time.Millisecond),
+		}},
+	})
+	hgr := testHGR(t, 6, 6)
+
+	type lifecycle struct {
+		path   string
+		id     string
+		events []string
+	}
+	paths := []*lifecycle{
+		{path: "recovered", id: "j-000000", events: []string{"queued", "started", "completed"}},
+		{path: "tombstone", id: "j-000001", events: []string{"completed"}},
+	}
+	submit := func(path string, seed int, extra map[string]any, events ...string) *lifecycle {
+		t.Helper()
+		code, v, data := postJob(t, hs.URL, submitBody(t, hgr, 2, map[string]any{"seed": seed}, extra))
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: submit status %d: %s", path, code, data)
+		}
+		lc := &lifecycle{path: path, id: v.ID, events: events}
+		paths = append(paths, lc)
+		return lc
+	}
+	computed := submit("computed", 1, nil, "queued", "started", "completed")
+	waitTerminal(t, hs.URL, computed.id)
+	submit("admission-hit", 1, nil, "queued", "completed")
+	submit("cancelled-running", 4, nil, "queued", "started", "cancelled")
+	submit("deadline-exceeded", 5, map[string]any{"timeout_ms": 50}, "queued", "started", "deadline-exceeded")
+	submit("blocker", 6, nil, "queued", "started", "completed")
+	submit("execution-miss", 7, nil, "queued", "started", "completed")
+	execHit := submit("execution-hit", 7, nil, "queued", "started", "completed")
+	queued := submit("cancelled-queued", 9, nil, "queued", "cancelled")
+	s.Cancel(queued.id)
+	for _, lc := range paths {
+		waitTerminal(t, hs.URL, lc.id)
+	}
+	if v, _ := s.Job(execHit.id); !v.CacheHit {
+		t.Fatalf("execution-hit: job %s was not a cache hit", execHit.id)
+	}
+	running := submit("drained-running", 10, nil, "queued", "started", "drained")
+	submit("drained-queued", 11, nil, "queued", "drained")
+	waitStatus(t, s, running.id, StatusRunning)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+
+	for _, lc := range paths {
+		want := lifecycleFrames(lc.id, lc.events...)
+		if got := collectEvents(t, hs.URL, lc.id, -1); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: stream\n%+v\nwant\n%+v", lc.path, got, want)
+		}
+		for last := range want {
+			got := collectEvents(t, hs.URL, lc.id, int64(last))
+			if !reflect.DeepEqual(got, want[last:]) {
+				t.Errorf("%s: resume after id %d gave %+v, want %+v", lc.path, last, got, want[last:])
+			}
+		}
+		if tail := collectEvents(t, hs.URL, lc.id, int64(len(want))); len(tail) != 0 {
+			t.Errorf("%s: resume after the terminal event gave %+v", lc.path, tail)
+		}
+	}
+	checkLedger(t, s)
+}
+
+// holdQueued starts a one-worker server whose submission 0 holds the
+// worker in an injected one-second delay, plus extra fault entries,
+// and returns it with the id of submission 1, queued behind it.
+func holdQueued(t *testing.T, extra ...faultinject.Entry) (*Server, *httptest.Server, string) {
+	t.Helper()
 	s, hs := newTestServer(t, Config{
 		CacheCap: -1, Workers: 1,
-		Inject: &faultinject.Plan{Seed: 1, Entries: []faultinject.Entry{{
+		Inject: &faultinject.Plan{Seed: 1, Entries: append([]faultinject.Entry{{
 			Site: faultinject.SiteServerJob, Kind: faultinject.KindDelay,
 			OnHit: 1, Delay: time.Second, Start: 0,
-		}}},
+		}}, extra...)},
 	})
 	hgr := testHGR(t, 6, 6)
 	postJob(t, hs.URL, submitBody(t, hgr, 2, map[string]any{"seed": int64(4)}, nil))
 	_, v, _ := postJob(t, hs.URL, submitBody(t, hgr, 2, map[string]any{"seed": int64(5)}, nil))
+	return s, hs, v.ID
+}
 
-	// White-box: subscribe directly to the job's event log with a
-	// one-slot buffer and never read it. The HTTP path cannot starve
-	// reliably in-process (kernel socket buffers absorb small writes),
-	// so the drop rule is asserted at the layer that owns it.
-	s.mu.Lock()
-	j := s.jobs[v.ID]
-	s.mu.Unlock()
-	if j == nil {
-		t.Fatalf("job %s not found", v.ID)
+// openEvents opens a job's stream and returns the response once its
+// headers arrive, without reading the body.
+func openEvents(t *testing.T, base, id string, lastID int64) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, base+"/v1/jobs/"+id+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	replay, sub := j.events.subscribe(0, 1)
-	if sub == nil {
-		t.Fatalf("job already terminal before subscribe (replayed %d events)", len(replay))
+	if lastID >= 0 {
+		req.Header.Set("Last-Event-ID", strconv.FormatInt(lastID, 10))
 	}
-	if len(replay) != 1 || replay[0].name != "queued" {
-		t.Fatalf("replayed %d events at subscribe, want only queued: the job was not held in the queue", len(replay))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("GET events %s: %v", id, err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET events %s: status %d", id, resp.StatusCode)
+	}
+	return resp
+}
+
+// TestSSEUnreadStreamNeverBlocksJob opens the stream of a queued job
+// and reads nothing while the job runs: the job still completes
+// promptly, the stream read afterwards is the whole lifecycle, and
+// nothing counts as dropped.
+func TestSSEUnreadStreamNeverBlocksJob(t *testing.T) {
+	s, hs, id := holdQueued(t)
+	resp := openEvents(t, hs.URL, id, -1)
+	if v, _ := s.Job(id); v.Status != StatusQueued {
+		t.Fatalf("job %s is %s with its stream open, want queued", id, v.Status)
 	}
 
 	start := time.Now()
-	fin := waitTerminal(t, hs.URL, v.ID)
-	if fin.Status != string(StatusCompleted) {
+	if fin := waitTerminal(t, hs.URL, id); fin.Status != string(StatusCompleted) {
 		t.Fatalf("job ended %q, want completed", fin.Status)
 	}
 	if elapsed := time.Since(start); elapsed > 20*time.Second {
-		t.Fatalf("job took %v with a stalled subscriber attached", elapsed)
+		t.Fatalf("job took %v with an unread stream open", elapsed)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read events: %v", err)
+	}
+	if got, want := ParseSSE(raw), lifecycleFrames(id, "queued", "started", "completed"); !reflect.DeepEqual(got, want) {
+		t.Errorf("stream %+v, want %+v", got, want)
+	}
+	if got := s.Stats().EventsDropped; got != 0 {
+		t.Errorf("events_dropped = %d, want 0", got)
+	}
+}
+
+// TestSSELastEventIDFiltersLiveEvents resumes the stream of a queued
+// job after id 2: started (id 2) arrives live, and like every event at
+// or below Last-Event-ID it must not be written; the terminal event
+// (id 3) is the whole stream.
+func TestSSELastEventIDFiltersLiveEvents(t *testing.T) {
+	s, hs, id := holdQueued(t)
+	resp := openEvents(t, hs.URL, id, 2)
+	if v, _ := s.Job(id); v.Status != StatusQueued {
+		t.Fatalf("job %s is %s with its stream open, want queued", id, v.Status)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read events: %v", err)
+	}
+	want := lifecycleFrames(id, "queued", "started", "completed")[2:]
+	if got := ParseSSE(raw); !reflect.DeepEqual(got, want) {
+		t.Errorf("resume after id 2 of a live job gave %+v, want %+v", got, want)
+	}
+}
+
+// TestSSEEventsCancelCutsLiveStream arms a cancel at server.events for
+// a job held in the queue: its live stream ends after the events so
+// far (queued) and counts one in events_dropped, while the job runs on
+// unaffected. Once the job is terminal the same cancel cuts nothing:
+// the stream is complete and the count stays 1.
+func TestSSEEventsCancelCutsLiveStream(t *testing.T) {
+	s, hs, id := holdQueued(t, faultinject.Entry{
+		Site: faultinject.SiteServerEvents, Kind: faultinject.KindCancel, OnHit: 1, Start: 1,
+	})
+	resp := openEvents(t, hs.URL, id, -1)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read events: %v", err)
+	}
+	all := lifecycleFrames(id, "queued", "started", "completed")
+	if got := ParseSSE(raw); !reflect.DeepEqual(got, all[:1]) {
+		t.Errorf("cut stream %+v, want %+v", got, all[:1])
+	}
+	if got := s.Stats().EventsDropped; got != 1 {
+		t.Errorf("events_dropped = %d after the cut, want 1", got)
 	}
 
-	// started fills the one-slot buffer; completed finds it full, so
-	// the subscriber is dropped and disconnected.
-	if got := s.Stats().EventsDropped; got != 1 {
-		t.Errorf("events_dropped = %d, want 1", got)
+	if fin := waitTerminal(t, hs.URL, id); fin.Status != string(StatusCompleted) {
+		t.Fatalf("job ended %q, want completed", fin.Status)
 	}
-	select {
-	case _, ok := <-sub.ch:
-		if ok {
-			// Drained the buffered frame; the channel must now be closed.
-			if _, ok := <-sub.ch; ok {
-				t.Errorf("stalled subscriber channel still open after drop")
-			}
-		}
-	case <-time.After(5 * time.Second):
-		t.Errorf("stalled subscriber channel neither closed nor readable")
+	if got := collectEvents(t, hs.URL, id, -1); !reflect.DeepEqual(got, all) {
+		t.Errorf("stream of the finished job %+v, want %+v", got, all)
+	}
+	if got := s.Stats().EventsDropped; got != 1 {
+		t.Errorf("events_dropped = %d after the finished job's stream, want 1", got)
 	}
 }
 

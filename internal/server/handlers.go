@@ -416,7 +416,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseLastEventID reads the SSE resume header; 0 means "from the
-// start of the retained history".
+// first event".
 func parseLastEventID(r *http.Request) (int64, error) {
 	lei := r.Header.Get("Last-Event-ID")
 	if lei == "" {
@@ -429,10 +429,33 @@ func parseLastEventID(r *http.Request) (int64, error) {
 	return v, nil
 }
 
+// jobEventData is the payload of a job lifecycle event.
+type jobEventData struct {
+	JobID  string `json:"job_id"`
+	Status Status `json:"status"`
+}
+
+// closed reports whether c is closed.
+func closed(c <-chan struct{}) bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
+	}
+}
+
 // handleJobEvents streams one job's lifecycle events as Server-Sent
-// Events: the retained history after Last-Event-ID, then live events
-// until the terminal event ends the stream. The recover barrier makes
-// an injected server.events panic fail only this subscription.
+// Events. The stream is a function of the job's state, so nothing is
+// stored or fanned out: queued is id 1 (a replayed tombstone has none),
+// started follows if a worker ran the job, and the terminal event
+// comes last and ends the stream. Every event goes through one
+// Last-Event-ID filter, and the handler only waits on the job's
+// started and done channels, so no reader can ever hold up a job. The
+// terminal status is read without mu after receiving from done: it
+// never changes once set. The recover barrier makes an injected
+// server.events panic fail only this stream; an injected cancel cuts a
+// live stream after the events so far (counted in events_dropped).
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -454,33 +477,13 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The events fault site, derived from the job's admission sequence
-	// like the job's own sites. Cancel drops this subscriber right
-	// after the replay — the slow-consumer path on demand.
-	dropNow := false
+	// like the job's own sites.
+	cut := false
 	if inj := s.cfg.Inject.NewInjector(j.seq, 0); inj != nil {
-		if inj.Fire(faultinject.SiteServerEvents) == faultinject.ActCancel {
-			dropNow = true
-		}
+		cut = inj.Fire(faultinject.SiteServerEvents) == faultinject.ActCancel
 	}
-	replay, sub := j.events.subscribe(lastID, eventBuffer)
-	if dropNow && sub != nil {
-		j.events.unsubscribe(sub)
-		sub = nil
-		s.stats.EventDropped()
-	}
-	s.serveSSE(w, r, replay, sub, j.events)
-}
-
-// serveSSE writes the replay then relays live events until the stream
-// completes (subscriber channel closed), the client goes away, or a
-// write fails. The job is never waited on: a subscriber that cannot
-// keep up is dropped by the publisher, which closes its channel.
-func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, replay []jobEvent, sub *eventSub, log *eventLog) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		if sub != nil {
-			log.unsubscribe(sub)
-		}
 		writeError(w, http.StatusInternalServerError, "internal", "response writer cannot stream")
 		return
 	}
@@ -488,33 +491,50 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, replay []jobEv
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	for _, ev := range replay {
-		if writeSSE(w, ev.id, ev.name, ev.data) != nil {
-			if sub != nil {
-				log.unsubscribe(sub)
-			}
-			return
-		}
-	}
 	fl.Flush()
-	if sub == nil {
-		return // stream already complete: replay was everything
+
+	var evID int64
+	emit := func(name string, st Status) bool {
+		evID++
+		if evID <= lastID {
+			return true
+		}
+		data, err := json.Marshal(jobEventData{JobID: j.id, Status: st})
+		if err != nil || writeSSE(w, evID, name, data) != nil {
+			return false
+		}
+		fl.Flush()
+		return true
 	}
-	ctx := r.Context()
-	for {
+	// await waits until a or b is closed. It reports false when the
+	// stream ends first: the client went away, or the stream was cut
+	// before the job got there.
+	await := func(a, b <-chan struct{}) bool {
+		if cut {
+			if closed(a) || closed(b) {
+				return true
+			}
+			s.stats.EventDropped()
+			return false
+		}
 		select {
-		case ev, open := <-sub.ch:
-			if !open {
-				return // terminal delivered or subscriber dropped
-			}
-			if writeSSE(w, ev.id, ev.name, ev.data) != nil {
-				log.unsubscribe(sub)
-				return
-			}
-			fl.Flush()
-		case <-ctx.Done():
-			log.unsubscribe(sub)
+		case <-a:
+		case <-b:
+		case <-r.Context().Done():
+			return false
+		}
+		return true
+	}
+	if j.started != nil {
+		if !emit("queued", StatusQueued) || !await(j.started, j.done) {
 			return
 		}
+		// started is closed before done, so this sees every run.
+		if closed(j.started) && !emit("started", StatusRunning) {
+			return
+		}
+	}
+	if await(j.done, nil) {
+		emit(string(j.status), j.status)
 	}
 }

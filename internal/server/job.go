@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"time"
 
 	"mlpart"
@@ -84,7 +85,7 @@ type job struct {
 	// one owner at a time: the queued job from admission (or journal
 	// rebuild) until the worker takes it as it marks the job running.
 	// finishLocked clears it on every terminal path, so a finished job
-	// keeps its view, events and result but never its input.
+	// keeps its view and result but never its input.
 	h   *mlpart.Hypergraph
 	k   int
 	opt mlpart.Options
@@ -100,10 +101,6 @@ type job struct {
 	idemKey   string
 	recovered bool
 
-	// events is the job's lifecycle event stream; it has its own lock
-	// and is safe to publish to with or without the server mutex.
-	events *eventLog
-
 	status      Status
 	cacheHit    bool
 	interrupted bool
@@ -111,10 +108,15 @@ type job struct {
 	errrep      *ErrorReport
 	report      *telemetry.Report
 
-	// cancelc is closed by the client-cancellation path; done is
-	// closed on the transition to a terminal status.
-	cancelc chan struct{}
+	// started is closed when a worker marks the job running, and done
+	// on the transition to a terminal status; together they are the
+	// job's event stream (see handleJobEvents). started is nil for a
+	// replayed tombstone, which was never queued in this process.
+	started chan struct{}
 	done    chan struct{}
+	// cancel interrupts the running job's context; runJob sets it as it
+	// marks the job running, and finishLocked clears it.
+	cancel context.CancelFunc
 	// cancelRequested distinguishes a client cancel from the other
 	// context-cancellation causes when classifying an interrupted run.
 	cancelRequested bool

@@ -202,16 +202,13 @@ func (s *Server) registerTombstone(acc, term journal.Record) {
 		idemKey:   acc.IdemKey,
 		recovered: true,
 		status:    st,
-		cancelc:   make(chan struct{}),
 		done:      make(chan struct{}),
-		events:    newEventLog(eventHistory),
 	}
+	// A tombstone's event stream is born complete: with no started
+	// channel it is one terminal event carrying the replayed status.
 	close(j.done)
 	s.jobs[j.id] = j
 	s.stats.ReplayTerminal()
-	// A tombstone's event stream is born complete: one terminal event,
-	// so a subscriber gets the replayed status and a clean end.
-	s.publishJobEvent(j, string(st), st, true)
 }
 
 // rebuildJob reconstructs a runnable job from a journaled accepted
@@ -247,7 +244,7 @@ func rebuildJob(acc journal.Record, limits hypergraph.Limits) (*job, error) {
 		idemKey:   acc.IdemKey,
 		recovered: true,
 		status:    StatusQueued,
-		cancelc:   make(chan struct{}),
+		started:   make(chan struct{}),
 		done:      make(chan struct{}),
 	}, nil
 }

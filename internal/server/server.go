@@ -99,18 +99,9 @@ type Config struct {
 	Inject *faultinject.Plan
 }
 
-const (
-	// retryAfterSecs is the Retry-After hint, in seconds, attached to
-	// overload and draining rejections.
-	retryAfterSecs = "1"
-	// eventBuffer is the per-subscriber event channel capacity: a
-	// subscriber that falls this far behind is dropped rather than
-	// ever blocking the job.
-	eventBuffer = 16
-	// eventHistory bounds each job's replayable event history — the
-	// window Last-Event-ID resume can reach back into.
-	eventHistory = 64
-)
+// retryAfterSecs is the Retry-After hint, in seconds, attached to
+// overload and draining rejections.
+const retryAfterSecs = "1"
 
 func (c Config) withDefaults() Config {
 	if c.QueueDepth == 0 {
@@ -245,12 +236,10 @@ func New(cfg Config) (*Server, error) {
 	// process already acknowledged.
 	s.queue = make(chan *job, cfg.QueueDepth+len(recovered))
 	for _, j := range recovered {
-		j.events = newEventLog(eventHistory)
 		s.jobs[j.id] = j
 		s.stats.Accept()
 		s.stats.RecoverJob()
 		s.queue <- j
-		s.publishJobEvent(j, "queued", StatusQueued, false)
 	}
 
 	// Each worker runs its jobs one at a time, so it can own one
@@ -415,9 +404,8 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 		wantStats: wantStats,
 		idemKey:   idemKey,
 		status:    StatusQueued,
-		cancelc:   make(chan struct{}),
+		started:   make(chan struct{}),
 		done:      make(chan struct{}),
-		events:    newEventLog(eventHistory),
 	}
 
 	// Admission-time cache lookup: a hit completes the job without
@@ -432,7 +420,6 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 		s.registerIdemLocked(j)
 		s.stats.Accept()
 		s.stats.CacheHit()
-		s.publishJobEvent(j, "queued", StatusQueued, false)
 		j.cacheHit = true
 		r := res
 		s.finishLocked(j, StatusCompleted, &r, nil, true)
@@ -455,7 +442,6 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 	s.registerIdemLocked(j)
 	s.stats.Accept()
 	s.stats.CacheMiss()
-	s.publishJobEvent(j, "queued", StatusQueued, false)
 	return j.snapshotLocked(), false, nil
 }
 
@@ -528,9 +514,11 @@ func (s *Server) cacheBypassed(seq int) bool {
 
 // finishLocked moves j to a terminal status exactly once; callers
 // hold mu. fromQueue records whether the job never started running.
-// It drops the job's parsed input: nothing reads it once the job is
-// terminal, and the job table keeps every finished job for the life of
-// the process.
+// It drops the job's parsed input and cancel func: nothing reads them
+// once the job is terminal, and the job table keeps every finished job
+// for the life of the process. Closing done publishes the terminal
+// event: status never changes again, so event streams read it
+// without mu once they have received from done.
 // The exactly-once guarantee extends to the journal: the terminal
 // record is appended on the one transition that flips the status, so
 // a journal can never carry two terminal records for an id. An append
@@ -543,6 +531,7 @@ func (s *Server) finishLocked(j *job, st Status, res *Result, rep *ErrorReport, 
 	}
 	j.status = st
 	j.h = nil
+	j.cancel = nil
 	j.result = res
 	j.errrep = rep
 	if err := s.journalAppend(journal.Record{Type: journal.TypeTerminal, ID: j.id, Seq: j.seq, Status: string(st)}); err != nil {
@@ -550,9 +539,6 @@ func (s *Server) finishLocked(j *job, st Status, res *Result, rep *ErrorReport, 
 	}
 	s.stats.FinishJob(string(st), fromQueue)
 	close(j.done)
-	// The terminal event ends the job's stream: subscribers get it and
-	// their channels close.
-	s.publishJobEvent(j, string(st), st, true)
 }
 
 // Cancel requests client cancellation of a job. A queued job is
@@ -568,10 +554,11 @@ func (s *Server) Cancel(id string) (view, bool) {
 	}
 	if !j.status.Terminal() && !j.cancelRequested {
 		j.cancelRequested = true
-		close(j.cancelc)
 		if j.status == StatusQueued {
 			// The worker will observe the terminal status and skip it.
 			s.finishLocked(j, StatusCancelled, nil, nil, true)
+		} else {
+			j.cancel()
 		}
 	}
 	return j.snapshotLocked(), true
@@ -628,7 +615,7 @@ func (s *Server) runJob(j *job, sess *mlpart.Session) {
 	h := j.h
 	j.h = nil
 	s.stats.StartJob()
-	s.publishJobEvent(j, "started", StatusRunning, false)
+	close(j.started)
 	// Execution-time cache recheck: an identical job may have
 	// completed while this one sat in the queue.
 	if res, ok := s.cache.get(j.key); ok && !s.cacheBypassed(j.seq) {
@@ -638,66 +625,58 @@ func (s *Server) runJob(j *job, sess *mlpart.Session) {
 		s.mu.Unlock()
 		return
 	}
-	s.mu.Unlock()
-
-	// Job context: deadline + client cancellation + drain/stop.
+	// Job context: deadline + drain/stop, and Cancel through j.cancel.
 	deadline := s.cfg.DefaultTimeout
 	if j.timeout > 0 {
 		deadline = j.timeout
 	}
-	dctx, dcancel := context.WithTimeout(s.runCtx, deadline)
-	jctx, jcancel := context.WithCancel(dctx)
-	defer dcancel()
-	defer jcancel()
-	watch := make(chan struct{})
-	defer close(watch)
-	go func() {
-		select {
-		case <-j.cancelc:
-			jcancel()
-		case <-watch:
-		}
-	}()
+	ctx, cancel := context.WithTimeout(s.runCtx, deadline)
+	defer cancel()
+	j.cancel = cancel
+	s.mu.Unlock()
 
-	st, res, rep, report, interrupted := s.execute(jctx, dctx, j, h, sess)
+	p, info, report, err := s.attempt(ctx, j, h, sess)
+	res := s.resultOf(j, p, info)
 
 	s.mu.Lock()
+	st, rep, interrupted := s.classifyLocked(ctx, j, res, info, err)
+	if st == StatusFailed {
+		report = nil
+	}
 	j.interrupted = interrupted
 	j.report = report
-	if st == StatusCompleted && res != nil && rep == nil && !interrupted {
+	if st == StatusCompleted && rep == nil && !interrupted {
 		s.cache.put(j.key, *res)
 	}
 	s.finishLocked(j, st, res, rep, false)
 	s.mu.Unlock()
 }
 
-// execute runs the job once on h, its parsed input, on the worker's
-// Session and classifies the outcome: terminal status, result, error
-// report, telemetry report and interrupted flag.
-func (s *Server) execute(jctx, dctx context.Context, j *job, h *mlpart.Hypergraph, sess *mlpart.Session) (Status, *Result, *ErrorReport, *telemetry.Report, bool) {
-	p, info, report, err := s.attempt(jctx, j, h, sess)
-
-	// Classification order matters: an interruption cause wins over
-	// whatever partial error the wind-down produced, and client cancel
-	// > drain > deadline (when one fires, the derived contexts all read
-	// done).
+// classifyLocked maps one run's outcome to the job's terminal status,
+// error report and interrupted flag; callers hold mu, which orders the
+// cancelRequested read against Cancel. Classification order matters:
+// an interruption cause wins over whatever partial error the
+// wind-down produced, and client cancel > drain > deadline (when one
+// fires, ctx reads done for all of them).
+func (s *Server) classifyLocked(ctx context.Context, j *job, res *Result, info mlpart.Info, err error) (Status, *ErrorReport, bool) {
 	switch {
-	case j.clientCancelled():
-		return StatusCancelled, s.resultOf(j, p, info), nil, report, true
+	case j.cancelRequested:
+		return StatusCancelled, nil, true
 	case s.runCtx.Err() != nil:
-		return StatusDrained, s.resultOf(j, p, info), nil, report, true
-	case errors.Is(dctx.Err(), context.DeadlineExceeded):
-		return StatusDeadlineExceeded, s.resultOf(j, p, info), nil, report, true
-	case err == nil && p != nil:
-		return StatusCompleted, s.resultOf(j, p, info), nil, report, info.Interrupted
-	case p != nil:
+		return StatusDrained, nil, true
+	case errors.Is(ctx.Err(), context.DeadlineExceeded):
+		return StatusDeadlineExceeded, nil, true
+	case res == nil:
+		if err == nil {
+			err = errors.New("server: job produced no solution")
+		}
+		return StatusFailed, &ErrorReport{Code: errCode(err), Message: err.Error()}, false
+	case err != nil:
 		// Recovered fault with a feasible degraded solution: keep it,
 		// report the fault, do not cache (see runJob).
-		return StatusCompleted, s.resultOf(j, p, info), &ErrorReport{Code: errCode(err), Message: err.Error()}, report, info.Interrupted
-	case err == nil:
-		err = errors.New("server: job produced no solution")
+		return StatusCompleted, &ErrorReport{Code: errCode(err), Message: err.Error()}, info.Interrupted
 	}
-	return StatusFailed, nil, &ErrorReport{Code: errCode(err), Message: err.Error()}, nil, false
+	return StatusCompleted, nil, info.Interrupted
 }
 
 // attempt runs the job's one panic-isolated execution on h, on sess's
@@ -762,16 +741,6 @@ func (s *Server) resultOf(j *job, p *mlpart.Partition, info mlpart.Info) *Result
 		SumDegrees:  info.SumDegrees,
 		Levels:      info.Levels,
 		Partition:   parts,
-	}
-}
-
-// clientCancelled reports whether the client requested cancellation.
-func (j *job) clientCancelled() bool {
-	select {
-	case <-j.cancelc:
-		return true
-	default:
-		return false
 	}
 }
 

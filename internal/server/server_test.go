@@ -574,6 +574,27 @@ func TestClientCancel(t *testing.T) {
 	checkLedger(t, s)
 }
 
+// TestCancelInterruptsRunningJob cancels a job whose run would outlast
+// the test by far: the cancel must reach the pipeline's context, so
+// the job ends cancelled and interrupted within the wait.
+func TestCancelInterruptsRunningJob(t *testing.T) {
+	s, hs := newTestServer(t, Config{CacheCap: -1})
+	hgr := testHGR(t, 12, 12)
+	code, v, data := postJob(t, hs.URL, submitBody(t, hgr, 2,
+		map[string]any{"starts": 1000000, "parallelism": 1},
+		map[string]any{"timeout_ms": 300000}))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d: %s", code, data)
+	}
+	waitStatus(t, s, v.ID, StatusRunning)
+	s.Cancel(v.ID)
+	fin := waitTerminal(t, hs.URL, v.ID)
+	if fin.Status != string(StatusCancelled) || !fin.Interrupted {
+		t.Fatalf("job ended %q (interrupted %v), want cancelled and interrupted", fin.Status, fin.Interrupted)
+	}
+	checkLedger(t, s)
+}
+
 // TestCancelQueued cancels a job that is still waiting in the queue.
 func TestCancelQueued(t *testing.T) {
 	s, hs := newTestServer(t, Config{

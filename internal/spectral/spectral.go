@@ -189,7 +189,7 @@ func Bipartition(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*hypergr
 	} else {
 		vec, lambda2, iters = Fiedler(g, cfg.MaxIter, cfg.Tol, rng)
 	}
-	p := splitAtAreaMedian(h, vec)
+	p := &hypergraph.Partition{Part: netmodel.SplitAtAreaMedian(h, vec), K: 2}
 	res := Result{Iterations: iters, Lambda2: lambda2, Fiedler: vec}
 	if cfg.RefineFM {
 		if _, err := fm.Refine(h, p, cfg.Refine, rng); err != nil {
@@ -198,63 +198,4 @@ func Bipartition(h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) (*hypergr
 	}
 	res.Cut = p.Cut(h)
 	return p, res, nil
-}
-
-// splitAtAreaMedian sorts cells by Fiedler value and cuts the
-// ordering where the cumulative area reaches half.
-func splitAtAreaMedian(h *hypergraph.Hypergraph, vec []float64) *hypergraph.Partition {
-	n := h.NumCells()
-	order := make([]int32, n)
-	for v := range order {
-		order[v] = int32(v)
-	}
-	// Insertion-free sort by Fiedler value (stable for determinism).
-	sortByValue(order, vec)
-	p := hypergraph.NewPartition(n, 2)
-	half := h.TotalArea() / 2
-	var cum int64
-	for _, v := range order {
-		if cum >= half {
-			p.Part[v] = 1
-		}
-		cum += h.Area(int(v))
-	}
-	return p
-}
-
-func sortByValue(order []int32, vec []float64) {
-	// Simple top-down merge sort: deterministic and stable.
-	tmp := make([]int32, len(order))
-	var ms func(lo, hi int)
-	ms = func(lo, hi int) {
-		if hi-lo < 2 {
-			return
-		}
-		mid := (lo + hi) / 2
-		ms(lo, mid)
-		ms(mid, hi)
-		i, j, k := lo, mid, lo
-		for i < mid && j < hi {
-			if vec[order[i]] <= vec[order[j]] {
-				tmp[k] = order[i]
-				i++
-			} else {
-				tmp[k] = order[j]
-				j++
-			}
-			k++
-		}
-		for i < mid {
-			tmp[k] = order[i]
-			i++
-			k++
-		}
-		for j < hi {
-			tmp[k] = order[j]
-			j++
-			k++
-		}
-		copy(order[lo:hi], tmp[lo:hi])
-	}
-	ms(0, len(order))
 }

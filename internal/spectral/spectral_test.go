@@ -154,7 +154,7 @@ func TestBipartitionEmptyAndErrors(t *testing.T) {
 func TestSortByValueStable(t *testing.T) {
 	vec := []float64{0.5, -0.1, 0.5, 0.3, -0.1}
 	order := []int32{0, 1, 2, 3, 4}
-	sortByValue(order, vec)
+	netmodel.SortByKey(order, vec)
 	// Sorted by value; ties keep original order (1 before 4, 0 before 2).
 	want := []int32{1, 4, 3, 0, 2}
 	for i := range want {
@@ -178,14 +178,14 @@ func TestSplitAtAreaMedianWeighted(t *testing.T) {
 	b.AddNet(0, 1).AddNet(2, 3)
 	h := b.MustBuild()
 	vec := []float64{-1, -0.5, 0.5, 1}
-	p := splitAtAreaMedian(h, vec)
+	side := netmodel.SplitAtAreaMedian(h, vec)
 	// Cumulative: cell0 (10) < 11 → block 0; cell1 (11) → block 1
 	// onward? half = 11. Cell0 cum 0 <11 → 0; cell1 cum 10 < 11 → 0;
 	// cell2 cum 11 ≥ 11 → 1; cell3 → 1.
 	want := []int32{0, 0, 1, 1}
 	for v := range want {
-		if p.Part[v] != want[v] {
-			t.Errorf("cell %d in block %d, want %d", v, p.Part[v], want[v])
+		if side[v] != want[v] {
+			t.Errorf("cell %d in block %d, want %d", v, side[v], want[v])
 		}
 	}
 }

@@ -86,9 +86,10 @@ type ServiceReport struct {
 	Batched      int64 `json:"batched"`
 	BatchFlushes int64 `json:"batch_flushes"`
 
-	// EventsDropped counts event-stream subscribers disconnected
-	// because they could not keep up: a publish that would block drops
-	// the subscriber, never the job.
+	// EventsDropped counts job event streams cut short by an injected
+	// server.events cancel before the job reached its terminal event.
+	// A slow reader is never dropped: a stream is computed from its
+	// job's state, so it cannot hold the job up.
 	EventsDropped int64 `json:"events_dropped"`
 
 	// Queued and Running are instantaneous gauges; QueueCap is the
@@ -201,8 +202,7 @@ func (s *ServiceCollector) IdempotentReplay() { s.idempotentReplays.Add(1) }
 func (s *ServiceCollector) CacheHit()  { s.cacheHits.Add(1) }
 func (s *ServiceCollector) CacheMiss() { s.cacheMisses.Add(1) }
 
-// EventDropped records one event-stream subscriber dropped for
-// falling behind.
+// EventDropped records one live job event stream cut short.
 func (s *ServiceCollector) EventDropped() { s.eventsDropped.Add(1) }
 
 // AddStage folds one executed attempt's stage profile into the
