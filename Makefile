@@ -30,7 +30,11 @@ lint:
 
 # Chaos suite: the deterministic fault-injection sweep (every site ×
 # every fault kind × both entry points) plus the parallel multi-start
-# supervisor tests and the mlpartd server chaos sweep (faults at
+# supervisor tests (each start runs once, under the caller's context;
+# a failed start stays failed while the others run) and the Starts
+# bound (a request above mlpart.MaxStarts is refused by Validate and
+# by mlpartd's admission and recovery), and the mlpartd server chaos
+# sweep (faults at
 # server.admit / server.job / server.events under a concurrent burst:
 # every accepted job must reach exactly one terminal status, a job
 # after a panicked one on the same worker completes normally, and a
@@ -44,9 +48,9 @@ lint:
 # the race detector —
 # the recovery paths must be both correct and race-free.
 chaos:
-	$(GO) test -race -run 'TestChaos|TestParallelMultiStart|TestRecoveredStart|TestAttemptTimeout|TestOuterCancel|TestRetried|TestRunStarts' . ./internal/core
+	$(GO) test -race -run 'TestChaos|TestParallelMultiStart|TestRecoveredStart|TestOuterCancel|TestRunStarts|TestValidateBoundsStarts' . ./internal/core
 	$(GO) test -race ./internal/faultinject ./internal/journal
-	$(GO) test -race -run 'TestChaosSweepServer|TestChaosSweepJournal|TestDrainMidBurst|TestQueueFullSheds|TestAdmitPanic|TestWorkerSession|TestSSE|TestCancelRacesWorkerStart' ./internal/server
+	$(GO) test -race -run 'TestChaosSweepServer|TestChaosSweepJournal|TestDrainMidBurst|TestQueueFullSheds|TestAdmitPanic|TestWorkerSession|TestSSE|TestCancelRacesWorkerStart|TestStartsAboveBoundRejected|TestRecoveryClosesUnrunnableJob' ./internal/server
 	$(GO) test -race -run TestPassContract ./internal/fm ./internal/kway
 
 # Crash durability harness: launch cmd/mlpartd as a real subprocess

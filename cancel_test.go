@@ -228,11 +228,11 @@ func TestCoarseningPanicKeepsPrefix(t *testing.T) {
 			var levels int
 			if k == 2 {
 				var res MLResult
-				p, res, err = core.BipartitionCtx(context.Background(), h, MLConfig{Audit: true, Inject: plan.NewInjector(0, 0)}, rng)
+				p, res, err = core.BipartitionCtx(context.Background(), h, MLConfig{Audit: true, Inject: plan.NewInjector(0)}, rng)
 				levels = res.Levels
 			} else {
 				var res QuadResult
-				p, res, err = core.QuadrisectCtx(context.Background(), h, QuadConfig{Audit: true, Inject: plan.NewInjector(0, 0)}, rng)
+				p, res, err = core.QuadrisectCtx(context.Background(), h, QuadConfig{Audit: true, Inject: plan.NewInjector(0)}, rng)
 				levels = res.Levels
 			}
 			pe, ok := core.AsPanicError(err)

@@ -53,8 +53,8 @@ func (r chaosRun) digest() string {
 	fmt.Fprintf(&b, "err=%T cut=%d sod=%d levels=%d starts=%d best=%d interrupted=%v\n",
 		r.err, r.info.Cut, r.info.SumDegrees, r.info.Levels, r.info.Starts, r.info.BestStart, r.info.Interrupted)
 	for _, s := range r.info.StartReports {
-		fmt.Fprintf(&b, "start %d %v attempts=%d cost=%d faults=%d interrupted=%v err=%T\n",
-			s.Start, s.Outcome, s.Attempts, s.Cost, s.Faults, s.Interrupted, s.Err)
+		fmt.Fprintf(&b, "start %d %v cost=%d faults=%d interrupted=%v err=%T\n",
+			s.Start, s.Outcome, s.Cost, s.Faults, s.Interrupted, s.Err)
 	}
 	if r.p != nil {
 		fmt.Fprintf(&b, "K=%d part=%v", r.p.K, r.p.Part)
@@ -164,11 +164,11 @@ func checkChaosOutcome(t *testing.T, h *Hypergraph, k int, p *Partition, info In
 	}
 }
 
-// TestChaosRetriesExhaust pins the hard-failure path: a panic armed
-// at core.project refires on every reseeded retry (OnHit is
-// deterministic), so every start must exhaust its attempts and the
-// run must surface a typed *InternalError with no partition.
-func TestChaosRetriesExhaust(t *testing.T) {
+// TestChaosProjectPanicFailsEveryStart pins the hard-failure path: a
+// panic armed at core.project leaves a start no fine solution to
+// degrade to, so every start fails once, and the run must surface a
+// typed *InternalError with no partition.
+func TestChaosProjectPanicFailsEveryStart(t *testing.T) {
 	c, err := GenerateCircuit(CircuitSpec{Name: "chaosfail", Cells: 200, Nets: 230, Pins: 740, Seed: 52})
 	if err != nil {
 		t.Fatal(err)
@@ -196,8 +196,8 @@ func TestChaosRetriesExhaust(t *testing.T) {
 		if r.Outcome != StartFailed {
 			t.Errorf("start %d outcome %v, want %v", r.Start, r.Outcome, StartFailed)
 		}
-		if r.Attempts < 2 {
-			t.Errorf("start %d made %d attempts, want a retry (>= 2)", r.Start, r.Attempts)
+		if r.Faults != 1 {
+			t.Errorf("start %d fired %d faults, want 1 (one run per start)", r.Start, r.Faults)
 		}
 		if r.Err == nil {
 			t.Errorf("start %d failed without an error", r.Start)
@@ -211,7 +211,9 @@ func TestChaosRetriesExhaust(t *testing.T) {
 // silently returned as a corrupt "success", and never a crash
 // (*InternalError) of the refiner reading its own stale state. The
 // sweep corrupts the first, second or third pass boundary of 60
-// circuits.
+// circuits under the default options. Each start runs once, so every
+// corruption the audit catches must surface as the run's error; the
+// sweep is deterministic, and the count of caught runs is pinned.
 func TestChaosCorruptionCaughtByAudit(t *testing.T) {
 	audited, absorbed := 0, 0
 	for seed := int64(53); seed <= 112; seed++ {
@@ -222,10 +224,9 @@ func TestChaosCorruptionCaughtByAudit(t *testing.T) {
 		h := c.H
 		for hit := 1; hit <= 3; hit++ {
 			opt := Options{
-				Seed:       seed + 10,
-				Starts:     1,
-				MaxRetries: -1, // no reseeded retry: surface the first attempt's fate
-				Audit:      true,
+				Seed:   seed + 10,
+				Starts: 1,
+				Audit:  true,
 				Inject: &FaultPlan{
 					Entries: []FaultEntry{faultinject.On(faultinject.SiteFMPass, FaultCorrupt, hit)},
 				},
@@ -254,6 +255,9 @@ func TestChaosCorruptionCaughtByAudit(t *testing.T) {
 		}
 	}
 	t.Logf("%d runs caught by the audit, %d absorbed into a valid result", audited, absorbed)
+	if audited != 134 {
+		t.Errorf("%d runs surfaced an *AuditError, want 134", audited)
+	}
 }
 
 // TestChaosStalledLevel aims every coarsen.match fault at the Match

@@ -302,8 +302,7 @@ func printStartSummary(info mlpart.Info, detail bool) {
 	}
 	var parts []string
 	for _, o := range []mlpart.StartOutcome{
-		mlpart.StartOK, mlpart.StartRecovered, mlpart.StartRetried,
-		mlpart.StartTimedOut, mlpart.StartCancelled, mlpart.StartFailed,
+		mlpart.StartOK, mlpart.StartRecovered, mlpart.StartCancelled, mlpart.StartFailed,
 	} {
 		if n := counts[o]; n > 0 {
 			parts = append(parts, fmt.Sprintf("%d %s", n, o))
@@ -314,7 +313,7 @@ func printStartSummary(info mlpart.Info, detail bool) {
 		return
 	}
 	for _, r := range info.StartReports {
-		line := fmt.Sprintf("  start %d: %s (%d attempt(s), %d fault(s)", r.Start, r.Outcome, r.Attempts, r.Faults)
+		line := fmt.Sprintf("  start %d: %s (%d fault(s)", r.Start, r.Outcome, r.Faults)
 		if r.Cost >= 0 {
 			line += fmt.Sprintf(", cost %d", r.Cost)
 		}

@@ -11,7 +11,11 @@
 //
 // mlpartd-stats/1 no longer has the retried key: mlpartd runs each job
 // once, so the count of extra job attempts is gone. Snapshots written
-// before that still validate; the key is ignored.
+// before that still validate; the key is ignored. Likewise each start
+// of a run runs once, so mlpart-stats/1 no longer has a per-start
+// attempts key; older reports still decode, with the key ignored.
+// Their retried and timed-out outcomes are gone too, and no longer
+// validate.
 //
 // Usage:
 //
@@ -187,6 +191,10 @@ func validateService(r *telemetry.ServiceReport) error {
 	return nil
 }
 
+// startOutcomes are the per-start outcomes of mlpart-stats/1; only
+// "ok" is clean.
+var startOutcomes = []string{"ok", "recovered", "cancelled", "failed"}
+
 func validate(r *mlpart.Report, minLevels, minPasses int) error {
 	if r.Schema != "mlpart-stats/1" {
 		return fmt.Errorf("schema %q, want mlpart-stats/1", r.Schema)
@@ -210,16 +218,12 @@ func validate(r *mlpart.Report, minLevels, minPasses int) error {
 		if s.Start != i {
 			return fmt.Errorf("per_start[%d].start = %d: merge out of start order", i, s.Start)
 		}
-		if s.Outcome == "" {
-			return fmt.Errorf("start %d: empty outcome", i)
-		}
-		if s.Attempts < 1 {
-			return fmt.Errorf("start %d: attempts = %d < 1", i, s.Attempts)
+		if !slices.Contains(startOutcomes, s.Outcome) {
+			return fmt.Errorf("start %d: outcome %q, want one of %v", i, s.Outcome, startOutcomes)
 		}
 		// A start with a clean outcome finished coarsening and says why
 		// it stopped; a recovered, cancelled or failed one may not have.
-		clean := s.Outcome == "ok" || s.Outcome == "retried" || s.Outcome == "timed-out"
-		if (clean || s.CoarsenStop != "") && !slices.Contains(telemetry.CoarsenStops, s.CoarsenStop) {
+		if (s.Outcome == "ok" || s.CoarsenStop != "") && !slices.Contains(telemetry.CoarsenStops, s.CoarsenStop) {
 			return fmt.Errorf("start %d (%s): coarsen_stop %q, want one of %v", i, s.Outcome, s.CoarsenStop, telemetry.CoarsenStops)
 		}
 		for j, l := range s.Coarsening {

@@ -428,7 +428,7 @@ func TestMatchTelemetryCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantPairs := 5 - c.NumClusters
-	s := tel.TakeStart(0, "ok", 1, 0, 0)
+	s := tel.TakeStart(0, "ok", 0, 0)
 	if len(s.Coarsening) != 0 {
 		t.Fatalf("Match alone must not append levels: %+v", s.Coarsening)
 	}
@@ -438,7 +438,7 @@ func TestMatchTelemetryCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel2.RecordLevel(c.NumClusters, 0, 0, 1)
-	s2 := tel2.TakeStart(0, "ok", 1, 0, 0)
+	s2 := tel2.TakeStart(0, "ok", 0, 0)
 	if len(s2.Coarsening) != 1 {
 		t.Fatalf("want one level entry, got %+v", s2.Coarsening)
 	}

@@ -186,7 +186,7 @@ func TestVCycleLaterCyclesReuseHierarchy(t *testing.T) {
 		tel := telemetry.New()
 		run(2, tel)
 		var cycles [][]telemetry.LevelStat
-		for _, l := range tel.TakeStart(0, "ok", 1, 0, 1).Coarsening {
+		for _, l := range tel.TakeStart(0, "ok", 0, 1).Coarsening {
 			if l.Level == 0 {
 				cycles = append(cycles, nil)
 			}

@@ -323,8 +323,8 @@ func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelR
 		})
 		ptimer.Stop()
 		if gerr != nil {
-			// No fine-level solution exists yet, so the attempt is
-			// lost; the supervisor's retry path handles it.
+			// No fine-level solution exists yet, so the start is
+			// lost; the supervisor reports it failed.
 			return nil, run, results, gerr
 		}
 		if lc.inject != nil {

@@ -52,7 +52,7 @@ func stopReason(t *testing.T, ctx context.Context, h *hypergraph.Hypergraph, cfg
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tel.TakeStart(0, "ok", 1, res.Cut, 1).CoarsenStop, res
+	return tel.TakeStart(0, "ok", res.Cut, 1).CoarsenStop, res
 }
 
 func TestCoarsenStopReasons(t *testing.T) {
@@ -116,7 +116,7 @@ func TestStallRulePadHeavyQuadrisection(t *testing.T) {
 	}
 	const f = coarsen.DefaultStallFraction
 	padHeavy := 0
-	for i, l := range tel.TakeStart(0, "ok", 1, 0, 1).Coarsening {
+	for i, l := range tel.TakeStart(0, "ok", 0, 1).Coarsening {
 		fine := res.LevelCells[i]
 		if float64(l.Cells) > f*float64(fine) {
 			padHeavy++

@@ -16,21 +16,15 @@ import (
 type Outcome int
 
 const (
-	// OutcomeOK: the attempt completed cleanly.
+	// OutcomeOK: the start completed cleanly.
 	OutcomeOK Outcome = iota
-	// OutcomeRecovered: an internal panic was recovered and the
-	// attempt still produced a feasible (degraded) solution.
+	// OutcomeRecovered: an internal panic was recovered and the start
+	// still produced a feasible (degraded) solution.
 	OutcomeRecovered
-	// OutcomeRetried: at least one attempt failed outright, but a
-	// reseeded retry completed cleanly.
-	OutcomeRetried
-	// OutcomeTimedOut: the per-attempt deadline expired; the attempt
-	// wound down cooperatively and its best-so-far solution was kept.
-	OutcomeTimedOut
 	// OutcomeCancelled: the caller's context was done, so the start
 	// was skipped (or abandoned) without producing a solution.
 	OutcomeCancelled
-	// OutcomeFailed: every attempt failed without a usable solution.
+	// OutcomeFailed: the start ended without a usable solution.
 	OutcomeFailed
 )
 
@@ -40,10 +34,6 @@ func (o Outcome) String() string {
 		return "ok"
 	case OutcomeRecovered:
 		return "recovered"
-	case OutcomeRetried:
-		return "retried"
-	case OutcomeTimedOut:
-		return "timed-out"
 	case OutcomeCancelled:
 		return "cancelled"
 	case OutcomeFailed:
@@ -58,24 +48,22 @@ type StartReport struct {
 	Start int
 	// Outcome classifies how the start ended.
 	Outcome Outcome
-	// Attempts is the number of attempts run (1 + retries used).
-	Attempts int
 	// Cost is the kept solution's objective value (cut or
 	// sum-of-degrees); -1 when the start produced no solution.
 	Cost int
-	// Faults is how many injected faults fired across the start's
-	// attempts (0 without a fault plan).
+	// Faults is how many injected faults fired in the start (0
+	// without a fault plan).
 	Faults int
-	// Interrupted reports that some attempt was cut short by a
-	// deadline or cancellation.
+	// Interrupted reports that the start was cut short by
+	// cancellation.
 	Interrupted bool
-	// Err is the error of the kept classification: the recovered
-	// *PanicError for OutcomeRecovered, the first attempt error for
-	// OutcomeFailed, nil otherwise.
+	// Err is the start's error: the recovered *PanicError for
+	// OutcomeRecovered, the failure for OutcomeFailed or
+	// OutcomeCancelled, nil otherwise.
 	Err error
 }
 
-// Attempt is what one supervised attempt returns to RunStarts.
+// Attempt is what one supervised start returns to RunStarts.
 type Attempt[S any] struct {
 	// Sol is the solution; read only when HasSol is true.
 	Sol S
@@ -83,9 +71,9 @@ type Attempt[S any] struct {
 	Cost int
 	// HasSol reports that Sol is a feasible solution.
 	HasSol bool
-	// Interrupted reports cooperative cancellation inside the attempt.
+	// Interrupted reports cooperative cancellation inside the start.
 	Interrupted bool
-	// Err is the attempt's error (a *PanicError for recovered panics).
+	// Err is the start's error (a *PanicError for recovered panics).
 	Err error
 }
 
@@ -94,39 +82,31 @@ type SuperOptions struct {
 	// Starts is the number of independent starts. Minimum 1.
 	Starts int
 	// Parallelism bounds the worker pool; 0 means
-	// min(GOMAXPROCS, Starts), 1 runs sequentially on the calling
-	// goroutine.
+	// min(GOMAXPROCS, Starts), 1 runs the starts one at a time on a
+	// single worker.
 	Parallelism int
-	// MaxRetries is how many reseeded retries a failed attempt gets
-	// (failed = no usable solution; recovered panics with a feasible
-	// solution are kept, not retried). Negative means none.
-	MaxRetries int
-	// AttemptTimeout, when positive, bounds each attempt with its own
-	// deadline; an expired attempt winds down cooperatively and keeps
-	// its best-so-far solution.
-	AttemptTimeout time.Duration
-	// Seed is the base seed; per-attempt seeds come from DeriveSeed.
+	// Seed is the base seed; per-start seeds come from DeriveSeed.
 	Seed int64
-	// Plan optionally arms deterministic fault injection; each attempt
+	// Plan optionally arms deterministic fault injection; each start
 	// gets its own derived injector.
 	Plan *faultinject.Plan
-	// Telemetry optionally collects per-start statistics. Each attempt
+	// Telemetry optionally collects per-start statistics. Each start
 	// gets its own child collector (so pool workers never share one);
-	// the kept children are merged into this parent in start order
-	// after the pool drains, which keeps the report bit-identical
-	// across Parallelism values. Nil costs one pointer check.
+	// the children are merged into this parent in start order after
+	// the pool drains, which keeps the report bit-identical across
+	// Parallelism values. Nil costs one pointer check.
 	Telemetry *telemetry.Collector
 }
 
-// DeriveSeed maps (base seed, start, retry) to the attempt's seed.
-// Start 0 / retry 0 returns base unchanged, so a single-start run is
-// bit-identical to the pre-supervisor sequential code; other attempts
-// get independent streams via a splitmix64-style finalizer.
-func DeriveSeed(base int64, start, retry int) int64 {
-	if start == 0 && retry == 0 {
+// DeriveSeed maps (base seed, start) to the start's seed. Start 0
+// returns base unchanged, so a single-start run is bit-identical to
+// the pre-supervisor sequential code; other starts get independent
+// streams via a splitmix64-style finalizer.
+func DeriveSeed(base int64, start int) int64 {
+	if start == 0 {
 		return base
 	}
-	z := uint64(base) ^ 0x9e3779b97f4a7c15*uint64(start+1) ^ 0xd1b54a32d192ed03*uint64(retry+1)
+	z := uint64(base) ^ 0x9e3779b97f4a7c15*uint64(start+1) ^ 0xd1b54a32d192ed03
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27
@@ -135,24 +115,20 @@ func DeriveSeed(base int64, start, retry int) int64 {
 	return int64(z)
 }
 
-// RunStarts executes o.Starts supervised attempts of run over a
-// bounded worker pool and reduces to the best solution with a
-// deterministic tie-break (lowest cost, then lowest start index), so
-// the result is bit-identical run-to-run and across Parallelism
-// values.
+// RunStarts executes o.Starts supervised starts of run over a bounded
+// worker pool and reduces to the best solution with a deterministic
+// tie-break (lowest cost, then lowest start index), so the result is
+// bit-identical run-to-run and across Parallelism values.
 //
-// Each attempt is panic-isolated (a panic escaping run becomes a
-// *PanicError, failing only that attempt), carries its own derived
-// seed and fault injector, and optionally its own deadline. Failed
-// attempts are retried with a reseeded attempt up to o.MaxRetries
-// times; attempts are never retried once the caller's context is
-// done. Start 0 always runs, even with a pre-cancelled context, so a
-// best-effort degraded solution exists.
+// Each start runs exactly once, under ctx, with its own derived seed
+// and fault injector, and is panic-isolated: a panic escaping run
+// becomes a *PanicError that fails only that start. Starts after the
+// first are skipped once ctx is done; start 0 always runs, even with
+// a pre-cancelled context, so a best-effort degraded solution exists.
 //
-// The returned error is nil when any start succeeded cleanly
-// (ok/retried/timed-out); otherwise it is the lowest-start recovered
-// *PanicError (alongside the best recovered solution), or the first
-// failure.
+// The returned error is nil when any start completed cleanly;
+// otherwise it is the lowest-start recovered *PanicError (alongside
+// the best recovered solution), or the first failure.
 func RunStarts[S any](ctx context.Context, o SuperOptions, run func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *telemetry.Collector) Attempt[S]) (S, int, []StartReport, error) {
 	if o.Starts < 1 {
 		o.Starts = 1
@@ -163,10 +139,6 @@ func RunStarts[S any](ctx context.Context, o SuperOptions, run func(ctx context.
 	}
 	if par > o.Starts {
 		par = o.Starts
-	}
-	retries := o.MaxRetries
-	if retries < 0 {
-		retries = 0
 	}
 
 	reports := make([]StartReport, o.Starts)
@@ -187,7 +159,7 @@ func RunStarts[S any](ctx context.Context, o SuperOptions, run func(ctx context.
 			t0 = time.Now()
 		}
 		var tel *telemetry.Collector
-		reports[s], tel = superviseStart(ctx, o, s, retries, run, &sols[s])
+		reports[s], tel = superviseStart(ctx, o, s, run, &sols[s])
 		if o.Telemetry != nil {
 			tels[s] = tel
 			//mllint:ignore par-purity telemetry-gated wall clock: durations land in per-start slots merged in start order, never in results
@@ -195,59 +167,45 @@ func RunStarts[S any](ctx context.Context, o SuperOptions, run func(ctx context.
 		}
 	}
 
-	if par == 1 {
-		// Sequential fast path on the calling goroutine: identical
-		// reduction, no pool. Keeps single-start runs (the default)
-		// free of any goroutine machinery.
-		for s := 0; s < o.Starts; s++ {
-			runStart(s)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for s := range idx {
-					runStart(s)
-				}
-			}()
-		}
-		for s := 0; s < o.Starts; s++ {
-			idx <- s
-		}
-		close(idx)
-		wg.Wait()
+	// One dispatch path for every par: with par == 1 a single worker
+	// runs the starts in order, so a Scratch threaded through run is
+	// still used by one goroutine at a time.
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < par; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := range idx {
+				runStart(s)
+			}
+		}()
 	}
+	for s := 0; s < o.Starts; s++ {
+		idx <- s
+	}
+	close(idx)
+	wg.Wait()
 
 	if o.Telemetry != nil {
 		for s := range reports {
 			r := reports[s]
-			o.Telemetry.AttachStart(tels[s].TakeStart(s, r.Outcome.String(), r.Attempts, r.Cost, startNS[s]))
+			o.Telemetry.AttachStart(tels[s].TakeStart(s, r.Outcome.String(), r.Cost, startNS[s]))
 		}
 	}
 
 	// Deterministic reduction: lowest cost wins, ties to the lowest
 	// start index (ascending scan with a strict comparison).
 	best := -1
-	for s := range reports {
-		if reports[s].Cost < 0 {
-			continue
-		}
-		if best == -1 || reports[s].Cost < reports[best].Cost {
+	clean := false
+	for s, r := range reports {
+		clean = clean || r.Outcome == OutcomeOK
+		if r.Cost >= 0 && (best == -1 || r.Cost < reports[best].Cost) {
 			best = s
 		}
 	}
 
 	var err error
-	clean := false
-	for _, r := range reports {
-		switch r.Outcome {
-		case OutcomeOK, OutcomeRetried, OutcomeTimedOut:
-			clean = true
-		}
-	}
 	if !clean {
 		// Prefer the error that accompanies the returned solution
 		// (the recovered panic of the best start); otherwise the
@@ -270,77 +228,43 @@ func RunStarts[S any](ctx context.Context, o SuperOptions, run func(ctx context.
 	return sol, best, reports, err
 }
 
-// superviseStart runs one start: attempt, classify, retry. The kept
+// superviseStart runs start s once and classifies it. The kept
 // solution (if any) is written to *keep and signalled by a
 // non-negative Cost in the report. The returned collector is the
-// child that observed the classified attempt (nil when telemetry is
-// disabled or the start was skipped).
-func superviseStart[S any](ctx context.Context, o SuperOptions, s, retries int, run func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *telemetry.Collector) Attempt[S], keep *Attempt[S]) (StartReport, *telemetry.Collector) {
+// child that observed the start (nil when telemetry is disabled or
+// the start was skipped).
+func superviseStart[S any](ctx context.Context, o SuperOptions, s int, run func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *telemetry.Collector) Attempt[S], keep *Attempt[S]) (StartReport, *telemetry.Collector) {
 	rep := StartReport{Start: s, Cost: -1}
 	if s > 0 && ctx.Err() != nil {
 		rep.Outcome = OutcomeCancelled
 		return rep, nil
 	}
-	var firstErr error
-	var tel *telemetry.Collector
-	for attempt := 0; attempt <= retries; attempt++ {
-		rep.Attempts = attempt + 1
-		inj := o.Plan.NewInjector(s, attempt)
-		// Fresh child per attempt, so a kept retry's stats are not
-		// polluted by the failed attempt before it.
-		tel = o.Telemetry.NewChild()
-		actx := ctx
-		var cancel context.CancelFunc
-		if o.AttemptTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, o.AttemptTimeout)
+	inj := o.Plan.NewInjector(s)
+	tel := o.Telemetry.NewChild()
+	a := runIsolated(ctx, DeriveSeed(o.Seed, s), inj, tel, run)
+	rep.Faults = inj.Fired()
+	rep.Interrupted = a.Interrupted
+	rep.Err = a.Err
+	_, recovered := AsPanicError(a.Err)
+	switch {
+	case a.HasSol && a.Err == nil:
+		rep.Outcome = OutcomeOK
+	case a.HasSol && recovered:
+		// Recovered panic with a feasible degraded solution: the
+		// solution is valid, so it competes in the reduction.
+		rep.Outcome = OutcomeRecovered
+	case ctx.Err() != nil:
+		rep.Outcome = OutcomeCancelled
+		return rep, tel
+	default:
+		rep.Outcome = OutcomeFailed
+		if rep.Err == nil {
+			rep.Err = errors.New("core: start produced no solution")
 		}
-		a := runIsolated(actx, DeriveSeed(o.Seed, s, attempt), inj, tel, run)
-		timedOut := cancel != nil && errors.Is(actx.Err(), context.DeadlineExceeded) && ctx.Err() == nil
-		if cancel != nil {
-			cancel()
-		}
-		rep.Faults += inj.Fired()
-		if a.Interrupted {
-			rep.Interrupted = true
-		}
-		if a.Err == nil && a.HasSol {
-			*keep = a
-			rep.Cost = a.Cost
-			switch {
-			case attempt > 0:
-				rep.Outcome = OutcomeRetried
-			case timedOut:
-				rep.Outcome = OutcomeTimedOut
-			default:
-				rep.Outcome = OutcomeOK
-			}
-			return rep, tel
-		}
-		if _, ok := AsPanicError(a.Err); ok && a.HasSol {
-			// Recovered panic with a feasible degraded solution: keep
-			// it rather than spend a retry — the paper's multi-start
-			// already averages over starts, and the solution is valid.
-			*keep = a
-			rep.Cost = a.Cost
-			rep.Outcome = OutcomeRecovered
-			rep.Err = a.Err
-			return rep, tel
-		}
-		if firstErr == nil {
-			firstErr = a.Err
-		}
-		if ctx.Err() != nil {
-			// Never retry once the caller has cancelled.
-			rep.Outcome = OutcomeCancelled
-			rep.Err = firstErr
-			return rep, tel
-		}
+		return rep, tel
 	}
-	rep.Outcome = OutcomeFailed
-	if firstErr == nil {
-		firstErr = errors.New("core: start produced no solution")
-	}
-	rep.Err = firstErr
+	*keep = a
+	rep.Cost = a.Cost
 	return rep, tel
 }
 

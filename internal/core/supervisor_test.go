@@ -11,23 +11,39 @@ import (
 )
 
 func TestDeriveSeedIdentityAtOrigin(t *testing.T) {
-	// Start 0 / retry 0 must return the base seed unchanged so a
-	// single-start run stays bit-identical to the pre-supervisor code.
+	// Start 0 must return the base seed unchanged so a single-start
+	// run stays bit-identical to the pre-supervisor code.
 	for _, base := range []int64{0, 1, -7, 1997, 1 << 40} {
-		if got := DeriveSeed(base, 0, 0); got != base {
-			t.Fatalf("DeriveSeed(%d,0,0) = %d", base, got)
+		if got := DeriveSeed(base, 0); got != base {
+			t.Fatalf("DeriveSeed(%d,0) = %d", base, got)
 		}
 	}
-	// Distinct (start, retry) pairs must get distinct streams.
-	seen := map[int64]string{}
-	for s := 0; s < 8; s++ {
-		for r := 0; r < 3; r++ {
-			d := DeriveSeed(1997, s, r)
-			key := string(rune('a'+s)) + string(rune('0'+r))
-			if prev, dup := seen[d]; dup {
-				t.Fatalf("seed collision between %s and %s", prev, key)
-			}
-			seen[d] = key
+	// Distinct starts must get distinct streams.
+	seen := map[int64]int{}
+	for s := 0; s < 64; s++ {
+		d := DeriveSeed(1997, s)
+		if prev, dup := seen[d]; dup {
+			t.Fatalf("seed collision between starts %d and %d", prev, s)
+		}
+		seen[d] = s
+	}
+}
+
+// TestDeriveSeedPinned pins the per-start seeds bit for bit: every
+// multi-start partition depends on them.
+func TestDeriveSeedPinned(t *testing.T) {
+	for _, c := range []struct {
+		base  int64
+		start int
+		want  int64
+	}{
+		{1997, 1, 8751083212518063063},
+		{1997, 2, 5443941246332139689},
+		{1997, 7, -6914696295850095415},
+		{-5, 3, 5922940251472623172},
+	} {
+		if got := DeriveSeed(c.base, c.start); got != c.want {
+			t.Errorf("DeriveSeed(%d,%d) = %d, want %d", c.base, c.start, got, c.want)
 		}
 	}
 }
@@ -77,17 +93,23 @@ func TestRunStartsTieBreaksToLowestStart(t *testing.T) {
 
 func TestRunStartsRecoveredPanicIsolated(t *testing.T) {
 	// A panic escaping one start must not kill the others or surface
-	// as the top-level error when a clean start exists.
+	// as the top-level error when a clean start exists, and the
+	// failed start is not run again.
+	var calls atomic.Int32
 	run := func(ctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector) Attempt[int] {
-		if seed == DeriveSeed(9, 1, 0) {
+		calls.Add(1)
+		if seed == DeriveSeed(9, 1) {
 			panic("boom")
 		}
 		return Attempt[int]{Sol: 1, Cost: 3, HasSol: true}
 	}
 	_, best, reports, err := RunStarts(context.Background(),
-		SuperOptions{Starts: 3, Parallelism: 3, Seed: 9, MaxRetries: 0}, run)
+		SuperOptions{Starts: 3, Parallelism: 3, Seed: 9}, run)
 	if err != nil {
 		t.Fatalf("clean starts exist, got error %v", err)
+	}
+	if got := calls.Load(); got != 3 {
+		t.Fatalf("run called %d times, want one per start", got)
 	}
 	if best != 0 {
 		t.Fatalf("best = %d", best)
@@ -108,14 +130,14 @@ func TestRunStartsRecoveredPanicIsolated(t *testing.T) {
 
 func TestRunStartsRecoveredSolutionKept(t *testing.T) {
 	// A recovered panic WITH a feasible solution is kept (outcome
-	// recovered, no retry spent); with no clean start anywhere, the
-	// top-level error is the best start's recovered panic.
+	// recovered); with no clean start anywhere, the top-level error is
+	// the best start's recovered panic.
 	perr := &PanicError{Stage: "refine", Level: 2, Value: "inv"}
 	run := func(ctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector) Attempt[int] {
 		return Attempt[int]{Sol: 5, Cost: 11, HasSol: true, Err: perr}
 	}
 	sol, best, reports, err := RunStarts(context.Background(),
-		SuperOptions{Starts: 2, Parallelism: 1, Seed: 3, MaxRetries: 2}, run)
+		SuperOptions{Starts: 2, Parallelism: 1, Seed: 3}, run)
 	if sol != 5 || best != 0 {
 		t.Fatalf("sol %d best %d", sol, best)
 	}
@@ -123,31 +145,16 @@ func TestRunStartsRecoveredSolutionKept(t *testing.T) {
 		t.Fatalf("top-level err %v, want the recovered panic", err)
 	}
 	for _, r := range reports {
-		if r.Outcome != OutcomeRecovered || r.Attempts != 1 {
+		if r.Outcome != OutcomeRecovered {
 			t.Fatalf("report %+v", r)
 		}
 	}
 }
 
-func TestRunStartsRetryConsumesAttempts(t *testing.T) {
-	var calls atomic.Int32
-	run := func(ctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector) Attempt[int] {
-		n := calls.Add(1)
-		if n == 1 {
-			return Attempt[int]{Err: errors.New("transient")}
-		}
-		return Attempt[int]{Sol: 1, Cost: 1, HasSol: true}
-	}
-	_, best, reports, err := RunStarts(context.Background(),
-		SuperOptions{Starts: 1, MaxRetries: 1, Parallelism: 1}, run)
-	if err != nil || best != 0 {
-		t.Fatalf("best %d err %v", best, err)
-	}
-	if reports[0].Outcome != OutcomeRetried || reports[0].Attempts != 2 {
-		t.Fatalf("report %+v", reports[0])
-	}
-}
-
+// TestRunStartsNoRetryAfterCancel pins that a start fails once and
+// for all: a start whose run fails after the caller cancels is run
+// exactly once and reported cancelled, and the later starts are
+// skipped without running.
 func TestRunStartsNoRetryAfterCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int32
@@ -157,9 +164,9 @@ func TestRunStartsNoRetryAfterCancel(t *testing.T) {
 		return Attempt[int]{Err: errors.New("transient")}
 	}
 	_, best, reports, err := RunStarts(ctx,
-		SuperOptions{Starts: 3, MaxRetries: 5, Parallelism: 1}, run)
+		SuperOptions{Starts: 3, Parallelism: 1}, run)
 	if got := calls.Load(); got != 1 {
-		t.Fatalf("run called %d times, want 1 (no retry, no later starts)", got)
+		t.Fatalf("run called %d times, want 1 (no later starts)", got)
 	}
 	if best != -1 || err == nil {
 		t.Fatalf("best %d err %v", best, err)
@@ -168,7 +175,7 @@ func TestRunStartsNoRetryAfterCancel(t *testing.T) {
 		t.Fatalf("start 0 outcome %v", reports[0].Outcome)
 	}
 	for _, s := range []int{1, 2} {
-		if reports[s].Outcome != OutcomeCancelled || reports[s].Attempts != 0 {
+		if reports[s].Outcome != OutcomeCancelled || reports[s].Err != nil {
 			t.Fatalf("start %d report %+v", s, reports[s])
 		}
 	}
@@ -176,16 +183,18 @@ func TestRunStartsNoRetryAfterCancel(t *testing.T) {
 
 func TestRunStartsAllFailedSurfacesFirstError(t *testing.T) {
 	sentinel := errors.New("first failure")
+	var calls atomic.Int32
 	run := func(ctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector) Attempt[int] {
-		if seed == DeriveSeed(5, 0, 0) {
+		calls.Add(1)
+		if seed == DeriveSeed(5, 0) {
 			return Attempt[int]{Err: sentinel}
 		}
 		return Attempt[int]{Err: errors.New("other failure")}
 	}
 	_, best, _, err := RunStarts(context.Background(),
-		SuperOptions{Starts: 3, Parallelism: 1, Seed: 5, MaxRetries: 0}, run)
-	if best != -1 {
-		t.Fatalf("best = %d", best)
+		SuperOptions{Starts: 3, Parallelism: 1, Seed: 5}, run)
+	if best != -1 || calls.Load() != 3 {
+		t.Fatalf("best = %d after %d runs; want -1 after one run per start", best, calls.Load())
 	}
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want first failure in start order", err)

@@ -17,8 +17,8 @@ import (
 // the multi-start supervisor therefore gets one per attempt
 // goroutine), so hierarchy levels — and, in V-cycles, whole cycles —
 // reuse memory while nothing is ever shared across goroutines or
-// retained in package state. A Scratch carries one bundle across the
-// attempts of one goroutine.
+// retained in package state. A Scratch carries one bundle across
+// successive attempts that run one at a time.
 //
 // Sizing contract: every scratch buffer in the bundle reaches its
 // final size at the finest level and never grows while the attempt
@@ -100,15 +100,16 @@ func (hw *hierarchyWorkspace) keep(i int) *levelSlot {
 }
 
 // Scratch is a reusable pipeline workspace bundle for sequential
-// execution. A caller that runs many attempts back-to-back on one
-// goroutine (an mlpart.Session, one per mlpartd executor) threads one
+// execution. A caller that runs many attempts back-to-back (an
+// mlpart.Session, one per mlpartd executor) threads one
 // Scratch through Config.Scratch / QuadConfig.Scratch so successive
 // attempts reuse the same match/induce/refine buffers and the same
 // hierarchy store instead of allocating a fresh set per attempt.
 //
-// Contract: a Scratch is single-goroutine. At most one attempt may
-// use it at a time, so callers pass it only to runs whose starts
-// execute one at a time (Starts 1 or Parallelism 1). Reuse is
+// Contract: a Scratch is used by one goroutine at a time. At most one
+// attempt may use it at a time, so callers pass it only to runs whose
+// starts execute one at a time (Starts 1 or Parallelism 1, where
+// RunStarts runs them in order on a single worker goroutine). Reuse is
 // bit-identity preserving: every array an attempt reads is rewritten
 // by that attempt first, so a result computed on a reused Scratch is
 // byte-identical to one computed on a fresh bundle.

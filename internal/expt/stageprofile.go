@@ -45,7 +45,7 @@ func StageProfile(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := tel.TakeStart(0, "ok", 1, res.Cut, 0)
+		s := tel.TakeStart(0, "ok", res.Cut, 0)
 		coarsest := c.H.NumCells()
 		if n := len(s.Coarsening); n > 0 {
 			coarsest = s.Coarsening[n-1].Cells

@@ -8,9 +8,9 @@
 // introduced by the robustness layer actually work.
 //
 // Determinism contract: an Injector is derived from (Plan.Seed, start
-// index, retry index) and owns its hit counters and rng, so the same
-// plan injects the same faults at the same sites run after run,
-// regardless of how many attempts execute concurrently.
+// index) and owns its hit counters and rng, so the same plan injects
+// the same faults at the same sites run after run, regardless of how
+// many starts execute concurrently.
 //
 // Production overhead: a nil *Injector is the off state. Every
 // instrumented site compiles to a single pointer check
@@ -132,8 +132,8 @@ func OnStart(site Site, kind Kind, nth, start int) Entry {
 // Plan is an immutable fault-injection plan: a seed plus the armed
 // entries. A nil *Plan is the off state.
 type Plan struct {
-	// Seed drives the probabilistic triggers; the per-attempt injector
-	// seed is derived from (Seed, start, retry).
+	// Seed drives the probabilistic triggers; the per-start injector
+	// seed is derived from (Seed, start).
 	Seed    int64
 	Entries []Entry
 }
@@ -172,10 +172,10 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// NewInjector derives the per-attempt injector for the given 0-based
-// start and retry indices. It returns nil — the zero-overhead off
-// state — for a nil plan or when no entry applies to this start.
-func (p *Plan) NewInjector(start, retry int) *Injector {
+// NewInjector derives the injector for the given 0-based start index.
+// It returns nil — the zero-overhead off state — for a nil plan or
+// when no entry applies to this start.
+func (p *Plan) NewInjector(start int) *Injector {
 	if p == nil || len(p.Entries) == 0 {
 		return nil
 	}
@@ -191,14 +191,14 @@ func (p *Plan) NewInjector(start, retry int) *Injector {
 	return &Injector{
 		entries: es,
 		hits:    make(map[Site]int),
-		rng:     rand.New(rand.NewSource(mixSeed(p.Seed, start, retry))),
+		rng:     rand.New(rand.NewSource(mixSeed(p.Seed, start))),
 	}
 }
 
-// mixSeed derives an independent rng stream per (seed, start, retry)
-// with a splitmix64-style finalizer.
-func mixSeed(seed int64, start, retry int) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(start+1) + 0xbf58476d1ce4e5b9*uint64(retry+1)
+// mixSeed derives an independent rng stream per (seed, start) with a
+// splitmix64-style finalizer.
+func mixSeed(seed int64, start int) int64 {
+	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(start+1) + 0xbf58476d1ce4e5b9
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27
@@ -218,8 +218,8 @@ func (f *Fault) String() string {
 	return fmt.Sprintf("injected fault at %s (hit %d)", f.Site, f.Hit)
 }
 
-// Injector applies one attempt's share of a Plan. It is owned by a
-// single attempt goroutine and must not be shared.
+// Injector applies one start's share of a Plan. It is owned by a
+// single goroutine and must not be shared.
 type Injector struct {
 	entries []Entry
 	hits    map[Site]int

@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -35,7 +36,7 @@ func TestValidate(t *testing.T) {
 
 func TestNilInjectorIsOff(t *testing.T) {
 	var p *Plan
-	if in := p.NewInjector(0, 0); in != nil {
+	if in := p.NewInjector(0); in != nil {
 		t.Fatal("nil plan must yield a nil injector")
 	}
 	var in *Injector
@@ -46,10 +47,10 @@ func TestNilInjectorIsOff(t *testing.T) {
 
 func TestStartFiltering(t *testing.T) {
 	p := &Plan{Entries: []Entry{OnStart(SiteFMPass, KindCancel, 1, 2)}}
-	if in := p.NewInjector(0, 0); in != nil {
+	if in := p.NewInjector(0); in != nil {
 		t.Fatal("entry restricted to start 2 must not arm start 0")
 	}
-	in := p.NewInjector(2, 0)
+	in := p.NewInjector(2)
 	if in == nil {
 		t.Fatal("entry restricted to start 2 must arm start 2")
 	}
@@ -63,7 +64,7 @@ func TestStartFiltering(t *testing.T) {
 
 func TestOnHitTriggersExactlyOnce(t *testing.T) {
 	p := &Plan{Entries: []Entry{On(SiteCoarsenMatch, KindCorrupt, 3)}}
-	in := p.NewInjector(0, 0)
+	in := p.NewInjector(0)
 	for hit := 1; hit <= 5; hit++ {
 		act := in.Fire(SiteCoarsenMatch)
 		want := ActNone
@@ -81,7 +82,7 @@ func TestOnHitTriggersExactlyOnce(t *testing.T) {
 
 func TestHitCountersArePerSite(t *testing.T) {
 	p := &Plan{Entries: []Entry{On(SiteFMPass, KindCancel, 2)}}
-	in := p.NewInjector(0, 0)
+	in := p.NewInjector(0)
 	// Hits at other sites must not advance fm.pass's counter.
 	in.Fire(SiteCoarsenMatch)
 	in.Fire(SiteCoreProject)
@@ -95,7 +96,7 @@ func TestHitCountersArePerSite(t *testing.T) {
 
 func TestPanicValue(t *testing.T) {
 	p := &Plan{Entries: []Entry{On(SiteKwayRefine, KindPanic, 1)}}
-	in := p.NewInjector(0, 0)
+	in := p.NewInjector(0)
 	defer func() {
 		r := recover()
 		f, ok := r.(*Fault)
@@ -115,31 +116,33 @@ func TestPanicValue(t *testing.T) {
 
 func TestProbDeterminism(t *testing.T) {
 	p := &Plan{Seed: 17, Entries: []Entry{{Site: SiteFMPass, Kind: KindCancel, Prob: 0.5, Start: AnyStart}}}
-	run := func(start, retry int) []Action {
-		in := p.NewInjector(start, retry)
-		acts := make([]Action, 20)
-		for i := range acts {
-			acts[i] = in.Fire(SiteFMPass)
+	run := func(start int) string {
+		in := p.NewInjector(start)
+		var b strings.Builder
+		for i := 0; i < 32; i++ {
+			if in.Fire(SiteFMPass) == ActNone {
+				b.WriteByte('0')
+			} else {
+				b.WriteByte('1')
+			}
 		}
-		return acts
+		return b.String()
 	}
-	a, b := run(3, 1), run(3, 1)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same (start,retry) diverged at hit %d", i)
+	if a, b := run(3), run(3); a != b {
+		t.Fatalf("same start diverged: %s vs %s", a, b)
+	}
+	// The per-start streams are pinned bit for bit: a chaos plan must
+	// trigger at the same hits in every build.
+	for _, c := range []struct {
+		start int
+		want  string
+	}{
+		{0, "10111010001000010010100011110110"},
+		{3, "01111011010010101101111011100101"},
+	} {
+		if got := run(c.start); got != c.want {
+			t.Errorf("start %d stream %s, want %s", c.start, got, c.want)
 		}
-	}
-	// Distinct attempts draw from distinct streams.
-	c := run(3, 2)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("retry stream identical to first attempt (seed mixing broken)")
 	}
 }
 

@@ -20,8 +20,8 @@ const (
 	// same cancel/corrupt semantics as SiteFMPass.
 	SiteKwayRefine Site = "kway.refine"
 	// SiteCoreProject fires before each uncoarsening projection. A
-	// panic here is unrecoverable for the attempt (no fine solution
-	// exists yet) and exercises the supervisor's retry path.
+	// panic here is unrecoverable for the start (no fine solution
+	// exists yet), so the start fails and the others still run.
 	SiteCoreProject Site = "core.project"
 	// SiteCoreRebalance fires before each per-level rebalance/refine
 	// decision. A panic drops the attempt to the degraded

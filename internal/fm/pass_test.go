@@ -46,7 +46,7 @@ func TestPassContract(t *testing.T) {
 			}
 			for name, cfg := range map[string]Config{
 				"stop":   {Stop: stop},
-				"cancel": {Inject: plan.NewInjector(0, 0)},
+				"cancel": {Inject: plan.NewInjector(0)},
 			} {
 				p, res := run(cfg)
 				if !res.Interrupted || res.Passes != 1 {
@@ -59,7 +59,7 @@ func TestPassContract(t *testing.T) {
 
 			c := telemetry.New()
 			_, res = run(Config{Telemetry: c})
-			passes := c.TakeStart(0, "", 1, res.Cut, 0).Passes
+			passes := c.TakeStart(0, "", res.Cut, 0).Passes
 			if res.Passes < 2 || len(passes) != res.Passes {
 				t.Fatalf("%d passes recorded for %d run, want one per pass and at least 2", len(passes), res.Passes)
 			}

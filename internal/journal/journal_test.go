@@ -259,7 +259,7 @@ func TestInjectedTornWrite(t *testing.T) {
 	plan := &faultinject.Plan{Entries: []faultinject.Entry{
 		faultinject.On(faultinject.SiteJournalAppend, faultinject.KindCorrupt, 2),
 	}}
-	w, err := OpenAppend(path, Options{Inject: plan.NewInjector(0, 0)})
+	w, err := OpenAppend(path, Options{Inject: plan.NewInjector(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestInjectedTransientAppend(t *testing.T) {
 	plan := &faultinject.Plan{Entries: []faultinject.Entry{
 		faultinject.On(faultinject.SiteJournalAppend, faultinject.KindCancel, 1),
 	}}
-	w, err := OpenAppend(path, Options{Inject: plan.NewInjector(0, 0)})
+	w, err := OpenAppend(path, Options{Inject: plan.NewInjector(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestInjectedReplayTruncation(t *testing.T) {
 	plan := &faultinject.Plan{Entries: []faultinject.Entry{
 		faultinject.On(faultinject.SiteJournalReplay, faultinject.KindCorrupt, 2),
 	}}
-	recs, st, err := Load(path, plan.NewInjector(0, 0))
+	recs, st, err := Load(path, plan.NewInjector(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -604,7 +604,7 @@ func TestOracleCorruptFaultReportsRecount(t *testing.T) {
 	for _, obj := range []Objective{SumOfDegrees, NetCut} {
 		for nth := 1; nth <= 3; nth++ {
 			plan := &faultinject.Plan{Seed: 5, Entries: []faultinject.Entry{faultinject.On(faultinject.SiteKwayRefine, faultinject.KindCorrupt, nth)}}
-			inj := plan.NewInjector(0, 0)
+			inj := plan.NewInjector(0)
 			p, res, err := Partition(h, nil, Config{Objective: obj, Inject: inj}, rand.New(rand.NewSource(int64(nth))))
 			if err != nil {
 				t.Fatal(err)

@@ -48,7 +48,7 @@ func TestPassContract(t *testing.T) {
 			}
 			for name, cfg := range map[string]Config{
 				"stop":   {Stop: stop},
-				"cancel": {Inject: plan.NewInjector(0, 0)},
+				"cancel": {Inject: plan.NewInjector(0)},
 			} {
 				p, res := run(cfg)
 				if !res.Interrupted || res.Passes != 1 {
@@ -61,7 +61,7 @@ func TestPassContract(t *testing.T) {
 
 			c := telemetry.New()
 			_, res = run(Config{Telemetry: c})
-			passes := c.TakeStart(0, "", 1, res.SumDegrees, 0).Passes
+			passes := c.TakeStart(0, "", res.SumDegrees, 0).Passes
 			if res.Passes < 2 || len(passes) != res.Passes {
 				t.Fatalf("%d passes recorded for %d run, want one per pass and at least 2", len(passes), res.Passes)
 			}

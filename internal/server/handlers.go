@@ -479,7 +479,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	// The events fault site, derived from the job's admission sequence
 	// like the job's own sites.
 	cut := false
-	if inj := s.cfg.Inject.NewInjector(j.seq, 0); inj != nil {
+	if inj := s.cfg.Inject.NewInjector(j.seq); inj != nil {
 		cut = inj.Fire(faultinject.SiteServerEvents) == faultinject.ActCancel
 	}
 	fl, ok := w.(http.Flusher)

@@ -44,7 +44,7 @@ import (
 // jobs in admission order; the caller enqueues them. Called from New
 // before the worker pool exists, so no locking is needed.
 func (s *Server) recoverJournal() ([]*job, error) {
-	recs, st, err := loadJournal(s.cfg.JournalPath, s.cfg.Inject.NewInjector(0, 0))
+	recs, st, err := loadJournal(s.cfg.JournalPath, s.cfg.Inject.NewInjector(0))
 	if err != nil {
 		return nil, err
 	}
@@ -117,10 +117,10 @@ func (s *Server) recoverJournal() ([]*job, error) {
 		if err != nil {
 			// The journaled request no longer passes admission — its
 			// options were accepted before admission checked them for
-			// k, limits tightened across the restart, or the record was
-			// corrupted yet re-checksummed. The job still owes a
-			// terminal status: close it as failed rather than dropping
-			// it silently.
+			// k or bounded starts, limits tightened across the restart,
+			// or the record was corrupted yet re-checksummed. The job
+			// still owes a terminal status: close it as failed rather
+			// than dropping it silently.
 			term := journal.Record{Type: journal.TypeTerminal, ID: id, Seq: acc.Seq, Status: string(StatusFailed)}
 			s.registerTombstone(acc, term)
 			if t, ok := s.jobs[id]; ok {
@@ -162,7 +162,7 @@ func (s *Server) recoverJournal() ([]*job, error) {
 		return nil, err
 	}
 	w, err := journal.OpenAppend(s.cfg.JournalPath, journal.Options{
-		Inject:     s.cfg.Inject.NewInjector(0, 0),
+		Inject:     s.cfg.Inject.NewInjector(0),
 		AppendHook: s.cfg.JournalAppendHook,
 	})
 	if err != nil {
@@ -213,8 +213,9 @@ func (s *Server) registerTombstone(acc, term journal.Record) {
 
 // rebuildJob reconstructs a runnable job from a journaled accepted
 // record, revalidating the request exactly as admission does now: a
-// job journaled before admission checked its options for k fails
-// here and is closed failed.
+// job journaled before admission checked its options for k, or before
+// starts was bounded by mlpart.MaxStarts, fails here and is closed
+// failed.
 func rebuildJob(acc journal.Record, limits hypergraph.Limits) (*job, error) {
 	var req jobRequest
 	if err := json.Unmarshal(acc.Request, &req); err != nil {

@@ -254,30 +254,44 @@ func TestJournalTwoRecordsPerJob(t *testing.T) {
 	}
 }
 
-// TestRecoveryClosesUnrunnableJob replays an open k=4 job whose
-// options admission refuses (engine prop, journaled before admission
-// checked options for k): recovery must close it failed with code
-// recovery instead of running it.
+// TestRecoveryClosesUnrunnableJob replays open jobs whose options
+// admission now refuses — a k=4 job with engine prop, and one with
+// starts above mlpart.MaxStarts, both journaled before admission
+// checked them: recovery must close each failed with code recovery
+// instead of running it.
 func TestRecoveryClosesUnrunnableJob(t *testing.T) {
 	hgr := testHGR(t, 6, 6)
-	path := filepath.Join(t.TempDir(), "jobs.wal")
-	acc := acceptedFor(t, "j-000000", 0, hgr, "")
-	acc.K = 4
-	acc.Request = submitBody(t, hgr, 4, map[string]any{"engine": "prop"}, nil)
-	writeJournal(t, path, acc)
+	cases := []struct {
+		name    string
+		k       int
+		options map[string]any
+		want    string
+	}{
+		{"engine prop", 4, map[string]any{"engine": "prop"}, "bipartition-only"},
+		{"starts above bound", 2, map[string]any{"starts": mlpart.MaxStarts + 1}, "starts"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "jobs.wal")
+			acc := acceptedFor(t, "j-000000", 0, hgr, "")
+			acc.K = tc.k
+			acc.Request = submitBody(t, hgr, tc.k, tc.options, nil)
+			writeJournal(t, path, acc)
 
-	s, err := New(Config{JournalPath: path})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer s.Close()
-	v, ok := s.Job("j-000000")
-	if !ok || v.Status != StatusFailed || v.Error == nil || v.Error.Code != "recovery" ||
-		!strings.Contains(v.Error.Message, "bipartition-only") {
-		t.Fatalf("replayed job = %+v (error %+v), want failed with a recovery error naming the engine", v, v.Error)
-	}
-	if rep := s.Stats(); rep.Recovered != 0 || rep.Accepted != 0 {
-		t.Errorf("counters: recovered %d accepted %d, want 0 and 0", rep.Recovered, rep.Accepted)
+			s, err := New(Config{JournalPath: path})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer s.Close()
+			v, ok := s.Job("j-000000")
+			if !ok || v.Status != StatusFailed || v.Error == nil || v.Error.Code != "recovery" ||
+				!strings.Contains(v.Error.Message, tc.want) {
+				t.Fatalf("replayed job = %+v (error %+v), want failed with a recovery error naming %q", v, v.Error, tc.want)
+			}
+			if rep := s.Stats(); rep.Recovered != 0 || rep.Accepted != 0 {
+				t.Errorf("counters: recovered %d accepted %d, want 0 and 0", rep.Recovered, rep.Accepted)
+			}
+		})
 	}
 }
 

@@ -18,10 +18,10 @@
 //   - Fault isolation per job: a panic — internal or injected through
 //     the server.admit / server.job fault sites — fails only the
 //     submission or job it hit; a failed job carries a typed
-//     ErrorReport. Each admitted job runs once: the pipeline is a pure
-//     function of its inputs, so re-running a failed job would repeat
-//     the same computation (its starts already get the supervisor's
-//     reseeded retries).
+//     ErrorReport. Each admitted job runs once, and so does each of
+//     its starts: the pipeline is a pure function of its inputs, so
+//     re-running a failed job or start would repeat the same
+//     computation.
 //   - Graceful degradation on shutdown: Drain stops admission, gives
 //     in-flight and queued jobs a grace period, then winds the rest
 //     down cooperatively into the drained terminal status.
@@ -92,10 +92,9 @@ type Config struct {
 	// and server.job sites. Per-submission injectors are derived from
 	// the admission sequence number — every submission consumes one,
 	// accepted or not — so a plan entry with Start s targets the s-th
-	// submission (retry index 0: a job runs once). The journal.append
-	// and journal.replay sites use the fixed derivation (start 0, retry
-	// 0) with OnHit counting appends / replayed frames. Nil adds one
-	// pointer check per site.
+	// submission. The journal.append and journal.replay sites use the
+	// fixed derivation (start 0) with OnHit counting appends /
+	// replayed frames. Nil adds one pointer check per site.
 	Inject *faultinject.Plan
 }
 
@@ -381,7 +380,7 @@ func (s *Server) admitJob(h *mlpart.Hypergraph, k int, opt mlpart.Options, timeo
 	seq := s.seq
 	s.seq++
 
-	if inj := s.cfg.Inject.NewInjector(seq, 0); inj != nil {
+	if inj := s.cfg.Inject.NewInjector(seq); inj != nil {
 		switch inj.Fire(faultinject.SiteServerAdmit) {
 		case faultinject.ActCancel:
 			// Shed as if the queue were full — the deterministic
@@ -691,7 +690,7 @@ func (s *Server) attempt(ctx context.Context, j *job, h *mlpart.Hypergraph, sess
 		}
 	}()
 
-	if inj := s.cfg.Inject.NewInjector(j.seq, 0); inj != nil {
+	if inj := s.cfg.Inject.NewInjector(j.seq); inj != nil {
 		// The job fault site. Panic unwinds into the recover above and
 		// fails the job with code internal; delay eats into the
 		// deadline; cancel emulates a client cancellation; corrupt is

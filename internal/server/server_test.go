@@ -367,6 +367,35 @@ func TestUnrunnableOptionsRejected(t *testing.T) {
 	}
 }
 
+// TestStartsAboveBoundRejected submits starts one above
+// mlpart.MaxStarts: admission must answer 400 bad_request naming
+// starts, count it invalid, and journal nothing, so the request can
+// neither size a run's per-start state nor be replayed after a
+// restart.
+func TestStartsAboveBoundRejected(t *testing.T) {
+	var appends atomic.Int64
+	s, hs := newTestServer(t, Config{
+		JournalPath:       filepath.Join(t.TempDir(), "jobs.wal"),
+		JournalAppendHook: func(int) { appends.Add(1) },
+	})
+	hgr := testHGR(t, 4, 4)
+	for _, k := range []int{2, 4} {
+		code, _, data := postJob(t, hs.URL, submitBody(t, hgr, k,
+			map[string]any{"starts": mlpart.MaxStarts + 1, "parallelism": 1}, nil))
+		var eb errorBody
+		if err := json.Unmarshal(data, &eb); err != nil || code != http.StatusBadRequest ||
+			eb.Error.Code != "bad_request" || !strings.Contains(eb.Error.Message, "starts") {
+			t.Errorf("k=%d: status %d, want 400 bad_request naming starts: %s", k, code, data)
+		}
+	}
+	if rep := s.Stats(); rep.Invalid != 2 || rep.Accepted != 0 {
+		t.Errorf("ledger: invalid %d accepted %d, want 2 and 0", rep.Invalid, rep.Accepted)
+	}
+	if n := appends.Load(); n != 0 {
+		t.Errorf("refused submissions made %d journal appends, want 0", n)
+	}
+}
+
 // TestQueueFullSheds fills the admission queue behind a deliberately
 // slowed worker and asserts the burst is shed with structured 429s
 // carrying Retry-After, while every accepted job still terminates.
@@ -581,7 +610,7 @@ func TestCancelInterruptsRunningJob(t *testing.T) {
 	s, hs := newTestServer(t, Config{CacheCap: -1})
 	hgr := testHGR(t, 12, 12)
 	code, v, data := postJob(t, hs.URL, submitBody(t, hgr, 2,
-		map[string]any{"starts": 1000000, "parallelism": 1},
+		map[string]any{"starts": mlpart.MaxStarts, "parallelism": 1},
 		map[string]any{"timeout_ms": 300000}))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d: %s", code, data)

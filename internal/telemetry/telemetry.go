@@ -9,7 +9,7 @@
 // disabled collector costs nothing measurable.
 //
 // Determinism contract: a Collector is owned by one goroutine. The
-// multi-start supervisor gives each attempt its own child collector
+// multi-start supervisor gives each start its own child collector
 // (NewChild) and merges the kept children into the parent in start
 // order after the worker pool drains, so an armed Report is
 // bit-identical across Parallelism values — except the *NS timing
@@ -114,8 +114,7 @@ type StageTimings struct {
 	RefineNS    int64 `json:"refine_ns"`
 	ProjectNS   int64 `json:"project_ns"`
 	RebalanceNS int64 `json:"rebalance_ns"`
-	// TotalNS is the supervised start's end-to-end duration,
-	// including retries.
+	// TotalNS is the supervised start's end-to-end duration.
 	TotalNS int64 `json:"total_ns"`
 	// CoarsenParRegions and RefineParRegions always read 0: the
 	// pipeline has no parallel regions.
@@ -125,15 +124,13 @@ type StageTimings struct {
 	RefineParRegions  int64 `json:"refine_par_regions"`
 }
 
-// StartStats aggregates one supervised start (its kept attempt).
+// StartStats aggregates one supervised start.
 type StartStats struct {
 	// Start is the 0-based start index.
 	Start int `json:"start"`
 	// Outcome is the supervisor's taxonomy for the start (ok /
-	// recovered / retried / timed-out / cancelled / failed).
+	// recovered / cancelled / failed).
 	Outcome string `json:"outcome"`
-	// Attempts is 1 + retries used.
-	Attempts int `json:"attempts"`
 	// Cost is the kept solution's objective; -1 when the start
 	// produced no solution.
 	Cost int `json:"cost"`
@@ -201,7 +198,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 // instrumented sites cost one pointer check.
 //
 // A Collector is not safe for concurrent use; the supervisor derives
-// one child per attempt (NewChild) and merges sequentially.
+// one child per start (NewChild) and merges sequentially.
 type Collector struct {
 	level int
 
@@ -222,7 +219,7 @@ func New() *Collector { return &Collector{} }
 // Enabled reports whether the collector is armed.
 func (c *Collector) Enabled() bool { return c != nil }
 
-// NewChild derives a fresh per-attempt collector; nil-safe (a
+// NewChild derives a fresh per-start collector; nil-safe (a
 // disabled parent derives a disabled child).
 func (c *Collector) NewChild() *Collector {
 	if c == nil {
@@ -343,12 +340,12 @@ func (c *Collector) addNS(stage Stage, ns int64) {
 	}
 }
 
-// TakeStart finalizes the per-attempt accumulation into a StartStats
+// TakeStart finalizes the per-start accumulation into a StartStats
 // and resets the collector for reuse. Called by the supervisor on the
-// kept attempt's child collector; nil-safe, returning a skeleton
-// entry so disabled children still merge deterministically.
-func (c *Collector) TakeStart(start int, outcome string, attempts, cost int, totalNS int64) StartStats {
-	s := StartStats{Start: start, Outcome: outcome, Attempts: attempts, Cost: cost}
+// start's child collector; nil-safe, returning a skeleton entry so
+// disabled children still merge deterministically.
+func (c *Collector) TakeStart(start int, outcome string, cost int, totalNS int64) StartStats {
+	s := StartStats{Start: start, Outcome: outcome, Cost: cost}
 	if c != nil {
 		s.Coarsening = c.cur.Coarsening
 		s.CoarsenStop = c.cur.CoarsenStop

@@ -23,11 +23,11 @@ func TestNilCollectorNoOp(t *testing.T) {
 	c.RecordPass("FM", 0, 9, 4, 12, 8)
 	c.RecordRebalance(3)
 	c.StartTimer(StageCoarsen).Stop()
-	s := c.TakeStart(2, "ok", 1, 42, 99)
-	want := StartStats{Start: 2, Outcome: "ok", Attempts: 1, Cost: 42,
+	s := c.TakeStart(2, "ok", 42, 99)
+	want := StartStats{Start: 2, Outcome: "ok", Cost: 42,
 		Timings: StageTimings{TotalNS: 99}}
 	if s.Start != want.Start || s.Outcome != want.Outcome ||
-		s.Attempts != want.Attempts || s.Cost != want.Cost ||
+		s.Cost != want.Cost ||
 		s.Timings != want.Timings ||
 		s.Coarsening != nil || s.Passes != nil ||
 		s.Rebalances != 0 || s.RebalanceMoved != 0 {
@@ -65,7 +65,7 @@ func TestCountersHandComputed(t *testing.T) {
 	c.RecordRebalance(2)
 	c.RecordRebalance(0)
 
-	s := c.TakeStart(0, "ok", 2, 3, 1234)
+	s := c.TakeStart(0, "ok", 3, 1234)
 
 	wantLevels := []LevelStat{
 		{Level: 0, Cells: 6, Nets: 12, Pins: 30, MatchedPairs: 4, Singletons: 2, LargestClusterArea: 5},
@@ -95,8 +95,8 @@ func TestCountersHandComputed(t *testing.T) {
 	if s.Rebalances != 2 || s.RebalanceMoved != 2 {
 		t.Errorf("rebalances = %d moved = %d, want 2 and 2", s.Rebalances, s.RebalanceMoved)
 	}
-	if s.Start != 0 || s.Outcome != "ok" || s.Attempts != 2 || s.Cost != 3 {
-		t.Errorf("header = %+v, want start 0 outcome ok attempts 2 cost 3", s)
+	if s.Start != 0 || s.Outcome != "ok" || s.Cost != 3 {
+		t.Errorf("header = %+v, want start 0 outcome ok cost 3", s)
 	}
 	if s.Timings.TotalNS != 1234 {
 		t.Errorf("TotalNS = %d, want 1234", s.Timings.TotalNS)
@@ -104,11 +104,11 @@ func TestCountersHandComputed(t *testing.T) {
 
 	// TakeStart must have reset the collector: a second take is empty
 	// and does not re-observe the first start's counters.
-	s2 := c.TakeStart(1, "failed", 3, -1, 0)
+	s2 := c.TakeStart(1, "failed", -1, 0)
 	if s2.Coarsening != nil || s2.Passes != nil || s2.Rebalances != 0 || s2.RebalanceMoved != 0 {
 		t.Fatalf("second TakeStart not reset: %+v", s2)
 	}
-	if s2.Start != 1 || s2.Outcome != "failed" || s2.Attempts != 3 || s2.Cost != -1 {
+	if s2.Start != 1 || s2.Outcome != "failed" || s2.Cost != -1 {
 		t.Errorf("second header = %+v", s2)
 	}
 }
@@ -121,7 +121,7 @@ func TestMatchPendingFoldedOnce(t *testing.T) {
 	c.RecordLevel(4, 4, 8, 2)
 	c.SetLevel(1)
 	c.RecordLevel(2, 1, 2, 4) // no RecordMatch before this one
-	s := c.TakeStart(0, "ok", 1, 0, 0)
+	s := c.TakeStart(0, "ok", 0, 0)
 	if s.Coarsening[0].MatchedPairs != 3 || s.Coarsening[0].Singletons != 1 {
 		t.Errorf("level 0 match counts = %+v", s.Coarsening[0])
 	}
@@ -139,12 +139,12 @@ func TestTimers(t *testing.T) {
 	c.addNS(StageProject, 30)
 	c.addNS(StageRebalance, 40)
 	c.addNS(StageCoarsen, 5)
-	s := c.TakeStart(0, "ok", 1, 0, 100)
+	s := c.TakeStart(0, "ok", 0, 100)
 	want := StageTimings{CoarsenNS: 15, RefineNS: 20, ProjectNS: 30, RebalanceNS: 40, TotalNS: 100}
 	if s.Timings != want {
 		t.Fatalf("timings = %+v, want %+v", s.Timings, want)
 	}
-	s2 := c.TakeStart(1, "ok", 1, 0, 0)
+	s2 := c.TakeStart(1, "ok", 0, 0)
 	if s2.Timings != (StageTimings{}) {
 		t.Fatalf("timings not reset: %+v", s2.Timings)
 	}
@@ -153,7 +153,7 @@ func TestTimers(t *testing.T) {
 	// panicking; exact values are wall-clock and not asserted.
 	tm := c.StartTimer(StageRefine)
 	tm.Stop()
-	s3 := c.TakeStart(2, "ok", 1, 0, 0)
+	s3 := c.TakeStart(2, "ok", 0, 0)
 	if s3.Timings.RefineNS < 0 {
 		t.Fatalf("negative refine time %d", s3.Timings.RefineNS)
 	}
@@ -163,9 +163,9 @@ func TestTimers(t *testing.T) {
 // and the WriteJSON encoding.
 func TestReportAssembly(t *testing.T) {
 	c := New()
-	c.AttachStart(StartStats{Start: 0, Outcome: "ok", Attempts: 1, Cost: 7,
+	c.AttachStart(StartStats{Start: 0, Outcome: "ok", Cost: 7,
 		Timings: StageTimings{CoarsenNS: 11, TotalNS: 50}})
-	c.AttachStart(StartStats{Start: 1, Outcome: "failed", Attempts: 2, Cost: -1,
+	c.AttachStart(StartStats{Start: 1, Outcome: "failed", Cost: -1,
 		Timings: StageTimings{TotalNS: 60}})
 	c.FinishRun(2, 42, 2, 0, 7, 7, 3)
 

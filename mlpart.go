@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 
 	"mlpart/internal/audit"
 	"mlpart/internal/core"
@@ -138,21 +137,17 @@ const (
 
 // Per-start outcome taxonomy (Info.StartReports[i].Outcome).
 const (
-	// StartOK: the start completed cleanly on its first attempt.
+	// StartOK: the start completed cleanly.
 	StartOK = core.OutcomeOK
 	// StartRecovered: an internal panic was recovered and the start
 	// still produced a feasible degraded solution.
 	StartRecovered = core.OutcomeRecovered
-	// StartRetried: a failed attempt was retried with a fresh seed and
-	// the retry completed cleanly.
-	StartRetried = core.OutcomeRetried
-	// StartTimedOut: the per-attempt deadline expired; the best-so-far
-	// solution was kept.
-	StartTimedOut = core.OutcomeTimedOut
 	// StartCancelled: the caller's context was done, so the start was
 	// skipped without producing a solution.
 	StartCancelled = core.OutcomeCancelled
-	// StartFailed: every attempt failed without a usable solution.
+	// StartFailed: the start ended without a usable solution: a panic
+	// the pipeline could not degrade from (at core.project, say) or a
+	// failed audit.
 	StartFailed = core.OutcomeFailed
 )
 
@@ -187,6 +182,11 @@ func NewBuilder(n int) *Builder { return hypergraph.NewBuilder(n) }
 // tolerance r.
 func Balance(h *Hypergraph, k int, r float64) BalanceBound { return hypergraph.Balance(h, k, r) }
 
+// MaxStarts bounds Options.Starts. A run sizes its per-start reports
+// and solution slots by Starts before any start runs, so the bound
+// caps what one request can make a run allocate up front.
+const MaxStarts = 1 << 16
+
 // Options is the convenience configuration for the one-call API.
 // The zero value runs ML_F: the FM engine, LIFO buckets, R = 0.5,
 // T = 35, r = 0.1. The paper's best bipartitioning setup is ML_C, the
@@ -209,7 +209,7 @@ type Options struct {
 	Seed int64
 	// Starts > 1 repeats the whole algorithm with independent derived
 	// seeds and keeps the best solution (deterministic tie-break: cut,
-	// then start index). Default 1.
+	// then start index). Default 1, at most MaxStarts.
 	Starts int
 	// Parallelism is the inter-start axis: it bounds the worker pool
 	// running independent starts, so it only helps when Starts > 1.
@@ -223,15 +223,6 @@ type Options struct {
 	//
 	// Deprecated: it has no effect.
 	IntraParallelism int
-	// MaxRetries is how many reseeded retries a start gets after an
-	// attempt fails without a usable solution (recovered panics that
-	// still yield a feasible partition are kept, not retried).
-	// 0 means the default of 1; negative disables retries.
-	MaxRetries int
-	// AttemptTimeout, when positive, gives each start its own
-	// deadline; an expired attempt winds down cooperatively and keeps
-	// its best-so-far solution (outcome StartTimedOut, not an error).
-	AttemptTimeout time.Duration
 	// Audit enables from-scratch invariant checks at every level
 	// transition (package audit): clustering well-formedness, area
 	// conservation, partition validity/balance, and incremental-vs-
@@ -260,17 +251,14 @@ func (o Options) normalize() (Options, error) {
 	if o.Starts < 1 {
 		return o, fmt.Errorf("mlpart: starts %d < 1", o.Starts)
 	}
+	if o.Starts > MaxStarts {
+		return o, fmt.Errorf("mlpart: starts %d > %d", o.Starts, MaxStarts)
+	}
 	if o.Parallelism < 0 {
 		return o, fmt.Errorf("mlpart: parallelism %d < 0", o.Parallelism)
 	}
 	if o.IntraParallelism < 0 {
 		return o, fmt.Errorf("mlpart: intra-parallelism %d < 0", o.IntraParallelism)
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 1
-	}
-	if o.AttemptTimeout < 0 {
-		return o, fmt.Errorf("mlpart: negative attempt timeout %v", o.AttemptTimeout)
 	}
 	if err := o.Inject.Validate(); err != nil {
 		return o, err
@@ -280,18 +268,12 @@ func (o Options) normalize() (Options, error) {
 
 // supervisor maps the public options onto the core supervisor config.
 func (o Options) supervisor() core.SuperOptions {
-	retries := o.MaxRetries
-	if retries < 0 {
-		retries = 0
-	}
 	return core.SuperOptions{
-		Starts:         o.Starts,
-		Parallelism:    o.Parallelism,
-		MaxRetries:     retries,
-		AttemptTimeout: o.AttemptTimeout,
-		Seed:           o.Seed,
-		Plan:           o.Inject,
-		Telemetry:      o.Telemetry,
+		Starts:      o.Starts,
+		Parallelism: o.Parallelism,
+		Seed:        o.Seed,
+		Plan:        o.Inject,
+		Telemetry:   o.Telemetry,
 	}
 }
 
@@ -373,16 +355,19 @@ type Info struct {
 	Levels int
 	// Starts is the number of independent runs performed.
 	Starts int
-	// Interrupted reports that the caller's cancellation cut the run
-	// short. The returned partition is the best feasible solution
-	// found so far. Per-start deadlines (AttemptTimeout) and injected
-	// cancellations are reported per start, not here.
+	// Interrupted reports that the caller's context (its cancellation
+	// or deadline, the only deadline a run has) cut the run short. The
+	// returned partition is the best feasible solution found so far.
+	// Injected cancellations are reported per start, not here.
 	Interrupted bool
 	// BestStart is the 0-based index of the start whose solution was
 	// kept; -1 when no start produced a solution.
 	BestStart int
 	// StartReports is the per-start outcome taxonomy (ok / recovered /
-	// retried / timed-out / cancelled / failed), indexed by start.
+	// cancelled / failed), indexed by start. Each start runs once: a
+	// start that fails (a core.project panic, a failed audit) stays
+	// failed, the other starts still run, and the run returns the
+	// typed error only when no start completed cleanly.
 	StartReports []StartReport
 }
 

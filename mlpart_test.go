@@ -2,6 +2,8 @@ package mlpart
 
 import (
 	"bytes"
+	"context"
+	"strings"
 	"testing"
 )
 
@@ -143,6 +145,31 @@ func TestOptionsErrors(t *testing.T) {
 	}
 	if _, _, err := Bipartition(h, Options{MatchingRatio: 3}); err == nil {
 		t.Error("bad ratio accepted")
+	}
+}
+
+// TestValidateBoundsStarts pins the Starts bound: Validate accepts
+// MaxStarts and refuses one more for both k, and an entry point
+// refuses it before sizing any per-start state, even under a done
+// context.
+func TestValidateBoundsStarts(t *testing.T) {
+	for _, k := range []int{2, 4} {
+		if err := (Options{Starts: MaxStarts}).Validate(k); err != nil {
+			t.Errorf("k=%d: Starts = MaxStarts refused: %v", k, err)
+		}
+		if err := (Options{Starts: MaxStarts + 1}).Validate(k); err == nil || !strings.Contains(err.Error(), "starts") {
+			t.Errorf("k=%d: Starts = MaxStarts+1: error %v, want one naming starts", k, err)
+		}
+	}
+	if _, err := ParseOptionsJSON([]byte(`{"starts": 100000000}`)); err == nil {
+		t.Error("options JSON with starts 1e8 decoded")
+	}
+	h, _ := NewBuilder(4).AddNet(0, 1).Build()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p, info, err := BipartitionCtx(ctx, h, Options{Starts: MaxStarts + 1, Parallelism: 1})
+	if err == nil || p != nil || info.StartReports != nil {
+		t.Errorf("entry point ran %d starts, partition %v, error %v; want only an error", len(info.StartReports), p != nil, err)
 	}
 }
 

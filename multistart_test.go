@@ -8,7 +8,6 @@ package mlpart
 import (
 	"context"
 	"testing"
-	"time"
 
 	"mlpart/internal/faultinject"
 )
@@ -102,41 +101,6 @@ func TestRecoveredStartKeepsRemaining(t *testing.T) {
 	}
 }
 
-// TestAttemptTimeoutOutcome pins the per-start deadline path: an
-// immediately-expiring AttemptTimeout winds each start down
-// cooperatively, keeps its feasible best-so-far solution, and is
-// reported as StartTimedOut — not as an error, and not as the
-// caller's Interrupted.
-func TestAttemptTimeoutOutcome(t *testing.T) {
-	c, err := GenerateCircuit(CircuitSpec{Name: "tmo", Cells: 300, Nets: 340, Pins: 1100, Seed: 57})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := c.H
-	opt := Options{Seed: 67, Starts: 2, AttemptTimeout: time.Nanosecond, Audit: true}
-	p, info, err := Bipartition(h, opt)
-	if err != nil {
-		t.Fatalf("timeout is not an error: %v", err)
-	}
-	if p == nil {
-		t.Fatal("an expired attempt must still keep its degraded solution")
-	}
-	if verr := p.Validate(h.NumCells()); verr != nil {
-		t.Fatal(verr)
-	}
-	if !p.IsBalanced(h, Balance(h, 2, 0.1)) {
-		t.Fatal("unbalanced partition")
-	}
-	if info.Interrupted {
-		t.Error("per-attempt deadlines must not set Info.Interrupted")
-	}
-	for _, r := range info.StartReports {
-		if r.Outcome != StartTimedOut {
-			t.Errorf("start %d outcome %v, want %v", r.Start, r.Outcome, StartTimedOut)
-		}
-	}
-}
-
 // TestOuterCancelSkipsLaterStarts pins that a done caller context
 // marks unstarted runs StartCancelled while start 0 still produces a
 // feasible solution, and Info.Interrupted reflects the caller's
@@ -167,48 +131,6 @@ func TestOuterCancelSkipsLaterStarts(t *testing.T) {
 			t.Errorf("start %d outcome %v, want %v", s, got, StartCancelled)
 		}
 	}
-}
-
-// TestRetriedOutcome drives the retry-with-reseed path: a
-// probabilistic panic that fires on the first attempt but not on the
-// reseeded retry yields outcome StartRetried with a nil top-level
-// error. The plan seed is scanned until the pattern occurs; the scan
-// itself is deterministic.
-func TestRetriedOutcome(t *testing.T) {
-	c, err := GenerateCircuit(CircuitSpec{Name: "rty", Cells: 200, Nets: 230, Pins: 740, Seed: 59})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := c.H
-	for planSeed := int64(0); planSeed < 200; planSeed++ {
-		opt := Options{
-			Seed:   69,
-			Starts: 1,
-			Inject: &FaultPlan{
-				Seed: planSeed,
-				Entries: []FaultEntry{{
-					Site:  faultinject.SiteCoreProject,
-					Kind:  FaultPanic,
-					Prob:  0.15,
-					Start: FaultAnyStart,
-				}},
-			},
-		}
-		p, info, err := Bipartition(h, opt)
-		if len(info.StartReports) == 1 && info.StartReports[0].Outcome == StartRetried {
-			if err != nil {
-				t.Fatalf("retried start succeeded, want nil error, got %v", err)
-			}
-			if p == nil {
-				t.Fatal("nil partition from a retried-then-clean start")
-			}
-			if info.StartReports[0].Attempts != 2 {
-				t.Fatalf("attempts = %d, want 2", info.StartReports[0].Attempts)
-			}
-			return
-		}
-	}
-	t.Fatal("no plan seed in [0,200) produced a fail-then-succeed retry")
 }
 
 // TestFaultSpecRoundTrip pins the CLI spec syntax end to end through

@@ -30,13 +30,16 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"mlpart/internal/fm"
 )
 
 // optionsJSON is the canonical wire layout. Field order is the
-// canonical order; every field is always emitted.
+// canonical order; every field is always emitted. MaxRetries and
+// AttemptTimeoutNS are accepted and ignored: requests and journals
+// written by earlier versions carry them, and canonical always writes
+// their old defaults (1 and 0), so canonical JSON, fingerprints and
+// cache keys keep their bytes.
 type optionsJSON struct {
 	Engine           string  `json:"engine"`
 	MatchingRatio    float64 `json:"matching_ratio"`
@@ -122,8 +125,7 @@ func (o Options) canonical() (optionsJSON, error) {
 		Starts:           n.Starts,
 		Parallelism:      n.Parallelism,
 		IntraParallelism: n.IntraParallelism,
-		MaxRetries:       n.MaxRetries,
-		AttemptTimeoutNS: n.AttemptTimeout.Nanoseconds(),
+		MaxRetries:       1,
 		Audit:            n.Audit,
 	}, nil
 }
@@ -185,8 +187,6 @@ func ParseOptionsJSON(data []byte) (Options, error) {
 		Starts:           c.Starts,
 		Parallelism:      c.Parallelism,
 		IntraParallelism: c.IntraParallelism,
-		MaxRetries:       c.MaxRetries,
-		AttemptTimeout:   time.Duration(c.AttemptTimeoutNS),
 		Audit:            c.Audit,
 	}
 	// Surface range errors (negative starts/parallelism) at decode

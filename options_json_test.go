@@ -3,16 +3,16 @@ package mlpart
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestOptionsCanonicalJSONRoundTrip(t *testing.T) {
 	cases := []Options{
 		{}, // zero value: the paper's defaults
 		{Engine: EngineFM, MatchingRatio: 0.75, Threshold: 50, Tolerance: 0.2, Seed: 42},
-		{Engine: EnginePROP, Starts: 8, Parallelism: 4, MaxRetries: 3, AttemptTimeout: 250 * time.Millisecond},
+		{Engine: EnginePROP, Starts: 8, Parallelism: 4, IntraParallelism: 2},
 		{Engine: EngineCLIPPROP, Audit: true, Seed: -7},
 	}
 	for i, o := range cases {
@@ -41,12 +41,70 @@ func TestOptionsCanonicalJSONMaterializesDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Options{Engine: EngineFM, MatchingRatio: 0.5, Starts: 1, MaxRetries: 1}.CanonicalJSON()
+	b, err := Options{Engine: EngineFM, MatchingRatio: 0.5, Starts: 1}.CanonicalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
 		t.Errorf("explicit defaults encode differently:\n%s\n%s", a, b)
+	}
+}
+
+// TestOptionsWireFormatPinned pins the canonical bytes and the
+// fingerprint of the zero Options: mlpartd keys its result cache on
+// them and matches journaled resubmissions by them, so they must not
+// move. The max_retries and attempt_timeout_ns keys stay in the format
+// with their old defaults; a request that sets them still decodes, and
+// runs and fingerprints exactly like one that does not.
+func TestOptionsWireFormatPinned(t *testing.T) {
+	const (
+		wantJSON = `{"engine":"fm","matching_ratio":0.5,"threshold":0,"tolerance":0,"seed":0,"starts":1,"parallelism":0,"intra_parallelism":0,"max_retries":1,"attempt_timeout_ns":0,"audit":false}`
+		wantFP   = "2df2126e9846b033168e149d3a49cab434675148143616a1ca0d324554d5f955"
+	)
+	data, err := Options{}.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != wantJSON {
+		t.Errorf("canonical JSON of the zero Options moved:\n got %s\nwant %s", data, wantJSON)
+	}
+	fp, err := Options{}.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp != wantFP {
+		t.Errorf("fingerprint of the zero Options = %s, want %s", fp, wantFP)
+	}
+
+	legacy, err := ParseOptionsJSON([]byte(`{"max_retries": 3, "attempt_timeout_ns": 5000000}`))
+	if err != nil {
+		t.Fatalf("legacy keys no longer decode: %v", err)
+	}
+	plain, err := ParseOptionsJSON([]byte(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp, err := legacy.Fingerprint(); err != nil || fp != wantFP {
+		t.Errorf("legacy keys fingerprint %s (%v), want %s", fp, err, wantFP)
+	}
+	if data, err := legacy.CanonicalJSON(); err != nil || string(data) != wantJSON {
+		t.Errorf("legacy keys encode as %s (%v), want %s", data, err, wantJSON)
+	}
+
+	c, err := GenerateCircuit(CircuitSpec{Name: "wire", Cells: 300, Nets: 340, Pins: 1100, Seed: 71})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, _, err := Bipartition(c.H, legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp, _, err := Bipartition(c.H, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(pl.Part, pp.Part) {
+		t.Error("legacy keys changed the partition")
 	}
 }
 

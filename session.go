@@ -19,10 +19,11 @@ import (
 // A Session is single-goroutine: at most one call may be in flight at
 // a time (run concurrent jobs on separate Sessions). A call reuses the
 // workspaces only when its starts run one at a time — Starts <= 1 or
-// Parallelism == 1, where the multi-start supervisor stays on the
-// calling goroutine. Any other call runs exactly like the package-level
-// entry point, on fresh per-attempt workspaces and with its
-// Parallelism intact. Neither choice changes results: workspace reuse
+// Parallelism == 1, where the multi-start supervisor runs them on a
+// single worker goroutine while the caller waits, so the workspaces
+// are still used by one goroutine at a time. Any other call runs
+// exactly like the package-level entry point, on fresh per-start
+// workspaces and with its Parallelism intact. Neither choice changes results: workspace reuse
 // is bit-identity preserving, so a job's result bytes are the same
 // whether it ran on a Session, on the one-shot entry points, or after
 // a crash-replay.
@@ -52,8 +53,8 @@ func (s *Session) QuadrisectCtx(ctx context.Context, h *Hypergraph, opt Options)
 }
 
 // scratchFor returns the reusable workspaces when opt's starts run one
-// at a time on the calling goroutine, and nil (fresh workspaces per
-// attempt) when they may run concurrently.
+// at a time on a single worker, and nil (fresh workspaces per start)
+// when they may run concurrently.
 func (s *Session) scratchFor(opt Options) *core.Scratch {
 	if opt.Starts <= 1 || opt.Parallelism == 1 {
 		return s.scratch
