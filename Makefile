@@ -87,19 +87,25 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzJournalReplay$$' -fuzztime=5s ./internal/journal
 
 # Telemetry smoke: run the CLI with -stats-json on the checked-in
-# mesh netlist at two parallelism levels, validate both reports with
-# cmd/statscheck, and require the partition files and the
-# timing-stripped reports to be byte-identical (the determinism
-# contract of the starts axis and of the stats schema).
+# mesh netlist at two parallelism levels, for k = 2 and for k = 4,
+# validate every report with cmd/statscheck, and require each pair's
+# partition files and timing-stripped reports to be byte-identical
+# (the determinism contract of the starts axis and of the stats
+# schema). The 64-cell netlist is below the k = 4 default T = 100, so
+# that pair sets T = 16 to coarsen at all; T = 0 is the k = 2 default.
 stats-smoke:
-	$(GO) run ./cmd/mlpart -in cmd/mlpart/testdata/smoke.hgr -out /tmp/mlpart-stats-p1.part \
-		-starts 3 -parallel 1 -stats-json /tmp/mlpart-stats-p1.json
-	$(GO) run ./cmd/mlpart -in cmd/mlpart/testdata/smoke.hgr -out /tmp/mlpart-stats-p4.part \
-		-starts 3 -parallel 4 -stats-json /tmp/mlpart-stats-p4.json
-	cmp /tmp/mlpart-stats-p1.part /tmp/mlpart-stats-p4.part
-	$(GO) run ./cmd/statscheck -in /tmp/mlpart-stats-p1.json -strip > /tmp/mlpart-stats-p1.stripped.json
-	$(GO) run ./cmd/statscheck -in /tmp/mlpart-stats-p4.json -strip > /tmp/mlpart-stats-p4.stripped.json
-	cmp /tmp/mlpart-stats-p1.stripped.json /tmp/mlpart-stats-p4.stripped.json
+	for kt in 2:0 4:16; do \
+		k=$${kt%:*}; t=$${kt#*:}; \
+		for par in 1 4; do \
+			$(GO) run ./cmd/mlpart -in cmd/mlpart/testdata/smoke.hgr -k $$k -threshold $$t \
+				-starts 3 -parallel $$par -out /tmp/mlpart-stats-k$$k-p$$par.part \
+				-stats-json /tmp/mlpart-stats-k$$k-p$$par.json || exit 1; \
+			$(GO) run ./cmd/statscheck -in /tmp/mlpart-stats-k$$k-p$$par.json -strip \
+				> /tmp/mlpart-stats-k$$k-p$$par.stripped.json || exit 1; \
+		done; \
+		cmp /tmp/mlpart-stats-k$$k-p1.part /tmp/mlpart-stats-k$$k-p4.part || exit 1; \
+		cmp /tmp/mlpart-stats-k$$k-p1.stripped.json /tmp/mlpart-stats-k$$k-p4.stripped.json || exit 1; \
+	done
 
 # Service smoke: mlpartd's loopback self-test drives the daemon over
 # real HTTP (submit / wait / result and a byte-identical cache hit; then

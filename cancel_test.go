@@ -68,21 +68,19 @@ func TestCancellationAtEveryStage(t *testing.T) {
 	variants := []struct {
 		name string
 		k    int
-		run  func(ctx context.Context) (*Partition, Info, error)
 	}{
-		{"bipartition", 2, func(ctx context.Context) (*Partition, Info, error) {
-			return BipartitionCtx(ctx, h, Options{Seed: 7})
-		}},
-		{"quadrisect", 4, func(ctx context.Context) (*Partition, Info, error) {
-			return QuadrisectCtx(ctx, h, Options{Seed: 7})
-		}},
+		{"bipartition", 2},
+		{"quadrisect", 4},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
+			run := func(ctx context.Context) (*Partition, Info, error) {
+				return PartitionCtx(ctx, h, v.k, Options{Seed: 7})
+			}
 			bound := Balance(h, v.k, 0.1)
 			// Learn the total poll count N from an unbudgeted run.
 			probe := &stepContext{budget: int(^uint(0) >> 1)}
-			full, info, err := v.run(probe)
+			full, info, err := run(probe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +102,7 @@ func TestCancellationAtEveryStage(t *testing.T) {
 				}
 				seen[k] = true
 				sc := &stepContext{budget: k}
-				p, info, err := v.run(sc)
+				p, info, err := run(sc)
 				if err != nil {
 					t.Errorf("budget %d: unexpected error %v", k, err)
 					continue

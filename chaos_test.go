@@ -85,11 +85,7 @@ func TestChaosSweep(t *testing.T) {
 			},
 		}
 		var r chaosRun
-		if k == 2 {
-			r.p, r.info, r.err = BipartitionCtx(context.Background(), h, opt)
-		} else {
-			r.p, r.info, r.err = QuadrisectCtx(context.Background(), h, opt)
-		}
+		r.p, r.info, r.err = PartitionCtx(context.Background(), h, k, opt)
 		return r
 	}
 	for _, k := range []int{2, 4} {

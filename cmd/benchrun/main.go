@@ -24,6 +24,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -35,10 +36,18 @@ import (
 	"mlpart/internal/telemetry"
 )
 
-// benchCase is one pinned (instance, algorithm) pair.
+// benchCase is one pinned (instance, block count) pair.
 type benchCase struct {
-	spec      mlpart.CircuitSpec
-	algorithm string
+	spec mlpart.CircuitSpec
+	k    int
+}
+
+// algorithm names the case's run in the report.
+func (bc benchCase) algorithm() string {
+	if bc.k == 4 {
+		return "quadrisect"
+	}
+	return "bipartition"
 }
 
 func benchCases() []benchCase {
@@ -49,29 +58,20 @@ func benchCases() []benchCase {
 	// gate fast.
 	m := mlpart.CircuitSpec{Name: "bench-m", Cells: 16000, Nets: 17000, Pins: 56000, Seed: 204}
 	return []benchCase{
-		{spec: a, algorithm: "bipartition"},
-		{spec: b, algorithm: "bipartition"},
-		{spec: c, algorithm: "bipartition"},
-		{spec: a, algorithm: "quadrisect"},
-		{spec: b, algorithm: "quadrisect"},
-		{spec: m, algorithm: "bipartition"},
+		{spec: a, k: 2},
+		{spec: b, k: 2},
+		{spec: c, k: 2},
+		{spec: a, k: 4},
+		{spec: b, k: 4},
+		{spec: m, k: 2},
 	}
 }
 
-// runOnce executes the case's algorithm with an armed telemetry
-// collector and returns the cut, level count, and stage profile.
+// runOnce runs the case with telemetry collector tel (nil disables
+// it) and returns the cut and level count.
 func runOnce(bc benchCase, h *mlpart.Hypergraph, tel *mlpart.Telemetry) (int, int, error) {
 	opt := mlpart.Options{Seed: 7, Starts: 2, Parallelism: 1, Telemetry: tel}
-	var info mlpart.Info
-	var err error
-	switch bc.algorithm {
-	case "bipartition":
-		_, info, err = mlpart.Bipartition(h, opt)
-	case "quadrisect":
-		_, info, err = mlpart.Quadrisect(h, opt)
-	default:
-		return 0, 0, fmt.Errorf("unknown algorithm %q", bc.algorithm)
-	}
+	_, info, err := mlpart.PartitionCtx(context.Background(), h, bc.k, opt)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -114,7 +114,7 @@ func measure(bc benchCase, iters int) (telemetry.BenchEntry, error) {
 
 	return telemetry.BenchEntry{
 		Instance:    bc.spec.Name,
-		Algorithm:   bc.algorithm,
+		Algorithm:   bc.algorithm(),
 		Cut:         cut,
 		Levels:      levels,
 		AllocsPerOp: (after.Mallocs - before.Mallocs) / uint64(iters),
@@ -176,7 +176,7 @@ func run() error {
 	for _, bc := range benchCases() {
 		e, err := measure(bc, *iters)
 		if err != nil {
-			return fmt.Errorf("%s/%s: %w", bc.spec.Name, bc.algorithm, err)
+			return fmt.Errorf("%s/%s: %w", bc.spec.Name, bc.algorithm(), err)
 		}
 		fmt.Printf("%-8s %-12s cut=%-5d levels=%-3d allocs/op=%-7d B/op=%-9d coarsen=%.1fms refine=%.1fms project=%.2fms\n",
 			e.Instance, e.Algorithm, e.Cut, e.Levels, e.AllocsPerOp, e.BytesPerOp,

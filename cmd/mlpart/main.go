@@ -178,16 +178,7 @@ func run() error {
 	}
 
 	start := time.Now()
-	var p *mlpart.Partition
-	var info mlpart.Info
-	switch *k {
-	case 2:
-		p, info, err = mlpart.BipartitionCtx(ctx, h, opt)
-	case 4:
-		p, info, err = mlpart.QuadrisectCtx(ctx, h, opt)
-	default:
-		return fmt.Errorf("-k must be 2 or 4, got %d", *k)
-	}
+	p, info, err := mlpart.PartitionCtx(ctx, h, *k, opt)
 	if err != nil {
 		var ierr *mlpart.InternalError
 		if errors.As(err, &ierr) && p != nil {

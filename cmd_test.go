@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"mlpart/internal/hypergraph"
 )
 
 var (
@@ -314,7 +316,8 @@ func TestCmdCutverify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := NewPartitionForTest(hg.NumCells())
+	bad := hypergraph.NewPartition(hg.NumCells(), 2)
+	bad.Part[0] = 1 // two blocks present, grossly unbalanced
 	bf, err := os.Create(badPart)
 	if err != nil {
 		t.Fatal(err)

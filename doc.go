@@ -19,7 +19,11 @@
 //   - an experiment harness regenerating every table and figure of
 //     the paper's evaluation section.
 //
-// The one-call entry points are Bipartition and Quadrisect:
+// The one-call entry point is PartitionCtx, which runs the multilevel
+// algorithm for k = 2 (bipartitioning) or k = 4 (quadrisection);
+// Bipartition, BipartitionCtx, Quadrisect and QuadrisectCtx are
+// wrappers that fix k, and Session.PartitionCtx runs it on reusable
+// workspaces:
 //
 //	h := mlpart.NewBuilder(4).
 //		AddNet(0, 1).AddNet(1, 2).AddNet(2, 3).

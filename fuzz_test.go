@@ -129,13 +129,7 @@ func FuzzPipeline(f *testing.F) {
 
 		// The partition is valid, balanced and truthfully reported.
 		opt := Options{Seed: seed, MatchingRatio: ratio, Threshold: threshold, Parallelism: 1}
-		var p *Partition
-		var info Info
-		if k == 2 {
-			p, info, err = Bipartition(h, opt)
-		} else {
-			p, info, err = Quadrisect(h, opt)
-		}
+		p, info, err := PartitionCtx(context.Background(), h, k, opt)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -155,14 +149,10 @@ func FuzzPipeline(f *testing.F) {
 		// A Session whose store holds a larger job's hierarchy returns
 		// the one-shot bytes.
 		s := NewSession()
-		run := s.BipartitionCtx
-		if k == 4 {
-			run = s.QuadrisectCtx
-		}
-		if _, _, err := run(context.Background(), fuzzWarmup.H, opt); err != nil {
+		if _, _, err := s.PartitionCtx(context.Background(), fuzzWarmup.H, k, opt); err != nil {
 			t.Fatal(err)
 		}
-		sp, _, err := run(context.Background(), h, opt)
+		sp, _, err := s.PartitionCtx(context.Background(), h, k, opt)
 		if err != nil {
 			t.Fatalf("k=%d on a warm Session: %v", k, err)
 		}

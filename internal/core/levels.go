@@ -168,9 +168,7 @@ func (r levelRun) levels() int { return len(r.cells) - 1 }
 // quadrisection (§III.C) and V-cycles: coarsen top while it has more
 // than T movable cells, partition the coarsest netlist (best of
 // lc.starts random starts, or a refine of the V-cycle solution), then
-// project, rebalance and refine at every level down to top.h. The
-// engine results come back coarsest first, one per level the engine
-// refined.
+// project, rebalance and refine at every level down to top.h.
 //
 // Every stage runs under Guard. A recovered panic degrades the run
 // instead of ending it: a coarsening panic keeps the hierarchy prefix,
@@ -180,7 +178,7 @@ func (r levelRun) levels() int { return len(r.cells) - 1 }
 // as a *PanicError with the feasible partition. Any other error, and a
 // panic before a fine-level solution exists, returns a nil partition;
 // a failed audit returns the partition of the level that failed.
-func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelRefiner[R], rng *rand.Rand, ws *pipelineWS) (*hypergraph.Partition, levelRun, []R, error) {
+func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelRefiner[R], rng *rand.Rand, ws *pipelineWS) (*hypergraph.Partition, levelRun, error) {
 	tel := lc.tel
 	levels, run, err := coarsenLevels(ctx, top, lc, rng, ws)
 	var firstErr error
@@ -197,7 +195,7 @@ func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelR
 	}
 	if err != nil {
 		if err := degrade(err); err != nil {
-			return nil, run, nil, err
+			return nil, run, err
 		}
 	}
 	// rebalance restores the balance bound of l. Pinned levels are
@@ -213,8 +211,6 @@ func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelR
 			tel.RecordRebalance(moved)
 		}
 	}
-	results := make([]R, 0, len(levels))
-
 	// Partition the coarsest netlist.
 	m := len(levels) - 1
 	coarsest := &levels[m]
@@ -251,7 +247,7 @@ func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelR
 	timer.Stop()
 	if gerr != nil {
 		if err := degrade(gerr); err != nil {
-			return nil, run, results, err
+			return nil, run, err
 		}
 		engineOK = false
 		if p == nil {
@@ -265,7 +261,6 @@ func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelR
 	if eng.interrupted(r) {
 		run.interrupted = true
 	}
-	results = append(results, r)
 	// The sweep below alternates two buffers pre-sized for the finest
 	// level instead of allocating a partition per level; p escapes to
 	// the caller, so the buffers are per-call locals, not workspace
@@ -279,11 +274,11 @@ func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelR
 	}
 	if lc.audit {
 		if err := eng.audit(coarsest, p, r, engineOK); err != nil {
-			return p, run, results, fmt.Errorf("core: level %d: %w", m, err)
+			return p, run, fmt.Errorf("core: level %d: %w", m, err)
 		}
 	}
 	if m == 0 {
-		return p, run, results, firstErr
+		return p, run, firstErr
 	}
 
 	// Project and refine down to top.h. After a recovered engine panic
@@ -325,7 +320,7 @@ func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelR
 		if gerr != nil {
 			// No fine-level solution exists yet, so the start is
 			// lost; the supervisor reports it failed.
-			return nil, run, results, gerr
+			return nil, run, gerr
 		}
 		if lc.inject != nil {
 			// Only a panic can surface here; it drops the run to the
@@ -364,7 +359,7 @@ func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelR
 			rtimer.Stop()
 			if gerr != nil {
 				if err := degrade(gerr); err != nil {
-					return nil, run, results, err
+					return nil, run, err
 				}
 				engineOK = false
 				// A mid-pass panic leaves p valid but possibly
@@ -375,7 +370,6 @@ func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelR
 				if eng.interrupted(r) {
 					run.interrupted = true
 				}
-				results = append(results, r)
 			}
 		}
 		if lc.audit {
@@ -383,11 +377,11 @@ func runLevels[R any](ctx context.Context, top level, lc levelConfig, eng levelR
 				r = eng.degraded(l.h, p)
 			}
 			if err := eng.audit(l, p, r, engineRan); err != nil {
-				return p, run, results, fmt.Errorf("core: level %d: %w", i, err)
+				return p, run, fmt.Errorf("core: level %d: %w", i, err)
 			}
 		}
 	}
-	return p, run, results, firstErr
+	return p, run, firstErr
 }
 
 // coarsenLevels is the coarsening phase (Steps 1–5 of Fig. 2): Match,

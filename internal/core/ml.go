@@ -96,9 +96,6 @@ type Result struct {
 	CoarsestCells int
 	// LevelCells records |V_i| for i = 0..m.
 	LevelCells []int
-	// RefineResults holds the per-level refinement summaries, index
-	// 0 = coarsest ... last = H_0.
-	RefineResults []fm.Result
 	// Interrupted reports that cancellation (context or a Stop hook)
 	// cut the run short. The returned partition is still feasible: the
 	// remaining levels were projected and rebalanced without engine
@@ -138,8 +135,8 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg Config, r
 	// One workspace bundle per attempt, or the caller's reused Scratch
 	// for Session runs.
 	ws := cfg.Scratch.attemptWS()
-	p, run, results, err := runLevels(ctx, level{h: h}, cfg.levels(), newFMLevels(ctx, cfg, ws, h), rng, ws)
-	res := Result{Levels: run.levels(), CoarsestCells: run.cells[len(run.cells)-1], LevelCells: run.cells, RefineResults: results, Interrupted: run.interrupted}
+	p, run, err := runLevels(ctx, level{h: h}, cfg.levels(), newFMLevels(ctx, cfg, ws, h), rng, ws)
+	res := Result{Levels: run.levels(), CoarsestCells: run.cells[len(run.cells)-1], LevelCells: run.cells, Interrupted: run.interrupted}
 	if finished(p, err) {
 		res.Cut = p.Cut(h)
 	}
@@ -189,7 +186,7 @@ func VCycleCtx(ctx context.Context, h *hypergraph.Hypergraph, p *hypergraph.Part
 	best := p.Clone()
 	bestCut := best.WeightedCut(h)
 	for cycle := 0; cycle < maxCycles && ctx.Err() == nil; cycle++ {
-		cand, _, _, err := runLevels(ctx, level{h: h, part: best.Clone()}, cfg.levels(), eng, rng, ws)
+		cand, _, err := runLevels(ctx, level{h: h, part: best.Clone()}, cfg.levels(), eng, rng, ws)
 		if !finished(cand, err) {
 			if _, ok := AsPanicError(err); ok {
 				return best, bestCut, err

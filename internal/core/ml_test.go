@@ -8,6 +8,7 @@ import (
 	"mlpart/internal/coarsen"
 	"mlpart/internal/fm"
 	"mlpart/internal/hypergraph"
+	"mlpart/internal/telemetry"
 )
 
 func randomH(rng *rand.Rand, n, m, maxPins int) *hypergraph.Hypergraph {
@@ -189,15 +190,29 @@ func TestCLIPEngineWorks(t *testing.T) {
 func TestCoarsestStarts(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	h := clusteredH(rng, 10, 30)
-	_, res, err := Bipartition(h, Config{CoarsestStarts: 4}, rng)
+	tel := telemetry.New()
+	_, res, err := Bipartition(h, Config{CoarsestStarts: 4, Telemetry: tel}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cut != 0 && res.Cut < 0 {
 		t.Error("nonsense cut")
 	}
-	if len(res.RefineResults) != res.Levels+1 {
-		t.Errorf("RefineResults %d entries, want levels+1 = %d", len(res.RefineResults), res.Levels+1)
+	if res.Levels == 0 {
+		t.Fatal("the instance did not coarsen")
+	}
+	// The engine ran at every level, the coarsest included.
+	refined := make([]bool, res.Levels+1)
+	for _, ps := range tel.TakeStart(0, "ok", res.Cut, 1).Passes {
+		if ps.Level < 0 || ps.Level > res.Levels {
+			t.Fatalf("pass at level %d of a %d-level run", ps.Level, res.Levels)
+		}
+		refined[ps.Level] = true
+	}
+	for l, ok := range refined {
+		if !ok {
+			t.Errorf("level %d has no refinement pass", l)
+		}
 	}
 }
 

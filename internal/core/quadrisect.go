@@ -130,7 +130,7 @@ func QuadrisectCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg QuadConfig
 	// for Session runs.
 	ws := cfg.Scratch.attemptWS()
 	top := level{h: h, fixed: cfg.Fixed, pre: cfg.Preassign}
-	p, run, _, err := runLevels(ctx, top, cfg.levels(), newKwayLevels(ctx, cfg, ws, h), rng, ws)
+	p, run, err := runLevels(ctx, top, cfg.levels(), newKwayLevels(ctx, cfg, ws, h), rng, ws)
 	res := QuadResult{Levels: run.levels(), CoarsestCells: run.cells[len(run.cells)-1], LevelCells: run.cells, Interrupted: run.interrupted}
 	if finished(p, err) {
 		res.CutNets = p.Cut(h)

@@ -9,9 +9,8 @@
 //     drops a job it already accepted, so every accepted job reaches
 //     exactly one terminal status.
 //   - Per-job deadlines and client cancellation, flowing into the
-//     pipeline's context-aware entry points (BipartitionCtx /
-//     QuadrisectCtx); an expired or cancelled job keeps its
-//     best-so-far solution.
+//     pipeline's context-aware entry point (Session.PartitionCtx);
+//     an expired or cancelled job keeps its best-so-far solution.
 //   - A result cache keyed by (hypergraph content hash, canonical
 //     options fingerprint, k). Results are deterministic, so a cache
 //     hit is byte-identical to a recomputation.
@@ -706,14 +705,7 @@ func (s *Server) attempt(ctx context.Context, j *job, h *mlpart.Hypergraph, sess
 	// client only when the job asked for stats.
 	opt := j.opt
 	opt.Telemetry = mlpart.NewTelemetry()
-	switch j.k {
-	case 2:
-		p, info, err = sess.BipartitionCtx(ctx, h, opt)
-	case 4:
-		p, info, err = sess.QuadrisectCtx(ctx, h, opt)
-	default:
-		return nil, mlpart.Info{}, nil, fmt.Errorf("server: bad k %d", j.k)
-	}
+	p, info, err = sess.PartitionCtx(ctx, h, j.k, opt)
 	report = opt.Telemetry.Report()
 	if err == nil && p != nil {
 		s.stats.AddStage(j.k, info.Cut, info.Levels, report.BenchStages())

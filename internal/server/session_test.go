@@ -42,11 +42,7 @@ func oneShotDoc(t *testing.T, hgr string, k int, options map[string]any) []byte 
 	if err != nil {
 		t.Fatalf("Fingerprint: %v", err)
 	}
-	run := mlpart.BipartitionCtx
-	if k == 4 {
-		run = mlpart.QuadrisectCtx
-	}
-	p, info, err := run(context.Background(), h, opt)
+	p, info, err := mlpart.PartitionCtx(context.Background(), h, k, opt)
 	if err != nil {
 		t.Fatalf("one-shot k=%d %v: %v", k, options, err)
 	}

@@ -13,7 +13,6 @@ package telemetry
 // the server owns its collector and hands references down.
 
 import (
-	"encoding/json"
 	"io"
 	"runtime"
 	"sync"
@@ -107,15 +106,7 @@ type ServiceReport struct {
 
 // WriteJSON writes the report as indented JSON with a trailing
 // newline — the canonical /statsz encoding, matching Report.WriteJSON.
-func (r *ServiceReport) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
+func (r *ServiceReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // ServiceCollector accumulates the service counters. All methods are
 // safe for concurrent use. The zero value is ready to use.
@@ -344,15 +335,7 @@ type BenchReport struct {
 }
 
 // WriteJSON writes the bench report in the canonical encoding.
-func (r *BenchReport) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
+func (r *BenchReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // BenchSnapshot assembles the mlpart-bench/1 view from the stage
 // aggregates. date is caller-supplied wall-clock state (the collector

@@ -183,8 +183,12 @@ func (r *Report) StripTimings() {
 
 // WriteJSON writes the report as indented JSON with a trailing
 // newline — the canonical -stats-json encoding.
-func (r *Report) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(r, "", "  ")
+func (r *Report) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
+
+// writeJSON writes v as indented JSON with a trailing newline, the
+// encoding every report type shares.
+func writeJSON(w io.Writer, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}

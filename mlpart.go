@@ -198,7 +198,12 @@ type Options struct {
 	// defaults to -engine clip (ML_C) for -k 2 instead, and to fm for
 	// -k 4.
 	Engine fm.Engine
-	// MatchingRatio R ∈ (0,1]. Default 0.5.
+	// MatchingRatio R ∈ (0,1]. Default 0.5, except that a
+	// quadrisection (k = 4) with no Threshold set runs the paper's
+	// R = 1.0 whenever R is 0 or exactly 0.5: the default is filled in
+	// before the k = 4 rule reads it, so an explicit 0.5 cannot be told
+	// from the default there. Both spellings share one canonical JSON
+	// form and fingerprint, and give the same partition.
 	MatchingRatio float64
 	// Threshold T. Default 35 for bipartitioning, 100 for
 	// quadrisection.
@@ -277,48 +282,63 @@ func (o Options) supervisor() core.SuperOptions {
 	}
 }
 
-// Validate reports the error Bipartition (k = 2) or Quadrisect (k = 4)
-// would return for o before running anything. It normalizes the
-// same core configuration the entry point runs, so every range check
-// stays with the package that owns it; the entry points run it before
-// any start, and mlpartd runs it at admission.
+// Validate reports the error PartitionCtx would return for k blocks
+// and o before running anything: it runs the same per-k normalization
+// as the entry point, so every range check stays with the package that
+// owns it. The entry points run it before any start, and mlpartd runs
+// it at admission.
 func (o Options) Validate(k int) error {
-	var err error
-	switch k {
-	case 2:
-		_, _, err = o.bipartitionConfig(nil)
-	case 4:
-		_, _, err = o.quadrisectConfig(nil)
-	default:
-		err = fmt.Errorf("mlpart: k must be 2 or 4, got %d", k)
-	}
+	_, _, err := o.forK(k, nil, nil)
 	return err
 }
 
-// bipartitionConfig normalizes o and returns it with the core
-// configuration each bipartition start runs, after checking that
-// configuration.
-func (o Options) bipartitionConfig(scratch *core.Scratch) (Options, core.Config, error) {
-	o, err := o.normalize()
-	if err != nil {
-		return o, core.Config{}, err
-	}
-	cfg := core.Config{
-		Threshold: o.Threshold,
-		Ratio:     o.MatchingRatio,
-		Refine:    fm.Config{Engine: o.Engine, Tolerance: o.Tolerance},
-		Audit:     o.Audit,
-		Scratch:   scratch,
-	}
-	_, err = cfg.Normalize()
-	return o, cfg, err
+// solution is one start's partition with what Info reports of it.
+type solution struct {
+	p                       *Partition
+	cut, sumDegrees, levels int
 }
 
-// quadrisectConfig is bipartitionConfig for quadrisection.
-func (o Options) quadrisectConfig(scratch *core.Scratch) (Options, core.QuadConfig, error) {
+// startFunc runs one supervised start (see core.RunStarts).
+type startFunc = func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *Telemetry) core.Attempt[solution]
+
+// forK normalizes o for a k-way run and returns it with the function
+// that runs one start on h. It is the one place that differs by k: the
+// defaults (T = 35 for k = 2, 100 for k = 4; R = 0.5, or the paper's
+// 1.0 for k = 4 when neither R nor T is set), the core entry point,
+// and the cost the starts are ranked on (the cut for k = 2, the sum of
+// degrees for k = 4). It checks the core configuration the starts run,
+// so it fails exactly when the entry point would. scratch, when
+// non-nil, is a Session's workspace bundle; h may be nil when the
+// function is not run.
+func (o Options) forK(k int, h *Hypergraph, scratch *core.Scratch) (Options, startFunc, error) {
+	if k != 2 && k != 4 {
+		return o, nil, fmt.Errorf("mlpart: k must be 2 or 4, got %d", k)
+	}
 	o, err := o.normalize()
 	if err != nil {
-		return o, core.QuadConfig{}, err
+		return o, nil, err
+	}
+	if k == 2 {
+		cfg := core.Config{
+			Threshold: o.Threshold,
+			Ratio:     o.MatchingRatio,
+			Refine:    fm.Config{Engine: o.Engine, Tolerance: o.Tolerance},
+			Audit:     o.Audit,
+			Scratch:   scratch,
+		}
+		_, err = cfg.Normalize()
+		return o, func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *Telemetry) core.Attempt[solution] {
+			c := cfg
+			c.Inject, c.Telemetry = inj, tel
+			p, res, err := core.BipartitionCtx(ctx, h, c, scratch.Rand(seed))
+			return core.Attempt[solution]{
+				Sol:         solution{p: p, cut: res.Cut, sumDegrees: res.Cut, levels: res.Levels},
+				Cost:        res.Cut,
+				HasSol:      p != nil,
+				Interrupted: res.Interrupted,
+				Err:         err,
+			}
+		}, err
 	}
 	//mllint:ignore float-eq exact sentinel: 0.5 is the assigned default, never the result of arithmetic
 	if o.MatchingRatio == 0.5 && o.Threshold == 0 {
@@ -338,7 +358,18 @@ func (o Options) quadrisectConfig(scratch *core.Scratch) (Options, core.QuadConf
 		Scratch: scratch,
 	}
 	_, err = cfg.Normalize()
-	return o, cfg, err
+	return o, func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *Telemetry) core.Attempt[solution] {
+		c := cfg
+		c.Inject, c.Telemetry = inj, tel
+		p, res, err := core.QuadrisectCtx(ctx, h, c, scratch.Rand(seed))
+		return core.Attempt[solution]{
+			Sol:         solution{p: p, cut: res.CutNets, sumDegrees: res.SumDegrees, levels: res.Levels},
+			Cost:        res.SumDegrees,
+			HasSol:      p != nil,
+			Interrupted: res.Interrupted,
+			Err:         err,
+		}
+	}, err
 }
 
 // NewTelemetry returns an armed statistics collector for
@@ -371,143 +402,78 @@ type Info struct {
 	StartReports []StartReport
 }
 
-// errInfo is the Info returned on option-validation failures, before
-// any start runs. Both entry points use it so the error paths cannot
-// drift.
-func errInfo() Info { return Info{BestStart: -1} }
+// PartitionCtx runs the ML algorithm (Fig. 2) on h for k blocks and
+// returns the best solution over opt.Starts independent runs: a
+// bipartition (k = 2, FM/CLIP refinement, starts ranked on the cut) or
+// a quadrisection (k = 4, §III.C, Sanchis-style multi-way refinement
+// with the sum-of-degrees gain of §IV.D, starts ranked on the sum of
+// degrees). Any other k fails with Validate's error, before any start.
+//
+// Once ctx is done, at most one refinement pass of extra work happens
+// before the run winds down, and the best feasible partition found so
+// far is returned with Info.Interrupted set — cancellation is not an
+// error.
+//
+// Starts run under a fault-isolated supervisor (bounded worker pool,
+// per-start derived seeds, deterministic reduction on cost, then start
+// index): an internal panic in one start degrades only that start —
+// the remaining starts still run — and is surfaced as a
+// *InternalError only when no start succeeds cleanly, alongside the
+// best recovered solution (nil only when no feasible solution exists
+// at all). Info.StartReports carries the per-start outcome taxonomy.
+func PartitionCtx(ctx context.Context, h *Hypergraph, k int, opt Options) (*Partition, Info, error) {
+	return partition(ctx, h, k, opt, nil)
+}
 
-// assembleInfo is the single Info/Report assembly path shared by
-// BipartitionCtx and QuadrisectCtx: Levels, BestStart, StartReports
-// and the telemetry Report header are populated identically for both
-// entry points (including the BestStart < 0 no-solution case, where
-// the objective arguments are zero values). Keeping one code path is
-// what guarantees the telemetry Report cannot diverge between the
-// bipartition and quadrisection APIs.
-func (o Options) assembleInfo(ctx context.Context, k, bestStart int, reports []StartReport, cut, sumDegrees, levels int) Info {
+// partition is the implementation behind PartitionCtx and
+// Session.PartitionCtx; scratch, when non-nil, is the session's
+// reusable workspace bundle, passed only when the starts run one at a
+// time. Validation, the supervisor, Info and the telemetry report
+// header are the same for every k.
+func partition(ctx context.Context, h *Hypergraph, k int, opt Options, scratch *core.Scratch) (*Partition, Info, error) {
+	opt, run, err := opt.forK(k, h, scratch)
+	if err != nil {
+		return nil, Info{BestStart: -1}, err
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// With no solution (bestStart < 0), best is the zero solution.
+	best, bestStart, reports, err := core.RunStarts(ctx, opt.supervisor(), run)
 	info := Info{
-		Starts:       o.Starts,
+		Cut:          best.cut,
+		SumDegrees:   best.sumDegrees,
+		Levels:       best.levels,
+		Starts:       opt.Starts,
+		Interrupted:  ctx.Err() != nil,
 		BestStart:    bestStart,
 		StartReports: reports,
-		Interrupted:  ctx.Err() != nil,
 	}
-	if bestStart >= 0 {
-		info.Cut = cut
-		info.SumDegrees = sumDegrees
-		info.Levels = levels
-	}
-	o.Telemetry.FinishRun(k, o.Seed, o.Starts, bestStart, info.Cut, info.SumDegrees, info.Levels)
-	return info
+	opt.Telemetry.FinishRun(k, opt.Seed, opt.Starts, bestStart, info.Cut, info.SumDegrees, info.Levels)
+	return best.p, info, err
 }
 
 // Bipartition runs the ML algorithm (Fig. 2) on h and returns the
 // best bipartitioning over opt.Starts independent runs.
 func Bipartition(h *Hypergraph, opt Options) (*Partition, Info, error) {
-	return BipartitionCtx(context.Background(), h, opt)
+	return PartitionCtx(context.Background(), h, 2, opt)
 }
 
-// BipartitionCtx is Bipartition with cooperative cancellation. Once
-// ctx is done, at most one FM pass of extra work happens before the
-// run winds down, and the best feasible partition found so far is
-// returned with Info.Interrupted set — cancellation is not an error.
-//
-// Starts run under a fault-isolated supervisor (bounded worker pool,
-// per-start derived seeds, deterministic best-cut reduction): an
-// internal panic in one start degrades only that start — the
-// remaining starts still run — and is surfaced as a *InternalError
-// only when no start succeeds cleanly, alongside the best recovered
-// solution (nil only when no feasible solution exists at all).
-// Info.StartReports carries the per-start outcome taxonomy.
+// BipartitionCtx is PartitionCtx with k = 2.
 func BipartitionCtx(ctx context.Context, h *Hypergraph, opt Options) (*Partition, Info, error) {
-	return bipartitionCtx(ctx, h, opt, nil)
-}
-
-// bipartitionCtx is the shared implementation behind BipartitionCtx
-// and Session.BipartitionCtx; scratch, when non-nil, is the session's
-// reusable workspace bundle, passed only when the starts run one at a
-// time.
-func bipartitionCtx(ctx context.Context, h *Hypergraph, opt Options, scratch *core.Scratch) (*Partition, Info, error) {
-	opt, cfg, err := opt.bipartitionConfig(scratch)
-	if err != nil {
-		return nil, errInfo(), err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	type sol struct {
-		p   *Partition
-		res core.Result
-	}
-	best, bestStart, reports, rerr := core.RunStarts(ctx, opt.supervisor(),
-		func(actx context.Context, seed int64, inj *faultinject.Injector, tel *Telemetry) core.Attempt[sol] {
-			c := cfg
-			c.Inject = inj
-			c.Telemetry = tel
-			p, res, err := core.BipartitionCtx(actx, h, c, scratch.Rand(seed))
-			return core.Attempt[sol]{
-				Sol:         sol{p: p, res: res},
-				Cost:        res.Cut,
-				HasSol:      p != nil,
-				Interrupted: res.Interrupted,
-				Err:         err,
-			}
-		})
-	info := opt.assembleInfo(ctx, 2, bestStart, reports, best.res.Cut, best.res.Cut, best.res.Levels)
-	if bestStart < 0 {
-		return nil, info, rerr
-	}
-	return best.p, info, rerr
+	return PartitionCtx(ctx, h, 2, opt)
 }
 
 // Quadrisect runs multilevel 4-way partitioning on h (sum-of-degrees
 // gain, as in §IV.D) and returns the best solution over opt.Starts
 // runs.
 func Quadrisect(h *Hypergraph, opt Options) (*Partition, Info, error) {
-	return QuadrisectCtx(context.Background(), h, opt)
+	return PartitionCtx(context.Background(), h, 4, opt)
 }
 
-// QuadrisectCtx is Quadrisect with cooperative cancellation, under
-// the same fault-isolated multi-start supervisor contract as
-// BipartitionCtx (starts are reduced on sum-of-degrees, then start
-// index).
+// QuadrisectCtx is PartitionCtx with k = 4.
 func QuadrisectCtx(ctx context.Context, h *Hypergraph, opt Options) (*Partition, Info, error) {
-	return quadrisectCtx(ctx, h, opt, nil)
-}
-
-// quadrisectCtx is the shared implementation behind QuadrisectCtx and
-// Session.QuadrisectCtx; scratch, when non-nil, is the session's
-// reusable workspace bundle, passed only when the starts run one at a
-// time.
-func quadrisectCtx(ctx context.Context, h *Hypergraph, opt Options, scratch *core.Scratch) (*Partition, Info, error) {
-	opt, cfg, err := opt.quadrisectConfig(scratch)
-	if err != nil {
-		return nil, errInfo(), err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	type sol struct {
-		p   *Partition
-		res core.QuadResult
-	}
-	best, bestStart, reports, rerr := core.RunStarts(ctx, opt.supervisor(),
-		func(actx context.Context, seed int64, inj *faultinject.Injector, tel *Telemetry) core.Attempt[sol] {
-			c := cfg
-			c.Inject = inj
-			c.Telemetry = tel
-			p, res, err := core.QuadrisectCtx(actx, h, c, scratch.Rand(seed))
-			return core.Attempt[sol]{
-				Sol:         sol{p: p, res: res},
-				Cost:        res.SumDegrees,
-				HasSol:      p != nil,
-				Interrupted: res.Interrupted,
-				Err:         err,
-			}
-		})
-	info := opt.assembleInfo(ctx, 4, bestStart, reports, best.res.CutNets, best.res.SumDegrees, best.res.Levels)
-	if bestStart < 0 {
-		return nil, info, rerr
-	}
-	return best.p, info, rerr
+	return PartitionCtx(ctx, h, 4, opt)
 }
 
 // FMBipartition runs a single flat FM/CLIP descent from a random
@@ -706,12 +672,3 @@ func GenerateMesh(spec MeshSpec) (*Hypergraph, error) { return netgen.GenerateMe
 
 // MeshOptimalCut returns the straight-line bisection cut of a mesh.
 func MeshOptimalCut(spec MeshSpec) int { return netgen.MeshOptimalBisectionCut(spec) }
-
-// NewPartitionForTest returns an all-zeros 2-way partition of n
-// cells; exported for the CLI end-to-end tests (an intentionally
-// unbalanced partition for cutverify's failure path).
-func NewPartitionForTest(n int) *Partition {
-	p := hypergraph.NewPartition(n, 2)
-	p.Part[0] = 1 // two blocks present, grossly unbalanced
-	return p
-}

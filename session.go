@@ -37,19 +37,13 @@ func NewSession() *Session {
 	return &Session{scratch: core.NewScratch()}
 }
 
-// BipartitionCtx is BipartitionCtx on the session's workspaces (see
-// the Session contract for when they are reused). Options,
-// cancellation, fault isolation and the result behave exactly like
-// the package-level entry point, and the returned partition is
-// byte-identical to a one-shot run with the same inputs.
-func (s *Session) BipartitionCtx(ctx context.Context, h *Hypergraph, opt Options) (*Partition, Info, error) {
-	return bipartitionCtx(ctx, h, opt, s.scratchFor(opt))
-}
-
-// QuadrisectCtx is QuadrisectCtx on the session's workspaces, under
-// the same contract as Session.BipartitionCtx.
-func (s *Session) QuadrisectCtx(ctx context.Context, h *Hypergraph, opt Options) (*Partition, Info, error) {
-	return quadrisectCtx(ctx, h, opt, s.scratchFor(opt))
+// PartitionCtx is PartitionCtx on the session's workspaces (see the
+// Session contract for when they are reused). Options, cancellation,
+// fault isolation and the result behave exactly like the package-level
+// entry point, and the returned partition is byte-identical to a
+// one-shot run with the same inputs.
+func (s *Session) PartitionCtx(ctx context.Context, h *Hypergraph, k int, opt Options) (*Partition, Info, error) {
+	return partition(ctx, h, k, opt, s.scratchFor(opt))
 }
 
 // scratchFor returns the reusable workspaces when opt's starts run one

@@ -27,34 +27,33 @@ func TestSessionMatchesOneShot(t *testing.T) {
 		return c.H
 	}
 	large, small := circuit("session-large", 2500, 21), circuit("session-small", 400, 22)
-	type runFn func(context.Context, *Hypergraph, Options) (*Partition, Info, error)
 	s := NewSession()
 	panicking := &FaultPlan{Seed: 1, Entries: []FaultEntry{faultinject.On(faultinject.SiteFMPass, faultinject.KindPanic, 3)}}
 	jobs := []struct {
-		name          string
-		h             *Hypergraph
-		opt           Options
-		session, once runFn
+		name string
+		h    *Hypergraph
+		k    int
+		opt  Options
 		// reuse is whether the Session runs the job on its own
 		// workspaces; fault is whether the job reports an error.
 		reuse, fault bool
 	}{
-		{"large quadrisect", large, Options{Engine: EngineFM, Seed: 1, Starts: 2, Parallelism: 1}, s.QuadrisectCtx, QuadrisectCtx, true, false},
-		{"small bipartition", small, Options{Engine: EngineFM, Seed: 2}, s.BipartitionCtx, BipartitionCtx, true, false},
-		{"large CLIP bipartition", large, Options{Engine: EngineCLIP, Seed: 3, Starts: 2, Parallelism: 1}, s.BipartitionCtx, BipartitionCtx, true, false},
-		{"large bipartition panicking in fm.pass", large, Options{Engine: EngineFM, Seed: 5, Inject: panicking}, s.BipartitionCtx, BipartitionCtx, true, true},
-		{"large bipartition after the panic", large, Options{Engine: EngineFM, Seed: 6}, s.BipartitionCtx, BipartitionCtx, true, false},
-		{"small quadrisect", small, Options{Engine: EngineCLIP, Seed: 4}, s.QuadrisectCtx, QuadrisectCtx, true, false},
-		{"large parallel multi-start", large, Options{Engine: EngineFM, Seed: 7, Starts: 2, Parallelism: 0}, s.BipartitionCtx, BipartitionCtx, false, false},
+		{"large quadrisect", large, 4, Options{Engine: EngineFM, Seed: 1, Starts: 2, Parallelism: 1}, true, false},
+		{"small bipartition", small, 2, Options{Engine: EngineFM, Seed: 2}, true, false},
+		{"large CLIP bipartition", large, 2, Options{Engine: EngineCLIP, Seed: 3, Starts: 2, Parallelism: 1}, true, false},
+		{"large bipartition panicking in fm.pass", large, 2, Options{Engine: EngineFM, Seed: 5, Inject: panicking}, true, true},
+		{"large bipartition after the panic", large, 2, Options{Engine: EngineFM, Seed: 6}, true, false},
+		{"small quadrisect", small, 4, Options{Engine: EngineCLIP, Seed: 4}, true, false},
+		{"large parallel multi-start", large, 2, Options{Engine: EngineFM, Seed: 7, Starts: 2, Parallelism: 0}, false, false},
 	}
 	for _, job := range jobs {
 		if got := s.scratchFor(job.opt) != nil; got != job.reuse {
 			t.Errorf("%s: Session reuses its workspaces = %v, want %v", job.name, got, job.reuse)
 		}
-		run := func(fn runFn) (*Partition, Info, []byte) {
+		run := func(fn func(context.Context, *Hypergraph, int, Options) (*Partition, Info, error)) (*Partition, Info, []byte) {
 			opt := job.opt
 			opt.Telemetry = NewTelemetry()
-			p, info, err := fn(context.Background(), job.h, opt)
+			p, info, err := fn(context.Background(), job.h, job.k, opt)
 			if (err != nil) != job.fault {
 				t.Fatalf("%s: error %v, want an error: %v", job.name, err, job.fault)
 			}
@@ -66,8 +65,8 @@ func TestSessionMatchesOneShot(t *testing.T) {
 			}
 			return p, info, report
 		}
-		pS, infoS, repS := run(job.session)
-		pO, infoO, repO := run(job.once)
+		pS, infoS, repS := run(s.PartitionCtx)
+		pO, infoO, repO := run(PartitionCtx)
 		if !reflect.DeepEqual(pS, pO) {
 			t.Errorf("%s: session partition differs from the one-shot call", job.name)
 		}
@@ -88,28 +87,19 @@ func TestSessionMatchesOneShot(t *testing.T) {
 // a different one. Each partition and Info must equal the one-shot
 // call's.
 func TestSessionDirtyStoreMatchesOneShot(t *testing.T) {
-	type runFn func(context.Context, *Hypergraph, Options) (*Partition, Info, error)
 	s := NewSession()
-	jobs := []struct {
-		cells         int
-		session, once runFn
-	}{
-		{8000, s.BipartitionCtx, BipartitionCtx},
-		{1000, s.QuadrisectCtx, QuadrisectCtx},
-		{3000, s.BipartitionCtx, BipartitionCtx},
-		{8000, s.QuadrisectCtx, QuadrisectCtx},
-	}
+	jobs := []struct{ cells, k int }{{8000, 2}, {1000, 4}, {3000, 2}, {8000, 4}}
 	for i, job := range jobs {
 		c, err := GenerateCircuit(CircuitSpec{Name: "dirty-store", Cells: job.cells, Nets: job.cells + job.cells/16, Seed: int64(40 + i)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		opt := Options{Seed: int64(i + 1)}
-		pS, infoS, err := job.session(context.Background(), c.H, opt)
+		pS, infoS, err := s.PartitionCtx(context.Background(), c.H, job.k, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pO, infoO, err := job.once(context.Background(), c.H, opt)
+		pO, infoO, err := PartitionCtx(context.Background(), c.H, job.k, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
