@@ -41,8 +41,11 @@ lint:
 # panicked job runs once and streams queued, started, failed, every
 # lifecycle path streams its exact events with resume from each id, an
 # unread stream never holds its job up, a server.events cancel cuts a
-# live stream, and a cancel or drain racing a worker's start leaves no
-# finished job holding its netlist), plus the refiners' pass-site
+# live stream, a cancel or drain racing a worker's start leaves no
+# finished job holding its netlist, and a cancel of a running
+# MaxStarts job, whose remaining starts the supervisor's dispatcher
+# records as skipped while its pool workers drain, ends the job
+# cancelled), plus the refiners' pass-site
 # faults (a cancel at fm.pass or kway.refine, like a Stop hook or
 # MaxPasses, ends every engine's run at the same pass boundary), under
 # the race detector —
@@ -50,7 +53,7 @@ lint:
 chaos:
 	$(GO) test -race -run 'TestChaos|TestParallelMultiStart|TestRecoveredStart|TestOuterCancel|TestRunStarts|TestValidateBoundsStarts' . ./internal/core
 	$(GO) test -race ./internal/faultinject ./internal/journal
-	$(GO) test -race -run 'TestChaosSweepServer|TestChaosSweepJournal|TestDrainMidBurst|TestQueueFullSheds|TestAdmitPanic|TestWorkerSession|TestSSE|TestCancelRacesWorkerStart|TestStartsAboveBoundRejected|TestRecoveryClosesUnrunnableJob' ./internal/server
+	$(GO) test -race -run 'TestChaosSweepServer|TestChaosSweepJournal|TestDrainMidBurst|TestQueueFullSheds|TestAdmitPanic|TestWorkerSession|TestSSE|TestCancelRacesWorkerStart|TestStartsAboveBoundRejected|TestRecoveryClosesUnrunnableJob|TestCancelInterruptsRunningJob' ./internal/server
 	$(GO) test -race -run TestPassContract ./internal/fm ./internal/kway
 
 # Crash durability harness: launch cmd/mlpartd as a real subprocess

@@ -63,7 +63,8 @@ import (
 
 func main() {
 	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "mlpart:", err)
+		// The library's option errors already carry the prefix.
+		fmt.Fprintln(os.Stderr, "mlpart:", strings.TrimPrefix(err.Error(), "mlpart: "))
 		os.Exit(1)
 	}
 }

@@ -2,7 +2,9 @@
 // -stats-json run report written by cmd/mlpart (schema
 // mlpart-stats/1: header consistency, per-start completeness and
 // coarsening stop reasons, internal counter invariants, non-zero
-// wall-clock totals) or a /statsz service snapshot from mlpartd
+// wall-clock totals for every start that ran — a start skipped after
+// a cancel reads all-zero timings and carries nothing else) or a
+// /statsz service snapshot from mlpartd
 // (schema mlpartd-stats/1: accounting invariants — accepted =
 // terminals + queued + running, including the crash-recovery
 // counters). The schema is detected from the document. It is the
@@ -247,7 +249,13 @@ func validate(r *mlpart.Report, minLevels, minPasses int) error {
 		if s.Rebalances < 0 || s.RebalanceMoved < 0 {
 			return fmt.Errorf("start %d: negative rebalance counters", i)
 		}
-		if s.Timings.TotalNS <= 0 {
+		// A start that ran took time. One skipped after a cancel never
+		// ran: its timings are all zero and it carries nothing else.
+		if s.Outcome == "cancelled" && s.Timings == (telemetry.StageTimings{}) {
+			if s.Cost != -1 || s.CoarsenStop != "" || len(s.Coarsening) > 0 || len(s.Passes) > 0 || s.Rebalances > 0 {
+				return fmt.Errorf("start %d: skipped (total_ns 0) but carries statistics", i)
+			}
+		} else if s.Timings.TotalNS <= 0 {
 			return fmt.Errorf("start %d: total_ns = %d, want > 0", i, s.Timings.TotalNS)
 		}
 	}

@@ -136,10 +136,23 @@ func TestCmdBenchgenAndMlpart(t *testing.T) {
 	}
 	quad("clip.part", "-engine", "clip")
 
-	// Error paths.
-	if out, err := exec.Command(filepath.Join(bins, "mlpart"),
-		"-in", filepath.Join(dir, "balu.hgr"), "-k", "3").CombinedOutput(); err == nil {
-		t.Errorf("-k 3 should fail, got:\n%s", out)
+	// Error paths. An invalid option prints the library's error, whose
+	// "mlpart: " prefix is printed once.
+	for _, c := range []struct {
+		flag, value, want string
+	}{
+		{"-k", "3", "mlpart: k must be 2 or 4, got 3\n"},
+		{"-starts", "-1", "mlpart: starts -1 < 1\n"},
+	} {
+		var stderr strings.Builder
+		cmd := exec.Command(filepath.Join(bins, "mlpart"),
+			"-in", filepath.Join(dir, "balu.hgr"), "-out", os.DevNull, c.flag, c.value)
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err == nil {
+			t.Errorf("%s %s should fail", c.flag, c.value)
+		} else if stderr.String() != c.want {
+			t.Errorf("%s %s: stderr %q, want %q", c.flag, c.value, stderr.String(), c.want)
+		}
 	}
 	// An unknown -engine fails with ParseEngine's error, the one the
 	// options JSON "engine" field reports too.
@@ -162,7 +175,8 @@ func TestCmdBenchgenAndMlpart(t *testing.T) {
 // TestCmdMlpartTimeout: a -timeout that expires immediately must
 // still write a feasible best-so-far partition, report "interrupted"
 // on stderr, and exit 0 — interruption is graceful degradation, not
-// failure.
+// failure. Its stats report, whose later starts were skipped, must
+// pass statscheck.
 func TestCmdMlpartTimeout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -175,13 +189,18 @@ func TestCmdMlpartTimeout(t *testing.T) {
 	}
 	hgr := filepath.Join(dir, "balu.hgr")
 	part := filepath.Join(dir, "balu.part")
+	stats := filepath.Join(dir, "stats.json")
 	out, err := exec.Command(filepath.Join(bins, "mlpart"),
-		"-in", hgr, "-out", part, "-timeout", "1ns", "-starts", "4").CombinedOutput()
+		"-in", hgr, "-out", part, "-timeout", "1ns", "-starts", "4", "-stats-json", stats).CombinedOutput()
 	if err != nil {
 		t.Fatalf("mlpart -timeout 1ns should still exit 0: %v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "interrupted") {
 		t.Errorf("no interruption note on stderr:\n%s", out)
+	}
+	if out, err := exec.Command(filepath.Join(bins, "statscheck"),
+		"-in", stats, "-min-levels", "0", "-min-passes", "0").CombinedOutput(); err != nil {
+		t.Errorf("statscheck on the interrupted run's report: %v\n%s", err, out)
 	}
 	hf, err := os.Open(hgr)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -91,10 +92,11 @@ type SuperOptions struct {
 	// gets its own derived injector.
 	Plan *faultinject.Plan
 	// Telemetry optionally collects per-start statistics. Each start
-	// gets its own child collector (so pool workers never share one);
-	// the children are merged into this parent in start order after
-	// the pool drains, which keeps the report bit-identical across
-	// Parallelism values. Nil costs one pointer check.
+	// gets its own child collector (so pool workers never share one),
+	// whose statistics are taken as the start ends; they are attached
+	// to this parent in start order after the pool drains, which keeps
+	// the report bit-identical across Parallelism values. Nil costs
+	// one pointer check.
 	Telemetry *telemetry.Collector
 }
 
@@ -118,17 +120,21 @@ func DeriveSeed(base int64, start int) int64 {
 // RunStarts executes o.Starts supervised starts of run over a bounded
 // worker pool and reduces to the best solution with a deterministic
 // tie-break (lowest cost, then lowest start index), so the result is
-// bit-identical run-to-run and across Parallelism values.
+// bit-identical run-to-run and across Parallelism values. The
+// reduction streams: a finished start's solution replaces the one kept
+// solution if it is better, and a min over (cost, start) does not
+// depend on the order in which starts finish.
 //
 // Each start runs exactly once, under ctx, with its own derived seed
 // and fault injector, and is panic-isolated: a panic escaping run
-// becomes a *PanicError that fails only that start. Starts after the
-// first are skipped once ctx is done; start 0 always runs, even with
-// a pre-cancelled context, so a best-effort degraded solution exists.
+// becomes a *PanicError that fails only that start. Once ctx is done
+// no further start is dispatched; the remaining starts are reported
+// cancelled without running. Start 0 always runs, even with a
+// pre-cancelled context, so a best-effort degraded solution exists.
 //
 // The returned error is nil when any start completed cleanly;
-// otherwise it is the lowest-start recovered *PanicError (alongside
-// the best recovered solution), or the first failure.
+// otherwise it is the best start's recovered *PanicError (alongside
+// its recovered solution), or the first failure in start order.
 func RunStarts[S any](ctx context.Context, o SuperOptions, run func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *telemetry.Collector) Attempt[S]) (S, int, []StartReport, error) {
 	if o.Starts < 1 {
 		o.Starts = 1
@@ -142,28 +148,43 @@ func RunStarts[S any](ctx context.Context, o SuperOptions, run func(ctx context.
 	}
 
 	reports := make([]StartReport, o.Starts)
-	sols := make([]Attempt[S], o.Starts)
-	// Per-start telemetry children and wall-clock, merged into the
-	// parent in start order after the pool drains (never from pool
-	// workers — the parent collector is single-goroutine).
-	var tels []*telemetry.Collector
-	var startNS []int64
+	// Per-start statistics, handed to the parent collector in one call
+	// after the pool drains (never from pool workers: the parent
+	// collector is single-goroutine).
+	var stats []telemetry.StartStats
 	if o.Telemetry != nil {
-		tels = make([]*telemetry.Collector, o.Starts)
-		startNS = make([]int64, o.Starts)
+		stats = make([]telemetry.StartStats, o.Starts)
 	}
-	runStart := func(s int) {
-		var t0 time.Time
-		if o.Telemetry != nil {
-			//mllint:ignore par-purity telemetry-gated wall clock: durations land in per-start slots merged in start order, never in results
-			t0 = time.Now()
+	skip := func(s int) {
+		reports[s] = StartReport{Start: s, Outcome: OutcomeCancelled, Cost: -1}
+		if stats != nil {
+			stats[s] = telemetry.StartStats{Start: s, Outcome: OutcomeCancelled.String(), Cost: -1}
 		}
-		var tel *telemetry.Collector
-		reports[s], tel = superviseStart(ctx, o, s, run, &sols[s])
-		if o.Telemetry != nil {
-			tels[s] = tel
-			//mllint:ignore par-purity telemetry-gated wall clock: durations land in per-start slots merged in start order, never in results
-			startNS[s] = time.Since(t0).Nanoseconds()
+	}
+
+	// The kept solution: the lowest (cost, start) seen so far.
+	var (
+		mu   sync.Mutex
+		best = -1
+		cost int
+		sol  S
+	)
+	runStart := func(s int) {
+		if s > 0 && ctx.Err() != nil { // dispatched just before the cancel
+			skip(s)
+			return
+		}
+		a, rep, st := superviseStart(ctx, o, s, run)
+		reports[s] = rep
+		if stats != nil {
+			stats[s] = st
+		}
+		if c := rep.Cost; c >= 0 {
+			mu.Lock()
+			if best == -1 || c < cost || c == cost && s < best {
+				best, cost, sol = s, c, a.Sol
+			}
+			mu.Unlock()
 		}
 	}
 
@@ -181,91 +202,69 @@ func RunStarts[S any](ctx context.Context, o SuperOptions, run func(ctx context.
 			}
 		}()
 	}
-	for s := 0; s < o.Starts; s++ {
+	s := 0
+	for ; s < o.Starts && (s == 0 || ctx.Err() == nil); s++ {
 		idx <- s
 	}
 	close(idx)
+	for ; s < o.Starts; s++ {
+		skip(s)
+	}
 	wg.Wait()
-
-	if o.Telemetry != nil {
-		for s := range reports {
-			r := reports[s]
-			o.Telemetry.AttachStart(tels[s].TakeStart(s, r.Outcome.String(), r.Cost, startNS[s]))
-		}
-	}
-
-	// Deterministic reduction: lowest cost wins, ties to the lowest
-	// start index (ascending scan with a strict comparison).
-	best := -1
-	clean := false
-	for s, r := range reports {
-		clean = clean || r.Outcome == OutcomeOK
-		if r.Cost >= 0 && (best == -1 || r.Cost < reports[best].Cost) {
-			best = s
-		}
-	}
+	o.Telemetry.AttachStarts(stats)
 
 	var err error
-	if !clean {
+	if !slices.ContainsFunc(reports, func(r StartReport) bool { return r.Outcome == OutcomeOK }) {
 		// Prefer the error that accompanies the returned solution
 		// (the recovered panic of the best start); otherwise the
 		// first failure in start order.
 		if best >= 0 && reports[best].Err != nil {
 			err = reports[best].Err
-		} else {
-			for _, r := range reports {
-				if r.Err != nil {
-					err = r.Err
-					break
-				}
-			}
+		} else if i := slices.IndexFunc(reports, func(r StartReport) bool { return r.Err != nil }); i >= 0 {
+			err = reports[i].Err
 		}
-	}
-	var sol S
-	if best >= 0 {
-		sol = sols[best].Sol
 	}
 	return sol, best, reports, err
 }
 
-// superviseStart runs start s once and classifies it. The kept
-// solution (if any) is written to *keep and signalled by a
-// non-negative Cost in the report. The returned collector is the
-// child that observed the start (nil when telemetry is disabled or
-// the start was skipped).
-func superviseStart[S any](ctx context.Context, o SuperOptions, s int, run func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *telemetry.Collector) Attempt[S], keep *Attempt[S]) (StartReport, *telemetry.Collector) {
-	rep := StartReport{Start: s, Cost: -1}
-	if s > 0 && ctx.Err() != nil {
-		rep.Outcome = OutcomeCancelled
-		return rep, nil
+// superviseStart runs start s once and classifies it. It returns the
+// start's attempt, whose solution competes in the reduction only when
+// the report's Cost is non-negative, and the report. With telemetry
+// armed it also returns the start's statistics, taken from the child
+// collector that observed it, so the child is dropped when the start
+// ends.
+func superviseStart[S any](ctx context.Context, o SuperOptions, s int, run func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *telemetry.Collector) Attempt[S]) (Attempt[S], StartReport, telemetry.StartStats) {
+	var t0 time.Time
+	if o.Telemetry != nil {
+		//mllint:ignore par-purity telemetry-gated wall clock: the duration lands in the start's own statistics, never in results
+		t0 = time.Now()
 	}
 	inj := o.Plan.NewInjector(s)
 	tel := o.Telemetry.NewChild()
 	a := runIsolated(ctx, DeriveSeed(o.Seed, s), inj, tel, run)
-	rep.Faults = inj.Fired()
-	rep.Interrupted = a.Interrupted
-	rep.Err = a.Err
+	rep := StartReport{Start: s, Cost: -1, Faults: inj.Fired(), Interrupted: a.Interrupted, Err: a.Err}
 	_, recovered := AsPanicError(a.Err)
 	switch {
 	case a.HasSol && a.Err == nil:
-		rep.Outcome = OutcomeOK
+		rep.Outcome, rep.Cost = OutcomeOK, a.Cost
 	case a.HasSol && recovered:
 		// Recovered panic with a feasible degraded solution: the
 		// solution is valid, so it competes in the reduction.
-		rep.Outcome = OutcomeRecovered
+		rep.Outcome, rep.Cost = OutcomeRecovered, a.Cost
 	case ctx.Err() != nil:
 		rep.Outcome = OutcomeCancelled
-		return rep, tel
 	default:
 		rep.Outcome = OutcomeFailed
 		if rep.Err == nil {
 			rep.Err = errors.New("core: start produced no solution")
 		}
-		return rep, tel
 	}
-	*keep = a
-	rep.Cost = a.Cost
-	return rep, tel
+	var st telemetry.StartStats
+	if tel != nil {
+		//mllint:ignore par-purity telemetry-gated wall clock: the duration lands in the start's own statistics, never in results
+		st = tel.TakeStart(s, rep.Outcome.String(), rep.Cost, time.Since(t0).Nanoseconds())
+	}
+	return a, rep, st
 }
 
 // runIsolated is the belt-and-braces panic barrier around one attempt:

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -88,6 +89,38 @@ func TestRunStartsTieBreaksToLowestStart(t *testing.T) {
 		SuperOptions{Starts: 5, Parallelism: 4, Seed: 1}, run)
 	if err != nil || best != 0 {
 		t.Fatalf("best = %d, err = %v; want 0, nil", best, err)
+	}
+}
+
+// TestRunStartsKeepsOneSolution pins the streaming reduction: while
+// the last of 64 starts runs, the run holds the one kept solution, not
+// one 1 MiB solution per finished start.
+func TestRunStartsKeepsOneSolution(t *testing.T) {
+	const starts, size = 64, 1 << 20
+	var calls int
+	var live uint64
+	run := func(ctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector) Attempt[[]byte] {
+		s := calls // Parallelism 1 runs the starts in order
+		calls++
+		sol := make([]byte, size)
+		sol[0] = byte(s)
+		if s == starts-1 {
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			live = ms.HeapAlloc
+		}
+		// Every start beats the one before it, so each replaces the
+		// kept solution.
+		return Attempt[[]byte]{Sol: sol, Cost: starts - s, HasSol: true}
+	}
+	sol, best, _, err := RunStarts(context.Background(),
+		SuperOptions{Starts: starts, Parallelism: 1, Seed: 1}, run)
+	if err != nil || best != starts-1 || len(sol) != size || sol[0] != starts-1 {
+		t.Fatalf("best %d, err %v; want start %d and its solution", best, err, starts-1)
+	}
+	if live >= 16<<20 {
+		t.Fatalf("%.1f MiB live in the last start, want < 16 MiB (one kept solution)", float64(live)/(1<<20))
 	}
 }
 

@@ -39,14 +39,12 @@ type jobRequest struct {
 }
 
 // blocks returns the request's block count: k, with 0 selecting 2.
-func (r *jobRequest) blocks() (int, error) {
-	switch r.K {
-	case 0:
-		return 2, nil
-	case 2, 4:
-		return r.K, nil
+// options checks it, with the entry point's error.
+func (r *jobRequest) blocks() int {
+	if r.K == 0 {
+		return 2
 	}
-	return 0, fmt.Errorf("k must be 2 or 4, got %d", r.K)
+	return r.K
 }
 
 // options decodes the request's options document — absent or null
@@ -241,12 +239,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	k, err := req.blocks()
-	if err != nil {
-		s.stats.RejectInvalid()
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
+	k := req.blocks()
 	if req.TimeoutMS < 0 {
 		s.stats.RejectInvalid()
 		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("negative timeout_ms %d", req.TimeoutMS))

@@ -221,10 +221,7 @@ func rebuildJob(acc journal.Record, limits hypergraph.Limits) (*job, error) {
 	if err := json.Unmarshal(acc.Request, &req); err != nil {
 		return nil, fmt.Errorf("journaled request does not decode: %w", err)
 	}
-	k, err := req.blocks()
-	if err != nil {
-		return nil, fmt.Errorf("journaled request: %w", err)
-	}
+	k := req.blocks()
 	opt, err := req.options(k)
 	if err != nil {
 		return nil, fmt.Errorf("journaled options: %w", err)

@@ -253,6 +253,11 @@ func TestBadSubmissions(t *testing.T) {
 	s, hs := newTestServer(t, Config{})
 	_ = s
 	hgr := testHGR(t, 4, 4)
+	// A bad k is refused with the entry point's own error.
+	badK := mlpart.Options{}.Validate(3)
+	if badK == nil || badK.Error() != "mlpart: k must be 2 or 4, got 3" {
+		t.Fatalf("Validate(3) = %v", badK)
+	}
 	cases := []struct {
 		name string
 		body string
@@ -279,11 +284,15 @@ func TestBadSubmissions(t *testing.T) {
 		}
 		var eb struct {
 			Error struct {
-				Code string `json:"code"`
+				Code    string `json:"code"`
+				Message string `json:"message"`
 			} `json:"error"`
 		}
 		if err := json.Unmarshal(data, &eb); err != nil || eb.Error.Code == "" {
 			t.Errorf("%s: unstructured error body: %s", tc.name, data)
+		}
+		if tc.name == "bad k" && eb.Error.Message != badK.Error() {
+			t.Errorf("bad k: message %q, want %q", eb.Error.Message, badK)
 		}
 	}
 	if rep := s.Stats(); rep.Invalid != int64(len(cases)) {

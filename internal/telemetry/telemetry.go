@@ -10,11 +10,13 @@
 //
 // Determinism contract: a Collector is owned by one goroutine. The
 // multi-start supervisor gives each start its own child collector
-// (NewChild) and merges the kept children into the parent in start
-// order after the worker pool drains, so an armed Report is
-// bit-identical across Parallelism values — except the *NS timing
-// fields, which are wall-clock measurements; StripTimings zeroes them
-// for byte-for-byte comparison.
+// (NewChild), takes the child's StartStats (TakeStart) as soon as the
+// start ends, and hands the parent every start's StartStats in start
+// order in one call (AttachStarts) after the worker pool drains. A
+// start skipped after a cancel gets a skeleton entry and no child. So
+// an armed Report is bit-identical across Parallelism values — except
+// the *NS timing fields, which are wall-clock measurements;
+// StripTimings zeroes them for byte-for-byte comparison.
 package telemetry
 
 import (
@@ -114,7 +116,8 @@ type StageTimings struct {
 	RefineNS    int64 `json:"refine_ns"`
 	ProjectNS   int64 `json:"project_ns"`
 	RebalanceNS int64 `json:"rebalance_ns"`
-	// TotalNS is the supervised start's end-to-end duration.
+	// TotalNS is the supervised start's end-to-end duration; 0 for a
+	// start skipped after a cancel, which never ran.
 	TotalNS int64 `json:"total_ns"`
 	// CoarsenParRegions and RefineParRegions always read 0: the
 	// pipeline has no parallel regions.
@@ -202,7 +205,9 @@ func writeJSON(w io.Writer, v any) error {
 // instrumented sites cost one pointer check.
 //
 // A Collector is not safe for concurrent use; the supervisor derives
-// one child per start (NewChild) and merges sequentially.
+// one child per start (NewChild), takes each child's statistics on
+// the worker that ran the start, and attaches them to the parent
+// after the pool drains.
 type Collector struct {
 	level int
 
@@ -345,9 +350,10 @@ func (c *Collector) addNS(stage Stage, ns int64) {
 }
 
 // TakeStart finalizes the per-start accumulation into a StartStats
-// and resets the collector for reuse. Called by the supervisor on the
-// start's child collector; nil-safe, returning a skeleton entry so
-// disabled children still merge deterministically.
+// and resets the collector for reuse. The supervisor calls it on the
+// start's child collector as soon as the start ends, so the child is
+// dropped then and only its StartStats is kept; nil-safe, returning a
+// skeleton entry (start, outcome, cost and totalNS only).
 func (c *Collector) TakeStart(start int, outcome string, cost int, totalNS int64) StartStats {
 	s := StartStats{Start: start, Outcome: outcome, Cost: cost}
 	if c != nil {
@@ -365,14 +371,14 @@ func (c *Collector) TakeStart(start int, outcome string, cost int, totalNS int64
 	return s
 }
 
-// AttachStart appends one start's aggregate to the report. The
-// supervisor calls this in start order after the pool drains, which
-// is what makes the report parallelism-invariant.
-func (c *Collector) AttachStart(s StartStats) {
+// AttachStarts sets the report's per-start aggregates (one per start,
+// in start order) to ss. The supervisor calls it once, after the pool
+// drains, which is what makes the report parallelism-invariant.
+func (c *Collector) AttachStarts(ss []StartStats) {
 	if c == nil {
 		return
 	}
-	c.report.PerStart = append(c.report.PerStart, s)
+	c.report.PerStart = ss
 }
 
 // FinishRun fills the report header. Called exactly once per run by

@@ -33,7 +33,7 @@ func TestNilCollectorNoOp(t *testing.T) {
 		s.Rebalances != 0 || s.RebalanceMoved != 0 {
 		t.Fatalf("nil TakeStart = %+v, want skeleton %+v", s, want)
 	}
-	c.AttachStart(s)
+	c.AttachStarts([]StartStats{s})
 	c.FinishRun(2, 1, 4, 0, 10, 10, 3)
 	if c.Report() != nil {
 		t.Fatal("nil collector returned a non-nil report")
@@ -159,14 +159,14 @@ func TestTimers(t *testing.T) {
 	}
 }
 
-// TestReportAssembly covers AttachStart order, FinishRun, StripTimings
+// TestReportAssembly covers AttachStarts order, FinishRun, StripTimings
 // and the WriteJSON encoding.
 func TestReportAssembly(t *testing.T) {
 	c := New()
-	c.AttachStart(StartStats{Start: 0, Outcome: "ok", Cost: 7,
-		Timings: StageTimings{CoarsenNS: 11, TotalNS: 50}})
-	c.AttachStart(StartStats{Start: 1, Outcome: "failed", Cost: -1,
-		Timings: StageTimings{TotalNS: 60}})
+	c.AttachStarts([]StartStats{
+		{Start: 0, Outcome: "ok", Cost: 7, Timings: StageTimings{CoarsenNS: 11, TotalNS: 50}},
+		{Start: 1, Outcome: "failed", Cost: -1, Timings: StageTimings{TotalNS: 60}},
+	})
 	c.FinishRun(2, 42, 2, 0, 7, 7, 3)
 
 	r := c.Report()

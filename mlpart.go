@@ -182,9 +182,9 @@ func NewBuilder(n int) *Builder { return hypergraph.NewBuilder(n) }
 // tolerance r.
 func Balance(h *Hypergraph, k int, r float64) BalanceBound { return hypergraph.Balance(h, k, r) }
 
-// MaxStarts bounds Options.Starts. A run sizes its per-start reports
-// and solution slots by Starts before any start runs, so the bound
-// caps what one request can make a run allocate up front.
+// MaxStarts bounds Options.Starts. A run keeps one solution, but it
+// sizes its per-start reports by Starts before any start runs, so the
+// bound caps what one request can make a run allocate up front.
 const MaxStarts = 1 << 16
 
 // Options is the convenience configuration for the one-call API.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mlpart/internal/faultinject"
+	"mlpart/internal/telemetry"
 )
 
 // TestParallelMultiStartDeterminism pins the supervisor's central
@@ -104,7 +105,8 @@ func TestRecoveredStartKeepsRemaining(t *testing.T) {
 // TestOuterCancelSkipsLaterStarts pins that a done caller context
 // marks unstarted runs StartCancelled while start 0 still produces a
 // feasible solution, and Info.Interrupted reflects the caller's
-// cancellation.
+// cancellation. The skipped starts never run, and the telemetry report
+// still holds one entry per start, in start order.
 func TestOuterCancelSkipsLaterStarts(t *testing.T) {
 	c, err := GenerateCircuit(CircuitSpec{Name: "oc", Cells: 300, Nets: 340, Pins: 1100, Seed: 58})
 	if err != nil {
@@ -112,7 +114,8 @@ func TestOuterCancelSkipsLaterStarts(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := Options{Seed: 68, Starts: 4, Parallelism: 1, Audit: true}
+	tel := NewTelemetry()
+	opt := Options{Seed: 68, Starts: 4, Parallelism: 1, Audit: true, Telemetry: tel}
 	p, info, err := BipartitionCtx(ctx, c.H, opt)
 	if err != nil {
 		t.Fatalf("cancellation is not an error: %v", err)
@@ -129,6 +132,22 @@ func TestOuterCancelSkipsLaterStarts(t *testing.T) {
 	for s := 1; s < opt.Starts; s++ {
 		if got := info.StartReports[s].Outcome; got != StartCancelled {
 			t.Errorf("start %d outcome %v, want %v", s, got, StartCancelled)
+		}
+	}
+	r := tel.Report()
+	if r.Starts != opt.Starts || len(r.PerStart) != opt.Starts {
+		t.Fatalf("report has %d starts and %d per_start entries, want %d", r.Starts, len(r.PerStart), opt.Starts)
+	}
+	for s, st := range r.PerStart {
+		if st.Start != s {
+			t.Errorf("per_start[%d].Start = %d, want start order", s, st.Start)
+		}
+		if s == 0 {
+			continue
+		}
+		if st.Outcome != "cancelled" || st.Cost != -1 || st.Coarsening != nil || st.CoarsenStop != "" ||
+			st.Passes != nil || st.Rebalances != 0 || st.Timings != (telemetry.StageTimings{}) {
+			t.Errorf("skipped start %d: %+v, want a cancelled skeleton with cost -1 and nothing run", s, st)
 		}
 	}
 }
