@@ -110,20 +110,14 @@ stats-smoke:
 		cmp /tmp/mlpart-stats-k$$k-p1.stripped.json /tmp/mlpart-stats-k$$k-p4.stripped.json || exit 1; \
 	done
 
-# Service smoke: mlpartd's loopback self-test drives the daemon over
-# real HTTP (submit / wait / result and a byte-identical cache hit; then
-# a burst of distinct-seed jobs while one SSE consumer checks the
-# queued → started → completed event order and Last-Event-ID resume,
-# and /statsz answers in both the mlpartd-stats/1 and mlpart-bench/1
-# schemas),
-# then a self-delivered SIGTERM takes the production drain path. The
-# final service stats go to a file (so a failing self-test fails the
-# target) that cmd/statscheck validates against the mlpartd-stats/1
-# accounting ledger.
+# Service smoke: TestCmdMlpartdSmoke runs cmd/mlpartd as a real
+# subprocess over HTTP (probes, a k = 2 job and its byte-identical
+# cache hit, a k = 4 job), SIGTERMs it through the production drain
+# path, and validates the final stats on stdout with cmd/statscheck
+# against the mlpartd-stats/1 accounting ledger. The streaming
+# surface and both /statsz schemas are tested in internal/server.
 serve-smoke:
-	$(GO) build -o /tmp/mlpartd-smoke ./cmd/mlpartd
-	/tmp/mlpartd-smoke -smoke -in cmd/mlpart/testdata/smoke.hgr > /tmp/mlpartd-smoke-stats.json
-	$(GO) run ./cmd/statscheck -in /tmp/mlpartd-smoke-stats.json
+	$(GO) test -count=1 -run '^TestCmdMlpartdSmoke$$' .
 
 # Benchmark regression gate: cmd/benchrun sweeps the pinned netgen
 # instances, writes BENCH_<date>.json, and gates cuts (exact), allocs/op

@@ -4,14 +4,19 @@ package mlpart
 // once into a temp dir and driven through its primary flows.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"mlpart/internal/hypergraph"
 )
@@ -435,28 +440,92 @@ func TestCmdExperimentsDeterministic(t *testing.T) {
 	}
 }
 
-// TestCmdMlpartdSmoke drives the daemon's loopback self-test — a real
-// HTTP submit/wait/result flow, a byte-identical cache hit, a streamed
-// burst of eight distinct jobs, and a self-delivered SIGTERM through
-// the production drain path — then
-// pipes the final stats JSON into statscheck via stdin, covering the
-// mlpartd-stats/1 validation path and the stdin input mode at once.
+// TestCmdMlpartdSmoke runs mlpartd as a real subprocess (no journal)
+// through the probes, a k = 2 job, the same job again as a
+// byte-identical cache hit, and a k = 4 job. SIGTERM then takes the
+// production drain path, and the final stats JSON on stdout is piped
+// into statscheck via stdin, covering the mlpartd-stats/1 validation
+// path and the stdin input mode at once. `make serve-smoke` runs
+// exactly this test.
 func TestCmdMlpartdSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	bins := buildTools(t)
-	hgr := filepath.Join("cmd", "mlpart", "testdata", "smoke.hgr")
-
-	out, err := exec.Command(filepath.Join(bins, "mlpartd"),
-		"-smoke", "-in", hgr).Output()
+	hgr, err := os.ReadFile(filepath.Join("cmd", "mlpart", "testdata", "smoke.hgr"))
 	if err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			t.Fatalf("mlpartd -smoke: %v\n%s", err, ee.Stderr)
+		t.Fatal(err)
+	}
+	d := startDaemon(t, bins, t.TempDir())
+	base := "http://" + d.addr
+	client := &http.Client{Timeout: 30 * time.Second}
+	get := func(path string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := client.Get(base + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
 		}
-		t.Fatalf("mlpartd -smoke: %v", err)
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s (%v): %s", path, resp.Status, err, data)
+		}
+		return resp, data
+	}
+	// job submits one job, waits for it to complete, and returns its
+	// result document and X-Mlpartd-Cache header.
+	job := func(k int) ([]byte, string) {
+		t.Helper()
+		body, err := json.Marshal(map[string]any{
+			"hgr": string(hgr), "k": k,
+			"options": map[string]any{"seed": 1997, "starts": 2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("submit k=%d: %v", k, err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var v struct {
+			ID     string `json:"id"`
+			Status string `json:"status"`
+		}
+		if resp.StatusCode != http.StatusAccepted || json.Unmarshal(data, &v) != nil {
+			t.Fatalf("submit k=%d: %s: %s", k, resp.Status, data)
+		}
+		if _, data = get("/v1/jobs/" + v.ID + "?wait_ms=25000"); json.Unmarshal(data, &v) != nil || v.Status != "completed" {
+			t.Fatalf("job %s (k=%d) did not complete: %s", v.ID, k, data)
+		}
+		resp, res := get("/v1/jobs/" + v.ID + "/result")
+		return res, resp.Header.Get("X-Mlpartd-Cache")
 	}
 
+	get("/healthz")
+	get("/readyz")
+	first, cache1 := job(2)
+	second, cache2 := job(2)
+	if cache1 != "miss" || cache2 != "hit" {
+		t.Errorf("X-Mlpartd-Cache = %q then %q, want miss then hit", cache1, cache2)
+	}
+	if !bytes.Equal(first, second) {
+		t.Errorf("cache hit result differs from computed result (%d vs %d bytes)", len(first), len(second))
+	}
+	quad, _ := job(4)
+	var doc struct {
+		K int `json:"k"`
+	}
+	if err := json.Unmarshal(quad, &doc); err != nil || doc.K != 4 {
+		t.Errorf("k=4 result document: %v: %s", err, quad)
+	}
+
+	_ = d.cmd.Process.Signal(syscall.SIGTERM)
+	if d.wait() || !d.cmd.ProcessState.Success() {
+		t.Fatalf("mlpartd did not drain cleanly: %v\nstderr: %s", d.cmd.ProcessState, d.stderr)
+	}
+	out := d.stdout.Bytes()
 	var rep struct {
 		Schema    string `json:"schema"`
 		Accepted  int64  `json:"accepted"`
@@ -465,17 +534,16 @@ func TestCmdMlpartdSmoke(t *testing.T) {
 		Draining  bool   `json:"draining"`
 	}
 	if err := json.Unmarshal(out, &rep); err != nil {
-		t.Fatalf("smoke stats output: %v\n%s", err, out)
+		t.Fatalf("drain stats output: %v\n%s", err, out)
 	}
-	// Two cache-flow submissions plus the eight-job burst.
-	if rep.Schema != "mlpartd-stats/1" || rep.Accepted != 10 || rep.Completed != 10 ||
+	if rep.Schema != "mlpartd-stats/1" || rep.Accepted != 3 || rep.Completed != 3 ||
 		rep.CacheHits != 1 || !rep.Draining {
-		t.Errorf("unexpected smoke stats: %+v", rep)
+		t.Errorf("unexpected drain stats: %+v", rep)
 	}
 
 	// statscheck consumes the service snapshot from stdin.
 	cmd := exec.Command(filepath.Join(bins, "statscheck"))
-	cmd.Stdin = strings.NewReader(string(out))
+	cmd.Stdin = bytes.NewReader(out)
 	if sout, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("statscheck < mlpartd stats: %v\n%s", err, sout)
 	} else if !strings.Contains(string(sout), "service") {
@@ -483,7 +551,7 @@ func TestCmdMlpartdSmoke(t *testing.T) {
 	}
 
 	// A snapshot violating the accounting ledger must fail.
-	bad := strings.Replace(string(out), `"completed": 10`, `"completed": 9`, 1)
+	bad := strings.Replace(string(out), `"completed": 3`, `"completed": 2`, 1)
 	if bad == string(out) {
 		t.Fatalf("could not corrupt the snapshot:\n%s", out)
 	}

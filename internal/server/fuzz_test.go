@@ -13,7 +13,8 @@ import (
 
 // FuzzJobRequest fuzzes the POST /v1/jobs decoder, the network-facing
 // edge of mlpartd. Whatever the body, the submission must answer 202
-// (admitted) or a 4xx, never a 5xx or a panic; a 400 must count as
+// (admitted) or a 4xx, never a 5xx or a panic; an admitted body's
+// timeout_ms must lie within [0, MaxTimeout]; a 400 must count as
 // exactly one invalid submission; and once an admitted job finishes,
 // the ledger must balance (accepted == terminal statuses, nothing
 // queued or running). Small limits and deadlines keep admitted jobs
@@ -28,6 +29,7 @@ func FuzzJobRequest(f *testing.F) {
 		`{"hgr":` + jsonString(mesh) + `,"k":3}`,
 		`{"hgr":` + jsonString(mesh) + `,"timeout_ms":-1}`,
 		`{"hgr":` + jsonString(mesh) + `,"timeout_ms":99999999}`,
+		`{"hgr":` + jsonString(mesh) + `,"timeout_ms":18446744073710}`,
 		`{"hgr":` + jsonString(mesh) + `,"options":{"engine":"nope"}}`,
 		`{"hgr":` + jsonString(mesh) + `,"options":{"tolerance":"NaN"}}`,
 		`{"hgr":` + jsonString(mesh) + `,"options":[1,2]}`,
@@ -71,6 +73,10 @@ func FuzzJobRequest(f *testing.F) {
 			}
 			if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil || v.ID == "" {
 				t.Fatalf("202 without a job id: %v: %s", err, rec.Body.Bytes())
+			}
+			// An admitted deadline lies within [0, MaxTimeout].
+			if req, err := decodeJobRequest(body); err != nil || req.TimeoutMS < 0 || req.TimeoutMS > 1000 {
+				t.Fatalf("202 for timeout_ms outside [0, 1000] (decode error %v): %q", err, body)
 			}
 			wait := httptest.NewRecorder()
 			h.ServeHTTP(wait, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+v.ID+"?wait_ms=30000", nil))

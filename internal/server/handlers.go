@@ -245,13 +245,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("negative timeout_ms %d", req.TimeoutMS))
 		return
 	}
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-	if timeout > s.cfg.MaxTimeout {
+	// Compare in milliseconds: converting first would wrap a huge
+	// timeout_ms around to a small or negative Duration.
+	if req.TimeoutMS > s.cfg.MaxTimeout.Milliseconds() {
 		s.stats.RejectInvalid()
 		writeError(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("timeout_ms %d exceeds the server maximum %d", req.TimeoutMS, s.cfg.MaxTimeout.Milliseconds()))
 		return
 	}
+	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
 
 	opt, err := req.options(k)
 	if err != nil {

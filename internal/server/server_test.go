@@ -271,6 +271,8 @@ func TestBadSubmissions(t *testing.T) {
 		{"unknown option", fmt.Sprintf(`{"hgr": %q, "options": {"bogus": 1}}`, hgr)},
 		{"negative timeout", fmt.Sprintf(`{"hgr": %q, "timeout_ms": -5}`, hgr)},
 		{"huge timeout", fmt.Sprintf(`{"hgr": %q, "timeout_ms": 99999999999}`, hgr)},
+		{"timeout wrapping negative", fmt.Sprintf(`{"hgr": %q, "timeout_ms": 9223372036855}`, hgr)},
+		{"timeout wrapping to microseconds", fmt.Sprintf(`{"hgr": %q, "timeout_ms": 18446744073710}`, hgr)},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
@@ -926,8 +928,25 @@ func TestChaosSweepServer(t *testing.T) {
 
 // TestStatszAndProbes exercises the observability endpoints.
 func TestStatszAndProbes(t *testing.T) {
-	s, hs := newTestServer(t, Config{})
-	_ = s
+	_, hs := newTestServer(t, Config{})
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d: %s", path, resp.StatusCode, data)
+		}
+		return data
+	}
+	// Both probes answer 200 on a live server (TestDrainMidBurst pins 503
+	// from /readyz once draining).
+	get("/healthz")
+	get("/readyz")
+
 	hgr := testHGR(t, 6, 6)
 	_, v, _ := postJob(t, hs.URL, submitBody(t, hgr, 2, nil, map[string]any{"stats": true}))
 	fin := waitTerminal(t, hs.URL, v.ID)
@@ -944,15 +963,7 @@ func TestStatszAndProbes(t *testing.T) {
 		t.Fatalf("job stats schema %q (%v)", runRep.Schema, err)
 	}
 
-	resp, err := http.Get(hs.URL + "/statsz")
-	if err != nil {
-		t.Fatalf("statsz: %v", err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("statsz: %d", resp.StatusCode)
-	}
+	data := get("/statsz")
 	var rep struct {
 		Schema    string `json:"schema"`
 		Accepted  int64  `json:"accepted"`
@@ -963,6 +974,22 @@ func TestStatszAndProbes(t *testing.T) {
 	}
 	if rep.Schema != "mlpartd-stats/1" || rep.Accepted != 1 || rep.Completed != 1 {
 		t.Fatalf("statsz %+v", rep)
+	}
+
+	// The bench view carries one entry per algorithm executed so far:
+	// here the k = 2 job's bipartition.
+	data = get("/statsz?schema=bench")
+	var bench struct {
+		Schema  string `json:"schema"`
+		Entries []struct {
+			Algorithm string `json:"algorithm"`
+		} `json:"entries"`
+	}
+	if err := json.Unmarshal(data, &bench); err != nil {
+		t.Fatalf("statsz?schema=bench body: %v: %s", err, data)
+	}
+	if bench.Schema != "mlpart-bench/1" || len(bench.Entries) != 1 || bench.Entries[0].Algorithm != "bipartition" {
+		t.Fatalf("statsz?schema=bench: %s", data)
 	}
 
 	if resp, err := http.Get(hs.URL + "/v1/jobs/nope"); err != nil {

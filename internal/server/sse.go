@@ -2,8 +2,8 @@ package server
 
 // Server-Sent Events framing: the writer used by the event handlers
 // and the tolerant frame parser used by the stream-consuming clients
-// (cmd/mlpartd's stream smoke and the protocol tests; the parser is
-// also the fuzz target FuzzParseSSE).
+// (the service benchmark workload and the protocol tests; the parser
+// is also the fuzz target FuzzParseSSE).
 //
 // A frame is a block of "field: value" lines ended by a blank line:
 //

@@ -144,7 +144,6 @@ type ServiceCollector struct {
 // benchAgg is the cumulative stage profile of every executed attempt
 // for one algorithm.
 type benchAgg struct {
-	jobs        int64
 	cut, levels int // last observed — a sample, not a sum
 	stage       BenchStageNS
 }
@@ -209,7 +208,6 @@ func (s *ServiceCollector) AddStage(k, cut, levels int, t BenchStageNS) {
 		a = &benchAgg{}
 		s.bench.agg[k] = a
 	}
-	a.jobs++
 	a.cut, a.levels = cut, levels
 	a.stage.add(t)
 }
@@ -347,7 +345,7 @@ func (s *ServiceCollector) BenchSnapshot(date string) BenchReport {
 	defer s.bench.mu.Unlock()
 	for _, k := range []int{2, 4} {
 		a := s.bench.agg[k]
-		if a == nil || a.jobs == 0 {
+		if a == nil {
 			continue
 		}
 		alg := "bipartition"
