@@ -97,12 +97,17 @@ func measure(bc benchCase, iters int) (telemetry.BenchEntry, error) {
 		return telemetry.BenchEntry{}, err
 	}
 
-	// Warm run, then measure. Parallelism is 1 and nothing else runs,
-	// so the Mallocs delta is attributable to the pipeline.
+	// Collect, warm, then measure. Parallelism is 1 and nothing else
+	// runs, so the Mallocs delta is attributable to the pipeline. The
+	// collection comes before the warm run: it parks this goroutine,
+	// which may resume on another processor than the one the
+	// workspace pool kept the warm run's bundle for, and the measured
+	// runs would then pay for a cold bundle once or not at all,
+	// depending on the scheduler.
+	runtime.GC()
 	if _, _, err := runOnce(bc, h, nil); err != nil {
 		return telemetry.BenchEntry{}, err
 	}
-	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < iters; i++ {

@@ -22,8 +22,9 @@
 // The one-call entry point is PartitionCtx, which runs the multilevel
 // algorithm for k = 2 (bipartitioning) or k = 4 (quadrisection);
 // Bipartition, BipartitionCtx, Quadrisect and QuadrisectCtx are
-// wrappers that fix k, and Session.PartitionCtx runs it on reusable
-// workspaces:
+// wrappers that fix k. Each call runs on workspace bundles borrowed
+// from a process-wide pool, and Session.PartitionCtx runs it on a
+// bundle the Session keeps:
 //
 //	h := mlpart.NewBuilder(4).
 //		AddNet(0, 1).AddNet(1, 2).AddNet(2, 3).

@@ -1,8 +1,15 @@
 // Golden case for the workspace-retain check: workspace-named struct
-// types retained at package level — directly, behind a pointer, or
-// inside a container — must be flagged; locals, parameters, struct
-// fields and non-workspace globals stay clean.
+// types retained at package level — directly, behind a pointer, inside
+// a container or inside a struct that holds one — must be flagged;
+// locals, parameters, struct fields, sync.Pool and non-workspace
+// globals stay clean.
 package workspaceretain
+
+import (
+	"sync"
+
+	"mlpart/internal/core"
+)
 
 type Workspace struct{ buf []int32 }
 
@@ -53,3 +60,36 @@ type attemptState struct {
 }
 
 func (s *attemptState) run(scratch *Workspace) { s.ws = *scratch }
+
+// Scratch mirrors core.Scratch: a named struct holding a workspace is
+// a holder, retained exactly like the workspace it holds.
+type Scratch struct {
+	ws   pipelineWS
+	seed int64
+}
+
+var sharedScratch Scratch // want "package-level workspace is shared mutable scratch"
+
+var coreScratch *core.Scratch // want "package-level workspace is shared mutable scratch"
+
+// session holds a holder: still a workspace two levels down.
+type session struct{ scratch *core.Scratch }
+
+var defaultSession = &session{} // want "package-level workspace is shared mutable scratch"
+
+// A recursive holder terminates.
+type node struct {
+	next *node
+	ws   *Workspace
+}
+
+var list node // want "package-level workspace is shared mutable scratch"
+
+// The sanctioned holder: a bundle in a sync.Pool has one owner
+// between Get and Put.
+var scratchPool = sync.Pool{New: func() any { return &Scratch{} }}
+
+// A recursive type that reaches no workspace stays clean.
+type chain struct{ next *chain }
+
+var head chain

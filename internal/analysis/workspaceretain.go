@@ -11,14 +11,20 @@ import (
 // allocation-free hot paths: a workspace (coarsen.Workspace,
 // fm.Workspace, hypergraph.InduceWorkspace, core's pipelineWS and
 // its hierarchy store hierarchyWorkspace — any named struct whose name
-// marks it as reusable scratch) is owned by
-// exactly one attempt and lives on that attempt's stack or config.
+// marks it as reusable scratch) is owned by exactly one attempt at a
+// time and lives on that attempt's stack or config, or in a holder
+// the attempt's owner keeps there. A named struct that holds a
+// workspace, such as core.Scratch or an mlpart.Session, counts as one.
 // Retaining one in a package-level variable — directly, behind a
-// pointer, or inside a container — turns per-attempt scratch into
-// shared mutable state: two concurrent starts would overwrite each
-// other's buffers, and the corruption shows up far away as a wrong
-// cut or a partition that fails the oracle recount. The rule applies
-// to every package, cmd/ and examples/ included.
+// pointer, inside a container or inside a holder — turns per-attempt
+// scratch into shared mutable state: two concurrent starts would
+// overwrite each other's buffers, and the corruption shows up far away
+// as a wrong cut or a partition that fails the oracle recount. The
+// rule applies to every package, cmd/ and examples/ included.
+//
+// The one sanctioned package-level holder is a sync.Pool, whose type
+// reaches no workspace: between Get and Put a bundle has exactly one
+// owner, and an idle one belongs to nobody.
 type WorkspaceRetain struct{}
 
 // Name implements Check.
@@ -34,31 +40,38 @@ func isWorkspaceName(name string) bool {
 	return strings.HasSuffix(name, "Workspace") || name == "pipelineWS"
 }
 
-// holdsWorkspace reports whether t is a workspace type or a container
-// that can reach one (pointer, slice, array, map, channel), so
-// indirect retention like `var pool []*fm.Workspace` is caught too.
-func holdsWorkspace(t types.Type, depth int) bool {
-	if depth > 8 {
-		return false
-	}
+// holdsWorkspace reports whether t is a workspace type or can reach
+// one through containers (pointer, slice, array, map, channel) and
+// struct fields, so indirect retention like `var pool []*fm.Workspace`
+// or `var s *core.Scratch` is caught too. seen breaks cycles: every
+// recursive type goes through a named one.
+func holdsWorkspace(t types.Type, seen map[*types.Named]bool) bool {
 	switch u := t.(type) {
 	case *types.Named:
-		if isWorkspaceName(u.Obj().Name()) {
-			if _, ok := u.Underlying().(*types.Struct); ok {
+		if seen[u] {
+			return false
+		}
+		seen[u] = true
+		if _, ok := u.Underlying().(*types.Struct); ok && isWorkspaceName(u.Obj().Name()) {
+			return true
+		}
+		return holdsWorkspace(u.Underlying(), seen)
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if holdsWorkspace(u.Field(i).Type(), seen) {
 				return true
 			}
 		}
-		return false
 	case *types.Pointer:
-		return holdsWorkspace(u.Elem(), depth+1)
+		return holdsWorkspace(u.Elem(), seen)
 	case *types.Slice:
-		return holdsWorkspace(u.Elem(), depth+1)
+		return holdsWorkspace(u.Elem(), seen)
 	case *types.Array:
-		return holdsWorkspace(u.Elem(), depth+1)
+		return holdsWorkspace(u.Elem(), seen)
 	case *types.Map:
-		return holdsWorkspace(u.Elem(), depth+1)
+		return holdsWorkspace(u.Elem(), seen)
 	case *types.Chan:
-		return holdsWorkspace(u.Elem(), depth+1)
+		return holdsWorkspace(u.Elem(), seen)
 	}
 	return false
 }
@@ -79,12 +92,12 @@ func (WorkspaceRetain) Run(pass *Pass) {
 				}
 				for _, name := range vs.Names {
 					v, ok := pass.Info.Defs[name].(*types.Var)
-					if !ok || !holdsWorkspace(v.Type(), 0) {
+					if !ok || !holdsWorkspace(v.Type(), map[*types.Named]bool{}) {
 						continue
 					}
 					pass.Report(name, check,
 						"package-level workspace is shared mutable scratch",
-						"keep workspaces on the attempt's stack (pipelineWS per attempt) or thread them through a Config.WS field; a global breaks per-start isolation")
+						"keep workspaces on the attempt's stack or thread them through a config field (Config.WS, Config.Scratch); share idle bundles through a sync.Pool; a global breaks per-start isolation")
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mlpart/internal/coarsen"
+	"mlpart/internal/faultinject"
 	"mlpart/internal/hypergraph"
 	"mlpart/internal/netgen"
 	"mlpart/internal/telemetry"
@@ -141,6 +142,71 @@ func TestScratchSteadyStateAllocationBudget(t *testing.T) {
 					h.NumCells(), k, got, limit, partitionMultiple, partBytes, slackBytes)
 			}
 		}
+	}
+}
+
+// TestPooledStartsAllocationBudget bounds what a run allocates when
+// its workers borrow their bundles from scratchPool, the path of every
+// package-level mlpart call. A warm single-start k = 2 run finds its
+// worker's bundle sized by the run before it and stays within the
+// steady-state bound of a warm Scratch. Sixteen starts at Parallelism
+// 2 run on two bundles, not sixteen: the bound is a quarter of what
+// sixteen cold bundles allocate, which per-start bundles exceed
+// fourfold.
+func TestPooledStartsAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts, and sync.Pool drops Puts at random under it")
+	}
+	circ := netgen.MustGenerate(netgen.Spec{Name: "pooled", Cells: 2000, Nets: 2100, Pins: 7000, Seed: 1997})
+	h := circ.H
+	start := func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *telemetry.Collector, sc *Scratch) Attempt[*hypergraph.Partition] {
+		p, res, err := BipartitionCtx(ctx, h, Config{Inject: inj, Telemetry: tel, Scratch: sc}, sc.Rand(seed))
+		return Attempt[*hypergraph.Partition]{Sol: p, Cost: res.Cut, HasSol: p != nil, Err: err}
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run := func(o SuperOptions) func() {
+		return func() {
+			if _, _, _, err := RunStarts(context.Background(), o, start); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// warm collects, then runs o once to size the pooled bundles. The
+	// collection comes first: one in progress can park this goroutine
+	// (in an assist, or in ReadMemStats), which may then resume on
+	// another processor than the one the pool kept the bundles for.
+	warm := func(o SuperOptions) {
+		runtime.GC()
+		run(o)()
+	}
+
+	// What one start allocates on a cold bundle of its own.
+	cold := allocated(run(SuperOptions{Seed: 7, Starts: 1, Parallelism: 1, Scratch: NewScratch()}))
+
+	single := SuperOptions{Seed: 7, Starts: 1, Parallelism: 1}
+	warm(single)
+	got := allocated(run(single))
+	partBytes := 4 * uint64(h.NumCells())
+	limit := partitionMultiple*partBytes + slackBytes
+	t.Logf("single start: %d bytes warm (%.1f× the partition's %d), %d on a cold bundle", got, float64(got)/float64(partBytes), partBytes, cold)
+	if got > limit {
+		t.Errorf("a warm single-start run allocated %d bytes, want ≤ %d (%d× the partition's %d bytes + %d)",
+			got, limit, partitionMultiple, partBytes, slackBytes)
+	}
+
+	multi := SuperOptions{Seed: 7, Starts: 16, Parallelism: 2}
+	warm(multi)
+	got = allocated(run(multi))
+	limit = 16 * cold / 4
+	t.Logf("16 starts at Parallelism 2: %d bytes warm, %d for 16 cold bundles", got, 16*cold)
+	if got > limit {
+		t.Errorf("16 starts at Parallelism 2 allocated %d bytes, want ≤ %d (a quarter of 16 cold bundles' %d)", got, limit, 16*cold)
 	}
 }
 

@@ -68,8 +68,8 @@ type Config struct {
 	Telemetry *telemetry.Collector
 	// Scratch, when non-nil, makes the attempt reuse a caller-owned
 	// workspace bundle instead of creating a fresh one — see Scratch
-	// for the single-goroutine contract. Nil keeps the default
-	// bundle-per-attempt behavior.
+	// for the single-goroutine contract. RunStarts passes each start
+	// its worker's bundle; nil creates a bundle for this attempt.
 	Scratch *Scratch
 }
 
@@ -132,8 +132,8 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg Config, r
 		return nil, Result{}, err
 	}
 	ctx = orBackground(ctx)
-	// One workspace bundle per attempt, or the caller's reused Scratch
-	// for Session runs.
+	// The Scratch's bundle (a supervisor worker's), or a fresh one for
+	// a call given none.
 	ws := cfg.Scratch.attemptWS()
 	p, run, err := runLevels(ctx, level{h: h}, cfg.levels(), newFMLevels(ctx, cfg, ws, h), rng, ws)
 	res := Result{Levels: run.levels(), CoarsestCells: run.cells[len(run.cells)-1], LevelCells: run.cells, Interrupted: run.interrupted}

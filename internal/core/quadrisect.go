@@ -126,8 +126,8 @@ func QuadrisectCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg QuadConfig
 			}
 		}
 	}
-	// One workspace bundle per attempt, or the caller's reused Scratch
-	// for Session runs.
+	// The Scratch's bundle (a supervisor worker's), or a fresh one for
+	// a call given none.
 	ws := cfg.Scratch.attemptWS()
 	top := level{h: h, fixed: cfg.Fixed, pre: cfg.Preassign}
 	p, run, err := runLevels(ctx, top, cfg.levels(), newKwayLevels(ctx, cfg, ws, h), rng, ws)

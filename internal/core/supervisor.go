@@ -91,6 +91,10 @@ type SuperOptions struct {
 	// Plan optionally arms deterministic fault injection; each start
 	// gets its own derived injector.
 	Plan *faultinject.Plan
+	// Scratch, when non-nil, is the caller's own workspace bundle (an
+	// mlpart.Session's). It serves the starts when a single worker runs
+	// them all; otherwise it is left alone.
+	Scratch *Scratch
 	// Telemetry optionally collects per-start statistics. Each start
 	// gets its own child collector (so pool workers never share one),
 	// whose statistics are taken as the start ends; they are attached
@@ -99,6 +103,12 @@ type SuperOptions struct {
 	// one pointer check.
 	Telemetry *telemetry.Collector
 }
+
+// StartFunc runs one supervised start with its context, derived seed,
+// fault injector and telemetry child, on sc, the workspace bundle of
+// the worker running it. sc is the start's alone until it returns;
+// nothing the start returns may point into it.
+type StartFunc[S any] func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *telemetry.Collector, sc *Scratch) Attempt[S]
 
 // DeriveSeed maps (base seed, start) to the start's seed. Start 0
 // returns base unchanged, so a single-start run is bit-identical to
@@ -125,6 +135,12 @@ func DeriveSeed(base int64, start int) int64 {
 // solution if it is better, and a min over (cost, start) does not
 // depend on the order in which starts finish.
 //
+// Each worker runs its starts on one workspace bundle: o.Scratch when
+// it is the only worker and o.Scratch is set, otherwise one borrowed
+// from scratchPool for the run and returned once every worker has
+// exited. A run therefore grows workspaces for at most its workers,
+// and only where a bundle it borrows is smaller than its starts need.
+//
 // Each start runs exactly once, under ctx, with its own derived seed
 // and fault injector, and is panic-isolated: a panic escaping run
 // becomes a *PanicError that fails only that start. Once ctx is done
@@ -135,7 +151,7 @@ func DeriveSeed(base int64, start int) int64 {
 // The returned error is nil when any start completed cleanly;
 // otherwise it is the best start's recovered *PanicError (alongside
 // its recovered solution), or the first failure in start order.
-func RunStarts[S any](ctx context.Context, o SuperOptions, run func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *telemetry.Collector) Attempt[S]) (S, int, []StartReport, error) {
+func RunStarts[S any](ctx context.Context, o SuperOptions, run StartFunc[S]) (S, int, []StartReport, error) {
 	if o.Starts < 1 {
 		o.Starts = 1
 	}
@@ -169,12 +185,12 @@ func RunStarts[S any](ctx context.Context, o SuperOptions, run func(ctx context.
 		cost int
 		sol  S
 	)
-	runStart := func(s int) {
+	runStart := func(s int, sc *Scratch) {
 		if s > 0 && ctx.Err() != nil { // dispatched just before the cancel
 			skip(s)
 			return
 		}
-		a, rep, st := superviseStart(ctx, o, s, run)
+		a, rep, st := superviseStart(ctx, o, s, sc, run)
 		reports[s] = rep
 		if stats != nil {
 			stats[s] = st
@@ -188,19 +204,30 @@ func RunStarts[S any](ctx context.Context, o SuperOptions, run func(ctx context.
 		}
 	}
 
-	// One dispatch path for every par: with par == 1 a single worker
-	// runs the starts in order, so a Scratch threaded through run is
-	// still used by one goroutine at a time.
+	// One dispatch path for every par. Each worker runs its starts in
+	// order on its own bundle, so no bundle is used by two goroutines
+	// at once. The bundles are borrowed and returned here, on the
+	// caller's goroutine: a pool keeps what one processor returned for
+	// that processor first, and the next call from this goroutine most
+	// likely runs where this one ended.
+	bundles := make([]*Scratch, par)
+	for w := range bundles {
+		if par == 1 && o.Scratch != nil {
+			bundles[w] = o.Scratch
+		} else {
+			bundles[w] = scratchPool.Get().(*Scratch)
+		}
+	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
+	for _, sc := range bundles {
 		wg.Add(1)
-		go func() {
+		go func(sc *Scratch) {
 			defer wg.Done()
 			for s := range idx {
-				runStart(s)
+				runStart(s, sc)
 			}
-		}()
+		}(sc)
 	}
 	s := 0
 	for ; s < o.Starts && (s == 0 || ctx.Err() == nil); s++ {
@@ -211,6 +238,11 @@ func RunStarts[S any](ctx context.Context, o SuperOptions, run func(ctx context.
 		skip(s)
 	}
 	wg.Wait()
+	for _, sc := range bundles {
+		if sc != o.Scratch {
+			scratchPool.Put(sc)
+		}
+	}
 	o.Telemetry.AttachStarts(stats)
 
 	var err error
@@ -233,7 +265,7 @@ func RunStarts[S any](ctx context.Context, o SuperOptions, run func(ctx context.
 // armed it also returns the start's statistics, taken from the child
 // collector that observed it, so the child is dropped when the start
 // ends.
-func superviseStart[S any](ctx context.Context, o SuperOptions, s int, run func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *telemetry.Collector) Attempt[S]) (Attempt[S], StartReport, telemetry.StartStats) {
+func superviseStart[S any](ctx context.Context, o SuperOptions, s int, sc *Scratch, run StartFunc[S]) (Attempt[S], StartReport, telemetry.StartStats) {
 	var t0 time.Time
 	if o.Telemetry != nil {
 		//mllint:ignore par-purity telemetry-gated wall clock: the duration lands in the start's own statistics, never in results
@@ -241,7 +273,7 @@ func superviseStart[S any](ctx context.Context, o SuperOptions, s int, run func(
 	}
 	inj := o.Plan.NewInjector(s)
 	tel := o.Telemetry.NewChild()
-	a := runIsolated(ctx, DeriveSeed(o.Seed, s), inj, tel, run)
+	a := runIsolated(ctx, DeriveSeed(o.Seed, s), inj, tel, sc, run)
 	rep := StartReport{Start: s, Cost: -1, Faults: inj.Fired(), Interrupted: a.Interrupted, Err: a.Err}
 	_, recovered := AsPanicError(a.Err)
 	switch {
@@ -270,11 +302,11 @@ func superviseStart[S any](ctx context.Context, o SuperOptions, s int, run func(
 // runIsolated is the belt-and-braces panic barrier around one attempt:
 // the stage Guards inside the pipeline recover their own panics, but
 // nothing run on a pool worker may ever escape and kill the process.
-func runIsolated[S any](ctx context.Context, seed int64, inj *faultinject.Injector, tel *telemetry.Collector, run func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *telemetry.Collector) Attempt[S]) (a Attempt[S]) {
+func runIsolated[S any](ctx context.Context, seed int64, inj *faultinject.Injector, tel *telemetry.Collector, sc *Scratch, run StartFunc[S]) (a Attempt[S]) {
 	defer func() {
 		if v := recover(); v != nil {
 			a = Attempt[S]{Err: &PanicError{Stage: "start", Level: -1, Value: v, Stack: debug.Stack()}}
 		}
 	}()
-	return run(ctx, seed, inj, tel)
+	return run(ctx, seed, inj, tel, sc)
 }

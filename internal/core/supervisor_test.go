@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -52,7 +54,7 @@ func TestDeriveSeedPinned(t *testing.T) {
 func TestRunStartsReductionDeterministic(t *testing.T) {
 	// Synthetic run: cost is a pure function of the derived seed, so
 	// every Parallelism value must reduce to the same winner.
-	run := func(ctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector) Attempt[int64] {
+	run := func(ctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector, _ *Scratch) Attempt[int64] {
 		cost := int(uint64(seed) % 1000)
 		return Attempt[int64]{Sol: seed, Cost: cost, HasSol: true}
 	}
@@ -82,7 +84,7 @@ func TestRunStartsReductionDeterministic(t *testing.T) {
 }
 
 func TestRunStartsTieBreaksToLowestStart(t *testing.T) {
-	run := func(ctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector) Attempt[string] {
+	run := func(ctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector, _ *Scratch) Attempt[string] {
 		return Attempt[string]{Sol: "x", Cost: 7, HasSol: true}
 	}
 	_, best, _, err := RunStarts(context.Background(),
@@ -99,7 +101,7 @@ func TestRunStartsKeepsOneSolution(t *testing.T) {
 	const starts, size = 64, 1 << 20
 	var calls int
 	var live uint64
-	run := func(ctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector) Attempt[[]byte] {
+	run := func(ctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector, _ *Scratch) Attempt[[]byte] {
 		s := calls // Parallelism 1 runs the starts in order
 		calls++
 		sol := make([]byte, size)
@@ -124,12 +126,64 @@ func TestRunStartsKeepsOneSolution(t *testing.T) {
 	}
 }
 
+// TestRunStartsBundlePerWorker pins which workspace bundle each start
+// runs on: a single worker runs every start on the caller's bundle
+// when there is one and on one pooled bundle otherwise, and parallel
+// workers each hold a pooled bundle of their own — never the caller's,
+// and never one another worker is using.
+func TestRunStartsBundlePerWorker(t *testing.T) {
+	own := NewScratch()
+	for _, c := range []struct {
+		name    string
+		par     int
+		scratch *Scratch
+		wantOwn bool
+	}{
+		{"one worker, caller bundle", 1, own, true},
+		{"one worker, no caller bundle", 1, nil, false},
+		{"two workers, caller bundle", 2, own, false},
+		{"four workers", 4, nil, false},
+	} {
+		var (
+			mu    sync.Mutex
+			inUse = map[*Scratch]bool{}
+			seen  = map[*Scratch]bool{}
+			bad   []string
+		)
+		run := func(ctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector, sc *Scratch) Attempt[int] {
+			mu.Lock()
+			if sc == nil || inUse[sc] {
+				bad = append(bad, fmt.Sprintf("bundle %p nil or already in use", sc))
+			}
+			inUse[sc], seen[sc] = true, true
+			mu.Unlock()
+			runtime.Gosched()
+			mu.Lock()
+			inUse[sc] = false
+			mu.Unlock()
+			return Attempt[int]{Sol: 1, Cost: 1, HasSol: true}
+		}
+		if _, _, _, err := RunStarts(context.Background(), SuperOptions{Starts: 16, Parallelism: c.par, Scratch: c.scratch}, run); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(bad) > 0 {
+			t.Errorf("%s: %s", c.name, bad[0])
+		}
+		if seen[own] != c.wantOwn {
+			t.Errorf("%s: ran on the caller's bundle = %v, want %v", c.name, seen[own], c.wantOwn)
+		}
+		if len(seen) > c.par {
+			t.Errorf("%s: starts ran on %d bundles, want at most one per worker (%d)", c.name, len(seen), c.par)
+		}
+	}
+}
+
 func TestRunStartsRecoveredPanicIsolated(t *testing.T) {
 	// A panic escaping one start must not kill the others or surface
 	// as the top-level error when a clean start exists, and the
 	// failed start is not run again.
 	var calls atomic.Int32
-	run := func(ctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector) Attempt[int] {
+	run := func(ctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector, _ *Scratch) Attempt[int] {
 		calls.Add(1)
 		if seed == DeriveSeed(9, 1) {
 			panic("boom")
@@ -166,7 +220,7 @@ func TestRunStartsRecoveredSolutionKept(t *testing.T) {
 	// recovered); with no clean start anywhere, the top-level error is
 	// the best start's recovered panic.
 	perr := &PanicError{Stage: "refine", Level: 2, Value: "inv"}
-	run := func(ctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector) Attempt[int] {
+	run := func(ctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector, _ *Scratch) Attempt[int] {
 		return Attempt[int]{Sol: 5, Cost: 11, HasSol: true, Err: perr}
 	}
 	sol, best, reports, err := RunStarts(context.Background(),
@@ -191,7 +245,7 @@ func TestRunStartsRecoveredSolutionKept(t *testing.T) {
 func TestRunStartsNoRetryAfterCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int32
-	run := func(rctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector) Attempt[int] {
+	run := func(rctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector, _ *Scratch) Attempt[int] {
 		calls.Add(1)
 		cancel() // the caller goes away mid-attempt
 		return Attempt[int]{Err: errors.New("transient")}
@@ -217,7 +271,7 @@ func TestRunStartsNoRetryAfterCancel(t *testing.T) {
 func TestRunStartsAllFailedSurfacesFirstError(t *testing.T) {
 	sentinel := errors.New("first failure")
 	var calls atomic.Int32
-	run := func(ctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector) Attempt[int] {
+	run := func(ctx context.Context, seed int64, inj *faultinject.Injector, _ *telemetry.Collector, _ *Scratch) Attempt[int] {
 		calls.Add(1)
 		if seed == DeriveSeed(5, 0) {
 			return Attempt[int]{Err: sentinel}

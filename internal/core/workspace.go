@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 
 	"mlpart/internal/coarsen"
 	"mlpart/internal/fm"
@@ -13,12 +14,13 @@ import (
 // matching sweep's score buffers, the induce accumulators (which also
 // hold the one shared cell side, lent to the level being matched or
 // refined), the refinement engines' arrays and buckets, and the
-// hierarchy store that holds the coarse levels' net sides. Every entry point creates one per call (and
-// the multi-start supervisor therefore gets one per attempt
-// goroutine), so hierarchy levels — and, in V-cycles, whole cycles —
-// reuse memory while nothing is ever shared across goroutines or
-// retained in package state. A Scratch carries one bundle across
-// successive attempts that run one at a time.
+// hierarchy store that holds the coarse levels' net sides. A Scratch
+// carries one bundle across successive attempts that run one at a
+// time: each multi-start worker holds one for all the starts it runs
+// (see RunStarts), so hierarchy levels — and, in V-cycles, whole
+// cycles — reuse memory while a bundle is never used by two
+// goroutines at once. A call given no Scratch (the core entry points
+// called directly, and Hierarchy) creates a bundle of its own.
 //
 // Sizing contract: every scratch buffer in the bundle reaches its
 // final size at the finest level and never grows while the attempt
@@ -100,25 +102,28 @@ func (hw *hierarchyWorkspace) keep(i int) *levelSlot {
 }
 
 // Scratch is a reusable pipeline workspace bundle for sequential
-// execution. A caller that runs many attempts back-to-back (an
-// mlpart.Session, one per mlpartd executor) threads one
-// Scratch through Config.Scratch / QuadConfig.Scratch so successive
-// attempts reuse the same match/induce/refine buffers and the same
-// hierarchy store instead of allocating a fresh set per attempt.
+// execution. RunStarts gives each of its workers one, and the worker
+// threads it through Config.Scratch / QuadConfig.Scratch into every
+// start it runs, so successive starts — and successive calls — reuse
+// the same match/induce/refine buffers and the same hierarchy store
+// instead of allocating a fresh set per start. A worker runs on the
+// caller's own bundle (an mlpart.Session's, one per mlpartd executor)
+// when it is the only worker, and otherwise on one borrowed from
+// scratchPool.
 //
 // Contract: a Scratch is used by one goroutine at a time. At most one
-// attempt may use it at a time, so callers pass it only to runs whose
-// starts execute one at a time (Starts 1 or Parallelism 1, where
-// RunStarts runs them in order on a single worker goroutine). Reuse is
-// bit-identity preserving: every array an attempt reads is rewritten
-// by that attempt first, so a result computed on a reused Scratch is
+// attempt may use it at a time; each supervisor worker holds one
+// bundle and runs its starts in order. Reuse is bit-identity
+// preserving: every array an attempt reads is rewritten by that
+// attempt first, so a result computed on a reused Scratch is
 // byte-identical to one computed on a fresh bundle.
 //
 // Retention: a Scratch keeps the largest hierarchy and the largest
 // scratch set it has served until it is dropped. After one job on an
 // 8k-cell netgen circuit (k = 2 or 4) that is 72 to 78 bytes per input
 // pin, of which the hierarchy store, with the one shared cell side, is
-// 29 to 48.
+// 29 to 48. A Session holds its bundle for its lifetime; scratchPool
+// lets an idle bundle go after two garbage collections.
 type Scratch struct {
 	ws  pipelineWS
 	rng *rand.Rand
@@ -127,9 +132,18 @@ type Scratch struct {
 // NewScratch returns an empty reusable workspace bundle.
 func NewScratch() *Scratch { return &Scratch{} }
 
+// scratchPool holds the idle bundles of RunStarts workers that have no
+// caller bundle to run on. Between Get and Put a bundle has exactly
+// one owner, the worker it was borrowed for. The pool keeps a returned
+// bundle for the processor that returned it first, so a call whose
+// goroutine has since moved to another processor (a blocking call,
+// runtime.GC among them, can move it) may find none there and grow a
+// fresh one.
+var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
+
 // attemptWS returns the workspace bundle one attempt should use: the
-// shared bundle when a Scratch is configured, a fresh per-call bundle
-// otherwise (nil receiver = the default per-attempt behavior).
+// Scratch's own, or a fresh one for a call given no Scratch (nil
+// receiver).
 func (s *Scratch) attemptWS() *pipelineWS {
 	if s == nil {
 		return &pipelineWS{}
@@ -137,14 +151,11 @@ func (s *Scratch) attemptWS() *pipelineWS {
 	return &s.ws
 }
 
-// Rand returns a generator seeded with seed for one attempt: a new
-// one for a nil Scratch, otherwise the Scratch's own, reseeded.
-// Rand.Seed resets the stream exactly, so both draw the same numbers;
-// the reseeded generator is valid until the next Rand call.
+// Rand returns the Scratch's generator, reseeded with seed for one
+// attempt. Rand.Seed resets the stream exactly, so it draws the same
+// numbers as a new generator with that seed; it is valid until the
+// next Rand call.
 func (s *Scratch) Rand(seed int64) *rand.Rand {
-	if s == nil {
-		return rand.New(rand.NewSource(seed))
-	}
 	if s.rng == nil {
 		s.rng = rand.New(rand.NewSource(seed))
 	} else {

@@ -50,7 +50,19 @@ func collectEvents(t *testing.T, base, id string, lastID int64) []SSEFrame {
 	if err != nil {
 		t.Fatalf("read events %s: %v", id, err)
 	}
-	return ParseSSE(raw)
+	return parseSSE(raw)
+}
+
+// parseSSE parses a complete byte stream into its dispatched frames.
+func parseSSE(b []byte) []SSEFrame {
+	var p SSEParser
+	var frames []SSEFrame
+	for _, line := range strings.Split(string(b), "\n") {
+		if f, ok := p.Line(line); ok {
+			frames = append(frames, f)
+		}
+	}
+	return frames
 }
 
 // eventNames projects the frames onto their event names.
@@ -341,7 +353,7 @@ func TestSSEUnreadStreamNeverBlocksJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read events: %v", err)
 	}
-	if got, want := ParseSSE(raw), lifecycleFrames(id, "queued", "started", "completed"); !reflect.DeepEqual(got, want) {
+	if got, want := parseSSE(raw), lifecycleFrames(id, "queued", "started", "completed"); !reflect.DeepEqual(got, want) {
 		t.Errorf("stream %+v, want %+v", got, want)
 	}
 	if got := s.Stats().EventsDropped; got != 0 {
@@ -364,7 +376,7 @@ func TestSSELastEventIDFiltersLiveEvents(t *testing.T) {
 		t.Fatalf("read events: %v", err)
 	}
 	want := lifecycleFrames(id, "queued", "started", "completed")[2:]
-	if got := ParseSSE(raw); !reflect.DeepEqual(got, want) {
+	if got := parseSSE(raw); !reflect.DeepEqual(got, want) {
 		t.Errorf("resume after id 2 of a live job gave %+v, want %+v", got, want)
 	}
 }
@@ -384,7 +396,7 @@ func TestSSEEventsCancelCutsLiveStream(t *testing.T) {
 		t.Fatalf("read events: %v", err)
 	}
 	all := lifecycleFrames(id, "queued", "started", "completed")
-	if got := ParseSSE(raw); !reflect.DeepEqual(got, all[:1]) {
+	if got := parseSSE(raw); !reflect.DeepEqual(got, all[:1]) {
 		t.Errorf("cut stream %+v, want %+v", got, all[:1])
 	}
 	if got := s.Stats().EventsDropped; got != 1 {
@@ -426,9 +438,9 @@ func FuzzParseSSE(f *testing.F) {
 		// with no serializable field are dropped, stray '\r's are
 		// normalized), so a fixpoint must appear within len(input)+2
 		// rounds.
-		cur := serialize(ParseSSE([]byte(input)))
+		cur := serialize(parseSSE([]byte(input)))
 		for i := 0; i <= len(input)+2; i++ {
-			next := serialize(ParseSSE([]byte(cur)))
+			next := serialize(parseSSE([]byte(cur)))
 			if next == cur {
 				return
 			}

@@ -3,8 +3,9 @@ package server
 // Service-level tests for per-worker workspace reuse. Every executor
 // owns one mlpart.Session and runs each job it dequeues on it; the
 // contract under test is that the reuse is invisible in results (each
-// document equals a one-shot library call) and in failure (a job that
-// follows a panicked one on the same worker completes normally).
+// document equals a library call's on a fresh bundle) and in failure
+// (a job that follows a panicked one on the same worker completes
+// normally).
 
 import (
 	"bytes"
@@ -21,10 +22,11 @@ import (
 	"mlpart/internal/hypergraph"
 )
 
-// oneShotDoc returns the result document a job would serve, computed
-// by a one-shot library call on fresh workspaces and encoded exactly
-// as GET /v1/jobs/{id}/result encodes it.
-func oneShotDoc(t *testing.T, hgr string, k int, options map[string]any) []byte {
+// freshDoc returns the result document a job would serve, computed
+// by one library call on a new Session — a fresh workspace bundle,
+// which the test's jobs all run on, their starts running one at a time
+// — and encoded exactly as GET /v1/jobs/{id}/result encodes it.
+func freshDoc(t *testing.T, hgr string, k int, options map[string]any) []byte {
 	t.Helper()
 	h, err := hypergraph.ReadHGR(strings.NewReader(hgr))
 	if err != nil {
@@ -42,9 +44,9 @@ func oneShotDoc(t *testing.T, hgr string, k int, options map[string]any) []byte 
 	if err != nil {
 		t.Fatalf("Fingerprint: %v", err)
 	}
-	p, info, err := mlpart.PartitionCtx(context.Background(), h, k, opt)
+	p, info, err := mlpart.NewSession().PartitionCtx(context.Background(), h, k, opt)
 	if err != nil {
-		t.Fatalf("one-shot k=%d %v: %v", k, options, err)
+		t.Fatalf("fresh k=%d %v: %v", k, options, err)
 	}
 	rec := httptest.NewRecorder()
 	writeJSON(rec, http.StatusOK, Result{
@@ -64,7 +66,7 @@ func oneShotDoc(t *testing.T, hgr string, k int, options map[string]any) []byte 
 // the result cache disabled so every job computes, runs every job on
 // the same Session — each inheriting workspaces grown and dirtied by
 // the jobs before it, across both k and both instance sizes. Every
-// result document must equal the one-shot library call's.
+// result document must equal the one computed on a fresh bundle.
 func TestWorkerSessionMatchesOneShot(t *testing.T) {
 	small := testHGR(t, 6, 6)
 	large := testHGR(t, 16, 16)
@@ -105,8 +107,8 @@ func TestWorkerSessionMatchesOneShot(t *testing.T) {
 			t.Fatalf("job %d (%s) ended %q, want completed", i, id, v.Status)
 		}
 		got, _ := getResult(t, hs.URL, id)
-		if want := oneShotDoc(t, subs[i].hgr, subs[i].k, subs[i].options); !bytes.Equal(got, want) {
-			t.Errorf("job %d: Session result differs from the one-shot call (%d vs %d bytes)", i, len(got), len(want))
+		if want := freshDoc(t, subs[i].hgr, subs[i].k, subs[i].options); !bytes.Equal(got, want) {
+			t.Errorf("job %d: Session result differs from the fresh bundle's (%d vs %d bytes)", i, len(got), len(want))
 		}
 	}
 	checkQuiescedLedger(t, s)
@@ -116,7 +118,7 @@ func TestWorkerSessionMatchesOneShot(t *testing.T) {
 // a burst through a one-worker server: the victim fails alone with a
 // typed "internal" error, and every other job — including the ones
 // that run after it on the same worker and Session — completes with
-// the one-shot call's result document.
+// the result document computed on a fresh bundle.
 func TestWorkerSessionAfterPanic(t *testing.T) {
 	const jobs = 6
 	const victim = 3 // 0-based admission seq of the poisoned job
@@ -155,8 +157,8 @@ func TestWorkerSessionAfterPanic(t *testing.T) {
 			continue
 		}
 		got, _ := getResult(t, hs.URL, id)
-		if want := oneShotDoc(t, hgr, 2, options(i)); !bytes.Equal(got, want) {
-			t.Errorf("job %d (%s): result differs from the one-shot call", i, id)
+		if want := freshDoc(t, hgr, 2, options(i)); !bytes.Equal(got, want) {
+			t.Errorf("job %d (%s): result differs from the fresh bundle's", i, id)
 		}
 	}
 

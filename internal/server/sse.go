@@ -2,8 +2,8 @@ package server
 
 // Server-Sent Events framing: the writer used by the event handlers
 // and the tolerant frame parser used by the stream-consuming clients
-// (the service benchmark workload and the protocol tests; the parser
-// is also the fuzz target FuzzParseSSE).
+// (the service benchmark workload and the protocol tests, whose
+// FuzzParseSSE fuzzes the parser).
 //
 // A frame is a block of "field: value" lines ended by a blank line:
 //
@@ -93,18 +93,6 @@ func (p *SSEParser) Line(s string) (SSEFrame, bool) {
 		p.hasField = true
 	}
 	return SSEFrame{}, false
-}
-
-// ParseSSE parses a complete byte stream into its dispatched frames.
-func ParseSSE(b []byte) []SSEFrame {
-	var p SSEParser
-	var frames []SSEFrame
-	for _, line := range strings.Split(string(b), "\n") {
-		if f, ok := p.Line(line); ok {
-			frames = append(frames, f)
-		}
-	}
-	return frames
 }
 
 // ReadSSEFrame reads from r until one frame is dispatched — the

@@ -288,7 +288,7 @@ func (o Options) supervisor() core.SuperOptions {
 // owns it. The entry points run it before any start, and mlpartd runs
 // it at admission.
 func (o Options) Validate(k int) error {
-	_, _, err := o.forK(k, nil, nil)
+	_, _, err := o.forK(k, nil)
 	return err
 }
 
@@ -299,7 +299,7 @@ type solution struct {
 }
 
 // startFunc runs one supervised start (see core.RunStarts).
-type startFunc = func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *Telemetry) core.Attempt[solution]
+type startFunc = core.StartFunc[solution]
 
 // forK normalizes o for a k-way run and returns it with the function
 // that runs one start on h. It is the one place that differs by k: the
@@ -307,10 +307,10 @@ type startFunc = func(ctx context.Context, seed int64, inj *faultinject.Injector
 // 1.0 for k = 4 when neither R nor T is set), the core entry point,
 // and the cost the starts are ranked on (the cut for k = 2, the sum of
 // degrees for k = 4). It checks the core configuration the starts run,
-// so it fails exactly when the entry point would. scratch, when
-// non-nil, is a Session's workspace bundle; h may be nil when the
-// function is not run.
-func (o Options) forK(k int, h *Hypergraph, scratch *core.Scratch) (Options, startFunc, error) {
+// so it fails exactly when the entry point would. The function runs
+// each start on the workspace bundle its supervisor worker passes it;
+// h may be nil when the function is not run.
+func (o Options) forK(k int, h *Hypergraph) (Options, startFunc, error) {
 	if k != 2 && k != 4 {
 		return o, nil, fmt.Errorf("mlpart: k must be 2 or 4, got %d", k)
 	}
@@ -324,13 +324,12 @@ func (o Options) forK(k int, h *Hypergraph, scratch *core.Scratch) (Options, sta
 			Ratio:     o.MatchingRatio,
 			Refine:    fm.Config{Engine: o.Engine, Tolerance: o.Tolerance},
 			Audit:     o.Audit,
-			Scratch:   scratch,
 		}
 		_, err = cfg.Normalize()
-		return o, func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *Telemetry) core.Attempt[solution] {
+		return o, func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *Telemetry, sc *core.Scratch) core.Attempt[solution] {
 			c := cfg
-			c.Inject, c.Telemetry = inj, tel
-			p, res, err := core.BipartitionCtx(ctx, h, c, scratch.Rand(seed))
+			c.Inject, c.Telemetry, c.Scratch = inj, tel, sc
+			p, res, err := core.BipartitionCtx(ctx, h, c, sc.Rand(seed))
 			return core.Attempt[solution]{
 				Sol:         solution{p: p, cut: res.Cut, sumDegrees: res.Cut, levels: res.Levels},
 				Cost:        res.Cut,
@@ -354,14 +353,13 @@ func (o Options) forK(k int, h *Hypergraph, scratch *core.Scratch) (Options, sta
 			Objective: kway.SumOfDegrees,
 			Tolerance: o.Tolerance,
 		},
-		Audit:   o.Audit,
-		Scratch: scratch,
+		Audit: o.Audit,
 	}
 	_, err = cfg.Normalize()
-	return o, func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *Telemetry) core.Attempt[solution] {
+	return o, func(ctx context.Context, seed int64, inj *faultinject.Injector, tel *Telemetry, sc *core.Scratch) core.Attempt[solution] {
 		c := cfg
-		c.Inject, c.Telemetry = inj, tel
-		p, res, err := core.QuadrisectCtx(ctx, h, c, scratch.Rand(seed))
+		c.Inject, c.Telemetry, c.Scratch = inj, tel, sc
+		p, res, err := core.QuadrisectCtx(ctx, h, c, sc.Rand(seed))
 		return core.Attempt[solution]{
 			Sol:         solution{p: p, cut: res.CutNets, sumDegrees: res.SumDegrees, levels: res.Levels},
 			Cost:        res.SumDegrees,
@@ -421,17 +419,23 @@ type Info struct {
 // *InternalError only when no start succeeds cleanly, alongside the
 // best recovered solution (nil only when no feasible solution exists
 // at all). Info.StartReports carries the per-start outcome taxonomy.
+//
+// Each supervisor worker runs its starts on one workspace bundle
+// borrowed from a process-wide pool and returns it when the run ends,
+// so a call on warm bundles allocates little beyond the partition it
+// returns; the pool lets idle bundles go after two garbage
+// collections. Reuse never changes results (see Session).
 func PartitionCtx(ctx context.Context, h *Hypergraph, k int, opt Options) (*Partition, Info, error) {
 	return partition(ctx, h, k, opt, nil)
 }
 
 // partition is the implementation behind PartitionCtx and
 // Session.PartitionCtx; scratch, when non-nil, is the session's
-// reusable workspace bundle, passed only when the starts run one at a
-// time. Validation, the supervisor, Info and the telemetry report
-// header are the same for every k.
+// workspace bundle, which the supervisor uses when a single worker
+// runs the starts. Validation, the supervisor, Info and the telemetry
+// report header are the same for every k.
 func partition(ctx context.Context, h *Hypergraph, k int, opt Options, scratch *core.Scratch) (*Partition, Info, error) {
-	opt, run, err := opt.forK(k, h, scratch)
+	opt, run, err := opt.forK(k, h)
 	if err != nil {
 		return nil, Info{BestStart: -1}, err
 	}
@@ -439,7 +443,9 @@ func partition(ctx context.Context, h *Hypergraph, k int, opt Options, scratch *
 		ctx = context.Background()
 	}
 	// With no solution (bestStart < 0), best is the zero solution.
-	best, bestStart, reports, err := core.RunStarts(ctx, opt.supervisor(), run)
+	sup := opt.supervisor()
+	sup.Scratch = scratch
+	best, bestStart, reports, err := core.RunStarts(ctx, sup, run)
 	info := Info{
 		Cut:          best.cut,
 		SumDegrees:   best.sumDegrees,
